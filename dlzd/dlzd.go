@@ -146,7 +146,7 @@ type Server struct {
 	ready           atomic.Bool
 	sweepMu         sync.Mutex
 	snapMu          sync.Mutex
-	recoveryRecords atomic.Uint64
+	replay          wal.Progress // journal replay so far; final once ready
 	recoveryNanos   atomic.Int64
 	walAppendErrors atomic.Uint64
 	snapshotsTaken  atomic.Uint64
@@ -559,9 +559,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
+	writeJSONStatus(w, code, ErrorResponse{Error: msg})
+}
+
+// writeJSONStatus writes v as the JSON body of a non-200 reply.
+func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func (s *Server) handleEnqueueBatch(w http.ResponseWriter, r *http.Request, t *tenant, oc *opCtx) {

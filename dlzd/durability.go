@@ -14,8 +14,10 @@ package dlzd
 // prefetched elements), captures queue contents / counter values / ledger
 // counters, reads the cut LSN, and releases the gates before touching disk —
 // records appended during the disk write have LSN > cut and replay on top.
-// Recovery is Open → Rebuild → restoreTenant, and only then does the server
-// flip ready.
+// Recovery is Open → restoreTenant: wal.Open streams the journal once, a
+// segment at a time, folding every record into per-tenant state as it is
+// decoded, and hands back those states; restoreTenant rebuilds each namespace
+// from its state, and only then does the server flip ready.
 
 import (
 	"fmt"
@@ -23,6 +25,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/heap"
 	"repro/internal/wal"
 )
 
@@ -81,16 +84,16 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 		return &RecoveryStats{}, nil
 	}
 	start := time.Now()
-	l, rec, err := wal.Open(wal.Options{
+	l, rec, err := wal.OpenWithProgress(wal.Options{
 		Dir:          d.Dir,
 		Policy:       d.Fsync,
 		Interval:     d.FsyncInterval,
 		SegmentBytes: d.SegmentBytes,
-	})
+	}, &s.replay)
 	if err != nil {
 		return nil, fmt.Errorf("dlzd: journal open: %w", err)
 	}
-	states := wal.Rebuild(rec.Snapshot, rec.Records)
+	states := rec.States
 	if len(states) > s.cfg.MaxTenants {
 		_ = l.Close()
 		return nil, fmt.Errorf("dlzd: journal holds %d tenants, MaxTenants is %d", len(states), s.cfg.MaxTenants)
@@ -102,14 +105,13 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 		}
 	}
 	stats := &RecoveryStats{
-		Records:     len(rec.Records),
+		Records:     rec.Replayed,
 		Tenants:     len(states),
 		SnapshotCut: rec.SnapshotCut,
 		Head:        rec.Head,
 		TornBytes:   rec.TornBytes,
 		Duration:    time.Since(start),
 	}
-	s.recoveryRecords.Store(uint64(stats.Records))
 	s.recoveryNanos.Store(int64(stats.Duration))
 	s.walPtr.Store(l)
 	s.ready.Store(true)
@@ -227,6 +229,7 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 	}()
 
 	snap := &wal.Snapshot{}
+	var elems []heap.Item // one drain buffer for every tenant's capture
 	for _, t := range tenants {
 		// Quiesce the leases: publish buffered inserts and increments, and
 		// return unconsumed prefetched elements so the capture sees them.
@@ -245,11 +248,11 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 			}
 			l.mu.Unlock()
 		}
-		items := t.mq.SnapshotElements(nil)
+		elems = t.mq.SnapshotElements(elems[:0])
 		st := wal.TenantState{
 			Name:            t.name,
 			M:               t.mq.M(),
-			Items:           make([]wal.Item, len(items)),
+			Items:           make([]wal.Item, len(elems)),
 			CounterSum:      t.mc.Exact(),
 			OpsEnqueued:     t.opsEnqueued.Load(),
 			OpsDequeued:     t.opsDequeued.Load(),
@@ -257,8 +260,8 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 			CounterDeltaSum: t.counterDeltaSum.Load(),
 			OpsMetered:      t.opsMetered.Load(),
 		}
-		for i, it := range items {
-			st.Items[i] = wal.Item{Priority: it.Priority, Value: it.Value}
+		for i, e := range elems {
+			st.Items[i] = wal.Item(e)
 		}
 		st.SortItems()
 		snap.Tenants = append(snap.Tenants, st)
@@ -278,7 +281,11 @@ func (s *Server) serveReadyz(w http.ResponseWriter) {
 	case s.closed.Load():
 		writeError(w, http.StatusServiceUnavailable, "draining")
 	case !s.ready.Load():
-		writeError(w, http.StatusServiceUnavailable, "recovering: journal replay in progress")
+		writeJSONStatus(w, http.StatusServiceUnavailable, RecoveringResponse{
+			Error:            "recovering: journal replay in progress",
+			ReplayedRecords:  s.replay.Records.Load(),
+			ReplayedSegments: s.replay.Segments.Load(),
+		})
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ready":true}`)

@@ -1,6 +1,7 @@
 package dlzd
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -204,8 +205,21 @@ func TestReadyzGating(t *testing.T) {
 	if code := c.get("/metrics", nil); code != http.StatusOK {
 		t.Errorf("metrics before Recover = %d, want 200", code)
 	}
-	if code := c.get("/readyz", nil); code != http.StatusServiceUnavailable {
-		t.Errorf("readyz before Recover = %d, want 503", code)
+	// The 503 carries the replay progress so far, as JSON a probe can parse.
+	resp, err := http.Get(c.srv.URL + "/readyz")
+	if err != nil {
+		t.Fatalf("GET /readyz: %v", err)
+	}
+	var progress RecoveringResponse
+	dec := json.NewDecoder(resp.Body)
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&progress)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("readyz before Recover = %d, want 503", resp.StatusCode)
+	}
+	if err != nil || progress.Error == "" || progress.ReplayedRecords != 0 || progress.ReplayedSegments != 0 {
+		t.Errorf("readyz 503 body before Recover = %+v (decode: %v)", progress, err)
 	}
 	if code := c.post("/v1/t/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(1)}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("v1 before Recover = %d, want 503", code)
@@ -264,12 +278,26 @@ func TestWALMetricsSeries(t *testing.T) {
 		t.Error("recovery duration series missing")
 	}
 
-	// Reboot after a crash-style abandon: the replay count goes live.
-	s2 := New(Config{Queues: 2, Durability: &Durability{Dir: dir}})
-	if _, err := s2.Recover(); err != nil {
+	// Reboot after a crash-style abandon: the replay count goes live, and is
+	// the journal tail behind the snapshot.
+	const tail = 3
+	for i := 0; i < tail; i++ {
+		if code := c.post("/v1/m/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(uint64(i))}, nil); code != http.StatusOK {
+			t.Fatalf("enqueue = %d", code)
+		}
+	}
+	s2, c2 := newTestClient(t, Config{Queues: 2, Durability: &Durability{Dir: dir}})
+	stats, err := s2.Recover()
+	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	defer s2.Close()
+	if stats.Records != tail {
+		t.Errorf("replayed %d records behind the snapshot, want %d", stats.Records, tail)
+	}
+	if v := lineValue(t, c2.metrics(), "dlzd_recovery_replayed_records"); v != strconv.Itoa(stats.Records) {
+		t.Errorf("dlzd_recovery_replayed_records = %s after replaying %d records", v, stats.Records)
+	}
 }
 
 // TestSnapshotUnderTraffic interleaves snapshots with live wire traffic and

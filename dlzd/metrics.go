@@ -157,7 +157,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 		s.walAppendErrors.Load())
 	counter("dlzd_snapshots_total", "Point-in-time snapshots written.", s.snapshotsTaken.Load())
 	counter("dlzd_recovery_replayed_records", "Journal records replayed on top of the snapshot at last boot.",
-		s.recoveryRecords.Load())
+		s.replay.Records.Load())
 	floatGauge("dlzd_recovery_duration_seconds", "Wall time of journal recovery at last boot.",
 		float64(s.recoveryNanos.Load())/1e9)
 

@@ -165,3 +165,11 @@ type StatsResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 }
+
+// RecoveringResponse is the /readyz 503 body while the journal replays: an
+// ErrorResponse plus how far the replay has got, updated once per segment.
+type RecoveringResponse struct {
+	Error            string `json:"error"`
+	ReplayedRecords  uint64 `json:"replayed_records"`
+	ReplayedSegments uint64 `json:"replayed_segments"`
+}

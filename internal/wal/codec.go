@@ -138,50 +138,55 @@ func appendShortString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodePayload parses one record payload. It is strict: unknown types,
-// short bodies, oversized batches, and leftover trailing bytes are all
-// errors, making the accepted encoding canonical.
-func decodePayload(p []byte) (Record, error) {
-	var r Record
+// decodeInto parses one record payload into r, overwriting every field. It
+// is strict: unknown types, short bodies, oversized batches, and leftover
+// trailing bytes are all errors, making the accepted encoding canonical.
+//
+// r is recycled, not rebuilt: Items is refilled in place over its backing
+// array and the tenant/session strings are kept when the payload repeats
+// them, so a scan over records like the previous one allocates nothing.
+// Whoever keeps a decoded record past the next decodeInto must clone it.
+func decodeInto(r *Record, p []byte) error {
 	if len(p) < 1+8 {
-		return r, fmt.Errorf("wal: payload too short (%d bytes)", len(p))
+		return fmt.Errorf("wal: payload too short (%d bytes)", len(p))
 	}
 	r.Type = RecordType(p[0])
 	r.LSN = binary.LittleEndian.Uint64(p[1:])
+	r.Items = r.Items[:0]
+	r.Count, r.Weight, r.M, r.Metered = 0, 0, 0, 0
 	p = p[9:]
 	var err error
-	if r.Tenant, p, err = cutShortString(p); err != nil {
-		return r, fmt.Errorf("wal: tenant: %w", err)
+	if r.Tenant, p, err = cutShortString(p, r.Tenant); err != nil {
+		return fmt.Errorf("wal: tenant: %w", err)
 	}
-	if r.Session, p, err = cutShortString(p); err != nil {
-		return r, fmt.Errorf("wal: session: %w", err)
+	if r.Session, p, err = cutShortString(p, r.Session); err != nil {
+		return fmt.Errorf("wal: session: %w", err)
 	}
 	switch r.Type {
 	case RecEnqueue, RecDeleteMin:
 		if len(p) < 4 {
-			return r, fmt.Errorf("wal: truncated item count")
+			return fmt.Errorf("wal: truncated item count")
 		}
 		n := binary.LittleEndian.Uint32(p)
 		p = p[4:]
 		if n > maxBatchItems {
-			return r, fmt.Errorf("wal: item count %d exceeds cap", n)
+			return fmt.Errorf("wal: item count %d exceeds cap", n)
 		}
 		if uint64(len(p)) != uint64(n)*16+8 {
-			return r, fmt.Errorf("wal: item body length %d != %d items", len(p), n)
+			return fmt.Errorf("wal: item body length %d != %d items", len(p), n)
 		}
-		if n > 0 {
-			r.Items = make([]Item, n)
-			for i := range r.Items {
-				r.Items[i].Priority = binary.LittleEndian.Uint64(p)
-				r.Items[i].Value = binary.LittleEndian.Uint64(p[8:])
-				p = p[16:]
-			}
+		for ; n > 0; n-- {
+			r.Items = append(r.Items, Item{
+				Priority: binary.LittleEndian.Uint64(p),
+				Value:    binary.LittleEndian.Uint64(p[8:]),
+			})
+			p = p[16:]
 		}
 		r.Metered = binary.LittleEndian.Uint64(p)
 		p = p[8:]
 	case RecCounterAdd:
 		if len(p) != 24 {
-			return r, fmt.Errorf("wal: counter body length %d", len(p))
+			return fmt.Errorf("wal: counter body length %d", len(p))
 		}
 		r.Count = binary.LittleEndian.Uint64(p)
 		r.Weight = binary.LittleEndian.Uint64(p[8:])
@@ -189,21 +194,24 @@ func decodePayload(p []byte) (Record, error) {
 		p = p[24:]
 	case RecResize:
 		if len(p) != 4 {
-			return r, fmt.Errorf("wal: resize body length %d", len(p))
+			return fmt.Errorf("wal: resize body length %d", len(p))
 		}
 		r.M = int(binary.LittleEndian.Uint32(p))
 		p = p[4:]
 	case RecSessionClose:
 	default:
-		return r, fmt.Errorf("wal: unknown record type %d", r.Type)
+		return fmt.Errorf("wal: unknown record type %d", r.Type)
 	}
 	if len(p) != 0 {
-		return r, fmt.Errorf("wal: %d trailing payload bytes", len(p))
+		return fmt.Errorf("wal: %d trailing payload bytes", len(p))
 	}
-	return r, nil
+	return nil
 }
 
-func cutShortString(p []byte) (string, []byte, error) {
+// cutShortString cuts one length-prefixed string off p. It returns prev
+// itself when the bytes spell prev (the comparison does not allocate), a
+// fresh string otherwise.
+func cutShortString(p []byte, prev string) (string, []byte, error) {
 	if len(p) < 1 {
 		return "", nil, fmt.Errorf("missing length byte")
 	}
@@ -211,45 +219,64 @@ func cutShortString(p []byte) (string, []byte, error) {
 	if len(p) < 1+n {
 		return "", nil, fmt.Errorf("length %d exceeds %d remaining bytes", n, len(p)-1)
 	}
+	if string(p[1:1+n]) == prev {
+		return prev, p[1+n:], nil
+	}
 	return string(p[1 : 1+n]), p[1+n:], nil
 }
 
-// DecodeSegment scans one segment image and returns every valid record up
-// to the first invalid or torn frame. goodLen is the byte offset of that
-// frame (== len(data) when the whole segment is valid); recovery truncates
-// the file there. wantFirst, when nonzero, pins the required LSN of the
-// first record (segments are named by it); every subsequent record must
-// extend the sequence by exactly one — a skip, repeat, or regression is
-// treated as corruption at that frame. The scanner never panics on
-// arbitrary input.
-func DecodeSegment(data []byte, wantFirst uint64) (recs []Record, goodLen int) {
+// clone returns a copy of r that shares no memory with it: the one thing a
+// visitor must do to keep a record the scanner handed it.
+func (r *Record) clone() Record {
+	c := *r
+	c.Items = append([]Item(nil), r.Items...) // nil when r has no items
+	return c
+}
+
+// scanner walks segment images record by record. It owns the one Record
+// every frame is decoded into, so the Items backing array and the
+// tenant/session strings carry over from frame to frame and from segment to
+// segment.
+type scanner struct {
+	rec Record
+}
+
+// scanSegment scans one segment image and calls visit for every valid
+// record up to the first invalid or torn frame, returning the byte offset
+// of that frame (== len(data) when the whole segment is valid); recovery
+// truncates the file there. wantFirst, when nonzero, pins the required LSN
+// of the first record (segments are named by it); every subsequent record
+// must extend the sequence by exactly one — a skip, repeat, or regression is
+// treated as corruption at that frame. The record passed to visit is the
+// scanner's scratch record and is overwritten by the next frame. The
+// scanner never panics on arbitrary input.
+func (sc *scanner) scanSegment(data []byte, wantFirst uint64, visit func(*Record)) (goodLen int) {
 	next := wantFirst
 	pinned := wantFirst != 0
 	off := 0
 	for off < len(data) {
 		if len(data)-off < frameHeader {
-			return recs, off // torn header
+			return off // torn header
 		}
 		plen := int(binary.LittleEndian.Uint32(data[off:]))
 		crc := binary.LittleEndian.Uint32(data[off+4:])
 		if plen > MaxPayload || len(data)-off-frameHeader < plen {
-			return recs, off // absurd or torn length
+			return off // absurd or torn length
 		}
 		payload := data[off+frameHeader : off+frameHeader+plen]
 		if crc32.Checksum(payload, castagnoli) != crc {
-			return recs, off
+			return off
 		}
-		r, err := decodePayload(payload)
-		if err != nil {
-			return recs, off
+		if err := decodeInto(&sc.rec, payload); err != nil {
+			return off
 		}
-		if pinned && r.LSN != next {
-			return recs, off // LSN discontinuity: duplicated or spliced frames
+		if pinned && sc.rec.LSN != next {
+			return off // LSN discontinuity: duplicated or spliced frames
 		}
 		pinned = true
-		next = r.LSN + 1
-		recs = append(recs, r)
+		next = sc.rec.LSN + 1
+		visit(&sc.rec)
 		off += frameHeader + plen
 	}
-	return recs, off
+	return off
 }

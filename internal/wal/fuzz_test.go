@@ -2,13 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
-// FuzzWALReplay throws arbitrary bytes at the segment decoder: torn tails,
+// FuzzWALReplay throws arbitrary bytes at the segment scanner: torn tails,
 // bit-flipped CRCs, truncated length prefixes, spliced duplicate suffixes.
-// The decoder must never panic, must stop at the first invalid frame, and —
-// because the codec is canonical — re-encoding what it accepted must
+// The scanner must never panic, must stop at the first invalid frame, must
+// yield exactly the records and goodLen the reference DecodeSegment does,
+// and — because the codec is canonical — re-encoding what it accepted must
 // reproduce exactly the bytes it consumed.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with valid segment images and targeted corruptions of them.
@@ -30,9 +32,12 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, good := DecodeSegment(data, 0)
+		recs, good := scanAll(data, 0)
 		if good < 0 || good > len(data) {
 			t.Fatalf("goodLen %d out of range [0,%d]", good, len(data))
+		}
+		if want, wantGood := DecodeSegment(data, 0); good != wantGood || !reflect.DeepEqual(recs, want) {
+			t.Fatalf("scanner yielded %d records to offset %d, reference %d to %d", len(recs), good, len(want), wantGood)
 		}
 		// Canonical re-encode: the accepted prefix must round-trip
 		// byte-for-byte.

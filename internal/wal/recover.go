@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 )
 
 // Recovered reports what Open found on disk.
@@ -12,8 +14,14 @@ type Recovered struct {
 	Snapshot *Snapshot
 	// SnapshotCut is Snapshot.CutLSN (0 without a snapshot).
 	SnapshotCut uint64
-	// Records are the journal records replayed on top of the snapshot, in
-	// LSN order, all with LSN > SnapshotCut.
+	// States is the recovered per-tenant logical state, sorted by tenant
+	// name: the snapshot with every replayed record folded into it.
+	States []TenantState
+	// Replayed counts the journal records folded on top of the snapshot,
+	// all with LSN > SnapshotCut.
+	Replayed int
+	// Records are deep copies of those records in LSN order. Only Replay
+	// fills it; Open keeps nothing proportional to the journal.
 	Records []Record
 	// Head is the last valid LSN on disk; Open's fresh segment starts at
 	// Head+1.
@@ -29,14 +37,27 @@ type Recovered struct {
 	TailBytes int64
 }
 
-// recoverDir scans dir and reconstructs the durable state: newest valid
-// snapshot, chained segment replay, torn-tail detection. With repair set it
-// also truncates torn files and removes unreachable segments so the
-// directory is left frame-clean; recovery itself is read-only otherwise
-// (used by tests to re-replay the same journal). Corruption is never an
-// error — the scan stops at the first invalid frame, exactly like the
-// recovery state machine in DESIGN.md §12. Only I/O failures return errors.
-func recoverDir(dir string, repair bool) (*Recovered, error) {
+// Progress is how far a running recovery has got, published once per
+// segment so another goroutine (dlzd's /readyz and /metrics) can read it
+// while OpenWithProgress is still replaying.
+type Progress struct {
+	// Records counts journal records folded so far.
+	Records atomic.Uint64
+	// Segments counts segment files scanned so far.
+	Segments atomic.Uint64
+}
+
+// recoverDir scans dir and reconstructs the durable state in one pass:
+// newest valid snapshot, then the chained segments behind it, one segment
+// image resident at a time, every record folded into the per-tenant state
+// the moment it is decoded, torn-tail detection. With keep unset (Open) it
+// repairs as it goes — truncates torn files and removes unreachable
+// segments so the directory is left frame-clean — and retains nothing per
+// record. With keep set (Replay) it is read-only and also collects a deep
+// copy of every replayed record. Corruption is never an error — the scan
+// stops at the first invalid frame, exactly like the recovery state machine
+// in DESIGN.md §12. Only I/O failures return errors.
+func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -84,37 +105,45 @@ func recoverDir(dir string, repair bool) (*Recovered, error) {
 		}
 	}
 
+	f := newFold(rec.Snapshot)
+	visit := func(r *Record) {
+		if r.LSN > cut {
+			f.apply(r)
+			rec.Replayed++
+			rec.TailBytes += int64(frameHeader + payloadLen(r))
+			if keep {
+				rec.Records = append(rec.Records, r.clone())
+			}
+		}
+		rec.Head = r.LSN
+	}
+	var sc scanner
+	var data []byte // one segment image, reused from segment to segment
 	for i := start; i < len(segs); i++ {
 		s := segs[i]
 		if s.first > rec.Head+1 {
 			// LSN gap: this segment and everything after it are unreachable
 			// from the durable prefix.
 			rec.SegmentsDropped += len(segs) - i
-			if repair {
+			if !keep {
 				for _, d := range segs[i:] {
 					_ = os.Remove(d.path)
 				}
 			}
 			break
 		}
-		data, err := os.ReadFile(s.path)
-		if err != nil {
+		if data, err = readInto(data[:0], s.path); err != nil {
 			return nil, err
 		}
-		recs, good := DecodeSegment(data, s.first)
-		for _, r := range recs {
-			if r.LSN > cut {
-				rec.Records = append(rec.Records, r)
-				rec.TailBytes += int64(frameHeader + payloadLen(&r))
-			}
-			rec.Head = r.LSN
-		}
+		good := sc.scanSegment(data, s.first, visit)
+		prog.Records.Store(uint64(rec.Replayed))
+		prog.Segments.Add(1)
 		if good < len(data) {
 			// Torn or corrupt frame: truncate it away and drop the
 			// unreachable successors.
 			rec.TornBytes += int64(len(data) - good)
 			rec.SegmentsDropped += len(segs) - i - 1
-			if repair {
+			if !keep {
 				if err := os.Truncate(s.path, int64(good)); err != nil {
 					return nil, err
 				}
@@ -125,7 +154,36 @@ func recoverDir(dir string, repair bool) (*Recovered, error) {
 			break
 		}
 	}
+	rec.States = f.states()
 	return rec, nil
+}
+
+// readInto reads the whole file at path into buf's backing array, growing
+// it only when the file is larger than anything read before.
+func readInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if st, err := f.Stat(); err == nil && int64(cap(buf)) <= st.Size() {
+		// Rounded up so that segments a few frames apart in size, as rolled
+		// segments are, share one buffer.
+		buf = make([]byte, 0, (st.Size()+1<<20)&^(1<<20-1))
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // payloadLen returns the encoded payload size of r without materializing
@@ -150,105 +208,135 @@ func min255(n int) int {
 	return n
 }
 
-// Rebuild folds a snapshot plus its replayed journal tail into per-tenant
-// logical state, sorted by tenant name. It is a pure function of its
-// inputs, so replaying the same journal twice yields identical output —
+// fold accumulates a snapshot plus journal records into per-tenant logical
+// state, one record at a time. It is a pure function of the record
+// sequence, so replaying the same journal twice yields identical output —
 // the determinism guarantee the recovery tests diff.
 //
-// Replay is two-pass over a multiset of elements. Pass one applies every
-// enqueue, counter add, and resize; pass two matches delete-min records
-// against the multiset. A delete whose element has no matching enqueue
-// (the element was enqueued and dequeued by racing sessions and only the
-// dequeue record made it out before the crash — append order is per-record,
-// not per-element) is compensated by also crediting the missing enqueue, so
-// the recovered ledger still satisfies
+// The queue contents are a signed multiset per tenant: an enqueued element
+// counts +1, a delivered one −1, and an entry that returns to zero leaves
+// the map, so what is resident is the surviving elements, not every element
+// the journal ever mentioned. A count may go negative: a delete whose
+// element has no matching enqueue yet (the element was enqueued and dequeued
+// by racing sessions and the dequeue record was appended first — append
+// order is per-record, not per-element). If the enqueue follows, the pair
+// cancels then; if the crash cut it off, the entry is still negative at the
+// end and is compensated by crediting the missing enqueue, so the recovered
+// ledger still satisfies
 //
 //	QueueLen == OpsEnqueued - OpsDequeued
 //
 // exactly, and the element itself is (correctly) absent from the queue.
-func Rebuild(snap *Snapshot, records []Record) []TenantState {
-	type acc struct {
-		st        TenantState
-		multiset  map[Item]int64
-		unmatched uint64
-	}
-	accs := make(map[string]*acc)
-	get := func(name string) *acc {
-		a := accs[name]
-		if a == nil {
-			a = &acc{st: TenantState{Name: name}, multiset: make(map[Item]int64)}
-			accs[name] = a
-		}
-		return a
-	}
+// With E enqueues and D deletes of one element in total, the queue gets
+// max(0, E−D) copies and the ledger max(0, D−E) credits whatever order they
+// arrive in, which is why one pass equals applying all enqueues first.
+type fold struct {
+	tenants map[string]*tenantFold
+}
+
+type tenantFold struct {
+	st  TenantState
+	net map[Item]int64 // signed multiset; no entry is ever zero
+}
+
+func newFold(snap *Snapshot) *fold {
+	f := &fold{tenants: make(map[string]*tenantFold)}
 	if snap != nil {
 		for i := range snap.Tenants {
-			t := &snap.Tenants[i]
-			a := get(t.Name)
-			a.st = *t
-			for _, it := range t.Items {
-				a.multiset[it]++
+			t := f.tenant(snap.Tenants[i].Name)
+			t.st = snap.Tenants[i]
+			t.st.Items = nil
+			for _, it := range snap.Tenants[i].Items {
+				t.net[it]++
 			}
-			a.st.Items = nil
 		}
 	}
-	for i := range records {
-		r := &records[i]
-		a := get(r.Tenant)
-		switch r.Type {
-		case RecEnqueue:
-			for _, it := range r.Items {
-				a.multiset[it]++
-			}
-			a.st.OpsEnqueued += uint64(len(r.Items))
-			a.st.OpsMetered += r.Metered
-		case RecCounterAdd:
-			a.st.OpsCounterAdds += r.Count
-			a.st.CounterDeltaSum += r.Weight
-			a.st.CounterSum += r.Weight
-			a.st.OpsMetered += r.Metered
-		case RecResize:
-			a.st.M = r.M
-		}
+	return f
+}
+
+func (f *fold) tenant(name string) *tenantFold {
+	t := f.tenants[name]
+	if t == nil {
+		t = &tenantFold{st: TenantState{Name: name}, net: make(map[Item]int64)}
+		f.tenants[name] = t
 	}
-	for i := range records {
-		r := &records[i]
-		if r.Type != RecDeleteMin {
-			continue
-		}
-		a := get(r.Tenant)
+	return t
+}
+
+// apply folds one record in. It keeps nothing of r but the tenant name,
+// an immutable string, so r may be the scanner's scratch record.
+func (f *fold) apply(r *Record) {
+	t := f.tenant(r.Tenant)
+	switch r.Type {
+	case RecEnqueue:
 		for _, it := range r.Items {
-			if a.multiset[it] > 0 {
-				a.multiset[it]--
-			} else {
-				a.unmatched++
-			}
+			t.add(it, 1)
 		}
-		a.st.OpsDequeued += uint64(len(r.Items))
-		a.st.OpsMetered += r.Metered
+		t.st.OpsEnqueued += uint64(len(r.Items))
+		t.st.OpsMetered += r.Metered
+	case RecDeleteMin:
+		for _, it := range r.Items {
+			t.add(it, -1)
+		}
+		t.st.OpsDequeued += uint64(len(r.Items))
+		t.st.OpsMetered += r.Metered
+	case RecCounterAdd:
+		t.st.OpsCounterAdds += r.Count
+		t.st.CounterDeltaSum += r.Weight
+		t.st.CounterSum += r.Weight
+		t.st.OpsMetered += r.Metered
+	case RecResize:
+		t.st.M = r.M
 	}
-	out := make([]TenantState, 0, len(accs))
-	for _, a := range accs {
-		a.st.OpsEnqueued += a.unmatched
-		for it, n := range a.multiset {
-			for ; n > 0; n-- {
-				a.st.Items = append(a.st.Items, it)
+}
+
+func (t *tenantFold) add(it Item, d int64) {
+	if n := t.net[it] + d; n == 0 {
+		delete(t.net, it)
+	} else {
+		t.net[it] = n
+	}
+}
+
+// states finishes the fold: positive entries become the queue's items in
+// canonical order, negative ones the compensating enqueue credits. Each
+// tenant's multiset is released as soon as it has been read out.
+func (f *fold) states() []TenantState {
+	out := make([]TenantState, 0, len(f.tenants))
+	for _, t := range f.tenants {
+		live := 0
+		for _, n := range t.net {
+			if n > 0 {
+				live += int(n)
 			}
 		}
-		a.st.SortItems()
-		out = append(out, a.st)
+		if live > 0 {
+			t.st.Items = make([]Item, 0, live)
+		}
+		for it, n := range t.net {
+			for ; n > 0; n-- {
+				t.st.Items = append(t.st.Items, it)
+			}
+			if n < 0 {
+				t.st.OpsEnqueued += uint64(-n)
+			}
+		}
+		t.net = nil
+		t.st.SortItems()
+		out = append(out, t.st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Replay re-runs recovery on a directory without repairing it and rebuilds
-// the tenant states — the read-only "replay the same journal twice" probe
-// the determinism tests use.
+// Replay re-runs recovery on a directory without repairing it: the
+// read-only "replay the same journal twice" probe the determinism tests
+// use, and the one caller that gets the replayed records themselves
+// (Recovered.Records) beside the states folded from them.
 func Replay(dir string) ([]TenantState, *Recovered, error) {
-	rec, err := recoverDir(dir, false)
+	rec, err := recoverDir(dir, true, new(Progress))
 	if err != nil {
 		return nil, nil, err
 	}
-	return Rebuild(rec.Snapshot, rec.Records), rec, nil
+	return rec.States, rec, nil
 }

@@ -1,11 +1,13 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -44,12 +46,11 @@ type TenantState struct {
 
 // SortItems sorts ts.Items into the canonical (priority, value) order.
 func (ts *TenantState) SortItems() {
-	sort.Slice(ts.Items, func(i, j int) bool {
-		a, b := ts.Items[i], ts.Items[j]
-		if a.Priority != b.Priority {
-			return a.Priority < b.Priority
+	slices.SortFunc(ts.Items, func(a, b Item) int {
+		if c := cmp.Compare(a.Priority, b.Priority); c != 0 {
+			return c
 		}
-		return a.Value < b.Value
+		return cmp.Compare(a.Value, b.Value)
 	})
 }
 
@@ -100,7 +101,7 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 	for i := uint32(0); i < n; i++ {
 		var t TenantState
 		var err error
-		if t.Name, p, err = cutShortString(p); err != nil {
+		if t.Name, p, err = cutShortString(p, ""); err != nil {
 			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
 		}
 		if len(p) < 4+6*8+4 {
@@ -166,9 +167,8 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	if d, derr := os.Open(l.opt.Dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	if err := syncDir(l.opt.Dir); err != nil {
+		return err
 	}
 	l.snapCut.Store(s.CutLSN)
 	l.sinceSnap.Store(0)

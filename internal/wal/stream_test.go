@@ -1,0 +1,245 @@
+package wal
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// foldAll runs the streaming fold over records already in memory.
+func foldAll(snap *Snapshot, recs []Record) []TenantState {
+	f := newFold(snap)
+	for i := range recs {
+		f.apply(&recs[i])
+	}
+	return f.states()
+}
+
+// scanAll collects what the streaming scanner yields for one segment image.
+func scanAll(data []byte, wantFirst uint64) (recs []Record, goodLen int) {
+	var sc scanner
+	goodLen = sc.scanSegment(data, wantFirst, func(r *Record) { recs = append(recs, r.clone()) })
+	return recs, goodLen
+}
+
+// randomStream draws a snapshot base and a journal tail behind it that hit
+// everything the fold treats specially: few distinct (priority, value)
+// pairs, so the same element is enqueued many times over; deletes drawn
+// blind, so some find no element, some find it only later and some never;
+// resizes, counter adds, session closes and empty batches in between; and
+// tenants that exist only in the snapshot or only in the tail.
+func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
+	tenants := []string{"a", "b", "c", "d"}[:1+rng.Intn(4)]
+	item := func() Item { return Item{uint64(rng.Intn(4)), uint64(rng.Intn(3))} }
+
+	var snap *Snapshot
+	lsn := uint64(0)
+	if rng.Intn(3) > 0 {
+		lsn = uint64(rng.Intn(1000))
+		snap = &Snapshot{CutLSN: lsn}
+		for _, name := range append([]string{"snap-only"}, tenants...) {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			ts := TenantState{Name: name, M: rng.Intn(3) * 8,
+				CounterSum: uint64(rng.Intn(50)), OpsCounterAdds: uint64(rng.Intn(9)),
+				OpsDequeued: uint64(rng.Intn(9)), OpsMetered: uint64(rng.Intn(99))}
+			for n := rng.Intn(12); n > 0; n-- {
+				ts.Items = append(ts.Items, item())
+			}
+			ts.SortItems()
+			ts.CounterDeltaSum = ts.CounterSum
+			ts.OpsEnqueued = ts.OpsDequeued + uint64(len(ts.Items))
+			snap.Tenants = append(snap.Tenants, ts)
+		}
+	}
+
+	recs := make([]Record, rng.Intn(300))
+	for i := range recs {
+		lsn++
+		r := Record{LSN: lsn, Tenant: tenants[rng.Intn(len(tenants))], Session: fmt.Sprint("s", rng.Intn(3))}
+		switch k := rng.Intn(16); {
+		case k < 6:
+			r.Type = RecEnqueue
+		case k < 12:
+			r.Type = RecDeleteMin
+		case k < 14:
+			r.Type, r.Count, r.Weight = RecCounterAdd, uint64(1+rng.Intn(8)), uint64(rng.Intn(100))
+			r.Metered = r.Count
+		case k < 15:
+			r.Type, r.M = RecResize, 1<<rng.Intn(6)
+		default:
+			r.Type = RecSessionClose
+		}
+		if r.Type == RecEnqueue || r.Type == RecDeleteMin {
+			for n := rng.Intn(9); n > 0; n-- {
+				r.Items = append(r.Items, item())
+			}
+			r.Metered = uint64(len(r.Items))
+		}
+		recs[i] = r
+	}
+	return snap, recs
+}
+
+// TestFoldMatchesTwoPassRebuild is the differential property test: on
+// seeded random streams the one-pass signed-multiset fold — fed from memory,
+// and fed by the scanner out of its recycled scratch record — produces
+// exactly what the two-pass reference produces, down to the snapshot bytes.
+func TestFoldMatchesTwoPassRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260927))
+	unmatched, dups := 0, 0
+	for round := 0; round < 400; round++ {
+		snap, recs := randomStream(rng)
+		want := Rebuild(snap, recs)
+
+		if got := foldAll(snap, recs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: fold from memory\n got %+v\nwant %+v", round, got, want)
+		}
+
+		var image []byte
+		for i := range recs {
+			image = appendFrame(image, &recs[i])
+		}
+		f := newFold(snap)
+		var sc scanner
+		first := uint64(0)
+		if len(recs) > 0 {
+			first = recs[0].LSN
+		}
+		if good := sc.scanSegment(image, first, f.apply); good != len(image) {
+			t.Fatalf("round %d: scan stopped at %d of %d", round, good, len(image))
+		}
+		got := f.states()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: fold from the scanner\n got %+v\nwant %+v", round, got, want)
+		}
+		if !bytes.Equal(encodeSnapshot(&Snapshot{Tenants: got}), encodeSnapshot(&Snapshot{Tenants: want})) {
+			t.Fatalf("round %d: equal states encode differently", round)
+		}
+
+		// What the streams exercised, so a generator that stopped producing
+		// the hard cases fails here instead of passing vacuously.
+		for _, ts := range want {
+			var enq, deq uint64
+			if snap != nil {
+				for _, st := range snap.Tenants {
+					if st.Name == ts.Name {
+						enq, deq = st.OpsEnqueued, st.OpsDequeued
+					}
+				}
+			}
+			for _, r := range recs {
+				if r.Tenant == ts.Name && r.Type == RecEnqueue {
+					enq += uint64(len(r.Items))
+				}
+				if r.Tenant == ts.Name && r.Type == RecDeleteMin {
+					deq += uint64(len(r.Items))
+				}
+			}
+			if ts.OpsDequeued != deq || ts.OpsEnqueued-ts.OpsDequeued != uint64(len(ts.Items)) {
+				t.Fatalf("round %d tenant %s: ledger enq=%d deq=%d items=%d", round, ts.Name, ts.OpsEnqueued, ts.OpsDequeued, len(ts.Items))
+			}
+			if ts.OpsEnqueued > enq {
+				unmatched++
+			}
+			for i := 1; i < len(ts.Items); i++ {
+				if ts.Items[i] == ts.Items[i-1] {
+					dups++
+					break
+				}
+			}
+		}
+	}
+	if unmatched == 0 || dups == 0 {
+		t.Fatalf("streams too tame: %d tenants with unmatched deletes, %d with duplicate survivors", unmatched, dups)
+	}
+}
+
+// TestReplayRecordsAreDeepCopies pins the aliasing contract: the scanner
+// decodes every frame into one scratch record, so whatever keeps a record
+// must have copied it. Scribbling over the scratch record after the scan
+// changes nothing already collected, and no two records Replay returns
+// share an Items array.
+func TestReplayRecordsAreDeepCopies(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{SegmentBytes: 512})
+	var image []byte
+	for i := 0; i < 40; i++ {
+		r := Record{Type: RecEnqueue, Tenant: "t", Session: "s", Metered: 3,
+			Items: []Item{{uint64(i), 1}, {uint64(i), 2}, {uint64(i), 3}}}
+		mustAppend(t, l, r)
+		r.LSN = uint64(i + 1)
+		image = appendFrame(image, &r)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := DecodeSegment(image, 1)
+
+	var sc scanner
+	var kept []Record
+	sc.scanSegment(image, 1, func(r *Record) { kept = append(kept, r.clone()) })
+	scratch := sc.rec.Items[:cap(sc.rec.Items)]
+	for i := range scratch {
+		scratch[i] = Item{^uint64(0), ^uint64(0)}
+	}
+	sc.rec.Tenant, sc.rec.Session = "scribbled", "scribbled"
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatalf("cloned records changed with the scratch record")
+	}
+
+	recs := replayRecords(t, dir)
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("Replay returned %d records that differ from the %d appended", len(recs), len(want))
+	}
+	owner := make(map[*Item]int)
+	for i := range recs {
+		if prev, shared := owner[&recs[i].Items[0]]; shared {
+			t.Fatalf("records %d and %d share an Items array", prev, i)
+		}
+		owner[&recs[i].Items[0]] = i
+	}
+}
+
+// TestStreamingRecoveryZeroAlloc is the allocation gate on the boot path:
+// scanning a warm segment of batch-8 enqueue/delete pairs and folding it
+// allocates nothing — no Record, no Items slice, no string, no map growth —
+// and because every pair cancels the moment its delete is seen, the multiset
+// ends empty. Boot therefore holds one segment image plus the live state.
+func TestStreamingRecoveryZeroAlloc(t *testing.T) {
+	const pairs = 512
+	var image []byte
+	lsn := uint64(0)
+	for i := 0; i < pairs; i++ {
+		items := make([]Item, 8)
+		for j := range items {
+			items[j] = Item{uint64(i % 97), uint64(i*8 + j)}
+		}
+		for _, typ := range []RecordType{RecEnqueue, RecDeleteMin} {
+			lsn++
+			image = appendFrame(image, &Record{LSN: lsn, Type: typ, Tenant: "acme", Session: "caller-0", Items: items, Metered: 8})
+		}
+	}
+	f := newFold(nil)
+	var sc scanner
+	visit := f.apply
+	scan := func() {
+		if good := sc.scanSegment(image, 1, visit); good != len(image) {
+			t.Fatalf("scan stopped at %d of %d", good, len(image))
+		}
+	}
+	scan() // warm: the tenant, its map and the scratch Items array now exist
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Fatalf("%v allocs per warm segment of %d records, want 0", allocs, 2*pairs)
+	}
+	if n := len(f.tenants["acme"].net); n != 0 {
+		t.Fatalf("%d elements left in the multiset after fully matched pairs", n)
+	}
+	st := f.states()
+	if len(st) != 1 || len(st[0].Items) != 0 || st[0].OpsEnqueued != st[0].OpsDequeued {
+		t.Fatalf("folded state %+v", st)
+	}
+}

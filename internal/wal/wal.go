@@ -14,10 +14,10 @@
 //
 // Segments are named wal-%016x.seg by the first LSN they hold; snapshots
 // snap-%016x.snap by their cut LSN. Recovery (Open) picks the newest
-// decodable snapshot, replays the chained segment tail behind it, truncates
-// the first torn or corrupt frame, drops unreachable later segments, and
-// reports everything it did in Recovered. Rebuild turns a snapshot plus
-// replayed records back into per-tenant logical state.
+// decodable snapshot, streams the chained segment tail behind it one segment
+// at a time, folding each record into per-tenant logical state as it is
+// decoded, truncates the first torn or corrupt frame, drops unreachable later
+// segments, and reports the states and everything it did in Recovered.
 package wal
 
 import (
@@ -151,9 +151,15 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // Open recovers the journal in opt.Dir (truncating any torn tail), starts a
 // fresh active segment at head+1, and returns the writable log plus what
-// recovery found. The caller replays Recovered into its in-memory state
-// before serving traffic.
+// recovery found. The caller restores Recovered.States into its in-memory
+// state before serving traffic.
 func Open(opt Options) (*Log, *Recovered, error) {
+	return OpenWithProgress(opt, new(Progress))
+}
+
+// OpenWithProgress is Open publishing its replay progress in prog after
+// every segment, for a caller that reports it while recovery runs.
+func OpenWithProgress(opt Options, prog *Progress) (*Log, *Recovered, error) {
 	opt = opt.withDefaults()
 	if opt.Dir == "" {
 		return nil, nil, fmt.Errorf("wal: Options.Dir is required")
@@ -161,7 +167,7 @@ func Open(opt Options) (*Log, *Recovered, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	rec, err := recoverDir(opt.Dir, true)
+	rec, err := recoverDir(opt.Dir, false, prog)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -182,16 +188,38 @@ func Open(opt Options) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
+// openSegment creates the segment named by first and makes it the active
+// one. The directory is fsynced before any record goes into the file:
+// fsyncing a record's bytes does not make the file's name durable, and a
+// power cut after a roll must not lose the file that holds them.
 func (l *Log) openSegment(first uint64) error {
 	name := segName(first)
 	f, err := os.OpenFile(filepath.Join(l.opt.Dir, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
+	if err := syncDir(l.opt.Dir); err != nil {
+		_ = f.Close() // nothing was written to it
+		return err
+	}
 	l.f = f
 	l.segName = name
 	l.segBytes = 0
 	return nil
+}
+
+// syncDir fsyncs a directory, making the creations and renames done in it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Append assigns the next LSN to r, frames it, and writes it to the active

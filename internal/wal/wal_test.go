@@ -20,6 +20,20 @@ func testOpen(t *testing.T, dir string, opt Options) (*Log, *Recovered) {
 	return l, rec
 }
 
+// replayRecords returns the records the read-only probe collects from dir;
+// Open itself keeps none.
+func replayRecords(t *testing.T, dir string) []Record {
+	t.Helper()
+	_, rec, err := Replay(dir)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if len(rec.Records) != rec.Replayed {
+		t.Fatalf("Replay kept %d records, counted %d", len(rec.Records), rec.Replayed)
+	}
+	return rec.Records
+}
+
 func mustAppend(t *testing.T, l *Log, r Record) uint64 {
 	t.Helper()
 	lsn, err := l.Append(&r)
@@ -52,7 +66,7 @@ func recordsEqual(a, b Record) bool {
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, rec := testOpen(t, dir, Options{})
-	if rec.Head != 0 || len(rec.Records) != 0 || rec.Snapshot != nil {
+	if rec.Head != 0 || rec.Replayed != 0 || len(rec.States) != 0 || rec.Snapshot != nil {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
 	want := sampleRecords()
@@ -72,15 +86,19 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("append after close: %v", err)
 	}
 
+	got := replayRecords(t, dir)
 	l2, rec2 := testOpen(t, dir, Options{})
 	defer l2.Close()
 	if rec2.Head != uint64(len(want)) || rec2.TornBytes != 0 {
 		t.Fatalf("recovered head=%d torn=%d", rec2.Head, rec2.TornBytes)
 	}
-	if len(rec2.Records) != len(want) {
-		t.Fatalf("recovered %d records, want %d", len(rec2.Records), len(want))
+	if rec2.Records != nil {
+		t.Fatalf("Open kept %d records", len(rec2.Records))
 	}
-	for i, got := range rec2.Records {
+	if rec2.Replayed != len(want) || len(got) != len(want) {
+		t.Fatalf("recovered %d records, probe %d, want %d", rec2.Replayed, len(got), len(want))
+	}
+	for i, got := range got {
 		exp := want[i]
 		exp.LSN = uint64(i + 1)
 		if !recordsEqual(got, exp) {
@@ -108,11 +126,23 @@ func TestSegmentRollAndRecovery(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("expected several segments, got %d", len(segs))
 	}
-	_, rec := testOpenAndClose(t, dir)
-	if len(rec.Records) != n || rec.Head != n {
-		t.Fatalf("recovered %d records head %d", len(rec.Records), rec.Head)
+	recs := replayRecords(t, dir)
+	var prog Progress
+	l2, rec, err := OpenWithProgress(Options{Dir: dir}, &prog)
+	if err != nil {
+		t.Fatalf("OpenWithProgress: %v", err)
 	}
-	for i, r := range rec.Records {
+	if err := l2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if rec.Replayed != n || len(recs) != n || rec.Head != n {
+		t.Fatalf("recovered %d records (probe %d) head %d", rec.Replayed, len(recs), rec.Head)
+	}
+	if prog.Records.Load() != n || prog.Segments.Load() != uint64(len(segs)) {
+		t.Fatalf("progress ended at %d records in %d segments, want %d in %d",
+			prog.Records.Load(), prog.Segments.Load(), n, len(segs))
+	}
+	for i, r := range recs {
 		if r.LSN != uint64(i+1) || r.Items[0].Priority != uint64(i) {
 			t.Fatalf("record %d out of order: %+v", i, r)
 		}
@@ -148,8 +178,8 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rec := testOpenAndClose(t, dir)
-	if len(rec.Records) != 4 || rec.Head != 4 {
-		t.Fatalf("after tear: %d records head %d", len(rec.Records), rec.Head)
+	if rec.Replayed != 4 || rec.Head != 4 {
+		t.Fatalf("after tear: %d records head %d", rec.Replayed, rec.Head)
 	}
 	if rec.TornBytes == 0 {
 		t.Fatalf("torn bytes not reported")
@@ -157,7 +187,7 @@ func TestTornTailTruncated(t *testing.T) {
 	// The repair pass must leave the file frame-clean: a second recovery
 	// sees no tear.
 	_, rec2 := testOpenAndClose(t, dir)
-	if rec2.TornBytes != 0 || len(rec2.Records) != 4 {
+	if rec2.TornBytes != 0 || rec2.Replayed != 4 {
 		t.Fatalf("repair did not truncate: %+v", rec2)
 	}
 }
@@ -181,11 +211,12 @@ func TestBitFlipStopsReplay(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	recs := replayRecords(t, dir)
 	_, rec := testOpenAndClose(t, dir)
-	if len(rec.Records) >= 6 {
-		t.Fatalf("corrupt record replayed: %d records", len(rec.Records))
+	if rec.Replayed >= 6 || rec.Replayed != len(recs) {
+		t.Fatalf("corrupt record replayed: %d records (probe %d)", rec.Replayed, len(recs))
 	}
-	for i, r := range rec.Records {
+	for i, r := range recs {
 		if r.LSN != uint64(i+1) {
 			t.Fatalf("replay not a prefix: record %d has LSN %d", i, r.LSN)
 		}
@@ -212,8 +243,8 @@ func TestDuplicateSegmentSuffixDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rec := testOpenAndClose(t, dir)
-	if len(rec.Records) != 4 || rec.Head != 4 {
-		t.Fatalf("duplicate suffix changed replay: %d records head %d", len(rec.Records), rec.Head)
+	if rec.Replayed != 4 || rec.Head != 4 {
+		t.Fatalf("duplicate suffix changed replay: %d records head %d", rec.Replayed, rec.Head)
 	}
 }
 
@@ -248,13 +279,16 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 
 	l2, rec := testOpen(t, dir, Options{})
 	defer l2.Close()
-	if len(rec.Records) != 0 {
-		t.Fatalf("clean restart replayed %d records", len(rec.Records))
+	if rec.Replayed != 0 {
+		t.Fatalf("clean restart replayed %d records", rec.Replayed)
 	}
 	if rec.Snapshot == nil || rec.SnapshotCut != 20 || rec.Head != 20 {
 		t.Fatalf("snapshot not recovered: %+v", rec)
 	}
-	ts := rec.Snapshot.Tenants
+	if !reflect.DeepEqual(rec.States, rec.Snapshot.Tenants) {
+		t.Fatalf("states %+v differ from the snapshot they were folded from", rec.States)
+	}
+	ts := rec.States
 	if len(ts) != 1 || ts[0].Name != "t" || ts[0].M != 4 || len(ts[0].Items) != 2 {
 		t.Fatalf("snapshot state: %+v", ts)
 	}
@@ -287,15 +321,15 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if rec.Snapshot != nil {
 		t.Fatalf("corrupt snapshot decoded")
 	}
-	if len(rec.Records) != 3 || rec.Head != 3 {
-		t.Fatalf("fallback replay: %d records head %d", len(rec.Records), rec.Head)
+	if rec.Replayed != 3 || rec.Head != 3 {
+		t.Fatalf("fallback replay: %d records head %d", rec.Replayed, rec.Head)
 	}
 }
 
-func TestRebuildTwoPassCompensation(t *testing.T) {
+func TestRebuildCompensation(t *testing.T) {
 	recs := []Record{
 		// The dequeue of (9,9) is journaled before any enqueue of it — the
-		// racing-session interleaving Rebuild compensates for.
+		// racing-session interleaving the fold compensates for.
 		{LSN: 1, Type: RecDeleteMin, Tenant: "a", Items: []Item{{9, 9}}, Metered: 1},
 		{LSN: 2, Type: RecEnqueue, Tenant: "a", Items: []Item{{1, 10}, {2, 20}}, Metered: 2},
 		{LSN: 3, Type: RecDeleteMin, Tenant: "a", Items: []Item{{1, 10}}, Metered: 1},
@@ -303,7 +337,7 @@ func TestRebuildTwoPassCompensation(t *testing.T) {
 		{LSN: 5, Type: RecResize, Tenant: "a", M: 16},
 		{LSN: 6, Type: RecEnqueue, Tenant: "b", Items: []Item{{5, 5}}, Metered: 1},
 	}
-	out := Rebuild(nil, recs)
+	out := foldAll(nil, recs)
 	if len(out) != 2 || out[0].Name != "a" || out[1].Name != "b" {
 		t.Fatalf("tenants: %+v", out)
 	}
@@ -339,7 +373,7 @@ func TestRebuildOnSnapshotBase(t *testing.T) {
 		{LSN: 11, Type: RecDeleteMin, Tenant: "a", Items: []Item{{1, 1}}, Metered: 1},
 		{LSN: 12, Type: RecEnqueue, Tenant: "a", Items: []Item{{3, 3}}, Metered: 1},
 	}
-	out := Rebuild(snap, recs)
+	out := foldAll(snap, recs)
 	if len(out) != 1 {
 		t.Fatalf("tenants: %+v", out)
 	}
@@ -421,12 +455,12 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := testOpenAndClose(t, dir)
-	if len(rec.Records) != workers*each {
-		t.Fatalf("recovered %d of %d", len(rec.Records), workers*each)
+	recs := replayRecords(t, dir)
+	if len(recs) != workers*each {
+		t.Fatalf("recovered %d of %d", len(recs), workers*each)
 	}
 	seen := make(map[uint64]bool)
-	for _, r := range rec.Records {
+	for _, r := range recs {
 		if seen[r.LSN] {
 			t.Fatalf("duplicate LSN %d", r.LSN)
 		}
@@ -454,7 +488,7 @@ func TestCodecCanonical(t *testing.T) {
 	for i, r := range sampleRecords() {
 		r.LSN = uint64(i + 1)
 		frame := appendFrame(nil, &r)
-		recs, good := DecodeSegment(frame, r.LSN)
+		recs, good := scanAll(frame, r.LSN)
 		if good != len(frame) || len(recs) != 1 {
 			t.Fatalf("record %d: decode consumed %d of %d", i, good, len(frame))
 		}
