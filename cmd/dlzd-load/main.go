@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -46,6 +47,24 @@ import (
 	"repro/internal/rng"
 )
 
+// newClient returns the one http.Client a run shares. Its transport keeps a
+// keep-alive connection per concurrent worker; the default transport keeps
+// two per host and closes every other one after each request.
+func newClient(workers int) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = 0, workers
+	return &http.Client{Transport: tr, Timeout: 30 * time.Second}
+}
+
+// drainClose reads a response body to EOF and closes it. The transport reuses
+// a connection only when its response was read to the end, and a json.Decoder
+// stops at the end of the value — before the newline the daemon writes after
+// it — so a body closed right after Decode cost one connection per request.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, body)
+	body.Close()
+}
+
 // postJSON posts body and decodes a 2xx response into out. On a non-2xx it
 // surfaces what the retry policy needs: the server's Retry-After hint (zero
 // when absent) and the error body's message (which distinguishes a load shed
@@ -59,7 +78,7 @@ func postJSON(client *http.Client, url string, body, out any) (code int, retryAf
 	if err != nil {
 		return 0, 0, "", err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode/100 == 2 {
 		if out != nil {
 			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -145,9 +164,14 @@ func main() {
 		stages = append(stages, hi)
 	}
 
+	maxWorkers := 0
+	for _, n := range stages {
+		maxWorkers = max(maxWorkers, n)
+	}
+	client := newClient(maxWorkers)
+
 	worker := func(w, perWorker int) {
 		defer wg.Done()
-		client := &http.Client{Timeout: 30 * time.Second}
 		r := rng.NewXoshiro256(*seed + uint64(w)*0x9E3779B97F4A7C15)
 		tenantZipf := rng.NewZipf(r, *tenants, *thetaT)
 		prioZipf := rng.NewZipf(r, *prioSpace, *thetaP)
@@ -314,7 +338,6 @@ func main() {
 	if *expectRestart {
 		// The daemon may still be mid-restart from a kill landing after the
 		// last worker op; settle before reading stats.
-		client := &http.Client{Timeout: 10 * time.Second}
 		if !waitReady(client, *addr, *restartTimeout) {
 			fmt.Println("RECOVERY FAIL: daemon never became ready for verification")
 			os.Exit(1)
@@ -371,18 +394,10 @@ func main() {
 	if *quiet {
 		return
 	}
-	client := &http.Client{Timeout: 10 * time.Second}
 	var epochs uint64
 	for tn := 0; tn < *tenants; tn++ {
-		resp, err := client.Get(fmt.Sprintf("%s/v1/load%d/stats", *addr, tn))
-		if err != nil {
-			log.Printf("stats tenant %d: %v", tn, err)
-			continue
-		}
 		var st dlzd.StatsResponse
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
+		if err := getStats(client, *addr, tn, &st); err != nil {
 			log.Printf("stats tenant %d: %v", tn, err)
 			continue
 		}
@@ -411,7 +426,7 @@ func waitReady(client *http.Client, addr string, timeout time.Duration) bool {
 		resp, err := client.Get(addr + "/readyz")
 		if err == nil {
 			code := resp.StatusCode
-			resp.Body.Close()
+			drainClose(resp.Body)
 			if code == http.StatusOK {
 				return true
 			}
@@ -427,7 +442,7 @@ func getStats(client *http.Client, addr string, tn int, st *dlzd.StatsResponse) 
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("stats status %d", resp.StatusCode)
 	}

@@ -1,7 +1,8 @@
 // Command dlzd runs the multi-tenant relaxed-structure daemon: the dlzd
-// package's HTTP/JSON server on a listening socket, with the idle-lease
-// janitor running and a graceful shutdown path that flushes every lease
-// (so no buffered operation is lost on SIGINT/SIGTERM).
+// package's HTTP/JSON wire API served by its own connection loop on a
+// listening socket (DESIGN.md §8), with the idle-lease janitor running and a
+// graceful shutdown path that drains the connections and then flushes every
+// lease (so no buffered operation is lost on SIGINT/SIGTERM).
 //
 // Usage:
 //
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -66,8 +66,8 @@ func main() {
 
 		// Request-hardening knobs (DESIGN.md §10). The per-request deadline and
 		// adaptive shedding default off so the flag defaults reproduce the
-		// pre-hardening daemon exactly; the HTTP server limits default on,
-		// because a socket-level slowloris needs no failpoint to happen.
+		// pre-hardening daemon exactly; the connection loop's limits default
+		// on, because a socket-level slowloris needs no failpoint to happen.
 		reqTimeout = flag.Duration("request-timeout", 0,
 			"per-request handler deadline: 503 busy when the session lease is not lockable in time, partial results past it (0 = no deadline)")
 		shedTarget = flag.Duration("shed-target", 0,
@@ -75,13 +75,13 @@ func main() {
 		shedHold = flag.Duration("shed-hold", 100*time.Millisecond,
 			"minimum dwell between adaptive shed level changes")
 		readTimeout = flag.Duration("http-read-timeout", 30*time.Second,
-			"http.Server ReadTimeout: whole-request read deadline (0 = none)")
+			"connection read deadline: the idle wait for a next request, and a whole request from its first byte (0 = none)")
 		readHeaderTimeout = flag.Duration("http-read-header-timeout", 10*time.Second,
-			"http.Server ReadHeaderTimeout: header read deadline, the slowloris bound (0 = ReadTimeout)")
+			"request line + header read deadline, the slowloris bound (0 = -http-read-timeout)")
 		writeTimeout = flag.Duration("http-write-timeout", 30*time.Second,
-			"http.Server WriteTimeout: response write deadline (0 = none)")
+			"response write deadline (0 = none)")
 		maxHeaderBytes = flag.Int("http-max-header-bytes", 1<<20,
-			"http.Server MaxHeaderBytes: request header size cap")
+			"request line + header size cap (431 past it)")
 
 		// Durability knobs (DESIGN.md §12); all inert unless -wal-dir is set.
 		walDir = flag.String("wal-dir", "",
@@ -148,14 +148,6 @@ func main() {
 		Durability:     durability,
 	})
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadTimeout:       *readTimeout,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		WriteTimeout:      *writeTimeout,
-		MaxHeaderBytes:    *maxHeaderBytes,
-	}
 	// Bind before recovery: /healthz answers immediately while /readyz and
 	// /v1 answer 503 until the journal replay completes, so an orchestrator
 	// sees a live-but-not-ready process instead of a refused connection.
@@ -175,7 +167,11 @@ func main() {
 		log.Printf("dlzd: shutting down, flushing leases")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = hs.Shutdown(ctx) // stop accepting, drain in-flight handlers
+		// Stop accepting, close idle connections, let in-flight requests be
+		// answered; past the grace period the stragglers are cut off.
+		if err := srv.Shutdown(ctx); err != nil {
+			log.Printf("dlzd: drain: %v", err)
+		}
 		// Flush and retire every lease; with durability on this also writes
 		// the final snapshot and seals the journal, so a clean restart
 		// replays zero records.
@@ -183,7 +179,14 @@ func main() {
 	}()
 
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
+	go func() {
+		serveErr <- srv.Serve(ln, dlzd.Limits{
+			ReadTimeout:       *readTimeout,
+			ReadHeaderTimeout: *readHeaderTimeout,
+			WriteTimeout:      *writeTimeout,
+			MaxHeaderBytes:    *maxHeaderBytes,
+		})
+	}()
 
 	stats, err := srv.Recover()
 	if err != nil {
@@ -196,7 +199,7 @@ func main() {
 	stopJanitor := srv.StartJanitor(0)
 	defer stopJanitor()
 
-	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
+	if err := <-serveErr; err != dlzd.ErrServerClosed {
 		log.Fatal(err)
 	}
 	<-stopped // wait for the final snapshot before exiting

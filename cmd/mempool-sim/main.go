@@ -99,7 +99,7 @@ func main() {
 		Queue: core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: *m},
 			Choices:  *choices, Stickiness: *stickiness, Batch: *batch,
-			Backing:  backing, Seed: *seed,
+			Backing: backing, Seed: *seed,
 		},
 		Capacity: *capacity,
 		BumpNum:  *bumpNum,

@@ -354,7 +354,7 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, b
 		uniQ := core.NewMultiQueue(core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: m},
 			Seed:     seed, Choices: choices, Stickiness: stickiness, Batch: batch,
-			Backing:  backing, LockedTopRead: lockedTop,
+			Backing: backing, LockedTopRead: lockedTop,
 		})
 		uni := quality.MeasureDequeueRank(uniQ.NewHandle(seed+1), 64*m, ops)
 		within = driftVerdict("rank", mean, uni.Mean(), sample.Max(), uni.Max(), envelope, within)
@@ -374,7 +374,7 @@ func runMempoolQuality(m, choices, stickiness, batch int, backing cpq.Backing, c
 		Queue: core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: m},
 			Choices:  choices, Stickiness: stickiness, Batch: batch,
-			Backing:  backing, Seed: seed,
+			Backing: backing, Seed: seed,
 		},
 		Capacity: capacity,
 		Seed:     seed + 1,

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +42,7 @@ func TestChaosSoak(t *testing.T) {
 	defer fail.Reset()
 	fail.SetSeed(uint64(*chaosSeed))
 
-	s := New(Config{
+	s, c := newTestServer(t, Config{
 		Queues:         8,
 		Batch:          8,
 		Stickiness:     16,
@@ -52,9 +51,6 @@ func TestChaosSoak(t *testing.T) {
 		RequestTimeout: 500 * time.Millisecond,
 		ShedTarget:     5 * time.Millisecond,
 	})
-	hs := httptest.NewServer(s)
-	defer hs.Close()
-	c := &testClient{t: t, srv: hs}
 
 	// Conductor: one fault regime per round while the workers run. Fires are
 	// accumulated per kind for the log; coverage is *proven* afterwards by
@@ -360,7 +356,7 @@ func TestHandlerPanicMidBatch(t *testing.T) {
 	defer fail.Reset()
 	// MaxInFlight 1: a leaked in-flight slot would make every later request
 	// fail 429, so (d) is load-bearing for the rest of the test.
-	_, c := newTestClient(t, Config{Queues: 4, Batch: 8, Stickiness: 8, MaxInFlight: 1, Seed: 7})
+	_, c := newTestServer(t, Config{Queues: 4, Batch: 8, Stickiness: 8, MaxInFlight: 1, Seed: 7})
 
 	const applyBefore = 5
 	fail.Arm(fail.SiteDlzdEnqueueItem, fail.Policy{Kind: fail.KindPanic, After: applyBefore, Count: 1})
@@ -414,7 +410,7 @@ func TestJanitorExpiryRace(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
 	fail.SetSeed(uint64(*chaosSeed))
-	s, c := newTestClient(t, Config{Queues: 4, Batch: 8, Stickiness: 8, Seed: 11})
+	s, c := newTestServer(t, Config{Queues: 4, Batch: 8, Stickiness: 8, Seed: 11})
 
 	fail.Arm(fail.SiteDlzdJanitor, fail.Policy{Kind: fail.KindDelay, Delay: 500 * time.Microsecond})
 	// Every-other-attempt refusal: a retirement ladder can lose at most

@@ -2,29 +2,56 @@ package dlzd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
 
-// testClient wraps an httptest server with JSON helpers; every method
-// returns the HTTP status and decodes 2xx bodies into out when non-nil.
+// testClient is a JSON client of a server started by newTestServer; every
+// method returns the HTTP status and decodes 2xx bodies into out when non-nil.
 type testClient struct {
-	t   *testing.T
-	srv *httptest.Server
+	t    *testing.T
+	addr string // host:port, for tests that open the socket themselves
+	url  string
 }
 
-func newTestClient(t *testing.T, cfg Config) (*Server, *testClient) {
+// newTestServer builds cfg's server and serves it the way the binary does —
+// Serve on a loopback listener — so every suite drives the connection loop
+// the daemon ships. The server is drained when the test ends.
+func newTestServer(t *testing.T, cfg Config) (*Server, *testClient) {
 	t.Helper()
 	s := New(cfg)
-	hs := httptest.NewServer(s)
-	t.Cleanup(hs.Close)
-	return s, &testClient{t: t, srv: hs}
+	return s, serveLoopback(t, s, Limits{})
+}
+
+// serveLoopback runs s.Serve under lim on a loopback listener until the test
+// ends, and fails the test if the drain leaves a connection goroutine behind.
+func serveLoopback(t *testing.T, s *Server, lim Limits) *testClient {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln, lim) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+		if err := <-served; err != ErrServerClosed {
+			t.Errorf("Serve returned %v, want ErrServerClosed", err)
+		}
+	})
+	addr := ln.Addr().String()
+	return &testClient{t: t, addr: addr, url: "http://" + addr}
 }
 
 func (c *testClient) post(path string, body, out any) int {
@@ -33,7 +60,7 @@ func (c *testClient) post(path string, body, out any) int {
 	if err != nil {
 		c.t.Fatalf("marshal %s: %v", path, err)
 	}
-	resp, err := http.Post(c.srv.URL+path, "application/json", bytes.NewReader(buf))
+	resp, err := http.Post(c.url+path, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		c.t.Fatalf("POST %s: %v", path, err)
 	}
@@ -48,7 +75,7 @@ func (c *testClient) post(path string, body, out any) int {
 
 func (c *testClient) get(path string, out any) int {
 	c.t.Helper()
-	resp, err := http.Get(c.srv.URL + path)
+	resp, err := http.Get(c.url + path)
 	if err != nil {
 		c.t.Fatalf("GET %s: %v", path, err)
 	}
@@ -63,7 +90,7 @@ func (c *testClient) get(path string, out any) int {
 
 func (c *testClient) metrics() string {
 	c.t.Helper()
-	resp, err := http.Get(c.srv.URL + "/metrics")
+	resp, err := http.Get(c.url + "/metrics")
 	if err != nil {
 		c.t.Fatalf("GET /metrics: %v", err)
 	}
@@ -84,7 +111,7 @@ func wireItems(prios ...uint64) []WireItem {
 }
 
 func TestDaemonRoundTrip(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 4, Batch: 4, Stickiness: 8, Seed: 7})
+	_, c := newTestServer(t, Config{Queues: 4, Batch: 4, Stickiness: 8, Seed: 7})
 
 	if code := c.get("/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
@@ -156,7 +183,7 @@ func TestDaemonRoundTrip(t *testing.T) {
 // full-resolution order, proving the pubMin mirror — not the truncated top
 // word — ranks candidates, and that uint64 priorities survive JSON intact.
 func TestPrio48WireDifferential(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 1, Batch: 4, Seed: 5})
+	_, c := newTestServer(t, Config{Queues: 1, Batch: 4, Seed: 5})
 
 	base48 := uint64(1) << 48
 	base53 := uint64(1) << 53
@@ -200,8 +227,8 @@ func TestPrio48WireDifferential(t *testing.T) {
 }
 
 func TestBackpressure429(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 2, MaxInFlight: 1})
-	tn, ok := s.tenant("bp")
+	s, c := newTestServer(t, Config{Queues: 2, MaxInFlight: 1})
+	tn, ok := s.tenant([]byte("bp"))
 	if !ok {
 		t.Fatal("tenant create failed")
 	}
@@ -222,7 +249,7 @@ func TestBackpressure429(t *testing.T) {
 }
 
 func TestQuotaExhaustion429(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 2, QuotaOps: 10})
+	_, c := newTestServer(t, Config{Queues: 2, QuotaOps: 10})
 	// Quota admission is check-then-meter: a request admitted under the limit
 	// may push the meter past it (bounded overshoot of one wire batch), and
 	// the next request is refused.
@@ -251,7 +278,7 @@ func TestQuotaExhaustion429(t *testing.T) {
 // regression: a session that vanishes without closing holds buffered
 // elements and increments; the idle sweep must publish every one of them.
 func TestLeaseExpiryFlushes(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 2, Batch: 8, Seed: 11})
+	s, c := newTestServer(t, Config{Queues: 2, Batch: 8, Seed: 11})
 
 	if code := c.post("/v1/ten/enqueue-batch", EnqueueBatchRequest{Session: "gone", Items: wireItems(4, 2, 9)}, nil); code != http.StatusOK {
 		t.Fatalf("enqueue = %d", code)
@@ -293,7 +320,7 @@ func TestLeaseExpiryFlushes(t *testing.T) {
 }
 
 func TestMetricsZeroTenants(t *testing.T) {
-	_, c := newTestClient(t, Config{})
+	_, c := newTestServer(t, Config{})
 	m := c.metrics()
 	for _, want := range []string{
 		"dlzd_queue_elisions_total 0",
@@ -309,7 +336,7 @@ func TestMetricsZeroTenants(t *testing.T) {
 }
 
 func TestMetricsAfterTraffic(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 2, Batch: 4, Stickiness: 4, Seed: 13})
+	_, c := newTestServer(t, Config{Queues: 2, Batch: 4, Stickiness: 4, Seed: 13})
 	items := make([]WireItem, 64)
 	for i := range items {
 		items[i] = WireItem{Priority: uint64(i), Value: uint64(i)}
@@ -357,7 +384,7 @@ func lineValue(t *testing.T, metrics, series string) string {
 }
 
 func TestRequestValidation(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 2})
+	_, c := newTestServer(t, Config{Queues: 2})
 	tooMany := make([]WireItem, MaxWireBatch+1)
 
 	cases := []struct {
@@ -399,7 +426,7 @@ func TestRequestValidation(t *testing.T) {
 }
 
 func TestTenantLimit403(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 2, MaxTenants: 1})
+	_, c := newTestServer(t, Config{Queues: 2, MaxTenants: 1})
 	if code := c.get("/v1/first/stats", nil); code != http.StatusOK {
 		t.Fatalf("first tenant = %d", code)
 	}
@@ -413,7 +440,7 @@ func TestTenantLimit403(t *testing.T) {
 }
 
 func TestServerClose503(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 2, Batch: 8})
+	s, c := newTestServer(t, Config{Queues: 2, Batch: 8})
 	if code := c.post("/v1/x/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(1, 2)}, nil); code != http.StatusOK {
 		t.Fatalf("enqueue = %d", code)
 	}
@@ -430,7 +457,7 @@ func TestServerClose503(t *testing.T) {
 		t.Fatalf("request after Close = %d, want 503", code)
 	}
 	// Close flushed the lease: the buffered elements are in the structure.
-	tn, ok := s.tenant("x")
+	tn, ok := s.tenant([]byte("x"))
 	if !ok {
 		t.Fatal("tenant lookup failed")
 	}
@@ -440,7 +467,7 @@ func TestServerClose503(t *testing.T) {
 }
 
 func TestJanitorExpires(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 2, Batch: 8, IdleTimeout: 10 * time.Millisecond})
+	s, c := newTestServer(t, Config{Queues: 2, Batch: 8, IdleTimeout: 10 * time.Millisecond})
 	stop := s.StartJanitor(5 * time.Millisecond)
 	defer stop()
 	if code := c.post("/v1/j/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(1, 2, 3)}, nil); code != http.StatusOK {

@@ -123,7 +123,7 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 // throwaway handle (the same batched AddBatch path the wire rides), seed
 // the counter and quota meters, and store the ledger counters directly.
 func (s *Server) restoreTenant(st wal.TenantState) error {
-	t, ok := s.tenant(st.Name)
+	t, ok := s.tenant([]byte(st.Name))
 	if !ok {
 		return fmt.Errorf("dlzd: tenant %q refused during recovery", st.Name)
 	}
@@ -169,15 +169,6 @@ func (s *Server) journal(rec *wal.Record) error {
 		return err
 	}
 	return nil
-}
-
-// wireToWalItems converts an applied prefix of wire items to journal items.
-func wireToWalItems(items []WireItem, n int) []wal.Item {
-	out := make([]wal.Item, n)
-	for i := 0; i < n; i++ {
-		out[i] = wal.Item{Priority: items[i].Priority, Value: items[i].Value}
-	}
-	return out
 }
 
 // Snapshot captures every tenant at one consistent cut and persists it,
@@ -272,22 +263,20 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 	return snap
 }
 
-// serveReadyz answers GET /readyz: 200 only when recovery has completed
-// and the server is not draining. Liveness stays on /healthz, which is 200
-// for the whole process lifetime — the split lets an orchestrator stop
-// routing traffic during replay and drain without restarting the process.
-func (s *Server) serveReadyz(w http.ResponseWriter) {
+// readyz answers GET /readyz: 200 only when recovery has completed and the
+// server is not draining. Liveness stays on /healthz, which is 200 for the
+// whole process lifetime — the split lets an orchestrator stop routing
+// traffic during replay and drain without restarting the process.
+func (s *Server) readyz(dst []byte) ([]byte, reply) {
 	switch {
 	case s.closed.Load():
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		return errorReply(dst, http.StatusServiceUnavailable, "draining")
 	case !s.ready.Load():
-		writeJSONStatus(w, http.StatusServiceUnavailable, RecoveringResponse{
+		return appendJSON(dst, RecoveringResponse{
 			Error:            "recovering: journal replay in progress",
 			ReplayedRecords:  s.replay.Records.Load(),
 			ReplayedSegments: s.replay.Segments.Load(),
-		})
-	default:
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintln(w, `{"ready":true}`)
+		}), reply{status: http.StatusServiceUnavailable}
 	}
+	return append(dst, "{\"ready\":true}\n"...), reply{status: http.StatusOK}
 }

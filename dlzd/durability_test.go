@@ -21,7 +21,7 @@ func newDurableClient(t *testing.T, dir string, cfg Config) (*Server, *testClien
 	if cfg.Durability == nil {
 		cfg.Durability = &Durability{Dir: dir}
 	}
-	s, c := newTestClient(t, cfg)
+	s, c := newTestServer(t, cfg)
 	if _, err := s.Recover(); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if stats.Tenants != 2 {
 		t.Errorf("recovered %d tenants, want 2", stats.Tenants)
 	}
-	ta, _ := s2.tenant("a")
+	ta, _ := s2.tenant([]byte("a"))
 	if got := ta.mq.Len(); got != 4-len(deq.Items) {
 		t.Errorf("tenant a queue = %d, want %d", got, 4-len(deq.Items))
 	}
@@ -79,7 +79,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if got := ta.quota.Exact(); got != ta.opsMetered.Load() {
 		t.Errorf("quota meter drifted after recovery: %d vs metered %d", got, ta.opsMetered.Load())
 	}
-	tb, _ := s2.tenant("b")
+	tb, _ := s2.tenant([]byte("b"))
 	if got := tb.mq.Len(); got != 1 {
 		t.Errorf("tenant b queue = %d, want 1", got)
 	}
@@ -130,7 +130,7 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	if stats.Records == 0 {
 		t.Fatal("crash recovery replayed zero records despite no shutdown snapshot")
 	}
-	tx, _ := s2.tenant("x")
+	tx, _ := s2.tenant([]byte("x"))
 	if got := tx.mq.Len(); got != enq-deq {
 		t.Errorf("recovered queue = %d, want %d (enq %d deq %d)", got, enq-deq, enq, deq)
 	}
@@ -181,7 +181,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 	}
 	defer s2.Close()
 	for _, st := range one {
-		tn, ok := s2.tenant(st.Name)
+		tn, ok := s2.tenant([]byte(st.Name))
 		if !ok {
 			t.Fatalf("tenant %q missing after boot", st.Name)
 		}
@@ -198,7 +198,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 // alive (/healthz 200, /metrics 200) but not ready (/readyz 503, /v1 503);
 // after Recover everything opens up.
 func TestReadyzGating(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 2, Durability: &Durability{Dir: t.TempDir()}})
+	s, c := newTestServer(t, Config{Queues: 2, Durability: &Durability{Dir: t.TempDir()}})
 	if code := c.get("/healthz", nil); code != http.StatusOK {
 		t.Errorf("healthz before Recover = %d, want 200", code)
 	}
@@ -206,7 +206,7 @@ func TestReadyzGating(t *testing.T) {
 		t.Errorf("metrics before Recover = %d, want 200", code)
 	}
 	// The 503 carries the replay progress so far, as JSON a probe can parse.
-	resp, err := http.Get(c.srv.URL + "/readyz")
+	resp, err := http.Get(c.url + "/readyz")
 	if err != nil {
 		t.Fatalf("GET /readyz: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestWALMetricsSeries(t *testing.T) {
 			t.Fatalf("enqueue = %d", code)
 		}
 	}
-	s2, c2 := newTestClient(t, Config{Queues: 2, Durability: &Durability{Dir: dir}})
+	s2, c2 := newTestServer(t, Config{Queues: 2, Durability: &Durability{Dir: dir}})
 	stats, err := s2.Recover()
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
@@ -363,7 +363,7 @@ func TestSnapshotUnderTraffic(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	defer s2.Close()
-	th, ok := s2.tenant("hot")
+	th, ok := s2.tenant([]byte("hot"))
 	if !ok {
 		t.Fatal("tenant hot missing")
 	}

@@ -2,7 +2,6 @@ package dlzd
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -21,7 +20,7 @@ import (
 // success is the response that preserves delivered-exactly-once (here the
 // partial result is empty).
 func TestRequestDeadline(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 4, Batch: 4, RequestTimeout: time.Nanosecond, Seed: 3})
+	_, c := newTestServer(t, Config{Queues: 4, Batch: 4, RequestTimeout: time.Nanosecond, Seed: 3})
 
 	if code := c.post("/v1/dead/enqueue-batch",
 		EnqueueBatchRequest{Session: "s", Items: wireItems(1, 2, 3)}, nil); code != http.StatusServiceUnavailable {
@@ -62,12 +61,12 @@ func TestRequestDeadline(t *testing.T) {
 // same token answers 503 with a Retry-After hint instead of joining an
 // unbounded convoy — and the lease survives for the holder.
 func TestLeaseBusy503(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 4, RequestTimeout: 20 * time.Millisecond, Seed: 5})
-	tn, ok := s.tenant("busy")
+	s, c := newTestServer(t, Config{Queues: 4, RequestTimeout: 20 * time.Millisecond, Seed: 5})
+	tn, ok := s.tenant([]byte("busy"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
-	l, ok := tn.lease(context.Background(), "tok")
+	l, ok := tn.lease(time.Time{}, []byte("tok"))
 	if !ok {
 		t.Fatal("white-box lease acquisition failed")
 	}
@@ -93,8 +92,8 @@ func TestLeaseBusy503(t *testing.T) {
 // TestInFlightRetryAfter pins the static backpressure rung: a request over
 // the in-flight budget answers 429 with a Retry-After header.
 func TestInFlightRetryAfter(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 4, MaxInFlight: 1, Seed: 9})
-	tn, ok := s.tenant("full")
+	s, c := newTestServer(t, Config{Queues: 4, MaxInFlight: 1, Seed: 9})
+	tn, ok := s.tenant([]byte("full"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
@@ -116,8 +115,8 @@ func TestInFlightRetryAfter(t *testing.T) {
 // every 4 mutating requests are rejected with 429 and a Retry-After of
 // 2^(L−1) seconds, and reads are never shed.
 func TestAdaptiveShedGate(t *testing.T) {
-	s, c := newTestClient(t, Config{Queues: 4, ShedTarget: time.Second, Seed: 13})
-	tn, ok := s.tenant("shed")
+	s, c := newTestServer(t, Config{Queues: 4, ShedTarget: time.Second, Seed: 13})
+	tn, ok := s.tenant([]byte("shed"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
@@ -167,7 +166,7 @@ func TestAdaptiveShedGate(t *testing.T) {
 // below half the target.
 func TestShedLevelTracksLatency(t *testing.T) {
 	s := New(Config{Queues: 4, ShedTarget: time.Millisecond, ShedHold: time.Nanosecond, Seed: 17})
-	tn, ok := s.tenant("ctl")
+	tn, ok := s.tenant([]byte("ctl"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
@@ -185,7 +184,7 @@ func TestShedLevelTracksLatency(t *testing.T) {
 	}
 	// With ShedTarget unset observeLatency is inert: no level movement.
 	s2 := New(Config{Queues: 4, Seed: 19})
-	tn2, _ := s2.tenant("off")
+	tn2, _ := s2.tenant([]byte("off"))
 	for i := 0; i < 10; i++ {
 		tn2.observeLatency(time.Second)
 	}
@@ -198,7 +197,7 @@ func TestShedLevelTracksLatency(t *testing.T) {
 // present in /metrics from the very first scrape (monitoring can alert on
 // them without priming traffic).
 func TestHardeningMetricsSurface(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 4, Seed: 21})
+	_, c := newTestServer(t, Config{Queues: 4, Seed: 21})
 	m := c.metrics()
 	for _, series := range []string{
 		"dlzd_rejected_shed_total",
@@ -224,7 +223,7 @@ func rawPost(t *testing.T, c *testClient, path string, body any) *http.Response 
 	if err != nil {
 		t.Fatalf("marshal %s: %v", path, err)
 	}
-	resp, err := http.Post(c.srv.URL+path, "application/json", bytes.NewReader(buf))
+	resp, err := http.Post(c.url+path, "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("POST %s: %v", path, err)
 	}

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -24,6 +25,26 @@ var (
 	killCycles = flag.Int("killcycles", 4, "SIGKILL cycles for TestKillRestartSoak")
 	killSeed   = flag.Int64("killseed", 1, "kill-timing seed for TestKillRestartSoak")
 )
+
+// lockedBuffer is a subprocess's output sink the test may read while os/exec
+// is still copying into it: the final boot's log is inspected with the daemon
+// running, and a failure dumps every log mid-flight.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // TestKillRestartSoak is the chaos proof for DESIGN.md §12: a real dlzd
 // process journaling under live dlzd-load traffic is SIGKILLed mid-flight
@@ -53,9 +74,9 @@ func TestKillRestartSoak(t *testing.T) {
 	ln.Close()
 	walDir := t.TempDir()
 
-	var daemonLogs []*bytes.Buffer
+	var daemonLogs []*lockedBuffer
 	startDaemon := func() *exec.Cmd {
-		log := &bytes.Buffer{}
+		log := &lockedBuffer{}
 		daemonLogs = append(daemonLogs, log)
 		cmd := exec.Command(bin+"/dlzd",
 			"-addr", addr,
@@ -99,7 +120,7 @@ func TestKillRestartSoak(t *testing.T) {
 		t.Fatal("daemon never became ready")
 	}
 
-	loadOut := &bytes.Buffer{}
+	loadOut := &lockedBuffer{}
 	load := exec.Command(bin+"/dlzd-load",
 		"-addr", "http://"+addr,
 		"-expect-restart",

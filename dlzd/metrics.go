@@ -2,12 +2,11 @@ package dlzd
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"strings"
 )
 
-// serveMetrics writes the Prometheus-style text exposition for GET /metrics.
+// appendMetrics appends the Prometheus-style text exposition of GET /metrics.
 //
 // The aggregate lines are emitted unconditionally — even with zero tenants —
 // so monitoring (and the CI smoke check) can assert their presence without
@@ -22,7 +21,7 @@ import (
 //     that engaged the adaptive spin/yield backoff schedule;
 //   - dlzd_sampler_rerolls_total: sticky d-choice sampler rerolls, live
 //     leases plus rerolls harvested from retired leases.
-func (s *Server) serveMetrics(w http.ResponseWriter) {
+func (s *Server) appendMetrics(dst []byte) []byte {
 	tenants := s.tenantSnapshot()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 
@@ -140,6 +139,23 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 	sumCounter("dlzd_resize_epochs_total", "Completed resize epochs across tenant MultiQueues.",
 		func(r tenantRow) uint64 { return r.mq.Resizes })
 
+	// Connection-loop series (DESIGN.md §8). The fallback count is what tells
+	// an operator a client's bodies miss the scanner's fast path.
+	open, requests := s.connStats()
+	gauge("dlzd_conns_open", "Connections the connection loop is serving.", open)
+	counter("dlzd_conns_accepted_total", "Connections accepted by the connection loop.", s.connsAccepted.Load())
+	counter("dlzd_requests_total", "Requests answered by the pipeline, over either transport.", requests)
+	counter("dlzd_wire_decode_fallback_total", "Hot request bodies the scanner declined and encoding/json decoded.",
+		s.decodeFallbacks.Load())
+	var protocolErrors uint64
+	for i := range s.protocolErrors {
+		protocolErrors += s.protocolErrors[i].Load()
+	}
+	counter("dlzd_conn_protocol_errors_total", "Requests the connection loop refused itself, by status.", protocolErrors)
+	for i, status := range protocolStatuses {
+		fmt.Fprintf(&b, "dlzd_conn_protocol_errors_total{status=\"%d\"} %d\n", status, s.protocolErrors[i].Load())
+	}
+
 	// Durability series (DESIGN.md §12). Emitted unconditionally — all zero
 	// when the WAL is off — so dashboards and the CI smoke check never need
 	// to special-case the configuration.
@@ -161,8 +177,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter) {
 	floatGauge("dlzd_recovery_duration_seconds", "Wall time of journal recovery at last boot.",
 		float64(s.recoveryNanos.Load())/1e9)
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(b.String()))
+	return append(dst, b.String()...)
 }
 
 // MQStatsView mirrors the core MultiQueue stats counters for metrics

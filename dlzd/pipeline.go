@@ -1,0 +1,674 @@
+package dlzd
+
+// The transport-free request pipeline (DESIGN.md §8): route → admission →
+// lease → op → journal → encode. A transport — the connection loop of
+// conn.go, or the http.Handler adapter below — hands handle the parts of one
+// request as byte slices and gets back a status, a Retry-After hint and the
+// response body appended to a buffer it owns. Nothing here knows about
+// sockets, http.ResponseWriter or contexts; on the three hot requests with
+// durability off nothing here allocates.
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strconv"
+	"sync"
+	"time"
+
+	"repro/internal/fail"
+	"repro/internal/wal"
+)
+
+// maxBody caps a request body; a transport answers 413 past it.
+const maxBody = 8 << 20
+
+// request is one wire request as its transport parsed it. The slices are
+// only read, and only until handle returns.
+type request struct {
+	method, path, query, body []byte
+	// deadline bounds the session-lease wait and the apply loops: the
+	// request's arrival plus Config.RequestTimeout, zero for none.
+	deadline time.Time
+}
+
+// reply is an answer without its body.
+type reply struct {
+	status     int
+	retryAfter int  // Retry-After seconds; 0 sends no header
+	text       bool // the /metrics exposition; every other body is JSON
+}
+
+// scratch is the working set of one request, reused by the next one on the
+// same connection (or drawn from scratchPool by the adapter) so that a warm
+// request allocates nothing.
+type scratch struct {
+	rq    wireRequest
+	items []WireItem // what a delete-min-up-to removed
+	wal   []wal.Item // the journal record's copy of the applied items
+	rec   wal.Record
+	// lease is the session lease the running op acquired. Ops set it right
+	// after acquisition and never release it themselves, so exactly one
+	// place — tenantOp's envelope — decides between a normal release (done)
+	// and a post-panic repair, and lease.mu can never be left held by a
+	// faulting op.
+	lease *lease
+}
+
+// keepItems is the element capacity a scratch keeps between requests; a
+// larger batch's arrays are dropped once it is answered.
+const keepItems = 256
+
+// trim drops backing arrays a large request grew, so that what an idle
+// connection holds stays small.
+func (sc *scratch) trim() {
+	if cap(sc.rq.items) > keepItems {
+		sc.rq.items = nil
+	}
+	if cap(sc.rq.deltas) > keepItems {
+		sc.rq.deltas = nil
+	}
+	if cap(sc.items) > keepItems {
+		sc.items = nil
+	}
+	if cap(sc.wal) > keepItems {
+		sc.wal = nil
+	}
+}
+
+// walItems copies items into the scratch's journal buffer.
+func (sc *scratch) walItems(items []WireItem) []wal.Item {
+	sc.wal = sc.wal[:0]
+	for _, it := range items {
+		sc.wal = append(sc.wal, wal.Item(it))
+	}
+	return sc.wal
+}
+
+// requestDeadline is now plus Config.RequestTimeout, zero without one.
+func (s *Server) requestDeadline() time.Time {
+	if d := s.cfg.RequestTimeout; d > 0 {
+		return time.Now().Add(d)
+	}
+	return time.Time{}
+}
+
+// expired reports whether a request deadline has passed.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
+}
+
+func errorReply(dst []byte, status int, msg string) ([]byte, reply) {
+	return appendError(dst, msg), reply{status: status}
+}
+
+// busyReply answers a request whose session lease could not be locked within
+// the request deadline: 503 with a Retry-After hint. The token's current
+// holder is stalled or long-running; the lease itself stays live.
+func busyReply(dst []byte, t *tenant) ([]byte, reply) {
+	t.rejectedBusy.Add(1)
+	return appendError(dst, "session busy"), reply{status: http.StatusServiceUnavailable, retryAfter: 1}
+}
+
+// handle routes one request and appends its answer's body to dst. The path
+// grammar: /healthz, /readyz, /metrics, and /v1/{tenant}/{op} where op is one
+// of enqueue-batch, delete-min-up-to, counter/add-batch, counter/read,
+// session/close, resize, stats.
+//
+// /healthz is liveness: 200 for the whole process lifetime, including WAL
+// replay and graceful drain — restarting a recovering daemon only makes it
+// recover again. /readyz is readiness: 503 until recovery completes and 503
+// again once drain begins, so orchestrators stop routing without killing
+// the process. /metrics stays scrapeable throughout; only /v1 traffic is
+// refused while not ready or draining.
+func (s *Server) handle(sc *scratch, rq *request, dst []byte) ([]byte, reply) {
+	switch path := rq.path; {
+	case string(path) == "/healthz":
+		return append(dst, "{\"ok\":true}\n"...), reply{status: http.StatusOK}
+	case string(path) == "/readyz":
+		return s.readyz(dst)
+	case string(path) == "/metrics":
+		return s.appendMetrics(dst), reply{status: http.StatusOK, text: true}
+	case len(path) >= 4 && string(path[:4]) == "/v1/":
+		if s.closed.Load() {
+			return errorReply(dst, http.StatusServiceUnavailable, "server closed")
+		}
+		if !s.ready.Load() {
+			return errorReply(dst, http.StatusServiceUnavailable, "recovering: journal replay in progress")
+		}
+		return s.tenantOp(sc, rq, path[4:], dst)
+	}
+	return errorReply(dst, http.StatusNotFound, "unknown path")
+}
+
+// validTenantName bounds tenant names to a filesystem/metrics-safe alphabet.
+func validTenantName(name []byte) bool {
+	if len(name) == 0 || len(name) > 64 {
+		return false
+	}
+	for _, c := range name {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// tenantOp runs one /v1/{tenant}/{op} request through the degradation ladder
+// (DESIGN.md §10): static in-flight backpressure, then adaptive load
+// shedding, then the op itself under a panic-recovery envelope that repairs
+// the session lease (flush-or-close) before answering 500.
+func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byte, rp reply) {
+	slash := bytes.IndexByte(rest, '/')
+	if slash < 0 || !validTenantName(rest[:slash]) {
+		return errorReply(dst, http.StatusNotFound, "bad tenant path")
+	}
+	op := rest[slash+1:]
+	t, ok := s.tenant(rest[:slash])
+	if !ok {
+		return errorReply(dst, http.StatusForbidden, "tenant limit reached")
+	}
+	if !t.acquire() {
+		return appendError(dst, "tenant in-flight budget exceeded"), reply{status: http.StatusTooManyRequests, retryAfter: 1}
+	}
+	defer t.release()
+	var mutating bool
+	switch string(op) {
+	case "enqueue-batch", "delete-min-up-to", "counter/add-batch":
+		mutating = true
+		fallthrough
+	case "session/close", "resize":
+		if s.log() != nil {
+			// The tenant's ops gate (read side). The snapshotter takes the
+			// write side, so a capture sees no journaled operation in
+			// flight. Registered before the recovery envelope: defers run
+			// LIFO, so the gate is still held while the envelope repairs a
+			// panicked lease — the repair flush publishes elements, which
+			// must not interleave with a capture either.
+			t.ops.RLock()
+			defer t.ops.RUnlock()
+		}
+	}
+	if mutating {
+		if retryAfter, shed := t.shed(); shed {
+			return appendError(dst, "load shed"), reply{status: http.StatusTooManyRequests, retryAfter: retryAfter}
+		}
+	}
+	var start time.Time
+	if mutating && s.cfg.ShedTarget > 0 {
+		start = time.Now()
+	}
+	defer func() {
+		rec := recover()
+		if l := sc.lease; l != nil {
+			sc.lease = nil
+			if rec != nil {
+				t.repair(l)
+			} else {
+				l.done()
+			}
+		}
+		if !start.IsZero() {
+			t.observeLatency(time.Since(start))
+		}
+		if rec != nil {
+			site, injected := fail.IsInjectedPanic(rec)
+			if !injected {
+				// A genuine bug: the lease is repaired and released, but the
+				// panic is re-raised so it is reported, not absorbed. The
+				// transport decides how much dies with it: one connection.
+				panic(rec)
+			}
+			t.panicsRecovered.Add(1)
+			out, rp = errorReply(dst, http.StatusInternalServerError, "handler fault at "+site+"; session repaired")
+		}
+	}()
+	if fail.Enabled {
+		if err := fail.Inject(fail.SiteDlzdHandlerPre); err != nil {
+			return errorReply(dst, http.StatusInternalServerError, "injected fault before handler")
+		}
+	}
+	switch string(op) {
+	case "enqueue-batch":
+		return s.opEnqueueBatch(sc, t, rq, dst)
+	case "delete-min-up-to":
+		return s.opDeleteMinUpTo(sc, t, rq, dst)
+	case "counter/add-batch":
+		return s.opCounterAddBatch(sc, t, rq, dst)
+	case "counter/read":
+		return s.opCounterRead(sc, t, rq, dst)
+	case "session/close":
+		return s.opSessionClose(t, rq, dst)
+	case "resize":
+		return s.opResize(t, rq, dst)
+	case "stats":
+		return s.opStats(t, rq, dst)
+	}
+	return errorReply(dst, http.StatusNotFound, "unknown operation")
+}
+
+// postFault is the dlzd/handler/post failpoint, passed by every mutating op
+// between its commit and its success body: an injected error or panic there
+// models the classic applied-but-unacknowledged fault — the operations are
+// committed (their counters are defer-committed by the op) but the client
+// sees a 500 instead of the success body.
+func postFault() bool {
+	return fail.Enabled && fail.Inject(fail.SiteDlzdHandlerPost) != nil
+}
+
+func postFaultReply(dst []byte) ([]byte, reply) {
+	return errorReply(dst, http.StatusInternalServerError, "injected fault before response")
+}
+
+// decodeHot checks the method and decodes a hot request's body into sc.rq;
+// a non-zero status is the refusal to answer with.
+func (s *Server) decodeHot(sc *scratch, op hotOp, rq *request) (status int, msg string) {
+	if string(rq.method) != http.MethodPost {
+		return http.StatusMethodNotAllowed, "POST required"
+	}
+	if err := s.decode(&sc.rq, op, rq.body); err != nil {
+		return http.StatusBadRequest, "bad request body: " + err.Error()
+	}
+	if len(sc.rq.session) == 0 {
+		return http.StatusBadRequest, "session token required"
+	}
+	return 0, ""
+}
+
+// decodeControl is decodeHot for the control-plane bodies, which stay on the
+// strict decoder.
+func decodeControl(rq *request, v any) (status int, msg string) {
+	if string(rq.method) != http.MethodPost {
+		return http.StatusMethodNotAllowed, "POST required"
+	}
+	if err := strictJSON(rq.body, v); err != nil {
+		return http.StatusBadRequest, "bad request body: " + err.Error()
+	}
+	return 0, ""
+}
+
+func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	if status, msg := s.decodeHot(sc, hotEnqueueBatch, rq); status != 0 {
+		return errorReply(dst, status, msg)
+	}
+	items := sc.rq.items
+	if len(items) == 0 || len(items) > MaxWireBatch {
+		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("items must number in [1, %d]", MaxWireBatch))
+	}
+	l, ok := t.lease(rq.deadline, sc.rq.session)
+	if !ok {
+		return busyReply(dst, t)
+	}
+	sc.lease = l
+	if !t.admitQuota(l, len(items)) {
+		return errorReply(dst, http.StatusTooManyRequests, "tenant operation quota exhausted")
+	}
+	// The applied count commits by defer so it is exact on every exit — a
+	// clean 200, an injected mid-batch abort, a deadline overrun, or a panic
+	// unwinding to the recovery envelope. Conservation audits rely on it:
+	// OpsEnqueued counts exactly the items that entered the leased handle.
+	// The journal record mirrors the same discipline: appended explicitly
+	// before the 200 on the ack path, and by defer on every other exit, so
+	// the journal records exactly the applied operations (an error or panic
+	// exit journals applied-but-unacknowledged work — the documented
+	// at-least-once overshoot a restart may resurface).
+	applied := 0
+	journaled, logged := s.log() != nil, false
+	journal := func() error {
+		if !journaled || logged {
+			return nil
+		}
+		logged = true
+		sc.rec = wal.Record{Type: wal.RecEnqueue, Tenant: t.name, Session: l.token,
+			Items: sc.walItems(items[:applied]), Metered: uint64(len(items))}
+		return s.journal(&sc.rec)
+	}
+	defer func() {
+		t.opsEnqueued.Add(uint64(applied))
+		_ = journal() // the ack path already reported a failure; any other exit has no ack to poison
+	}()
+	for _, it := range items {
+		if fail.Enabled {
+			if err := fail.Inject(fail.SiteDlzdEnqueueItem); err != nil {
+				return errorReply(dst, http.StatusInternalServerError,
+					fmt.Sprintf("injected abort after %d items", applied))
+			}
+		}
+		if expired(rq.deadline) {
+			t.deadlineAborts.Add(1)
+			return errorReply(dst, http.StatusServiceUnavailable,
+				fmt.Sprintf("deadline exceeded after %d items", applied))
+		}
+		// Count before the call: EnqueuePriority's only fault point (the core
+		// flush failpoint) fires with the element already in the handle
+		// buffer, where the repair flush will publish it — counting after
+		// would leak exactly the elements that ride a faulted auto-publish.
+		applied++
+		l.mqh.EnqueuePriority(it.Priority, it.Value)
+	}
+	if journal() != nil {
+		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
+	}
+	if postFault() {
+		return postFaultReply(dst)
+	}
+	return appendEnqueueBatchResponse(dst, EnqueueBatchResponse{Enqueued: applied, Buffered: l.mqh.Buffered()}),
+		reply{status: http.StatusOK}
+}
+
+func (s *Server) opDeleteMinUpTo(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	if status, msg := s.decodeHot(sc, hotDeleteMinUpTo, rq); status != 0 {
+		return errorReply(dst, status, msg)
+	}
+	max := sc.rq.max
+	if max < 1 || max > MaxWireBatch {
+		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("max must be in [1, %d]", MaxWireBatch))
+	}
+	l, ok := t.lease(rq.deadline, sc.rq.session)
+	if !ok {
+		return busyReply(dst, t)
+	}
+	sc.lease = l
+	if !t.admitQuota(l, max) {
+		return errorReply(dst, http.StatusTooManyRequests, "tenant operation quota exhausted")
+	}
+	// Defer-committed like the enqueue count: elements drained out of the
+	// structure are counted even when a later fault turns the response into
+	// a 500 (at-most-once delivery — the server ledger stays exact).
+	if sc.items == nil {
+		sc.items = make([]WireItem, 0, 8) // never nil: an empty drain answers "items":[]
+	}
+	items := sc.items[:0]
+	journaled, logged := s.log() != nil, false
+	journal := func() error {
+		if !journaled || logged {
+			return nil
+		}
+		logged = true
+		sc.rec = wal.Record{Type: wal.RecDeleteMin, Tenant: t.name, Session: l.token,
+			Items: sc.walItems(items), Metered: uint64(max)}
+		return s.journal(&sc.rec)
+	}
+	defer func() {
+		sc.items = items[:0]
+		t.opsDequeued.Add(uint64(len(items)))
+		_ = journal()
+	}()
+	truncated := false
+	for len(items) < max {
+		if expired(rq.deadline) {
+			// Deadline mid-drain: answer 200 with what was obtained — the
+			// elements are already removed, so a partial success is the
+			// response that keeps delivered-exactly-once intact.
+			t.deadlineAborts.Add(1)
+			truncated = true
+			break
+		}
+		it, ok := l.mqh.Dequeue()
+		if !ok {
+			break
+		}
+		items = append(items, WireItem{Priority: it.Priority, Value: it.Value})
+	}
+	if journal() != nil {
+		// The elements are already removed and the deferred journal call
+		// will not retry (logged is set): the record was never written, so
+		// a restart resurfaces the drained elements. At-most-once delivery
+		// still holds, the client just cannot know which; the failure
+		// counter surfaces it.
+		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
+	}
+	if postFault() {
+		return postFaultReply(dst)
+	}
+	return appendDeleteMinResponse(dst, DeleteMinResponse{Items: items, Truncated: truncated}), reply{status: http.StatusOK}
+}
+
+func (s *Server) opCounterAddBatch(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	if status, msg := s.decodeHot(sc, hotCounterAddBatch, rq); status != 0 {
+		return errorReply(dst, status, msg)
+	}
+	deltas := sc.rq.deltas
+	if len(deltas) == 0 || len(deltas) > MaxWireBatch {
+		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("deltas must number in [1, %d]", MaxWireBatch))
+	}
+	l, ok := t.lease(rq.deadline, sc.rq.session)
+	if !ok {
+		return busyReply(dst, t)
+	}
+	sc.lease = l
+	if !t.admitQuota(l, len(deltas)) {
+		return errorReply(dst, http.StatusTooManyRequests, "tenant operation quota exhausted")
+	}
+	// Both the op count and the delta weight commit by defer, so
+	// CounterDeltaSum equals the counter's exact value at quiescence even
+	// when a fault interrupts the apply loop.
+	applied, weight := 0, uint64(0)
+	journaled, logged := s.log() != nil, false
+	journal := func() error {
+		if !journaled || logged {
+			return nil
+		}
+		logged = true
+		sc.rec = wal.Record{Type: wal.RecCounterAdd, Tenant: t.name, Session: l.token,
+			Count: uint64(applied), Weight: weight, Metered: uint64(len(deltas))}
+		return s.journal(&sc.rec)
+	}
+	defer func() {
+		t.opsCounterAdds.Add(uint64(applied))
+		t.counterDeltaSum.Add(weight)
+		_ = journal()
+	}()
+	for _, d := range deltas {
+		if expired(rq.deadline) {
+			t.deadlineAborts.Add(1)
+			return errorReply(dst, http.StatusServiceUnavailable,
+				fmt.Sprintf("deadline exceeded after %d deltas", applied))
+		}
+		l.ch.Add(d)
+		applied++
+		weight += d
+	}
+	if journal() != nil {
+		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
+	}
+	if postFault() {
+		return postFaultReply(dst)
+	}
+	return appendCounterAddResponse(dst, CounterAddResponse{
+		Added:          applied,
+		BufferedOps:    l.ch.Buffered(),
+		BufferedWeight: l.ch.BufferedWeight(),
+	}), reply{status: http.StatusOK}
+}
+
+func (s *Server) opCounterRead(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	if string(rq.method) != http.MethodGet {
+		return errorReply(dst, http.StatusMethodNotAllowed, "GET required")
+	}
+	// As (*url.URL).Query reads it: a malformed pair is dropped, not refused.
+	query, _ := url.ParseQuery(string(rq.query))
+	session := query.Get("session")
+	if session == "" {
+		return errorReply(dst, http.StatusBadRequest, "session query parameter required")
+	}
+	l, ok := t.lease(rq.deadline, []byte(session))
+	if !ok {
+		return busyReply(dst, t)
+	}
+	sc.lease = l
+	return appendCounterReadResponse(dst, CounterReadResponse{Value: l.ch.Read()}), reply{status: http.StatusOK}
+}
+
+func (s *Server) opSessionClose(t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	var req SessionCloseRequest
+	if status, msg := decodeControl(rq, &req); status != 0 {
+		return errorReply(dst, status, msg)
+	}
+	if req.Session == "" {
+		return errorReply(dst, http.StatusBadRequest, "session token required")
+	}
+	closed := t.closeSession(req.Session)
+	if closed {
+		// The close published the lease's buffered work into the shared
+		// structures; the record exists so two journal replays agree on when
+		// that publish became visible (the replayed enqueues are already in
+		// their own records — close carries no payload).
+		if err := s.journal(&wal.Record{Type: wal.RecSessionClose, Tenant: t.name, Session: req.Session}); err != nil {
+			return errorReply(dst, http.StatusInternalServerError, "journal append failed")
+		}
+	}
+	return appendSessionCloseResponse(dst, SessionCloseResponse{Closed: closed}), reply{status: http.StatusOK}
+}
+
+// opResize serves POST /v1/{tenant}/resize: move the tenant's live shard
+// count to the requested m, clamped to the server's [MinQueues, MaxQueues]
+// range, with the counter tracking the queue. The response reports the count
+// actually in effect — administrative clients treat a clamped result as
+// success, not an error.
+func (s *Server) opResize(t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	var req ResizeRequest
+	if status, msg := decodeControl(rq, &req); status != 0 {
+		return errorReply(dst, status, msg)
+	}
+	if req.M < 1 {
+		return errorReply(dst, http.StatusBadRequest, "m must be >= 1")
+	}
+	m := t.mq.Resize(req.M)
+	t.mc.Resize(m)
+	if err := s.journal(&wal.Record{Type: wal.RecResize, Tenant: t.name, M: m}); err != nil {
+		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
+	}
+	st := t.mq.Stats()
+	return appendJSON(dst, ResizeResponse{M: m, Epoch: st.Epoch, Resizes: st.Resizes}), reply{status: http.StatusOK}
+}
+
+func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
+	if string(rq.method) != http.MethodGet {
+		return errorReply(dst, http.StatusMethodNotAllowed, "GET required")
+	}
+	agg := t.liveLeaseStats()
+	mqs := t.mq.Stats()
+	return appendJSON(dst, StatsResponse{
+		Tenant:                t.name,
+		QueueLen:              t.mq.Len(),
+		CounterExact:          t.mc.Exact(),
+		QuotaUsed:             t.quota.Exact(),
+		Leases:                agg.leases,
+		BufferedEnqueues:      agg.bufferedEnqueues,
+		PrefetchedDequeues:    agg.prefetchedDequeues,
+		BufferedCounterOps:    agg.bufferedCounterOps,
+		BufferedCounterWeight: agg.bufferedCounterWeight,
+		OpsEnqueued:           t.opsEnqueued.Load(),
+		OpsDequeued:           t.opsDequeued.Load(),
+		OpsMetered:            t.opsMetered.Load(),
+		CounterDeltaSum:       t.counterDeltaSum.Load(),
+		ShedLevel:             int(t.shedLevel.Load()),
+		PanicsRecovered:       t.panicsRecovered.Load(),
+		RepairFailures:        t.repairFailures.Load(),
+		Invalidations:         mqs.Invalidations,
+		Reclaimed:             mqs.Reclaimed,
+		CurrentM:              mqs.CurrentM,
+		Epoch:                 mqs.Epoch,
+		Resizes:               mqs.Resizes,
+	}), reply{status: http.StatusOK}
+}
+
+// The http.Handler adapter. cmd/dlzd does not serve through it — Serve owns
+// the daemon's connections — but *Server stays an http.Handler over the same
+// core, for a caller that wants the daemon behind its own mux and for the
+// benchmark's in-process rungs, which call ServeHTTP with a bare
+// ResponseWriter.
+
+// httpScratch is the adapter's pooled per-request state: the core's scratch
+// plus the request copy and response body the connection loop keeps on the
+// connection.
+type httpScratch struct {
+	scratch
+	in, out []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(httpScratch) }}
+
+// Shared header values: the adapter sets them by assignment and never
+// mutates them.
+var (
+	jsonContentType = []string{"application/json"}
+	textContentType = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
+
+// ServeHTTP answers one request through the transport-free core.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
+	hs := scratchPool.Get().(*httpScratch)
+	defer scratchPool.Put(hs)
+	in := append(hs.in[:0], r.Method...)
+	m := len(in)
+	in = append(in, r.URL.Path...)
+	p := len(in)
+	in = append(in, r.URL.RawQuery...)
+	q := len(in)
+	in, err := appendBody(in, r)
+	var out []byte
+	var rp reply
+	switch {
+	case len(in)-q > maxBody:
+		out, rp = errorReply(hs.out[:0], http.StatusRequestEntityTooLarge, "request body too large")
+	case err != nil:
+		out, rp = errorReply(hs.out[:0], http.StatusBadRequest, "bad request body: "+err.Error())
+	default:
+		rq := request{method: in[:m], path: in[m:p], query: in[p:q], body: in[q:], deadline: s.requestDeadline()}
+		out, rp = s.handle(&hs.scratch, &rq, hs.out[:0])
+	}
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	if rp.text {
+		h["Content-Type"] = textContentType
+	}
+	if rp.retryAfter > 0 {
+		h["Retry-After"] = []string{strconv.Itoa(rp.retryAfter)}
+	}
+	if rp.status != http.StatusOK {
+		w.WriteHeader(rp.status)
+	}
+	_, _ = w.Write(out) // a failed write is the client's hang-up; there is no one to tell
+	hs.in, hs.out = in[:0], out[:0]
+	if cap(hs.in) > keepBuf {
+		hs.in = nil
+	}
+	if cap(hs.out) > keepBuf {
+		hs.out = nil
+	}
+	hs.trim()
+}
+
+// appendBody appends r's body to dst, stopping one byte past maxBody.
+func appendBody(dst []byte, r *http.Request) ([]byte, error) {
+	if r.Body == nil {
+		return dst, nil
+	}
+	limit := len(dst) + maxBody + 1
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		room := dst[len(dst):cap(dst)]
+		if len(dst)+len(room) > limit {
+			room = room[:limit-len(dst)]
+		}
+		n, err := r.Body.Read(room)
+		dst = dst[:len(dst)+n]
+		switch {
+		case err == io.EOF:
+			return dst, nil
+		case err != nil:
+			return dst, err
+		case len(dst) == limit:
+			return dst, nil
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 // before the resizes all drain afterwards, and the counter's shard count
 // tracks the queue's.
 func TestResizeEndpointRoundTrip(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 4, MinQueues: 2, MaxQueues: 16, Seed: 9})
+	_, c := newTestServer(t, Config{Queues: 4, MinQueues: 2, MaxQueues: 16, Seed: 9})
 
 	items := wireItems(5, 3, 9, 1, 7, 2, 8, 4, 6, 10)
 	var enq EnqueueBatchResponse
@@ -75,7 +75,7 @@ func TestResizeEndpointRoundTrip(t *testing.T) {
 // TestResizeEndpointValidation rejects non-positive targets and leaves a
 // fixed-topology daemon (no Min/MaxQueues) pinned.
 func TestResizeEndpointValidation(t *testing.T) {
-	_, c := newTestClient(t, Config{Queues: 4, Seed: 9})
+	_, c := newTestServer(t, Config{Queues: 4, Seed: 9})
 	var rz ResizeResponse
 	if code := c.post("/v1/acme/resize", ResizeRequest{M: 0}, &rz); code != http.StatusBadRequest {
 		t.Fatalf("resize m=0 = %d, want 400", code)
@@ -93,7 +93,7 @@ func TestResizeEndpointValidation(t *testing.T) {
 // delta between ticks) walk down to MinQueues, each step visible through
 // /stats and the /metrics elasticity surfaces.
 func TestAutoScaleTickShrinksIdleTenants(t *testing.T) {
-	s, c := newTestClient(t, Config{
+	s, c := newTestServer(t, Config{
 		Queues: 8, MinQueues: 2, MaxQueues: 32, Seed: 11,
 		AutoScale: &dlz.AutoScale{Dwell: 1},
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,7 +39,7 @@ func TestDaemonSoak(t *testing.T) {
 		tenants          = 4
 		workersPerTenant = 3
 	)
-	s := New(Config{
+	s, c := newTestServer(t, Config{
 		Queues:     8,
 		Batch:      8,
 		Stickiness: 16,
@@ -48,9 +47,6 @@ func TestDaemonSoak(t *testing.T) {
 		Affinity:   0.5,
 		Seed:       42,
 	})
-	hs := httptest.NewServer(s)
-	defer hs.Close()
-	c := &testClient{t: t, srv: hs}
 
 	ledgers := make([]*tenantLedger, tenants)
 	for i := range ledgers {

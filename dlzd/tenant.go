@@ -1,7 +1,6 @@
 package dlzd
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,29 +147,29 @@ func (t *tenant) autoScaleTick() bool {
 // with the expiry sweep is closed by the time its lock is acquired; the
 // lookup retries so the caller always gets a live one.
 //
-// The lock wait is bounded by ctx: when the context carries a deadline
+// The lock wait is bounded by deadline: when the request carries one
 // (Config.RequestTimeout) and the token's current holder does not release in
 // time — stalled, descheduled, or serving a long drain — ok is false and the
 // caller answers 503 busy instead of joining an unbounded convoy on one
 // session token.
-func (t *tenant) lease(ctx context.Context, token string) (*lease, bool) {
+func (t *tenant) lease(deadline time.Time, token []byte) (*lease, bool) {
 	for {
 		t.mu.Lock()
-		l, ok := t.leases[token]
+		l, ok := t.leases[string(token)]
 		if !ok {
 			l = &lease{
 				t:     t,
-				token: token,
+				token: string(token),
 				mqh:   t.mq.NewHandle(t.srv.nextSeed()),
 				ch:    t.mc.NewHandle(t.srv.nextSeed()),
 				qh:    t.quota.NewHandle(t.srv.nextSeed()),
 			}
 			l.lastUsed.Store(time.Now().UnixNano())
-			t.leases[token] = l
+			t.leases[l.token] = l
 			t.leasesOpened.Add(1)
 		}
 		t.mu.Unlock()
-		if !l.lockWithin(ctx) {
+		if !l.lockUntil(deadline) {
 			return nil, false
 		}
 		if !l.closed {
@@ -180,24 +179,21 @@ func (t *tenant) lease(ctx context.Context, token string) (*lease, bool) {
 	}
 }
 
-// lockWithin acquires the lease lock, giving up when ctx expires first. A
-// context without a deadline blocks unconditionally (the pre-hardening
-// behavior, and the cheap path: no timers, one Lock).
-func (l *lease) lockWithin(ctx context.Context) bool {
-	if ctx.Done() == nil {
+// lockUntil acquires the lease lock, giving up at deadline. The zero
+// deadline blocks unconditionally (the cheap path: no clock, one Lock).
+func (l *lease) lockUntil(deadline time.Time) bool {
+	if deadline.IsZero() {
 		l.mu.Lock()
 		return true
 	}
-	for {
-		if l.mu.TryLock() {
-			return true
-		}
-		select {
-		case <-ctx.Done():
+	for !l.mu.TryLock() {
+		left := time.Until(deadline)
+		if left <= 0 {
 			return false
-		case <-time.After(200 * time.Microsecond):
 		}
+		time.Sleep(min(left, 200*time.Microsecond))
 	}
+	return true
 }
 
 // done releases a lease taken with tenant.lease, stamping it as just used.

@@ -50,7 +50,7 @@ func TestWALAppendRefusedPoisonsAck(t *testing.T) {
 	if code := c.post("/v1/w/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
 		t.Fatalf("close = %d", code)
 	}
-	tw, _ := s.tenant("w")
+	tw, _ := s.tenant([]byte("w"))
 	if got := tw.mq.Len(); got != 6 {
 		t.Errorf("live queue = %d, want 6", got)
 	}
@@ -61,7 +61,7 @@ func TestWALAppendRefusedPoisonsAck(t *testing.T) {
 		t.Fatalf("Recover: %v", err)
 	}
 	defer s2.Close()
-	tw2, ok := s2.tenant("w")
+	tw2, ok := s2.tenant([]byte("w"))
 	if !ok {
 		t.Fatal("tenant w missing after reboot")
 	}
