@@ -157,8 +157,8 @@ const (
 	// BackingSkiplist stores each internal queue in a skiplist.
 	BackingSkiplist = cpq.BackingSkiplist
 	// BackingDAry stores each internal queue in a cache-line-aligned 4-ary
-	// heap with bulk batch operations — the fastest backing for the batched
-	// fast path (DESIGN.md §5).
+	// heap with bulk batch operations (DESIGN.md §5); it ties the binary
+	// heap on the Section 7 loop (EXPERIMENTS.md §14).
 	BackingDAry = cpq.BackingDAry
 )
 

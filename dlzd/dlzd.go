@@ -63,7 +63,7 @@ type Config struct {
 	// tracks the queue's. nil leaves resizing under manual control.
 	AutoScale *dlz.AutoScale
 	// Backing selects the per-queue sequential structure (default binary;
-	// cpq.BackingDAry is the fastest for the batched wire path).
+	// the wire path does not tell the backings apart, see EXPERIMENTS.md §14).
 	Backing cpq.Backing
 	// Capacity is the per-queue preallocation hint (default 1024).
 	Capacity int

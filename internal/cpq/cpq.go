@@ -150,8 +150,8 @@ func (w TopWord) Key() uint64 {
 type Backing int
 
 const (
-	// BackingBinary uses an array binary heap (default; best cache locality
-	// among the per-element backings).
+	// BackingBinary uses an array binary heap (default), which offers the
+	// same heap.BulkInterface batch operations as BackingDAry.
 	BackingBinary Backing = iota
 	// BackingPairing uses a pairing heap (O(1) insert).
 	BackingPairing
@@ -159,8 +159,7 @@ const (
 	BackingSkiplist
 	// BackingDAry uses a 4-ary array heap whose sibling groups align to
 	// cache lines and whose heap.BulkInterface batch operations AddBatch and
-	// DeleteMinUpTo dispatch to — the fastest backing for the batched fast
-	// path (ablation A4; DESIGN.md §5).
+	// DeleteMinUpTo dispatch to (ablation A4; DESIGN.md §5).
 	BackingDAry
 )
 

@@ -204,7 +204,9 @@ func FuzzTopCacheDifferential(f *testing.F) {
 // publication protocol: writers churn a queue while maintaining a rising
 // watermark (the largest priority already removed — every live element is
 // strictly greater, because inserts are drawn from a monotone counter and
-// removals take minima). Readers repeatedly snapshot the watermark and then
+// removals take minima; addMu makes drawing a stamp and inserting it one step,
+// or a writer descheduled between the two would insert below the watermark
+// and the check would misfire). Readers repeatedly snapshot the watermark and then
 // load the word: a stable word observed after the lock's release must never
 // carry a minimum at or below the snapshot — the "reader never observes a
 // value smaller than the true minimum" guarantee the seqlock parity plus
@@ -215,6 +217,7 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 		t.Run(b.String(), func(t *testing.T) {
 			q := New(b, 1024, 21)
 			var next, watermark atomic.Uint64
+			var addMu sync.Mutex
 			// Standing buffer so the queue never empties mid-run (the
 			// writers add two per removal).
 			for i := 0; i < 64; i++ {
@@ -230,6 +233,7 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 					defer wg.Done()
 					buf := make([]heap.Item, 0, 2)
 					for i := 0; i < rounds; i++ {
+						addMu.Lock()
 						if i%2 == 0 {
 							q.Add(next.Add(1), 0)
 							q.Add(next.Add(1), 0)
@@ -239,6 +243,7 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 								heap.Item{Priority: next.Add(1)})
 							q.AddBatch(buf)
 						}
+						addMu.Unlock()
 						it, ok := q.DeleteMin()
 						if !ok {
 							t.Error("queue emptied despite standing buffer")

@@ -1,5 +1,7 @@
 package heap
 
+import "math"
+
 // DAryWidth is the fan-out of DAry. Four children of node i occupy the
 // contiguous slots 4i+1 … 4i+4; at 16 bytes per Item one sibling group is
 // exactly 64 bytes, and the daryPad leading slots shift every group onto a
@@ -32,7 +34,8 @@ const daryPad = 3
 // AddBatch/DeleteMinUpTo through them.
 type DAry struct {
 	// a[:daryPad] is alignment padding; node j lives at a[daryPad+j].
-	a []Item
+	a     []Item
+	stash stash
 }
 
 // NewDAry returns an empty heap with the given capacity hint.
@@ -44,87 +47,120 @@ func NewDAry(capacity int) *DAry {
 }
 
 // Len returns the number of stored items.
-func (h *DAry) Len() int { return len(h.a) - daryPad }
+func (h *DAry) Len() int { return h.stash.len() + h.nodes() }
 
-// Push inserts an item in O(log₄ n).
+// nodes returns the number of items in the array part.
+func (h *DAry) nodes() int { return len(h.a) - daryPad }
+
+// Push inserts an item: in O(log₄ n) when it is at or above the array's
+// minimum, by sorted insertion into the stash otherwise.
 func (h *DAry) Push(it Item) {
-	h.a = append(h.a, it)
-	h.up(len(h.a) - 1 - daryPad)
+	if it.Priority >= h.arrayMin() {
+		h.a = append(h.a, it)
+		h.up(len(h.a) - 1 - daryPad)
+		return
+	}
+	if !h.stash.push(it) {
+		h.PushBatch([]Item{it})
+	}
+}
+
+// arrayMin returns the smallest priority in the array part, math.MaxUint64
+// when it is empty: the threshold at and above which an insert belongs to the
+// array rather than the stash.
+func (h *DAry) arrayMin() uint64 {
+	if len(h.a) == daryPad {
+		return math.MaxUint64
+	}
+	return h.a[daryPad].Priority
 }
 
 // Peek returns the minimum item without removing it.
 func (h *DAry) Peek() (Item, bool) {
+	if it, ok := h.stash.min(); ok {
+		return it, true
+	}
 	if len(h.a) == daryPad {
 		return Item{}, false
 	}
 	return h.a[daryPad], true
 }
 
-// Pop removes and returns the minimum item in O(4·log₄ n) comparisons.
+// Pop removes and returns the minimum item: O(1) from the stash, O(4·log₄ n)
+// comparisons from the array once the stash is empty.
 func (h *DAry) Pop() (Item, bool) {
+	if it, ok := h.stash.pop(); ok {
+		return it, true
+	}
 	if len(h.a) == daryPad {
 		return Item{}, false
 	}
 	min := h.a[daryPad]
+	h.popRoot()
+	return min, true
+}
+
+// popRoot removes the array's minimum; the array must be non-empty.
+func (h *DAry) popRoot() {
 	last := len(h.a) - 1
 	it := h.a[last]
 	h.a = h.a[:last]
 	if last > daryPad {
 		h.sinkRoot(it)
 	}
-	return min, true
 }
 
-// PushBatch appends all items, then restores the heap invariant with one
+// PushBatch routes the batch through the stash (stash.route), appends what
+// is bound for the array, then restores the heap invariant with one
 // bottom-up pass: each appended slot sifts up its ancestor path, so the cost
 // is O(k·log₄ n) touching only paths the batch actually dirtied. When the
-// batch rivals the existing heap (k ≥ n) per-path sifting approaches
+// appended part rivals the existing array (k ≥ n) per-path sifting approaches
 // O(n·log n) and PushBatch falls back to Floyd's heapify, which rebuilds the
-// whole array in O(n + k). The post-batch minimum is returned straight from
-// the root slot the sift pass left behind. An empty batch mutates nothing.
+// whole array in O(n + k). An empty batch mutates nothing.
 func (h *DAry) PushBatch(items []Item) (Item, bool) {
-	if len(items) == 0 {
-		return h.Peek()
-	}
-	old := h.Len()
-	h.a = append(h.a, items...)
-	if len(items) >= old {
+	old := h.nodes()
+	h.a = h.stash.route(items, h.a, h.arrayMin())
+	if n := h.nodes(); n-old >= old {
 		h.heapify()
-		return h.a[daryPad], true
+	} else {
+		for i := old; i < n; i++ {
+			h.up(i)
+		}
 	}
-	for i := old; i < old+len(items); i++ {
-		h.up(i)
-	}
-	return h.a[daryPad], true
+	return h.Peek()
 }
 
 // PopBatch removes up to k minimum items, appending them to dst in ascending
 // priority order, and returns the extended slice plus the post-drain minimum.
-// It stops early when the heap runs empty; k <= 0 leaves dst unchanged.
-// Unlike k calls through Interface.Pop, the loop stays monomorphic — no
-// interface dispatch per element — which is what cpq.DeleteMinUpTo's critical
-// section wants.
+// The stash's share is one contiguous copy, the rest comes off the array. It
+// stops early when the heap runs empty; k <= 0 leaves dst unchanged. Unlike k
+// calls through Interface.Pop, the loop stays monomorphic — no interface
+// dispatch per element — which is what cpq.DeleteMinUpTo's critical section
+// wants.
 func (h *DAry) PopBatch(k int, dst []Item) ([]Item, Item, bool) {
+	dst, k = h.stash.drain(k, dst)
 	for ; k > 0 && len(h.a) > daryPad; k-- {
 		dst = append(dst, h.a[daryPad])
-		last := len(h.a) - 1
-		it := h.a[last]
-		h.a = h.a[:last]
-		if last > daryPad {
-			h.sinkRoot(it)
-		}
+		h.popRoot()
 	}
 	min, ok := h.Peek()
 	return dst, min, ok
 }
 
 // Reset empties the heap, retaining capacity.
-func (h *DAry) Reset() { h.a = h.a[:daryPad] }
+func (h *DAry) Reset() {
+	h.a = h.a[:daryPad]
+	h.stash.reset()
+}
 
 // heapify rebuilds the invariant over the whole array in O(n) (Floyd's
 // bottom-up construction): sift down every internal node, deepest first.
 func (h *DAry) heapify() {
-	for i := (h.Len() - 2) / DAryWidth; i >= 0; i-- {
+	n := h.nodes()
+	if n < 2 {
+		return
+	}
+	for i := (n - 2) / DAryWidth; i >= 0; i-- {
 		h.down(i)
 	}
 }
@@ -153,7 +189,7 @@ func (h *DAry) up(i int) {
 // sift this drops the fourth per-level comparison and its hard-to-predict
 // early-exit branch from the PopBatch drain loop.
 func (h *DAry) sinkRoot(it Item) {
-	n := h.Len()
+	n := h.nodes()
 	hole := 0
 	for {
 		first := DAryWidth*hole + 1
@@ -180,7 +216,7 @@ func (h *DAry) sinkRoot(it Item) {
 
 // down sifts node i (0-based node index) toward the leaves.
 func (h *DAry) down(i int) {
-	n := h.Len()
+	n := h.nodes()
 	it := h.a[daryPad+i]
 	for {
 		first := DAryWidth*i + 1
@@ -207,13 +243,15 @@ func (h *DAry) down(i int) {
 	h.a[daryPad+i] = it
 }
 
-// Verify checks the heap invariant (parent <= children) and returns false at
+// Verify checks the stash invariant (ascending, nothing above the array's
+// minimum) and the heap invariant (parent <= children) and returns false at
 // the first violation. Tests use it after randomized operation sequences.
 func (h *DAry) Verify() bool {
-	for i := 1; i < h.Len(); i++ {
+	n := h.nodes()
+	for i := 1; i < n; i++ {
 		if h.a[daryPad+(i-1)/DAryWidth].Priority > h.a[daryPad+i].Priority {
 			return false
 		}
 	}
-	return true
+	return h.stash.verify(h.arrayMin())
 }

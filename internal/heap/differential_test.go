@@ -39,22 +39,94 @@ func bulkImpls() map[string]func() Interface {
 	}
 }
 
+// stashCoverage counts how often a differential stream reached each corner
+// of the stash/array boundary of the array heaps, so the tests can assert the
+// seeded streams exercise all of them rather than hope so.
+type stashCoverage struct {
+	stashInsert   int // an insert grew the stash
+	spill         int // an insert into a full stash spilled onto the array
+	crossDrain    int // one PopBatch emptied the stash and went on into the array
+	stashOnly     int // an op left the array empty and the stash not
+	heapifySpill  int // a spill took PushBatch through its Floyd fallback
+	stashLenAtMax int // the stash was seen full
+}
+
+// stashParts reports the sizes of an array heap's two parts.
+func stashParts(h Interface) (stash, array int, ok bool) {
+	switch h := h.(type) {
+	case *Binary:
+		return h.stash.len(), len(h.a), true
+	case *DAry:
+		return h.stash.len(), h.nodes(), true
+	}
+	return 0, 0, false
+}
+
+// belowMin draws a priority at or just below the model's current minimum (a
+// tie one time in four), or a fresh one from the base range when the model is
+// empty or its minimum is already 0.
+func belowMin(r *rng.Xoshiro256, ref *refModel) uint64 {
+	if len(ref.a) == 0 || ref.a[0] == 0 {
+		return diffBase + r.Uint64n(64)
+	}
+	d := r.Uint64n(4)
+	if d > ref.a[0] {
+		d = ref.a[0]
+	}
+	return ref.a[0] - d
+}
+
+// diffBase offsets the stream's ordinary priorities so that runs of keys
+// below the current minimum have room to descend.
+const diffBase = 1 << 20
+
 // applyDifferentialOps drives one heap and the reference model through the
 // operation stream encoded in data and reports the first divergence. Each
 // byte selects an operation; priorities are drawn from a seeded generator so
 // the stream stays byte-dense for the fuzzer (every input decodes to a valid
 // sequence). Batch sizes intentionally cross the k >= n Floyd-heapify
-// threshold of PushBatch.
-func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte) {
+// threshold of PushBatch, and two of the seven operations push keys at or
+// below the current minimum — the Section 7 pattern that routes into the
+// stash, fills it, spills it and leaves it standing in front of an empty
+// array. Verify runs after every operation; cov, when non-nil, accumulates
+// which stash corners were reached.
+func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, cov *stashCoverage) {
 	t.Helper()
 	var ref refModel
 	r := rng.NewXoshiro256(uint64(len(data)) + 1)
 	bulk, hasBulk := h.(BulkInterface)
+	verifier, _ := h.(interface{ Verify() bool })
+	if cov == nil {
+		cov = new(stashCoverage)
+	}
 	var scratch []Item
 	for opIdx, op := range data {
-		switch op % 5 {
+		stashBefore, arrayBefore, _ := stashParts(h)
+		switch op % 7 {
+		case 5: // single push at or below the current minimum
+			p := belowMin(r, &ref)
+			h.Push(Item{Priority: p, Value: r.Next()})
+			ref.Push(p)
+		case 6: // batch push of a descending run below the current minimum
+			k := int(op / 7 % 17)
+			scratch = scratch[:0]
+			for i := 0; i < k; i++ {
+				p := belowMin(r, &ref)
+				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
+				ref.Push(p)
+			}
+			if hasBulk {
+				min, ok := bulk.PushBatch(scratch)
+				if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
+					t.Fatalf("%s: op %d PushBatch(below) min = (%d,%v), want (%v)", name, opIdx, min.Priority, ok, ref.a)
+				}
+			} else {
+				for _, it := range scratch {
+					h.Push(it)
+				}
+			}
 		case 0, 1: // single push (biased so heaps grow)
-			p := r.Uint64n(64)
+			p := diffBase + r.Uint64n(64)
 			h.Push(Item{Priority: p, Value: r.Next()})
 			ref.Push(p)
 		case 2: // single pop
@@ -64,10 +136,10 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte) {
 				t.Fatalf("%s: op %d Pop = (%d,%v), want (%d,%v)", name, opIdx, it.Priority, ok, want, wantOK)
 			}
 		case 3: // batch push, size 0..16
-			k := int(op / 5 % 17)
+			k := int(op / 7 % 17)
 			scratch = scratch[:0]
 			for i := 0; i < k; i++ {
-				p := r.Uint64n(64)
+				p := diffBase + r.Uint64n(64)
 				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
 				ref.Push(p)
 			}
@@ -82,7 +154,7 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte) {
 				}
 			}
 		case 4: // batch pop, size 0..16
-			k := int(op / 5 % 17)
+			k := int(op / 7 % 17)
 			if hasBulk {
 				var min Item
 				var ok bool
@@ -114,6 +186,30 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte) {
 		if h.Len() != len(ref.a) {
 			t.Fatalf("%s: op %d Len = %d, want %d", name, opIdx, h.Len(), len(ref.a))
 		}
+		if verifier != nil && !verifier.Verify() {
+			t.Fatalf("%s: op %d (code %d) broke the invariant", name, opIdx, op%7)
+		}
+		if stashNow, arrayNow, ok := stashParts(h); ok {
+			pushed := op%7 != 2 && op%7 != 4
+			if stashNow > stashBefore {
+				cov.stashInsert++
+			}
+			if pushed && stashBefore+arrayBefore > 0 && stashNow == stashCap && arrayNow > arrayBefore {
+				cov.spill++
+				if arrayNow-arrayBefore >= arrayBefore {
+					cov.heapifySpill++
+				}
+			}
+			if op%7 == 4 && stashBefore > 0 && stashNow == 0 && arrayNow < arrayBefore {
+				cov.crossDrain++
+			}
+			if stashNow > 0 && arrayNow == 0 {
+				cov.stashOnly++
+			}
+			if stashNow == stashCap {
+				cov.stashLenAtMax++
+			}
+		}
 		if len(ref.a) > 0 {
 			it, ok := h.Peek()
 			if !ok || it.Priority != ref.a[0] {
@@ -141,12 +237,20 @@ func TestDifferentialRandomOps(t *testing.T) {
 	for name, mk := range bulkImpls() {
 		t.Run(name, func(t *testing.T) {
 			r := rng.NewXoshiro256(99)
+			var cov stashCoverage
 			for round := 0; round < 20; round++ {
 				data := make([]byte, 400)
 				for i := range data {
 					data[i] = byte(r.Next())
 				}
-				applyDifferentialOps(t, name, mk(), data)
+				applyDifferentialOps(t, name, mk(), data, &cov)
+			}
+			if name == "pairing" {
+				return
+			}
+			if cov.stashInsert == 0 || cov.spill == 0 || cov.crossDrain == 0 ||
+				cov.stashOnly == 0 || cov.heapifySpill == 0 || cov.stashLenAtMax == 0 {
+				t.Fatalf("%s: seeded streams missed a stash corner: %+v", name, cov)
 			}
 		})
 	}
@@ -170,7 +274,7 @@ func FuzzHeapDifferential(f *testing.F) {
 			data = data[:4096]
 		}
 		for name, mk := range bulkImpls() {
-			applyDifferentialOps(t, name, mk(), data)
+			applyDifferentialOps(t, name, mk(), data, nil)
 		}
 	})
 }

@@ -1,7 +1,8 @@
 // Package heap provides the sequential priority-queue substrates that back
-// the MultiQueue's per-queue storage: an array binary min-heap, a
-// cache-line-friendly 4-ary min-heap with bulk batch operations (DAry), and
-// a pairing heap with node recycling.
+// the MultiQueue's per-queue storage: an array binary min-heap and a
+// cache-line-friendly 4-ary min-heap (DAry), both with bulk batch operations
+// and a sorted min-stash in front of the array (stash), and a pairing heap
+// with node recycling.
 //
 // All order Items by Priority with ties broken by insertion order being
 // irrelevant (the MultiQueue's timestamps are unique per enqueue, so ties
@@ -9,6 +10,8 @@
 // internal/cpq package owns locking, mirroring the paper's assumption of "a
 // set of m linearizable priority queues" built from sequential ones.
 package heap
+
+import "math"
 
 // Item is a priority-queue entry: a 64-bit priority (smaller dequeues first)
 // and an opaque 64-bit payload.
@@ -59,10 +62,13 @@ type BulkInterface interface {
 	PopBatch(k int, dst []Item) (out []Item, min Item, ok bool)
 }
 
-// Binary is an array-backed binary min-heap. The zero value is an empty
-// heap; NewBinary preallocates capacity to keep the hot path allocation-free.
+// Binary is an array-backed binary min-heap behind a sorted min-stash (see
+// stash): items below the array's minimum are kept in the stash and served
+// from it, so they never pay a sift. The zero value is an empty heap;
+// NewBinary preallocates capacity to keep the hot path allocation-free.
 type Binary struct {
-	a []Item
+	a     []Item
+	stash stash
 }
 
 // NewBinary returns an empty heap with the given capacity hint.
@@ -71,76 +77,103 @@ func NewBinary(capacity int) *Binary {
 }
 
 // Len returns the number of stored items.
-func (h *Binary) Len() int { return len(h.a) }
+func (h *Binary) Len() int { return h.stash.len() + len(h.a) }
 
-// Push inserts an item in O(log n).
+// Push inserts an item: in O(log n) when it is at or above the array's
+// minimum, by sorted insertion into the stash otherwise.
 func (h *Binary) Push(it Item) {
-	h.a = append(h.a, it)
-	h.up(len(h.a) - 1)
+	if it.Priority >= h.arrayMin() {
+		h.a = append(h.a, it)
+		h.up(len(h.a) - 1)
+		return
+	}
+	if !h.stash.push(it) {
+		h.PushBatch([]Item{it})
+	}
+}
+
+// arrayMin returns the smallest priority in the array part, math.MaxUint64
+// when it is empty: the threshold at and above which an insert belongs to the
+// array rather than the stash.
+func (h *Binary) arrayMin() uint64 {
+	if len(h.a) == 0 {
+		return math.MaxUint64
+	}
+	return h.a[0].Priority
 }
 
 // Peek returns the minimum item without removing it.
 func (h *Binary) Peek() (Item, bool) {
+	if it, ok := h.stash.min(); ok {
+		return it, true
+	}
 	if len(h.a) == 0 {
 		return Item{}, false
 	}
 	return h.a[0], true
 }
 
-// Pop removes and returns the minimum item in O(log n).
+// Pop removes and returns the minimum item: O(1) from the stash, O(log n)
+// from the array once the stash is empty.
 func (h *Binary) Pop() (Item, bool) {
+	if it, ok := h.stash.pop(); ok {
+		return it, true
+	}
 	if len(h.a) == 0 {
 		return Item{}, false
 	}
 	min := h.a[0]
+	h.popRoot()
+	return min, true
+}
+
+// popRoot removes the array's minimum; the array must be non-empty.
+func (h *Binary) popRoot() {
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]
 	h.a = h.a[:last]
 	if last > 0 {
 		h.down(0)
 	}
-	return min, true
 }
 
 // Reset empties the heap, retaining capacity.
-func (h *Binary) Reset() { h.a = h.a[:0] }
+func (h *Binary) Reset() {
+	h.a = h.a[:0]
+	h.stash.reset()
+}
 
-// PushBatch appends all items, then sifts each appended slot up its ancestor
-// path — O(k·log n) over only the paths the batch dirtied — falling back to
-// Floyd's O(n + k) heapify when the batch rivals the existing heap, and
-// returns the post-batch minimum. It is Binary's BulkInterface entry point;
-// see DAry.PushBatch for the cost model.
+// PushBatch routes the batch through the stash (stash.route), appends what
+// is bound for the array, then sifts each appended slot up its ancestor path
+// — O(k·log n) over only the paths the batch dirtied — falling back to
+// Floyd's O(n + k) heapify when the appended part rivals the existing array,
+// and returns the post-batch minimum. It is Binary's BulkInterface entry
+// point; see DAry.PushBatch for the cost model.
 func (h *Binary) PushBatch(items []Item) (Item, bool) {
-	if len(items) == 0 {
-		return h.Peek()
-	}
 	old := len(h.a)
-	h.a = append(h.a, items...)
-	if len(items) >= old {
+	h.a = h.stash.route(items, h.a, h.arrayMin())
+	if len(h.a)-old >= old {
 		for i := len(h.a)/2 - 1; i >= 0; i-- {
 			h.down(i)
 		}
-		return h.a[0], true
+	} else {
+		for i := old; i < len(h.a); i++ {
+			h.up(i)
+		}
 	}
-	for i := old; i < len(h.a); i++ {
-		h.up(i)
-	}
-	return h.a[0], true
+	return h.Peek()
 }
 
 // PopBatch removes up to k minimum items, appending them to dst in ascending
 // priority order and returning the extended slice plus the post-drain
-// minimum, with no per-element interface dispatch. It stops early when the
-// heap runs empty; k <= 0 leaves dst unchanged.
+// minimum, with no per-element interface dispatch: the stash's share is one
+// contiguous copy, the rest comes off the array. It stops early when the heap
+// runs empty; k <= 0 leaves dst unchanged.
 func (h *Binary) PopBatch(k int, dst []Item) ([]Item, Item, bool) {
+	dst, k = h.stash.drain(k, dst)
 	for ; k > 0 && len(h.a) > 0; k-- {
 		dst = append(dst, h.a[0])
-		last := len(h.a) - 1
-		h.a[0] = h.a[last]
-		h.a = h.a[:last]
-		if last > 0 {
-			h.down(0)
-		}
+		h.popRoot()
 	}
 	min, ok := h.Peek()
 	return dst, min, ok
@@ -180,7 +213,8 @@ func (h *Binary) down(i int) {
 	h.a[i] = it
 }
 
-// Verify checks the heap invariant (parent <= children) and returns false at
+// Verify checks the stash invariant (ascending, nothing above the array's
+// minimum) and the heap invariant (parent <= children) and returns false at
 // the first violation. Tests use it after randomized operation sequences.
 func (h *Binary) Verify() bool {
 	for i := 1; i < len(h.a); i++ {
@@ -188,7 +222,7 @@ func (h *Binary) Verify() bool {
 			return false
 		}
 	}
-	return true
+	return h.stash.verify(h.arrayMin())
 }
 
 // Static assertions: every heap satisfies Interface; the array-backed heaps
