@@ -386,6 +386,15 @@ func (c *MultiCounter) Snapshot(dst []uint64) {
 // go through handles so no PRNG state is shared. A handle must be used by
 // one goroutine at a time.
 type Handle struct {
+	// room is the countdown the update path runs on: how many more updates
+	// the buffer takes before the one that must publish. An open batched
+	// handle holds span−room buffered updates with span = Batch−1; per-op
+	// mode (Batch 1) and a closed handle have span = room = 0, so every
+	// update there takes the slow call. bufWeight is the buffered weight.
+	room      int
+	span      int
+	bufWeight uint64
+
 	c   *MultiCounter
 	id  uint64
 	r   *rng.Xoshiro256
@@ -395,13 +404,14 @@ type Handle struct {
 	// on the first publish after a resize flip (one atomic load otherwise).
 	epochWord uint64
 
-	// Batching state: buffered operation count and summed weight.
-	bufOps    int
-	bufWeight uint64
-
 	// closed marks a handle retired by Close: its buffer is drained and
 	// every further update is a programming error.
 	closed bool
+
+	// Pads the handle to two whole cache lines, so that handles minted back
+	// to back (a dlzd lease's pair, consecutive leases) never share the line
+	// room and bufWeight are written on by every update.
+	_ [2*pad.CacheLine - 184]byte
 }
 
 // NewHandle returns a handle whose random stream is derived from seed,
@@ -414,6 +424,8 @@ func (c *MultiCounter) NewHandle(seed uint64) *Handle {
 	w := c.epoch.Load()
 	_, m := pad.UnpackEpoch(w)
 	return &Handle{
+		room:      c.batch - 1,
+		span:      c.batch - 1,
 		c:         c,
 		id:        id,
 		r:         rng.NewXoshiro256(seed),
@@ -440,28 +452,64 @@ func (h *Handle) Increment() { h.Add(1) }
 
 // Add applies one relaxed update of weight delta through the same
 // sticky/batched path as Increment (the weighted extension; see
-// MultiCounter.Add for the analysis caveats).
+// MultiCounter.Add for the analysis caveats). While the buffer has room the
+// update is a decrement and an add on handle-local words, small enough to
+// inline into the caller's loop; everything else is addSlow.
 func (h *Handle) Add(delta uint64) {
+	if h.room > 0 {
+		h.room--
+		h.bufWeight += delta
+		return
+	}
+	h.addSlow(delta)
+}
+
+// addSlow is the update that cannot be buffered: the one filling the batch,
+// every update in per-op mode, or a use after Close. It must stay a call:
+// inlined into Add it would push Add itself over the inliner's budget.
+//
+//go:noinline
+func (h *Handle) addSlow(delta uint64) {
 	if h.closed {
 		panic("core: operation on closed Handle")
 	}
-	if h.c.batch <= 1 {
-		h.syncEpoch()
-		i := h.smp.Best(h.r, 1, h.c.shards.Read)
-		h.smp.Charge(1)
-		h.c.shards.Add(i, delta)
-		return
-	}
-	h.bufOps++
 	h.bufWeight += delta
-	if h.bufOps >= h.c.batch {
-		h.Flush()
+	h.publish(h.span + 1)
+}
+
+// publish moves the buffered weight, standing for ops updates, to the
+// sticky d-choice winner with one atomic add, charges the stickiness window
+// per update and empties the buffer.
+func (h *Handle) publish(ops int) {
+	h.syncEpoch()
+	i := argmin(h.c.shards, h.smp.Candidates(h.r, ops))
+	h.smp.Charge(ops)
+	h.c.shards.Add(i, h.bufWeight)
+	h.bufWeight, h.room = 0, h.span
+}
+
+// argmin returns the candidate whose cell reads smallest — the d-choice
+// rule. Like the paper's algorithm the cells are read one at a time with no
+// synchronization, so the winner may be stale by the time the caller adds to
+// it; that staleness is the relaxation the analysis bounds. A single
+// candidate (d = 1) is returned without reading its cell.
+func argmin(cells *counters.Sharded, cand []int) int {
+	best := cand[0]
+	if len(cand) == 1 {
+		return best
 	}
+	bestV := cells.Read(best)
+	for _, i := range cand[1:] {
+		if v := cells.Read(i); v < bestV {
+			best, bestV = i, v
+		}
+	}
+	return best
 }
 
 // Buffered returns the number of increments (Add calls) held in this
 // handle's buffer, not yet visible to Read/Exact/Gap. Zero unless Batch > 1.
-func (h *Handle) Buffered() int { return h.bufOps }
+func (h *Handle) Buffered() int { return h.span - h.room }
 
 // BufferedWeight returns the summed weight of the buffered increments — the
 // amount Exact is currently short by on this handle's account. Zero unless
@@ -473,14 +521,9 @@ func (h *Handle) BufferedWeight() uint64 { return h.bufWeight }
 // quiescence (before Exact/Gap/Snapshot audits); a handle with an empty
 // buffer flushes for free.
 func (h *Handle) Flush() {
-	if h.bufOps == 0 {
-		return
+	if ops := h.Buffered(); ops > 0 {
+		h.publish(ops)
 	}
-	h.syncEpoch()
-	i := h.smp.Best(h.r, h.bufOps, h.c.shards.Read)
-	h.smp.Charge(h.bufOps)
-	h.c.shards.Add(i, h.bufWeight)
-	h.bufOps, h.bufWeight = 0, 0
 }
 
 // Read returns the approximate counter value (Algorithm 1's read). This
@@ -510,6 +553,7 @@ func (h *Handle) Close() {
 	}
 	h.Flush()
 	h.closed = true
+	h.room, h.span = 0, 0
 }
 
 // Counter returns the underlying MultiCounter.

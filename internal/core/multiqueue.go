@@ -524,6 +524,10 @@ func (q *MultiQueue) consumeFwd(items []heap.Item) {
 // holding the current queue choices, the insert buffer awaiting its batch
 // flush, and the prefetched dequeue run. A handle must be used by one
 // goroutine at a time.
+//
+// The struct is three whole cache lines with no padding field; a field that
+// changes that must pad it back, or handles minted back to back share a line
+// (TestHandlesOwnTheirCacheLines).
 type MQHandle struct {
 	q  *MultiQueue
 	id uint64

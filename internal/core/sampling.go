@@ -154,7 +154,7 @@ func (s *Sampler) placeStripe() {
 // stripe width and the golden-ratio stripe center are recomputed from the
 // retained construction inputs; the candidate set and window budget are
 // discarded (the old indices may exceed the new m or target sealed shards),
-// so the next Candidates/Best call draws fresh indices at the new topology.
+// so the next Candidates call draws fresh indices at the new topology.
 // The candidate slice is resized in place within its original capacity —
 // Reseed never allocates, keeping the steady-state 0 allocs/op contract.
 func (s *Sampler) Reseed(m int) {
@@ -272,34 +272,17 @@ func (s *Sampler) Candidates(r *rng.Xoshiro256, need int) []int {
 	return s.cand
 }
 
-// Best returns the candidate index minimizing load — the d-choice argmin
-// rule both structures share (smallest counter value for the MultiCounter,
-// smallest cached top for the MultiQueue). Like the paper's algorithms the
-// loads are read one shard at a time with no synchronization, so the winner
-// may be stale by the time the caller operates on it; that staleness is the
-// relaxation the analysis bounds. d = 1 skips the load reads entirely.
-// Best does not consume window budget; callers Charge what they actually
-// used, so an aborted operation costs nothing.
-func (s *Sampler) Best(r *rng.Xoshiro256, need int, load func(int) uint64) int {
-	cand := s.Candidates(r, need)
-	best := cand[0]
-	if s.d == 1 {
-		return best
-	}
-	bestV := load(best)
-	for _, i := range cand[1:] {
-		if v := load(i); v < bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
-
-// BestKeyed is Best returning the winning load value alongside the index,
-// saving callers a re-read when they dispatch on the observed value — the
-// MultiQueue skips stable-empty winners (cpq.TopKeyEmpty) without a second
-// atomic load of the winner's top word. Unlike Best, d = 1 performs its
-// single load too, since the caller consumes the value.
+// BestKeyed returns the candidate index minimizing load together with the
+// winning load value — the d-choice argmin rule over the MultiQueue's cached
+// tops (the MultiCounter handle runs the same rule straight over its cells;
+// see argmin). Like the paper's algorithms the loads are read one shard at a
+// time with no synchronization, so the winner may be stale by the time the
+// caller operates on it; that staleness is the relaxation the analysis
+// bounds. Returning the value saves callers a re-read when they dispatch on
+// it — the MultiQueue skips stable-empty winners (cpq.TopKeyEmpty) without a
+// second atomic load of the winner's top word — so d = 1 performs its single
+// load too. BestKeyed does not consume window budget; callers Charge what
+// they actually used, so an aborted operation costs nothing.
 func (s *Sampler) BestKeyed(r *rng.Xoshiro256, need int, load func(int) uint64) (best int, bestV uint64) {
 	cand := s.Candidates(r, need)
 	best = cand[0]
@@ -318,13 +301,13 @@ func (s *Sampler) BestKeyed(r *rng.Xoshiro256, need int, load func(int) uint64) 
 func (s *Sampler) Charge(n int) { s.left -= n }
 
 // Expire discards the current candidate set AND the remaining window budget:
-// the next Candidates or Best call draws fresh indices and starts a full new
+// the next Candidates call draws fresh indices and starts a full new
 // window. Use it when the whole window is invalidated (the structure was
 // reconfigured, a drain completed); for an empty or contended candidate that
 // merely needs a different draw, Reroll keeps the budget accounting honest.
 func (s *Sampler) Expire() { s.left = 0 }
 
-// Reroll requests a fresh draw at the next Candidates or Best call while
+// Reroll requests a fresh draw at the next Candidates call while
 // keeping the remaining window budget: the replacement candidates serve only
 // the operations the expired ones had left, so an unlucky draw (refused
 // try-lock, empty queue) does not grant itself a whole new stickiness window

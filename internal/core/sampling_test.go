@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/counters"
 	"repro/internal/rng"
 )
 
@@ -63,15 +64,22 @@ func TestSamplerExpire(t *testing.T) {
 
 func TestSamplerBestPicksArgmin(t *testing.T) {
 	loads := []uint64{9, 3, 7, 1, 8, 2, 6, 4}
+	cells := counters.NewSharded(len(loads))
+	for i, v := range loads {
+		cells.Add(i, v)
+	}
 	s := NewSampler(len(loads), 4, 1)
 	r := rng.NewXoshiro256(5)
 	for i := 0; i < 100; i++ {
-		best := s.Best(r, 1, func(i int) uint64 { return loads[i] })
+		cand := s.Candidates(r, 1)
+		best := argmin(cells, cand)
 		s.Charge(1)
-		cand := s.cand
+		if !contains(cand, best) {
+			t.Fatalf("argmin returned %d, not one of the candidates %v", best, cand)
+		}
 		for _, c := range cand {
 			if loads[c] < loads[best] {
-				t.Fatalf("Best returned %d (load %d) but candidate %d has load %d",
+				t.Fatalf("argmin returned %d (load %d) but candidate %d has load %d",
 					best, loads[best], c, loads[c])
 			}
 		}
@@ -81,8 +89,9 @@ func TestSamplerBestPicksArgmin(t *testing.T) {
 func TestSamplerSingleChoiceSkipsLoads(t *testing.T) {
 	s := NewSampler(16, 1, 1)
 	r := rng.NewXoshiro256(6)
-	// load must never be called for d=1; a panicking load proves it.
-	i := s.Best(r, 1, func(int) uint64 { panic("load read for d=1") })
+	// No cell may be read for d=1; nil cells, which any read dereferences,
+	// prove it.
+	i := argmin(nil, s.Candidates(r, 1))
 	if i < 0 || i >= 16 {
 		t.Fatalf("index %d out of range", i)
 	}
