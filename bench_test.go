@@ -331,13 +331,12 @@ func BenchmarkAblationBacking(b *testing.B) {
 	}
 }
 
-// --- Sticky/batched MultiCounter fast path (cmd/benchall's sweep, in-suite) ---
+// --- Sticky/batched MultiCounter fast path ---------------------------------
 
 // BenchmarkMultiCounterStickyBatched compares the per-op two-choice baseline
 // against the sticky, batched, combined, and d=4-combined fast-path modes
-// under parallel increments. cmd/benchall runs the full machine-readable
-// sweep with deviation audits; this keeps the comparison one `go test
-// -bench` away and guards the amortised counter against regression.
+// under parallel increments. cmd/quality audits the deviation each setting
+// costs; bench/'s lib-counter workload referees the headline one.
 func BenchmarkMultiCounterStickyBatched(b *testing.B) {
 	for _, cfg := range []struct {
 		name            string
@@ -368,13 +367,12 @@ func BenchmarkMultiCounterStickyBatched(b *testing.B) {
 	}
 }
 
-// --- Sticky/batched MultiQueue fast path (cmd/benchall's sweep, in-suite) ---
+// --- Sticky/batched MultiQueue fast path -----------------------------------
 
 // BenchmarkMultiQueueStickyBatched compares the per-op baseline against the
 // sticky, batched, and combined fast-path modes under parallel
-// enqueue+dequeue pairs. cmd/benchall runs the full machine-readable sweep;
-// this keeps the comparison one `go test -bench` away and guards the fast
-// path against regression by per-op numbers.
+// enqueue+dequeue pairs. cmd/quality -queue audits the rank error each
+// setting costs; bench/'s lib-queue workload referees the headline one.
 func BenchmarkMultiQueueStickyBatched(b *testing.B) {
 	for _, cfg := range []struct {
 		name         string
@@ -500,7 +498,7 @@ func BenchmarkHeapBulkOps(b *testing.B) {
 // enqueue+dequeue pair with allocation reporting: the handle's pooled batch
 // and prefetch buffers plus the preallocated heap arrays must hold it at
 // 0 allocs/op (TestMQHandleHotPathZeroAlloc enforces the same bound in the
-// test suite; cmd/benchall gates every sweep point on it).
+// test suite, at every (stickiness, batch) setting).
 func BenchmarkMultiQueueHotPathAllocs(b *testing.B) {
 	for _, backing := range []cpq.Backing{cpq.BackingBinary, cpq.BackingDAry} {
 		b.Run(backing.String(), func(b *testing.B) {

@@ -1,9 +1,9 @@
 // Command docscheck validates the repository's documentation links: it
 // scans the given markdown files for backtick-quoted repository paths
 // (files, directories, cmd/ tools, internal/ packages) and fails if any
-// referenced path does not exist. CI runs it over README.md, DESIGN.md and
-// EXPERIMENTS.md so the top-level docs cannot drift from the tree the way
-// the bench drivers once drifted from each other.
+// referenced path does not exist. CI runs it over README.md, DESIGN.md,
+// EXPERIMENTS.md and the verify skill so the docs cannot drift from the
+// tree.
 //
 // Usage:
 //
@@ -64,8 +64,8 @@ func main() {
 }
 
 // normalize extracts the path-like prefix of a backtick token and reports
-// whether it is a checkable repository path. "go run ./cmd/benchall -out ."
-// yields "cmd/benchall"; "dlz.NewMultiCounter(...)", shell pipelines and
+// whether it is a checkable repository path. "go run ./cmd/quality -queue"
+// yields "cmd/quality"; "dlz.NewMultiCounter(...)", shell pipelines and
 // globbed paths are skipped.
 func normalize(tok string) (string, bool) {
 	tok = strings.TrimSpace(tok)

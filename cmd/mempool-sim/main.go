@@ -10,21 +10,20 @@
 //   - fee-loss-within-limit: a single-threaded intent trace replayed against
 //     the relaxed pool and the exact head-greedy reference
 //     (quality.MeasureMempoolRevenue) must lose at most
-//     benchfmt.MempoolFeeLossLimit of the exact builder's trace revenue.
+//     quality.MempoolFeeLossLimit of the exact builder's trace revenue.
 //     Measured values run negative — popping by global fee parks high-fee
 //     mid-chain transactions early, a chain lookahead the myopic reference
 //     lacks — so the gate is an upper bound.
 //
 // The command exits 1 when either verdict fails, so CI can run it as a
-// smoke gate. -json writes the fee-quality measurement as a schema v6
-// benchfmt.MempoolReport.
+// smoke gate.
 //
 // Usage:
 //
 //	mempool-sim [-txs 100000] [-threads 4] [-senders 256] [-theta 0.9]
 //	    [-popfrac 0.4] [-bumpfrac 0.1] [-feemean 1000] [-cap 0]
 //	    [-bumpnum 110] [-bumpden 100] [-m 256] [-choices 2] [-stickiness 8]
-//	    [-batch 8] [-backing binary] [-seed 7] [-csv] [-json FILE]
+//	    [-batch 8] [-backing binary] [-seed 7] [-csv]
 package main
 
 import (
@@ -34,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/core"
 	"repro/internal/cpq"
 	"repro/internal/harness"
@@ -66,7 +64,6 @@ func main() {
 	backingName := flag.String("backing", "binary", "per-queue backing: binary, pairing, skiplist or dary")
 	seed := flag.Uint64("seed", 7, "PRNG seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of markdown")
-	jsonPath := flag.String("json", "", "write the fee-quality measurement as a benchfmt.MempoolReport to this file")
 	flag.Parse()
 
 	if *txs < 1 || *threads < 1 || *senders < 1 || *m < 1 || *choices < 1 {
@@ -86,9 +83,8 @@ func main() {
 		fail("%v", err)
 	}
 
-	start := time.Now()
-	// Record the normalized knobs (0 means 1 inside core) so the emitted
-	// point names the configuration actually driven.
+	// Report the normalized knobs (0 means 1 inside core) so the table
+	// header names the configuration actually driven.
 	if *stickiness == 0 {
 		*stickiness = 1
 	}
@@ -113,20 +109,7 @@ func main() {
 		Ops: *txs / *threads, Senders: *senders, Theta: *theta,
 		PopFrac: *popfrac, BumpFrac: *bumpfrac, FeeMean: *feemean, Seed: *seed + 2,
 	}
-	within, point := runFeeQuality(cfg, wcfg, *csv)
-	ok = within && ok
-
-	if *jsonPath != "" {
-		rep := &benchfmt.MempoolReport{
-			Bench: benchfmt.MempoolBench, Schema: benchfmt.SchemaVersion,
-			Env: benchfmt.CaptureEnv(), DurMS: time.Since(start).Milliseconds() + 1,
-			Points: []benchfmt.MempoolPoint{point},
-		}
-		if err := benchfmt.WriteFile(*jsonPath, rep); err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("wrote %s (schema v%d)\n", *jsonPath, benchfmt.SchemaVersion)
-	}
+	ok = runFeeQuality(cfg, wcfg, *csv) && ok
 	if !ok {
 		os.Exit(1)
 	}
@@ -242,12 +225,12 @@ func runChurn(cfg mempool.Config, txs, threads, senders int, theta, popfrac, bum
 }
 
 // runFeeQuality runs the single-threaded fee-loss measurement and reports
-// the limit verdict plus the benchfmt point for -json.
-func runFeeQuality(cfg mempool.Config, wcfg mempool.WorkloadConfig, csv bool) (bool, benchfmt.MempoolPoint) {
+// the limit verdict.
+func runFeeQuality(cfg mempool.Config, wcfg mempool.WorkloadConfig, csv bool) bool {
 	q, err := quality.MeasureMempoolRevenue(cfg, wcfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mempool-sim: fee-quality: %v\n", err)
-		return false, benchfmt.MempoolPoint{}
+		return false
 	}
 	tb := harness.NewTable(
 		fmt.Sprintf("Mempool fee-revenue quality (trace %d ops, %d senders, single thread)", wcfg.Ops, wcfg.Senders),
@@ -255,31 +238,19 @@ func runFeeQuality(cfg mempool.Config, wcfg mempool.WorkloadConfig, csv bool) (b
 	tb.Add("delivered (trace)", q.PoppedRelaxed, q.PoppedExact)
 	tb.Add(fmt.Sprintf("revenue @ %d pops", q.ComparedPops), q.RevenueRelaxed, q.RevenueExact)
 	tb.Add("evicted", q.StatsRelaxed.Evicted, q.StatsExact.Evicted)
-	tb.Add("fee-loss-frac", fmt.Sprintf("%.4f", q.FeeLossFrac), fmt.Sprintf("limit %.2f", benchfmt.MempoolFeeLossLimit))
+	tb.Add("fee-loss-frac", fmt.Sprintf("%.4f", q.FeeLossFrac), fmt.Sprintf("limit %.2f", quality.MempoolFeeLossLimit))
 	if csv {
 		tb.WriteCSV(os.Stdout)
 	} else {
 		tb.WriteMarkdown(os.Stdout)
 	}
-	within := q.FeeLossFrac <= benchfmt.MempoolFeeLossLimit &&
+	within := q.FeeLossFrac <= quality.MempoolFeeLossLimit &&
 		q.FeeLossFrac == q.FeeLossFrac // rejects NaN
 	verdict := "PASS"
 	if !within {
 		verdict = "FAIL"
 	}
 	fmt.Fprintf(os.Stderr, "fee-loss-within-limit: %s (loss %.4f at %d compared pops, limit %.2f)\n",
-		verdict, q.FeeLossFrac, q.ComparedPops, benchfmt.MempoolFeeLossLimit)
-	wdef := wcfg.WithDefaults()
-	point := benchfmt.MempoolPoint{
-		M: cfg.Queue.Queues, Choices: cfg.Queue.Choices,
-		Stickiness: cfg.Queue.Stickiness, Batch: cfg.Queue.Batch,
-		Backing: cfg.Queue.Backing.String(), Capacity: cfg.Capacity,
-		TxOps: wdef.Ops, Senders: wdef.Senders, Theta: wdef.Theta,
-		PopFrac: wdef.PopFrac, Seed: wdef.Seed,
-		ComparedPops: q.ComparedPops, RevenueRelaxed: q.RevenueRelaxed,
-		RevenueExact: q.RevenueExact, FeeLossFrac: q.FeeLossFrac,
-		EvictedRelaxed: q.StatsRelaxed.Evicted, EvictedExact: q.StatsExact.Evicted,
-		WithinLimit: within,
-	}
-	return within, point
+		verdict, q.FeeLossFrac, q.ComparedPops, quality.MempoolFeeLossLimit)
+	return within
 }

@@ -3,7 +3,7 @@
 // against the true increment count, and the maximum gap between bins over
 // time — for any (choices, stickiness, batch) setting, with a closing
 // verdict scoring the mean deviation against the O(m·log m) envelope of
-// Theorem 6.1 (the same audit cmd/benchall attaches per sweep point).
+// Theorem 6.1.
 //
 // With -queue it instead measures the MultiQueue's dequeue rank-error
 // distribution for a configurable (choices, stickiness, batch, affinity)
@@ -16,9 +16,8 @@
 // fraction (DESIGN.md §7). Any -affinity > 0 run measures the uniform
 // (affinity 0) twin of the same setting alongside and closes with the
 // drift ratio — measured quality cost of stripe-local choices over the
-// uniform sampler — scored against the 1.5x drift budget the benchall
-// affine gate enforces (exit non-zero beyond it, like the envelope
-// verdict).
+// uniform sampler — scored against the 1.5x drift budget affineDriftLimit
+// (exit non-zero beyond it, like the envelope verdict).
 //
 // The paper measures quality single-threaded because "it is not clear how to
 // order the concurrent read steps"; the dlcheck tool provides the concurrent
@@ -34,16 +33,16 @@
 //	quality -mempool [-m 256] [-choices 2] [-stickiness 8] [-batch 8] [-backing binary] [-txops 10000] [-senders 256] [-theta 0.9] [-popfrac 0.4] [-cap 0] [-csv]
 //
 // -lockedtop (with -queue) disables the lock-free top-word cache (ablation
-// A5), so the rank-error audit measures the locked-ReadMin configuration the
-// topcache=false benchall points run — the two paths read identically fresh
-// values single-threaded, so matching verdicts here are the sanity check
-// that the cache changes cost, not quality.
+// A5), so the rank-error audit measures the locked-ReadMin configuration —
+// the two paths read identically fresh values single-threaded, so matching
+// verdicts here are the sanity check that the cache changes cost, not
+// quality.
 //
 // With -mempool it measures the fee-priority mempool built on the relaxed
 // MultiQueue (repro/internal/mempool) against the exact head-greedy
 // sequential reference on one seeded intent trace, and reports the fee
 // revenue lost to relaxation (quality.MeasureMempoolRevenue), gated at
-// benchfmt.MempoolFeeLossLimit. The mode defaults to the acceptance
+// quality.MempoolFeeLossLimit. The mode defaults to the acceptance
 // configuration (s=8, k=8, m=256) rather than the counter defaults.
 package main
 
@@ -54,7 +53,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/benchfmt"
 	"repro/internal/core"
 	"repro/internal/cpq"
 	"repro/internal/dlin"
@@ -229,17 +227,32 @@ func main() {
 	}
 }
 
+// affineDriftLimit bounds the quality drift an affine measurement may show
+// over its uniform twin at the same setting: measured rank-error mean and
+// max (queue) or mean and max absolute deviation (counter) at most 1.5× the
+// uniform sampler's — the envelope multiple DESIGN.md §7 budgets for choice
+// locality.
+const affineDriftLimit = 1.5
+
+// driftRatio scores an affine quality statistic against its uniform twin:
+// the ratio must stay within affineDriftLimit. A zero uniform value has no
+// meaningful ratio and passes vacuously (ratio 0): treat it as a degenerate
+// audit, not a gate signal — only the mean statistic carries its own
+// absolute within-envelope bound.
+func driftRatio(affine, uniform float64) (ratio float64, ok bool) {
+	if uniform == 0 {
+		return 0, true
+	}
+	ratio = affine / uniform
+	return ratio, ratio <= affineDriftLimit
+}
+
 // driftVerdict scores an affine measurement against its uniform twin
-// through the shared benchfmt.DriftRatio rule on BOTH the mean and the max
-// statistic (each ratio within benchfmt.AffineDriftLimit; a zero uniform
-// value passes vacuously, with the affine mean still bound by its own
-// envelope audit) — the same quality conditions the benchall affine gate
-// applies, so the two audits can never disagree on the same measurement.
-// The gate's third condition, the throughput match, has no single-threaded
-// counterpart here: quality audits quality.
+// through driftRatio on BOTH the mean and the max statistic, with the affine
+// mean still bound by its own envelope audit.
 func driftVerdict(what string, affineMean, uniformMean, affineMax, uniformMax, envelope float64, affineWithin bool) bool {
-	meanRatio, meanOK := benchfmt.DriftRatio(affineMean, uniformMean)
-	maxRatio, maxOK := benchfmt.DriftRatio(affineMax, uniformMax)
+	meanRatio, meanOK := driftRatio(affineMean, uniformMean)
+	maxRatio, maxOK := driftRatio(affineMax, uniformMax)
 	within := affineWithin && meanOK && maxOK
 	verdict := "PASS"
 	if !within {
@@ -247,18 +260,17 @@ func driftVerdict(what string, affineMean, uniformMean, affineMax, uniformMax, e
 	}
 	fmt.Fprintf(os.Stderr, "affine-drift-vs-uniform: %s (%s mean affine %.2f vs uniform %.2f ratio %.2fx, max affine %.0f vs uniform %.0f ratio %.2fx, limit %.1fx, envelope %.0f)\n",
 		verdict, what, affineMean, uniformMean, meanRatio,
-		affineMax, uniformMax, maxRatio, benchfmt.AffineDriftLimit, envelope)
+		affineMax, uniformMax, maxRatio, affineDriftLimit, envelope)
 	return within
 }
 
 // runCounterQuality drives a single-threaded MultiCounter handle (with the
 // full sticky/batched configuration) through the shared deviation
-// measurement (quality.MeasureCounterDeviation — the exact loop the benchall
-// gate scores), tabulating the Figure 1(b) time series from its sample
-// callback and closing with the envelope verdict on the mean absolute
-// deviation. The verdict goes to stderr so the table — a purely numeric
-// time series — stays machine-parseable under -csv. Reports whether the
-// mean stayed inside the envelope.
+// measurement (quality.MeasureCounterDeviation), tabulating the Figure 1(b)
+// time series from its sample callback and closing with the envelope verdict
+// on the mean absolute deviation. The verdict goes to stderr so the table —
+// a purely numeric time series — stays machine-parseable under -csv. Reports
+// whether the mean stayed inside the envelope.
 func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch int, affinity float64, seed uint64, csv bool) bool {
 	mc := core.NewMultiCounterConfig(core.MultiCounterConfig{
 		Topology: core.Topology{InitialM: m},
@@ -291,8 +303,7 @@ func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch in
 		verdict, dev.MeanAbsError, dev.MaxAbsError, dev.MaxGap, envelope)
 	if affinity > 0 {
 		// Measure the uniform twin of the same setting and report the
-		// deviation drift the stripe policy costs — the counter side of the
-		// benchall affine gate, reproduced interactively.
+		// deviation drift the stripe policy costs.
 		uniMC := core.NewMultiCounterConfig(core.MultiCounterConfig{
 			Topology: core.Topology{InitialM: m},
 			Choices:  choices, Stickiness: stickiness, Batch: batch,
@@ -349,8 +360,7 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, b
 	}
 	if affinity > 0 {
 		// Measure the uniform twin of the same setting and report the rank
-		// drift the stripe policy costs — the queue side of the benchall
-		// affine gate, reproduced interactively.
+		// drift the stripe policy costs.
 		uniQ := core.NewMultiQueue(core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: m},
 			Seed:     seed, Choices: choices, Stickiness: stickiness, Batch: batch,
@@ -365,7 +375,7 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, b
 // runMempoolQuality replays one seeded intent trace against the relaxed
 // mempool and the exact head-greedy reference (quality.MeasureMempoolRevenue)
 // and tabulates both pools' trace ledgers side by side. The verdict — fee
-// loss within benchfmt.MempoolFeeLossLimit — goes to stderr like the other
+// loss within quality.MempoolFeeLossLimit — goes to stderr like the other
 // modes' so the table stays machine-parseable under -csv. Returns whether
 // the loss stayed within the limit.
 func runMempoolQuality(m, choices, stickiness, batch int, backing cpq.Backing, capacity,
@@ -398,18 +408,18 @@ func runMempoolQuality(m, choices, stickiness, batch int, backing cpq.Backing, c
 	tb.Add("replaced", q.StatsRelaxed.Replaced, q.StatsExact.Replaced)
 	tb.Add("evicted", q.StatsRelaxed.Evicted, q.StatsExact.Evicted)
 	tb.Add("resident (end of trace)", q.StatsRelaxed.Resident, q.StatsExact.Resident)
-	tb.Add("fee-loss-frac", fmt.Sprintf("%.4f", q.FeeLossFrac), fmt.Sprintf("limit %.2f", benchfmt.MempoolFeeLossLimit))
+	tb.Add("fee-loss-frac", fmt.Sprintf("%.4f", q.FeeLossFrac), fmt.Sprintf("limit %.2f", quality.MempoolFeeLossLimit))
 	if csv {
 		tb.WriteCSV(os.Stdout)
 	} else {
 		tb.WriteMarkdown(os.Stdout)
 	}
-	within := q.FeeLossFrac <= benchfmt.MempoolFeeLossLimit
+	within := q.FeeLossFrac <= quality.MempoolFeeLossLimit
 	verdict := "PASS"
 	if !within {
 		verdict = "FAIL"
 	}
 	fmt.Fprintf(os.Stderr, "fee-loss-within-limit: %s (loss %.4f at %d compared pops, limit %.2f; negative = relaxed banked more via chain lookahead)\n",
-		verdict, q.FeeLossFrac, q.ComparedPops, benchfmt.MempoolFeeLossLimit)
+		verdict, q.FeeLossFrac, q.ComparedPops, quality.MempoolFeeLossLimit)
 	return within
 }

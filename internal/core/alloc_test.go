@@ -1,54 +1,67 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cpq"
 )
 
-// TestMQHandleHotPathZeroAlloc pins the batched MultiQueue hot path at zero
+// TestMQHandleHotPathZeroAlloc pins the MultiQueue hot path at zero
 // allocations per operation: after warm-up, an enqueue+dequeue pair must
 // reuse the handle's fixed-capacity batch and prefetch buffers and the
 // per-queue heap's preallocated array — no growth anywhere. Run for every
 // backing so a future backing cannot silently reintroduce churn (the pairing
 // heap recycles nodes; the skiplist is exempt because its insert genuinely
-// allocates a node).
+// allocates a node), and at every (stickiness, batch) setting from the
+// per-op path (1, 1) to (16, 16), not only the headline (8, 8).
 func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 	for _, backing := range []cpq.Backing{cpq.BackingBinary, cpq.BackingDAry, cpq.BackingPairing} {
 		t.Run(backing.String(), func(t *testing.T) {
-			q := NewMultiQueue(MultiQueueConfig{
-				Queues: 16, Backing: backing, Seed: 3, Stickiness: 8, Batch: 8,
-				Capacity: 4096,
-			})
-			h := q.NewHandle(4)
-			for i := 0; i < 4096; i++ {
-				h.Enqueue(uint64(i))
-				h.Dequeue()
-			}
-			allocs := testing.AllocsPerRun(2000, func() {
-				h.Enqueue(1)
-				h.Dequeue()
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
+			for _, sk := range []int{1, 4, 8, 16} {
+				t.Run(fmt.Sprintf("s=%d,k=%d", sk, sk), func(t *testing.T) {
+					q := NewMultiQueue(MultiQueueConfig{
+						Queues: 16, Backing: backing, Seed: 3, Stickiness: sk, Batch: sk,
+						Capacity: 4096,
+					})
+					h := q.NewHandle(4)
+					for i := 0; i < 4096; i++ {
+						h.Enqueue(uint64(i))
+						h.Dequeue()
+					}
+					allocs := testing.AllocsPerRun(2000, func() {
+						h.Enqueue(1)
+						h.Dequeue()
+					})
+					if allocs != 0 {
+						t.Fatalf("steady-state enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestMCHandleHotPathZeroAlloc pins the batched MultiCounter hot path the
-// same way: a steady-state increment buffers locally and publishes through
-// the sticky sampler's preallocated candidate set, allocating nothing.
+// TestMCHandleHotPathZeroAlloc pins the MultiCounter hot path the same way:
+// a steady-state increment buffers locally and publishes through the sticky
+// sampler's preallocated candidate set, allocating nothing — with and
+// without stickiness, with and without batching, and at d = 4.
 func TestMCHandleHotPathZeroAlloc(t *testing.T) {
-	mc := NewMultiCounterConfig(MultiCounterConfig{
-		Counters: 16, Choices: 2, Stickiness: 8, Batch: 8,
-	})
-	h := mc.NewHandle(5)
-	for i := 0; i < 4096; i++ {
-		h.Increment()
-	}
-	allocs := testing.AllocsPerRun(2000, func() { h.Increment() })
-	if allocs != 0 {
-		t.Fatalf("steady-state increment allocated %.2f objects/op, want 0", allocs)
+	for _, c := range []struct{ d, s, k int }{
+		{2, 1, 1}, {2, 8, 1}, {2, 1, 8}, {2, 8, 8}, {4, 8, 8}, {2, 16, 16},
+	} {
+		t.Run(fmt.Sprintf("d=%d,s=%d,k=%d", c.d, c.s, c.k), func(t *testing.T) {
+			mc := NewMultiCounterConfig(MultiCounterConfig{
+				Counters: 16, Choices: c.d, Stickiness: c.s, Batch: c.k,
+			})
+			h := mc.NewHandle(5)
+			for i := 0; i < 4096; i++ {
+				h.Increment()
+			}
+			allocs := testing.AllocsPerRun(2000, func() { h.Increment() })
+			if allocs != 0 {
+				t.Fatalf("steady-state increment allocated %.2f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

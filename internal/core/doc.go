@@ -28,8 +28,8 @@
 // (Choices, Stickiness, Batch): handles re-use their sampled candidates for
 // a window of operations and move whole batches per shared synchronization
 // step. The quality cost of any setting is measured — not assumed — by
-// repro/internal/quality and the cmd/quality and cmd/benchall drivers; see
-// DESIGN.md §2 for the handle lifecycle and the measured trade-offs.
+// repro/internal/quality and the cmd/quality driver; see DESIGN.md §2 for
+// the handle lifecycle and the measured trade-offs.
 //
 // The exported facade for downstream users is the root package repro/dlz,
 // which re-exports these types with a stable API.

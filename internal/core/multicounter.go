@@ -25,8 +25,8 @@ import (
 // the same amortised fast path the MultiQueue carries: handles stick to
 // their sampled shard candidates for a window of operations and accumulate
 // increments locally, publishing a whole batch with one shared atomic add
-// (DESIGN.md §2). cmd/quality and cmd/benchall audit the deviation cost of
-// any setting against the m·log₂m envelope.
+// (DESIGN.md §2). cmd/quality audits the deviation cost of any setting
+// against the m·log₂m envelope.
 type MultiCounter struct {
 	shards   *counters.Sharded // sized Topology.MaxM; cells >= live m idle at 0
 	topo     Topology

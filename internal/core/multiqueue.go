@@ -276,8 +276,7 @@ type MQStats struct {
 	Reclaimed     uint64
 	// CurrentM is the live shard count at snapshot time, Epoch the resize
 	// epoch counter, and Resizes the number of completed resize epochs —
-	// the elasticity signals dlzd's /metrics and benchall's elastic axis
-	// export.
+	// the elasticity signals dlzd's /metrics exports.
 	CurrentM int
 	Epoch    uint64
 	Resizes  uint64

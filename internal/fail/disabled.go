@@ -6,8 +6,8 @@ package fail
 // build it is the constant false: every call site guards its Inject with
 // `if fail.Enabled { ... }`, so the compiler's constant-branch elimination
 // removes the failpoints entirely — no branch, no call, no registry. The
-// zero-alloc hot-path tests and the benchall quick gate run against this
-// build and would catch any regression of that guarantee.
+// zero-alloc hot-path tests run against this build and would catch any
+// regression of that guarantee.
 const Enabled = false
 
 // Inject is a no-op in the default build; it exists so guarded call sites

@@ -12,8 +12,7 @@
 //
 //     is removed by the compiler's constant-branch elimination — the
 //     failpoints cost literally nothing: no branch, no call, no allocation
-//     (the zero-alloc hot-path tests and the benchall quick gate enforce
-//     this stays true).
+//     (the zero-alloc hot-path tests enforce this stays true).
 //
 //   - `-tags dlzfail`: Enabled is true and Inject consults the site
 //     registry. Sites are cheap when disarmed (one lock-free map load plus

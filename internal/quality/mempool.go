@@ -35,6 +35,15 @@ type MempoolQuality struct {
 	StatsExact   mempool.Stats
 }
 
+// MempoolFeeLossLimit bounds the fee-revenue fraction the relaxed mempool
+// may forgo against the exact head-greedy reference on the default trace
+// (MeasureMempoolRevenue's FeeLossFrac) — the acceptance gate at the
+// (s=8, k=8, m=256) configuration, read by cmd/quality -mempool and
+// cmd/mempool-sim. Measured values run negative (the relaxed pool's
+// global-fee pops act as chain lookahead the myopic reference lacks), so the
+// gate is an upper bound only.
+const MempoolFeeLossLimit = 0.05
+
 // MeasureMempoolRevenue generates one seeded intent trace and replays it
 // against a relaxed pool (mempool.New over cfg.Queue) and the exact
 // sequential reference (mempool.NewSeq), comparing cumulative delivered fee

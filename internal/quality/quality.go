@@ -14,7 +14,7 @@ import (
 )
 
 // MeasureDequeueRank is the single-threaded steady-state rank-error
-// measurement shared by cmd/quality, cmd/benchall and cmd/multiqueue-bench:
+// measurement shared by cmd/quality and bench/'s lib-queue workload:
 // drive the handle through a standing buffer of buffer elements, then ops
 // enqueue+dequeue pairs, computing each dequeue's rank against a Fenwick
 // tree over the logically enqueued labels (the same accounting as the
@@ -44,7 +44,7 @@ func MeasureDequeueRank(h *core.MQHandle, buffer, ops int) *stats.Sample {
 
 // CounterDeviation is the result of MeasureCounterDeviation: the Figure 1(b)
 // quality metrics for one MultiCounter configuration, scored by cmd/quality
-// and attached per setting to cmd/benchall's BENCH_multicounter.json.
+// and reported as dev_max by bench/'s lib-counter workload.
 type CounterDeviation struct {
 	// MaxAbsError is the largest |Read − issued increments| observed across
 	// the sample points — the max-deviation the Theorem 6.1 envelope bounds.
@@ -59,8 +59,8 @@ type CounterDeviation struct {
 }
 
 // MeasureCounterDeviation is the single-threaded steady-state deviation
-// measurement shared by cmd/quality and cmd/benchall — the counter
-// counterpart of MeasureDequeueRank. It drives the handle through incs
+// measurement shared by cmd/quality and bench/'s lib-counter workload — the
+// counter counterpart of MeasureDequeueRank. It drives the handle through incs
 // increments, sampling Read and Gap at samples evenly spaced points, and
 // reports the deviation of the sampled reads from the true issued count
 // (Figure 1b's y-axes). The paper measures quality single-threaded because
@@ -69,8 +69,8 @@ type CounterDeviation struct {
 //
 // A non-nil onSample receives every sample point (issued increments, read
 // value, |read − issued|, current gap) — cmd/quality tabulates the Figure
-// 1(b) time series through it, so the interactive table and the benchall
-// gate can never diverge on the statistic they score.
+// 1(b) time series through it, so the table and the verdict below it can
+// never diverge on the statistic they score.
 //
 // The handle must be fresh and is NOT flushed at the end: buffered
 // increments held by a batched handle count against the measured deviation,

@@ -80,8 +80,8 @@ func TestMeasureCounterDeviationPerOp(t *testing.T) {
 func TestMeasureCounterDeviationBatchedChargesBuffer(t *testing.T) {
 	// The batched counter's deviation includes its unflushed buffer. For a
 	// quality-safe setting the MEAN deviation must sit inside the envelope
-	// (the same statistic the benchall gate scores, mirroring the MultiQueue
-	// rank gate); the max runs above the mean because flushes land weight in
+	// (the statistic cmd/quality's verdict scores, mirroring the MultiQueue
+	// rank verdict); the max runs above the mean because flushes land weight in
 	// k-sized lumps, which is exactly why the audit reports both. d = 2 at
 	// (s=8, k=8, m=64) measures right at the envelope edge, so this asserts
 	// the d = 4 setting, which holds with 2x margin.
