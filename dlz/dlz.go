@@ -150,7 +150,8 @@ type TSHandle = core.TSHandle
 
 // Queue backings for MultiQueueConfig.Backing (ablation A4).
 const (
-	// BackingBinary stores each internal queue in a binary heap (default).
+	// BackingBinary stores each internal queue in a sorted run popped by
+	// truncation plus a small heap of pending inserts (default).
 	BackingBinary = cpq.BackingBinary
 	// BackingPairing stores each internal queue in a pairing heap.
 	BackingPairing = cpq.BackingPairing

@@ -2,8 +2,9 @@
 // Algorithm 2 assumes as its building block: "a set of m linearizable
 // priority queues such that each supports Add(e, p), DeleteMin, ReadMin".
 //
-// Each Queue is a sequential priority queue (binary heap, pairing heap,
-// skiplist, or cache-shaped 4-ary heap — selectable for ablation A4) guarded
+// Each Queue is a sequential priority queue (heap.Binary's sorted run and
+// pending heap, pairing heap, skiplist, or cache-shaped 4-ary heap —
+// selectable for ablation A4) guarded
 // by a cache-line padded spinlock, plus a lock-free top word: a single
 // atomic uint64 (pad.Seq64) packing the truncated minimum priority, an empty
 // bit and a publication sequence whose parity is the mid-update sentinel
@@ -150,8 +151,9 @@ func (w TopWord) Key() uint64 {
 type Backing int
 
 const (
-	// BackingBinary uses an array binary heap (default), which offers the
-	// same heap.BulkInterface batch operations as BackingDAry.
+	// BackingBinary uses heap.Binary (default): a sorted run popped by
+	// truncation plus a small heap of pending inserts, which offers the same
+	// heap.BulkInterface batch operations as BackingDAry.
 	BackingBinary Backing = iota
 	// BackingPairing uses a pairing heap (O(1) insert).
 	BackingPairing

@@ -40,26 +40,45 @@ func bulkImpls() map[string]func() Interface {
 }
 
 // stashCoverage counts how often a differential stream reached each corner
-// of the stash/array boundary of the array heaps, so the tests can assert the
-// seeded streams exercise all of them rather than hope so.
+// of the two-part layouts — DAry's stash/array boundary, Binary's sorted run
+// and pending heap — so the tests can assert the seeded streams exercise all
+// of them rather than hope so.
 type stashCoverage struct {
+	// DAry
 	stashInsert   int // an insert grew the stash
 	spill         int // an insert into a full stash spilled onto the array
 	crossDrain    int // one PopBatch emptied the stash and went on into the array
 	stashOnly     int // an op left the array empty and the stash not
 	heapifySpill  int // a spill took PushBatch through its Floyd fallback
 	stashLenAtMax int // the stash was seen full
+	// Binary
+	tailInsert  int // an insert was merged into the sorted run's tail
+	pendingPush int // an insert went onto the pending heap
+	flushMerge  int // a pop's flush merged the pending items into the run's array
+	flushAdopt  int // a pop's flush adopted the longer pending array as the run
+	bothParts   int // one PopBatch took items from both parts
+	pendingOnly int // an op left the sorted run empty and the pending heap not
+	bulkLoad    int // a PushBatch rivalling the stored items was sorted and merged whole
 }
 
-// stashParts reports the sizes of an array heap's two parts.
-func stashParts(h Interface) (stash, array int, ok bool) {
+// stashParts reports the sizes of a two-part heap's parts: (stash, array) for
+// DAry, (sorted run, pending heap) for Binary.
+func stashParts(h Interface) (first, second int, ok bool) {
 	switch h := h.(type) {
 	case *Binary:
-		return h.stash.len(), len(h.a), true
+		return len(h.a), len(h.p), true
 	case *DAry:
 		return h.stash.len(), h.nodes(), true
 	}
 	return 0, 0, false
+}
+
+// flushMoved reads Binary's count of items moved by flushes, 0 for the rest.
+func flushMoved(h Interface) uint64 {
+	if b, ok := h.(*Binary); ok {
+		return b.moved
+	}
+	return 0
 }
 
 // belowMin draws a priority at or just below the model's current minimum (a
@@ -80,20 +99,77 @@ func belowMin(r *rng.Xoshiro256, ref *refModel) uint64 {
 // below the current minimum have room to descend.
 const diffBase = 1 << 20
 
+// Key modes: how a differential stream draws the priorities of its ordinary
+// pushes. The stream's first byte picks one (keyMode), so the fuzzer can
+// reach them all and a seed can pin each.
+const (
+	keysUniform    = iota // 64 values above diffBase: ties everywhere
+	keysAscending         // FIFO stamps: every key above everything stored
+	keysDescending        // every key below everything pushed before it
+	keysEqual             // one key
+	keysThreshold         // within one of the model's tailWindow-th smallest key
+	keyModes
+)
+
+func keyMode(data []byte) int {
+	if len(data) == 0 {
+		return keysUniform
+	}
+	return int(data[0]) / 7 % keyModes
+}
+
+// modeStream returns a stream in the given key mode that walks a heap
+// through its life: filled by inserts alone (so Binary's first pop adopts the
+// pending array), a stretch with every operation kind in turn, drained to
+// empty, refilled just past tailWindow and popped until only late arrivals
+// are left.
+func modeStream(mode int) []byte {
+	const pushBatch16, popBatch16 = 3 + 7*16, 4 + 7*16
+	data := []byte{byte(7 * mode)} // op 0, a single push
+	for i := 0; i < 32; i++ {
+		data = append(data, pushBatch16)
+	}
+	for i := 0; i < 256; i++ {
+		data = append(data, byte(i*37))
+	}
+	for i := 0; i < 160; i++ {
+		data = append(data, popBatch16)
+	}
+	data = append(data, pushBatch16, pushBatch16, pushBatch16, pushBatch16, pushBatch16)
+	return append(data, popBatch16, popBatch16, popBatch16, popBatch16, 2, 2, 2)
+}
+
 // applyDifferentialOps drives one heap and the reference model through the
 // operation stream encoded in data and reports the first divergence. Each
 // byte selects an operation; priorities are drawn from a seeded generator so
 // the stream stays byte-dense for the fuzzer (every input decodes to a valid
-// sequence). Batch sizes intentionally cross the k >= n Floyd-heapify
-// threshold of PushBatch, and two of the seven operations push keys at or
-// below the current minimum — the Section 7 pattern that routes into the
-// stash, fills it, spills it and leaves it standing in front of an empty
-// array. Verify runs after every operation; cov, when non-nil, accumulates
-// which stash corners were reached.
+// sequence). Batch sizes intentionally cross the k >= n bulk threshold of
+// PushBatch, and two of the seven operations push keys at or below the
+// current minimum — the Section 7 pattern that routes into DAry's stash,
+// fills it, spills it and leaves it standing in front of an empty array, and
+// into the tail of Binary's sorted run. Verify runs after every operation;
+// cov, when non-nil, accumulates which layout corners were reached.
 func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, cov *stashCoverage) {
 	t.Helper()
 	var ref refModel
 	r := rng.NewXoshiro256(uint64(len(data)) + 1)
+	mode, seq := keyMode(data), uint64(0)
+	ordinary := func() uint64 {
+		seq++
+		switch mode {
+		case keysAscending:
+			return diffBase + seq
+		case keysDescending:
+			return 2*diffBase - seq
+		case keysEqual:
+			return diffBase
+		case keysThreshold:
+			if len(ref.a) >= tailWindow {
+				return ref.a[tailWindow-1] + r.Uint64n(3)
+			}
+		}
+		return diffBase + r.Uint64n(64)
+	}
 	bulk, hasBulk := h.(BulkInterface)
 	verifier, _ := h.(interface{ Verify() bool })
 	if cov == nil {
@@ -101,7 +177,8 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 	}
 	var scratch []Item
 	for opIdx, op := range data {
-		stashBefore, arrayBefore, _ := stashParts(h)
+		firstBefore, secondBefore, _ := stashParts(h)
+		movedBefore := flushMoved(h)
 		switch op % 7 {
 		case 5: // single push at or below the current minimum
 			p := belowMin(r, &ref)
@@ -126,7 +203,7 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 				}
 			}
 		case 0, 1: // single push (biased so heaps grow)
-			p := diffBase + r.Uint64n(64)
+			p := ordinary()
 			h.Push(Item{Priority: p, Value: r.Next()})
 			ref.Push(p)
 		case 2: // single pop
@@ -139,7 +216,7 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 			k := int(op / 7 % 17)
 			scratch = scratch[:0]
 			for i := 0; i < k; i++ {
-				p := diffBase + r.Uint64n(64)
+				p := ordinary()
 				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
 				ref.Push(p)
 			}
@@ -189,18 +266,42 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 		if verifier != nil && !verifier.Verify() {
 			t.Fatalf("%s: op %d (code %d) broke the invariant", name, opIdx, op%7)
 		}
-		if stashNow, arrayNow, ok := stashParts(h); ok {
-			pushed := op%7 != 2 && op%7 != 4
-			if stashNow > stashBefore {
+		pushed := op%7 != 2 && op%7 != 4
+		if _, ok := h.(*Binary); ok {
+			// stashParts is (sorted run, pending heap) here.
+			runNow, pendingNow, _ := stashParts(h)
+			flushed := flushMoved(h) != movedBefore
+			switch {
+			case pushed && flushed:
+				cov.bulkLoad++
+			case pushed:
+				if runNow > firstBefore {
+					cov.tailInsert++
+				}
+				if pendingNow > secondBefore {
+					cov.pendingPush++
+				}
+			case flushed && secondBefore > firstBefore:
+				cov.flushAdopt++
+			case flushed:
+				cov.flushMerge++
+			case runNow < firstBefore && pendingNow < secondBefore:
+				cov.bothParts++
+			}
+			if runNow == 0 && pendingNow > 0 {
+				cov.pendingOnly++
+			}
+		} else if stashNow, arrayNow, ok := stashParts(h); ok {
+			if stashNow > firstBefore {
 				cov.stashInsert++
 			}
-			if pushed && stashBefore+arrayBefore > 0 && stashNow == stashCap && arrayNow > arrayBefore {
+			if pushed && firstBefore+secondBefore > 0 && stashNow == stashCap && arrayNow > secondBefore {
 				cov.spill++
-				if arrayNow-arrayBefore >= arrayBefore {
+				if arrayNow-secondBefore >= secondBefore {
 					cov.heapifySpill++
 				}
 			}
-			if op%7 == 4 && stashBefore > 0 && stashNow == 0 && arrayNow < arrayBefore {
+			if op%7 == 4 && firstBefore > 0 && stashNow == 0 && arrayNow < secondBefore {
 				cov.crossDrain++
 			}
 			if stashNow > 0 && arrayNow == 0 {
@@ -245,12 +346,20 @@ func TestDifferentialRandomOps(t *testing.T) {
 				}
 				applyDifferentialOps(t, name, mk(), data, &cov)
 			}
-			if name == "pairing" {
-				return
+			for mode := 0; mode < keyModes; mode++ {
+				applyDifferentialOps(t, name, mk(), modeStream(mode), &cov)
 			}
-			if cov.stashInsert == 0 || cov.spill == 0 || cov.crossDrain == 0 ||
-				cov.stashOnly == 0 || cov.heapifySpill == 0 || cov.stashLenAtMax == 0 {
-				t.Fatalf("%s: seeded streams missed a stash corner: %+v", name, cov)
+			switch name {
+			case "dary":
+				if cov.stashInsert == 0 || cov.spill == 0 || cov.crossDrain == 0 ||
+					cov.stashOnly == 0 || cov.heapifySpill == 0 || cov.stashLenAtMax == 0 {
+					t.Fatalf("%s: seeded streams missed a stash corner: %+v", name, cov)
+				}
+			case "binary":
+				if cov.tailInsert == 0 || cov.pendingPush == 0 || cov.flushMerge == 0 || cov.flushAdopt == 0 ||
+					cov.bothParts == 0 || cov.pendingOnly == 0 || cov.bulkLoad == 0 {
+					t.Fatalf("%s: seeded streams missed a corner of the layout: %+v", name, cov)
+				}
 			}
 		})
 	}
@@ -269,6 +378,9 @@ func FuzzHeapDifferential(f *testing.F) {
 		seed[i] = byte(i * 7)
 	}
 	f.Add(seed)
+	for _, mode := range []int{keysAscending, keysDescending, keysEqual, keysThreshold} {
+		f.Add(modeStream(mode))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]

@@ -151,6 +151,96 @@ func TestBinaryReset(t *testing.T) {
 	}
 }
 
+// TestBinaryFlushWorkBounded pins the flush schedule of Binary's layout over
+// 2^17 pushes of five key streams, as inserts alone followed by a drain and
+// as the Section 7 loop over a standing prefill: (a) flushes move at most 40
+// items per item that went through the pending heap — a flush is due only
+// once the pending heap holds 1/flushDiv of the run, so it is flushDiv + 1 by
+// construction and more only if the schedule degrades; (b) inserts alone
+// never flush, whatever they pile up (flushing on the push side made the
+// prefill dearer: EXPERIMENTS.md §16); (c) a flush leaves the pending heap a small
+// array — at most twice the largest flush threshold the stream has seen — or
+// the run's old array, swapped for the longer pending one it adopted (merging
+// by append instead kept both large arrays alive).
+func TestBinaryFlushWorkBounded(t *testing.T) {
+	const pushes, prefill, k = 1 << 17, 1 << 12, 8
+	streams := map[string]func(i uint64, h *Binary, r *rng.Xoshiro256) uint64{
+		"ascending":  func(i uint64, _ *Binary, _ *rng.Xoshiro256) uint64 { return i },
+		"descending": func(i uint64, _ *Binary, _ *rng.Xoshiro256) uint64 { return pushes - i },
+		"sawtooth":   func(i uint64, _ *Binary, _ *rng.Xoshiro256) uint64 { return i%1024<<20 + i/1024 },
+		"uniform":    func(_ uint64, _ *Binary, r *rng.Xoshiro256) uint64 { return r.Next() },
+		"above-threshold": func(_ uint64, h *Binary, r *rng.Xoshiro256) uint64 {
+			if thr := h.tailThreshold(); thr < 1<<63 {
+				return thr + 1
+			}
+			return r.Next() >> 1
+		},
+	}
+	for name, key := range streams {
+		for _, loop := range []bool{false, true} {
+			h := NewBinary(0)
+			r := rng.NewXoshiro256(3)
+			var i, pending uint64
+			batch := make([]Item, k)
+			push := func() {
+				for j := range batch {
+					batch[j] = Item{Priority: key(i, h, r), Value: i}
+					i++
+				}
+				before := len(h.p)
+				if i/k%2 == 0 {
+					h.PushBatch(batch)
+				} else {
+					for _, it := range batch {
+						h.Push(it)
+					}
+				}
+				pending += uint64(len(h.p) - before)
+			}
+			maxThreshold, swapped := tailWindow, 0
+			var dst []Item
+			pop := func() int {
+				moved, runCap, adopts := h.moved, cap(h.a), len(h.p) > len(h.a)
+				maxThreshold = max(maxThreshold, len(h.a)/flushDiv)
+				dst, _, _ = h.PopBatch(k, dst[:0])
+				if h.moved != moved {
+					if adopts {
+						swapped = runCap // the run's old array is the pending array from here on
+					}
+					if c := cap(h.p); c > 2*maxThreshold+k && c != swapped {
+						t.Fatalf("%s loop=%v: a flush left a pending array of %d items (threshold %d, array swapped in at an adoption %d)",
+							name, loop, c, maxThreshold, swapped)
+					}
+				}
+				return len(dst)
+			}
+			inserts := pushes
+			if loop {
+				inserts = prefill
+			}
+			for i < uint64(inserts) {
+				push()
+			}
+			if h.moved != 0 {
+				t.Fatalf("%s loop=%v: %d inserts alone moved %d items in flushes", name, loop, inserts, h.moved)
+			}
+			for i < pushes {
+				push()
+				pop()
+			}
+			for pop() > 0 {
+			}
+			if !h.Verify() || h.Len() != 0 {
+				t.Fatalf("%s loop=%v: Verify %v, Len %d after the drain", name, loop, h.Verify(), h.Len())
+			}
+			if h.moved > 40*pending {
+				t.Fatalf("%s loop=%v: flushes moved %d items for %d pending pushes (%.1f each, want <= 40)",
+					name, loop, h.moved, pending, float64(h.moved)/float64(pending))
+			}
+		}
+	}
+}
+
 func TestPairingReset(t *testing.T) {
 	h := NewPairing(4)
 	for i := 0; i < 10; i++ {

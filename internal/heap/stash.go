@@ -1,15 +1,16 @@
 package heap
 
-// stashCap is the capacity of the sorted min-stash each array heap carries
-// in front of its array: 64 Items = 1 KiB, inline in the heap struct, so a
-// shard costs no second allocation. It is a constant, not an option; the
-// size sweep that picked it is EXPERIMENTS.md §14.
+// stashCap is the capacity of the sorted min-stash DAry carries in front of
+// its array: 64 Items = 1 KiB, inline in the heap struct, so a shard costs no
+// second allocation. It is a constant, not an option; the size sweep that
+// picked it is EXPERIMENTS.md §14.
 const stashCap = 64
 
-// stashRun is how many stash-bound items of a batch are sorted and merged at
-// a time: the batch is caller-owned and must not be reordered, so each run is
-// copied into a stack array of this size first. Handle batches (k ≤ 16 in
-// every shipped configuration) fit in one run.
+// stashRun is how many items of a batch bound for the stash (for Binary: for
+// the tail of its sorted run) are sorted and merged at a time: the batch is
+// caller-owned and must not be reordered, so each run is copied into a stack
+// array of this size first. Handle batches (k ≤ 16 in every shipped
+// configuration) fit in one run.
 const stashRun = 16
 
 // stash is a short ascending run of items that are all ≤ the minimum of the
@@ -84,7 +85,7 @@ func (s *stash) drain(k int, dst []Item) ([]Item, int) {
 	return dst, k
 }
 
-// route is the insert path of both array heaps. Every item below the array's
+// route is DAry's insert path. Every item below the array's
 // minimum hm (math.MaxUint64 standing for an empty array) is merged into the
 // stash, run by run; the rest, and whatever the full stash spills, is
 // appended to heap unsifted. The caller restores the heap invariant over the
