@@ -567,8 +567,14 @@ func (h *Handle) ID() uint64 { return h.id }
 // operation in log with stamps from rec; the linearization stamp is taken
 // adjacent to the atomic increment. Traced operations always use the per-op
 // path (never the handle's batch buffer) so the stamp brackets the shared
-// memory step the dlin replay orders. Used by the dlcheck tool and the
-// distributional-linearizability integration tests.
+// memory step the dlin replay orders. Unlike an enqueue's stamp (see
+// MQHandle.EnqueueTraced), this one may follow the moment other handles can
+// see the increment, so a read that observes it can be stamped first. The
+// counter spec tolerates that: it rejects no history — a read is charged
+// |value − increments linearized before it| — and the error is at most one
+// per increment in flight when the read is stamped, fewer than the recording
+// threads, against an O(m·log m) deviation envelope. Used by the dlcheck tool
+// and the distributional-linearizability integration tests.
 func (h *Handle) IncrementTraced(rec *trace.Recorder, log *trace.ThreadLog) {
 	start := rec.Stamp()
 	h.c.Increment(h.r)

@@ -1227,18 +1227,23 @@ func (h *MQHandle) tryFlush(attempts int) bool {
 }
 
 // EnqueueTraced performs Enqueue and records the operation; the assigned
-// priority is the element's label for the dlin queue-spec replay. In
-// batched mode the linearization stamp is taken at buffering time, before
-// the element is visible to other handles; the replay stays sound (the
-// relaxed spec treats dequeue-empty as a zero-cost no-op and labels stay
-// unique) but dequeue rank costs are then measured against all logically
-// enqueued labels, including still-buffered ones — the same accounting as
-// quality.MeasureDequeueRank.
+// priority is the element's label for the dlin queue-spec replay. The
+// enqueue is linearized at its invocation (Lin = Start; End is stamped after
+// the call): no dequeue can return the element before Enqueue inserts it, so
+// every dequeue of it is stamped after this Lin. A stamp taken after Enqueue
+// returns would not be sound: in per-op mode, and on the call that flushes a
+// batch, the element is visible before that stamp, another handle can
+// dequeue it and stamp first, and the replay rejects a genuine history
+// ("dequeue of absent label"). In batched mode the element stays buffered,
+// invisible to other handles, for a while after its stamp; the replay stays
+// sound (the relaxed spec treats dequeue-empty as a zero-cost no-op and
+// labels stay unique) but dequeue rank costs are then measured against all
+// logically enqueued labels, including still-buffered ones — the same
+// accounting as quality.MeasureDequeueRank.
 func (h *MQHandle) EnqueueTraced(value uint64, rec *trace.Recorder, log *trace.ThreadLog) uint64 {
 	start := rec.Stamp()
 	p := h.Enqueue(value)
-	lin := rec.Stamp()
-	log.Record(trace.Event{Kind: trace.KindEnq, Start: start, Lin: lin, End: lin, Arg: p})
+	log.Record(trace.Event{Kind: trace.KindEnq, Start: start, Lin: start, End: rec.Stamp(), Arg: p})
 	return p
 }
 

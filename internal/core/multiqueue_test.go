@@ -339,6 +339,50 @@ func TestDistributionalLinearizabilityQueue(t *testing.T) {
 	}
 }
 
+// TestEnqueueTracedStampsInvocation pins the enqueue's linearization point at
+// its invocation, per-op and batched: a stamp taken after Enqueue returns can
+// follow a concurrent dequeue of the same element, and the replay then
+// rejects a genuine history.
+func TestEnqueueTracedStampsInvocation(t *testing.T) {
+	for name, cfg := range map[string]MultiQueueConfig{
+		"per-op":  {Queues: 4, Seed: 5},
+		"batched": {Queues: 4, Seed: 5, Stickiness: 4, Batch: 4},
+	} {
+		const workers, per = 2, 500
+		q := NewMultiQueue(cfg)
+		rec := trace.NewRecorder(workers, 2*per)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				h := q.NewHandle(uint64(w) + 1)
+				log := rec.Log(w)
+				for i := 0; i < per; i++ {
+					h.EnqueueTraced(uint64(i), rec, log)
+					h.DequeueTraced(rec, log)
+				}
+			}(w)
+		}
+		wg.Wait()
+		events := rec.Merge()
+		var maxLabel uint64
+		for _, e := range events {
+			if e.Kind != trace.KindEnq {
+				continue
+			}
+			if e.Lin != e.Start || e.End < e.Start {
+				t.Fatalf("%s: enqueue of label %d stamped Start %d Lin %d End %d, want Lin == Start <= End",
+					name, e.Arg, e.Start, e.Lin, e.End)
+			}
+			maxLabel = max(maxLabel, e.Arg)
+		}
+		if _, err := dlin.Replay(dlin.NewQueueSpec(maxLabel), events); err != nil {
+			t.Fatalf("%s: genuine history rejected: %v", name, err)
+		}
+	}
+}
+
 func BenchmarkMultiQueueEnqDeq(b *testing.B) {
 	q := newMQ(64)
 	h := q.NewHandle(1)

@@ -1,6 +1,6 @@
-// Package harness provides the experiment plumbing shared by the cmd/ tools
-// and the benchmark suite: duration-boxed worker pools, thread-count sweeps,
-// and table emission in the formats EXPERIMENTS.md consumes.
+// Package harness provides the experiment plumbing shared by the cmd/ tools:
+// thread-count sweeps and table emission in the formats EXPERIMENTS.md
+// consumes.
 package harness
 
 import (
@@ -8,9 +8,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // ThreadCounts returns the sweep 1, 2, 4, … up to and including max (max is
@@ -27,28 +24,6 @@ func ThreadCounts(max int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// RunTimed launches workers goroutines running body until duration elapses,
-// then returns the total number of operations reported and the elapsed time.
-// body receives the worker id and the stop flag and returns its operation
-// count; it must poll stop reasonably often.
-func RunTimed(workers int, duration time.Duration, body func(id int, stop *atomic.Bool) int64) (ops int64, elapsed time.Duration) {
-	var stop atomic.Bool
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		go func(id int) {
-			defer wg.Done()
-			total.Add(body(id, &stop))
-		}(w)
-	}
-	time.Sleep(duration)
-	stop.Store(true)
-	wg.Wait()
-	return total.Load(), time.Since(start)
 }
 
 // Table is an ordered grid of experiment output.

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestThreadCounts(t *testing.T) {
@@ -25,22 +23,6 @@ func TestThreadCounts(t *testing.T) {
 				t.Fatalf("ThreadCounts(%d) = %v, want %v", max, got, want)
 			}
 		}
-	}
-}
-
-func TestRunTimed(t *testing.T) {
-	ops, elapsed := RunTimed(4, 50*time.Millisecond, func(id int, stop *atomic.Bool) int64 {
-		var n int64
-		for !stop.Load() {
-			n++
-		}
-		return n
-	})
-	if ops <= 0 {
-		t.Fatal("no ops counted")
-	}
-	if elapsed < 50*time.Millisecond {
-		t.Fatalf("elapsed %v shorter than the window", elapsed)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package heap provides the sequential priority-queue substrates that back
 // the MultiQueue's per-queue storage: Binary, a sorted run popped by
-// truncation plus a small heap of pending inserts, and a cache-line-friendly
-// 4-ary min-heap behind a sorted min-stash (DAry, stash), both with bulk
-// batch operations, and a pairing heap with node recycling.
+// truncation plus a small heap of pending inserts that a flush sorts by key
+// bytes (an in-place radix sort that allocates nothing and never calls a
+// comparator: sortDescending), and a cache-line-friendly 4-ary min-heap
+// behind a sorted min-stash (DAry, stash), both with bulk batch operations,
+// and a pairing heap with node recycling.
 //
 // All order Items by Priority with ties broken by insertion order being
 // irrelevant (the MultiQueue's timestamps are unique per enqueue, so ties
@@ -11,11 +13,7 @@
 // set of m linearizable priority queues" built from sequential ones.
 package heap
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // Item is a priority-queue entry: a 64-bit priority (smaller dequeues first)
 // and an opaque 64-bit payload.
@@ -272,9 +270,10 @@ func (h *Binary) flushDue() bool {
 // shorter of the two parts into the longer one's array, backward from the
 // minimum end, so a queue filled by inserts alone has its pending array
 // adopted as the run instead of copied beside it. The other array becomes the
-// empty pending heap. O(len(a) + len(p)·log len(p)).
+// empty pending heap. O(len(a) + len(p)·w) for w the bytes on which the
+// pending keys differ (sortDescending).
 func (h *Binary) flush() {
-	slices.SortFunc(h.p, descending)
+	sortDescending(h.p)
 	long, short := h.a, h.p
 	if len(short) > len(long) {
 		long, short = short, long
@@ -283,9 +282,6 @@ func (h *Binary) flush() {
 	h.moved += uint64(moved)
 	h.a, h.p = long, short[:0]
 }
-
-// descending orders items for the run: largest priority first.
-func descending(x, y Item) int { return cmp.Compare(y.Priority, x.Priority) }
 
 func (h *Binary) pushPending(it Item) {
 	h.p = append(h.p, it)

@@ -229,12 +229,3 @@ func bucketBounds(i int) (lo, hi uint64) {
 	}
 	return 1 << uint(i-1), 1 << uint(i)
 }
-
-// Throughput converts an operation count over an elapsed duration in seconds
-// into millions of operations per second, the unit of the paper's figures.
-func Throughput(ops int64, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return float64(ops) / seconds / 1e6
-}

@@ -219,12 +219,3 @@ func TestBitLen(t *testing.T) {
 		}
 	}
 }
-
-func TestThroughput(t *testing.T) {
-	if v := Throughput(2_000_000, 2); v != 1 {
-		t.Fatalf("Throughput = %v", v)
-	}
-	if v := Throughput(100, 0); v != 0 {
-		t.Fatalf("Throughput with zero time = %v", v)
-	}
-}
