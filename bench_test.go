@@ -16,7 +16,6 @@
 //	Ablation A1 -> BenchmarkAblationDChoice
 //	Ablation A2 -> BenchmarkAblationRatio
 //	Ablation A3 -> BenchmarkAblationDelta
-//	Ablation A4 -> BenchmarkAblationBacking
 //
 // Fast-path guards (beyond the paper; see DESIGN.md §2):
 //
@@ -307,30 +306,6 @@ func BenchmarkAblationDelta(b *testing.B) {
 	}
 }
 
-// --- Ablation A4: per-queue backing structure -------------------------------
-
-func BenchmarkAblationBacking(b *testing.B) {
-	for _, backing := range cpq.Backings() {
-		b.Run(backing.String(), func(b *testing.B) {
-			q := core.NewMultiQueue(core.MultiQueueConfig{
-				Queues: 4 * runtime.GOMAXPROCS(0), Backing: backing, Seed: 11,
-			})
-			pre := q.NewHandle(12)
-			for i := 0; i < 8192; i++ {
-				pre.Enqueue(uint64(i))
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				h := q.NewHandle(nextSeed())
-				for pb.Next() {
-					h.Enqueue(1)
-					h.Dequeue()
-				}
-			})
-		})
-	}
-}
-
 // --- Sticky/batched MultiCounter fast path ---------------------------------
 
 // BenchmarkMultiCounterStickyBatched compares the per-op two-choice baseline
@@ -376,18 +351,16 @@ func BenchmarkMultiCounterStickyBatched(b *testing.B) {
 func BenchmarkMultiQueueStickyBatched(b *testing.B) {
 	for _, cfg := range []struct {
 		name         string
-		backing      cpq.Backing
 		stick, batch int
 	}{
-		{"baseline", cpq.BackingBinary, 1, 1},
-		{"sticky8", cpq.BackingBinary, 8, 1},
-		{"batch8", cpq.BackingBinary, 1, 8},
-		{"sticky8-batch8", cpq.BackingBinary, 8, 8},
-		{"dary-sticky8-batch8", cpq.BackingDAry, 8, 8},
+		{"baseline", 1, 1},
+		{"sticky8", 8, 1},
+		{"batch8", 1, 8},
+		{"sticky8-batch8", 8, 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			q := core.NewMultiQueue(core.MultiQueueConfig{
-				Queues: 8 * runtime.GOMAXPROCS(0), Seed: 17, Backing: cfg.backing,
+				Queues:     8 * runtime.GOMAXPROCS(0),
 				Stickiness: cfg.stick, Batch: cfg.batch,
 			})
 			pre := q.NewHandle(18)
@@ -408,88 +381,79 @@ func BenchmarkMultiQueueStickyBatched(b *testing.B) {
 }
 
 // BenchmarkCPQBatchOps isolates the cpq layer: per-element Add/DeleteMin
-// against AddBatch/DeleteMinUpTo amortising one lock over 8 elements, for
-// the per-element binary backing and the bulk-dispatching d-ary backing.
+// against AddBatch/DeleteMinUpTo amortising one lock over 8 elements.
 func BenchmarkCPQBatchOps(b *testing.B) {
 	const k = 8
-	for _, backing := range []cpq.Backing{cpq.BackingBinary, cpq.BackingDAry} {
-		b.Run(backing.String()+"/per-op", func(b *testing.B) {
-			q := cpq.New(backing, 1024, 19)
-			for i := 0; i < b.N; i++ {
-				q.Add(uint64(i), uint64(i))
-				if i%k == k-1 {
-					for j := 0; j < k; j++ {
-						q.DeleteMin()
-					}
+	b.Run("per-op", func(b *testing.B) {
+		q := cpq.New(0, 1024, 0)
+		for i := 0; i < b.N; i++ {
+			q.Add(uint64(i), uint64(i))
+			if i%k == k-1 {
+				for j := 0; j < k; j++ {
+					q.DeleteMin()
 				}
 			}
-		})
-		b.Run(backing.String()+"/batched", func(b *testing.B) {
-			q := cpq.New(backing, 1024, 19)
-			batch := make([]heap.Item, 0, k)
-			var out []heap.Item
-			for i := 0; i < b.N; i++ {
-				batch = append(batch, heap.Item{Priority: uint64(i), Value: uint64(i)})
-				if len(batch) == k {
-					q.AddBatch(batch)
-					batch = batch[:0]
-					out = q.DeleteMinUpTo(k, out[:0])
-				}
+		}
+	})
+	b.Run("batched", func(b *testing.B) {
+		q := cpq.New(0, 1024, 0)
+		batch := make([]heap.Item, 0, k)
+		var out []heap.Item
+		for i := 0; i < b.N; i++ {
+			batch = append(batch, heap.Item{Priority: uint64(i), Value: uint64(i)})
+			if len(batch) == k {
+				q.AddBatch(batch)
+				batch = batch[:0]
+				out = q.DeleteMinUpTo(k, out[:0])
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkHeapBulkOps isolates the heap substrate itself (no lock, no
-// cached-top publish): a k-sized PushBatch+PopBatch cycle over a standing
-// buffer, per-element loop vs the BulkInterface entry points, for both
-// array heaps. ReportAllocs pins the bulk paths at 0 allocs/op.
+// BenchmarkHeapBulkOps isolates the heap itself (no lock, no cached-top
+// publish): a k-sized insert+drain cycle over a standing buffer, per-element
+// Push/Pop vs the PushBatch/PopBatch entry points. ReportAllocs pins the
+// batch paths at 0 allocs/op.
 func BenchmarkHeapBulkOps(b *testing.B) {
 	const k, standing = 8, 4096
-	mk := map[string]func() heap.BulkInterface{
-		"binary": func() heap.BulkInterface { return heap.NewBinary(2 * standing) },
-		"dary":   func() heap.BulkInterface { return heap.NewDAry(2 * standing) },
+	fill := func() (*heap.Binary, *rng.Xoshiro256) {
+		h := heap.NewBinary(2 * standing)
+		r := rng.NewXoshiro256(23)
+		for i := 0; i < standing; i++ {
+			h.Push(heap.Item{Priority: r.Next()})
+		}
+		return h, r
 	}
-	for name, mkHeap := range mk {
-		b.Run(name+"/per-element", func(b *testing.B) {
-			h := mkHeap()
-			r := rng.NewXoshiro256(23)
-			for i := 0; i < standing; i++ {
+	b.Run("per-element", func(b *testing.B) {
+		h, r := fill()
+		out := make([]heap.Item, 0, k)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < k; j++ {
 				h.Push(heap.Item{Priority: r.Next()})
 			}
-			out := make([]heap.Item, 0, k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < k; j++ {
-					h.Push(heap.Item{Priority: r.Next()})
-				}
-				out = out[:0]
-				for j := 0; j < k; j++ {
-					it, _ := h.Pop()
-					out = append(out, it)
-				}
+			out = out[:0]
+			for j := 0; j < k; j++ {
+				it, _ := h.Pop()
+				out = append(out, it)
 			}
-		})
-		b.Run(name+"/bulk", func(b *testing.B) {
-			h := mkHeap()
-			r := rng.NewXoshiro256(23)
-			for i := 0; i < standing; i++ {
-				h.Push(heap.Item{Priority: r.Next()})
+		}
+	})
+	b.Run("bulk", func(b *testing.B) {
+		h, r := fill()
+		in := make([]heap.Item, k)
+		out := make([]heap.Item, 0, k)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range in {
+				in[j] = heap.Item{Priority: r.Next()}
 			}
-			in := make([]heap.Item, k)
-			out := make([]heap.Item, 0, k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range in {
-					in[j] = heap.Item{Priority: r.Next()}
-				}
-				h.PushBatch(in)
-				out, _, _ = h.PopBatch(k, out[:0])
-			}
-		})
-	}
+			h.PushBatch(in)
+			out, _, _ = h.PopBatch(k, out[:0])
+		}
+	})
 }
 
 // --- Zero-allocation hot-path guards (DESIGN.md §5) -----------------------
@@ -500,25 +464,19 @@ func BenchmarkHeapBulkOps(b *testing.B) {
 // 0 allocs/op (TestMQHandleHotPathZeroAlloc enforces the same bound in the
 // test suite, at every (stickiness, batch) setting).
 func BenchmarkMultiQueueHotPathAllocs(b *testing.B) {
-	for _, backing := range []cpq.Backing{cpq.BackingBinary, cpq.BackingDAry} {
-		b.Run(backing.String(), func(b *testing.B) {
-			q := core.NewMultiQueue(core.MultiQueueConfig{
-				Queues: 64, Backing: backing, Seed: 27, Stickiness: 8, Batch: 8,
-			})
-			h := q.NewHandle(28)
-			for i := 0; i < 8192; i++ {
-				h.Enqueue(uint64(i))
-				if i%2 == 0 {
-					h.Dequeue()
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Enqueue(1)
-				h.Dequeue()
-			}
-		})
+	q := core.NewMultiQueue(core.MultiQueueConfig{Queues: 64, Stickiness: 8, Batch: 8})
+	h := q.NewHandle(28)
+	for i := 0; i < 8192; i++ {
+		h.Enqueue(uint64(i))
+		if i%2 == 0 {
+			h.Dequeue()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Enqueue(1)
+		h.Dequeue()
 	}
 }
 

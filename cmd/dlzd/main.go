@@ -38,7 +38,6 @@ import (
 
 	"repro/dlz"
 	"repro/dlzd"
-	"repro/internal/cpq"
 	"repro/internal/wal"
 )
 
@@ -52,7 +51,6 @@ func main() {
 		growThresh  = flag.Float64("autoscale-grow", 0, "controller grow pressure threshold (0 = default 0.5)")
 		shrinkThr   = flag.Float64("autoscale-shrink", 0, "controller shrink pressure threshold (0 = default 0.05; negative disables shrinking)")
 		dwell       = flag.Int("autoscale-dwell", 0, "controller dwell in janitor ticks between steps (0 = default 2)")
-		backingName = flag.String("backing", cpq.BackingBinary.String(), "per-queue backing structure")
 		capacity    = flag.Int("capacity", 1024, "per-queue preallocation hint")
 		choices     = flag.Int("choices", 2, "d: random choices per dequeue/increment")
 		stickiness  = flag.Int("stickiness", 16, "s: sticky-choice window")
@@ -97,11 +95,6 @@ func main() {
 	)
 	flag.Parse()
 
-	backing, err := cpq.ParseBacking(*backingName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	var durability *dlzd.Durability
 	if *walDir != "" {
 		policy, err := wal.ParseFsyncPolicy(*walFsync)
@@ -131,7 +124,6 @@ func main() {
 		MinQueues:      *minQueues,
 		MaxQueues:      *maxQueues,
 		AutoScale:      as,
-		Backing:        backing,
 		Capacity:       *capacity,
 		Choices:        *choices,
 		Stickiness:     *stickiness,
@@ -155,8 +147,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("dlzd: listening on %s (m=%d backing=%s batch=%d stickiness=%d affinity=%.2f)",
-		*addr, *queues, backing, *batch, *stickiness, *affinity)
+	log.Printf("dlzd: listening on %s (m=%d batch=%d stickiness=%d affinity=%.2f)",
+		*addr, *queues, *batch, *stickiness, *affinity)
 
 	stopped := make(chan struct{})
 	done := make(chan os.Signal, 1)

@@ -23,7 +23,7 @@
 //	mempool-sim [-txs 100000] [-threads 4] [-senders 256] [-theta 0.9]
 //	    [-popfrac 0.4] [-bumpfrac 0.1] [-feemean 1000] [-cap 0]
 //	    [-bumpnum 110] [-bumpden 100] [-m 256] [-choices 2] [-stickiness 8]
-//	    [-batch 8] [-backing binary] [-seed 7] [-csv]
+//	    [-batch 8] [-seed 7] [-csv]
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpq"
 	"repro/internal/harness"
 	"repro/internal/mempool"
 	"repro/internal/quality"
@@ -61,7 +60,6 @@ func main() {
 	choices := flag.Int("choices", 2, "random choices d per dequeue")
 	stickiness := flag.Int("stickiness", 8, "operation stickiness window")
 	batch := flag.Int("batch", 8, "batching factor")
-	backingName := flag.String("backing", "binary", "per-queue backing: binary, pairing, skiplist or dary")
 	seed := flag.Uint64("seed", 7, "PRNG seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of markdown")
 	flag.Parse()
@@ -78,11 +76,6 @@ func main() {
 	if *bumpNum == 0 || *bumpDen == 0 || *bumpNum < *bumpDen {
 		fail("-bumpnum/-bumpden must be a factor >= 1")
 	}
-	backing, err := cpq.ParseBacking(*backingName)
-	if err != nil {
-		fail("%v", err)
-	}
-
 	// Report the normalized knobs (0 means 1 inside core) so the table
 	// header names the configuration actually driven.
 	if *stickiness == 0 {
@@ -95,7 +88,6 @@ func main() {
 		Queue: core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: *m},
 			Choices:  *choices, Stickiness: *stickiness, Batch: *batch,
-			Backing: backing, Seed: *seed,
 		},
 		Capacity: *capacity,
 		BumpNum:  *bumpNum,
@@ -185,9 +177,9 @@ func runChurn(cfg mempool.Config, txs, threads, senders int, theta, popfrac, bum
 		rev += revenue[w]
 	}
 	tb := harness.NewTable(
-		fmt.Sprintf("Mempool churn (%d ops, %d workers, %d senders, cap=%d, m=%d, d=%d, s=%d, k=%d, backing=%s, %.2fs)",
+		fmt.Sprintf("Mempool churn (%d ops, %d workers, %d senders, cap=%d, m=%d, d=%d, s=%d, k=%d, %.2fs)",
 			txs, threads, senders, cfg.Capacity, cfg.Queue.Queues, cfg.Queue.Choices,
-			cfg.Queue.Stickiness, cfg.Queue.Batch, cfg.Queue.Backing, elapsed.Seconds()),
+			cfg.Queue.Stickiness, cfg.Queue.Batch, elapsed.Seconds()),
 		"metric", "value")
 	tb.Add("admitted", st.Admitted)
 	tb.Add("delivered (churn)", total)

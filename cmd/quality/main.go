@@ -29,14 +29,8 @@
 // Usage:
 //
 //	quality [-m 64] [-incs 1000000] [-samples 50] [-choices 2] [-stickiness 1] [-batch 1] [-affinity 0] [-csv]
-//	quality -queue [-m 64] [-ops 200000] [-choices 2] [-stickiness 8] [-batch 8] [-affinity 0] [-backing binary] [-lockedtop] [-csv]
-//	quality -mempool [-m 256] [-choices 2] [-stickiness 8] [-batch 8] [-backing binary] [-txops 10000] [-senders 256] [-theta 0.9] [-popfrac 0.4] [-cap 0] [-csv]
-//
-// -lockedtop (with -queue) disables the lock-free top-word cache (ablation
-// A5), so the rank-error audit measures the locked-ReadMin configuration —
-// the two paths read identically fresh values single-threaded, so matching
-// verdicts here are the sanity check that the cache changes cost, not
-// quality.
+//	quality -queue [-m 64] [-ops 200000] [-choices 2] [-stickiness 8] [-batch 8] [-affinity 0] [-csv]
+//	quality -mempool [-m 256] [-choices 2] [-stickiness 8] [-batch 8] [-txops 10000] [-senders 256] [-theta 0.9] [-popfrac 0.4] [-cap 0] [-csv]
 //
 // With -mempool it measures the fee-priority mempool built on the relaxed
 // MultiQueue (repro/internal/mempool) against the exact head-greedy
@@ -54,7 +48,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpq"
 	"repro/internal/dlin"
 	"repro/internal/harness"
 	"repro/internal/mempool"
@@ -65,21 +58,21 @@ import (
 // flag-validation failure so a bad invocation in a script log is
 // self-explaining.
 const usageLines = "usage: quality [-m N] [-incs N] [-samples N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]\n" +
-	"       quality -queue [-m N] [-ops N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-backing name] [-lockedtop] [-csv] [-seed n]\n" +
-	"       quality -mempool [-m N] [-choices d] [-stickiness s] [-batch k] [-backing name] [-txops N] [-senders N] [-theta z] [-popfrac f] [-cap N] [-csv] [-seed n]"
+	"       quality -queue [-m N] [-ops N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]\n" +
+	"       quality -mempool [-m N] [-choices d] [-stickiness s] [-batch k] [-txops N] [-senders N] [-theta z] [-popfrac f] [-cap N] [-csv] [-seed n]"
 
 // Flags each mode accepts beyond the always-shared set (m, choices,
 // stickiness, batch, csv, seed and the mode selectors themselves). A flag
 // set on the command line but absent from the selected mode's row is
-// rejected — before this check a counter run invoked with, say, -backing
-// dary silently measured the default configuration instead, the worst kind
-// of CLI bug for a tool whose output gates scripts.
+// rejected — before this check a counter run invoked with, say, -ops 1000
+// silently measured the default configuration instead, the worst kind of
+// CLI bug for a tool whose output gates scripts.
 var (
 	sharedFlags = []string{"m", "choices", "stickiness", "batch", "csv", "seed", "queue", "mempool"}
 	modeFlags   = map[string][]string{
 		"counter": {"incs", "samples", "affinity"},
-		"queue":   {"ops", "lockedtop", "backing", "affinity"},
-		"mempool": {"txops", "senders", "theta", "popfrac", "cap", "backing"},
+		"queue":   {"ops", "affinity"},
+		"mempool": {"txops", "senders", "theta", "popfrac", "cap"},
 	}
 )
 
@@ -127,8 +120,6 @@ func main() {
 	stickiness := flag.Int("stickiness", 1, "operation stickiness window")
 	batch := flag.Int("batch", 1, "batching factor")
 	affinity := flag.Float64("affinity", 0, "shard-affinity fraction in [0,1]; > 0 also measures the uniform twin and reports the drift ratio")
-	backingName := flag.String("backing", "binary", "per-queue backing for -queue: binary, pairing, skiplist or dary")
-	lockedTop := flag.Bool("lockedtop", false, "disable the lock-free top cache for -queue (ablation A5: ReadMin through the lock)")
 	csv := flag.Bool("csv", false, "emit CSV instead of markdown")
 	seed := flag.Uint64("seed", 7, "PRNG seed")
 	flag.Parse()
@@ -186,12 +177,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "quality: -ops must be >= 1")
 			os.Exit(2)
 		}
-		backing, err := cpq.ParseBacking(*backingName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quality: %v\n", err)
-			os.Exit(2)
-		}
-		if !runQueueQuality(*m, *ops, *choices, *stickiness, *batch, *affinity, backing, *lockedTop, *seed, *csv) {
+		if !runQueueQuality(*m, *ops, *choices, *stickiness, *batch, *affinity, *seed, *csv) {
 			os.Exit(1)
 		}
 		return
@@ -206,12 +192,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "quality: -cap must be >= 0, -popfrac in [0, 1), -theta > 0")
 			os.Exit(2)
 		}
-		backing, err := cpq.ParseBacking(*backingName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quality: %v\n", err)
-			os.Exit(2)
-		}
-		if !runMempoolQuality(*m, *choices, *stickiness, *batch, backing, *capacity,
+		if !runMempoolQuality(*m, *choices, *stickiness, *batch, *capacity,
 			*txops, *senders, *theta, *popfrac, *seed, *csv) {
 			os.Exit(1)
 		}
@@ -321,11 +302,10 @@ func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch in
 // logically enqueued labels, exactly like the dlin queue-spec replay. It
 // reports the distribution against Theorem 7.1's scales and returns whether
 // the measured mean lies inside the O(m·log m) envelope.
-func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, backing cpq.Backing, lockedTop bool, seed uint64, csv bool) bool {
+func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, seed uint64, csv bool) bool {
 	q := core.NewMultiQueue(core.MultiQueueConfig{
 		Topology: core.Topology{InitialM: m},
-		Seed:     seed, Choices: choices, Stickiness: stickiness, Batch: batch,
-		Affinity: affinity, Backing: backing, LockedTopRead: lockedTop,
+		Choices:  choices, Stickiness: stickiness, Batch: batch, Affinity: affinity,
 	})
 	sample := quality.MeasureDequeueRank(q.NewHandle(seed+1), 64*m, ops)
 	// The verdict scores against the post-run shard count, not the -m flag
@@ -339,13 +319,9 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, b
 	}
 	// Report the normalized knobs (0 becomes 1), not the raw flags, so the
 	// header names the configuration actually measured.
-	top := "topcache"
-	if q.LockedTopRead() {
-		top = "lockedtop"
-	}
 	tb := harness.NewTable(
-		fmt.Sprintf("MultiQueue dequeue rank error (m=%d, d=%d, stickiness=%d, batch=%d, affinity=%v, backing=%s, %s, single thread)",
-			m, q.Choices(), q.Stickiness(), q.Batch(), q.Affinity(), q.Backing(), top),
+		fmt.Sprintf("MultiQueue dequeue rank error (m=%d, d=%d, stickiness=%d, batch=%d, affinity=%v, single thread)",
+			m, q.Choices(), q.Stickiness(), q.Batch(), q.Affinity()),
 		"metric", "value", "theory-scale")
 	tb.Add("mean", mean, fmt.Sprintf("O(m)=%d", m))
 	tb.Add("p50", sample.Quantile(0.5), "")
@@ -363,8 +339,7 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, b
 		// drift the stripe policy costs.
 		uniQ := core.NewMultiQueue(core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: m},
-			Seed:     seed, Choices: choices, Stickiness: stickiness, Batch: batch,
-			Backing: backing, LockedTopRead: lockedTop,
+			Choices:  choices, Stickiness: stickiness, Batch: batch,
 		})
 		uni := quality.MeasureDequeueRank(uniQ.NewHandle(seed+1), 64*m, ops)
 		within = driftVerdict("rank", mean, uni.Mean(), sample.Max(), uni.Max(), envelope, within)
@@ -378,13 +353,12 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, b
 // loss within quality.MempoolFeeLossLimit — goes to stderr like the other
 // modes' so the table stays machine-parseable under -csv. Returns whether
 // the loss stayed within the limit.
-func runMempoolQuality(m, choices, stickiness, batch int, backing cpq.Backing, capacity,
+func runMempoolQuality(m, choices, stickiness, batch, capacity,
 	txops, senders int, theta, popfrac float64, seed uint64, csv bool) bool {
 	cfg := mempool.Config{
 		Queue: core.MultiQueueConfig{
 			Topology: core.Topology{InitialM: m},
 			Choices:  choices, Stickiness: stickiness, Batch: batch,
-			Backing: backing, Seed: seed,
 		},
 		Capacity: capacity,
 		Seed:     seed + 1,
@@ -399,8 +373,8 @@ func runMempoolQuality(m, choices, stickiness, batch int, backing cpq.Backing, c
 		return false
 	}
 	tb := harness.NewTable(
-		fmt.Sprintf("Mempool fee-revenue quality (m=%d, d=%d, s=%d, k=%d, backing=%s, cap=%d, txops=%d, senders=%d, single thread)",
-			m, choices, stickiness, batch, backing, capacity, txops, senders),
+		fmt.Sprintf("Mempool fee-revenue quality (m=%d, d=%d, s=%d, k=%d, cap=%d, txops=%d, senders=%d, single thread)",
+			m, choices, stickiness, batch, capacity, txops, senders),
 		"metric", "relaxed", "exact-head-greedy")
 	tb.Add("delivered (trace)", q.PoppedRelaxed, q.PoppedExact)
 	tb.Add(fmt.Sprintf("revenue @ %d pops", q.ComparedPops), q.RevenueRelaxed, q.RevenueExact)

@@ -17,7 +17,10 @@
 //     against the envelope.
 //   - MultiQueue — a relaxed FIFO/priority queue (Algorithm 2). Dequeues
 //     return an element of rank O(m) in expectation and O(m·log m) w.h.p.
-//     (Theorem 7.1). MultiQueueConfig.Choices generalizes the two-choice
+//     (Theorem 7.1). Each of its m internal queues is one sequential store —
+//     a sorted run plus a small heap of pending inserts — behind a spinlock
+//     and a lock-free cached top; there is no per-queue store to choose
+//     (DESIGN.md §5). MultiQueueConfig.Choices generalizes the two-choice
 //     dequeue to d choices, and Stickiness and Batch enable the
 //     sticky/batched fast path: a handle re-uses its random queue choices
 //     for Stickiness consecutive operations and moves elements in and out in
@@ -88,10 +91,7 @@
 // stable names a downstream user imports.
 package dlz
 
-import (
-	"repro/internal/core"
-	"repro/internal/cpq"
-)
+import "repro/internal/core"
 
 // MultiCounter is the relaxed approximate counter of Algorithm 1.
 type MultiCounter = core.MultiCounter
@@ -147,21 +147,6 @@ type Timestamps = core.Timestamps
 
 // TSHandle is a per-goroutine view of a Timestamps oracle.
 type TSHandle = core.TSHandle
-
-// Queue backings for MultiQueueConfig.Backing (ablation A4).
-const (
-	// BackingBinary stores each internal queue in a sorted run popped by
-	// truncation plus a small heap of pending inserts (default).
-	BackingBinary = cpq.BackingBinary
-	// BackingPairing stores each internal queue in a pairing heap.
-	BackingPairing = cpq.BackingPairing
-	// BackingSkiplist stores each internal queue in a skiplist.
-	BackingSkiplist = cpq.BackingSkiplist
-	// BackingDAry stores each internal queue in a cache-line-aligned 4-ary
-	// heap with bulk batch operations (DESIGN.md §5); it ties the binary
-	// heap on the Section 7 loop (EXPERIMENTS.md §14).
-	BackingDAry = cpq.BackingDAry
-)
 
 // NewMultiCounter returns a MultiCounter over m atomic counters with the
 // paper's per-op two-choice defaults, adjusted by opts. For the paper's

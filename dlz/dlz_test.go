@@ -114,14 +114,11 @@ func TestMultiQueueChoicesPublicAPI(t *testing.T) {
 }
 
 func TestMultiQueuePublicAPI(t *testing.T) {
-	for _, backing := range []dlz.MultiQueueConfig{
-		{Queues: 8, Backing: dlz.BackingBinary},
-		{Queues: 8, Backing: dlz.BackingPairing},
-		{Queues: 8, Backing: dlz.BackingSkiplist},
-		{Queues: 8, Backing: dlz.BackingDAry},
-		{Queues: 8, Backing: dlz.BackingDAry, Stickiness: 4, Batch: 4},
+	for _, cfg := range []dlz.MultiQueueConfig{
+		{Queues: 8},
+		{Queues: 8, Stickiness: 4, Batch: 4},
 	} {
-		q := dlz.NewMultiQueue(backing)
+		q := dlz.NewMultiQueue(cfg)
 		h := q.NewHandle(7)
 		for v := uint64(0); v < 300; v++ {
 			h.Enqueue(v)

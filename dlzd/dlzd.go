@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/dlz"
-	"repro/internal/cpq"
 	"repro/internal/wal"
 )
 
@@ -62,9 +61,6 @@ type Config struct {
 	// controller once per sweep, and the tenant counter's shard count
 	// tracks the queue's. nil leaves resizing under manual control.
 	AutoScale *dlz.AutoScale
-	// Backing selects the per-queue sequential structure (default binary;
-	// the wire path does not tell the backings apart, see EXPERIMENTS.md §14).
-	Backing cpq.Backing
 	// Capacity is the per-queue preallocation hint (default 1024).
 	Capacity int
 	// Choices, Stickiness, Batch and Affinity configure the fast path of

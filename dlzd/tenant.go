@@ -111,7 +111,6 @@ func newTenant(name string, srv *Server) *tenant {
 		srv:  srv,
 		mq: dlz.NewMultiQueue(dlz.MultiQueueConfig{
 			Topology:   qTopo,
-			Backing:    cfg.Backing,
 			Capacity:   cfg.Capacity,
 			Seed:       srv.nextSeed(),
 			Choices:    cfg.Choices,

@@ -3,43 +3,36 @@ package core
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/cpq"
 )
 
 // TestMQHandleHotPathZeroAlloc pins the MultiQueue hot path at zero
 // allocations per operation: after warm-up, an enqueue+dequeue pair must
 // reuse the handle's fixed-capacity batch and prefetch buffers and the
-// per-queue heap's preallocated array — no growth anywhere. Run for every
-// backing so a future backing cannot silently reintroduce churn (the pairing
-// heap recycles nodes; the skiplist is exempt because its insert genuinely
-// allocates a node), and at every (stickiness, batch) setting from the
-// per-op path (1, 1) to (16, 16), not only the headline (8, 8).
+// per-queue heap's preallocated arrays — no growth anywhere — at every
+// (stickiness, batch) setting from the per-op path (1, 1) to (16, 16), not
+// only the headline (8, 8).
 func TestMQHandleHotPathZeroAlloc(t *testing.T) {
-	for _, backing := range []cpq.Backing{cpq.BackingBinary, cpq.BackingDAry, cpq.BackingPairing} {
-		t.Run(backing.String(), func(t *testing.T) {
-			for _, sk := range []int{1, 4, 8, 16} {
-				t.Run(fmt.Sprintf("s=%d,k=%d", sk, sk), func(t *testing.T) {
-					q := NewMultiQueue(MultiQueueConfig{
-						Queues: 16, Backing: backing, Seed: 3, Stickiness: sk, Batch: sk,
-						Capacity: 4096,
-					})
-					h := q.NewHandle(4)
-					for i := 0; i < 4096; i++ {
-						h.Enqueue(uint64(i))
-						h.Dequeue()
-					}
-					allocs := testing.AllocsPerRun(2000, func() {
-						h.Enqueue(1)
-						h.Dequeue()
-					})
-					if allocs != 0 {
-						t.Fatalf("steady-state enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
-					}
+	t.Run("binary", func(t *testing.T) {
+		for _, sk := range []int{1, 4, 8, 16} {
+			t.Run(fmt.Sprintf("s=%d,k=%d", sk, sk), func(t *testing.T) {
+				q := NewMultiQueue(MultiQueueConfig{
+					Queues: 16, Stickiness: sk, Batch: sk, Capacity: 4096,
 				})
-			}
-		})
-	}
+				h := q.NewHandle(4)
+				for i := 0; i < 4096; i++ {
+					h.Enqueue(uint64(i))
+					h.Dequeue()
+				}
+				allocs := testing.AllocsPerRun(2000, func() {
+					h.Enqueue(1)
+					h.Dequeue()
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
+				}
+			})
+		}
+	})
 }
 
 // TestMCHandleHotPathZeroAlloc pins the MultiCounter hot path the same way:

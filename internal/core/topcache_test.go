@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"repro/internal/cpq"
 )
 
 // TestEmptyScanTakesNoLocks pins the tentpole's acceptance criterion: once a
@@ -76,20 +78,31 @@ func TestEmptyScanTakesNoLocks(t *testing.T) {
 	}
 }
 
-// TestLockedTopReadAblation pins ablation A5's wiring: with LockedTopRead
-// the structure still works (elements round-trip) while every top read goes
-// through the lock — so the same all-locks-held construction that proves the
-// cached path lock-free would deadlock, which we avoid re-proving and
-// instead check the flag's visible behavior and accessor.
+// TestLockedTopReadAblation pins why ablation A5 (top reads through the
+// lock) could go: at quiescence a shard's lock-free top word reports exactly
+// what a locked read of its heap does, so the two configurations only ever
+// differed in cost. Checked on every shard after every dequeue of a full
+// round trip, which must return each element once.
 func TestLockedTopReadAblation(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 9, LockedTopRead: true})
-	if !q.LockedTopRead() {
-		t.Fatal("LockedTopRead accessor lost the flag")
+	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 9})
+	agree := func(step int) {
+		for i, pq := range q.qs {
+			want := uint64(cpq.EmptyTop)
+			if it, ok := pq.PeekMin(); ok {
+				want = it.Priority
+			}
+			if w := pq.ReadTop(); w.InFlight() || w.Min() != want {
+				t.Fatalf("step %d: queue %d cached top %d (in flight %v), locked read %d",
+					step, i, w.Min(), w.InFlight(), want)
+			}
+		}
 	}
 	h := q.NewHandle(1)
 	for i := 0; i < 100; i++ {
 		h.Enqueue(uint64(i))
 	}
+	h.Flush()
+	agree(0)
 	seen := make(map[uint64]bool, 100)
 	for n := 0; n < 100; n++ {
 		it, ok := h.Dequeue()
@@ -100,6 +113,7 @@ func TestLockedTopReadAblation(t *testing.T) {
 			t.Fatalf("value %d dequeued twice", it.Value)
 		}
 		seen[it.Value] = true
+		agree(n + 1)
 	}
 	if _, ok := h.Dequeue(); ok {
 		t.Fatal("extra element after full drain")

@@ -17,7 +17,7 @@ import (
 func TestTryPathsRefuseUnderInjection(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
-	q := New(BackingBinary, 16, 1)
+	q := newQueue(16)
 	fail.Arm(fail.SiteCPQTryRefuse, fail.Policy{Kind: fail.KindError, Every: 2})
 
 	// Every=2 fires on hits 2, 4, ... — first call of each pair succeeds.
@@ -62,7 +62,7 @@ func TestTryPathsRefuseUnderInjection(t *testing.T) {
 func TestTopPublishDelayWidensInFlightWindow(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
-	q := New(BackingBinary, 16, 1)
+	q := newQueue(16)
 	q.Add(50, 1) // non-empty, published min 50
 
 	fail.Arm(fail.SiteCPQTopPublish, fail.Policy{Kind: fail.KindDelay, Delay: 50 * time.Millisecond, Count: 1})

@@ -3,15 +3,12 @@
 // priority queues such that each supports Add(e, p), DeleteMin, ReadMin".
 //
 // Each Queue is a sequential priority queue (heap.Binary's sorted run and
-// pending heap, pairing heap, skiplist, or cache-shaped 4-ary heap —
-// selectable for ablation A4) guarded
-// by a cache-line padded spinlock, plus a lock-free top word: a single
-// atomic uint64 (pad.Seq64) packing the truncated minimum priority, an empty
-// bit and a publication sequence whose parity is the mid-update sentinel
-// (see TopWord). Backings that implement heap.BulkInterface get their
-// whole-batch entry points used by AddBatch/DeleteMinUpTo, so the batched
-// fast path's critical sections avoid per-element interface calls and hand
-// back the post-batch minimum the publish step needs.
+// pending heap) guarded by a cache-line padded spinlock, plus a lock-free top
+// word: a single atomic uint64 (pad.Seq64) packing the truncated minimum
+// priority, an empty bit and a publication sequence whose parity is the
+// mid-update sentinel (see TopWord). AddBatch and DeleteMinUpTo call
+// heap.Binary's whole-batch entry points, which hand back the post-batch
+// minimum the publish step needs.
 //
 // The top word is what makes the MultiQueue's d-choice comparison and its
 // empty-queue scan cheap: a dequeuer inspects d queues' cached tops with one
@@ -45,7 +42,6 @@ import (
 	"repro/internal/fail"
 	"repro/internal/heap"
 	"repro/internal/pad"
-	"repro/internal/skiplist"
 )
 
 // EmptyTop is the ReadMin value published by an empty queue. It compares
@@ -147,93 +143,17 @@ func (w TopWord) Key() uint64 {
 	return uint64(w) >> (pad.SeqBits + 1)
 }
 
-// Backing selects the sequential structure under each queue's lock.
+// Backing is a vestige with no named values and no methods: every queue is a
+// heap.Binary, and the type survives only so the benchmark's
+// cpq.New(backing, capacity, seed) call keeps compiling until its next
+// revision drops the argument. Its zero value is the only one New accepts.
 type Backing int
-
-const (
-	// BackingBinary uses heap.Binary (default): a sorted run popped by
-	// truncation plus a small heap of pending inserts, which offers the same
-	// heap.BulkInterface batch operations as BackingDAry.
-	BackingBinary Backing = iota
-	// BackingPairing uses a pairing heap (O(1) insert).
-	BackingPairing
-	// BackingSkiplist uses a skiplist (O(1) expected delete-min).
-	BackingSkiplist
-	// BackingDAry uses a 4-ary array heap whose sibling groups align to
-	// cache lines and whose heap.BulkInterface batch operations AddBatch and
-	// DeleteMinUpTo dispatch to (ablation A4; DESIGN.md §5).
-	BackingDAry
-)
-
-// String returns the backing's name for benchmark labels.
-func (b Backing) String() string {
-	switch b {
-	case BackingBinary:
-		return "binary"
-	case BackingPairing:
-		return "pairing"
-	case BackingSkiplist:
-		return "skiplist"
-	case BackingDAry:
-		return "dary"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseBacking maps a backing's String name back to its constant, for
-// command-line flags. It returns an error naming the valid values on
-// unknown input.
-func ParseBacking(name string) (Backing, error) {
-	for _, b := range Backings() {
-		if b.String() == name {
-			return b, nil
-		}
-	}
-	return 0, fmt.Errorf("cpq: unknown backing %q (want binary, pairing, skiplist or dary)", name)
-}
-
-// Backings returns every selectable backing, in declaration order — the
-// sweep axis of ablation A4 and the differential tests.
-func Backings() []Backing {
-	return []Backing{BackingBinary, BackingPairing, BackingSkiplist, BackingDAry}
-}
-
-// slAdapter bridges skiplist.List to heap.Interface.
-type slAdapter struct{ l *skiplist.List }
-
-func (a slAdapter) Push(it heap.Item) {
-	a.l.Push(skiplist.Item{Priority: it.Priority, Value: it.Value})
-}
-
-func (a slAdapter) Pop() (heap.Item, bool) {
-	it, ok := a.l.Pop()
-	return heap.Item{Priority: it.Priority, Value: it.Value}, ok
-}
-
-func (a slAdapter) Peek() (heap.Item, bool) {
-	it, ok := a.l.Peek()
-	return heap.Item{Priority: it.Priority, Value: it.Value}, ok
-}
-
-func (a slAdapter) Len() int { return a.l.Len() }
 
 // Queue is one linearizable priority queue. Create with New.
 type Queue struct {
 	top  pad.Seq64 // lock-free top word; see the TopWord encoding
 	lock pad.SpinLock
-	pq   heap.Interface
-	// bulk is pq's optional batch extension, detected once at construction;
-	// nil for backings that only implement per-element operations. AddBatch
-	// and DeleteMinUpTo dispatch through it when present, keeping their
-	// critical sections monomorphic (one call per batch instead of one
-	// interface call per element) and returning the post-batch minimum the
-	// top-word publish consumes directly.
-	bulk heap.BulkInterface
-	// lockedRead disables the lock-free top cache for ablation A5: ReadMin
-	// and ReadTop then take the lock and Peek, measuring what every cached
-	// read would cost if it went through the critical section.
-	lockedRead bool
+	pq   *heap.Binary
 	// pubMin/pubEmpty mirror the published word at full 64-bit resolution.
 	// They are lock-holder-owned plain fields (written only inside
 	// publishing critical sections, read only under the lock) and exist so
@@ -280,35 +200,20 @@ type Queue struct {
 	sealed bool
 }
 
-// New returns an empty queue with the given backing and capacity hint.
-// seed feeds the skiplist's level generator and is ignored by the other
-// backings.
-func New(backing Backing, capacity int, seed uint64) *Queue {
-	q := &Queue{}
-	switch backing {
-	case BackingBinary:
-		q.pq = heap.NewBinary(capacity)
-	case BackingPairing:
-		q.pq = heap.NewPairing(capacity)
-	case BackingSkiplist:
-		q.pq = slAdapter{skiplist.New(seed)}
-	case BackingDAry:
-		q.pq = heap.NewDAry(capacity)
-	default:
-		panic("cpq: unknown backing")
+// New returns an empty queue with the given capacity hint. The Backing and
+// the seed are vestiges that keep the benchmark's call compiling: every
+// queue is a heap.Binary, the seed is ignored, and a nonzero Backing — a
+// value that once named another store — panics rather than silently
+// measuring this one.
+func New(b Backing, capacity int, _ uint64) *Queue {
+	if b != 0 {
+		panic(fmt.Sprintf("cpq: unknown backing %d", b))
 	}
-	q.bulk, _ = q.pq.(heap.BulkInterface)
+	q := &Queue{pq: heap.NewBinary(capacity)}
 	q.top.Init(topPayload(0, true))
 	q.pubEmpty = true
 	return q
 }
-
-// SetLockedRead switches the queue to locked top reads (ablation A5): every
-// ReadMin/ReadTop takes the lock and Peeks instead of loading the cached
-// word. Call before the queue is shared; the flag is not synchronized. The
-// mutating sections keep publishing the word either way, so flipping the
-// ablation does not desynchronize the cache.
-func (q *Queue) SetLockedRead(locked bool) { q.lockedRead = locked }
 
 // beginTop marks the top word mid-update; callers must hold the lock and be
 // about to change the published state. Readers that land between beginTop
@@ -327,7 +232,7 @@ func (q *Queue) beginTop() { q.top.Begin() }
 func (q *Queue) topCovers(p uint64) bool { return !q.pubEmpty && p >= q.pubMin }
 
 // publishTop republishes the exact current minimum from a Peek; callers must
-// hold the lock. The per-element paths use it; the bulk paths publish the
+// hold the lock. The per-element paths use it; the batch paths publish the
 // minimum their batch call already reported via publishTopItem.
 func (q *Queue) publishTop() {
 	it, ok := q.pq.Peek()
@@ -367,15 +272,15 @@ func (q *Queue) addLocked(priority, value uint64) {
 }
 
 // addBatchLocked inserts a non-empty batch under the held lock with the
-// publication protocol applied, dispatching through pushBatchLocked.
+// publication protocol applied.
 func (q *Queue) addBatchLocked(items []heap.Item) {
 	if q.topCovers(batchMin(items)) {
 		q.elisions.Add(1)
-		q.pushBatchLocked(items)
+		q.pq.PushBatch(items)
 		return
 	}
 	q.beginTop()
-	min, ok := q.pushBatchLocked(items)
+	min, ok := q.pq.PushBatch(items)
 	q.publishTopItem(min, ok)
 }
 
@@ -438,7 +343,7 @@ func (q *Queue) popLocked() (heap.Item, bool) {
 }
 
 // drainLocked removes up to k live minima into dst under the held lock with
-// the publication protocol applied, dispatching through popUpToLocked.
+// the publication protocol applied.
 // Tombstoned elements inside a drained chunk are skipped and reclaimed
 // rather than delivered, and the drain re-fills until k live elements are
 // obtained or the backing runs out; the published minimum is compacted to
@@ -453,7 +358,7 @@ func (q *Queue) drainLocked(k int, dst []heap.Item) []heap.Item {
 	for {
 		var min heap.Item
 		var ok bool
-		dst, min, ok = q.popUpToLocked(k-(len(dst)-start), dst)
+		dst, min, ok = q.pq.PopBatch(k-(len(dst)-start), dst)
 		if len(q.dead) != 0 {
 			dst = q.filterDeadFrom(dst, start)
 			if len(dst)-start < k && ok {
@@ -494,41 +399,9 @@ func batchMin(items []heap.Item) uint64 {
 	return min
 }
 
-// pushBatchLocked inserts the batch through the backing's bulk entry point
-// when it has one, or per element otherwise, and returns the post-batch
-// minimum; callers must hold the lock.
-func (q *Queue) pushBatchLocked(items []heap.Item) (heap.Item, bool) {
-	if q.bulk != nil {
-		return q.bulk.PushBatch(items)
-	}
-	for _, it := range items {
-		q.pq.Push(it)
-	}
-	return q.pq.Peek()
-}
-
-// popUpToLocked drains up to k items into dst through the backing's bulk
-// entry point when it has one, or per element otherwise, and returns the
-// post-drain minimum; callers must hold the lock.
-func (q *Queue) popUpToLocked(k int, dst []heap.Item) ([]heap.Item, heap.Item, bool) {
-	if q.bulk != nil {
-		return q.bulk.PopBatch(k, dst)
-	}
-	for n := 0; n < k; n++ {
-		it, ok := q.pq.Pop()
-		if !ok {
-			break
-		}
-		dst = append(dst, it)
-	}
-	min, ok := q.pq.Peek()
-	return dst, min, ok
-}
-
 // AddBatch inserts all items under one lock acquisition with one cached-top
 // publish, amortising the lock hand-off and the top-store cache-line write
-// over len(items) elements — through the backing's PushBatch when it offers
-// one. It is the insert half of the MultiQueue's sticky/batched fast path;
+// over len(items) elements through heap.Binary's PushBatch. It is the insert half of the MultiQueue's sticky/batched fast path;
 // an empty batch is a no-op that takes no lock. Like Add it reports whether
 // the batch was accepted: false means the queue is sealed and NO item was
 // inserted.
@@ -754,18 +627,9 @@ func (q *Queue) InvalidateBatch(items []heap.Item) int {
 // zero lock acquisitions, the steady-state read path of the MultiQueue's
 // d-choice comparison and empty-queue scan. A stable word (even sequence)
 // equals the queue's true state at the load's linearization point; a
-// mid-update word carries the sentinel plus the last published minimum.
-// Under SetLockedRead (ablation A5) it instead takes the lock and Peeks,
-// synthesizing an always-stable word.
-func (q *Queue) ReadTop() TopWord {
-	if q.lockedRead {
-		q.lock.Lock()
-		it, ok := q.pq.Peek()
-		q.lock.Unlock()
-		return TopWord(topPayload(it.Priority, !ok) << pad.SeqBits)
-	}
-	return TopWord(q.top.LoadWord())
-}
+// mid-update word carries the sentinel plus the last published minimum. It
+// is small enough to inline into the d-choice loop.
+func (q *Queue) ReadTop() TopWord { return TopWord(q.top.LoadWord()) }
 
 // ReadMin returns the cached minimum priority without locking: the true
 // minimum reduced to TopPrioMask (exact for priorities below 2^TopPrioBits),
@@ -881,7 +745,7 @@ func (q *Queue) SealAndDrain(dst []heap.Item) []heap.Item {
 	start := len(dst)
 	for {
 		var ok bool
-		dst, _, ok = q.popUpToLocked(1<<30, dst)
+		dst, _, ok = q.pq.PopBatch(1<<30, dst)
 		if len(q.dead) != 0 {
 			dst = q.filterDeadFrom(dst, start)
 		}
@@ -921,7 +785,7 @@ func (q *Queue) Drain(dst []heap.Item) []heap.Item {
 	start := len(dst)
 	for {
 		var ok bool
-		dst, _, ok = q.popUpToLocked(1<<30, dst)
+		dst, _, ok = q.pq.PopBatch(1<<30, dst)
 		if len(q.dead) != 0 {
 			dst = q.filterDeadFrom(dst, start)
 		}

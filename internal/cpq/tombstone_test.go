@@ -27,7 +27,7 @@ func (m *tombModel) push(it heap.Item) {
 }
 
 // popValue removes the tied entry matching value from the minimum-priority
-// run (heap backings break priority ties arbitrarily, so the model matches
+// run (the heap breaks priority ties arbitrarily, so the model matches
 // on the delivered value within the tied prefix). Reports whether the
 // delivered item was a legal minimum.
 func (m *tombModel) popValue(it heap.Item) bool {
@@ -57,7 +57,7 @@ func (m *tombModel) removeValue(v uint64) (heap.Item, bool) {
 }
 
 // driveTombstone runs a byte-decoded add/invalidate/delete-min stream over
-// one backing and checks the queue against the eager-removal model after
+// a fresh queue and checks it against the eager-removal model after
 // every operation: Len must exclude tombstones the moment Invalidate
 // returns, the top word must always publish the live minimum (stable,
 // correct empty bit, minimum reduced to TopPrioMask), no pop path may ever
@@ -65,9 +65,9 @@ func (m *tombModel) removeValue(v uint64) (heap.Item, bool) {
 // Priorities mix small values with values above 2^TopPrioBits so truncation
 // and the full-resolution compaction decision are both exercised; values are
 // drawn from a monotone counter, matching the uniqueness contract.
-func driveTombstone(t *testing.T, b Backing, data []byte) {
+func driveTombstone(t *testing.T, data []byte) {
 	t.Helper()
-	q := New(b, 4, uint64(len(data))+11)
+	q := newQueue(4)
 	r := rng.NewXoshiro256(uint64(len(data)) + 13)
 	model := &tombModel{}
 	var nextVal uint64
@@ -87,11 +87,11 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 	}
 	checkDelivered := func(opIdx int, it heap.Item) {
 		if invalidated[it.Value] {
-			t.Fatalf("%v: op %d delivered invalidated element (p=%d v=%d)", b, opIdx, it.Priority, it.Value)
+			t.Fatalf("op %d delivered invalidated element (p=%d v=%d)", opIdx, it.Priority, it.Value)
 		}
 		if !model.popValue(it) {
-			t.Fatalf("%v: op %d delivered (p=%d v=%d), not a legal minimum (model min %+v of %d)",
-				b, opIdx, it.Priority, it.Value, model.items, len(model.items))
+			t.Fatalf("op %d delivered (p=%d v=%d), not a legal minimum (model min %+v of %d)",
+				opIdx, it.Priority, it.Value, model.items, len(model.items))
 		}
 	}
 	var batch []heap.Item
@@ -104,7 +104,7 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 		case 2:
 			it, ok := q.DeleteMin()
 			if ok != (len(model.items) > 0) {
-				t.Fatalf("%v: op %d DeleteMin ok=%v with %d live modeled", b, opIdx, ok, len(model.items))
+				t.Fatalf("op %d DeleteMin ok=%v with %d live modeled", opIdx, ok, len(model.items))
 			}
 			if ok {
 				checkDelivered(opIdx, it)
@@ -128,7 +128,7 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 			got := q.DeleteMinUpTo(k, batch[:0])
 			batch = got[:0]
 			if len(got) != want {
-				t.Fatalf("%v: op %d DeleteMinUpTo(%d) returned %d live, want %d", b, opIdx, k, len(got), want)
+				t.Fatalf("op %d DeleteMinUpTo(%d) returned %d live, want %d", opIdx, k, len(got), want)
 			}
 			for _, it := range got {
 				checkDelivered(opIdx, it)
@@ -140,7 +140,7 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 			}
 			victim := model.items[r.Intn(len(model.items))]
 			if !q.Invalidate(victim.Priority, victim.Value) {
-				t.Fatalf("%v: op %d Invalidate(%d,%d) of a live element returned false", b, opIdx, victim.Priority, victim.Value)
+				t.Fatalf("op %d Invalidate(%d,%d) of a live element returned false", opIdx, victim.Priority, victim.Value)
 			}
 			invalidated[victim.Value] = true
 			model.removeValue(victim.Value)
@@ -164,7 +164,7 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 				}
 			}
 			if armed := q.InvalidateBatch(batch); armed != wantArmed {
-				t.Fatalf("%v: op %d InvalidateBatch armed %d, want %d", b, opIdx, armed, wantArmed)
+				t.Fatalf("op %d InvalidateBatch armed %d, want %d", opIdx, armed, wantArmed)
 			}
 			for _, it := range batch {
 				invalidated[it.Value] = true
@@ -173,33 +173,33 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 		case 7:
 			it, ok, acquired := q.TryDeleteMin()
 			if !acquired {
-				t.Fatalf("%v: op %d TryDeleteMin refused without contention", b, opIdx)
+				t.Fatalf("op %d TryDeleteMin refused without contention", opIdx)
 			}
 			if ok != (len(model.items) > 0) {
-				t.Fatalf("%v: op %d TryDeleteMin ok=%v with %d live modeled", b, opIdx, ok, len(model.items))
+				t.Fatalf("op %d TryDeleteMin ok=%v with %d live modeled", opIdx, ok, len(model.items))
 			}
 			if ok {
 				checkDelivered(opIdx, it)
 			}
 		}
 		if n := q.Len(); n != len(model.items) {
-			t.Fatalf("%v: op %d Len=%d, want %d live (tombstones must be excluded)", b, opIdx, n, len(model.items))
+			t.Fatalf("op %d Len=%d, want %d live (tombstones must be excluded)", opIdx, n, len(model.items))
 		}
 		w := q.ReadTop()
 		if w.InFlight() {
-			t.Fatalf("%v: op %d word still mid-update at quiescence", b, opIdx)
+			t.Fatalf("op %d word still mid-update at quiescence", opIdx)
 		}
 		if w.Empty() != (len(model.items) == 0) {
-			t.Fatalf("%v: op %d empty bit %v with %d live modeled", b, opIdx, w.Empty(), len(model.items))
+			t.Fatalf("op %d empty bit %v with %d live modeled", opIdx, w.Empty(), len(model.items))
 		}
 		if len(model.items) > 0 {
 			if want := model.items[0].Priority & TopPrioMask; w.Min() != want {
-				t.Fatalf("%v: op %d published min %d, want live min %d", b, opIdx, w.Min(), want)
+				t.Fatalf("op %d published min %d, want live min %d", opIdx, w.Min(), want)
 			}
 		}
 		st := q.Stats()
 		if st.Reclaimed > st.Invalidations {
-			t.Fatalf("%v: op %d reclaimed %d > invalidations %d", b, opIdx, st.Reclaimed, st.Invalidations)
+			t.Fatalf("op %d reclaimed %d > invalidations %d", opIdx, st.Reclaimed, st.Invalidations)
 		}
 	}
 	// Drain to empty: every element still delivered must be live and every
@@ -212,38 +212,35 @@ func driveTombstone(t *testing.T, b Backing, data []byte) {
 		checkDelivered(-1-opIdx, it)
 	}
 	if len(model.items) != 0 {
-		t.Fatalf("%v: drain ended with %d live modeled elements undelivered", b, len(model.items))
+		t.Fatalf("drain ended with %d live modeled elements undelivered", len(model.items))
 	}
 	if st := q.Stats(); st.Reclaimed != st.Invalidations {
-		t.Fatalf("%v: drained queue reclaimed %d of %d tombstones", b, st.Reclaimed, st.Invalidations)
+		t.Fatalf("drained queue reclaimed %d of %d tombstones", st.Reclaimed, st.Invalidations)
 	}
 	if q.Len() != 0 {
-		t.Fatalf("%v: drained queue Len=%d", b, q.Len())
+		t.Fatalf("drained queue Len=%d", q.Len())
 	}
 }
 
 // TestTombstoneTracksModelAllBackings is the property-test complement of
-// FuzzCPQTombstone: long pseudo-random streams over every backing, so the
-// skip-and-compact paths are pinned for the pairing and skiplist backings
-// (per-element loops) as well as the bulk binary/dary paths.
+// FuzzCPQTombstone: long pseudo-random streams, so the skip-and-compact paths
+// of the single and batch pops are pinned beyond the fuzzer's seed corpus.
 func TestTombstoneTracksModelAllBackings(t *testing.T) {
-	for _, b := range Backings() {
-		t.Run(b.String(), func(t *testing.T) {
-			r := rng.NewXoshiro256(uint64(b)*23 + 7)
-			for round := 0; round < 10; round++ {
-				data := make([]byte, 300)
-				for i := range data {
-					data[i] = byte(r.Next())
-				}
-				driveTombstone(t, b, data)
+	t.Run("binary", func(t *testing.T) {
+		r := rng.NewXoshiro256(7)
+		for round := 0; round < 10; round++ {
+			data := make([]byte, 300)
+			for i := range data {
+				data[i] = byte(r.Next())
 			}
-		})
-	}
+			driveTombstone(t, data)
+		}
+	})
 }
 
 // FuzzCPQTombstone is the coverage-guided differential fuzzer over the
-// add/invalidate/delete-min driver: byte-driven operation streams across all
-// four backings against the eager-removal sorted-slice model, with
+// add/invalidate/delete-min driver: byte-driven operation streams against the
+// eager-removal sorted-slice model, with
 // priorities straddling 2^TopPrioBits. Its seed corpus runs on every plain
 // `go test`; CI's fuzz-smoke step discovers and mutates it per push.
 func FuzzCPQTombstone(f *testing.F) {
@@ -259,9 +256,7 @@ func FuzzCPQTombstone(f *testing.F) {
 		if len(data) > 2048 {
 			data = data[:2048]
 		}
-		for _, b := range Backings() {
-			driveTombstone(t, b, data)
-		}
+		driveTombstone(t, data)
 	})
 }
 
@@ -271,53 +266,51 @@ func FuzzCPQTombstone(f *testing.F) {
 // move; invalidating the minimum must recompact and republish the next live
 // minimum in the same call.
 func TestInvalidateLenExcludesTombstones(t *testing.T) {
-	for _, b := range Backings() {
-		t.Run(b.String(), func(t *testing.T) {
-			q := New(b, 8, 3)
-			q.Add(10, 1)
-			q.Add(20, 2)
-			q.Add(30, 3)
-			if q.Len() != 3 {
-				t.Fatalf("Len=%d, want 3", q.Len())
-			}
-			// Interior tombstone: Len drops, word untouched (elided).
-			pubBefore := q.Stats().Publications
-			if !q.Invalidate(20, 2) {
-				t.Fatal("Invalidate(20,2) returned false")
-			}
-			if q.Len() != 2 {
-				t.Fatalf("Len=%d after interior Invalidate, want 2", q.Len())
-			}
-			if got := q.ReadTop().Min(); got != 10 {
-				t.Fatalf("min %d after interior Invalidate, want 10", got)
-			}
-			if pubs := q.Stats().Publications; pubs != pubBefore {
-				t.Fatalf("interior Invalidate republished (%d -> %d); want elision", pubBefore, pubs)
-			}
-			// While the tombstone is uncollected, re-arming is refused.
-			if q.Invalidate(20, 2) {
-				t.Fatal("re-Invalidate of an uncollected tombstone armed again")
-			}
-			// Minimum tombstone: word recompacts to the next live minimum.
-			if !q.Invalidate(10, 1) {
-				t.Fatal("Invalidate(10,1) returned false")
-			}
-			if q.Len() != 1 {
-				t.Fatalf("Len=%d after min Invalidate, want 1", q.Len())
-			}
-			if got := q.ReadTop().Min(); got != 30 {
-				t.Fatalf("min %d after min Invalidate, want 30 (compacted)", got)
-			}
-			it, ok := q.DeleteMin()
-			if !ok || it.Priority != 30 || it.Value != 3 {
-				t.Fatalf("DeleteMin = (%+v, %v), want the live (30,3)", it, ok)
-			}
-			if it, ok := q.DeleteMin(); ok {
-				t.Fatalf("DeleteMin on logically empty queue delivered %+v", it)
-			}
-			if st := q.Stats(); st.Invalidations != 2 || st.Reclaimed != 2 {
-				t.Fatalf("stats %+v, want 2 invalidations and 2 reclaimed", st)
-			}
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		q := newQueue(8)
+		q.Add(10, 1)
+		q.Add(20, 2)
+		q.Add(30, 3)
+		if q.Len() != 3 {
+			t.Fatalf("Len=%d, want 3", q.Len())
+		}
+		// Interior tombstone: Len drops, word untouched (elided).
+		pubBefore := q.Stats().Publications
+		if !q.Invalidate(20, 2) {
+			t.Fatal("Invalidate(20,2) returned false")
+		}
+		if q.Len() != 2 {
+			t.Fatalf("Len=%d after interior Invalidate, want 2", q.Len())
+		}
+		if got := q.ReadTop().Min(); got != 10 {
+			t.Fatalf("min %d after interior Invalidate, want 10", got)
+		}
+		if pubs := q.Stats().Publications; pubs != pubBefore {
+			t.Fatalf("interior Invalidate republished (%d -> %d); want elision", pubBefore, pubs)
+		}
+		// While the tombstone is uncollected, re-arming is refused.
+		if q.Invalidate(20, 2) {
+			t.Fatal("re-Invalidate of an uncollected tombstone armed again")
+		}
+		// Minimum tombstone: word recompacts to the next live minimum.
+		if !q.Invalidate(10, 1) {
+			t.Fatal("Invalidate(10,1) returned false")
+		}
+		if q.Len() != 1 {
+			t.Fatalf("Len=%d after min Invalidate, want 1", q.Len())
+		}
+		if got := q.ReadTop().Min(); got != 30 {
+			t.Fatalf("min %d after min Invalidate, want 30 (compacted)", got)
+		}
+		it, ok := q.DeleteMin()
+		if !ok || it.Priority != 30 || it.Value != 3 {
+			t.Fatalf("DeleteMin = (%+v, %v), want the live (30,3)", it, ok)
+		}
+		if it, ok := q.DeleteMin(); ok {
+			t.Fatalf("DeleteMin on logically empty queue delivered %+v", it)
+		}
+		if st := q.Stats(); st.Invalidations != 2 || st.Reclaimed != 2 {
+			t.Fatalf("stats %+v, want 2 invalidations and 2 reclaimed", st)
+		}
+	})
 }

@@ -1,7 +1,9 @@
 package cpq
 
 import (
+	"os/exec"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +12,7 @@ import (
 	"repro/internal/rng"
 )
 
-// driveTopCache runs a byte-decoded operation stream over one backing and
+// driveTopCache runs a byte-decoded operation stream over one queue and
 // checks the decoded top word against a sorted-slice model after every
 // operation: the word must be stable (this driver is single-threaded, so a
 // surviving mid-update sentinel is a protocol bug), its empty bit must match
@@ -22,9 +24,9 @@ import (
 // it cannot. Priorities mix small values with values above 2^TopPrioBits so
 // the truncation path and the full-resolution covered check are both
 // exercised.
-func driveTopCache(t *testing.T, b Backing, data []byte) {
+func driveTopCache(t *testing.T, data []byte) {
 	t.Helper()
-	q := New(b, 4, uint64(len(data))+3)
+	q := newQueue(4)
 	r := rng.NewXoshiro256(uint64(len(data)) + 5)
 	var ref []uint64
 	pushRef := func(p uint64) {
@@ -71,11 +73,11 @@ func driveTopCache(t *testing.T, b Backing, data []byte) {
 			delPublishes()
 			it, ok := q.DeleteMin()
 			if ok != (len(ref) > 0) {
-				t.Fatalf("%v: op %d DeleteMin ok=%v with %d modeled", b, opIdx, ok, len(ref))
+				t.Fatalf("op %d DeleteMin ok=%v with %d modeled", opIdx, ok, len(ref))
 			}
 			if ok {
 				if it.Priority != ref[0] {
-					t.Fatalf("%v: op %d DeleteMin = %d, want %d", b, opIdx, it.Priority, ref[0])
+					t.Fatalf("op %d DeleteMin = %d, want %d", opIdx, it.Priority, ref[0])
 				}
 				ref = ref[1:]
 			}
@@ -108,7 +110,7 @@ func driveTopCache(t *testing.T, b Backing, data []byte) {
 			batch = got[:0]
 			for i, it := range got {
 				if it.Priority != ref[i] {
-					t.Fatalf("%v: op %d DeleteMinUpTo[%d] = %d, want %d", b, opIdx, i, it.Priority, ref[i])
+					t.Fatalf("op %d DeleteMinUpTo[%d] = %d, want %d", opIdx, i, it.Priority, ref[i])
 				}
 			}
 			ref = ref[len(got):]
@@ -116,66 +118,62 @@ func driveTopCache(t *testing.T, b Backing, data []byte) {
 			p := prio(op)
 			addPublishes(p)
 			if !q.TryAdd(p, r.Next()) {
-				t.Fatalf("%v: op %d TryAdd refused without contention", b, opIdx)
+				t.Fatalf("op %d TryAdd refused without contention", opIdx)
 			}
 			pushRef(p)
 		case 6:
 			delPublishes()
 			it, ok, acquired := q.TryDeleteMin()
 			if !acquired {
-				t.Fatalf("%v: op %d TryDeleteMin refused without contention", b, opIdx)
+				t.Fatalf("op %d TryDeleteMin refused without contention", opIdx)
 			}
 			if ok {
 				if it.Priority != ref[0] {
-					t.Fatalf("%v: op %d TryDeleteMin = %d, want %d", b, opIdx, it.Priority, ref[0])
+					t.Fatalf("op %d TryDeleteMin = %d, want %d", opIdx, it.Priority, ref[0])
 				}
 				ref = ref[1:]
 			}
 		}
 		w := q.ReadTop()
 		if w.InFlight() {
-			t.Fatalf("%v: op %d word still mid-update at quiescence", b, opIdx)
+			t.Fatalf("op %d word still mid-update at quiescence", opIdx)
 		}
 		if w.Empty() != (len(ref) == 0) {
-			t.Fatalf("%v: op %d empty bit %v with %d modeled items", b, opIdx, w.Empty(), len(ref))
+			t.Fatalf("op %d empty bit %v with %d modeled items", opIdx, w.Empty(), len(ref))
 		}
 		wantMin := uint64(EmptyTop)
 		if len(ref) > 0 {
 			wantMin = ref[0] & TopPrioMask
 		}
 		if w.Min() != wantMin {
-			t.Fatalf("%v: op %d cached min %d, want %d", b, opIdx, w.Min(), wantMin)
+			t.Fatalf("op %d cached min %d, want %d", opIdx, w.Min(), wantMin)
 		}
 		if wantSeq := seq % (topSeqMask + 1); w.Seq() != wantSeq {
-			t.Fatalf("%v: op %d seq %d, want %d (mutating sections must advance it by exactly 2)",
-				b, opIdx, w.Seq(), wantSeq)
+			t.Fatalf("op %d seq %d, want %d (mutating sections must advance it by exactly 2)", opIdx, w.Seq(), wantSeq)
 		}
 		if len(ref) > 0 && w.Key() != ref[0]&TopPrioMask {
-			t.Fatalf("%v: op %d key %d, want %d", b, opIdx, w.Key(), ref[0]&TopPrioMask)
+			t.Fatalf("op %d key %d, want %d", opIdx, w.Key(), ref[0]&TopPrioMask)
 		}
 		if len(ref) == 0 && w.Key() != TopKeyEmpty {
-			t.Fatalf("%v: op %d key %d on empty, want TopKeyEmpty", b, opIdx, w.Key())
+			t.Fatalf("op %d key %d on empty, want TopKeyEmpty", opIdx, w.Key())
 		}
 	}
 }
 
 // TestTopWordTracksModelAllBackings is the property-test complement of the
-// fuzz target: long pseudo-random streams over every backing, so the word's
-// publication protocol is pinned for the skiplist and pairing paths the
-// heap-package fuzzer cannot reach.
+// fuzz target: long pseudo-random streams, so the word's publication protocol
+// is pinned beyond the fuzzer's seed corpus.
 func TestTopWordTracksModelAllBackings(t *testing.T) {
-	for _, b := range Backings() {
-		t.Run(b.String(), func(t *testing.T) {
-			r := rng.NewXoshiro256(uint64(b)*17 + 1)
-			for round := 0; round < 10; round++ {
-				data := make([]byte, 300)
-				for i := range data {
-					data[i] = byte(r.Next())
-				}
-				driveTopCache(t, b, data)
+	t.Run("binary", func(t *testing.T) {
+		r := rng.NewXoshiro256(1)
+		for round := 0; round < 10; round++ {
+			data := make([]byte, 300)
+			for i := range data {
+				data[i] = byte(r.Next())
 			}
-		})
-	}
+			driveTopCache(t, data)
+		}
+	})
 }
 
 // FuzzTopCacheDifferential is the coverage-guided entry point over the same
@@ -194,9 +192,7 @@ func FuzzTopCacheDifferential(f *testing.F) {
 		if len(data) > 2048 {
 			data = data[:2048]
 		}
-		for _, b := range Backings() {
-			driveTopCache(t, b, data)
-		}
+		driveTopCache(t, data)
 	})
 }
 
@@ -213,94 +209,110 @@ func FuzzTopCacheDifferential(f *testing.F) {
 // publish-before-unlock ordering provides. Mid-update words are exempt:
 // they advertise their staleness via the sentinel. Run under -race in CI.
 func TestTopWordCoherenceUnderRace(t *testing.T) {
-	for _, b := range Backings() {
-		t.Run(b.String(), func(t *testing.T) {
-			q := New(b, 1024, 21)
-			var next, watermark atomic.Uint64
-			var addMu sync.Mutex
-			// Standing buffer so the queue never empties mid-run (the
-			// writers add two per removal).
-			for i := 0; i < 64; i++ {
-				q.Add(next.Add(1), 0)
-			}
+	t.Run("binary", func(t *testing.T) {
+		q := newQueue(1024)
+		var next, watermark atomic.Uint64
+		var addMu sync.Mutex
+		// Standing buffer so the queue never empties mid-run (the
+		// writers add two per removal).
+		for i := 0; i < 64; i++ {
+			q.Add(next.Add(1), 0)
+		}
 
-			const writers, readers, rounds = 2, 2, 4000
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			wg.Add(writers)
-			for w := 0; w < writers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					buf := make([]heap.Item, 0, 2)
-					for i := 0; i < rounds; i++ {
-						addMu.Lock()
-						if i%2 == 0 {
-							q.Add(next.Add(1), 0)
-							q.Add(next.Add(1), 0)
-						} else {
-							buf = append(buf[:0],
-								heap.Item{Priority: next.Add(1)},
-								heap.Item{Priority: next.Add(1)})
-							q.AddBatch(buf)
-						}
-						addMu.Unlock()
-						it, ok := q.DeleteMin()
-						if !ok {
-							t.Error("queue emptied despite standing buffer")
-							return
-						}
-						// CAS-max: publish the removal only after DeleteMin
-						// returned, so the watermark invariant holds from the
-						// reader's point of view.
-						for {
-							cur := watermark.Load()
-							if it.Priority <= cur || watermark.CompareAndSwap(cur, it.Priority) {
-								break
-							}
-						}
+		const writers, readers, rounds = 2, 2, 4000
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		wg.Add(writers)
+		for w := 0; w < writers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				buf := make([]heap.Item, 0, 2)
+				for i := 0; i < rounds; i++ {
+					addMu.Lock()
+					if i%2 == 0 {
+						q.Add(next.Add(1), 0)
+						q.Add(next.Add(1), 0)
+					} else {
+						buf = append(buf[:0],
+							heap.Item{Priority: next.Add(1)},
+							heap.Item{Priority: next.Add(1)})
+						q.AddBatch(buf)
 					}
-				}(w)
-			}
-
-			var readerWG sync.WaitGroup
-			readerWG.Add(readers)
-			for rd := 0; rd < readers; rd++ {
-				go func() {
-					defer readerWG.Done()
+					addMu.Unlock()
+					it, ok := q.DeleteMin()
+					if !ok {
+						t.Error("queue emptied despite standing buffer")
+						return
+					}
+					// CAS-max: publish the removal only after DeleteMin
+					// returned, so the watermark invariant holds from the
+					// reader's point of view.
 					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						wm := watermark.Load()
-						w := q.ReadTop()
-						if w.InFlight() {
-							continue // advertised stale; nothing to assert
-						}
-						if w.Empty() {
-							t.Error("stable-empty word on a never-empty queue")
-							return
-						}
-						if w.Min() <= wm&TopPrioMask {
-							t.Errorf("stable word min %d not above watermark %d", w.Min(), wm)
-							return
+						cur := watermark.Load()
+						if it.Priority <= cur || watermark.CompareAndSwap(cur, it.Priority) {
+							break
 						}
 					}
-				}()
-			}
+				}
+			}(w)
+		}
 
-			wg.Wait()
-			close(stop)
-			readerWG.Wait()
+		var readerWG sync.WaitGroup
+		readerWG.Add(readers)
+		for rd := 0; rd < readers; rd++ {
+			go func() {
+				defer readerWG.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					wm := watermark.Load()
+					w := q.ReadTop()
+					if w.InFlight() {
+						continue // advertised stale; nothing to assert
+					}
+					if w.Empty() {
+						t.Error("stable-empty word on a never-empty queue")
+						return
+					}
+					if w.Min() <= wm&TopPrioMask {
+						t.Errorf("stable word min %d not above watermark %d", w.Min(), wm)
+						return
+					}
+				}
+			}()
+		}
 
-			// Quiescence: the word equals a locked Peek exactly.
-			w := q.ReadTop()
-			it, ok := q.PeekMin()
-			if !ok || w.InFlight() || w.Empty() || w.Min() != it.Priority&TopPrioMask {
-				t.Fatalf("quiescent word (min %d, empty %v, inflight %v) != true min %d",
-					w.Min(), w.Empty(), w.InFlight(), it.Priority)
-			}
-		})
+		wg.Wait()
+		close(stop)
+		readerWG.Wait()
+
+		// Quiescence: the word equals a locked Peek exactly.
+		w := q.ReadTop()
+		it, ok := q.PeekMin()
+		if !ok || w.InFlight() || w.Empty() || w.Min() != it.Priority&TopPrioMask {
+			t.Fatalf("quiescent word (min %d, empty %v, inflight %v) != true min %d",
+				w.Min(), w.Empty(), w.InFlight(), it.Priority)
+		}
+	})
+}
+
+// TestReadTopInlines asks the compiler whether ReadTop still fits the
+// inliner's budget. It is the one load the MultiQueue's d-choice loop makes
+// per candidate; a branch that pushes it back over the budget costs every
+// candidate a call, and nothing else would notice.
+func TestReadTopInlines(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	out, err := exec.Command(goTool, "build", "-gcflags=-m", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
+	}
+	if want := "can inline (*Queue).ReadTop"; !strings.Contains(string(out), want+"\n") {
+		t.Errorf("compiler no longer reports %q", want)
 	}
 }

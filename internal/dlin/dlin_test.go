@@ -255,6 +255,31 @@ func TestReplayCounterHistory(t *testing.T) {
 	}
 }
 
+// TestReplayChargesReadAtCheapestPoint pins the read-window rule: a read is
+// charged at the cheapest point of its [Start, End] window, not at its Lin
+// stamp. The read below loaded its value when two increments were done and
+// was stamped only after two more; its window covers both states.
+func TestReplayChargesReadAtCheapestPoint(t *testing.T) {
+	events := []trace.Event{
+		{Kind: trace.KindInc, Start: 1, Lin: 1, End: 1, Th: 1},
+		{Kind: trace.KindInc, Start: 2, Lin: 2, End: 2, Th: 1},
+		{Kind: trace.KindInc, Start: 4, Lin: 4, End: 4, Th: 1},
+		{Kind: trace.KindInc, Start: 5, Lin: 5, End: 5, Th: 1},
+		{Kind: trace.KindRead, Start: 3, Lin: 6, End: 6, Th: 0, Ret: 2}, // count 2 at Start, 4 at Lin
+		{Kind: trace.KindInc, Start: 8, Lin: 8, End: 8, Th: 1},
+		{Kind: trace.KindRead, Start: 7, Lin: 9, End: 9, Th: 0, Ret: 9}, // count 4, then 5
+		{Kind: trace.KindRead, Start: 10, Lin: 10, End: 10, Th: 0, Ret: 3},
+	}
+	w, err := Replay(&CounterSpec{}, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Costs: 0 (at Start), min(|9-4|, |9-5|) = 4, |3-5| = 2.
+	if w.PathCost != 6 || w.Costs.N() != 3 || w.Costs.Max() != 4 {
+		t.Fatalf("PathCost %v, %d costs, max %v; want 6, 3, 4", w.PathCost, w.Costs.N(), w.Costs.Max())
+	}
+}
+
 func TestReplayQueueHistory(t *testing.T) {
 	events := []trace.Event{
 		{Kind: trace.KindEnq, Start: 1, Lin: 1, End: 1, Arg: 1},

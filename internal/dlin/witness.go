@@ -2,6 +2,7 @@ package dlin
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -89,16 +90,60 @@ func CheckRealTimeOrder(events []trace.Event) error {
 // be mapped — e.g. a dequeue returns a label that was never enqueued, which
 // would mean the concurrent structure violated even the *relaxed* sequential
 // specification, not just incurred cost.
+//
+// A counter read changes no state, so every point of its [Start, End] window
+// is a valid linearization point for it: moving it there keeps the order of
+// non-overlapping operations and its thread's program order. Replay charges
+// each read at its cheapest point — the state after every event linearized
+// before its Start, and after each later state change up to its own Lin — so
+// a reader descheduled between its shard load and its Lin stamp is not
+// charged for the increments other threads linearized meanwhile.
 func Replay(spec Spec, events []trace.Event) (*Witness, error) {
 	if err := CheckRealTimeOrder(events); err != nil {
 		return nil, err
 	}
 	spec.Reset()
 	w := &Witness{Costs: stats.NewSample(len(events))}
+	// opensAt[j] lists the reads whose window opens just before event j: the
+	// events before j are exactly those linearized before the read's Start.
+	opensAt := map[int][]int{}
 	for k, ev := range events {
-		cost, err := spec.Apply(methodOf(ev))
+		if ev.Kind == trace.KindRead {
+			j := sort.Search(k, func(i int) bool { return events[i].Lin >= ev.Start })
+			opensAt[j] = append(opensAt[j], k)
+		}
+	}
+	open := map[int]float64{} // open read -> its cheapest cost so far
+	charge := func(r int) error {
+		cost, err := spec.Apply(methodOf(events[r]))
 		if err != nil {
-			return nil, fmt.Errorf("dlin: event %d: %w", k, err)
+			return fmt.Errorf("dlin: event %d: %w", r, err)
+		}
+		if best, seen := open[r]; !seen || cost < best {
+			open[r] = cost
+		}
+		return nil
+	}
+	for k, ev := range events {
+		for _, r := range opensAt[k] {
+			if err := charge(r); err != nil {
+				return nil, err
+			}
+		}
+		var cost float64
+		if ev.Kind == trace.KindRead {
+			cost = open[k]
+			delete(open, k)
+		} else {
+			var err error
+			if cost, err = spec.Apply(methodOf(ev)); err != nil {
+				return nil, fmt.Errorf("dlin: event %d: %w", k, err)
+			}
+			for r := range open {
+				if err := charge(r); err != nil {
+					return nil, err
+				}
+			}
 		}
 		w.PathCost += cost
 		w.Ops++

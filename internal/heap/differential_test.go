@@ -28,30 +28,11 @@ func (m *refModel) Pop() (uint64, bool) {
 	return p, true
 }
 
-// bulkImpls returns every heap in the package, wrapped so the differential
-// driver can exercise the bulk entry points where they exist and fall back
-// to per-element loops where they do not (pairing heap).
-func bulkImpls() map[string]func() Interface {
-	return map[string]func() Interface{
-		"binary":  func() Interface { return NewBinary(4) },
-		"pairing": func() Interface { return NewPairing(4) },
-		"dary":    func() Interface { return NewDAry(4) },
-	}
-}
-
 // stashCoverage counts how often a differential stream reached each corner
-// of the two-part layouts — DAry's stash/array boundary, Binary's sorted run
-// and pending heap — so the tests can assert the seeded streams exercise all
-// of them rather than hope so.
+// of Binary's two-part layout — its sorted run and its pending heap — so the
+// tests can assert the seeded streams exercise all of them rather than hope
+// so.
 type stashCoverage struct {
-	// DAry
-	stashInsert   int // an insert grew the stash
-	spill         int // an insert into a full stash spilled onto the array
-	crossDrain    int // one PopBatch emptied the stash and went on into the array
-	stashOnly     int // an op left the array empty and the stash not
-	heapifySpill  int // a spill took PushBatch through its Floyd fallback
-	stashLenAtMax int // the stash was seen full
-	// Binary
 	tailInsert  int // an insert was merged into the sorted run's tail
 	pendingPush int // an insert went onto the pending heap
 	flushMerge  int // a pop's flush merged the pending items into the run's array
@@ -59,26 +40,6 @@ type stashCoverage struct {
 	bothParts   int // one PopBatch took items from both parts
 	pendingOnly int // an op left the sorted run empty and the pending heap not
 	bulkLoad    int // a PushBatch rivalling the stored items was sorted and merged whole
-}
-
-// stashParts reports the sizes of a two-part heap's parts: (stash, array) for
-// DAry, (sorted run, pending heap) for Binary.
-func stashParts(h Interface) (first, second int, ok bool) {
-	switch h := h.(type) {
-	case *Binary:
-		return len(h.a), len(h.p), true
-	case *DAry:
-		return h.stash.len(), h.nodes(), true
-	}
-	return 0, 0, false
-}
-
-// flushMoved reads Binary's count of items moved by flushes, 0 for the rest.
-func flushMoved(h Interface) uint64 {
-	if b, ok := h.(*Binary); ok {
-		return b.moved
-	}
-	return 0
 }
 
 // belowMin draws a priority at or just below the model's current minimum (a
@@ -145,11 +106,10 @@ func modeStream(mode int) []byte {
 // the stream stays byte-dense for the fuzzer (every input decodes to a valid
 // sequence). Batch sizes intentionally cross the k >= n bulk threshold of
 // PushBatch, and two of the seven operations push keys at or below the
-// current minimum — the Section 7 pattern that routes into DAry's stash,
-// fills it, spills it and leaves it standing in front of an empty array, and
-// into the tail of Binary's sorted run. Verify runs after every operation;
-// cov, when non-nil, accumulates which layout corners were reached.
-func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, cov *stashCoverage) {
+// current minimum — the Section 7 pattern that routes into the tail of
+// Binary's sorted run. Verify runs after every operation; cov, when non-nil,
+// accumulates which layout corners were reached.
+func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCoverage) {
 	t.Helper()
 	var ref refModel
 	r := rng.NewXoshiro256(uint64(len(data)) + 1)
@@ -170,15 +130,12 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 		}
 		return diffBase + r.Uint64n(64)
 	}
-	bulk, hasBulk := h.(BulkInterface)
-	verifier, _ := h.(interface{ Verify() bool })
 	if cov == nil {
 		cov = new(stashCoverage)
 	}
 	var scratch []Item
 	for opIdx, op := range data {
-		firstBefore, secondBefore, _ := stashParts(h)
-		movedBefore := flushMoved(h)
+		runBefore, pendingBefore, movedBefore := len(h.a), len(h.p), h.moved
 		switch op % 7 {
 		case 5: // single push at or below the current minimum
 			p := belowMin(r, &ref)
@@ -192,15 +149,9 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
 				ref.Push(p)
 			}
-			if hasBulk {
-				min, ok := bulk.PushBatch(scratch)
-				if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
-					t.Fatalf("%s: op %d PushBatch(below) min = (%d,%v), want (%v)", name, opIdx, min.Priority, ok, ref.a)
-				}
-			} else {
-				for _, it := range scratch {
-					h.Push(it)
-				}
+			min, ok := h.PushBatch(scratch)
+			if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
+				t.Fatalf("op %d PushBatch(below) min = (%d,%v), want (%v)", opIdx, min.Priority, ok, ref.a)
 			}
 		case 0, 1: // single push (biased so heaps grow)
 			p := ordinary()
@@ -210,7 +161,7 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 			want, wantOK := ref.Pop()
 			it, ok := h.Pop()
 			if ok != wantOK || (ok && it.Priority != want) {
-				t.Fatalf("%s: op %d Pop = (%d,%v), want (%d,%v)", name, opIdx, it.Priority, ok, want, wantOK)
+				t.Fatalf("op %d Pop = (%d,%v), want (%d,%v)", opIdx, it.Priority, ok, want, wantOK)
 			}
 		case 3: // batch push, size 0..16
 			k := int(op / 7 % 17)
@@ -220,101 +171,62 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
 				ref.Push(p)
 			}
-			if hasBulk {
-				min, ok := bulk.PushBatch(scratch)
-				if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
-					t.Fatalf("%s: op %d PushBatch min = (%d,%v), want (%v)", name, opIdx, min.Priority, ok, ref.a)
-				}
-			} else {
-				for _, it := range scratch {
-					h.Push(it)
-				}
+			min, ok := h.PushBatch(scratch)
+			if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
+				t.Fatalf("op %d PushBatch min = (%d,%v), want (%v)", opIdx, min.Priority, ok, ref.a)
 			}
 		case 4: // batch pop, size 0..16
 			k := int(op / 7 % 17)
-			if hasBulk {
-				var min Item
-				var ok bool
-				scratch, min, ok = bulk.PopBatch(k, scratch[:0])
-				wantN := len(ref.a) - len(scratch)
-				if ok != (wantN > 0) || (ok && min.Priority != ref.a[len(scratch)]) {
-					t.Fatalf("%s: op %d PopBatch min = (%d,%v) with %d left", name, opIdx, min.Priority, ok, wantN)
-				}
-			} else {
-				scratch = scratch[:0]
-				for i := 0; i < k; i++ {
-					it, ok := h.Pop()
-					if !ok {
-						break
-					}
-					scratch = append(scratch, it)
-				}
+			var min Item
+			var ok bool
+			scratch, min, ok = h.PopBatch(k, scratch[:0])
+			wantN := len(ref.a) - len(scratch)
+			if ok != (wantN > 0) || (ok && min.Priority != ref.a[len(scratch)]) {
+				t.Fatalf("op %d PopBatch min = (%d,%v) with %d left", opIdx, min.Priority, ok, wantN)
 			}
 			for i, it := range scratch {
 				want, wantOK := ref.Pop()
 				if !wantOK || it.Priority != want {
-					t.Fatalf("%s: op %d PopBatch[%d] = %d, want (%d,%v)", name, opIdx, i, it.Priority, want, wantOK)
+					t.Fatalf("op %d PopBatch[%d] = %d, want (%d,%v)", opIdx, i, it.Priority, want, wantOK)
 				}
 			}
 			if k > len(scratch) && len(ref.a) != 0 {
-				t.Fatalf("%s: op %d PopBatch stopped at %d with %d items left", name, opIdx, len(scratch), len(ref.a))
+				t.Fatalf("op %d PopBatch stopped at %d with %d items left", opIdx, len(scratch), len(ref.a))
 			}
 		}
 		if h.Len() != len(ref.a) {
-			t.Fatalf("%s: op %d Len = %d, want %d", name, opIdx, h.Len(), len(ref.a))
+			t.Fatalf("op %d Len = %d, want %d", opIdx, h.Len(), len(ref.a))
 		}
-		if verifier != nil && !verifier.Verify() {
-			t.Fatalf("%s: op %d (code %d) broke the invariant", name, opIdx, op%7)
+		if !h.Verify() {
+			t.Fatalf("op %d (code %d) broke the invariant", opIdx, op%7)
 		}
 		pushed := op%7 != 2 && op%7 != 4
-		if _, ok := h.(*Binary); ok {
-			// stashParts is (sorted run, pending heap) here.
-			runNow, pendingNow, _ := stashParts(h)
-			flushed := flushMoved(h) != movedBefore
-			switch {
-			case pushed && flushed:
-				cov.bulkLoad++
-			case pushed:
-				if runNow > firstBefore {
-					cov.tailInsert++
-				}
-				if pendingNow > secondBefore {
-					cov.pendingPush++
-				}
-			case flushed && secondBefore > firstBefore:
-				cov.flushAdopt++
-			case flushed:
-				cov.flushMerge++
-			case runNow < firstBefore && pendingNow < secondBefore:
-				cov.bothParts++
+		runNow, pendingNow := len(h.a), len(h.p)
+		flushed := h.moved != movedBefore
+		switch {
+		case pushed && flushed:
+			cov.bulkLoad++
+		case pushed:
+			if runNow > runBefore {
+				cov.tailInsert++
 			}
-			if runNow == 0 && pendingNow > 0 {
-				cov.pendingOnly++
+			if pendingNow > pendingBefore {
+				cov.pendingPush++
 			}
-		} else if stashNow, arrayNow, ok := stashParts(h); ok {
-			if stashNow > firstBefore {
-				cov.stashInsert++
-			}
-			if pushed && firstBefore+secondBefore > 0 && stashNow == stashCap && arrayNow > secondBefore {
-				cov.spill++
-				if arrayNow-secondBefore >= secondBefore {
-					cov.heapifySpill++
-				}
-			}
-			if op%7 == 4 && firstBefore > 0 && stashNow == 0 && arrayNow < secondBefore {
-				cov.crossDrain++
-			}
-			if stashNow > 0 && arrayNow == 0 {
-				cov.stashOnly++
-			}
-			if stashNow == stashCap {
-				cov.stashLenAtMax++
-			}
+		case flushed && pendingBefore > runBefore:
+			cov.flushAdopt++
+		case flushed:
+			cov.flushMerge++
+		case runNow < runBefore && pendingNow < pendingBefore:
+			cov.bothParts++
+		}
+		if runNow == 0 && pendingNow > 0 {
+			cov.pendingOnly++
 		}
 		if len(ref.a) > 0 {
 			it, ok := h.Peek()
 			if !ok || it.Priority != ref.a[0] {
-				t.Fatalf("%s: op %d Peek = (%d,%v), want %d", name, opIdx, it.Priority, ok, ref.a[0])
+				t.Fatalf("op %d Peek = (%d,%v), want %d", opIdx, it.Priority, ok, ref.a[0])
 			}
 		}
 	}
@@ -323,46 +235,36 @@ func applyDifferentialOps(t *testing.T, name string, h Interface, data []byte, c
 		want, _ := ref.Pop()
 		it, ok := h.Pop()
 		if !ok || it.Priority != want {
-			t.Fatalf("%s: drain Pop = (%d,%v), want %d", name, it.Priority, ok, want)
+			t.Fatalf("drain Pop = (%d,%v), want %d", it.Priority, ok, want)
 		}
 	}
 	if _, ok := h.Pop(); ok {
-		t.Fatalf("%s: heap non-empty after model drained", name)
+		t.Fatal("heap non-empty after model drained")
 	}
 }
 
-// TestDifferentialRandomOps drives every heap through long pseudo-random
+// TestDifferentialRandomOps drives the heap through long pseudo-random
 // operation streams against the sorted-slice model — the property-test
 // complement of the byte-driven fuzz target below.
 func TestDifferentialRandomOps(t *testing.T) {
-	for name, mk := range bulkImpls() {
-		t.Run(name, func(t *testing.T) {
-			r := rng.NewXoshiro256(99)
-			var cov stashCoverage
-			for round := 0; round < 20; round++ {
-				data := make([]byte, 400)
-				for i := range data {
-					data[i] = byte(r.Next())
-				}
-				applyDifferentialOps(t, name, mk(), data, &cov)
+	t.Run("binary", func(t *testing.T) {
+		r := rng.NewXoshiro256(99)
+		var cov stashCoverage
+		for round := 0; round < 20; round++ {
+			data := make([]byte, 400)
+			for i := range data {
+				data[i] = byte(r.Next())
 			}
-			for mode := 0; mode < keyModes; mode++ {
-				applyDifferentialOps(t, name, mk(), modeStream(mode), &cov)
-			}
-			switch name {
-			case "dary":
-				if cov.stashInsert == 0 || cov.spill == 0 || cov.crossDrain == 0 ||
-					cov.stashOnly == 0 || cov.heapifySpill == 0 || cov.stashLenAtMax == 0 {
-					t.Fatalf("%s: seeded streams missed a stash corner: %+v", name, cov)
-				}
-			case "binary":
-				if cov.tailInsert == 0 || cov.pendingPush == 0 || cov.flushMerge == 0 || cov.flushAdopt == 0 ||
-					cov.bothParts == 0 || cov.pendingOnly == 0 || cov.bulkLoad == 0 {
-					t.Fatalf("%s: seeded streams missed a corner of the layout: %+v", name, cov)
-				}
-			}
-		})
-	}
+			applyDifferentialOps(t, NewBinary(4), data, &cov)
+		}
+		for mode := 0; mode < keyModes; mode++ {
+			applyDifferentialOps(t, NewBinary(4), modeStream(mode), &cov)
+		}
+		if cov.tailInsert == 0 || cov.pendingPush == 0 || cov.flushMerge == 0 || cov.flushAdopt == 0 ||
+			cov.bothParts == 0 || cov.pendingOnly == 0 || cov.bulkLoad == 0 {
+			t.Fatalf("seeded streams missed a corner of the layout: %+v", cov)
+		}
+	})
 }
 
 // FuzzHeapDifferential is the coverage-guided entry point over the same
@@ -385,26 +287,24 @@ func FuzzHeapDifferential(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		for name, mk := range bulkImpls() {
-			applyDifferentialOps(t, name, mk(), data, nil)
-		}
+		applyDifferentialOps(t, NewBinary(4), data, nil)
 	})
 }
 
-// TestPushBatchHeapifyThreshold pins the Floyd fallback: a batch at least as
-// large as the existing heap must still produce a valid heap and the exact
-// sorted drain, for both array heaps and both sides of the threshold.
+// TestPushBatchHeapifyThreshold pins PushBatch's bulk-load threshold: a batch
+// at least as large as what is stored is sorted and merged whole, a smaller
+// one is routed item by item, and both sides of the threshold must leave a
+// valid layout, report the true minimum and drain in exact sorted order.
 func TestPushBatchHeapifyThreshold(t *testing.T) {
 	for _, pre := range []int{0, 1, 7, 64} {
 		for _, k := range []int{0, 1, pre, pre + 1, 4 * pre, 100} {
 			r := rng.NewXoshiro256(uint64(pre*1000 + k))
 			var want []uint64
 			batch := make([]Item, 0, k)
-			bin, dar := NewBinary(0), NewDAry(0)
+			h := NewBinary(0)
 			for i := 0; i < pre; i++ {
 				p := r.Uint64n(512)
-				bin.Push(Item{Priority: p})
-				dar.Push(Item{Priority: p})
+				h.Push(Item{Priority: p})
 				want = append(want, p)
 			}
 			for i := 0; i < k; i++ {
@@ -412,30 +312,25 @@ func TestPushBatchHeapifyThreshold(t *testing.T) {
 				batch = append(batch, Item{Priority: p})
 				want = append(want, p)
 			}
-			binMin, binOK := bin.PushBatch(batch)
-			darMin, darOK := dar.PushBatch(batch)
-			if !bin.Verify() || !dar.Verify() {
+			min, ok := h.PushBatch(batch)
+			if !h.Verify() {
 				t.Fatalf("pre=%d k=%d: heap invariant violated after PushBatch", pre, k)
 			}
 			sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-			if wantOK := len(want) > 0; binOK != wantOK || darOK != wantOK ||
-				(wantOK && (binMin.Priority != want[0] || darMin.Priority != want[0])) {
-				t.Fatalf("pre=%d k=%d: PushBatch min binary=(%d,%v) dary=(%d,%v), want %v",
-					pre, k, binMin.Priority, binOK, darMin.Priority, darOK, want)
+			if wantOK := len(want) > 0; ok != wantOK || (wantOK && min.Priority != want[0]) {
+				t.Fatalf("pre=%d k=%d: PushBatch min = (%d,%v), want %v", pre, k, min.Priority, ok, want)
 			}
-			gotBin, _, binOK := bin.PopBatch(len(want)+1, nil)
-			gotDar, _, darOK := dar.PopBatch(len(want)+1, nil)
-			if binOK || darOK {
+			got, _, ok := h.PopBatch(len(want)+1, nil)
+			if ok {
 				t.Fatalf("pre=%d k=%d: full drain still reports a minimum", pre, k)
 			}
-			for i, w := range want {
-				if gotBin[i].Priority != w || gotDar[i].Priority != w {
-					t.Fatalf("pre=%d k=%d: drain[%d] binary=%d dary=%d want %d",
-						pre, k, i, gotBin[i].Priority, gotDar[i].Priority, w)
-				}
+			if len(got) != len(want) {
+				t.Fatalf("pre=%d k=%d: drained %d items, want %d", pre, k, len(got), len(want))
 			}
-			if len(gotBin) != len(want) || len(gotDar) != len(want) {
-				t.Fatalf("pre=%d k=%d: drained %d/%d items, want %d", pre, k, len(gotBin), len(gotDar), len(want))
+			for i, w := range want {
+				if got[i].Priority != w {
+					t.Fatalf("pre=%d k=%d: drain[%d] = %d, want %d", pre, k, i, got[i].Priority, w)
+				}
 			}
 		}
 	}

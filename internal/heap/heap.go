@@ -1,14 +1,13 @@
-// Package heap provides the sequential priority-queue substrates that back
-// the MultiQueue's per-queue storage: Binary, a sorted run popped by
-// truncation plus a small heap of pending inserts that a flush sorts by key
-// bytes (an in-place radix sort that allocates nothing and never calls a
-// comparator: sortDescending), and a cache-line-friendly 4-ary min-heap
-// behind a sorted min-stash (DAry, stash), both with bulk batch operations,
-// and a pairing heap with node recycling.
+// Package heap provides Binary, the sequential priority queue that backs each
+// of the MultiQueue's shards: a sorted run popped by truncation plus a small
+// heap of pending inserts that a flush sorts by key bytes (an in-place radix
+// sort that allocates nothing and never calls a comparator: sortDescending),
+// with whole-batch insert and drain entry points that report the post-batch
+// minimum.
 //
-// All order Items by Priority with ties broken by insertion order being
-// irrelevant (the MultiQueue's timestamps are unique per enqueue, so ties
-// occur only in synthetic tests). All are deliberately not concurrent; the
+// Items are ordered by Priority; the order among equal priorities is
+// unspecified (the MultiQueue's timestamps are unique per enqueue, so ties
+// occur only in synthetic tests). Binary is deliberately not concurrent; the
 // internal/cpq package owns locking, mirroring the paper's assumption of "a
 // set of m linearizable priority queues" built from sequential ones.
 package heap
@@ -22,53 +21,18 @@ type Item struct {
 	Value    uint64
 }
 
-// Interface is the sequential min-priority-queue contract shared by Binary,
-// the pairing heap, the d-ary heap, and the skiplist adapter in
-// internal/cpq.
-type Interface interface {
-	// Push inserts an item.
-	Push(Item)
-	// Pop removes and returns the minimum item; ok is false when empty.
-	Pop() (it Item, ok bool)
-	// Peek returns the minimum item without removing it; ok is false when
-	// empty.
-	Peek() (it Item, ok bool)
-	// Len returns the number of stored items.
-	Len() int
-}
-
-// BulkInterface is the optional extension array-backed heaps offer on top of
-// Interface: whole-batch insert and drain without per-element interface
-// dispatch. internal/cpq type-asserts for it at construction and routes
-// AddBatch/DeleteMinUpTo through the bulk entry points when present, so
-// backings that cannot implement it (pairing heap, skiplist) keep working
-// through the per-element loop unchanged.
-//
-// Both batch operations report the post-batch minimum, so a caller that
-// publishes a cached top (cpq's lock-free top word) gets it for free from
-// the slot the batch pass already touched instead of paying one more
-// interface dispatch for a trailing Peek inside its critical section.
-type BulkInterface interface {
-	Interface
-	// PushBatch inserts every item of the batch, amortising invariant
-	// maintenance over the whole batch (see DAry.PushBatch for the cost
-	// model), and returns the post-batch minimum (ok false only when the
-	// heap is empty, i.e. an empty batch into an empty heap). An empty
-	// batch mutates nothing.
-	PushBatch(items []Item) (min Item, ok bool)
-	// PopBatch removes up to k minimum items, appending them to dst in
-	// ascending priority order, and returns the extended slice plus the
-	// post-drain minimum (ok false when the drain emptied the heap); it
-	// stops early when the heap runs empty and leaves dst unchanged for
-	// k <= 0.
-	PopBatch(k int, dst []Item) (out []Item, min Item, ok bool)
-}
+// stashRun is how many items of a batch bound for the tail of Binary's
+// sorted run are sorted and merged at a time: the batch is caller-owned and
+// must not be reordered, so each run is copied into a stack array of this
+// size first. Handle batches (k ≤ 16 in every shipped configuration) fit in
+// one run.
+const stashRun = 16
 
 // tailWindow is how far from the minimum end of Binary's sorted part an
 // insert may land: a key at most the tailWindow-th smallest sorted key is
 // merged into the tail, every other key waits in the pending heap. It is the
-// reach the stash had (EXPERIMENTS.md §14) and also the floor of the flush
-// threshold; the sweep that kept it is EXPERIMENTS.md §16.
+// size of the min-stash EXPERIMENTS.md §14 swept and also the floor of the
+// flush threshold; the sweep that kept it is EXPERIMENTS.md §16.
 const tailWindow = 64
 
 // flushDiv sets the flush threshold: a pop merges the pending heap into the
@@ -77,7 +41,7 @@ const tailWindow = 64
 // most 2/flushDiv of the run's. Swept in EXPERIMENTS.md §16.
 const flushDiv = 16
 
-// Binary is the default per-queue store: a sorted run and a small pending
+// Binary is the per-queue store: a sorted run and a small pending
 // heap. a is sorted descending, so the minimum of the run is its last item
 // and popping it is a truncation; p is a binary min-heap of items not yet
 // merged into a. An insert near the run's minimum (see tailWindow) is merged
@@ -163,8 +127,8 @@ func (h *Binary) Reset() {
 // within tailWindow of the minimum are insertion-sorted into a stack run (the
 // batch is caller-owned and is not reordered) and merged backward into the
 // run's tail, stashRun at a time; the rest are pushed onto the pending heap.
-// A batch that rivals what is stored is sorted and merged whole instead. It
-// is Binary's BulkInterface entry point.
+// A batch that rivals what is stored is sorted and merged whole instead. An
+// empty batch mutates nothing; ok is false only for an empty queue.
 func (h *Binary) PushBatch(items []Item) (Item, bool) {
 	if len(items) >= stashRun && len(items) >= h.Len() {
 		h.p = append(h.p, items...)
@@ -352,13 +316,3 @@ func (h *Binary) Verify() bool {
 	}
 	return true
 }
-
-// Static assertions: every heap satisfies Interface; the array-backed heaps
-// additionally satisfy BulkInterface.
-var (
-	_ Interface     = (*Binary)(nil)
-	_ Interface     = (*Pairing)(nil)
-	_ Interface     = (*DAry)(nil)
-	_ BulkInterface = (*Binary)(nil)
-	_ BulkInterface = (*DAry)(nil)
-)

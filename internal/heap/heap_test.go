@@ -8,119 +8,101 @@ import (
 	"repro/internal/rng"
 )
 
-// implementations under test, constructed fresh per case.
-func impls() map[string]func() Interface {
-	return map[string]func() Interface{
-		"binary":  func() Interface { return NewBinary(16) },
-		"pairing": func() Interface { return NewPairing(16) },
-	}
-}
-
 func TestEmptyBehavior(t *testing.T) {
-	for name, mk := range impls() {
-		h := mk()
-		if _, ok := h.Pop(); ok {
-			t.Fatalf("%s: Pop on empty returned ok", name)
-		}
-		if _, ok := h.Peek(); ok {
-			t.Fatalf("%s: Peek on empty returned ok", name)
-		}
-		if h.Len() != 0 {
-			t.Fatalf("%s: empty Len != 0", name)
-		}
+	h := NewBinary(16)
+	if _, ok := h.Pop(); ok {
+		t.Fatal("Pop on empty returned ok")
+	}
+	if _, ok := h.Peek(); ok {
+		t.Fatal("Peek on empty returned ok")
+	}
+	if h.Len() != 0 {
+		t.Fatal("empty Len != 0")
 	}
 }
 
 func TestPushPopSorted(t *testing.T) {
-	for name, mk := range impls() {
-		h := mk()
-		in := []uint64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
-		for _, p := range in {
-			h.Push(Item{Priority: p, Value: p * 10})
-		}
-		if h.Len() != len(in) {
-			t.Fatalf("%s: Len = %d", name, h.Len())
-		}
-		for want := uint64(0); want < 10; want++ {
-			it, ok := h.Pop()
-			if !ok || it.Priority != want || it.Value != want*10 {
-				t.Fatalf("%s: Pop = %+v ok=%v, want priority %d", name, it, ok, want)
-			}
+	h := NewBinary(16)
+	in := []uint64{5, 3, 8, 1, 9, 2, 7, 4, 6, 0}
+	for _, p := range in {
+		h.Push(Item{Priority: p, Value: p * 10})
+	}
+	if h.Len() != len(in) {
+		t.Fatalf("Len = %d", h.Len())
+	}
+	for want := uint64(0); want < 10; want++ {
+		it, ok := h.Pop()
+		if !ok || it.Priority != want || it.Value != want*10 {
+			t.Fatalf("Pop = %+v ok=%v, want priority %d", it, ok, want)
 		}
 	}
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
-	for name, mk := range impls() {
-		h := mk()
-		h.Push(Item{Priority: 2})
-		h.Push(Item{Priority: 1})
-		it, ok := h.Peek()
-		if !ok || it.Priority != 1 {
-			t.Fatalf("%s: Peek = %+v", name, it)
-		}
-		if h.Len() != 2 {
-			t.Fatalf("%s: Peek removed an item", name)
-		}
+	h := NewBinary(16)
+	h.Push(Item{Priority: 2})
+	h.Push(Item{Priority: 1})
+	it, ok := h.Peek()
+	if !ok || it.Priority != 1 {
+		t.Fatalf("Peek = %+v", it)
+	}
+	if h.Len() != 2 {
+		t.Fatal("Peek removed an item")
 	}
 }
 
 func TestDuplicatePriorities(t *testing.T) {
-	for name, mk := range impls() {
-		h := mk()
-		for i := 0; i < 5; i++ {
-			h.Push(Item{Priority: 7, Value: uint64(i)})
+	h := NewBinary(16)
+	for i := 0; i < 5; i++ {
+		h.Push(Item{Priority: 7, Value: uint64(i)})
+	}
+	seen := map[uint64]bool{}
+	for i := 0; i < 5; i++ {
+		it, ok := h.Pop()
+		if !ok || it.Priority != 7 {
+			t.Fatalf("pop %d = %+v", i, it)
 		}
-		seen := map[uint64]bool{}
-		for i := 0; i < 5; i++ {
-			it, ok := h.Pop()
-			if !ok || it.Priority != 7 {
-				t.Fatalf("%s: pop %d = %+v", name, i, it)
-			}
-			if seen[it.Value] {
-				t.Fatalf("%s: value %d popped twice", name, it.Value)
-			}
-			seen[it.Value] = true
+		if seen[it.Value] {
+			t.Fatalf("value %d popped twice", it.Value)
 		}
+		seen[it.Value] = true
 	}
 }
 
 // TestAgainstReferenceQuick drives each heap with a random op sequence and
 // compares every output against a sorted-slice reference model.
 func TestAgainstReferenceQuick(t *testing.T) {
-	for name, mk := range impls() {
-		f := func(ops []uint16, seed uint64) bool {
-			h := mk()
-			r := rng.NewXoshiro256(seed)
-			var ref []uint64
-			for _, op := range ops {
-				if op%3 != 0 || len(ref) == 0 { // bias toward pushes
-					p := uint64(op) >> 2
-					h.Push(Item{Priority: p, Value: r.Next()})
-					ref = append(ref, p)
-					sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
-				} else {
-					it, ok := h.Pop()
-					if !ok || it.Priority != ref[0] {
-						return false
-					}
-					ref = ref[1:]
-				}
-				if h.Len() != len(ref) {
+	f := func(ops []uint16, seed uint64) bool {
+		h := NewBinary(16)
+		r := rng.NewXoshiro256(seed)
+		var ref []uint64
+		for _, op := range ops {
+			if op%3 != 0 || len(ref) == 0 { // bias toward pushes
+				p := uint64(op) >> 2
+				h.Push(Item{Priority: p, Value: r.Next()})
+				ref = append(ref, p)
+				sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+			} else {
+				it, ok := h.Pop()
+				if !ok || it.Priority != ref[0] {
 					return false
 				}
-				if len(ref) > 0 {
-					it, ok := h.Peek()
-					if !ok || it.Priority != ref[0] {
-						return false
-					}
+				ref = ref[1:]
+			}
+			if h.Len() != len(ref) {
+				return false
+			}
+			if len(ref) > 0 {
+				it, ok := h.Peek()
+				if !ok || it.Priority != ref[0] {
+					return false
 				}
 			}
-			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatalf("%v", err)
 	}
 }
 
@@ -241,57 +223,22 @@ func TestBinaryFlushWorkBounded(t *testing.T) {
 	}
 }
 
-func TestPairingReset(t *testing.T) {
-	h := NewPairing(4)
-	for i := 0; i < 10; i++ {
-		h.Push(Item{Priority: uint64(i)})
-	}
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset did not empty the heap")
-	}
-	// Free list must be reusable.
-	h.Push(Item{Priority: 3})
-	if it, ok := h.Pop(); !ok || it.Priority != 3 {
-		t.Fatal("heap unusable after Reset")
-	}
-}
-
-func TestPairingNodeRecycling(t *testing.T) {
-	// Push/pop cycles beyond the preallocated pool must still work and
-	// steady-state must not grow: exercised implicitly; correctness checked.
-	h := NewPairing(2)
-	for round := 0; round < 100; round++ {
-		for i := 0; i < 8; i++ {
-			h.Push(Item{Priority: uint64((round * 31) % 17), Value: uint64(i)})
-		}
-		for i := 0; i < 8; i++ {
-			if _, ok := h.Pop(); !ok {
-				t.Fatal("pop failed during recycling stress")
-			}
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatal("heap not empty after balanced push/pop")
-	}
-}
-
 func TestCrossImplementationAgreement(t *testing.T) {
-	// Same operation sequence on both heaps must produce identical
-	// priority sequences (values may differ in tie order).
+	// The same operation sequence on Binary and the sorted-slice model must
+	// produce identical priority sequences.
 	r := rng.NewXoshiro256(7)
 	b := NewBinary(0)
-	p := NewPairing(0)
+	var ref refModel
 	for i := 0; i < 5000; i++ {
 		if r.Uint64n(3) != 0 {
 			pr := r.Uint64n(500)
 			b.Push(Item{Priority: pr})
-			p.Push(Item{Priority: pr})
+			ref.Push(pr)
 		} else {
 			ib, okb := b.Pop()
-			ip, okp := p.Pop()
-			if okb != okp || (okb && ib.Priority != ip.Priority) {
-				t.Fatalf("heaps disagree at op %d: %+v/%v vs %+v/%v", i, ib, okb, ip, okp)
+			want, okr := ref.Pop()
+			if okb != okr || (okb && ib.Priority != want) {
+				t.Fatalf("heap and model disagree at op %d: %+v/%v vs %d/%v", i, ib, okb, want, okr)
 			}
 		}
 	}
@@ -299,18 +246,6 @@ func TestCrossImplementationAgreement(t *testing.T) {
 
 func BenchmarkBinaryPushPop(b *testing.B) {
 	h := NewBinary(1024)
-	r := rng.NewXoshiro256(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Push(Item{Priority: r.Next()})
-		if h.Len() > 1000 {
-			h.Pop()
-		}
-	}
-}
-
-func BenchmarkPairingPushPop(b *testing.B) {
-	h := NewPairing(1024)
 	r := rng.NewXoshiro256(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cpq"
 	"repro/internal/rng"
 )
 
@@ -80,7 +79,7 @@ func replayAudited(t *testing.T, label string, p PoolAPI, ops []Op) (uint64, uin
 
 // TestDifferentialRelaxedVsSeq replays identical seeded intent traces
 // against the relaxed pool and the exact sequential reference, across
-// backings and capacity regimes, asserting on both: exact conservation,
+// capacity regimes, asserting on both: exact conservation,
 // nonce monotonicity, replaced-never-popped. In the divergence-free regime
 // (no bumps, no capacity) the two pools must deliver the identical
 // transaction multiset with identical total revenue.
@@ -96,66 +95,64 @@ func TestDifferentialRelaxedVsSeq(t *testing.T) {
 		{"evict", 600, 0.1},  // capacity pressure: cascades fire
 		{"churn", 200, 0.25}, // heavy churn, small pool
 	}
-	for _, b := range []cpq.Backing{cpq.BackingBinary, cpq.BackingDAry} {
-		for _, rg := range regimes {
-			t.Run(b.String()+"/"+rg.name, func(t *testing.T) {
-				bump := rg.bumpFrac
-				if bump < 0 {
-					bump = 0
-				}
-				ops := GenOps(WorkloadConfig{
-					Ops: *diffops, Senders: 64, PopFrac: 0.35,
-					BumpFrac: bump, Seed: 77 + uint64(len(rg.name)),
-				})
-				if rg.bumpFrac < 0 {
-					// Strip bump ops entirely for the equality regime.
-					kept := ops[:0]
-					for _, op := range ops {
-						if op.Kind != OpBump {
-							kept = append(kept, op)
-						}
-					}
-					ops = kept
-				}
-				cfg := Config{
-					Queue: core.MultiQueueConfig{
-						Queues: 16, Choices: 2, Stickiness: 8, Batch: 8,
-						Backing: b, Seed: 3, Capacity: 4096,
-					},
-					Capacity: rg.capacity,
-					Seed:     9,
-				}
-				relaxed := New(cfg)
-				h := relaxed.NewHandle(21)
-				seq := NewSeq(cfg)
-				rp, rrev := replayAudited(t, "relaxed", h, ops)
-				sp, srev := replayAudited(t, "seq", seq, ops)
-
-				if err := relaxed.CheckConservation(); err != nil {
-					t.Fatal(err)
-				}
-				if err := seq.CheckConservation(); err != nil {
-					t.Fatal(err)
-				}
-				if relaxed.Len() != 0 || seq.Len() != 0 {
-					t.Fatalf("drain incomplete: relaxed %d, seq %d resident", relaxed.Len(), seq.Len())
-				}
-				if rg.name == "pure" {
-					// Same admissions, full drain: identical delivery ledger.
-					if rp != sp || rrev != srev {
-						t.Fatalf("pure regime diverged: relaxed %d pops / %d revenue, seq %d / %d", rp, rrev, sp, srev)
-					}
-					rst, sst := relaxed.Stats(), seq.Stats()
-					if rst.Admitted != sst.Admitted || rst.Popped != sst.Popped {
-						t.Fatalf("pure regime ledgers diverged: %+v vs %+v", rst, sst)
-					}
-				}
-				mqs := relaxed.MQStats()
-				if mqs.Invalidations != mqs.Reclaimed {
-					t.Fatalf("tombstones leaked after full drain: armed %d, reclaimed %d", mqs.Invalidations, mqs.Reclaimed)
-				}
+	for _, rg := range regimes {
+		t.Run("binary/"+rg.name, func(t *testing.T) {
+			bump := rg.bumpFrac
+			if bump < 0 {
+				bump = 0
+			}
+			ops := GenOps(WorkloadConfig{
+				Ops: *diffops, Senders: 64, PopFrac: 0.35,
+				BumpFrac: bump, Seed: 77 + uint64(len(rg.name)),
 			})
-		}
+			if rg.bumpFrac < 0 {
+				// Strip bump ops entirely for the equality regime.
+				kept := ops[:0]
+				for _, op := range ops {
+					if op.Kind != OpBump {
+						kept = append(kept, op)
+					}
+				}
+				ops = kept
+			}
+			cfg := Config{
+				Queue: core.MultiQueueConfig{
+					Queues: 16, Choices: 2, Stickiness: 8, Batch: 8,
+					Capacity: 4096,
+				},
+				Capacity: rg.capacity,
+				Seed:     9,
+			}
+			relaxed := New(cfg)
+			h := relaxed.NewHandle(21)
+			seq := NewSeq(cfg)
+			rp, rrev := replayAudited(t, "relaxed", h, ops)
+			sp, srev := replayAudited(t, "seq", seq, ops)
+
+			if err := relaxed.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if err := seq.CheckConservation(); err != nil {
+				t.Fatal(err)
+			}
+			if relaxed.Len() != 0 || seq.Len() != 0 {
+				t.Fatalf("drain incomplete: relaxed %d, seq %d resident", relaxed.Len(), seq.Len())
+			}
+			if rg.name == "pure" {
+				// Same admissions, full drain: identical delivery ledger.
+				if rp != sp || rrev != srev {
+					t.Fatalf("pure regime diverged: relaxed %d pops / %d revenue, seq %d / %d", rp, rrev, sp, srev)
+				}
+				rst, sst := relaxed.Stats(), seq.Stats()
+				if rst.Admitted != sst.Admitted || rst.Popped != sst.Popped {
+					t.Fatalf("pure regime ledgers diverged: %+v vs %+v", rst, sst)
+				}
+			}
+			mqs := relaxed.MQStats()
+			if mqs.Invalidations != mqs.Reclaimed {
+				t.Fatalf("tombstones leaked after full drain: armed %d, reclaimed %d", mqs.Invalidations, mqs.Reclaimed)
+			}
+		})
 	}
 }
 

@@ -88,7 +88,7 @@ type Tx struct {
 // defaults.
 type Config struct {
 	// Queue configures the underlying relaxed MultiQueue (Topology, Choices,
-	// Stickiness, Batch, Backing, Affinity...). Queue.Topology.InitialM (or
+	// Stickiness, Batch, Affinity...). Queue.Topology.InitialM (or
 	// the deprecated Queue.Queues) is required. An elastic Topology works
 	// here: outstanding ElemRefs survive resize epochs through the queue's
 	// forwarding table, so Remove/Replace keep landing after a shrink.
