@@ -30,14 +30,6 @@
 //
 //	quality [-m 64] [-incs 1000000] [-samples 50] [-choices 2] [-stickiness 1] [-batch 1] [-affinity 0] [-csv]
 //	quality -queue [-m 64] [-ops 200000] [-choices 2] [-stickiness 8] [-batch 8] [-affinity 0] [-csv]
-//	quality -mempool [-m 256] [-choices 2] [-stickiness 8] [-batch 8] [-txops 10000] [-senders 256] [-theta 0.9] [-popfrac 0.4] [-cap 0] [-csv]
-//
-// With -mempool it measures the fee-priority mempool built on the relaxed
-// MultiQueue (repro/internal/mempool) against the exact head-greedy
-// sequential reference on one seeded intent trace, and reports the fee
-// revenue lost to relaxation (quality.MeasureMempoolRevenue), gated at
-// quality.MempoolFeeLossLimit. The mode defaults to the acceptance
-// configuration (s=8, k=8, m=256) rather than the counter defaults.
 package main
 
 import (
@@ -50,7 +42,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dlin"
 	"repro/internal/harness"
-	"repro/internal/mempool"
 	"repro/internal/quality"
 )
 
@@ -58,21 +49,19 @@ import (
 // flag-validation failure so a bad invocation in a script log is
 // self-explaining.
 const usageLines = "usage: quality [-m N] [-incs N] [-samples N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]\n" +
-	"       quality -queue [-m N] [-ops N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]\n" +
-	"       quality -mempool [-m N] [-choices d] [-stickiness s] [-batch k] [-txops N] [-senders N] [-theta z] [-popfrac f] [-cap N] [-csv] [-seed n]"
+	"       quality -queue [-m N] [-ops N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]"
 
 // Flags each mode accepts beyond the always-shared set (m, choices,
-// stickiness, batch, csv, seed and the mode selectors themselves). A flag
+// stickiness, batch, csv, seed and the -queue selector itself). A flag
 // set on the command line but absent from the selected mode's row is
 // rejected — before this check a counter run invoked with, say, -ops 1000
 // silently measured the default configuration instead, the worst kind of
 // CLI bug for a tool whose output gates scripts.
 var (
-	sharedFlags = []string{"m", "choices", "stickiness", "batch", "csv", "seed", "queue", "mempool"}
+	sharedFlags = []string{"m", "choices", "stickiness", "batch", "csv", "seed", "queue"}
 	modeFlags   = map[string][]string{
 		"counter": {"incs", "samples", "affinity"},
 		"queue":   {"ops", "affinity"},
-		"mempool": {"txops", "senders", "theta", "popfrac", "cap"},
 	}
 )
 
@@ -99,7 +88,7 @@ func validateModeFlags(mode string, set map[string]bool) error {
 	sort.Strings(bad)
 	modeName := "-" + mode + " mode"
 	if mode == "counter" {
-		modeName = "counter mode (without -queue/-mempool)"
+		modeName = "counter mode (without -queue)"
 	}
 	return fmt.Errorf("quality: flag(s) %s invalid in %s", strings.Join(bad, " "), modeName)
 }
@@ -109,13 +98,7 @@ func main() {
 	incs := flag.Int64("incs", 1_000_000, "total increments")
 	samples := flag.Int64("samples", 50, "number of sample points")
 	queue := flag.Bool("queue", false, "measure MultiQueue dequeue rank error instead of counter quality")
-	mempoolMode := flag.Bool("mempool", false, "measure mempool fee revenue lost to relaxation vs the exact head-greedy reference")
 	ops := flag.Int("ops", 200_000, "enqueue+dequeue pairs for -queue")
-	txops := flag.Int("txops", 10_000, "intent-trace length for -mempool")
-	senders := flag.Int("senders", 256, "sender population for -mempool")
-	theta := flag.Float64("theta", 0.9, "Zipf exponent over senders for -mempool")
-	popfrac := flag.Float64("popfrac", 0.4, "fraction of trace operations that deliver for -mempool")
-	capacity := flag.Int("cap", 0, "mempool resident capacity for -mempool (0 = unbounded)")
 	choices := flag.Int("choices", 2, "random choices d per increment (or dequeue with -queue)")
 	stickiness := flag.Int("stickiness", 1, "operation stickiness window")
 	batch := flag.Int("batch", 1, "batching factor")
@@ -125,15 +108,8 @@ func main() {
 	flag.Parse()
 
 	mode := "counter"
-	switch {
-	case *queue && *mempoolMode:
-		fmt.Fprintln(os.Stderr, "quality: -queue and -mempool are mutually exclusive")
-		fmt.Fprintln(os.Stderr, usageLines)
-		os.Exit(2)
-	case *queue:
+	if *queue {
 		mode = "queue"
-	case *mempoolMode:
-		mode = "mempool"
 	}
 	setFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
@@ -142,20 +118,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, usageLines)
 		os.Exit(2)
 	}
-	if mode == "mempool" {
-		// The mempool acceptance configuration, not the counter defaults:
-		// the (s=8, k=8, m=256) quality-safe window unless overridden.
-		if !setFlags["m"] {
-			*m = 256
-		}
-		if !setFlags["stickiness"] {
-			*stickiness = 8
-		}
-		if !setFlags["batch"] {
-			*batch = 8
-		}
-	}
-
 	if *m < 1 {
 		fmt.Fprintln(os.Stderr, "quality: -m must be >= 1")
 		os.Exit(2)
@@ -178,22 +140,6 @@ func main() {
 			os.Exit(2)
 		}
 		if !runQueueQuality(*m, *ops, *choices, *stickiness, *batch, *affinity, *seed, *csv) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *mempoolMode {
-		if *txops < 1 || *senders < 1 {
-			fmt.Fprintln(os.Stderr, "quality: -txops and -senders must be >= 1")
-			os.Exit(2)
-		}
-		if *capacity < 0 || !(*popfrac >= 0 && *popfrac < 1) || !(*theta > 0) {
-			fmt.Fprintln(os.Stderr, "quality: -cap must be >= 0, -popfrac in [0, 1), -theta > 0")
-			os.Exit(2)
-		}
-		if !runMempoolQuality(*m, *choices, *stickiness, *batch, *capacity,
-			*txops, *senders, *theta, *popfrac, *seed, *csv) {
 			os.Exit(1)
 		}
 		return
@@ -344,56 +290,5 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, s
 		uni := quality.MeasureDequeueRank(uniQ.NewHandle(seed+1), 64*m, ops)
 		within = driftVerdict("rank", mean, uni.Mean(), sample.Max(), uni.Max(), envelope, within)
 	}
-	return within
-}
-
-// runMempoolQuality replays one seeded intent trace against the relaxed
-// mempool and the exact head-greedy reference (quality.MeasureMempoolRevenue)
-// and tabulates both pools' trace ledgers side by side. The verdict — fee
-// loss within quality.MempoolFeeLossLimit — goes to stderr like the other
-// modes' so the table stays machine-parseable under -csv. Returns whether
-// the loss stayed within the limit.
-func runMempoolQuality(m, choices, stickiness, batch, capacity,
-	txops, senders int, theta, popfrac float64, seed uint64, csv bool) bool {
-	cfg := mempool.Config{
-		Queue: core.MultiQueueConfig{
-			Topology: core.Topology{InitialM: m},
-			Choices:  choices, Stickiness: stickiness, Batch: batch,
-		},
-		Capacity: capacity,
-		Seed:     seed + 1,
-	}
-	wcfg := mempool.WorkloadConfig{
-		Ops: txops, Senders: senders, Theta: theta, PopFrac: popfrac, Seed: seed + 2,
-	}
-	q, err := quality.MeasureMempoolRevenue(cfg, wcfg)
-	if err != nil {
-		// A conservation violation is a structural bug, not a quality miss.
-		fmt.Fprintf(os.Stderr, "quality: %v\n", err)
-		return false
-	}
-	tb := harness.NewTable(
-		fmt.Sprintf("Mempool fee-revenue quality (m=%d, d=%d, s=%d, k=%d, cap=%d, txops=%d, senders=%d, single thread)",
-			m, choices, stickiness, batch, capacity, txops, senders),
-		"metric", "relaxed", "exact-head-greedy")
-	tb.Add("delivered (trace)", q.PoppedRelaxed, q.PoppedExact)
-	tb.Add(fmt.Sprintf("revenue @ %d pops", q.ComparedPops), q.RevenueRelaxed, q.RevenueExact)
-	tb.Add("admitted", q.StatsRelaxed.Admitted, q.StatsExact.Admitted)
-	tb.Add("replaced", q.StatsRelaxed.Replaced, q.StatsExact.Replaced)
-	tb.Add("evicted", q.StatsRelaxed.Evicted, q.StatsExact.Evicted)
-	tb.Add("resident (end of trace)", q.StatsRelaxed.Resident, q.StatsExact.Resident)
-	tb.Add("fee-loss-frac", fmt.Sprintf("%.4f", q.FeeLossFrac), fmt.Sprintf("limit %.2f", quality.MempoolFeeLossLimit))
-	if csv {
-		tb.WriteCSV(os.Stdout)
-	} else {
-		tb.WriteMarkdown(os.Stdout)
-	}
-	within := q.FeeLossFrac <= quality.MempoolFeeLossLimit
-	verdict := "PASS"
-	if !within {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(os.Stderr, "fee-loss-within-limit: %s (loss %.4f at %d compared pops, limit %.2f; negative = relaxed banked more via chain lookahead)\n",
-		verdict, q.FeeLossFrac, q.ComparedPops, quality.MempoolFeeLossLimit)
 	return within
 }

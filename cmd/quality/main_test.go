@@ -25,23 +25,16 @@ func TestValidateModeFlags(t *testing.T) {
 	}{
 		{"counter defaults", "counter", set(), ""},
 		{"queue defaults", "queue", set("queue"), ""},
-		{"mempool defaults", "mempool", set("mempool"), ""},
 		{"counter own flags", "counter", set("m", "incs", "samples", "choices", "stickiness", "batch", "affinity", "csv", "seed"), ""},
 		{"queue own flags", "queue", set("queue", "m", "ops", "choices", "stickiness", "batch", "affinity", "csv", "seed"), ""},
-		{"mempool own flags", "mempool", set("mempool", "m", "txops", "senders", "theta", "popfrac", "cap", "choices", "stickiness", "batch", "csv", "seed"), ""},
 		{"ops without -queue", "counter", set("ops"), "-ops"},
-		{"txops without -mempool", "counter", set("txops"), "-txops"},
 		{"incs with -queue", "queue", set("queue", "incs"), "-incs"},
 		{"samples with -queue", "queue", set("queue", "samples"), "-samples"},
-		{"cap with -queue", "queue", set("queue", "cap"), "-cap"},
-		{"affinity with -mempool", "mempool", set("mempool", "affinity"), "-affinity"},
-		{"incs with -mempool", "mempool", set("mempool", "incs"), "-incs"},
 		// The retired -backing and -lockedtop are in no mode's row: flag.Parse
 		// rejects them as undefined, and so would this check.
 		{"backing without a queue-backed mode", "counter", set("backing"), "-backing"},
 		{"lockedtop without -queue", "counter", set("lockedtop"), "-lockedtop"},
-		{"lockedtop with -mempool", "mempool", set("mempool", "lockedtop"), "-lockedtop"},
-		{"several bad queue flags listed", "counter", set("ops", "txops", "cap"), "-cap -ops -txops"},
+		{"several bad queue flags listed", "counter", set("ops", "backing", "lockedtop"), "-backing -lockedtop -ops"},
 		{"several bad counter flags listed", "queue", set("queue", "samples", "incs"), "-incs -samples"},
 		{"mixed good and bad", "counter", set("m", "choices", "ops"), "-ops"},
 	}

@@ -26,13 +26,9 @@
 //     for Stickiness consecutive operations and moves elements in and out in
 //     batches of Batch with one lock acquisition per batch. Affinity biases
 //     each handle's dequeue choices toward a per-handle home stripe of
-//     queues for cache/NUMA locality (0 = uniform). Located inserts
-//     (MQHandle.EnqueuePriorityRef) return an ElemRef for later
-//     Remove/Replace — lazy-tombstone interior removal for policies like
-//     replace-by-fee and capacity eviction (repro/internal/mempool is the
-//     worked example). Batched handles
-//     must call MQHandle.Flush before quiescent audits (Len, Sizes,
-//     cross-handle drains); cmd/quality -queue re-measures the rank-error
+//     queues for cache/NUMA locality (0 = uniform). Batched handles must
+//     call MQHandle.Flush before quiescent audits (Len, Sizes, cross-handle
+//     drains); cmd/quality -queue re-measures the rank-error
 //     distribution for any (Choices, Stickiness, Batch, Affinity) setting
 //     against the O(m·log m) envelope.
 //   - Timestamps — a relaxed timestamp oracle built on the MultiCounter,
@@ -83,8 +79,8 @@
 // options (its AutoScaleTick takes the caller's pressure signal — counter
 // updates are wait-free and expose no contention of their own). Resizes are
 // epoch-published: handles notice a flip with one atomic load and re-seed
-// in place, outstanding ElemRefs survive shrinks through an internal
-// forwarding table, and MultiQueue.Stats/MultiCounter.Stats report
+// in place, a shrink donates the retired shards' elements to the survivors,
+// and MultiQueue.Stats/MultiCounter.Stats report
 // CurrentM/Epoch/Resizes (DESIGN.md §11).
 //
 // The implementation lives in repro/internal/core; this package pins the
@@ -113,14 +109,6 @@ type MultiQueue = core.MultiQueue
 
 // MQHandle is a per-goroutine view of a MultiQueue.
 type MQHandle = core.MQHandle
-
-// ElemRef locates one resident MultiQueue element for later
-// MQHandle.Remove/Replace (lazy-tombstone interior removal, DESIGN.md §9):
-// issued by MQHandle.EnqueuePriorityRef, valid until the element leaves the
-// structure. Callers must track residency themselves — see the ElemRef
-// contract in repro/internal/core and the mempool package for the canonical
-// usage.
-type ElemRef = core.ElemRef
 
 // MultiQueueConfig configures NewMultiQueue.
 type MultiQueueConfig = core.MultiQueueConfig

@@ -205,8 +205,6 @@ func TestHardeningMetricsSurface(t *testing.T) {
 		"dlzd_deadline_aborts_total",
 		"dlzd_panics_recovered_total",
 		"dlzd_repair_failures_total",
-		"dlzd_tombstones_armed_total",
-		"dlzd_tombstones_reclaimed_total",
 		"dlzd_shed_level",
 	} {
 		if lineValue(t, m, series) != "0" {

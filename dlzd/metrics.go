@@ -44,8 +44,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 				Elisions:      st.Elisions,
 				Publications:  st.Publications,
 				LockContended: st.LockContended,
-				Invalidations: st.Invalidations,
-				Reclaimed:     st.Reclaimed,
 				CurrentM:      st.CurrentM,
 				Epoch:         st.Epoch,
 				Resizes:       st.Resizes,
@@ -118,10 +116,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		func(r tenantRow) uint64 { return r.t.panicsRecovered.Load() })
 	sumCounter("dlzd_repair_failures_total", "Lease retirements that exhausted the repair ladder.",
 		func(r tenantRow) uint64 { return r.t.repairFailures.Load() })
-	sumCounter("dlzd_tombstones_armed_total", "MultiQueue interior removals armed (lazy tombstones).",
-		func(r tenantRow) uint64 { return r.mq.Invalidations })
-	sumCounter("dlzd_tombstones_reclaimed_total", "MultiQueue tombstones physically reclaimed.",
-		func(r tenantRow) uint64 { return r.mq.Reclaimed })
 	var shedTotal int
 	for _, row := range rows {
 		shedTotal += int(row.t.shedLevel.Load())
@@ -187,8 +181,6 @@ type MQStatsView struct {
 	Elisions      uint64
 	Publications  uint64
 	LockContended uint64
-	Invalidations uint64
-	Reclaimed     uint64
 	CurrentM      int
 	Epoch         uint64
 	Resizes       uint64

@@ -570,8 +570,6 @@ func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
 		ShedLevel:             int(t.shedLevel.Load()),
 		PanicsRecovered:       t.panicsRecovered.Load(),
 		RepairFailures:        t.repairFailures.Load(),
-		Invalidations:         mqs.Invalidations,
-		Reclaimed:             mqs.Reclaimed,
 		CurrentM:              mqs.CurrentM,
 		Epoch:                 mqs.Epoch,
 		Resizes:               mqs.Resizes,

@@ -148,11 +148,6 @@ type StatsResponse struct {
 	// repair ladder (0 under any Count-bounded fault schedule).
 	PanicsRecovered uint64 `json:"panics_recovered"`
 	RepairFailures  uint64 `json:"repair_failures"`
-	// Invalidations/Reclaimed mirror the MultiQueue tombstone counters; at
-	// quiescence they are equal (no tombstone outlives the drain that would
-	// have surfaced it).
-	Invalidations uint64 `json:"invalidations"`
-	Reclaimed     uint64 `json:"reclaimed"`
 	// CurrentM/Epoch/Resizes report the tenant queue's elastic topology:
 	// the live shard count, the resize epoch counter and the number of
 	// completed resize epochs (the counter tracks the queue's m).

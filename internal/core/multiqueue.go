@@ -39,36 +39,17 @@ type MultiQueue struct {
 	// Elastic topology state (DESIGN.md §11). epoch publishes the pair
 	// (resize epoch, live m) in one padded atomic word — the only load a
 	// handle needs to notice a flip, and the linearization point of every
-	// resize. resizeMu serializes Resize/AutoScaleTick against each other
-	// (write side) and against the ref-based removal paths (read side);
-	// the enqueue/dequeue paths take neither side and tolerate a racing
-	// flip through sealed-queue refusals.
+	// resize. resizeMu serializes Resize, AutoScaleTick and SnapshotElements
+	// against each other; the enqueue/dequeue paths never take it and
+	// tolerate a racing flip through sealed-queue refusals.
 	epoch    pad.EpochWord
-	resizeMu sync.RWMutex
+	resizeMu sync.Mutex
 	resizes  atomic.Uint64
 	scal     scaler
 	// Controller baselines: the cumulative counters at the previous
 	// AutoScaleTick, so each tick prices only the interval's contention.
 	lastContended uint64
 	lastCrit      uint64
-
-	// Forwarding table for ElemRefs displaced by a shrink: value -> where
-	// the drain donated the element. Entries are recorded while the epoch
-	// flips (under resizeMu) and consumed by the first pop or forwarded
-	// Remove that touches the value, so the table only ever holds refs to
-	// resident donated elements. fwdCount gates every hot-path lookup on
-	// one atomic load — a structure that never shrank pays nothing else.
-	fwdMu    sync.Mutex
-	fwd      map[uint64]fwdRef
-	fwdCount atomic.Int64
-}
-
-// fwdRef records where a shrink donated one displaced element: the survivor
-// queue and the epoch of the donation (a Remove carrying an older ref epoch
-// must be redirected; one carrying the same or newer epoch must not).
-type fwdRef struct {
-	queue int
-	epoch uint32
 }
 
 // blockClock is the optional fast path a clock can offer batched enqueuers:
@@ -249,12 +230,6 @@ type MQStats struct {
 	// LockContended counts blocking lock acquisitions that entered the
 	// spin-backoff slow path.
 	LockContended uint64
-	// Invalidations counts tombstones armed by Remove/RemoveBatch/Replace
-	// across all queues; Reclaimed counts those physically compacted out by
-	// later pops. Invalidations − Reclaimed is the live tombstone load the
-	// structure currently carries.
-	Invalidations uint64
-	Reclaimed     uint64
 	// CurrentM is the live shard count at snapshot time, Epoch the resize
 	// epoch counter, and Resizes the number of completed resize epochs —
 	// the elasticity signals dlzd's /metrics exports.
@@ -273,8 +248,6 @@ func (q *MultiQueue) Stats() MQStats {
 		s.Elisions += qs.Elisions
 		s.Publications += qs.Publications
 		s.LockContended += qs.LockContended
-		s.Invalidations += qs.Invalidations
-		s.Reclaimed += qs.Reclaimed
 	}
 	e, m := pad.UnpackEpoch(q.epoch.Load())
 	s.CurrentM = m
@@ -303,8 +276,7 @@ func (q *MultiQueue) Sizes(dst []int) {
 // (smaller) word first — the linearization point, after which no current
 // handle targets a victim — then seals and drains each victim shard
 // [m, old m) through the zero-alloc bulk path and donates the drained
-// elements round-robin to the survivors, recording a forwarding entry per
-// element so outstanding ElemRefs (mempool Remove/Replace) survive the hop.
+// elements round-robin to the survivors.
 // Concurrent enqueues that lose the race to a sealing victim are refused by
 // the seal and retried by the handle against the new topology; concurrent
 // dequeues at worst observe a victim as empty, which relaxed semantics
@@ -338,7 +310,6 @@ func (q *MultiQueue) resizeLocked(m int) int {
 	// either landed before the drain (and is donated) or is refused.
 	q.epoch.Store(epoch+1, m)
 	q.resizes.Add(1)
-	newEpoch := epoch + 1
 	var drained []heap.Item
 	for v := m; v < cur; v++ {
 		drained = q.qs[v].SealAndDrain(drained)
@@ -350,46 +321,19 @@ func (q *MultiQueue) resizeLocked(m int) int {
 		// the frame).
 		_ = fail.Inject(fail.SiteCoreResizeDrain)
 	}
-	if len(drained) > 0 {
-		q.donateLocked(drained, m, newEpoch)
-	}
+	q.donateLocked(drained, m)
 	return m
 }
 
-// donateLocked hands a shrink's drained elements to the survivors in
-// round-robin chunks, recording a forwarding entry per element before its
-// chunk publishes, so any pop or forwarded Remove that can see the element
-// also sees its entry. Caller holds resizeMu (write).
-func (q *MultiQueue) donateLocked(drained []heap.Item, m int, newEpoch uint32) {
-	q.fwdMu.Lock()
-	defer q.fwdMu.Unlock()
-	if q.fwd == nil {
-		q.fwd = make(map[uint64]fwdRef, len(drained))
-	}
-	chunk := q.batch
-	if chunk < 16 {
-		chunk = 16
-	}
+// donateLocked hands drained elements to the live shards [0, m) in
+// round-robin chunks of max(Batch, 16); caller holds resizeMu. The shards are
+// never sealed here, so every AddBatch is accepted.
+func (q *MultiQueue) donateLocked(drained []heap.Item, m int) {
+	chunk := max(q.batch, 16)
 	target := 0
 	for off := 0; off < len(drained); off += chunk {
-		end := off + chunk
-		if end > len(drained) {
-			end = len(drained)
-		}
-		part := drained[off:end]
-		added := 0
-		for _, it := range part {
-			if _, dup := q.fwd[it.Value]; !dup {
-				added++
-			}
-			// Overwrite on re-donation: a second shrink moving an element
-			// again must point the ref at its newest home.
-			q.fwd[it.Value] = fwdRef{queue: target, epoch: newEpoch}
-		}
-		// Count before publishing the chunk: a pop that sees an element
-		// must see a non-zero gate, or its entry would linger.
-		q.fwdCount.Add(int64(added))
-		q.qs[target].AddBatch(part) // survivors are never sealed here
+		end := min(off+chunk, len(drained))
+		q.qs[target].AddBatch(drained[off:end])
 		target = (target + 1) % m
 	}
 }
@@ -402,10 +346,8 @@ func (q *MultiQueue) donateLocked(drained []heap.Item, m int, newEpoch uint32) {
 // it (cpq.Drain): a shard is never in a refusing state, so a racing insert
 // fallback cannot lose elements. The capture is only a consistent cut if
 // the caller has quiesced concurrent mutators (dlzd's snapshotter holds
-// every tenant's operation gate and flushes every lease first); tombstoned
-// elements are excluded and their tombstones consumed. Elements re-enter
-// round-robin across the live shards, which strands stale forwarding
-// entries — callers holding outstanding ElemRefs must not snapshot.
+// every tenant's operation gate and flushes every lease first). Elements
+// re-enter round-robin across the live shards.
 func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
 	q.resizeMu.Lock()
 	defer q.resizeMu.Unlock()
@@ -414,20 +356,7 @@ func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
 	for i := 0; i < m; i++ {
 		dst = q.qs[i].Drain(dst)
 	}
-	drained := dst[start:]
-	chunk := q.batch
-	if chunk < 16 {
-		chunk = 16
-	}
-	target := 0
-	for off := 0; off < len(drained); off += chunk {
-		end := off + chunk
-		if end > len(drained) {
-			end = len(drained)
-		}
-		q.qs[target].AddBatch(drained[off:end]) // live shards are never sealed here
-		target = (target + 1) % m
-	}
+	q.donateLocked(dst[start:], m)
 	return dst
 }
 
@@ -466,52 +395,19 @@ func (q *MultiQueue) AutoScaleTick() (m int, resized bool) {
 	return q.resizeLocked(next), true
 }
 
-// consumeFwd1 retires the forwarding entry for one popped value, if any.
-// The fwdCount gate keeps the no-shrink hot path at a single atomic load.
-func (q *MultiQueue) consumeFwd1(value uint64) {
-	if q.fwdCount.Load() == 0 {
-		return
-	}
-	q.fwdMu.Lock()
-	if _, ok := q.fwd[value]; ok {
-		delete(q.fwd, value)
-		q.fwdCount.Add(-1)
-	}
-	q.fwdMu.Unlock()
-}
-
-// consumeFwd retires forwarding entries for a popped run.
-func (q *MultiQueue) consumeFwd(items []heap.Item) {
-	if len(items) == 0 || q.fwdCount.Load() == 0 {
-		return
-	}
-	q.fwdMu.Lock()
-	n := 0
-	for _, it := range items {
-		if _, ok := q.fwd[it.Value]; ok {
-			delete(q.fwd, it.Value)
-			n++
-		}
-	}
-	if n > 0 {
-		q.fwdCount.Add(int64(-n))
-	}
-	q.fwdMu.Unlock()
-}
-
 // MQHandle binds a MultiQueue to one goroutine's private generator and, in
 // sticky/batched mode, the handle-local fast-path state: the sticky samplers
 // holding the current queue choices, the insert buffer awaiting its batch
 // flush, and the prefetched dequeue run. A handle must be used by one
 // goroutine at a time.
 //
-// The struct is three whole cache lines with no padding field; a field that
+// The struct is six whole cache lines with no padding field; a field that
 // changes that must pad it back, or handles minted back to back share a line
 // (TestHandlesOwnTheirCacheLines).
 type MQHandle struct {
 	q  *MultiQueue
 	id uint64
-	r  *rng.Xoshiro256
+	r  rng.Xoshiro256 // by value: no separate allocation to share a line
 
 	// Cached copy of the queue's epoch word and the live m it encodes.
 	// syncEpoch compares one atomic load against epochWord at operation
@@ -538,11 +434,6 @@ type MQHandle struct {
 	outBuf []heap.Item
 	outPos int
 
-	// rmBuf stages one per-queue run of a RemoveBatch as heap.Items for
-	// cpq.InvalidateBatch; like inBuf/outBuf it is carved from the fixed
-	// backing array, so batched removals allocate nothing.
-	rmBuf []heap.Item
-
 	// Block-reserved clock stamps (batched mode over a Tick clock).
 	stampNext uint64
 	stampLeft int
@@ -566,17 +457,16 @@ func (q *MultiQueue) NewHandle(seed uint64) *MQHandle {
 	h := &MQHandle{
 		q:         q,
 		id:        id,
-		r:         rng.NewXoshiro256(seed),
+		r:         *rng.NewXoshiro256(seed),
 		epochWord: w,
 		m:         m,
 		enq:       NewSampler(m, 1, q.stick),
 		deq:       NewAffineSampler(m, q.d, q.stick, q.affinity, id),
 	}
 	if q.batch > 1 {
-		backing := make([]heap.Item, 3*q.batch)
+		backing := make([]heap.Item, 2*q.batch)
 		h.inBuf = backing[0:0:q.batch]
 		h.outBuf = backing[q.batch : q.batch : 2*q.batch]
-		h.rmBuf = backing[2*q.batch : 2*q.batch : 3*q.batch]
 	}
 	return h
 }
@@ -669,17 +559,15 @@ func (h *MQHandle) refusedSealed() {
 }
 
 // addRetrying inserts one element through the sticky uniform rule, retrying
-// past sealed-shard refusals; returns the queue the element landed in.
-func (h *MQHandle) addRetrying(priority, value uint64) int {
+// past sealed-shard refusals.
+func (h *MQHandle) addRetrying(priority, value uint64) {
 	for attempt := 0; attempt < sealedRetryLimit; attempt++ {
-		i := h.enqTarget(1)
-		if h.q.qs[i].Add(priority, value) {
-			return i
+		if h.q.qs[h.enqTarget(1)].Add(priority, value) {
+			return
 		}
 		h.refusedSealed()
 	}
 	h.q.qs[0].Add(priority, value)
-	return 0
 }
 
 // addBatchRetrying publishes one insert batch, retrying past sealed-shard
@@ -739,7 +627,7 @@ func (h *MQHandle) ReturnPrefetched() {
 // divides into it, one whole batch when batch exceeds the window (the
 // sampler never splits a batch across choices).
 func (h *MQHandle) enqTarget(n int) int {
-	i := h.enq.Candidates(h.r, n)[0]
+	i := h.enq.Candidates(&h.r, n)[0]
 	h.enq.Charge(n)
 	return i
 }
@@ -755,7 +643,7 @@ func (h *MQHandle) enqTarget(n int) int {
 // obtained; an empty or contended outcome should call deqReroll so the next
 // draw abandons a stale candidate set early.
 func (h *MQHandle) deqBest() (int, uint64) {
-	return h.deq.BestKeyed(h.r, h.q.batch, h.readTop)
+	return h.deq.BestKeyed(&h.r, h.q.batch, h.readTop)
 }
 
 // readTop adapts the cached top word's comparison key to the sampler's load
@@ -822,189 +710,6 @@ func (h *MQHandle) EnqueuePriority(priority, value uint64) {
 	h.insert(priority, value)
 }
 
-// ElemRef locates one resident element for later Remove/Replace: the
-// internal queue it was inserted into, the resize epoch it was issued under,
-// and the exact (priority, value) pair. A ref is issued by
-// EnqueuePriorityRef and stays valid until the element leaves the structure
-// — by being dequeued, removed, or returned to a different queue by
-// MQHandle.Close's prefetch give-back. A shrink epoch that retires the ref's
-// queue does NOT invalidate the ref: the drain donates the element to a
-// survivor and records a forwarding entry, and Remove/Replace follow it.
-// Callers that need removal must still track element residency themselves
-// (a map keyed by value, maintained at every dequeue, is the usual shape —
-// see internal/mempool); handing a stale ref to Remove corrupts the
-// structure's length accounting permanently, exactly as cpq.Queue.Invalidate
-// documents.
-type ElemRef struct {
-	// Queue is the internal queue index the element resided in when the ref
-	// was issued.
-	Queue int
-	// Epoch is the resize epoch the ref was issued under; Remove uses it to
-	// decide whether the forwarding table must be consulted.
-	Epoch uint32
-	// Priority and Value identify the element within that queue. Value must
-	// be unique among the structure's live and tombstoned elements.
-	Priority uint64
-	Value    uint64
-}
-
-// EnqueuePriorityRef inserts with an explicit priority like EnqueuePriority
-// but returns a reference locating the element, so the caller can later
-// Remove or Replace it. Located inserts cannot ride the insert buffer — the
-// target queue must be known when the ref is issued — so each call performs
-// one immediate cpq.Add through the sticky uniform insert rule: same queue
-// choice distribution as the batched path, one lock acquisition per element.
-// Workloads that never remove should prefer EnqueuePriority.
-func (h *MQHandle) EnqueuePriorityRef(priority, value uint64) ElemRef {
-	h.checkOpen()
-	h.syncEpoch()
-	i := h.addRetrying(priority, value)
-	epoch, _ := pad.UnpackEpoch(h.epochWord)
-	return ElemRef{Queue: i, Epoch: epoch, Priority: priority, Value: value}
-}
-
-// Remove marks the referenced element dead in its queue (lazy tombstone,
-// DESIGN.md §9): it never surfaces from a dequeue, Len/Sizes exclude it
-// immediately, and a later pop physically reclaims it. Returns false if the
-// element was already tombstoned. The caller must guarantee the ref is
-// current (see ElemRef); in particular an element sitting in a handle's
-// prefetch buffer is no longer resident — check DropPrefetched first.
-//
-// Removal takes the resize lock's read side, freezing the topology for the
-// duration: a ref issued under the current epoch invalidates directly (its
-// queue cannot seal mid-operation), and a ref from an older epoch follows
-// the forwarding table to the survivor a shrink donated its element to.
-func (h *MQHandle) Remove(ref ElemRef) bool {
-	h.checkOpen()
-	q := h.q
-	q.resizeMu.RLock()
-	ok := q.removeRLocked(ref)
-	q.resizeMu.RUnlock()
-	return ok
-}
-
-// removeRLocked performs one ref-directed invalidation; caller holds
-// resizeMu (read), so live m, seal states and the forwarding table are
-// stable underneath it.
-func (q *MultiQueue) removeRLocked(ref ElemRef) bool {
-	epoch, m := pad.UnpackEpoch(q.epoch.Load())
-	if ref.Epoch == epoch {
-		return q.qs[ref.Queue].Invalidate(ref.Priority, ref.Value)
-	}
-	// Stale epoch: a shrink may have moved the element. The forwarding
-	// entry, if present and newer than the ref, names its current home and
-	// is retired here (the tombstone now tracks it in place).
-	if q.fwdCount.Load() != 0 {
-		q.fwdMu.Lock()
-		if e, ok := q.fwd[ref.Value]; ok && e.epoch > ref.Epoch {
-			delete(q.fwd, ref.Value)
-			q.fwdCount.Add(-1)
-			q.fwdMu.Unlock()
-			return q.qs[e.queue].Invalidate(ref.Priority, ref.Value)
-		}
-		q.fwdMu.Unlock()
-	}
-	// No forwarding entry: the element never moved (grow-only epochs, or a
-	// shrink that didn't touch its queue). Its home must still be live.
-	if ref.Queue < m {
-		return q.qs[ref.Queue].Invalidate(ref.Priority, ref.Value)
-	}
-	return false
-}
-
-// RemoveBatch removes a set of referenced elements, amortizing locks the way
-// the bulk insert/dequeue paths do: refs are grouped by queue (an in-place
-// insertion sort — batches are small and typically nearly sorted) and each
-// group is staged through the handle's fixed removal buffer into one
-// cpq.InvalidateBatch — one lock acquisition and at most one top-word
-// publication per queue touched, zero allocations in batched mode. The slice
-// is reordered in place. Returns the number of elements newly tombstoned.
-// Per-op handles (Batch <= 1) fall back to one Remove per ref.
-func (h *MQHandle) RemoveBatch(refs []ElemRef) int {
-	h.checkOpen()
-	if len(h.rmBuf) != 0 {
-		panic("core: RemoveBatch re-entered") // rmBuf is always left empty
-	}
-	q := h.q
-	q.resizeMu.RLock()
-	defer q.resizeMu.RUnlock()
-	armed := 0
-	if cap(h.rmBuf) == 0 {
-		for _, ref := range refs {
-			if q.removeRLocked(ref) {
-				armed++
-			}
-		}
-		return armed
-	}
-	curEpoch, _ := pad.UnpackEpoch(q.epoch.Load())
-	for i := 1; i < len(refs); i++ {
-		for j := i; j > 0 && refs[j-1].Queue > refs[j].Queue; j-- {
-			refs[j-1], refs[j] = refs[j], refs[j-1]
-		}
-	}
-	bufQueue := -1
-	flush := func() {
-		if len(h.rmBuf) > 0 {
-			armed += q.qs[bufQueue].InvalidateBatch(h.rmBuf)
-			h.rmBuf = h.rmBuf[:0]
-		}
-	}
-	for _, ref := range refs {
-		if ref.Epoch != curEpoch {
-			// Stale ref: may need forwarding — take the per-ref path and
-			// leave the staged run for its own queue intact.
-			if q.removeRLocked(ref) {
-				armed++
-			}
-			continue
-		}
-		if len(h.rmBuf) > 0 && (bufQueue != ref.Queue || len(h.rmBuf) == cap(h.rmBuf)) {
-			flush()
-		}
-		bufQueue = ref.Queue
-		h.rmBuf = append(h.rmBuf, heap.Item{Priority: ref.Priority, Value: ref.Value})
-	}
-	flush()
-	return armed
-}
-
-// Replace atomically-enough swaps one element for another: the old ref is
-// tombstoned and the replacement inserted with a fresh sticky queue choice,
-// returning the new element's ref. The two steps are not one critical
-// section — a concurrent dequeue may observe the gap where neither element
-// is obtainable, which relaxed-queue callers already tolerate (it is
-// indistinguishable from the element being held in another handle's
-// prefetch). Returns ok=false without inserting when the old ref was already
-// tombstoned — under the ElemRef residency contract that means a racing
-// Replace won, and inserting would duplicate the value.
-func (h *MQHandle) Replace(old ElemRef, priority, value uint64) (ElemRef, bool) {
-	h.checkOpen()
-	if !h.Remove(old) {
-		return ElemRef{}, false
-	}
-	return h.EnqueuePriorityRef(priority, value), true
-}
-
-// DropPrefetched searches this handle's prefetch buffer for the element with
-// the given value and, if present, removes it from the buffer, reporting
-// whether it did. Prefetched elements were already dequeued from the shared
-// structure, so a Remove aimed at one would arm a tombstone that nothing can
-// ever reclaim; a removal protocol over batched handles must try
-// DropPrefetched on every handle that might have prefetched the element
-// before falling through to Remove. Order of the remaining prefetch run is
-// preserved. O(Prefetched()) — the buffer holds at most Batch elements.
-func (h *MQHandle) DropPrefetched(value uint64) bool {
-	h.checkOpen()
-	for i := h.outPos; i < len(h.outBuf); i++ {
-		if h.outBuf[i].Value == value {
-			h.outBuf = append(h.outBuf[:i], h.outBuf[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // Dequeue implements Algorithm 2's Dequeue, generalized to the configured
 // choice count: sample d random queues, compare their cached top words,
 // DeleteMin on the apparently smallest. As in the paper, the comparison uses
@@ -1069,7 +774,6 @@ func (h *MQHandle) deleteFrom(i int) (heap.Item, bool) {
 		it, ok := h.q.qs[i].DeleteMin()
 		if ok {
 			h.deqCharge(1)
-			h.q.consumeFwd1(it.Value)
 		}
 		return it, ok
 	}
@@ -1079,7 +783,6 @@ func (h *MQHandle) deleteFrom(i int) (heap.Item, bool) {
 		return heap.Item{}, false
 	}
 	h.deqCharge(len(h.outBuf))
-	h.q.consumeFwd(h.outBuf)
 	h.outPos = 1
 	return h.outBuf[0], true
 }
@@ -1117,7 +820,6 @@ func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
 			continue
 		}
 		if it, ok = h.q.qs[best].DeleteMin(); ok {
-			h.q.consumeFwd1(it.Value)
 			return it, true
 		}
 	}
@@ -1128,7 +830,6 @@ func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
 			continue
 		}
 		if it, ok = h.q.qs[i].DeleteMin(); ok {
-			h.q.consumeFwd1(it.Value)
 			return it, true
 		}
 	}
@@ -1170,14 +871,12 @@ func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 			if h.q.batch <= 1 {
 				if it, okPop, acquired := h.q.qs[i].TryDeleteMin(); acquired && okPop {
 					h.deqCharge(1)
-					h.q.consumeFwd1(it.Value)
 					return it, true
 				}
 			} else if out, acquired := h.q.qs[i].TryDeleteMinUpTo(h.q.batch, h.outBuf[:0]); acquired && len(out) > 0 {
 				h.outBuf = out
 				h.outPos = 1
 				h.deqCharge(len(out))
-				h.q.consumeFwd(out)
 				return out[0], true
 			}
 			// Contended or empty: abandon the sticky pair for a fresh draw.

@@ -115,11 +115,6 @@ func TestResizeConservationQuiescent(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("drained %d distinct values, want %d", len(got), len(want))
 			}
-			// Every forwarding entry must have been retired by the pops
-			// that consumed the donated elements.
-			if q.fwdCount.Load() != 0 {
-				t.Fatalf("fwdCount = %d after full drain, want 0", q.fwdCount.Load())
-			}
 		})
 	}
 }
@@ -175,55 +170,6 @@ func TestResizeConcurrentConservation(t *testing.T) {
 			t.Fatalf("drained %d, want %d", n, enq.Load()-deq.Load())
 		}
 	})
-}
-
-// TestResizeForwardsElemRefs checks the forwarding table end to end: refs
-// issued before a deep shrink stay removable afterwards (the shrink moved
-// their elements to survivors), a double hop (two consecutive shrinks)
-// re-points the entry, and after the tombstones are physically reclaimed by
-// a full drain Invalidations == Reclaimed — no tombstone leaks across epochs.
-func TestResizeForwardsElemRefs(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Topology: elasticTopo(16, 1, 16), Seed: 11})
-	h := q.NewHandle(1)
-	const n = 256
-	refs := make([]ElemRef, 0, n)
-	for i := 0; i < n; i++ {
-		refs = append(refs, h.EnqueuePriorityRef(uint64(i), uint64(1000+i)))
-	}
-	q.Resize(4) // first hop: 12 victims donate
-	q.Resize(1) // second hop: donated elements move again; entries re-point
-	for i, ref := range refs {
-		if i%2 == 0 {
-			continue // leave half for the drain
-		}
-		if !h.Remove(ref) {
-			t.Fatalf("Remove(refs[%d]) failed after two shrink hops", i)
-		}
-	}
-	if got, want := q.Len(), n/2; got != want {
-		t.Fatalf("Len = %d after removing half, want %d", got, want)
-	}
-	got := 0
-	for {
-		if _, ok := h.Dequeue(); !ok {
-			break
-		}
-		got++
-	}
-	if got != n/2 {
-		t.Fatalf("drained %d live elements, want %d", got, n/2)
-	}
-	st := q.Stats()
-	if st.Invalidations != st.Reclaimed {
-		t.Fatalf("Invalidations=%d Reclaimed=%d after full drain — tombstones leaked across resize epochs",
-			st.Invalidations, st.Reclaimed)
-	}
-	if st.Invalidations != n/2 {
-		t.Fatalf("Invalidations = %d, want %d", st.Invalidations, n/2)
-	}
-	if q.fwdCount.Load() != 0 {
-		t.Fatalf("fwdCount = %d after drain, want 0", q.fwdCount.Load())
-	}
 }
 
 // TestResizeStaleHandleReroutes pins the handle half of the epoch protocol:

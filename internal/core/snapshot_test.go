@@ -45,30 +45,6 @@ func TestSnapshotElementsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotElementsSkipsTombstones checks the capture excludes removed
-// elements and consumes their tombstones (Invalidations == Reclaimed).
-func TestSnapshotElementsSkipsTombstones(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 2, Seed: 3})
-	h := q.NewHandle(1)
-	var refs []ElemRef
-	for i := 0; i < 20; i++ {
-		refs = append(refs, h.EnqueuePriorityRef(uint64(i), uint64(i)))
-	}
-	for i := 0; i < 20; i += 2 {
-		if !h.Remove(refs[i]) {
-			t.Fatalf("Remove(%d) failed", i)
-		}
-	}
-	snap := q.SnapshotElements(nil)
-	if len(snap) != 10 {
-		t.Fatalf("snapshot captured %d, want 10 live", len(snap))
-	}
-	st := q.Stats()
-	if st.Invalidations != st.Reclaimed {
-		t.Fatalf("tombstones not consumed: armed=%d reclaimed=%d", st.Invalidations, st.Reclaimed)
-	}
-}
-
 // TestReturnPrefetched pins the lease-quiesce step: prefetched elements go
 // back to the shared structure, the handle stays usable, and nothing is
 // lost or duplicated.

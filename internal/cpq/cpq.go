@@ -25,13 +25,6 @@
 // Readers that cannot use a possibly-stale answer (TryDequeue skipping
 // contended queues, the drain sweep trusting emptiness) dispatch on the
 // sentinel instead of taking the lock.
-//
-// Queues additionally support lazy interior removal: Invalidate marks an
-// element dead by generation stamp without searching for it, pop paths
-// skip-and-compact tombstoned elements instead of delivering them, and Len,
-// the top word and the publication-elision rule all account for tombstones
-// exactly (DESIGN.md §9) — the Remove/Replace substrate of the mempool
-// scenario.
 package cpq
 
 import (
@@ -171,32 +164,11 @@ type Queue struct {
 	elisions     atomic.Uint64
 	publications atomic.Uint64
 
-	// Lazy tombstone state (DESIGN.md §9). dead maps the value of each
-	// invalidated-but-not-yet-reclaimed element to the generation stamp its
-	// Invalidate drew from epoch; it is nil until the first Invalidate, so
-	// structures that never remove interior elements pay nothing beyond one
-	// empty-map length check per pop. Both fields are lock-holder-owned.
-	//
-	// The invariant every critical section restores before unlock: the
-	// backing's minimum is never a tombstoned element (compactTopLocked pops
-	// dead minima, consuming their tombstones), so pubMin/pubEmpty — and
-	// therefore the published top word and the ReadMin elision rule — always
-	// describe the live minimum, and tombstoned elements are physically
-	// reclaimed no later than the pop that would have surfaced them.
-	dead  map[uint64]uint64
-	epoch uint64
-	// invalidations/reclaimed count tombstones armed and tombstones consumed
-	// (by pop-path skipping or top compaction); their difference is the
-	// current tombstone population Len subtracts. Incremented under the lock,
-	// read lock-free by Stats.
-	invalidations atomic.Uint64
-	reclaimed     atomic.Uint64
-
 	// sealed marks a queue retired from its MultiQueue's live range by a
 	// shrink epoch (SealAndDrain) or parked beyond the initial topology at
-	// construction. A sealed queue refuses every insert and invalidation —
-	// reporting refusal so the caller re-syncs its epoch and re-targets — and
-	// is permanently empty until Unseal. Lock-holder-owned, like pubMin.
+	// construction. A sealed queue refuses every insert — reporting refusal
+	// so the caller re-syncs its epoch and re-targets — and is permanently
+	// empty until Unseal. Lock-holder-owned, like pubMin.
 	sealed bool
 }
 
@@ -284,52 +256,8 @@ func (q *Queue) addBatchLocked(items []heap.Item) {
 	q.publishTopItem(min, ok)
 }
 
-// compactTopLocked pops tombstoned minima off the backing until the minimum
-// is live (or the backing is empty), consuming each tombstone it reclaims;
-// callers must hold the lock. This is what maintains the tombstone invariant
-// — the backing's minimum is never dead at unlock — so the published top
-// word, the full-resolution pubMin mirror, and the ReadMin elision rule stay
-// exact without any pop path ever delivering a dead element. A queue with no
-// live tombstones returns after one length check.
-func (q *Queue) compactTopLocked() {
-	for len(q.dead) > 0 {
-		it, ok := q.pq.Peek()
-		if !ok {
-			return
-		}
-		if _, dead := q.dead[it.Value]; !dead {
-			return
-		}
-		q.pq.Pop()
-		delete(q.dead, it.Value)
-		q.reclaimed.Add(1)
-	}
-}
-
-// filterDeadFrom removes tombstoned elements from dst[start:] in place,
-// consuming their tombstones, and returns the shortened slice; callers must
-// hold the lock. The bulk drain path runs it over each PopBatch chunk — the
-// skip half of skip-and-compact — so interior tombstones are reclaimed by
-// the same drain that would have surfaced them.
-func (q *Queue) filterDeadFrom(dst []heap.Item, start int) []heap.Item {
-	w := start
-	for _, it := range dst[start:] {
-		if _, dead := q.dead[it.Value]; dead {
-			delete(q.dead, it.Value)
-			q.reclaimed.Add(1)
-			continue
-		}
-		dst[w] = it
-		w++
-	}
-	return dst[:w]
-}
-
 // popLocked removes the minimum under the held lock with the publication
-// protocol applied: a published-empty queue elides the whole pair. The
-// tombstone invariant guarantees the popped minimum is live; the compaction
-// pass afterwards reclaims any dead elements the removal uncovered before
-// the new minimum is published.
+// protocol applied: a published-empty queue elides the whole pair.
 func (q *Queue) popLocked() (heap.Item, bool) {
 	if q.pubEmpty {
 		q.elisions.Add(1)
@@ -337,39 +265,37 @@ func (q *Queue) popLocked() (heap.Item, bool) {
 	}
 	q.beginTop()
 	it, ok := q.pq.Pop()
-	q.compactTopLocked()
 	q.publishTop()
 	return it, ok
 }
 
-// drainLocked removes up to k live minima into dst under the held lock with
-// the publication protocol applied.
-// Tombstoned elements inside a drained chunk are skipped and reclaimed
-// rather than delivered, and the drain re-fills until k live elements are
-// obtained or the backing runs out; the published minimum is compacted to
-// the next live element before release.
+// drainLocked removes up to k minima into dst under the held lock with the
+// publication protocol applied.
 func (q *Queue) drainLocked(k int, dst []heap.Item) []heap.Item {
 	if q.pubEmpty {
 		q.elisions.Add(1)
 		return dst
 	}
 	q.beginTop()
-	start := len(dst)
-	for {
-		var min heap.Item
-		var ok bool
-		dst, min, ok = q.pq.PopBatch(k-(len(dst)-start), dst)
-		if len(q.dead) != 0 {
-			dst = q.filterDeadFrom(dst, start)
-			if len(dst)-start < k && ok {
-				continue // dead elements displaced live ones; keep draining
-			}
-			q.compactTopLocked()
-			min, ok = q.pq.Peek()
-		}
-		q.publishTopItem(min, ok)
+	dst, min, ok := q.pq.PopBatch(k, dst)
+	q.publishTopItem(min, ok)
+	return dst
+}
+
+// drainAllLocked removes every element into dst under the held lock and
+// publishes a stable empty top word; a published-empty queue (whose backing
+// is empty) elides the pair. SealAndDrain and Drain share it.
+func (q *Queue) drainAllLocked(dst []heap.Item) []heap.Item {
+	if q.pubEmpty {
+		q.elisions.Add(1)
 		return dst
 	}
+	q.beginTop()
+	for ok := true; ok; {
+		dst, _, ok = q.pq.PopBatch(1<<30, dst)
+	}
+	q.publishTopItem(heap.Item{}, false)
+	return dst
 }
 
 // Add inserts (priority, value), blocking on the queue's lock. It reports
@@ -520,109 +446,6 @@ func (q *Queue) TryDeleteMin() (it heap.Item, ok, acquired bool) {
 	return it, ok, true
 }
 
-// invalidateLocked arms one tombstone under the held lock and returns
-// whether it was newly armed (false for a value already tombstoned). It does
-// not touch the top word; callers run the publication decision once per
-// critical section.
-func (q *Queue) invalidateLocked(value uint64) bool {
-	if _, dup := q.dead[value]; dup {
-		return false
-	}
-	if q.dead == nil {
-		q.dead = make(map[uint64]uint64)
-	}
-	q.epoch++
-	q.dead[value] = q.epoch
-	q.invalidations.Add(1)
-	return true
-}
-
-// finishInvalidateLocked applies the publication protocol after one or more
-// tombstones were armed: only a tombstone covering the published minimum can
-// change the word (minPrio is the smallest priority armed this section), and
-// even then only when the visible minimum is in fact one of the newly dead
-// elements — a same-priority live twin keeps the word exact as published.
-// Every other invalidation elides the Begin/Publish pair entirely, exactly
-// like a covered insert; callers must hold the lock.
-func (q *Queue) finishInvalidateLocked(minPrio uint64) {
-	if !q.pubEmpty && minPrio <= q.pubMin {
-		if it, ok := q.pq.Peek(); ok {
-			if _, dead := q.dead[it.Value]; dead {
-				q.beginTop()
-				q.compactTopLocked()
-				q.publishTop()
-				return
-			}
-		}
-	}
-	q.elisions.Add(1)
-}
-
-// Invalidate marks the element (priority, value) dead with a fresh
-// generation stamp — the lazy Remove the mempool scenario's replace-by-fee
-// and eviction paths ride (DESIGN.md §9). The element is not searched for:
-// it is reclaimed by the first pop path that would have surfaced it, or
-// immediately when it is the published minimum (the top word is recompacted
-// so ReadMin and its elision rule stay exact). Len excludes it from the
-// moment Invalidate returns, so conservation audits see the removal as
-// already applied.
-//
-// The caller must guarantee the element is resident in this queue: priority
-// must be the priority it was inserted with, value its insert value, and
-// values must be unique among this queue's live and tombstoned elements (the
-// core layer's ElemRef plumbing and the mempool's residency index provide
-// exactly this). Invalidating an absent element permanently corrupts the
-// queue's length accounting. Returns false — arming nothing — when value is
-// already tombstoned, or when the queue is sealed (a shrink drained its
-// residents elsewhere; the core layer's forwarding table re-targets the ref).
-func (q *Queue) Invalidate(priority, value uint64) bool {
-	q.lock.Lock()
-	if q.sealed {
-		q.lock.Unlock()
-		return false
-	}
-	armed := q.invalidateLocked(value)
-	if armed {
-		q.finishInvalidateLocked(priority)
-	}
-	q.lock.Unlock()
-	return armed
-}
-
-// InvalidateBatch arms one tombstone per item under a single lock
-// acquisition with a single publication decision — the remove-side analogue
-// of AddBatch, and the entry point MQHandle.RemoveBatch's per-queue runs
-// dispatch to. Items carry (Priority, Value) exactly as inserted, under the
-// same residency contract as Invalidate. It returns the number of tombstones
-// newly armed (already-dead values arm nothing); an empty batch takes no
-// lock.
-func (q *Queue) InvalidateBatch(items []heap.Item) int {
-	if len(items) == 0 {
-		return 0
-	}
-	q.lock.Lock()
-	if q.sealed {
-		q.lock.Unlock()
-		return 0
-	}
-	armed := 0
-	minPrio := uint64(0)
-	for _, it := range items {
-		if !q.invalidateLocked(it.Value) {
-			continue
-		}
-		if armed == 0 || it.Priority < minPrio {
-			minPrio = it.Priority
-		}
-		armed++
-	}
-	if armed > 0 {
-		q.finishInvalidateLocked(minPrio)
-	}
-	q.lock.Unlock()
-	return armed
-}
-
 // ReadTop returns the queue's decoded top word from a single atomic load —
 // zero lock acquisitions, the steady-state read path of the MultiQueue's
 // d-choice comparison and empty-queue scan. A stable word (even sequence)
@@ -648,13 +471,10 @@ func (q *Queue) PeekMin() (it heap.Item, ok bool) {
 	return it, ok
 }
 
-// Len returns the number of live elements under the lock (exact at
-// quiescence): tombstoned elements still awaiting physical reclamation are
-// excluded, so drain and conservation audits see an Invalidate as applied
-// the moment it returns.
+// Len returns the number of elements under the lock (exact at quiescence).
 func (q *Queue) Len() int {
 	q.lock.Lock()
-	n := q.pq.Len() - len(q.dead)
+	n := q.pq.Len()
 	q.lock.Unlock()
 	return n
 }
@@ -674,13 +494,6 @@ type QueueStats struct {
 	// LockContended counts blocking Lock acquisitions that found the lock
 	// held and entered the spin-backoff slow path (pad.SpinLock.Contended).
 	LockContended uint64
-	// Invalidations counts tombstones armed by Invalidate/InvalidateBatch
-	// since construction; it doubles as the generation-stamp high-water mark.
-	Invalidations uint64
-	// Reclaimed counts tombstones consumed — dead elements physically
-	// removed by pop-path skipping or top compaction. Invalidations −
-	// Reclaimed is the current tombstone population Len subtracts.
-	Reclaimed uint64
 }
 
 // Stats returns the queue's event counters without taking the lock. Each
@@ -691,8 +504,6 @@ func (q *Queue) Stats() QueueStats {
 		Elisions:      q.elisions.Load(),
 		Publications:  q.publications.Load(),
 		LockContended: q.lock.Contended(),
-		Invalidations: q.invalidations.Load(),
-		Reclaimed:     q.reclaimed.Load(),
 	}
 }
 
@@ -717,14 +528,12 @@ func (q *Queue) Seal() {
 }
 
 // SealAndDrain retires a live queue in one critical section — the victim
-// half of a shrink epoch: mark the queue sealed, remove every live element
-// into dst (tombstoned elements are skipped and their tombstones consumed,
-// so Invalidations == Reclaimed for this queue afterwards), and publish a
-// stable empty top word. Because seal and drain are atomic under the queue's
-// lock, an insert racing the shrink either lands before the seal (its
-// element is drained and donated with the rest) or is refused after it —
-// no element can slip into a retired shard. Returns dst extended with the
-// drained live elements, in ascending priority order.
+// half of a shrink epoch: mark the queue sealed, remove every element into
+// dst, and publish a stable empty top word. Because seal and drain are
+// atomic under the queue's lock, an insert racing the shrink either lands
+// before the seal (its element is drained and donated with the rest) or is
+// refused after it — no element can slip into a retired shard. Returns dst
+// extended with the drained elements, in ascending priority order.
 //
 // Sealing an already-sealed queue drains nothing and returns dst unchanged.
 func (q *Queue) SealAndDrain(dst []heap.Item) []heap.Item {
@@ -734,38 +543,18 @@ func (q *Queue) SealAndDrain(dst []heap.Item) []heap.Item {
 		return dst
 	}
 	q.sealed = true
-	if q.pubEmpty {
-		// The tombstone invariant means a published-empty queue has an empty
-		// backing (and therefore no tombstones): seal is the only change.
-		q.elisions.Add(1)
-		q.lock.Unlock()
-		return dst
-	}
-	q.beginTop()
-	start := len(dst)
-	for {
-		var ok bool
-		dst, _, ok = q.pq.PopBatch(1<<30, dst)
-		if len(q.dead) != 0 {
-			dst = q.filterDeadFrom(dst, start)
-		}
-		if !ok {
-			break
-		}
-	}
-	q.publishTopItem(heap.Item{}, false)
+	dst = q.drainAllLocked(dst)
 	q.lock.Unlock()
 	return dst
 }
 
-// Drain removes every live element into dst without retiring the queue —
+// Drain removes every element into dst without retiring the queue —
 // the snapshot half of the durability rung: the shard stays in service and
 // keeps accepting inserts the moment the lock releases, so a concurrent
 // flush is refused by nothing and loses nothing (unlike a seal, whose
-// refusal the flush fallback path does not check). Tombstoned elements are
-// skipped and their tombstones consumed, and a stable empty top word is
+// refusal the flush fallback path does not check). A stable empty top word is
 // published before the lock releases. Returns dst extended with the drained
-// live elements in ascending priority order. The caller re-adds the drained
+// elements in ascending priority order. The caller re-adds the drained
 // frame (snapshotters quiesce mutators first, so the empty window is
 // invisible); draining a sealed queue returns dst unchanged — sealed shards
 // hold no elements.
@@ -775,25 +564,7 @@ func (q *Queue) Drain(dst []heap.Item) []heap.Item {
 		q.lock.Unlock()
 		return dst
 	}
-	if q.pubEmpty {
-		// Tombstone invariant: published-empty means empty backing.
-		q.elisions.Add(1)
-		q.lock.Unlock()
-		return dst
-	}
-	q.beginTop()
-	start := len(dst)
-	for {
-		var ok bool
-		dst, _, ok = q.pq.PopBatch(1<<30, dst)
-		if len(q.dead) != 0 {
-			dst = q.filterDeadFrom(dst, start)
-		}
-		if !ok {
-			break
-		}
-	}
-	q.publishTopItem(heap.Item{}, false)
+	dst = q.drainAllLocked(dst)
 	q.lock.Unlock()
 	return dst
 }

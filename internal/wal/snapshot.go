@@ -36,7 +36,7 @@ type TenantState struct {
 	Items []Item
 	// CounterSum is the relaxed counter's exact value.
 	CounterSum uint64
-	// Ledger counters (the conservation contract of DESIGN.md §9).
+	// Ledger counters (the conservation contract of DESIGN.md §10).
 	OpsEnqueued     uint64
 	OpsDequeued     uint64
 	OpsCounterAdds  uint64
