@@ -3,8 +3,8 @@
 // tenants get most of the traffic, like real multi-tenant skew) and enqueue
 // priorities are drawn from a second Zipf over a large key universe (hot
 // keys contend on the same relaxed minima). Each worker goroutine holds one
-// session token per tenant, so the daemon's lease stickiness and shard
-// affinity are exercised exactly as a long-lived client connection would.
+// session token per tenant, so the daemon's lease stickiness is exercised
+// exactly as a long-lived client connection would.
 //
 // Usage:
 //
@@ -110,7 +110,7 @@ func main() {
 		seed      = flag.Uint64("seed", 99, "workload seed")
 		quiet     = flag.Bool("quiet", false, "suppress per-tenant stats")
 		ramp      = flag.String("ramp-workers", "",
-			"staged concurrency ramp lo:hi:step — split -ops across stages of lo, lo+step, ... hi workers (drives the autoscale controller through grow and lets it shrink between runs); overrides -workers")
+			"staged concurrency ramp lo:hi:step — split -ops across stages of lo, lo+step, ... hi workers; overrides -workers")
 		maxRetries = flag.Int("max-retries", 64, "give up after this many consecutive 429/503 rejections")
 		retryBase  = flag.Duration("retry-base", 0, "first retry's maximum jittered delay (0 = 5ms)")
 		retryCap   = flag.Duration("retry-cap", 0, "retry delay growth cap (0 = 1s)")
@@ -147,9 +147,8 @@ func main() {
 		disruptions atomic.Int64 // transport errors ridden out in -expect-restart
 	)
 	// One stage at -workers by default; -ramp-workers splits the op budget
-	// across stages of increasing concurrency so a daemon running the
-	// autoscale controller sees ramping contention (grow pressure) followed,
-	// once the run quiesces, by idle (shrink pressure).
+	// across stages of increasing concurrency, so one run shows the daemon
+	// under rising contention.
 	stages := []int{*workers}
 	if *ramp != "" {
 		lo, hi, step, err := parseRamp(*ramp)

@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/dlz"
 	"repro/dlzd"
 	"repro/internal/wal"
 )
@@ -47,15 +46,10 @@ func main() {
 		queues      = flag.Int("queues", 64, "initial m: queues/counter shards per tenant")
 		minQueues   = flag.Int("min-queues", 0, "lower resize bound on m (0 = pin to -queues)")
 		maxQueues   = flag.Int("max-queues", 0, "upper resize bound on m (0 = pin to -queues)")
-		autoscale   = flag.Bool("autoscale", false, "enable the contention-driven resize controller (janitor-ticked; needs -min-queues/-max-queues)")
-		growThresh  = flag.Float64("autoscale-grow", 0, "controller grow pressure threshold (0 = default 0.5)")
-		shrinkThr   = flag.Float64("autoscale-shrink", 0, "controller shrink pressure threshold (0 = default 0.05; negative disables shrinking)")
-		dwell       = flag.Int("autoscale-dwell", 0, "controller dwell in janitor ticks between steps (0 = default 2)")
 		capacity    = flag.Int("capacity", 1024, "per-queue preallocation hint")
 		choices     = flag.Int("choices", 2, "d: random choices per dequeue/increment")
 		stickiness  = flag.Int("stickiness", 16, "s: sticky-choice window")
 		batch       = flag.Int("batch", 8, "k: handle batch size")
-		affinity    = flag.Float64("affinity", 0.5, "shard-affinity bias in [0,1]")
 		maxTenants  = flag.Int("max-tenants", 64, "tenant namespace cap")
 		maxInflight = flag.Int("max-inflight", 256, "per-tenant in-flight request budget (0 = unlimited)")
 		quotaOps    = flag.Uint64("quota-ops", 0, "per-tenant lifetime operation quota (0 = unlimited)")
@@ -111,24 +105,14 @@ func main() {
 		}
 	}
 
-	var as *dlz.AutoScale
-	if *autoscale {
-		as = &dlz.AutoScale{
-			GrowThreshold:   *growThresh,
-			ShrinkThreshold: *shrinkThr,
-			Dwell:           *dwell,
-		}
-	}
 	srv := dlzd.New(dlzd.Config{
 		Queues:         *queues,
 		MinQueues:      *minQueues,
 		MaxQueues:      *maxQueues,
-		AutoScale:      as,
 		Capacity:       *capacity,
 		Choices:        *choices,
 		Stickiness:     *stickiness,
 		Batch:          *batch,
-		Affinity:       *affinity,
 		MaxTenants:     *maxTenants,
 		MaxInFlight:    *maxInflight,
 		QuotaOps:       *quotaOps,
@@ -147,8 +131,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("dlzd: listening on %s (m=%d batch=%d stickiness=%d affinity=%.2f)",
-		*addr, *queues, *batch, *stickiness, *affinity)
+	log.Printf("dlzd: listening on %s (m=%d batch=%d stickiness=%d)",
+		*addr, *queues, *batch, *stickiness)
 
 	stopped := make(chan struct{})
 	done := make(chan os.Signal, 1)

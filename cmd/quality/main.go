@@ -6,18 +6,10 @@
 // Theorem 6.1.
 //
 // With -queue it instead measures the MultiQueue's dequeue rank-error
-// distribution for a configurable (choices, stickiness, batch, affinity)
-// setting against the O(m·log m) envelope of Theorem 7.1 — the quality
+// distribution for a configurable (choices, stickiness, batch) setting against the O(m·log m) envelope of Theorem 7.1 — the quality
 // re-verification that must accompany any fast-path change (the
 // sticky/batched mode trades quality for throughput, and this is where the
 // trade is audited).
-//
-// -affinity (both modes) sets the shard-affine sticky sampler's stripe
-// fraction (DESIGN.md §7). Any -affinity > 0 run measures the uniform
-// (affinity 0) twin of the same setting alongside and closes with the
-// drift ratio — measured quality cost of stripe-local choices over the
-// uniform sampler — scored against the 1.5x drift budget affineDriftLimit
-// (exit non-zero beyond it, like the envelope verdict).
 //
 // The paper measures quality single-threaded because "it is not clear how to
 // order the concurrent read steps"; the dlcheck tool provides the concurrent
@@ -28,8 +20,8 @@
 //
 // Usage:
 //
-//	quality [-m 64] [-incs 1000000] [-samples 50] [-choices 2] [-stickiness 1] [-batch 1] [-affinity 0] [-csv]
-//	quality -queue [-m 64] [-ops 200000] [-choices 2] [-stickiness 8] [-batch 8] [-affinity 0] [-csv]
+//	quality [-m 64] [-incs 1000000] [-samples 50] [-choices 2] [-stickiness 1] [-batch 1] [-csv]
+//	quality -queue [-m 64] [-ops 200000] [-choices 2] [-stickiness 8] [-batch 8] [-csv]
 package main
 
 import (
@@ -48,8 +40,8 @@ import (
 // The usage lines, mirrored from the package comment; printed with every
 // flag-validation failure so a bad invocation in a script log is
 // self-explaining.
-const usageLines = "usage: quality [-m N] [-incs N] [-samples N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]\n" +
-	"       quality -queue [-m N] [-ops N] [-choices d] [-stickiness s] [-batch k] [-affinity a] [-csv] [-seed n]"
+const usageLines = "usage: quality [-m N] [-incs N] [-samples N] [-choices d] [-stickiness s] [-batch k] [-csv] [-seed n]\n" +
+	"       quality -queue [-m N] [-ops N] [-choices d] [-stickiness s] [-batch k] [-csv] [-seed n]"
 
 // Flags each mode accepts beyond the always-shared set (m, choices,
 // stickiness, batch, csv, seed and the -queue selector itself). A flag
@@ -60,8 +52,8 @@ const usageLines = "usage: quality [-m N] [-incs N] [-samples N] [-choices d] [-
 var (
 	sharedFlags = []string{"m", "choices", "stickiness", "batch", "csv", "seed", "queue"}
 	modeFlags   = map[string][]string{
-		"counter": {"incs", "samples", "affinity"},
-		"queue":   {"ops", "affinity"},
+		"counter": {"incs", "samples"},
+		"queue":   {"ops"},
 	}
 )
 
@@ -102,7 +94,6 @@ func main() {
 	choices := flag.Int("choices", 2, "random choices d per increment (or dequeue with -queue)")
 	stickiness := flag.Int("stickiness", 1, "operation stickiness window")
 	batch := flag.Int("batch", 1, "batching factor")
-	affinity := flag.Float64("affinity", 0, "shard-affinity fraction in [0,1]; > 0 also measures the uniform twin and reports the drift ratio")
 	csv := flag.Bool("csv", false, "emit CSV instead of markdown")
 	seed := flag.Uint64("seed", 7, "PRNG seed")
 	flag.Parse()
@@ -130,16 +121,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "quality: -stickiness and -batch must be >= 0")
 		os.Exit(2)
 	}
-	if !(*affinity >= 0 && *affinity <= 1) { // rejects NaN too
-		fmt.Fprintln(os.Stderr, "quality: -affinity must be in [0, 1]")
-		os.Exit(2)
-	}
 	if *queue {
 		if *ops < 1 {
 			fmt.Fprintln(os.Stderr, "quality: -ops must be >= 1")
 			os.Exit(2)
 		}
-		if !runQueueQuality(*m, *ops, *choices, *stickiness, *batch, *affinity, *seed, *csv) {
+		if !runQueueQuality(*m, *ops, *choices, *stickiness, *batch, *seed, *csv) {
 			os.Exit(1)
 		}
 		return
@@ -149,46 +136,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "quality: -incs and -samples must be >= 1")
 		os.Exit(2)
 	}
-	if !runCounterQuality(*m, *incs, *samples, *choices, *stickiness, *batch, *affinity, *seed, *csv) {
+	if !runCounterQuality(*m, *incs, *samples, *choices, *stickiness, *batch, *seed, *csv) {
 		os.Exit(1)
 	}
-}
-
-// affineDriftLimit bounds the quality drift an affine measurement may show
-// over its uniform twin at the same setting: measured rank-error mean and
-// max (queue) or mean and max absolute deviation (counter) at most 1.5× the
-// uniform sampler's — the envelope multiple DESIGN.md §7 budgets for choice
-// locality.
-const affineDriftLimit = 1.5
-
-// driftRatio scores an affine quality statistic against its uniform twin:
-// the ratio must stay within affineDriftLimit. A zero uniform value has no
-// meaningful ratio and passes vacuously (ratio 0): treat it as a degenerate
-// audit, not a gate signal — only the mean statistic carries its own
-// absolute within-envelope bound.
-func driftRatio(affine, uniform float64) (ratio float64, ok bool) {
-	if uniform == 0 {
-		return 0, true
-	}
-	ratio = affine / uniform
-	return ratio, ratio <= affineDriftLimit
-}
-
-// driftVerdict scores an affine measurement against its uniform twin
-// through driftRatio on BOTH the mean and the max statistic, with the affine
-// mean still bound by its own envelope audit.
-func driftVerdict(what string, affineMean, uniformMean, affineMax, uniformMax, envelope float64, affineWithin bool) bool {
-	meanRatio, meanOK := driftRatio(affineMean, uniformMean)
-	maxRatio, maxOK := driftRatio(affineMax, uniformMax)
-	within := affineWithin && meanOK && maxOK
-	verdict := "PASS"
-	if !within {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(os.Stderr, "affine-drift-vs-uniform: %s (%s mean affine %.2f vs uniform %.2f ratio %.2fx, max affine %.0f vs uniform %.0f ratio %.2fx, limit %.1fx, envelope %.0f)\n",
-		verdict, what, affineMean, uniformMean, meanRatio,
-		affineMax, uniformMax, maxRatio, affineDriftLimit, envelope)
-	return within
 }
 
 // runCounterQuality drives a single-threaded MultiCounter handle (with the
@@ -198,14 +148,14 @@ func driftVerdict(what string, affineMean, uniformMean, affineMax, uniformMax, e
 // on the mean absolute deviation. The verdict goes to stderr so the table —
 // a purely numeric time series — stays machine-parseable under -csv. Reports
 // whether the mean stayed inside the envelope.
-func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch int, affinity float64, seed uint64, csv bool) bool {
+func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch int, seed uint64, csv bool) bool {
 	mc := core.NewMultiCounterConfig(core.MultiCounterConfig{
 		Topology: core.Topology{InitialM: m},
-		Choices:  choices, Stickiness: stickiness, Batch: batch, Affinity: affinity,
+		Choices:  choices, Stickiness: stickiness, Batch: batch,
 	})
 	tb := harness.NewTable(
-		fmt.Sprintf("Figure 1(b): MultiCounter quality (single thread, m=%d, d=%d, s=%d, k=%d, a=%v)",
-			m, mc.Choices(), mc.Stickiness(), mc.Batch(), mc.Affinity()),
+		fmt.Sprintf("Figure 1(b): MultiCounter quality (single thread, m=%d, d=%d, s=%d, k=%d)",
+			m, mc.Choices(), mc.Stickiness(), mc.Batch()),
 		"increments", "read-value", "abs-error", "max-gap", "envelope(m log m)")
 	dev := quality.MeasureCounterDeviation(mc.NewHandle(seed), int(incs), int(samples),
 		func(issued, read, absErr, gap uint64) {
@@ -228,17 +178,6 @@ func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch in
 	}
 	fmt.Fprintf(os.Stderr, "mean-within-envelope: %s (mean %.2f, max %d, max-gap %d, envelope %.0f)\n",
 		verdict, dev.MeanAbsError, dev.MaxAbsError, dev.MaxGap, envelope)
-	if affinity > 0 {
-		// Measure the uniform twin of the same setting and report the
-		// deviation drift the stripe policy costs.
-		uniMC := core.NewMultiCounterConfig(core.MultiCounterConfig{
-			Topology: core.Topology{InitialM: m},
-			Choices:  choices, Stickiness: stickiness, Batch: batch,
-		})
-		uni := quality.MeasureCounterDeviation(uniMC.NewHandle(seed), int(incs), int(samples), nil)
-		within = driftVerdict("dev", dev.MeanAbsError, uni.MeanAbsError,
-			float64(dev.MaxAbsError), float64(uni.MaxAbsError), envelope, within)
-	}
 	return within
 }
 
@@ -248,10 +187,10 @@ func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch in
 // logically enqueued labels, exactly like the dlin queue-spec replay. It
 // reports the distribution against Theorem 7.1's scales and returns whether
 // the measured mean lies inside the O(m·log m) envelope.
-func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, seed uint64, csv bool) bool {
+func runQueueQuality(m, ops, choices, stickiness, batch int, seed uint64, csv bool) bool {
 	q := core.NewMultiQueue(core.MultiQueueConfig{
 		Topology: core.Topology{InitialM: m},
-		Choices:  choices, Stickiness: stickiness, Batch: batch, Affinity: affinity,
+		Choices:  choices, Stickiness: stickiness, Batch: batch,
 	})
 	sample := quality.MeasureDequeueRank(q.NewHandle(seed+1), 64*m, ops)
 	// The verdict scores against the post-run shard count, not the -m flag
@@ -266,8 +205,8 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, s
 	// Report the normalized knobs (0 becomes 1), not the raw flags, so the
 	// header names the configuration actually measured.
 	tb := harness.NewTable(
-		fmt.Sprintf("MultiQueue dequeue rank error (m=%d, d=%d, stickiness=%d, batch=%d, affinity=%v, single thread)",
-			m, q.Choices(), q.Stickiness(), q.Batch(), q.Affinity()),
+		fmt.Sprintf("MultiQueue dequeue rank error (m=%d, d=%d, stickiness=%d, batch=%d, single thread)",
+			m, q.Choices(), q.Stickiness(), q.Batch()),
 		"metric", "value", "theory-scale")
 	tb.Add("mean", mean, fmt.Sprintf("O(m)=%d", m))
 	tb.Add("p50", sample.Quantile(0.5), "")
@@ -279,16 +218,6 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, affinity float64, s
 		tb.WriteCSV(os.Stdout)
 	} else {
 		tb.WriteMarkdown(os.Stdout)
-	}
-	if affinity > 0 {
-		// Measure the uniform twin of the same setting and report the rank
-		// drift the stripe policy costs.
-		uniQ := core.NewMultiQueue(core.MultiQueueConfig{
-			Topology: core.Topology{InitialM: m},
-			Choices:  choices, Stickiness: stickiness, Batch: batch,
-		})
-		uni := quality.MeasureDequeueRank(uniQ.NewHandle(seed+1), 64*m, ops)
-		within = driftVerdict("rank", mean, uni.Mean(), sample.Max(), uni.Max(), envelope, within)
 	}
 	return within
 }

@@ -25,16 +25,16 @@ func TestValidateModeFlags(t *testing.T) {
 	}{
 		{"counter defaults", "counter", set(), ""},
 		{"queue defaults", "queue", set("queue"), ""},
-		{"counter own flags", "counter", set("m", "incs", "samples", "choices", "stickiness", "batch", "affinity", "csv", "seed"), ""},
-		{"queue own flags", "queue", set("queue", "m", "ops", "choices", "stickiness", "batch", "affinity", "csv", "seed"), ""},
+		{"counter own flags", "counter", set("m", "incs", "samples", "choices", "stickiness", "batch", "csv", "seed"), ""},
+		{"queue own flags", "queue", set("queue", "m", "ops", "choices", "stickiness", "batch", "csv", "seed"), ""},
 		{"ops without -queue", "counter", set("ops"), "-ops"},
 		{"incs with -queue", "queue", set("queue", "incs"), "-incs"},
 		{"samples with -queue", "queue", set("queue", "samples"), "-samples"},
-		// The retired -backing and -lockedtop are in no mode's row: flag.Parse
-		// rejects them as undefined, and so would this check.
+		// The retired -backing, -lockedtop and -affinity are in no mode's row:
+		// flag.Parse rejects them as undefined, and so would this check.
 		{"backing without a queue-backed mode", "counter", set("backing"), "-backing"},
 		{"lockedtop without -queue", "counter", set("lockedtop"), "-lockedtop"},
-		{"several bad queue flags listed", "counter", set("ops", "backing", "lockedtop"), "-backing -lockedtop -ops"},
+		{"several bad queue flags listed", "counter", set("ops", "backing", "lockedtop", "affinity"), "-affinity -backing -lockedtop -ops"},
 		{"several bad counter flags listed", "queue", set("queue", "samples", "incs"), "-incs -samples"},
 		{"mixed good and bad", "counter", set("m", "choices", "ops"), "-ops"},
 	}

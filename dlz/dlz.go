@@ -24,13 +24,12 @@
 //     dequeue to d choices, and Stickiness and Batch enable the
 //     sticky/batched fast path: a handle re-uses its random queue choices
 //     for Stickiness consecutive operations and moves elements in and out in
-//     batches of Batch with one lock acquisition per batch. Affinity biases
-//     each handle's dequeue choices toward a per-handle home stripe of
-//     queues for cache/NUMA locality (0 = uniform). Batched handles must
-//     call MQHandle.Flush before quiescent audits (Len, Sizes, cross-handle
-//     drains); cmd/quality -queue re-measures the rank-error
-//     distribution for any (Choices, Stickiness, Batch, Affinity) setting
-//     against the O(m·log m) envelope.
+//     batches of Batch with one lock acquisition per batch. Every choice is
+//     uniform over the m queues, the paper's assumption. Batched handles
+//     must call MQHandle.Flush before quiescent audits (Len, Sizes,
+//     cross-handle drains); cmd/quality -queue re-measures the rank-error
+//     distribution for any (Choices, Stickiness, Batch) setting against the
+//     O(m·log m) envelope.
 //   - Timestamps — a relaxed timestamp oracle built on the MultiCounter,
 //     the drop-in replacement for fetch-and-add global clocks evaluated on
 //     TL2 in the paper's Section 8 (see repro/internal/stm for the STM).
@@ -51,37 +50,24 @@
 // # Elastic capacity (migrating from fixed m)
 //
 // Both structures now size themselves through a shared Topology — initial,
-// minimum and maximum live shard counts plus an optional contention-driven
-// AutoScale controller — instead of a frozen constructor argument. The
-// fixed-m forms keep working unchanged (a zero Topology pins
+// minimum and maximum live shard counts — instead of a frozen constructor
+// argument. The fixed-m forms keep working unchanged (a zero Topology pins
 // MinM = MaxM = m), so existing code needs no edits; code that wants
 // elasticity migrates like this:
 //
 //	// before: frozen shard count
 //	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Queues: 64})
-//	// after: start at 64, resizable in [16, 256], manual control
+//	// after: start at 64, resizable in [16, 256]
 //	q = dlz.NewMultiQueue(dlz.MultiQueueConfig{
 //		Topology: dlz.Topology{InitialM: 64, MinM: 16, MaxM: 256},
 //	})
 //	q.Resize(128) // returns the count actually in effect
-//	// or hand control to the contention-driven controller:
-//	q = dlz.NewMultiQueue(dlz.MultiQueueConfig{
-//		Topology: dlz.Topology{InitialM: 64, MinM: 16, MaxM: 256,
-//			AutoScale: &dlz.AutoScale{}}, // zero value = default policy
-//	})
-//	go func() { // a pacer goroutine ticks the controller
-//		for range time.Tick(100 * time.Millisecond) {
-//			q.AutoScaleTick()
-//		}
-//	}()
 //
-// The MultiCounter mirrors this with dlz.WithTopology/dlz.WithAutoScale
-// options (its AutoScaleTick takes the caller's pressure signal — counter
-// updates are wait-free and expose no contention of their own). Resizes are
-// epoch-published: handles notice a flip with one atomic load and re-seed
+// The MultiCounter mirrors this with the dlz.WithTopology option. Resizes
+// are epoch-published: handles notice a flip with one atomic load and re-seed
 // in place, a shrink donates the retired shards' elements to the survivors,
-// and MultiQueue.Stats/MultiCounter.Stats report
-// CurrentM/Epoch/Resizes (DESIGN.md §11).
+// and MultiQueue.Stats/MultiCounter.Stats report CurrentM/Epoch/Resizes
+// (DESIGN.md §11).
 //
 // The implementation lives in repro/internal/core; this package pins the
 // stable names a downstream user imports.
@@ -114,14 +100,9 @@ type MQHandle = core.MQHandle
 type MultiQueueConfig = core.MultiQueueConfig
 
 // Topology is the shared elastic capacity surface of both structures:
-// initial/min/max live shard counts plus the optional AutoScale controller.
-// Embedded in MultiQueueConfig and MultiCounterConfig; the zero value keeps
+// initial/min/max live shard counts. Embedded in MultiQueueConfig and MultiCounterConfig; the zero value keeps
 // the deprecated fixed-m behavior.
 type Topology = core.Topology
-
-// AutoScale configures the contention-driven resize controller (thresholds
-// and dwell; the zero value selects the default policy).
-type AutoScale = core.AutoScale
 
 // MQStats aggregates a MultiQueue's event counters and elasticity signals
 // (CurrentM/Epoch/Resizes) — the snapshot dlzd exports per tenant.
@@ -162,23 +143,10 @@ var WithStickiness = core.WithStickiness
 // publish (default 1: per-operation publishing).
 var WithBatch = core.WithBatch
 
-// WithAffinity sets the shard-affinity fraction a ∈ [0, 1]: each handle's
-// sticky d-choice sampler draws d−1 candidates from its own home stripe of
-// max(d, ⌈a·m⌉) contiguous shards (plus one uniform escape candidate), so
-// repeated choices stay on warm cache/NUMA-local lines. Default 0: uniform
-// choices, the paper's assumption. The MultiQueue counterpart is
-// MultiQueueConfig.Affinity.
-var WithAffinity = core.WithAffinity
-
 // WithTopology sets the MultiCounter's elastic capacity surface (see the
 // package comment's migration note). The MultiQueue counterpart is
 // MultiQueueConfig.Topology.
 var WithTopology = core.WithTopology
-
-// WithAutoScale bounds the MultiCounter's live shard count to [minM, maxM]
-// and enables the contention-driven controller. The MultiQueue counterpart
-// is Topology.AutoScale in MultiQueueConfig.Topology.
-var WithAutoScale = core.WithAutoScale
 
 // NewMultiQueue returns a MultiQueue with the given configuration.
 func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue { return core.NewMultiQueue(cfg) }

@@ -186,47 +186,3 @@ func TestMultiQueueStickyBatchedPublicAPI(t *testing.T) {
 		t.Fatalf("drained %d, want %d", len(seen), n)
 	}
 }
-
-func TestAffinityPublicAPI(t *testing.T) {
-	// The shard-affinity axis must be reachable through both public config
-	// surfaces, and conservation must hold end to end with stripe-local
-	// choices: every increment published, every element drained.
-	mc := dlz.NewMultiCounter(32, dlz.WithAffinity(0.25), dlz.WithStickiness(8), dlz.WithBatch(8))
-	if mc.Affinity() != 0.25 {
-		t.Fatalf("Affinity = %v, want 0.25", mc.Affinity())
-	}
-	h := mc.NewHandle(1)
-	for i := 0; i < 1000; i++ {
-		h.Increment()
-	}
-	h.Flush()
-	if mc.Exact() != 1000 {
-		t.Fatalf("Exact = %d after flush, want 1000", mc.Exact())
-	}
-
-	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{
-		Queues: 32, Stickiness: 8, Batch: 8, Affinity: 0.25, Seed: 9,
-	})
-	if q.Affinity() != 0.25 {
-		t.Fatalf("queue Affinity = %v, want 0.25", q.Affinity())
-	}
-	qh := q.NewHandle(1)
-	const n = 500
-	for v := uint64(0); v < n; v++ {
-		qh.Enqueue(v)
-	}
-	seen := map[uint64]bool{}
-	for {
-		it, ok := qh.Dequeue()
-		if !ok {
-			break
-		}
-		if seen[it.Value] {
-			t.Fatalf("value %d drained twice", it.Value)
-		}
-		seen[it.Value] = true
-	}
-	if len(seen) != n {
-		t.Fatalf("drained %d values, want %d", len(seen), n)
-	}
-}

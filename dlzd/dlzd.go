@@ -7,13 +7,12 @@
 // Each tenant namespace owns one dlz.MultiQueue and one dlz.MultiCounter
 // (created on first use, bounded by Config.MaxTenants). Clients carry a
 // session token; the daemon leases a handle pair per token and keeps it
-// across requests, so the sticky d-choice sampler, the shard-affine home
-// stripe and the batch buffers survive request boundaries exactly as they
-// survive operation boundaries in-process — which is what preserves the
-// paper's distributional argument under request traffic. Leases are flushed
-// and retired on explicit session close or idle expiry (the janitor), riding
-// the handle Close contract so an abandoned connection can never strand
-// buffered elements.
+// across requests, so the sticky d-choice sampler and the batch buffers
+// survive request boundaries exactly as they survive operation boundaries
+// in-process — which is what preserves the paper's distributional argument
+// under request traffic. Leases are flushed and retired on explicit session
+// close or idle expiry (the janitor), riding the handle Close contract so an
+// abandoned connection can never strand buffered elements.
 //
 // The wire batch API (enqueue-batch, delete-min-up-to, counter/add-batch)
 // rides the zero-alloc AddBatch/DeleteMinUpTo fast path end-to-end: wire
@@ -32,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/dlz"
 	"repro/internal/wal"
 )
 
@@ -50,26 +48,19 @@ type Config struct {
 	// multiple of the expected concurrent session count per tenant.
 	Queues int
 	// MinQueues and MaxQueues bound each tenant's live shard count for
-	// manual resizes (POST /v1/{tenant}/resize) and the AutoScale
-	// controller. 0 pins the bound to Queues — both zero is the fixed-m
-	// pre-elastic behavior. Must satisfy 1 <= MinQueues <= Queues <=
-	// MaxQueues when set.
+	// manual resizes (POST /v1/{tenant}/resize). 0 pins the bound to Queues —
+	// both zero is the fixed-m pre-elastic behavior. Must satisfy
+	// 1 <= MinQueues <= Queues <= MaxQueues when set.
 	MinQueues int
 	MaxQueues int
-	// AutoScale enables the per-tenant contention-driven resize controller
-	// (dlz.AutoScale semantics): the janitor ticks each tenant queue's
-	// controller once per sweep, and the tenant counter's shard count
-	// tracks the queue's. nil leaves resizing under manual control.
-	AutoScale *dlz.AutoScale
 	// Capacity is the per-queue preallocation hint (default 1024).
 	Capacity int
-	// Choices, Stickiness, Batch and Affinity configure the fast path of
-	// every tenant structure, with the same semantics and defaults as
+	// Choices, Stickiness and Batch configure the fast path of every tenant
+	// structure, with the same semantics and defaults as
 	// dlz.MultiQueueConfig / dlz.MultiCounterConfig.
 	Choices    int
 	Stickiness int
 	Batch      int
-	Affinity   float64
 	// MaxTenants bounds the number of live namespaces (default 64); further
 	// tenant names are rejected with 403.
 	MaxTenants int
@@ -189,9 +180,6 @@ func New(cfg Config) *Server {
 	if cfg.ShedTarget > 0 && cfg.ShedHold <= 0 {
 		cfg.ShedHold = 100 * time.Millisecond
 	}
-	if !(cfg.Affinity >= 0 && cfg.Affinity <= 1) { // rejects NaN too
-		panic("dlzd: Config.Affinity must be in [0, 1]")
-	}
 	if d := cfg.Durability; d != nil {
 		if d.Dir == "" {
 			panic("dlzd: Config.Durability.Dir is required")
@@ -267,46 +255,14 @@ func (s *Server) ExpireIdle(cutoff time.Time) int {
 	return n
 }
 
-// AutoScaleTick advances every tenant's contention-driven controller one
-// tick (queue first, counter tracking the queue's shard count), returning
-// the number of tenants that resized. A no-op unless Config.AutoScale is
-// set. The janitor calls it on its sweep timer; tests call it directly for
-// deterministic resize epochs.
-func (s *Server) AutoScaleTick() int {
-	if s.cfg.AutoScale == nil {
-		return 0
-	}
-	journaled := s.log() != nil
-	n := 0
-	for _, t := range s.tenantSnapshot() {
-		// A journaled autoscale resize runs under the tenant's ops gate so
-		// its record cannot interleave with a snapshot capture (which would
-		// strand the resize on the wrong side of the cut).
-		if journaled {
-			t.ops.RLock()
-		}
-		if t.autoScaleTick() {
-			n++
-			if journaled {
-				_ = s.journal(&wal.Record{Type: wal.RecResize, Tenant: t.name, M: t.mq.M()})
-			}
-		}
-		if journaled {
-			t.ops.RUnlock()
-		}
-	}
-	return n
-}
-
 // StartJanitor launches the maintenance loop — every interval it expires
-// leases idle for Config.IdleTimeout, ticks every tenant's resize
-// controller (with Config.AutoScale set), and writes a snapshot once the
-// journal has grown Durability.SnapshotBytes since the last one — and
-// returns its stop function. With no duty configured it returns a no-op
-// stop without launching anything. interval <= 0 defaults to
-// IdleTimeout / 4 (1s when only autoscaling or snapshotting).
+// leases idle for Config.IdleTimeout and writes a snapshot once the journal
+// has grown Durability.SnapshotBytes since the last one — and returns its
+// stop function. With no duty configured it returns a no-op stop without
+// launching anything. interval <= 0 defaults to IdleTimeout / 4 (1s when
+// only snapshotting).
 func (s *Server) StartJanitor(interval time.Duration) (stop func()) {
-	if s.cfg.IdleTimeout <= 0 && s.cfg.AutoScale == nil && s.cfg.Durability == nil {
+	if s.cfg.IdleTimeout <= 0 && s.cfg.Durability == nil {
 		return func() {}
 	}
 	if interval <= 0 {
@@ -328,7 +284,6 @@ func (s *Server) StartJanitor(interval time.Duration) (stop func()) {
 				if s.cfg.IdleTimeout > 0 {
 					s.ExpireIdle(time.Now().Add(-s.cfg.IdleTimeout))
 				}
-				s.AutoScaleTick()
 				if d := s.cfg.Durability; d != nil && d.SnapshotBytes > 0 {
 					if l := s.log(); l != nil && l.BytesSinceSnapshot() >= d.SnapshotBytes {
 						_ = s.Snapshot()

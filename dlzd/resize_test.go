@@ -4,15 +4,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"repro/dlz"
 )
 
 // TestResizeEndpointRoundTrip drives POST /v1/{tenant}/resize through grow,
 // clamp and shrink, and checks the audit surfaces agree: ResizeResponse
-// reports the clamped count and epoch, /stats mirrors it, elements enqueued
-// before the resizes all drain afterwards, and the counter's shard count
-// tracks the queue's.
+// reports the clamped count and epoch, /stats and /metrics mirror it,
+// elements enqueued before the resizes all drain afterwards, and the
+// counter's shard count tracks the queue's.
 func TestResizeEndpointRoundTrip(t *testing.T) {
 	_, c := newTestServer(t, Config{Queues: 4, MinQueues: 2, MaxQueues: 16, Seed: 9})
 
@@ -54,6 +52,15 @@ func TestResizeEndpointRoundTrip(t *testing.T) {
 	if st.QueueLen != len(items) {
 		t.Fatalf("QueueLen = %d after resizes, want %d — the drain-and-donate hop lost elements", st.QueueLen, len(items))
 	}
+	body := c.metrics()
+	for _, want := range []string{
+		"\ndlzd_queue_current_m 2\n",
+		"\ndlzd_resize_epochs_total 2\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
+	}
 
 	// Every element admitted before the resizes drains after them.
 	var deq DeleteMinResponse
@@ -85,57 +92,5 @@ func TestResizeEndpointValidation(t *testing.T) {
 	}
 	if rz.M != 4 || rz.Resizes != 0 {
 		t.Fatalf("fixed-topology response = %+v, want pinned M 4, Resizes 0", rz)
-	}
-}
-
-// TestAutoScaleTickShrinksIdleTenants pins the janitor-driven half of the
-// elastic API: with Config.AutoScale set, idle tenants (zero contention
-// delta between ticks) walk down to MinQueues, each step visible through
-// /stats and the /metrics elasticity surfaces.
-func TestAutoScaleTickShrinksIdleTenants(t *testing.T) {
-	s, c := newTestServer(t, Config{
-		Queues: 8, MinQueues: 2, MaxQueues: 32, Seed: 11,
-		AutoScale: &dlz.AutoScale{Dwell: 1},
-	})
-
-	// Touch two tenants into existence with a little traffic.
-	for _, tn := range []string{"acme", "globex"} {
-		var enq EnqueueBatchResponse
-		if code := c.post("/v1/"+tn+"/enqueue-batch", EnqueueBatchRequest{Session: "s1", Items: wireItems(3, 1, 2)}, &enq); code != http.StatusOK {
-			t.Fatalf("enqueue %s = %d", tn, code)
-		}
-	}
-
-	resized := 0
-	for i := 0; i < 12; i++ {
-		resized += s.AutoScaleTick()
-	}
-	if resized < 4 {
-		t.Fatalf("idle ticks resized %d tenant-steps, want >= 4 (two tenants, 8 -> 4 -> 2)", resized)
-	}
-	for _, tn := range []string{"acme", "globex"} {
-		var st StatsResponse
-		if code := c.get("/v1/"+tn+"/stats", &st); code != http.StatusOK {
-			t.Fatalf("stats %s = %d", tn, code)
-		}
-		if st.CurrentM != 2 {
-			t.Fatalf("%s CurrentM = %d after idle ticks, want MinQueues 2", tn, st.CurrentM)
-		}
-		if st.Resizes < 2 {
-			t.Fatalf("%s Resizes = %d, want >= 2", tn, st.Resizes)
-		}
-		if st.QueueLen != 3 {
-			t.Fatalf("%s QueueLen = %d after autoscale shrink, want 3", tn, st.QueueLen)
-		}
-	}
-
-	body := c.metrics()
-	for _, want := range []string{
-		"dlzd_queue_current_m",
-		"dlzd_resize_epochs_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %s:\n%s", want, body)
-		}
 	}
 }

@@ -44,7 +44,6 @@ func TestDaemonSoak(t *testing.T) {
 		Batch:      8,
 		Stickiness: 16,
 		Choices:    2,
-		Affinity:   0.5,
 		Seed:       42,
 	})
 

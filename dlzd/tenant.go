@@ -76,7 +76,7 @@ type tenant struct {
 // lease binds one session token to a handle pair (queue + counter) plus the
 // quota-metering handle. The lease's mutex serializes requests carrying the
 // same token, honoring the handles' one-goroutine-at-a-time contract while
-// letting the sticky/affine sampler state survive across requests.
+// letting the sticky sampler state survive across requests.
 type lease struct {
 	t     *tenant
 	token string
@@ -94,50 +94,27 @@ type lease struct {
 
 func newTenant(name string, srv *Server) *tenant {
 	cfg := srv.cfg
-	// The queue owns the AutoScale controller (it has the contention
-	// signal); the counter gets the same [MinQueues, MaxQueues] range but no
-	// controller of its own — autoScaleTick keeps its shard count tracking
-	// the queue's, so the paired structures always agree on m.
-	qTopo := dlz.Topology{
-		InitialM:  cfg.Queues,
-		MinM:      cfg.MinQueues,
-		MaxM:      cfg.MaxQueues,
-		AutoScale: cfg.AutoScale,
-	}
-	cTopo := qTopo
-	cTopo.AutoScale = nil
+	topo := dlz.Topology{InitialM: cfg.Queues, MinM: cfg.MinQueues, MaxM: cfg.MaxQueues}
 	return &tenant{
 		name: name,
 		srv:  srv,
 		mq: dlz.NewMultiQueue(dlz.MultiQueueConfig{
-			Topology:   qTopo,
+			Topology:   topo,
 			Capacity:   cfg.Capacity,
 			Seed:       srv.nextSeed(),
 			Choices:    cfg.Choices,
 			Stickiness: cfg.Stickiness,
 			Batch:      cfg.Batch,
-			Affinity:   cfg.Affinity,
 		}),
 		mc: dlz.NewMultiCounterConfig(dlz.MultiCounterConfig{
-			Topology:   cTopo,
+			Topology:   topo,
 			Choices:    cfg.Choices,
 			Stickiness: cfg.Stickiness,
 			Batch:      cfg.Batch,
-			Affinity:   cfg.Affinity,
 		}),
 		quota:  dlz.NewMultiCounter(quotaShards),
 		leases: map[string]*lease{},
 	}
-}
-
-// autoScaleTick advances the tenant queue's contention-driven controller one
-// tick and, when it resized, moves the counter's shard count to match.
-func (t *tenant) autoScaleTick() bool {
-	m, resized := t.mq.AutoScaleTick()
-	if resized {
-		t.mc.Resize(m)
-	}
-	return resized
 }
 
 // lease returns the live lease for token, creating one on first use. The

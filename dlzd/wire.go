@@ -19,8 +19,8 @@ type WireItem struct {
 // many are still staged in the handle.
 type EnqueueBatchRequest struct {
 	// Session is the caller's session token; the daemon leases one handle
-	// pair per token, so the sticky/affine sampler state survives across
-	// requests carrying the same token.
+	// pair per token, so the sticky sampler state survives across requests
+	// carrying the same token.
 	Session string `json:"session"`
 	// Items are enqueued in order with their explicit priorities (the
 	// relaxed priority-queue mode; clients wanting FIFO semantics pass

@@ -23,8 +23,8 @@ func main() {
 		shards    = 64 // m; keep m >= C * workers for the paper's guarantee
 	)
 	// The Topology form of the constructor; dlz.NewMultiCounter(shards) is
-	// the fixed-m shorthand, and adding MinM/MaxM + dlz.WithAutoScale here
-	// would let the shard count track contention at runtime.
+	// the fixed-m shorthand, and adding MinM/MaxM here would let
+	// MultiCounter.Resize move the shard count at runtime.
 	mc := dlz.NewMultiCounter(shards, dlz.WithTopology(dlz.Topology{InitialM: shards}))
 
 	var wg sync.WaitGroup

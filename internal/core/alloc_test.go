@@ -38,8 +38,14 @@ func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 // TestMCHandleHotPathZeroAlloc pins the MultiCounter hot path the same way:
 // a steady-state increment buffers locally and publishes through the sticky
 // sampler's preallocated candidate set, allocating nothing — with and
-// without stickiness, with and without batching, and at d = 4.
+// without stickiness, with and without batching, and at d = 4. Minting a
+// handle costs two allocations, the handle and its sampler's candidate set:
+// the generator lives inside the handle.
 func TestMCHandleHotPathZeroAlloc(t *testing.T) {
+	mc := NewMultiCounter(16)
+	if allocs := testing.AllocsPerRun(100, func() { mc.NewHandle(5) }); allocs != 2 {
+		t.Fatalf("NewHandle allocated %.0f objects, want 2", allocs)
+	}
 	for _, c := range []struct{ d, s, k int }{
 		{2, 1, 1}, {2, 8, 1}, {2, 1, 8}, {2, 8, 8}, {4, 8, 8}, {2, 16, 16},
 	} {

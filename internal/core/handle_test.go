@@ -29,9 +29,8 @@ type refHandle struct {
 func newRefHandle(c *MultiCounter, seed uint64) *refHandle {
 	w := c.epoch.Load()
 	_, m := pad.UnpackEpoch(w)
-	id := c.nextID.Add(1) - 1
 	return &refHandle{c: c, r: rng.NewXoshiro256(seed), epochWord: w,
-		smp: NewAffineSampler(m, c.d, c.stick, c.affinity, id)}
+		smp: NewSampler(m, c.d, c.stick)}
 }
 
 func (h *refHandle) add(delta uint64) {
@@ -114,7 +113,7 @@ func TestHandleMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d %+v step %d %s: buffered %d ops weight %d, reference %d ops weight %d",
 					trial, cfg, step, op, h.Buffered(), h.BufferedWeight(), ref.ops, ref.weight)
 			}
-			if nextDraw(h.r) != nextDraw(ref.r) {
+			if nextDraw(&h.r) != nextDraw(ref.r) {
 				t.Fatalf("trial %d %+v step %d %s: generators diverged", trial, cfg, step, op)
 			}
 		}

@@ -28,13 +28,11 @@ import (
 // (DESIGN.md §2). cmd/quality audits the deviation cost of any setting
 // against the m·log₂m envelope.
 type MultiCounter struct {
-	shards   *counters.Sharded // sized Topology.MaxM; cells >= live m idle at 0
-	topo     Topology
-	d        int
-	stick    int
-	batch    int
-	affinity float64
-	nextID   atomic.Uint64 // handle ids, assigned at NewHandle
+	shards *counters.Sharded // sized Topology.MaxM; cells >= live m idle at 0
+	topo   Topology
+	d      int
+	stick  int
+	batch  int
 
 	// Elastic topology state, mirroring the MultiQueue's (DESIGN.md §11):
 	// epoch publishes (resize epoch, live m) in one padded atomic word.
@@ -44,7 +42,6 @@ type MultiCounter struct {
 	epoch    pad.EpochWord
 	resizeMu sync.Mutex
 	resizes  atomic.Uint64
-	scal     scaler
 }
 
 // MultiCounterConfig configures NewMultiCounter. The zero value of optional
@@ -61,8 +58,8 @@ type MultiCounterConfig struct {
 	// exactly as before (MinM = MaxM = Counters, no resizing).
 	Counters int
 	// Topology is the redesigned capacity surface: initial, minimum and
-	// maximum live shard counts plus the optional AutoScale controller
-	// (DESIGN.md §11). A zero InitialM adopts Counters.
+	// maximum live shard counts (DESIGN.md §11). A zero InitialM adopts
+	// Counters.
 	Topology Topology
 	// Choices is d, the number of random counters an increment samples
 	// before incrementing the smallest. 0 selects the paper's d = 2;
@@ -84,18 +81,6 @@ type MultiCounterConfig struct {
 	// publishing. Buffered increments are invisible to Read/Exact/Gap until
 	// the batch flushes; call Handle.Flush at quiescence.
 	Batch int
-	// Affinity is the shard-affinity fraction a ∈ [0, 1] of the sticky
-	// d-choice sampler (DESIGN.md §7): each handle owns a home stripe of
-	// w = max(Choices, ⌈a·Counters⌉) contiguous shard indices, placed
-	// deterministically from its handle id, and every candidate refresh
-	// draws Choices−1 candidates from the stripe plus one uniform escape
-	// candidate, rotating the stripe periodically so no shard starves.
-	// 0 (the default) keeps every draw uniform — the paper's assumption and
-	// tracing identically to the pre-affinity sampler except where the
-	// candidate dedupe resamples a collision (~d²/2m of refreshes). The
-	// deviation cost of any setting is measured by cmd/quality -affinity.
-	// Values outside [0, 1] panic.
-	Affinity float64
 }
 
 // MultiCounterOption is a functional option for the NewMultiCounter
@@ -127,34 +112,12 @@ func WithBatch(k int) MultiCounterOption {
 	return func(cfg *MultiCounterConfig) { cfg.Batch = k }
 }
 
-// WithAffinity sets MultiCounterConfig.Affinity, the shard-affinity fraction
-// a ∈ [0, 1] biasing each handle's sticky d-choice sampler toward its home
-// stripe of max(Choices, ⌈a·m⌉) contiguous shards (0, the default, keeps
-// every draw uniform — Algorithm 1 exactly). Values outside [0, 1] panic.
-func WithAffinity(a float64) MultiCounterOption {
-	if !(a >= 0 && a <= 1) { // rejects NaN too
-		panic("core: WithAffinity needs a in [0, 1]")
-	}
-	return func(cfg *MultiCounterConfig) { cfg.Affinity = a }
-}
-
 // WithTopology sets MultiCounterConfig.Topology, the elastic capacity
 // surface (DESIGN.md §11). Passing a Topology whose InitialM is 0 keeps the
 // constructor's m argument as the initial live shard count while still
 // widening the [MinM, MaxM] resize range.
 func WithTopology(t Topology) MultiCounterOption {
 	return func(cfg *MultiCounterConfig) { cfg.Topology = t }
-}
-
-// WithAutoScale bounds the live shard count to [minM, maxM] and enables the
-// contention-driven controller with policy as (zero-value fields take the
-// AutoScale defaults). Shorthand for WithTopology with an AutoScale set.
-func WithAutoScale(minM, maxM int, as AutoScale) MultiCounterOption {
-	return func(cfg *MultiCounterConfig) {
-		cfg.Topology.MinM = minM
-		cfg.Topology.MaxM = maxM
-		cfg.Topology.AutoScale = &as
-	}
 }
 
 // NewMultiCounter returns a MultiCounter over m atomic counters with the
@@ -185,21 +148,14 @@ func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	if !(cfg.Affinity >= 0 && cfg.Affinity <= 1) { // rejects NaN too
-		panic("core: MultiCounterConfig.Affinity must be in [0, 1]")
-	}
 	mc := &MultiCounter{
-		shards:   counters.NewSharded(topo.MaxM),
-		topo:     topo,
-		d:        cfg.Choices,
-		stick:    cfg.Stickiness,
-		batch:    cfg.Batch,
-		affinity: cfg.Affinity,
+		shards: counters.NewSharded(topo.MaxM),
+		topo:   topo,
+		d:      cfg.Choices,
+		stick:  cfg.Stickiness,
+		batch:  cfg.Batch,
 	}
 	mc.epoch.Init(0, topo.InitialM)
-	if topo.AutoScale != nil {
-		mc.scal = scaler{as: *topo.AutoScale}
-	}
 	return mc
 }
 
@@ -251,10 +207,6 @@ func (c *MultiCounter) Stats() MCStats {
 func (c *MultiCounter) Resize(m int) int {
 	c.resizeMu.Lock()
 	defer c.resizeMu.Unlock()
-	return c.resizeLocked(m)
-}
-
-func (c *MultiCounter) resizeLocked(m int) int {
 	m = c.topo.clamp(m)
 	epoch, cur := pad.UnpackEpoch(c.epoch.Load())
 	if m == cur {
@@ -280,27 +232,6 @@ func (c *MultiCounter) resizeLocked(m int) int {
 	return m
 }
 
-// AutoScaleTick advances the contention-driven controller one tick using the
-// caller-supplied pressure signal and returns the live shard count plus
-// whether this tick resized. The counter's own updates are wait-free and
-// expose no internal contention, so the pressure comes from outside — dlzd
-// feeds each tenant's counter the pressure of its paired queue; standalone
-// users can derive one from whatever saturation signal they have. A counter
-// built without Topology.AutoScale never moves.
-func (c *MultiCounter) AutoScaleTick(pressure float64) (m int, resized bool) {
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	_, cur := pad.UnpackEpoch(c.epoch.Load())
-	if c.topo.AutoScale == nil {
-		return cur, false
-	}
-	next := c.scal.decide(c.topo, cur, pressure)
-	if next == cur {
-		return cur, false
-	}
-	return c.resizeLocked(next), true
-}
-
 // Choices returns the configured number of random choices d (>= 1).
 func (c *MultiCounter) Choices() int { return c.d }
 
@@ -309,9 +240,6 @@ func (c *MultiCounter) Stickiness() int { return c.stick }
 
 // Batch returns the configured batching factor k (>= 1).
 func (c *MultiCounter) Batch() int { return c.batch }
-
-// Affinity returns the configured shard-affinity fraction (0 = uniform).
-func (c *MultiCounter) Affinity() float64 { return c.affinity }
 
 // Increment applies one unamortised d-choice increment using the
 // caller-owned generator r — Algorithm 1's increment, ignoring the
@@ -396,8 +324,7 @@ type Handle struct {
 	bufWeight uint64
 
 	c   *MultiCounter
-	id  uint64
-	r   *rng.Xoshiro256
+	r   rng.Xoshiro256 // by value: no separate allocation to share a line
 	smp Sampler
 
 	// Cached epoch word; syncEpoch re-seeds the sampler for the new live m
@@ -411,32 +338,28 @@ type Handle struct {
 	// Pads the handle to two whole cache lines, so that handles minted back
 	// to back (a dlzd lease's pair, consecutive leases) never share the line
 	// room and bufWeight are written on by every update.
-	_ [2*pad.CacheLine - 184]byte
+	_ [2*pad.CacheLine - 160]byte
 }
 
 // NewHandle returns a handle whose random stream is derived from seed,
-// inheriting the counter's Choices, Stickiness, Batch and Affinity
-// configuration. Handles are numbered in creation order (Handle.ID); the id
-// deterministically places the handle's home stripe when Affinity > 0.
+// inheriting the counter's Choices, Stickiness and Batch configuration.
 // Distinct workers must use distinct seeds (or rng.Streams).
 func (c *MultiCounter) NewHandle(seed uint64) *Handle {
-	id := c.nextID.Add(1) - 1
 	w := c.epoch.Load()
 	_, m := pad.UnpackEpoch(w)
 	return &Handle{
 		room:      c.batch - 1,
 		span:      c.batch - 1,
 		c:         c,
-		id:        id,
-		r:         rng.NewXoshiro256(seed),
+		r:         *rng.NewXoshiro256(seed),
 		epochWord: w,
-		smp:       NewAffineSampler(m, c.d, c.stick, c.affinity, id),
+		smp:       NewSampler(m, c.d, c.stick),
 	}
 }
 
 // syncEpoch folds a published resize into the handle: one atomic load
 // against the cached word, and on a flip the sampler re-seeds in place for
-// the new m (stripe re-placement included, no allocation).
+// the new m (no allocation).
 func (h *Handle) syncEpoch() {
 	if w := h.c.epoch.Load(); w != h.epochWord {
 		h.epochWord = w
@@ -482,7 +405,7 @@ func (h *Handle) addSlow(delta uint64) {
 // per update and empties the buffer.
 func (h *Handle) publish(ops int) {
 	h.syncEpoch()
-	i := argmin(h.c.shards, h.smp.Candidates(h.r, ops))
+	i := argmin(h.c.shards, h.smp.Candidates(&h.r, ops))
 	h.smp.Charge(ops)
 	h.c.shards.Add(i, h.bufWeight)
 	h.bufWeight, h.room = 0, h.span
@@ -529,7 +452,7 @@ func (h *Handle) Flush() {
 // Read returns the approximate counter value (Algorithm 1's read). This
 // handle's own buffered increments are not yet reflected; Flush first if the
 // caller needs them counted.
-func (h *Handle) Read() uint64 { return h.c.Read(h.r) }
+func (h *Handle) Read() uint64 { return h.c.Read(&h.r) }
 
 // Rerolls returns the number of Sampler.Reroll requests over this handle's
 // lifetime. The counter path never rerolls on its own (there is no
@@ -559,10 +482,6 @@ func (h *Handle) Close() {
 // Counter returns the underlying MultiCounter.
 func (h *Handle) Counter() *MultiCounter { return h.c }
 
-// ID returns the handle's creation-order id (0 for the first handle), the
-// value that seeds its home stripe when the counter runs with Affinity > 0.
-func (h *Handle) ID() uint64 { return h.id }
-
 // IncrementTraced performs an unamortised increment and records the
 // operation in log with stamps from rec; the linearization stamp is taken
 // adjacent to the atomic increment. Traced operations always use the per-op
@@ -577,7 +496,7 @@ func (h *Handle) ID() uint64 { return h.id }
 // and the distributional-linearizability integration tests.
 func (h *Handle) IncrementTraced(rec *trace.Recorder, log *trace.ThreadLog) {
 	start := rec.Stamp()
-	h.c.Increment(h.r)
+	h.c.Increment(&h.r)
 	lin := rec.Stamp()
 	log.Record(trace.Event{Kind: trace.KindInc, Start: start, Lin: lin, End: lin})
 }
@@ -586,7 +505,7 @@ func (h *Handle) IncrementTraced(rec *trace.Recorder, log *trace.ThreadLog) {
 // value.
 func (h *Handle) ReadTraced(rec *trace.Recorder, log *trace.ThreadLog) uint64 {
 	start := rec.Stamp()
-	v := h.c.Read(h.r)
+	v := h.c.Read(&h.r)
 	lin := rec.Stamp()
 	log.Record(trace.Event{Kind: trace.KindRead, Start: start, Lin: lin, End: lin, Ret: v})
 	return v

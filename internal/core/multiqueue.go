@@ -26,30 +26,23 @@ import (
 // states: analysis guarantees apply while no insertion carries a higher
 // priority than an element already removed.
 type MultiQueue struct {
-	qs       []*cpq.Queue // len Topology.MaxM; slots >= live m are sealed
-	clk      clock.Clock
-	blk      blockClock // non-nil when clk supports block reservation
-	topo     Topology
-	d        int
-	stick    int
-	batch    int
-	affinity float64
-	nextID   atomic.Uint64 // handle ids, assigned at NewHandle
+	qs    []*cpq.Queue // len Topology.MaxM; slots >= live m are sealed
+	clk   clock.Clock
+	blk   blockClock // non-nil when clk supports block reservation
+	topo  Topology
+	d     int
+	stick int
+	batch int
 
 	// Elastic topology state (DESIGN.md §11). epoch publishes the pair
 	// (resize epoch, live m) in one padded atomic word — the only load a
 	// handle needs to notice a flip, and the linearization point of every
-	// resize. resizeMu serializes Resize, AutoScaleTick and SnapshotElements
-	// against each other; the enqueue/dequeue paths never take it and
-	// tolerate a racing flip through sealed-queue refusals.
+	// resize. resizeMu serializes Resize and SnapshotElements against each
+	// other; the enqueue/dequeue paths never take it and tolerate a racing
+	// flip through sealed-queue refusals.
 	epoch    pad.EpochWord
 	resizeMu sync.Mutex
 	resizes  atomic.Uint64
-	scal     scaler
-	// Controller baselines: the cumulative counters at the previous
-	// AutoScaleTick, so each tick prices only the interval's contention.
-	lastContended uint64
-	lastCrit      uint64
 }
 
 // blockClock is the optional fast path a clock can offer batched enqueuers:
@@ -68,8 +61,8 @@ type MultiQueueConfig struct {
 	// exactly as before (MinM = MaxM = Queues, no resizing).
 	Queues int
 	// Topology is the redesigned capacity surface: initial, minimum and
-	// maximum live shard counts plus the optional contention-driven
-	// AutoScale controller (DESIGN.md §11). A zero InitialM adopts Queues.
+	// maximum live shard counts (DESIGN.md §11). A zero InitialM adopts
+	// Queues.
 	Topology Topology
 	// Clock supplies enqueue timestamps (default: a fresh Tick clock, which
 	// gives strictly unique, consistently ordered stamps).
@@ -107,20 +100,6 @@ type MultiQueueConfig struct {
 	// handles until the batch flushes (call MQHandle.Flush at quiescence);
 	// prefetched elements are already dequeued from the shared structure.
 	Batch int
-	// Affinity is the shard-affinity fraction a ∈ [0, 1] of the sticky
-	// dequeue sampler (DESIGN.md §7): each handle owns a home stripe of
-	// w = max(Choices, ⌈a·Queues⌉) contiguous queue indices, placed
-	// deterministically from its handle id, and every candidate refresh
-	// draws Choices−1 candidates from the stripe plus one uniform escape
-	// candidate, rotating the stripe periodically so no region starves.
-	// 0 (the default) keeps every draw uniform over all queues — the
-	// paper's assumption, tracing identically to the pre-affinity sampler
-	// except where the candidate dedupe resamples a collision (~d²/2m of
-	// refreshes).
-	// Enqueues always insert uniformly, so the insert-side load balance the
-	// analysis needs is unaffected; the rank-drift cost of any setting is
-	// measured by cmd/quality -queue -affinity. Values outside [0, 1] panic.
-	Affinity float64
 }
 
 // NewMultiQueue returns a MultiQueue with the given configuration.
@@ -144,17 +123,13 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	if !(cfg.Affinity >= 0 && cfg.Affinity <= 1) { // rejects NaN too
-		panic("core: MultiQueueConfig.Affinity must be in [0, 1]")
-	}
 	mq := &MultiQueue{
-		qs:       make([]*cpq.Queue, topo.MaxM),
-		clk:      cfg.Clock,
-		topo:     topo,
-		d:        cfg.Choices,
-		stick:    cfg.Stickiness,
-		batch:    cfg.Batch,
-		affinity: cfg.Affinity,
+		qs:    make([]*cpq.Queue, topo.MaxM),
+		clk:   cfg.Clock,
+		topo:  topo,
+		d:     cfg.Choices,
+		stick: cfg.Stickiness,
+		batch: cfg.Batch,
 	}
 	if cfg.Batch > 1 {
 		mq.blk, _ = cfg.Clock.(blockClock)
@@ -168,9 +143,6 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 		}
 	}
 	mq.epoch.Init(0, topo.InitialM)
-	if topo.AutoScale != nil {
-		mq.scal = scaler{as: *topo.AutoScale}
-	}
 	return mq
 }
 
@@ -182,9 +154,6 @@ func (q *MultiQueue) Stickiness() int { return q.stick }
 
 // Batch returns the configured batching factor k (>= 1).
 func (q *MultiQueue) Batch() int { return q.batch }
-
-// Affinity returns the configured shard-affinity fraction (0 = uniform).
-func (q *MultiQueue) Affinity() float64 { return q.affinity }
 
 // M returns the live number of internal queues — one atomic load of the
 // epoch word, current as of that instant (a concurrent Resize may move it).
@@ -286,10 +255,6 @@ func (q *MultiQueue) Sizes(dst []int) {
 func (q *MultiQueue) Resize(m int) int {
 	q.resizeMu.Lock()
 	defer q.resizeMu.Unlock()
-	return q.resizeLocked(m)
-}
-
-func (q *MultiQueue) resizeLocked(m int) int {
 	m = q.topo.clamp(m)
 	epoch, cur := pad.UnpackEpoch(q.epoch.Load())
 	if m == cur {
@@ -341,8 +306,8 @@ func (q *MultiQueue) donateLocked(drained []heap.Item, m int) {
 // SnapshotElements captures the structure's full contents into dst and
 // puts every element straight back, returning dst extended with the capture
 // in shard-drain order — the point-in-time read the durability snapshotter
-// needs. It holds the resize lock for the whole capture, so no resize or
-// autoscale tick can interleave, and drains each live shard without sealing
+// needs. It holds the resize lock for the whole capture, so no resize can
+// interleave, and drains each live shard without sealing
 // it (cpq.Drain): a shard is never in a refusing state, so a racing insert
 // fallback cannot lose elements. The capture is only a consistent cut if
 // the caller has quiesced concurrent mutators (dlzd's snapshotter holds
@@ -360,59 +325,23 @@ func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
 	return dst
 }
 
-// AutoScaleTick advances the contention-driven controller one tick: it
-// prices the interval since the previous tick as
-// ΔLockContended / Δ(Elisions+Publications) — the fraction of critical
-// sections whose lock acquisition entered the spin-backoff slow path — and
-// applies the AutoScale policy (double at GrowThreshold, halve at
-// ShrinkThreshold, after the dwell). Returns the live shard count and
-// whether this tick resized. A queue built without Topology.AutoScale
-// never moves. Call from one goroutine (dlzd's janitor, a benchmark's
-// pacer); the tick itself is cheap — a lock-free Stats scan.
-func (q *MultiQueue) AutoScaleTick() (m int, resized bool) {
-	q.resizeMu.Lock()
-	defer q.resizeMu.Unlock()
-	_, cur := pad.UnpackEpoch(q.epoch.Load())
-	if q.topo.AutoScale == nil {
-		return cur, false
-	}
-	st := q.Stats()
-	crit := st.Elisions + st.Publications
-	dCrit := crit - q.lastCrit
-	dCont := st.LockContended - q.lastContended
-	q.lastCrit, q.lastContended = crit, st.LockContended
-	var pressure float64
-	if dCrit > 0 {
-		pressure = float64(dCont) / float64(dCrit)
-	} else if dCont > 0 {
-		// Waiters escalated but no critical section completed: saturated.
-		pressure = 1
-	}
-	next := q.scal.decide(q.topo, cur, pressure)
-	if next == cur {
-		return cur, false
-	}
-	return q.resizeLocked(next), true
-}
-
 // MQHandle binds a MultiQueue to one goroutine's private generator and, in
 // sticky/batched mode, the handle-local fast-path state: the sticky samplers
 // holding the current queue choices, the insert buffer awaiting its batch
 // flush, and the prefetched dequeue run. A handle must be used by one
 // goroutine at a time.
 //
-// The struct is six whole cache lines with no padding field; a field that
-// changes that must pad it back, or handles minted back to back share a line
+// The struct is padded to three whole cache lines; a field that changes its
+// size must re-pad it, or handles minted back to back share a line
 // (TestHandlesOwnTheirCacheLines).
 type MQHandle struct {
-	q  *MultiQueue
-	id uint64
-	r  rng.Xoshiro256 // by value: no separate allocation to share a line
+	q *MultiQueue
+	r rng.Xoshiro256 // by value: no separate allocation to share a line
 
 	// Cached copy of the queue's epoch word and the live m it encodes.
 	// syncEpoch compares one atomic load against epochWord at operation
 	// entry; on a mismatch the handle re-seeds both samplers for the new m
-	// (stripe re-placement included) before proceeding. Steady state this
+	// before proceeding. Steady state this
 	// is one load and one predictable branch.
 	epochWord uint64
 	m         int
@@ -441,27 +370,24 @@ type MQHandle struct {
 	// closed marks a handle retired by Close: its buffers are drained and
 	// every further operation is a programming error.
 	closed bool
+
+	_ [3*pad.CacheLine - 296]byte
 }
 
 // NewHandle returns a per-goroutine handle seeded with seed, inheriting the
-// MultiQueue's choice count, stickiness window, batching factor and affinity
-// fraction. Handles are numbered in creation order (MQHandle.ID); the id
-// deterministically places the handle's home stripe when Affinity > 0, so a
-// fixed creation order reproduces the same stripe layout run to run. The
-// enqueue sampler stays uniform in every mode — Algorithm 2 inserts
-// uniformly, and the insert-side balance is what the analysis leans on.
+// MultiQueue's choice count, stickiness window and batching factor. Both
+// samplers draw uniformly: one choice per insert (Algorithm 2's enqueue), d
+// per removal.
 func (q *MultiQueue) NewHandle(seed uint64) *MQHandle {
-	id := q.nextID.Add(1) - 1
 	w := q.epoch.Load()
 	_, m := pad.UnpackEpoch(w)
 	h := &MQHandle{
 		q:         q,
-		id:        id,
 		r:         *rng.NewXoshiro256(seed),
 		epochWord: w,
 		m:         m,
 		enq:       NewSampler(m, 1, q.stick),
-		deq:       NewAffineSampler(m, q.d, q.stick, q.affinity, id),
+		deq:       NewSampler(m, q.d, q.stick),
 	}
 	if q.batch > 1 {
 		backing := make([]heap.Item, 2*q.batch)
@@ -473,10 +399,6 @@ func (q *MultiQueue) NewHandle(seed uint64) *MQHandle {
 
 // Queue returns the underlying MultiQueue.
 func (h *MQHandle) Queue() *MultiQueue { return h.q }
-
-// ID returns the handle's creation-order id (0 for the first handle), the
-// value that seeds its home stripe when the queue runs with Affinity > 0.
-func (h *MQHandle) ID() uint64 { return h.id }
 
 // Buffered returns the number of enqueued elements held in this handle's
 // insert buffer, not yet visible to other handles. Zero unless Batch > 1.
@@ -524,7 +446,7 @@ func (h *MQHandle) checkOpen() {
 
 // syncEpoch folds a published resize into the handle: one atomic load
 // against the cached word, and on a flip both samplers re-seed in place for
-// the new m (golden-ratio stripe re-placement, no allocation).
+// the new m (no allocation).
 func (h *MQHandle) syncEpoch() {
 	if w := h.q.epoch.Load(); w != h.epochWord {
 		h.reseed(w)

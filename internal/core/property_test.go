@@ -7,37 +7,32 @@ import (
 	"time"
 )
 
-// stickyBatchGrid is the (Stickiness, Batch, Affinity) sweep the property
-// and stress tests cover: the per-op baseline, each knob alone, both
-// together, a non-divisor batch size so partial flushes are exercised, and
-// the shard-affine sampler at its committed fraction so conservation holds
-// with stripe-local dequeue choices too.
-var stickyBatchGrid = []struct {
-	stick, batch int
-	affinity     float64
-}{
-	{0, 0, 0}, // zero values normalize to 1/1: Algorithm 2 exactly
-	{1, 1, 0},
-	{4, 1, 0},
-	{1, 4, 0},
-	{4, 4, 0},
-	{8, 7, 0}, // 7 never divides the op counts below: Flush moves a partial batch
-	{4, 4, 0.25},
-	{8, 7, 1}, // whole-ring stripe: affinity's degenerate uniform-width end
+// stickyBatchGrid is the (Stickiness, Batch) sweep the property and stress
+// tests cover: the per-op baseline, each knob alone, both together, and a
+// non-divisor batch size so partial flushes are exercised. Subtest names end
+// in /a0, the uniform sampler, so their ids outlive the sampler choice the
+// suffix once recorded.
+var stickyBatchGrid = []struct{ stick, batch int }{
+	{0, 0}, // zero values normalize to 1/1: Algorithm 2 exactly
+	{1, 1},
+	{4, 1},
+	{1, 4},
+	{4, 4},
+	{8, 7}, // 7 never divides the op counts below: Flush moves a partial batch
 }
 
 // TestPropertyQuiescentDrainExactMultiset is the conservation property the
-// ISSUE demands: for every (Stickiness, Batch, Affinity) combination, after
+// ISSUE demands: for every (Stickiness, Batch) combination, after
 // all handles flush, a quiescent drain returns exactly the multiset of
 // enqueued values — no loss, no duplication — and Len/Sizes agree with the
 // element count before the drain and with zero after it.
 func TestPropertyQuiescentDrainExactMultiset(t *testing.T) {
 	for _, g := range stickyBatchGrid {
-		t.Run(fmt.Sprintf("binary/s%d/k%d/a%v", g.stick, g.batch, g.affinity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("binary/s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			const handles, per, m = 3, 1000, 8
 			q := NewMultiQueue(MultiQueueConfig{
 				Queues:     m,
-				Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+				Stickiness: g.stick, Batch: g.batch,
 			})
 			hs := make([]*MQHandle, handles)
 			for i := range hs {
@@ -101,7 +96,7 @@ func TestPropertyQuiescentDrainExactMultiset(t *testing.T) {
 func TestPropertySingleHandleDrainSeesOwnBuffer(t *testing.T) {
 	for _, g := range stickyBatchGrid {
 		q := NewMultiQueue(MultiQueueConfig{
-			Queues: 4, Seed: 11, Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+			Queues: 4, Seed: 11, Stickiness: g.stick, Batch: g.batch,
 		})
 		h := q.NewHandle(1)
 		const n = 5 // below every batch size in the grid except 1 and 4
@@ -211,24 +206,19 @@ func TestPropertyPriorityModeStickyBatched(t *testing.T) {
 	}
 }
 
-// counterGrid is the Choices × Stickiness × Batch × Affinity sweep the
-// MultiCounter conservation properties cover: the paper's per-op two-choice
-// default, the single-choice ablation, each amortisation knob alone, both
-// together, a non-divisor batch size so partial flushes are exercised, and
-// the shard-affine sampler so conservation holds with stripe-local choices.
-var counterGrid = []struct {
-	d, stick, batch int
-	affinity        float64
-}{
-	{0, 0, 0, 0}, // zero values normalize to 2/1/1: Algorithm 1 exactly
-	{1, 1, 1, 0},
-	{2, 4, 1, 0},
-	{2, 1, 4, 0},
-	{2, 4, 4, 0},
-	{4, 8, 8, 0},
-	{2, 8, 7, 0}, // 7 never divides the op counts below: Flush moves a partial batch
-	{2, 4, 4, 0.25},
-	{4, 8, 8, 1}, // whole-ring stripe: affinity's degenerate uniform-width end
+// counterGrid is the Choices × Stickiness × Batch sweep the MultiCounter
+// conservation properties cover: the paper's per-op two-choice default, the
+// single-choice ablation, each amortisation knob alone, both together, and a
+// non-divisor batch size so partial flushes are exercised. Subtest names end
+// in /a0 like stickyBatchGrid's.
+var counterGrid = []struct{ d, stick, batch int }{
+	{0, 0, 0}, // zero values normalize to 2/1/1: Algorithm 1 exactly
+	{1, 1, 1},
+	{2, 4, 1},
+	{2, 1, 4},
+	{2, 4, 4},
+	{4, 8, 8},
+	{2, 8, 7}, // 7 never divides the op counts below: Flush moves a partial batch
 }
 
 // TestPropertyMultiCounterConservation is the counter-side conservation
@@ -239,10 +229,10 @@ var counterGrid = []struct {
 func TestPropertyMultiCounterConservation(t *testing.T) {
 	for _, g := range counterGrid {
 		g := g
-		t.Run(fmt.Sprintf("d%d/s%d/k%d/a%v", g.d, g.stick, g.batch, g.affinity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("d%d/s%d/k%d/a0", g.d, g.stick, g.batch), func(t *testing.T) {
 			const workers, per, m = 4, 5000, 16
 			mc := NewMultiCounterConfig(MultiCounterConfig{
-				Counters: m, Choices: g.d, Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+				Counters: m, Choices: g.d, Stickiness: g.stick, Batch: g.batch,
 			})
 			var wg sync.WaitGroup
 			handles := make([]*Handle, workers)
@@ -323,10 +313,10 @@ func TestPropertyMultiCounterBatchAutoFlush(t *testing.T) {
 func TestPropertyConcurrentStickyBatchedConservation(t *testing.T) {
 	for _, g := range stickyBatchGrid {
 		g := g
-		t.Run(fmt.Sprintf("s%d/k%d/a%v", g.stick, g.batch, g.affinity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			const producers, consumers, per = 4, 2, 3000
 			q := NewMultiQueue(MultiQueueConfig{
-				Queues: 16, Seed: 31, Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+				Queues: 16, Seed: 31, Stickiness: g.stick, Batch: g.batch,
 			})
 			var wg sync.WaitGroup
 			prodHandles := make([]*MQHandle, producers)

@@ -63,11 +63,11 @@ func TestResizeClampAndEpochBookkeeping(t *testing.T) {
 // differed from both the initial and final counts.
 func TestResizeConservationQuiescent(t *testing.T) {
 	for _, g := range stickyBatchGrid {
-		t.Run(fmt.Sprintf("binary/s%d/k%d/a%v", g.stick, g.batch, g.affinity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("binary/s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			const handles, per = 3, 500
 			q := NewMultiQueue(MultiQueueConfig{
 				Topology:   elasticTopo(4, 1, 32),
-				Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+				Stickiness: g.stick, Batch: g.batch,
 			})
 			hs := make([]*MQHandle, handles)
 			for i := range hs {
@@ -177,7 +177,7 @@ func TestResizeConcurrentConservation(t *testing.T) {
 // next operation and route every subsequent insert into the live range —
 // no element may land in a sealed victim.
 func TestResizeStaleHandleReroutes(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Topology: elasticTopo(8, 2, 8), Seed: 3, Affinity: 0.5})
+	q := NewMultiQueue(MultiQueueConfig{Topology: elasticTopo(8, 2, 8), Seed: 3})
 	h := q.NewHandle(1)
 	h.Enqueue(0) // handle now carries the epoch word for m=8
 	if h.m != 8 {
@@ -206,151 +206,13 @@ func TestResizeStaleHandleReroutes(t *testing.T) {
 	}
 }
 
-// TestScalerDecide drives the pure controller function through dwell gating,
-// doubling/halving, clamping and the disabled-shrink mode — the seeded unit
-// behind both structures' AutoScaleTick.
-func TestScalerDecide(t *testing.T) {
-	topo := elasticTopo(4, 2, 16)
-	as := AutoScale{GrowThreshold: 0.5, ShrinkThreshold: 0.05, Dwell: 2}
-
-	t.Run("dwell gates and resets", func(t *testing.T) {
-		s := scaler{as: as}
-		if got := s.decide(topo, 4, 1.0); got != 4 {
-			t.Fatalf("tick 1 stepped to %d before dwell elapsed", got)
-		}
-		if got := s.decide(topo, 4, 1.0); got != 4 {
-			t.Fatalf("tick 2 stepped to %d before dwell elapsed", got)
-		}
-		if got := s.decide(topo, 4, 1.0); got != 8 {
-			t.Fatalf("tick 3 = %d, want grow to 8", got)
-		}
-		// The step reset the clock: the next high-pressure tick must wait
-		// out the dwell again.
-		if got := s.decide(topo, 8, 1.0); got != 8 {
-			t.Fatalf("tick after step moved to %d, dwell did not reset", got)
-		}
-	})
-
-	t.Run("grow doubles and clamps", func(t *testing.T) {
-		s := scaler{as: AutoScale{GrowThreshold: 0.5, ShrinkThreshold: 0.05, Dwell: 0}}
-		// Dwell 0 still requires sinceStep > 0, which the first tick satisfies.
-		cur := 2
-		for _, want := range []int{4, 8, 16, 16} {
-			if cur = s.decide(topo, cur, 0.9); cur != want {
-				t.Fatalf("grow chain got %d, want %d", cur, want)
-			}
-		}
-	})
-
-	t.Run("shrink halves and clamps", func(t *testing.T) {
-		s := scaler{as: AutoScale{GrowThreshold: 0.5, ShrinkThreshold: 0.05, Dwell: 0}}
-		cur := 16
-		for _, want := range []int{8, 4, 2, 2} {
-			if cur = s.decide(topo, cur, 0.0); cur != want {
-				t.Fatalf("shrink chain got %d, want %d", cur, want)
-			}
-		}
-	})
-
-	t.Run("mid pressure holds", func(t *testing.T) {
-		s := scaler{as: AutoScale{GrowThreshold: 0.5, ShrinkThreshold: 0.05, Dwell: 0}}
-		for i := 0; i < 5; i++ {
-			if got := s.decide(topo, 8, 0.25); got != 8 {
-				t.Fatalf("pressure 0.25 moved m to %d", got)
-			}
-		}
-	})
-
-	t.Run("negative shrink threshold disables shrink", func(t *testing.T) {
-		s := scaler{as: AutoScale{GrowThreshold: 0.5, ShrinkThreshold: -1, Dwell: 0}}
-		for i := 0; i < 5; i++ {
-			if got := s.decide(topo, 16, 0.0); got != 16 {
-				t.Fatalf("disabled shrink still moved m to %d", got)
-			}
-		}
-	})
-}
-
-// TestAutoScaleTickGrowsUnderInjectedContentionShrinksWhenIdle drives the
-// MultiQueue's contention-priced controller deterministically: the
-// contention signal is injected by rolling back the controller's last-seen
-// LockContended watermark (so the next tick prices a positive Δcontended
-// against zero completed critical sections — the saturated branch,
-// pressure 1), and idleness is the true zero-delta state. Grow must
-// staircase to MaxM, idle ticks must walk it back to MinM, and elements are
-// conserved throughout.
-func TestAutoScaleTickGrowsUnderInjectedContentionShrinksWhenIdle(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{
-		Topology: Topology{InitialM: 2, MinM: 2, MaxM: 16,
-			AutoScale: &AutoScale{GrowThreshold: 0.5, ShrinkThreshold: 0.05, Dwell: 1}},
-		Seed: 21,
-	})
-	h := q.NewHandle(1)
-	const n = 200
-	for i := 0; i < n; i++ {
-		h.Enqueue(uint64(i))
-	}
-	if m, _ := q.AutoScaleTick(); m != 2 {
-		t.Fatalf("baseline tick moved m to %d", m)
-	}
-
-	inject := func() {
-		// Roll the watermark back so the next tick sees ΔLockContended = 8
-		// with ΔCrit = 0 (no ops ran since the baseline): the saturated
-		// branch prices that as pressure 1. uint64 wraparound in the delta
-		// makes this exact even while the true counter is still 0.
-		q.resizeMu.Lock()
-		q.lastContended -= 8
-		q.lastCrit = q.Stats().Elisions + q.Stats().Publications
-		q.resizeMu.Unlock()
-	}
-	grown := []int{}
-	for i := 0; i < 12 && q.M() < 16; i++ {
-		inject()
-		if m, resized := q.AutoScaleTick(); resized {
-			grown = append(grown, m)
-		}
-	}
-	if q.M() != 16 {
-		t.Fatalf("injected contention grew m to %d, want MaxM 16 (steps %v)", q.M(), grown)
-	}
-	if fmt.Sprint(grown) != "[4 8 16]" {
-		t.Fatalf("grow staircase %v, want [4 8 16]", grown)
-	}
-
-	// Idle: no operations between ticks → Δcrit = Δcontended = 0 →
-	// pressure 0 → halve after each dwell.
-	shrunk := []int{}
-	for i := 0; i < 12 && q.M() > 2; i++ {
-		if m, resized := q.AutoScaleTick(); resized {
-			shrunk = append(shrunk, m)
-		}
-	}
-	if q.M() != 2 {
-		t.Fatalf("idle ticks shrank m to %d, want MinM 2 (steps %v)", q.M(), shrunk)
-	}
-	if fmt.Sprint(shrunk) != "[8 4 2]" {
-		t.Fatalf("shrink staircase %v, want [8 4 2]", shrunk)
-	}
-	if q.Len() != n {
-		t.Fatalf("Len = %d after grow/shrink cycle, want %d", q.Len(), n)
-	}
-
-	// A queue without AutoScale never moves, whatever the watermarks say.
-	fixed := NewMultiQueue(MultiQueueConfig{Topology: elasticTopo(4, 2, 16), Seed: 22})
-	if m, resized := fixed.AutoScaleTick(); resized || m != 4 {
-		t.Fatalf("nil-AutoScale tick returned (%d, %v)", m, resized)
-	}
-}
-
 // TestMultiCounterResizeConservesExact checks the counter's releveling
 // resize: Exact is conserved to the unit across shrink and grow, the
-// redistributed cells are level (gap ≤ 1 at quiescence), and the
-// caller-pressure AutoScaleTick walks the same staircase as the queue's.
+// redistributed cells are level (gap ≤ 1 at quiescence), and a doubling
+// staircase to MaxM and a halving one back to MinM keep every unit.
 func TestMultiCounterResizeConservesExact(t *testing.T) {
 	mc := NewMultiCounterConfig(MultiCounterConfig{
-		Topology: Topology{InitialM: 8, MinM: 1, MaxM: 32,
-			AutoScale: &AutoScale{GrowThreshold: 0.5, ShrinkThreshold: 0.05, Dwell: 1}},
+		Topology: Topology{InitialM: 8, MinM: 1, MaxM: 32},
 	})
 	h := mc.NewHandle(1)
 	const n = 100_003 // prime: the releveling remainder path is exercised
@@ -389,28 +251,27 @@ func TestMultiCounterResizeConservesExact(t *testing.T) {
 		t.Fatalf("Exact = %d after post-resize increments, want %d", mc.Exact(), n+1000)
 	}
 
-	// Caller-fed pressure: saturate → MaxM, idle → MinM.
-	for i := 0; i < 12 && mc.M() < 32; i++ {
-		mc.AutoScaleTick(1.0)
+	// Double to MaxM, then halve back to MinM, one step at a time.
+	for m := mc.M(); m < 32; {
+		m = mc.Resize(2 * m)
 	}
 	if mc.M() != 32 {
-		t.Fatalf("pressure-1 ticks grew m to %d, want 32", mc.M())
+		t.Fatalf("doubling staircase grew m to %d, want 32", mc.M())
 	}
-	for i := 0; i < 14 && mc.M() > 1; i++ {
-		mc.AutoScaleTick(0.0)
+	for m := mc.M(); m > 1; {
+		m = mc.Resize(m / 2)
 	}
 	if mc.M() != 1 {
-		t.Fatalf("pressure-0 ticks shrank m to %d, want 1", mc.M())
+		t.Fatalf("halving staircase shrank m to %d, want 1", mc.M())
 	}
 	if mc.Exact() != n+1000 {
-		t.Fatalf("Exact = %d after autoscale staircase, want %d", mc.Exact(), n+1000)
+		t.Fatalf("Exact = %d after resize staircase, want %d", mc.Exact(), n+1000)
 	}
 }
 
 // TestSamplerReseed pins the stale-handle reseed contract: the clamp
 // d = min(d0, m) re-applies in both directions, candidates after a reseed
-// stay within the new range, the affine stripe is re-placed exactly as a
-// fresh construction would place it, and the reseed itself never allocates.
+// stay within the new range, and the reseed itself never allocates.
 func TestSamplerReseed(t *testing.T) {
 	r := rng.NewXoshiro256(7)
 
@@ -443,18 +304,6 @@ func TestSamplerReseed(t *testing.T) {
 		}
 		if !seen {
 			t.Fatal("after Reseed(64) no candidate ever landed beyond the old m — sampler still draws from [0, 16)")
-		}
-	})
-
-	t.Run("affine stripe re-placed like fresh construction", func(t *testing.T) {
-		const handle = 42
-		s := NewAffineSampler(32, 4, 8, 0.25, handle)
-		s.Reseed(8)
-		fresh := NewAffineSampler(8, 4, 8, 0.25, handle)
-		gb, gw := s.Stripe()
-		wb, ww := fresh.Stripe()
-		if gb != wb || gw != ww {
-			t.Fatalf("reseeded stripe (%d,%d) != fresh stripe (%d,%d)", gb, gw, wb, ww)
 		}
 	})
 

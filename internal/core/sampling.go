@@ -2,19 +2,6 @@ package core
 
 import "repro/internal/rng"
 
-// affinityRotateEvery is R, the number of earned (window-expiry) candidate
-// refreshes a handle's home stripe serves before rotating one stripe width
-// around the shard ring; reroll-driven redraws do not advance the clock.
-// Rotation bounds the worst-case imbalance of stripe-local choices: every
-// shard spends the same fraction of refreshes inside each handle's stripe, so
-// over (m/w)·R refreshes a lone handle's d−1 stripe candidates still cover
-// the whole ring (the uniform escape candidate reaches everywhere from the
-// first refresh). Smaller R tightens the single-handle drift bound at the
-// price of colder stripes; 16 keeps the measured rank drift at the committed
-// affinity settings within 1.5× of the uniform sampler (EXPERIMENTS.md §5)
-// while a stripe still serves 16·max(s,k) operations between moves.
-const affinityRotateEvery = 16
-
 // Sampler is the sticky d-choice sampling policy shared by the MultiCounter
 // and MultiQueue handles — the one place the repository implements the
 // paper's choice process (Section 4's "d-sampling" step generalizing the
@@ -26,12 +13,8 @@ const affinityRotateEvery = 16
 // way the sticky fast path requires (DESIGN.md §2). The paper's exact
 // processes are the degenerate settings — window = 1 re-rolls every
 // operation, d = 2 is the two-choice rule, and d = 1 is the divergent
-// single-choice baseline of ablation A1.
-//
-// A Sampler draws either uniformly over all m shards (NewSampler, the
-// paper's assumption) or shard-affine (NewAffineSampler): d−1 candidates
-// from a per-handle home stripe of w contiguous indices plus one uniform
-// "escape" candidate, the choice-locality policy of DESIGN.md §7.
+// single-choice baseline of ablation A1. Every draw is uniform over all m
+// shards, the paper's assumption.
 //
 // A Sampler is handle-local state: it must only be used by the single
 // goroutine that owns the enclosing handle, with that handle's private
@@ -45,21 +28,9 @@ type Sampler struct {
 	rerolls uint64
 	cand    []int
 
-	// Reseed inputs: the requested d before the m-clamp, the affinity
-	// fraction and the handle id, retained so a resize epoch can re-derive
-	// the whole draw policy at the new m in place (Reseed) — the clamp, the
-	// stripe width and the golden-ratio stripe center are all functions of
-	// (d0, affinity, handle, m).
-	d0       int
-	affinity float64
-	handle   uint64
-
-	// Stripe (affinity) state. width == 0 selects the uniform draw; width
-	// >= d is the home-stripe size w, base its current start on the [0, m)
-	// ring, and refreshes counts refreshes since the last rotation.
-	width     int
-	base      int
-	refreshes int
+	// d0 is the requested d before the m-clamp, retained so a resize epoch
+	// can re-apply the clamp at the new m in place (Reseed).
+	d0 int
 }
 
 // NewSampler returns a sampler drawing d-element candidate sets uniformly
@@ -88,73 +59,12 @@ func NewSampler(m, d, window int) Sampler {
 	return Sampler{m: m, d: d, d0: d0, window: window, cand: make([]int, d, d0)}
 }
 
-// NewAffineSampler returns a sampler biased toward a per-handle home stripe:
-// each refresh draws d−1 candidates from a window of w = max(d, ⌈affinity·m⌉)
-// contiguous shard indices owned by this handle and one uniform escape
-// candidate from all of {0, …, m−1}, so no shard is ever unreachable and
-// insert-side load still equalizes globally. The stripe rotates one width
-// around the ring every affinityRotateEvery window-expiry refreshes,
-// bounding worst-case imbalance (DESIGN.md §7).
-//
-// The stripe start is derived deterministically from handle: stripe centers
-// are placed by golden-ratio multiplicative hashing, the n-free
-// generalization of the id·m/n layout — for any number of handles with
-// sequential ids the centers are low-discrepancy on the ring, so stripes
-// tile the shards near-evenly without the structure knowing its handle
-// count up front.
-//
-// affinity must lie in [0, 1]; 0 returns the uniform sampler of NewSampler
-// (bit-for-bit: the draw path is shared), and d = 1 degenerates to uniform
-// too, since the single candidate is the escape.
-func NewAffineSampler(m, d, window int, affinity float64, handle uint64) Sampler {
-	if !(affinity >= 0 && affinity <= 1) { // rejects NaN too
-		panic("core: NewAffineSampler needs affinity in [0, 1]")
-	}
-	s := NewSampler(m, d, window)
-	s.affinity = affinity
-	s.handle = handle
-	s.placeStripe()
-	return s
-}
-
-// placeStripe derives the affinity stripe (width, base) from the sampler's
-// current (m, d, affinity, handle), leaving the sampler uniform when
-// affinity is 0 or the clamped d degenerates to 1. Shared by construction
-// and Reseed so an epoch flip re-places the stripe by exactly the rule the
-// constructor used.
-func (s *Sampler) placeStripe() {
-	s.width, s.base, s.refreshes = 0, 0, 0
-	if s.affinity == 0 || s.d == 1 {
-		return
-	}
-	m := s.m
-	w := int(s.affinity * float64(m))
-	if float64(w) < s.affinity*float64(m) {
-		w++ // ceil
-	}
-	if w < s.d {
-		w = s.d
-	}
-	if w > m {
-		w = m
-	}
-	s.width = w
-	// center = frac(handle·φ)·m: the top 32 bits of handle·φ form a 0.32
-	// fixed-point fraction of the ring, which the multiply-then-shift
-	// scales by m.
-	center := int(((s.handle * 0x9e3779b97f4a7c15) >> 32) * uint64(m) >> 32)
-	s.base = center - w/2
-	if s.base < 0 {
-		s.base += m
-	}
-}
-
 // Reseed re-derives the sampler for a new shard count m — the stale-handle
-// half of a resize epoch (DESIGN.md §11). The clamp d = min(d0, m), the
-// stripe width and the golden-ratio stripe center are recomputed from the
-// retained construction inputs; the candidate set and window budget are
-// discarded (the old indices may exceed the new m or target sealed shards),
-// so the next Candidates call draws fresh indices at the new topology.
+// half of a resize epoch (DESIGN.md §11). The clamp d = min(d0, m) is
+// re-applied to the retained requested d; the candidate set and window
+// budget are discarded (the old indices may exceed the new m or target
+// sealed shards), so the next Candidates call draws fresh indices at the new
+// topology.
 // The candidate slice is resized in place within its original capacity —
 // Reseed never allocates, keeping the steady-state 0 allocs/op contract.
 func (s *Sampler) Reseed(m int) {
@@ -168,7 +78,6 @@ func (s *Sampler) Reseed(m int) {
 	}
 	s.d = d
 	s.cand = s.cand[:d]
-	s.placeStripe()
 	s.left = 0
 	s.reroll = false
 }
@@ -178,14 +87,6 @@ func (s *Sampler) Choices() int { return s.d }
 
 // Window returns the stickiness window (>= 1).
 func (s *Sampler) Window() int { return s.window }
-
-// Affine reports whether the sampler draws from a home stripe.
-func (s *Sampler) Affine() bool { return s.width > 0 }
-
-// Stripe returns the current home stripe as (base, width) on the [0, m)
-// ring; width 0 means the sampler is uniform. Exposed for the occupancy
-// tests and the quality tooling — the stripe rotates as refreshes accrue.
-func (s *Sampler) Stripe() (base, width int) { return s.base, s.width }
 
 // contains reports whether idx already occurs in cand.
 func contains(cand []int, idx int) bool {
@@ -197,53 +98,19 @@ func contains(cand []int, idx int) bool {
 	return false
 }
 
-// refresh draws a fresh candidate set. Uniform mode draws d indices in the
-// pre-affinity sampler's PRNG call order, resampling any index that
-// collides with an earlier one — d ≤ m guarantees termination, and the
-// trace matches the PR 4 sampler bit-for-bit except on the ~d²/2m of
-// refreshes that used to collide, where the resample consumes extra draws
-// (the deliberate dedupe fix; TestSamplerAffinityZeroIdenticalToPR4 pins
-// the collision-free equality). Affine mode fills cand[0 : d−1] from the
-// home stripe and cand[d−1] with the uniform escape, deduped the same way
-// (w ≥ d leaves room for d−1 distinct stripe indices plus the escape), and
-// — when the refresh was earned by window expiry rather than a Reroll —
-// advances the rotation schedule.
-func (s *Sampler) refresh(r *rng.Xoshiro256, rotate bool) {
-	if s.width == 0 {
-		for i := range s.cand {
-			idx := r.Intn(s.m)
-			for contains(s.cand[:i], idx) {
-				idx = r.Intn(s.m)
-			}
-			s.cand[i] = idx
-		}
-		return
-	}
-	if rotate {
-		if s.refreshes++; s.refreshes >= affinityRotateEvery {
-			s.refreshes = 0
-			if s.base += s.width; s.base >= s.m {
-				s.base -= s.m
-			}
-		}
-	}
-	for i := 0; i < s.d-1; i++ {
-		idx := s.base + r.Intn(s.width)
-		if idx >= s.m {
-			idx -= s.m
-		}
+// refresh draws a fresh candidate set: d uniform indices, resampling any
+// index that collides with an earlier one — d ≤ m guarantees termination.
+// The trace matches d plain Intn(m) draws bit-for-bit except on the ~d²/2m
+// of refreshes that collide, where the resample consumes extra draws
+// (sampling_test.go's plainSampler pins the collision-free equality).
+func (s *Sampler) refresh(r *rng.Xoshiro256) {
+	for i := range s.cand {
+		idx := r.Intn(s.m)
 		for contains(s.cand[:i], idx) {
-			if idx = s.base + r.Intn(s.width); idx >= s.m {
-				idx -= s.m
-			}
+			idx = r.Intn(s.m)
 		}
 		s.cand[i] = idx
 	}
-	idx := r.Intn(s.m)
-	for contains(s.cand[:s.d-1], idx) {
-		idx = r.Intn(s.m)
-	}
-	s.cand[s.d-1] = idx
 }
 
 // Candidates returns the current candidate index set, drawing d fresh
@@ -255,18 +122,13 @@ func (s *Sampler) refresh(r *rng.Xoshiro256, rotate bool) {
 // calls.
 func (s *Sampler) Candidates(r *rng.Xoshiro256, need int) []int {
 	if s.window <= 1 || s.left < need {
-		s.refresh(r, true)
+		s.refresh(r)
 		s.left = s.window
 		s.reroll = false
 		return s.cand
 	}
 	if s.reroll {
-		// A reroll-driven refresh does not advance the stripe rotation
-		// clock: empty/contended outcomes can reroll every few microseconds
-		// (TryDequeue rerolls per failed attempt), and letting them spin the
-		// stripe around the ring would churn exactly the locality the
-		// stripe exists to keep. Rotation paces by earned window expiries.
-		s.refresh(r, false)
+		s.refresh(r)
 		s.reroll = false
 	}
 	return s.cand

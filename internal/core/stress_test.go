@@ -38,11 +38,11 @@ func stressWorkers() int {
 func TestStressMultiQueueStickyBatched(t *testing.T) {
 	for _, g := range stickyBatchGrid {
 		g := g
-		t.Run(fmt.Sprintf("s%d/k%d/a%v", g.stick, g.batch, g.affinity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			workers := stressWorkers()
 			q := NewMultiQueue(MultiQueueConfig{
 				Queues: 2 * workers, Seed: 41,
-				Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+				Stickiness: g.stick, Batch: g.batch,
 			})
 			var stop atomic.Bool
 			var next atomic.Uint64 // unique value source across workers
@@ -147,11 +147,11 @@ func TestStressMultiQueueMixedOps(t *testing.T) {
 func TestStressMultiCounterStickyBatched(t *testing.T) {
 	for _, g := range counterGrid {
 		g := g
-		t.Run(fmt.Sprintf("d%d/s%d/k%d/a%v", g.d, g.stick, g.batch, g.affinity), func(t *testing.T) {
+		t.Run(fmt.Sprintf("d%d/s%d/k%d/a0", g.d, g.stick, g.batch), func(t *testing.T) {
 			workers := stressWorkers()
 			mc := NewMultiCounterConfig(MultiCounterConfig{
 				Counters: 8 * workers, Choices: g.d,
-				Stickiness: g.stick, Batch: g.batch, Affinity: g.affinity,
+				Stickiness: g.stick, Batch: g.batch,
 			})
 			var stop atomic.Bool
 			var done atomic.Uint64

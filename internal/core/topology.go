@@ -3,11 +3,10 @@ package core
 // Topology is the shared capacity surface of both relaxed structures — the
 // redesigned "how many shards" API that replaces the frozen constructor
 // argument m (DESIGN.md §11). InitialM is the live shard count at
-// construction; MinM and MaxM bound the range Resize (and the optional
-// AutoScale controller) may move it within. The full MaxM shard array is
-// allocated up front — grow and shrink only move the live boundary — so a
-// resize epoch never republishes the shard slice and lock-free readers keep
-// their one-atomic-load entry.
+// construction; MinM and MaxM bound the range Resize may move it within. The
+// full MaxM shard array is allocated up front — grow and shrink only move the
+// live boundary — so a resize epoch never republishes the shard slice and
+// lock-free readers keep their one-atomic-load entry.
 //
 // The zero value of every field defaults sensibly against the structure's
 // legacy m: InitialM 0 adopts the deprecated Queues/Counters field, and
@@ -22,54 +21,6 @@ type Topology struct {
 	// MaxM is the largest live shard count a grow may reach, and the size of
 	// the backing shard array (0 = InitialM).
 	MaxM int
-	// AutoScale enables the contention-driven controller; nil leaves the
-	// shard count under manual Resize control only.
-	AutoScale *AutoScale
-}
-
-// AutoScale configures the contention-driven resize controller. The
-// controller is pull-style: each AutoScaleTick call folds the contention
-// signal accrued since the previous tick into one pressure number and moves
-// the live shard count one step (double toward MaxM, halve toward MinM) when
-// the pressure crosses a threshold and the dwell has elapsed. For the
-// MultiQueue the pressure is internal — the fraction of critical sections
-// whose lock acquisition entered the spin-backoff slow path
-// (ΔLockContended / Δ(Elisions+Publications)); the MultiCounter's updates
-// are wait-free and expose no internal contention, so its tick accepts the
-// caller's pressure signal (dlzd feeds it the paired queue's).
-type AutoScale struct {
-	// GrowThreshold is the pressure at or above which the live shard count
-	// doubles (clamped to MaxM). 0 defaults to 0.5.
-	GrowThreshold float64
-	// ShrinkThreshold is the pressure at or below which the live shard count
-	// halves (clamped to MinM). 0 defaults to 0.05; negative disables
-	// shrinking.
-	ShrinkThreshold float64
-	// Dwell is the minimum number of ticks between steps, damping
-	// oscillation. 0 defaults to 2.
-	Dwell int
-}
-
-// defaults for the AutoScale zero value.
-const (
-	defaultGrowThreshold   = 0.5
-	defaultShrinkThreshold = 0.05
-	defaultDwell           = 2
-)
-
-// normalized returns a copy with zero values resolved: GrowThreshold 0.5,
-// ShrinkThreshold 0.05, Dwell 2.
-func (a AutoScale) normalized() AutoScale {
-	if a.GrowThreshold == 0 {
-		a.GrowThreshold = defaultGrowThreshold
-	}
-	if a.ShrinkThreshold == 0 {
-		a.ShrinkThreshold = defaultShrinkThreshold
-	}
-	if a.Dwell <= 0 {
-		a.Dwell = defaultDwell
-	}
-	return a
 }
 
 // normalize resolves the Topology against a config's deprecated fixed-m
@@ -92,10 +43,6 @@ func (t Topology) normalize(legacy int, name string) Topology {
 	if t.MinM < 1 || t.MinM > t.InitialM || t.InitialM > t.MaxM {
 		panic("core: " + name + " needs 1 <= MinM <= InitialM <= MaxM")
 	}
-	if t.AutoScale != nil {
-		as := t.AutoScale.normalized()
-		t.AutoScale = &as
-	}
 	return t
 }
 
@@ -108,36 +55,4 @@ func (t Topology) clamp(m int) int {
 		return t.MaxM
 	}
 	return m
-}
-
-// scaler is the per-structure controller state, guarded by the structure's
-// resize mutex. The decision rule is a pure function of (current m,
-// pressure, ticks since the last step) so the seeded controller tests can
-// drive it deterministically.
-type scaler struct {
-	as        AutoScale
-	sinceStep int
-}
-
-// decide advances the controller one tick and returns the shard count the
-// structure should move to (cur when no step is due). A step requires more
-// than Dwell ticks since the previous step (or since construction), so a
-// transient spike shorter than the dwell never moves m, and each step
-// resets the clock.
-func (s *scaler) decide(t Topology, cur int, pressure float64) int {
-	s.sinceStep++
-	if s.sinceStep <= s.as.Dwell {
-		return cur
-	}
-	next := cur
-	switch {
-	case pressure >= s.as.GrowThreshold:
-		next = t.clamp(cur * 2)
-	case s.as.ShrinkThreshold >= 0 && pressure <= s.as.ShrinkThreshold:
-		next = t.clamp(cur / 2)
-	}
-	if next != cur {
-		s.sinceStep = 0
-	}
-	return next
 }

@@ -53,10 +53,18 @@ type Xoshiro256 struct {
 // NewXoshiro256 returns a generator whose 256-bit state is expanded from
 // seed via SplitMix64, as recommended by the xoshiro authors. Distinct seeds
 // yield statistically independent streams for the purposes of this
-// repository's experiments.
+// repository's experiments. It is small enough to inline, so a caller that
+// copies the result into a struct (*NewXoshiro256(seed)) allocates nothing.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
+	x := seeded(seed)
+	return &x
+}
+
+// seeded is NewXoshiro256's state expansion, returning the generator by
+// value.
+func seeded(seed uint64) Xoshiro256 {
 	sm := NewSplitMix64(seed)
-	x := &Xoshiro256{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
+	x := Xoshiro256{s0: sm.Next(), s1: sm.Next(), s2: sm.Next(), s3: sm.Next()}
 	if x.s0|x.s1|x.s2|x.s3 == 0 {
 		x.s0 = 0x9e3779b97f4a7c15 // escape the invalid all-zero state
 	}

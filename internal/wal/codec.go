@@ -62,8 +62,8 @@ const (
 	// RecCounterAdd journals the count and weight a counter/add-batch
 	// request applied.
 	RecCounterAdd RecordType = 3
-	// RecResize journals a topology resize (explicit or autoscale) with the
-	// new shard count.
+	// RecResize journals a topology resize (POST /v1/{tenant}/resize) with
+	// the new shard count.
 	RecResize RecordType = 4
 	// RecSessionClose journals a session retirement. Replay ignores it
 	// (leases are not recovered) but it keeps the journal a complete
