@@ -68,7 +68,7 @@ func TestMultiQueueTryDequeueRoutesAroundDeadLockHolder(t *testing.T) {
 	}
 	// Simulate a crashed lock holder on one internal queue by locking it
 	// directly and never unlocking.
-	victim := q.qs[3]
+	victim := &q.qs[3]
 	locked := victim.LockForTest()
 	if !locked {
 		t.Fatal("could not acquire victim lock")

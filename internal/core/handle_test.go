@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"os/exec"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/cpq"
 	"repro/internal/pad"
 	"repro/internal/rng"
 )
@@ -169,7 +171,9 @@ func TestHandleMatchesReference(t *testing.T) {
 
 // TestHandlesOwnTheirCacheLines pins both handle types to a whole number of
 // cache lines and checks what that buys: handles minted back to back on one
-// goroutine, the way a dlzd lease mints its pair, never share a line.
+// goroutine, the way a dlzd lease mints its pair, never share a line — nor
+// does any of their samplers' candidate arrays, with a handle or with each
+// other.
 func TestHandlesOwnTheirCacheLines(t *testing.T) {
 	if s := unsafe.Sizeof(Handle{}); s%pad.CacheLine != 0 {
 		t.Errorf("Handle is %d bytes, not a multiple of %d", s, pad.CacheLine)
@@ -188,11 +192,50 @@ func TestHandlesOwnTheirCacheLines(t *testing.T) {
 			owner[line] = n
 		}
 	}
+	claimCand := func(n int, s *Sampler) {
+		claim(n, unsafe.Pointer(unsafe.SliceData(s.cand)), uintptr(cap(s.cand))*unsafe.Sizeof(s.cand[0]))
+	}
 	for i := 0; i < 64; i++ {
 		ch, qh := c.NewHandle(uint64(i)), q.NewHandle(uint64(i))
 		keep = append(keep, ch, qh)
 		claim(2*i, unsafe.Pointer(ch), unsafe.Sizeof(*ch))
 		claim(2*i+1, unsafe.Pointer(qh), unsafe.Sizeof(*qh))
+		claimCand(2*i, &ch.smp)
+		claimCand(2*i+1, &qh.enq)
+		claimCand(2*i+1, &qh.deq)
+	}
+	runtime.KeepAlive(keep)
+}
+
+// TestShardsOwnTheirLines pins the shard layout: a cpq.Queue is exactly one
+// cache line block, and a MultiQueue's shards start on block boundaries, so
+// no two of them — in one structure or across several — touch the same
+// block. 1 and 3 shards fit in 512 bytes, which the allocator places with no
+// type header in front; 5, 8, 64 and 100 do not, and 5 behind its header
+// rounds up to a size class that is not a multiple of 128 (cpq's
+// alignedQueues).
+func TestShardsOwnTheirLines(t *testing.T) {
+	if s := unsafe.Sizeof(cpq.Queue{}); s != pad.CacheLine {
+		t.Fatalf("cpq.Queue is %d bytes, want %d", s, pad.CacheLine)
+	}
+	owner := map[uintptr]string{}
+	var keep []*MultiQueue
+	for _, maxM := range []int{1, 3, 5, 8, 64, 100} {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 1, MinM: 1, MaxM: maxM}})
+		keep = append(keep, q)
+		for i := range q.qs {
+			p := uintptr(unsafe.Pointer(&q.qs[i]))
+			if p%pad.CacheLine != 0 {
+				t.Fatalf("MaxM %d: shard %d starts at offset %d of its block", maxM, i, p%pad.CacheLine)
+			}
+			name := fmt.Sprintf("MaxM %d shard %d", maxM, i)
+			for b := p / pad.CacheLine; b <= (p+unsafe.Sizeof(q.qs[i])-1)/pad.CacheLine; b++ {
+				if prev, taken := owner[b]; taken {
+					t.Fatalf("%s and %s touch the same block", prev, name)
+				}
+				owner[b] = name
+			}
+		}
 	}
 	runtime.KeepAlive(keep)
 }

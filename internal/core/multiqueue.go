@@ -26,7 +26,7 @@ import (
 // states: analysis guarantees apply while no insertion carries a higher
 // priority than an element already removed.
 type MultiQueue struct {
-	qs    []*cpq.Queue // len Topology.MaxM; slots >= live m are sealed
+	qs    []cpq.Queue // len Topology.MaxM, one block each; slots >= live m are sealed
 	clk   clock.Clock
 	blk   blockClock // non-nil when clk supports block reservation
 	topo  Topology
@@ -124,7 +124,7 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 		cfg.Batch = 1
 	}
 	mq := &MultiQueue{
-		qs:    make([]*cpq.Queue, topo.MaxM),
+		qs:    cpq.NewShards(topo.MaxM, cfg.Capacity),
 		clk:   cfg.Clock,
 		topo:  topo,
 		d:     cfg.Choices,
@@ -134,13 +134,10 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	if cfg.Batch > 1 {
 		mq.blk, _ = cfg.Clock.(blockClock)
 	}
-	for i := range mq.qs {
-		mq.qs[i] = cpq.New(0, cfg.Capacity, 0)
-		if i >= topo.InitialM {
-			// Parked tail slot: allocated so a grow never republishes the
-			// shard slice, sealed so nothing lands in it until then.
-			mq.qs[i].Seal()
-		}
+	for i := topo.InitialM; i < topo.MaxM; i++ {
+		// Parked tail slot: allocated so a grow never republishes the
+		// shard slice, sealed so nothing lands in it until then.
+		mq.qs[i].Seal()
 	}
 	mq.epoch.Init(0, topo.InitialM)
 	return mq
@@ -180,8 +177,8 @@ func (q *MultiQueue) Epoch() uint64 {
 // quiescence.
 func (q *MultiQueue) Len() int {
 	n := 0
-	for _, pq := range q.qs {
-		n += pq.Len()
+	for i := range q.qs {
+		n += q.qs[i].Len()
 	}
 	return n
 }
@@ -212,8 +209,8 @@ type MQStats struct {
 // retired stays visible.
 func (q *MultiQueue) Stats() MQStats {
 	var s MQStats
-	for _, pq := range q.qs {
-		qs := pq.Stats()
+	for i := range q.qs {
+		qs := q.qs[i].Stats()
 		s.Elisions += qs.Elisions
 		s.Publications += qs.Publications
 		s.LockContended += qs.LockContended

@@ -168,7 +168,7 @@ func TestPropertyTryDequeueBatchedRoutesAroundDeadLockHolder(t *testing.T) {
 	if h.Buffered() == 0 {
 		t.Fatal("expected a partial insert buffer")
 	}
-	victim := q.qs[3]
+	victim := &q.qs[3]
 	if !victim.LockForTest() {
 		t.Fatal("could not acquire victim lock")
 	}

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/rng"
+import (
+	"unsafe"
+
+	"repro/internal/pad"
+	"repro/internal/rng"
+)
 
 // Sampler is the sticky d-choice sampling policy shared by the MultiCounter
 // and MultiQueue handles — the one place the repository implements the
@@ -55,8 +60,11 @@ func NewSampler(m, d, window int) Sampler {
 		window = 1
 	}
 	// cand's capacity is the unclamped d0, so a later Reseed at a larger m
-	// can widen the candidate set back toward d0 without allocating.
-	return Sampler{m: m, d: d, d0: d0, window: window, cand: make([]int, d, d0)}
+	// can widen the candidate set back toward d0 without allocating, rounded
+	// up to whole cache lines so the array owns its line: handles minted back
+	// to back would otherwise share one on their candidate arrays.
+	line := pad.CacheLine / int(unsafe.Sizeof(int(0)))
+	return Sampler{m: m, d: d, d0: d0, window: window, cand: make([]int, d, (d0+line-1)/line*line)}
 }
 
 // Reseed re-derives the sampler for a new shard count m — the stale-handle

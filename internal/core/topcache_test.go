@@ -34,15 +34,15 @@ func TestEmptyScanTakesNoLocks(t *testing.T) {
 		}
 
 		seqs := make([]uint64, q.M())
-		for i, pq := range q.qs {
-			w := pq.ReadTop()
+		for i := range q.qs {
+			w := q.qs[i].ReadTop()
 			if !w.StableEmpty() {
 				t.Fatalf("batch=%d: queue %d word not stable-empty after drain", batch, i)
 			}
 			seqs[i] = w.Seq()
 		}
-		for i, pq := range q.qs {
-			if !pq.LockForTest() {
+		for i := range q.qs {
+			if !q.qs[i].LockForTest() {
 				t.Fatalf("batch=%d: could not seize lock %d", batch, i)
 			}
 		}
@@ -66,11 +66,11 @@ func TestEmptyScanTakesNoLocks(t *testing.T) {
 			t.Fatalf("batch=%d: empty scan blocked on a held queue lock", batch)
 		}
 
-		for _, pq := range q.qs {
-			pq.UnlockForTest()
+		for i := range q.qs {
+			q.qs[i].UnlockForTest()
 		}
-		for i, pq := range q.qs {
-			if got := pq.ReadTop().Seq(); got != seqs[i] {
+		for i := range q.qs {
+			if got := q.qs[i].ReadTop().Seq(); got != seqs[i] {
 				t.Fatalf("batch=%d: queue %d mutation counter moved %d -> %d during the empty scan",
 					batch, i, seqs[i], got)
 			}
@@ -86,7 +86,8 @@ func TestEmptyScanTakesNoLocks(t *testing.T) {
 func TestLockedTopReadAblation(t *testing.T) {
 	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 9})
 	agree := func(step int) {
-		for i, pq := range q.qs {
+		for i := range q.qs {
+			pq := &q.qs[i]
 			want := uint64(cpq.EmptyTop)
 			if it, ok := pq.PeekMin(); ok {
 				want = it.Priority

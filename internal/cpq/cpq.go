@@ -3,10 +3,12 @@
 // priority queues such that each supports Add(e, p), DeleteMin, ReadMin".
 //
 // Each Queue is a sequential priority queue (heap.Binary's sorted run and
-// pending heap) guarded by a cache-line padded spinlock, plus a lock-free top
-// word: a single atomic uint64 (pad.Seq64) packing the truncated minimum
-// priority, an empty bit and a publication sequence whose parity is the
-// mid-update sentinel (see TopWord). AddBatch and DeleteMinUpTo call
+// pending heap) guarded by a spinlock, plus a lock-free top word: a single
+// atomic uint64 (pad.Seq64) packing the truncated minimum priority, an empty
+// bit and a publication sequence whose parity is the mid-update sentinel (see
+// TopWord). Lock, top word, the lock holder's bookkeeping and the heap's
+// header share one pad.CacheLine block, and NewShards lays a structure's
+// queues out as one array of such blocks. AddBatch and DeleteMinUpTo call
 // heap.Binary's whole-batch entry points, which hand back the post-batch
 // minimum the publish step needs.
 //
@@ -30,7 +32,9 @@ package cpq
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fail"
 	"repro/internal/heap"
@@ -142,11 +146,14 @@ func (w TopWord) Key() uint64 {
 // revision drops the argument. Its zero value is the only one New accepts.
 type Backing int
 
-// Queue is one linearizable priority queue. Create with New.
+// Queue is one linearizable priority queue: exactly one pad.CacheLine block
+// holding every word a critical section reads or writes, the heap's array
+// headers included (only the arrays themselves live elsewhere). Create a
+// structure's queues with NewShards, which aligns each to its own block; a
+// Queue must not be copied.
 type Queue struct {
-	top  pad.Seq64 // lock-free top word; see the TopWord encoding
 	lock pad.SpinLock
-	pq   *heap.Binary
+	top  pad.Seq64 // lock-free top word; see the TopWord encoding
 	// pubMin/pubEmpty mirror the published word at full 64-bit resolution.
 	// They are lock-holder-owned plain fields (written only inside
 	// publishing critical sections, read only under the lock) and exist so
@@ -155,36 +162,76 @@ type Queue struct {
 	// priorities above 2^TopPrioBits are in play.
 	pubMin   uint64
 	pubEmpty bool
-	// elisions/publications count the publication protocol's two outcomes:
-	// critical sections that proved the word unchanged and skipped the
-	// Begin/Publish pair, and sections that republished. Incremented only
-	// while the lock is held — the line is already exclusive, so the atomic
-	// add costs a handful of cycles — and read lock-free by Stats for
-	// monitoring (dlzd's /metrics).
-	elisions     atomic.Uint64
-	publications atomic.Uint64
-
 	// sealed marks a queue retired from its MultiQueue's live range by a
 	// shrink epoch (SealAndDrain) or parked beyond the initial topology at
 	// construction. A sealed queue refuses every insert — reporting refusal
 	// so the caller re-syncs its epoch and re-targets — and is permanently
 	// empty until Unseal. Lock-holder-owned, like pubMin.
 	sealed bool
+	// elisions/publications count the publication protocol's two outcomes:
+	// critical sections that proved the word unchanged and skipped the
+	// Begin/Publish pair, and sections that republished. Incremented only
+	// while the lock is held — the block is already exclusive, so the atomic
+	// add costs a handful of cycles — and read lock-free by Stats for
+	// monitoring (dlzd's /metrics).
+	elisions     atomic.Uint64
+	publications atomic.Uint64
+	pq           heap.Binary
+	_            [pad.CacheLine - 112]byte // the fields above are 112 bytes
 }
 
-// New returns an empty queue with the given capacity hint. The Backing and
-// the seed are vestiges that keep the benchmark's call compiling: every
-// queue is a heap.Binary, the seed is ignored, and a nonzero Backing — a
-// value that once named another store — panics rather than silently
-// measuring this one.
+// NewShards returns n empty queues, each with the given capacity hint, as
+// one contiguous array whose every element starts on a pad.CacheLine
+// boundary: shard i's lock, top word and heap header are one block, and no
+// two shards share one.
+func NewShards(n, capacity int) []Queue {
+	qs := alignedQueues(n)
+	for i := range qs {
+		q := &qs[i]
+		q.pq = *heap.NewBinary(capacity)
+		q.top.Init(topPayload(0, true))
+		q.pubEmpty = true
+	}
+	return qs
+}
+
+// alignedQueues allocates n zero queues starting on a pad.CacheLine boundary.
+// The allocator places an object at a multiple of its size class within a
+// page-aligned span, and every class that a whole number of 128-byte blocks
+// rounds up to is itself a multiple of 128, so an array of queues lands on a
+// boundary — unless a type header sits in front of it, as Go 1.22+ puts one
+// in front of every object with pointers between 512 bytes and 32 KiB (and
+// the header-grown request may round to a class that is not a multiple of
+// 128: 5 queues, 648 bytes, class 704). Every class above
+// 512 bytes is a multiple of 64, so the array's offset modulo 64 is the
+// header's size. The array is then allocated again behind a pad that rounds
+// header and pad up to one block, which makes the request a whole number of
+// blocks once more. TestShardsOwnTheirLines holds the result to the boundary.
+func alignedQueues(n int) []Queue {
+	qs := make([]Queue, n)
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(qs))) % pad.CacheLine
+	if n == 0 || off == 0 {
+		return qs
+	}
+	hdr := off % 64
+	t := reflect.StructOf([]reflect.StructField{
+		{Name: "Pad", Type: reflect.ArrayOf(int(pad.CacheLine-hdr), reflect.TypeOf(byte(0)))},
+		{Name: "Queues", Type: reflect.ArrayOf(n, reflect.TypeOf(qs).Elem())},
+	})
+	p := reflect.New(t).Elem().Field(1).Addr().UnsafePointer()
+	return unsafe.Slice((*Queue)(p), n)
+}
+
+// New returns one empty queue with the given capacity hint, alone in its
+// block. The Backing and the seed are vestiges that keep the benchmark's
+// call compiling: every queue is a heap.Binary, the seed is ignored, and a
+// nonzero Backing — a value that once named another store — panics rather
+// than silently measuring this one.
 func New(b Backing, capacity int, _ uint64) *Queue {
 	if b != 0 {
 		panic(fmt.Sprintf("cpq: unknown backing %d", b))
 	}
-	q := &Queue{pq: heap.NewBinary(capacity)}
-	q.top.Init(topPayload(0, true))
-	q.pubEmpty = true
-	return q
+	return &NewShards(1, capacity)[0]
 }
 
 // beginTop marks the top word mid-update; callers must hold the lock and be

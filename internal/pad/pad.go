@@ -8,6 +8,11 @@
 // padding size is 128 bytes: one 64-byte line plus a second line to defeat
 // the adjacent-line spatial prefetcher on Intel parts like the paper's
 // E7-4830 v3.
+//
+// Uint64, Int64, Bool and EpochWord pad themselves. SpinLock and Seq64 are
+// bare words: their one user, a cpq.Queue shard, holds both beside the rest
+// of its critical-section state in one CacheLine block and pads that block
+// as a whole (DESIGN.md §5, "Shard layout").
 package pad
 
 import (
@@ -82,9 +87,9 @@ const SeqBits = 15
 // seqMask selects the Seq64 sequence field.
 const seqMask = 1<<SeqBits - 1
 
-// Seq64 is a cache-line padded single-word seqlock: one atomic uint64 whose
-// high 64−SeqBits bits carry a published payload and whose low SeqBits bits
-// carry a publication sequence number. An odd sequence marks the payload as
+// Seq64 is a single-word seqlock: one atomic uint64 whose high 64−SeqBits
+// bits carry a published payload and whose low SeqBits bits carry a
+// publication sequence number. An odd sequence marks the payload as
 // mid-update — the writer has entered a mutating section and will republish —
 // while the payload bits retain the last published (stale but previously
 // true) value, so readers always get something usable from a single load.
@@ -98,15 +103,14 @@ const seqMask = 1<<SeqBits - 1
 // classic read-seq/read-data/re-read-seq dance, and a torn read is
 // impossible.
 //
+// The writer side reads the word back with a plain atomic load rather than
+// keeping a private copy: the word is meant to share its line with the
+// guarding lock, whose acquiring CAS has already pulled that line in
+// exclusively, so the load costs no coherence traffic.
+//
 // The zero value is stable (sequence 0) with payload 0.
 type Seq64 struct {
 	w atomic.Uint64
-	// shadow mirrors w for the exclusive writer, so Begin/Publish assemble
-	// the next word from a private plain field instead of atomically
-	// re-loading a cache line that readers keep in Shared state. Only the
-	// writer side (Init/Begin/Publish, under the guarding lock) touches it.
-	shadow uint64
-	_      [CacheLine - 16]byte
 }
 
 // Load returns the current payload and whether the word is mid-update (the
@@ -128,29 +132,22 @@ func (s *Seq64) Seq() uint64 { return s.w.Load() & seqMask }
 
 // Init stores payload with a stable (even, zeroed) sequence. Call before the
 // cell is shared; it is not safe against concurrent Begin/Publish.
-func (s *Seq64) Init(payload uint64) {
-	s.shadow = payload << SeqBits
-	s.w.Store(s.shadow)
-}
+func (s *Seq64) Init(payload uint64) { s.w.Store(payload << SeqBits) }
 
 // Begin marks the word mid-update: the sequence becomes odd while the payload
 // bits keep the last published value. Only the exclusive writer (the guarding
 // lock's holder) may call it, at the top of a mutating section; calling Begin
 // twice without an intervening Publish leaves the word mid-update and is
 // harmless.
-func (s *Seq64) Begin() {
-	s.shadow |= 1
-	s.w.Store(s.shadow)
-}
+func (s *Seq64) Begin() { s.w.Store(s.w.Load() | 1) }
 
 // Publish installs a new payload and returns the word to stable: the
 // sequence becomes the next even value, whether or not Begin was called.
 // Only the exclusive writer may call it, at the end of a mutating section
 // before releasing the guarding lock.
 func (s *Seq64) Publish(payload uint64) {
-	seq := ((s.shadow | 1) + 1) & seqMask
-	s.shadow = payload<<SeqBits | seq
-	s.w.Store(s.shadow)
+	seq := ((s.w.Load() | 1) + 1) & seqMask
+	s.w.Store(payload<<SeqBits | seq)
 }
 
 // EpochWord is a cache-line padded atomic word publishing a structure's
@@ -188,22 +185,20 @@ func (e *EpochWord) Load() uint64 { return e.w.Load() }
 // it, and epoch must exceed every previously published epoch.
 func (e *EpochWord) Store(epoch uint32, m int) { e.w.Store(PackEpoch(epoch, m)) }
 
-// SpinLock is a cache-line padded test-and-test-and-set spinlock with
-// adaptive spin-then-yield backoff (see Backoff). MultiQueue priority
-// queues use TryLock so that a
-// dequeuer can simply re-draw its random choices instead of waiting behind a
-// contended queue — the "lock-free usage of locks" idiom from the MultiQueue
-// literature.
+// SpinLock is a test-and-test-and-set spinlock with adaptive spin-then-yield
+// backoff (see Backoff). It is not padded: the holder places it in the block
+// its critical section writes anyway. MultiQueue priority queues use TryLock
+// so that a dequeuer can simply re-draw its random choices instead of waiting
+// behind a contended queue — the "lock-free usage of locks" idiom from the
+// MultiQueue literature.
 type SpinLock struct {
 	state atomic.Uint32
-	_     [4]byte
 	// contended counts Lock acquisitions that missed the TryLock fast path
 	// and entered the backoff slow path — the spin-backoff pressure signal
-	// monitoring surfaces (dlzd's /metrics). It shares the lock's padded
-	// line, so the slow-path increment touches no extra cache line, and the
+	// monitoring surfaces (dlzd's /metrics). It sits beside the state word,
+	// so the slow-path increment touches no extra cache line, and the
 	// uncontended fast path never writes it.
 	contended atomic.Uint64
-	_         [CacheLine - 16]byte
 }
 
 // TryLock attempts to acquire the lock without blocking and reports whether
