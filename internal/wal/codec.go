@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Frame layout (all integers little-endian):
@@ -11,9 +12,11 @@ import (
 //	u32 payloadLen | u32 crc32c(payload) | payload
 //
 // The CRC uses the Castagnoli polynomial. payloadLen is capped at
-// MaxPayload, so a corrupt length prefix can never drive a huge
-// allocation; a frame whose length field exceeds the remaining bytes is a
-// torn tail, not an error to propagate. Payload layout:
+// MaxPayload, on the write side (Append refuses a larger record) and on the
+// read side, so a corrupt length prefix can never drive a huge allocation
+// and recovery's read window never has to hold more than one frame of
+// frameHeader+MaxPayload bytes; a frame whose length field exceeds the
+// remaining bytes is a torn tail, not an error to propagate. Payload layout:
 //
 //	u8 type | u64 lsn | u8 len|tenant | u8 len|session | per-type body
 //
@@ -233,26 +236,81 @@ func (r *Record) clone() Record {
 	return c
 }
 
-// scanner walks segment images record by record. It owns the one Record
-// every frame is decoded into, so the Items backing array and the
-// tenant/session strings carry over from frame to frame and from segment to
-// segment.
+// scanner walks segments record by record. It owns the one Record every
+// frame is decoded into, so the Items backing array and the tenant/session
+// strings carry over from frame to frame and from segment to segment. It
+// also owns the LSN chain, so a chain checked across one slice of a segment
+// carries on into the next slice when a window is refilled.
 type scanner struct {
-	rec Record
+	rec    Record
+	next   uint64 // the LSN the next record must carry, once pinned
+	pinned bool
 }
 
-// scanSegment scans one segment image and calls visit for every valid
+// scanStream scans one segment read from r and calls visit for every valid
 // record up to the first invalid or torn frame, returning the byte offset
-// of that frame (== len(data) when the whole segment is valid); recovery
-// truncates the file there. wantFirst, when nonzero, pins the required LSN
-// of the first record (segments are named by it); every subsequent record
-// must extend the sequence by exactly one — a skip, repeat, or regression is
+// of that frame (goodLen == size when the whole segment is valid; recovery
+// truncates the file there) and the number of bytes r held, so size-goodLen
+// is the torn tail. wantFirst, when nonzero, pins the required LSN of the
+// first record (segments are named by it); every subsequent record must
+// extend the sequence by exactly one — a skip, repeat, or regression is
 // treated as corruption at that frame. The record passed to visit is the
 // scanner's scratch record and is overwritten by the next frame. The
 // scanner never panics on arbitrary input.
-func (sc *scanner) scanSegment(data []byte, wantFirst uint64, visit func(*Record)) (goodLen int) {
-	next := wantFirst
-	pinned := wantFirst != 0
+//
+// The segment passes through the window win, never whole: the window is
+// filled from r and scanned, a frame cut by the window's end is moved to its
+// front and completed by the next read, and a frame longer than the window
+// (at most frameHeader+MaxPayload bytes) grows it to fit. The window, grown
+// or not, is handed back for the next segment.
+func (sc *scanner) scanStream(r io.Reader, win []byte, wantFirst uint64, visit func(*Record)) (goodLen, size int64, _ []byte, err error) {
+	sc.next, sc.pinned = wantFirst, wantFirst != 0
+	n, eof := 0, false // win[:n] holds the segment's bytes from goodLen on
+	read := func(p []byte) int {
+		m, rerr := r.Read(p)
+		size += int64(m)
+		if rerr == io.EOF {
+			eof = true
+		} else if rerr != nil {
+			err = rerr
+		}
+		return m
+	}
+	for {
+		for !eof && err == nil && n < len(win) {
+			n += read(win[n:])
+		}
+		if err != nil {
+			return goodLen, size, win, err
+		}
+		off := sc.scan(win[:n], visit)
+		goodLen += int64(off)
+		rest := win[off:n]
+		need := frameHeader // the bytes the frame at off needs to be whole
+		if len(rest) >= frameHeader {
+			need += int(binary.LittleEndian.Uint32(rest))
+		}
+		if eof || len(rest) >= need || need > frameHeader+MaxPayload {
+			break // the end of the segment, or a whole frame that failed a check
+		}
+		n = copy(win, rest)
+		if need > len(win) {
+			grown := make([]byte, need)
+			copy(grown, win[:n])
+			win = grown
+		}
+	}
+	for !eof && err == nil { // count the bytes behind the stop: the torn tail
+		read(win)
+	}
+	return goodLen, size, win, err
+}
+
+// scan calls visit for every valid record of data in order and returns the
+// offset of the first frame that fails a check or does not lie wholly
+// inside data. The LSN chain continues from wherever the scanner's last
+// record left it.
+func (sc *scanner) scan(data []byte, visit func(*Record)) int {
 	off := 0
 	for off < len(data) {
 		if len(data)-off < frameHeader {
@@ -270,11 +328,11 @@ func (sc *scanner) scanSegment(data []byte, wantFirst uint64, visit func(*Record
 		if err := decodeInto(&sc.rec, payload); err != nil {
 			return off
 		}
-		if pinned && sc.rec.LSN != next {
+		if sc.pinned && sc.rec.LSN != sc.next {
 			return off // LSN discontinuity: duplicated or spliced frames
 		}
-		pinned = true
-		next = sc.rec.LSN + 1
+		sc.pinned = true
+		sc.next = sc.rec.LSN + 1
 		visit(&sc.rec)
 		off += frameHeader + plen
 	}

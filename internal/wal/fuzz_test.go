@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -11,7 +13,10 @@ import (
 // The scanner must never panic, must stop at the first invalid frame, must
 // yield exactly the records and goodLen the reference DecodeSegment does,
 // and — because the codec is canonical — re-encoding what it accepted must
-// reproduce exactly the bytes it consumed.
+// reproduce exactly the bytes it consumed. The windowed scan recovery runs
+// reads the same bytes through windows of 9 to 64 bytes, so frames straddle
+// refills and outgrow the window, and must agree with the reference on the
+// records, goodLen and the torn byte count.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with valid segment images and targeted corruptions of them.
 	var seedFrames []byte
@@ -30,14 +35,42 @@ func FuzzWALReplay(f *testing.F) {
 	huge := append([]byte(nil), seedFrames...)
 	huge[0] = 0xff // absurd length field
 	f.Add(huge)
+	// Seeds for the windowed scan (windows of 9, 9+len%56 and 64 bytes). The
+	// 49-byte counter add followed by the 69-byte enqueue: the enqueue
+	// straddles the first refill of the 64-byte window.
+	recs := sampleFuzzRecords()
+	add, enq := recs[1], recs[0]
+	add.LSN, enq.LSN = 1, 2
+	f.Add(appendFrame(appendFrame(nil, &add), &enq))
+	// A 165-byte enqueue of eight items, longer than every window.
+	long := Record{LSN: 1, Type: RecEnqueue, Tenant: "acme", Session: "s1", Metered: 8}
+	for i := uint64(0); i < 8; i++ {
+		long.Items = append(long.Items, Item{i, 10 * i})
+	}
+	f.Add(appendFrame(appendFrame(nil, &long), &Record{LSN: 2, Type: RecSessionClose, Tenant: "acme", Session: "s1"}))
+	// Two 32-byte frames fill the 64-byte window exactly; the third frame is
+	// torn right behind that refill boundary, after its header.
+	var boundary []byte
+	for lsn := uint64(1); lsn <= 3; lsn++ {
+		boundary = appendFrame(boundary, &Record{LSN: lsn, Type: RecSessionClose, Tenant: "acme", Session: "boundary!"})
+	}
+	f.Add(boundary[:64+frameHeader])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good := scanAll(data, 0)
 		if good < 0 || good > len(data) {
 			t.Fatalf("goodLen %d out of range [0,%d]", good, len(data))
 		}
-		if want, wantGood := DecodeSegment(data, 0); good != wantGood || !reflect.DeepEqual(recs, want) {
+		want, wantGood := DecodeSegment(data, 0)
+		if good != wantGood || !reflect.DeepEqual(recs, want) {
 			t.Fatalf("scanner yielded %d records to offset %d, reference %d to %d", len(recs), good, len(want), wantGood)
+		}
+		for _, w := range []int{9, 9 + len(data)%56, 64} {
+			got, good, size, err := streamAll(data, 0, w)
+			if err != nil || good != int64(wantGood) || size-good != int64(len(data)-wantGood) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d-byte window yielded %d records to offset %d with %d torn bytes (err %v), reference %d to %d with %d",
+					w, len(got), good, size-good, err, len(want), wantGood, len(data)-wantGood)
+			}
 		}
 		// Canonical re-encode: the accepted prefix must round-trip
 		// byte-for-byte.
@@ -58,9 +91,12 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // FuzzSnapshotDecode makes sure an arbitrary snapshot payload can never
-// panic the decoder, and that accepted payloads are canonical.
+// panic the streaming decoder, and that accepted payloads are canonical. The
+// same bytes are also read as a whole snapshot file, through the path
+// recovery takes: accepted only with a matching length and CRC, and then
+// holding exactly what its payload decodes to.
 func FuzzSnapshotDecode(f *testing.F) {
-	valid := encodeSnapshot(&Snapshot{
+	valid := encodeSnapshot(nil, &Snapshot{
 		CutLSN: 42,
 		Tenants: []TenantState{
 			{Name: "a", M: 4, Items: []Item{{1, 1}, {2, 2}}, CounterSum: 3,
@@ -75,14 +111,29 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0x01
 	f.Add(flip)
+	file := binary.LittleEndian.AppendUint32(nil, uint32(len(valid)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(valid, castagnoli))
+	file = append(file, valid...)
+	f.Add(file)
+	f.Add(file[:100]) // a snapshot file cut short inside the first tenant's items
+	badCRC := append([]byte(nil), file...)
+	badCRC[4] ^= 0x01 // a canonical payload under a wrong CRC
+	f.Add(badCRC)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+		if s, err := DecodeSnapshot(data); err == nil && !bytes.Equal(encodeSnapshot(nil, s), data) {
+			t.Fatalf("accepted snapshot payload not canonical")
+		}
+		s, err := readSnapshotFile(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(encodeSnapshot(s), data) {
-			t.Fatalf("accepted snapshot payload not canonical")
+		payload := data[frameHeader:]
+		if binary.LittleEndian.Uint32(data) != uint32(len(payload)) || binary.LittleEndian.Uint32(data[4:]) != crc32.Checksum(payload, castagnoli) {
+			t.Fatalf("snapshot file accepted with a wrong length or CRC")
+		}
+		if !bytes.Equal(encodeSnapshot(nil, s), payload) {
+			t.Fatalf("accepted snapshot file not canonical")
 		}
 	})
 }

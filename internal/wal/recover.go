@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,7 +9,9 @@ import (
 
 // Recovered reports what Open found on disk.
 type Recovered struct {
-	// Snapshot is the newest decodable snapshot, nil if none.
+	// Snapshot is the newest decodable snapshot, nil if none. Its tenants'
+	// Items are nil: recovery moved each array into States, where the
+	// journal tail was folded into it in place.
 	Snapshot *Snapshot
 	// SnapshotCut is Snapshot.CutLSN (0 without a snapshot).
 	SnapshotCut uint64
@@ -47,9 +48,15 @@ type Progress struct {
 	Segments atomic.Uint64
 }
 
+// recoverWindow is the size of the read window recovery streams every
+// segment through. It holds hundreds of typical frames; only a frame longer
+// than it, a batch close to the wire's cap of 4096 items, grows it. A larger
+// window shows in a restarted daemon's peak memory (EXPERIMENTS.md §22).
+const recoverWindow = 64 << 10
+
 // recoverDir scans dir and reconstructs the durable state in one pass:
-// newest valid snapshot, then the chained segments behind it, one segment
-// image resident at a time, every record folded into the per-tenant state
+// newest valid snapshot, then the chained segments behind it, each streamed
+// through one read window, every record folded into the per-tenant state
 // the moment it is decoded, torn-tail detection. With keep unset (Open) it
 // repairs as it goes — truncates torn files and removes unreachable
 // segments so the directory is left frame-clean — and retains nothing per
@@ -118,7 +125,7 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		rec.Head = r.LSN
 	}
 	var sc scanner
-	var data []byte // one segment image, reused from segment to segment
+	win := make([]byte, recoverWindow) // every segment streams through it
 	for i := start; i < len(segs); i++ {
 		s := segs[i]
 		if s.first > rec.Head+1 {
@@ -132,19 +139,25 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 			}
 			break
 		}
-		if data, err = readInto(data[:0], s.path); err != nil {
+		file, err := os.Open(s.path)
+		if err != nil {
 			return nil, err
 		}
-		good := sc.scanSegment(data, s.first, visit)
+		var good, size int64
+		good, size, win, err = sc.scanStream(file, win, s.first, visit)
+		_ = file.Close() // read-only
+		if err != nil {
+			return nil, err
+		}
 		prog.Records.Store(uint64(rec.Replayed))
 		prog.Segments.Add(1)
-		if good < len(data) {
+		if good < size {
 			// Torn or corrupt frame: truncate it away and drop the
 			// unreachable successors.
-			rec.TornBytes += int64(len(data) - good)
+			rec.TornBytes += size - good
 			rec.SegmentsDropped += len(segs) - i - 1
 			if !keep {
-				if err := os.Truncate(s.path, int64(good)); err != nil {
+				if err := os.Truncate(s.path, good); err != nil {
 					return nil, err
 				}
 				for _, d := range segs[i+1:] {
@@ -158,36 +171,8 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	return rec, nil
 }
 
-// readInto reads the whole file at path into buf's backing array, growing
-// it only when the file is larger than anything read before.
-func readInto(buf []byte, path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if st, err := f.Stat(); err == nil && int64(cap(buf)) <= st.Size() {
-		// Rounded up so that segments a few frames apart in size, as rolled
-		// segments are, share one buffer.
-		buf = make([]byte, 0, (st.Size()+1<<20)&^(1<<20-1))
-	}
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := f.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
 // payloadLen returns the encoded payload size of r without materializing
-// the frame (used for tail-size accounting during recovery).
+// the frame (Append's size check, and tail-size accounting during recovery).
 func payloadLen(r *Record) int {
 	n := 1 + 8 + 1 + min255(len(r.Tenant)) + 1 + min255(len(r.Session))
 	switch r.Type {
@@ -213,42 +198,46 @@ func min255(n int) int {
 // sequence, so replaying the same journal twice yields identical output —
 // the determinism guarantee the recovery tests diff.
 //
-// The queue contents are a signed multiset per tenant: an enqueued element
-// counts +1, a delivered one −1, and an entry that returns to zero leaves
-// the map, so what is resident is the surviving elements, not every element
-// the journal ever mentioned. A count may go negative: a delete whose
-// element has no matching enqueue yet (the element was enqueued and dequeued
-// by racing sessions and the dequeue record was appended first — append
-// order is per-record, not per-element). If the enqueue follows, the pair
-// cancels then; if the crash cut it off, the entry is still negative at the
-// end and is compensated by crediting the missing enqueue, so the recovered
-// ledger still satisfies
+// The journal tail's queue contents are a signed multiset per tenant: an
+// enqueued element counts +1, a delivered one −1, and an entry that returns
+// to zero leaves the map, so what is resident is the tail's unmatched
+// elements, not every element the journal ever mentioned. A count may go
+// negative: a delete whose element has no matching enqueue yet (the element
+// was enqueued and dequeued by racing sessions and the dequeue record was
+// appended first — append order is per-record, not per-element), or a delete
+// of an element the snapshot holds. If the enqueue follows, the pair cancels
+// then. The snapshot's elements stay in their tenant's Items slice, out of
+// the map, and meet the negative entries once, in states: each snapshot copy
+// of an element is dropped while its count is negative, and the count rises
+// by one. What is still negative after that is a delete whose enqueue the
+// crash cut off; it is compensated by crediting the missing enqueue, so the
+// recovered ledger still satisfies
 //
 //	QueueLen == OpsEnqueued - OpsDequeued
 //
 // exactly, and the element itself is (correctly) absent from the queue.
-// With E enqueues and D deletes of one element in total, the queue gets
-// max(0, E−D) copies and the ledger max(0, D−E) credits whatever order they
-// arrive in, which is why one pass equals applying all enqueues first.
+// With S snapshot copies, E enqueues and D deletes of one element, the queue
+// gets max(0, S+E−D) copies and the ledger max(0, D−E−S) credits whatever
+// order they arrive in, which is why one pass equals applying all enqueues
+// first.
 type fold struct {
 	tenants map[string]*tenantFold
 }
 
 type tenantFold struct {
-	st  TenantState
-	net map[Item]int64 // signed multiset; no entry is ever zero
+	st  TenantState    // Items holds the snapshot's copies until states
+	net map[Item]int64 // the tail's signed multiset; no entry is ever zero
 }
 
+// newFold starts a fold from snap. It moves each snapshot tenant's Items
+// into the fold, leaving them nil in snap: states compacts that array in
+// place and returns it as the tenant's queue.
 func newFold(snap *Snapshot) *fold {
 	f := &fold{tenants: make(map[string]*tenantFold)}
 	if snap != nil {
 		for i := range snap.Tenants {
-			t := f.tenant(snap.Tenants[i].Name)
-			t.st = snap.Tenants[i]
-			t.st.Items = nil
-			for _, it := range snap.Tenants[i].Items {
-				t.net[it]++
-			}
+			f.tenant(snap.Tenants[i].Name).st = snap.Tenants[i]
+			snap.Tenants[i].Items = nil
 		}
 	}
 	return f
@@ -298,29 +287,46 @@ func (t *tenantFold) add(it Item, d int64) {
 	}
 }
 
-// states finishes the fold: positive entries become the queue's items in
-// canonical order, negative ones the compensating enqueue credits. Each
-// tenant's multiset is released as soon as it has been read out.
+// states finishes the fold: negative entries first cancel snapshot copies,
+// then positive entries join the queue's items in canonical order and
+// negative ones become the compensating enqueue credits. Each tenant's
+// multiset is released as soon as it has been read out.
 func (f *fold) states() []TenantState {
 	out := make([]TenantState, 0, len(f.tenants))
 	for _, t := range f.tenants {
+		items := t.st.Items
+		if len(t.net) > 0 {
+			kept := items[:0]
+			for _, it := range items {
+				if t.net[it] < 0 {
+					t.add(it, 1)
+				} else {
+					kept = append(kept, it)
+				}
+			}
+			items = kept
+		}
 		live := 0
 		for _, n := range t.net {
 			if n > 0 {
 				live += int(n)
 			}
 		}
-		if live > 0 {
-			t.st.Items = make([]Item, 0, live)
+		if len(items)+live > cap(items) {
+			items = append(make([]Item, 0, len(items)+live), items...)
 		}
 		for it, n := range t.net {
 			for ; n > 0; n-- {
-				t.st.Items = append(t.st.Items, it)
+				items = append(items, it)
 			}
 			if n < 0 {
 				t.st.OpsEnqueued += uint64(-n)
 			}
 		}
+		if len(items) == 0 {
+			items = nil // as for a tenant that never had items: equal states stay DeepEqual
+		}
+		t.st.Items = items
 		t.net = nil
 		t.st.SortItems()
 		out = append(out, t.st)

@@ -1,10 +1,13 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -62,8 +65,18 @@ type Snapshot struct {
 	Tenants []TenantState
 }
 
-func encodeSnapshot(s *Snapshot) []byte {
-	p := append([]byte(nil), snapMagic...)
+// snapshotLen returns the length of encodeSnapshot's output for s.
+func snapshotLen(s *Snapshot) int {
+	n := len(snapMagic) + 8 + 4
+	for i := range s.Tenants {
+		n += 1 + min255(len(s.Tenants[i].Name)) + 4 + 6*8 + 4 + 16*len(s.Tenants[i].Items)
+	}
+	return n
+}
+
+// encodeSnapshot appends the payload encoding of s to p.
+func encodeSnapshot(p []byte, s *Snapshot) []byte {
+	p = append(p, snapMagic...)
 	p = binary.LittleEndian.AppendUint64(p, s.CutLSN)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Tenants)))
 	for i := range s.Tenants {
@@ -88,49 +101,87 @@ func encodeSnapshot(s *Snapshot) []byte {
 // DecodeSnapshot parses a snapshot payload (strict, like the record codec:
 // trailing bytes are an error). It never panics on arbitrary input.
 func DecodeSnapshot(p []byte) (*Snapshot, error) {
-	if len(p) < len(snapMagic)+12 || string(p[:len(snapMagic)]) != string(snapMagic) {
+	return readSnapshot(bytes.NewReader(p), int64(len(p)))
+}
+
+// snapDecoder hands out a snapshot payload's bytes from a bufio.Reader,
+// counting what is left of the payload so that no count in it can claim
+// more bytes than remain.
+type snapDecoder struct {
+	br   *bufio.Reader
+	left int64
+}
+
+// take returns the next k payload bytes, valid until the next take. k is at
+// most the reader's buffer size.
+func (d *snapDecoder) take(k int) ([]byte, error) {
+	if int64(k) > d.left {
+		return nil, fmt.Errorf("wal: snapshot payload ends %d bytes early", int64(k)-d.left)
+	}
+	b, err := d.br.Peek(k)
+	if err != nil {
+		return nil, fmt.Errorf("wal: snapshot read: %w", err)
+	}
+	_, _ = d.br.Discard(k) // cannot fail: Peek buffered k bytes
+	d.left -= int64(k)
+	return b, nil
+}
+
+// readSnapshot decodes the n-byte snapshot payload read from r. It reads
+// through one buffer of at most 64 KiB and never past n bytes of r, and
+// decodes items from that buffer straight into each tenant's slice, so no
+// copy of the payload is ever resident. Strict: a payload that ends early,
+// carries an out-of-range count or has bytes left over is an error.
+func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
+	d := snapDecoder{br: bufio.NewReaderSize(io.LimitReader(r, n), int(min(n, 64<<10))), left: n}
+	b, err := d.take(len(snapMagic) + 12)
+	if err != nil || string(b[:len(snapMagic)]) != string(snapMagic) {
 		return nil, fmt.Errorf("wal: not a snapshot payload")
 	}
-	p = p[len(snapMagic):]
-	s := &Snapshot{CutLSN: binary.LittleEndian.Uint64(p)}
-	n := binary.LittleEndian.Uint32(p[8:])
-	p = p[12:]
-	if n > maxSnapTenants {
-		return nil, fmt.Errorf("wal: snapshot tenant count %d exceeds cap", n)
+	s := &Snapshot{CutLSN: binary.LittleEndian.Uint64(b[len(snapMagic):])}
+	tenants := binary.LittleEndian.Uint32(b[len(snapMagic)+8:])
+	if tenants > maxSnapTenants {
+		return nil, fmt.Errorf("wal: snapshot tenant count %d exceeds cap", tenants)
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := uint32(0); i < tenants; i++ {
 		var t TenantState
-		var err error
-		if t.Name, p, err = cutShortString(p, ""); err != nil {
+		if b, err = d.take(1); err != nil {
 			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
 		}
-		if len(p) < 4+6*8+4 {
-			return nil, fmt.Errorf("wal: snapshot tenant %q truncated", t.Name)
+		if b, err = d.take(int(b[0])); err != nil {
+			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
 		}
-		t.M = int(binary.LittleEndian.Uint32(p))
-		t.CounterSum = binary.LittleEndian.Uint64(p[4:])
-		t.OpsEnqueued = binary.LittleEndian.Uint64(p[12:])
-		t.OpsDequeued = binary.LittleEndian.Uint64(p[20:])
-		t.OpsCounterAdds = binary.LittleEndian.Uint64(p[28:])
-		t.CounterDeltaSum = binary.LittleEndian.Uint64(p[36:])
-		t.OpsMetered = binary.LittleEndian.Uint64(p[44:])
-		items := binary.LittleEndian.Uint32(p[52:])
-		p = p[56:]
-		if items > maxSnapItems || uint64(len(p)) < uint64(items)*16 {
+		t.Name = string(b)
+		if b, err = d.take(4 + 6*8 + 4); err != nil {
+			return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
+		}
+		t.M = int(binary.LittleEndian.Uint32(b))
+		t.CounterSum = binary.LittleEndian.Uint64(b[4:])
+		t.OpsEnqueued = binary.LittleEndian.Uint64(b[12:])
+		t.OpsDequeued = binary.LittleEndian.Uint64(b[20:])
+		t.OpsCounterAdds = binary.LittleEndian.Uint64(b[28:])
+		t.CounterDeltaSum = binary.LittleEndian.Uint64(b[36:])
+		t.OpsMetered = binary.LittleEndian.Uint64(b[44:])
+		items := binary.LittleEndian.Uint32(b[52:])
+		if items > maxSnapItems || uint64(items)*16 > uint64(d.left) {
 			return nil, fmt.Errorf("wal: snapshot tenant %q item count %d exceeds payload", t.Name, items)
 		}
 		if items > 0 {
 			t.Items = make([]Item, items)
-			for j := range t.Items {
-				t.Items[j].Priority = binary.LittleEndian.Uint64(p)
-				t.Items[j].Value = binary.LittleEndian.Uint64(p[8:])
-				p = p[16:]
+		}
+		for j := 0; j < len(t.Items); {
+			if b, err = d.take(16 * min(len(t.Items)-j, d.br.Size()/16)); err != nil {
+				return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
+			}
+			for ; len(b) > 0; b = b[16:] {
+				t.Items[j] = Item{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])}
+				j++
 			}
 		}
 		s.Tenants = append(s.Tenants, t)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("wal: %d trailing snapshot bytes", len(p))
+	if d.left != 0 {
+		return nil, fmt.Errorf("wal: %d trailing snapshot bytes", d.left)
 	}
 	return s, nil
 }
@@ -141,11 +192,10 @@ func DecodeSnapshot(p []byte) (*Snapshot, error) {
 // s captures all state through s.CutLSN (dlzd's snapshotter quiesces
 // mutators, flushes leases, and reads Head() before releasing them).
 func (l *Log) WriteSnapshot(s *Snapshot) error {
-	payload := encodeSnapshot(s)
-	buf := make([]byte, frameHeader, frameHeader+len(payload))
+	buf := encodeSnapshot(make([]byte, frameHeader, frameHeader+snapshotLen(s)), s)
+	payload := buf[frameHeader:]
 	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, payload...)
 
 	final := filepath.Join(l.opt.Dir, snapName(s.CutLSN))
 	tmp := final + ".tmp"
@@ -179,23 +229,40 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 // loadSnapshotFile reads and decodes one snapshot file; a nil error means
 // the snapshot is fully intact (magic, CRC, canonical payload).
 func loadSnapshotFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < frameHeader {
+	defer f.Close() // read-only
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readSnapshotFile(f, st.Size())
+}
+
+// readSnapshotFile decodes a snapshot file of size bytes read from r: the
+// frame header, then the payload streamed through readSnapshot with its
+// CRC32C computed as the bytes pass. The file is never resident whole.
+func readSnapshotFile(r io.Reader, size int64) (*Snapshot, error) {
+	var head [frameHeader]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("wal: snapshot file too short")
 	}
-	plen := int(binary.LittleEndian.Uint32(data))
-	crc := binary.LittleEndian.Uint32(data[4:])
-	if plen != len(data)-frameHeader {
-		return nil, fmt.Errorf("wal: snapshot length field %d != %d payload bytes", plen, len(data)-frameHeader)
+	plen := int64(binary.LittleEndian.Uint32(head[:]))
+	if plen != size-frameHeader {
+		return nil, fmt.Errorf("wal: snapshot length field %d != %d payload bytes", plen, size-frameHeader)
 	}
-	payload := data[frameHeader:]
-	if crc32.Checksum(payload, castagnoli) != crc {
+	crc := crc32.New(castagnoli)
+	s, err := readSnapshot(io.TeeReader(r, crc), plen)
+	if err != nil {
+		return nil, err
+	}
+	// readSnapshot took exactly plen bytes, so crc has seen the whole payload.
+	if crc.Sum32() != binary.LittleEndian.Uint32(head[4:]) {
 		return nil, fmt.Errorf("wal: snapshot CRC mismatch")
 	}
-	return DecodeSnapshot(payload)
+	return s, nil
 }
 
 // truncateObsolete removes segments whose every record is at or before cut

@@ -4,17 +4,40 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
-// foldAll runs the streaming fold over records already in memory.
+// foldAll runs the streaming fold over records already in memory. The fold
+// takes over the snapshot's item arrays, so it runs on a copy of snap.
 func foldAll(snap *Snapshot, recs []Record) []TenantState {
-	f := newFold(snap)
+	f := newFold(cloneSnapshot(snap))
 	for i := range recs {
 		f.apply(&recs[i])
 	}
 	return f.states()
+}
+
+func cloneSnapshot(snap *Snapshot) *Snapshot {
+	if snap == nil {
+		return nil
+	}
+	c := &Snapshot{CutLSN: snap.CutLSN, Tenants: slices.Clone(snap.Tenants)}
+	for i := range c.Tenants {
+		c.Tenants[i].Items = slices.Clone(c.Tenants[i].Items)
+	}
+	return c
+}
+
+// scanSegment scans one whole segment image in memory: scanStream's
+// contract, with the image as the window and nothing to refill.
+func (sc *scanner) scanSegment(data []byte, wantFirst uint64, visit func(*Record)) (goodLen int) {
+	sc.next, sc.pinned = wantFirst, wantFirst != 0
+	return sc.scan(data, visit)
 }
 
 // scanAll collects what the streaming scanner yields for one segment image.
@@ -22,6 +45,16 @@ func scanAll(data []byte, wantFirst uint64) (recs []Record, goodLen int) {
 	var sc scanner
 	goodLen = sc.scanSegment(data, wantFirst, func(r *Record) { recs = append(recs, r.clone()) })
 	return recs, goodLen
+}
+
+// streamAll is scanAll through a window of w bytes, as recovery reads a
+// segment file: what the windowed scan yields for the same image, and the
+// size it read.
+func streamAll(data []byte, wantFirst uint64, w int) (recs []Record, goodLen, size int64, err error) {
+	var sc scanner
+	goodLen, size, _, err = sc.scanStream(bytes.NewReader(data), make([]byte, w), wantFirst,
+		func(r *Record) { recs = append(recs, r.clone()) })
+	return recs, goodLen, size, err
 }
 
 // randomStream draws a snapshot base and a journal tail behind it that hit
@@ -103,7 +136,7 @@ func TestFoldMatchesTwoPassRebuild(t *testing.T) {
 		for i := range recs {
 			image = appendFrame(image, &recs[i])
 		}
-		f := newFold(snap)
+		f := newFold(cloneSnapshot(snap))
 		var sc scanner
 		first := uint64(0)
 		if len(recs) > 0 {
@@ -116,7 +149,7 @@ func TestFoldMatchesTwoPassRebuild(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: fold from the scanner\n got %+v\nwant %+v", round, got, want)
 		}
-		if !bytes.Equal(encodeSnapshot(&Snapshot{Tenants: got}), encodeSnapshot(&Snapshot{Tenants: want})) {
+		if !bytes.Equal(encodeSnapshot(nil, &Snapshot{Tenants: got}), encodeSnapshot(nil, &Snapshot{Tenants: want})) {
 			t.Fatalf("round %d: equal states encode differently", round)
 		}
 
@@ -208,7 +241,10 @@ func TestReplayRecordsAreDeepCopies(t *testing.T) {
 // scanning a warm segment of batch-8 enqueue/delete pairs and folding it
 // allocates nothing — no Record, no Items slice, no string, no map growth —
 // and because every pair cancels the moment its delete is seen, the multiset
-// ends empty. Boot therefore holds one segment image plus the live state.
+// ends empty. Streaming the same segment through a window a small fraction
+// of its size, so that frames straddle every refill, allocates nothing
+// either once the window exists. Boot therefore holds one window plus the
+// live state.
 func TestStreamingRecoveryZeroAlloc(t *testing.T) {
 	const pairs = 512
 	var image []byte
@@ -235,11 +271,121 @@ func TestStreamingRecoveryZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
 		t.Fatalf("%v allocs per warm segment of %d records, want 0", allocs, 2*pairs)
 	}
+
+	win := make([]byte, 4<<10)
+	rd := bytes.NewReader(image)
+	stream := func() {
+		rd.Reset(image)
+		good, size, w, err := sc.scanStream(rd, win, 1, visit)
+		if err != nil || good != int64(len(image)) || size != good || len(w) != len(win) {
+			t.Fatalf("stream: good %d size %d window %d err %v, want %d, %d, %d, nil", good, size, len(w), err, len(image), len(image), len(win))
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, stream); allocs != 0 {
+		t.Fatalf("%v allocs per segment streamed through a warm %d-byte window, want 0", allocs, len(win))
+	}
 	if n := len(f.tenants["acme"].net); n != 0 {
 		t.Fatalf("%d elements left in the multiset after fully matched pairs", n)
 	}
 	st := f.states()
 	if len(st) != 1 || len(st[0].Items) != 0 || st[0].OpsEnqueued != st[0].OpsDequeued {
 		t.Fatalf("folded state %+v", st)
+	}
+}
+
+// heapAllocated returns the bytes the heap handed out while fn ran.
+func heapAllocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOpenSegmentsAllocBound is the boot-path memory gate for a long
+// journal: Open over eight full 4 MiB segments of batch-8 enqueue/delete
+// pairs allocates less than 512 KiB in all. Every segment streams through
+// one 64 KiB window and every pair cancels as it is read, so neither the
+// segment size nor the journal's length enters what boot allocates.
+func TestOpenSegmentsAllocBound(t *testing.T) {
+	const segBytes = 4 << 20
+	dir := t.TempDir()
+	var image []byte
+	items := make([]Item, 8)
+	lsn := uint64(0)
+	for s := 0; s < 8; s++ {
+		first := lsn + 1
+		image = image[:0]
+		for len(image) < segBytes-512 {
+			for j := range items {
+				items[j] = Item{lsn % 97, lsn*8 + uint64(j)}
+			}
+			for _, typ := range []RecordType{RecEnqueue, RecDeleteMin} {
+				lsn++
+				image = appendFrame(image, &Record{LSN: lsn, Type: typ, Tenant: "acme", Session: "caller-0", Items: items, Metered: 8})
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, segName(first)), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var l *Log
+	var rec *Recovered
+	got := heapAllocated(func() { l, rec = testOpen(t, dir, Options{}) })
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Replayed != int(lsn) || rec.TornBytes != 0 || len(rec.States) != 1 || len(rec.States[0].Items) != 0 {
+		t.Fatalf("recovered %d of %d records, %d torn bytes, states %d", rec.Replayed, lsn, rec.TornBytes, len(rec.States))
+	}
+	if got >= 512<<10 {
+		t.Fatalf("Open of 8 x 4 MiB segments (%d records) allocated %d bytes, want < %d", lsn, got, 512<<10)
+	}
+}
+
+// TestOpenSnapshotAllocBound is the boot-path memory gate for a large
+// snapshot: Open over a snapshot of 100 k elements and a short tail that
+// deletes some of them and enqueues others allocates at most 40 bytes per
+// element plus 256 KiB. The snapshot is decoded through a 64 KiB buffer
+// straight into its item array (16 B per element), and its elements stay out
+// of the fold's multiset. Here the tail's deletes free room in that array for
+// its enqueues; a tail that grows the queue costs one exact copy of the array
+// (16 B more per element), still inside the bound.
+func TestOpenSnapshotAllocBound(t *testing.T) {
+	const n, tail = 100_000, 64
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{})
+	ts := TenantState{Name: "acme", OpsEnqueued: n, OpsMetered: n, Items: make([]Item, n)}
+	for i := range ts.Items {
+		ts.Items[i] = Item{uint64(i % 997), uint64(i)}
+	}
+	ts.SortItems()
+	if err := l.WriteSnapshot(&Snapshot{Tenants: []TenantState{ts}}); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(ts.Items[tail:])
+	for i := 0; i < tail; i++ {
+		fresh := Item{1 << 40, uint64(i)}
+		mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "acme", Session: "s", Items: ts.Items[i : i+1], Metered: 1})
+		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "acme", Session: "s", Items: []Item{fresh}, Metered: 1})
+		want = append(want, fresh)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var rec *Recovered
+	got := heapAllocated(func() { l, rec = testOpen(t, dir, Options{}) })
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Snapshot == nil || rec.Replayed != 2*tail || len(rec.States) != 1 {
+		t.Fatalf("recovered snapshot %v, %d records, %d states", rec.Snapshot != nil, rec.Replayed, len(rec.States))
+	}
+	if st := rec.States[0]; !reflect.DeepEqual(st.Items, want) || st.OpsEnqueued != n+tail || st.OpsDequeued != tail {
+		t.Fatalf("recovered %d items, ledger enq=%d deq=%d", len(st.Items), st.OpsEnqueued, st.OpsDequeued)
+	}
+	if limit := uint64(40*n + 256<<10); got > limit {
+		t.Fatalf("Open over a %d-element snapshot allocated %d bytes (%.1f per element), want <= %d", n, got, float64(got)/n, limit)
 	}
 }

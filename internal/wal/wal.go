@@ -13,11 +13,14 @@
 // fsync).
 //
 // Segments are named wal-%016x.seg by the first LSN they hold; snapshots
-// snap-%016x.snap by their cut LSN. Recovery (Open) picks the newest
-// decodable snapshot, streams the chained segment tail behind it one segment
-// at a time, folding each record into per-tenant logical state as it is
-// decoded, truncates the first torn or corrupt frame, drops unreachable later
-// segments, and reports the states and everything it did in Recovered.
+// snap-%016x.snap by their cut LSN. Recovery (Open) streams the newest
+// decodable snapshot into per-tenant item slices, then streams the chained
+// segment tail behind it through one 64 KiB read window, folding each record
+// into a multiset of the tail's unmatched elements as it is decoded. It
+// truncates the first torn or corrupt frame, drops unreachable later
+// segments, and reports the states and everything it did in Recovered. Boot
+// memory is the window, the snapshot's items and that multiset; the segment
+// size does not enter it.
 package wal
 
 import (
@@ -225,9 +228,16 @@ func syncDir(dir string) error {
 // Append assigns the next LSN to r, frames it, and writes it to the active
 // segment. On return with a nil error the record has reached write(2) — it
 // survives a SIGKILL — and, under FsyncAlways, an fsync as well. A refused
-// append (failpoint, write error) leaves the journal exactly as it was: the
-// record gets no LSN and recovery will never see it.
+// append (failpoint, write error, a record recovery would reject) leaves the
+// journal exactly as it was: the record gets no LSN and recovery will never
+// see it.
 func (l *Log) Append(r *Record) (uint64, error) {
+	if len(r.Items) > maxBatchItems || payloadLen(r) > MaxPayload {
+		// Written, the frame would stop every recovery that reached it, and
+		// truncate it away with every record behind it.
+		return 0, fmt.Errorf("wal: record of %d items (%d payload bytes) exceeds the frame limits (%d items, %d bytes)",
+			len(r.Items), payloadLen(r), maxBatchItems, MaxPayload)
+	}
 	l.mu.Lock()
 	if l.err != nil {
 		err := l.err

@@ -285,12 +285,41 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 	if rec.Snapshot == nil || rec.SnapshotCut != 20 || rec.Head != 20 {
 		t.Fatalf("snapshot not recovered: %+v", rec)
 	}
-	if !reflect.DeepEqual(rec.States, rec.Snapshot.Tenants) {
+	if !reflect.DeepEqual(rec.States, snap.Tenants) {
 		t.Fatalf("states %+v differ from the snapshot they were folded from", rec.States)
 	}
 	ts := rec.States
 	if len(ts) != 1 || ts[0].Name != "t" || ts[0].M != 4 || len(ts[0].Items) != 2 {
 		t.Fatalf("snapshot state: %+v", ts)
+	}
+}
+
+// TestWriteSnapshotAllocBound pins what a snapshot of 100 k elements costs
+// to write: the payload is encoded straight behind its frame header into one
+// buffer sized in advance, so WriteSnapshot allocates at most 16 bytes per
+// element (the encoded items) plus 64 KiB.
+func TestWriteSnapshotAllocBound(t *testing.T) {
+	const n = 100_000
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{})
+	ts := TenantState{Name: "acme", OpsEnqueued: n, OpsMetered: n, Items: make([]Item, n)}
+	for i := range ts.Items {
+		ts.Items[i] = Item{uint64(i), uint64(i)}
+	}
+	snap := &Snapshot{Tenants: []TenantState{ts}}
+	var err error
+	got := heapAllocated(func() { err = l.WriteSnapshot(snap) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(16*n + 64<<10); got > limit {
+		t.Fatalf("WriteSnapshot of %d elements allocated %d bytes, want <= %d", n, got, limit)
+	}
+	if s, err := loadSnapshotFile(filepath.Join(dir, snapName(0))); err != nil || !reflect.DeepEqual(s, snap) {
+		t.Fatalf("snapshot does not read back: %v", err)
 	}
 }
 
@@ -408,8 +437,8 @@ func TestRebuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1 := encodeSnapshot(&Snapshot{Tenants: st1})
-	b2 := encodeSnapshot(&Snapshot{Tenants: st2})
+	b1 := encodeSnapshot(nil, &Snapshot{Tenants: st1})
+	b2 := encodeSnapshot(nil, &Snapshot{Tenants: st2})
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("double replay diverged")
 	}
@@ -481,6 +510,56 @@ func TestIntervalFlusher(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendRefusesOversizedRecord pins the write side of the frame limits:
+// a record whose payload exceeds MaxPayload, or that carries more than
+// maxBatchItems items, is refused before it gets an LSN or a byte of the
+// segment, because recovery would stop at it and truncate it away together
+// with every record behind it. A record at the payload limit appends and
+// recovers, through a read window it has to grow.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{})
+	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{{1, 1}}, Metered: 1})
+	seg := filepath.Join(dir, segName(1))
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	largest := Record{Type: RecEnqueue, Tenant: "t"}
+	largest.Items = make([]Item, (MaxPayload-payloadLen(&largest))/16)
+	for i := range largest.Items {
+		largest.Items[i] = Item{uint64(i), uint64(i)}
+	}
+	over := largest
+	over.Items = append(largest.Items[:len(largest.Items):len(largest.Items)], Item{1 << 40, 1})
+	for _, r := range []Record{over, {Type: RecDeleteMin, Tenant: "t", Items: make([]Item, maxBatchItems+1)}} {
+		lsn, err := l.Append(&r)
+		if err == nil || lsn != 0 || r.LSN != 0 {
+			t.Fatalf("record of %d items, %d payload bytes: lsn %d, record LSN %d, err %v; want refused", len(r.Items), payloadLen(&r), lsn, r.LSN, err)
+		}
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != st.Size() || l.Head() != 1 {
+		t.Fatalf("refused appends moved the journal: head %d, segment %d -> %d bytes", l.Head(), st.Size(), after.Size())
+	}
+
+	if lsn := mustAppend(t, l, largest); lsn != 2 || payloadLen(&largest) > MaxPayload {
+		t.Fatalf("largest record: lsn %d, %d payload bytes", lsn, payloadLen(&largest))
+	}
+	mustAppend(t, l, Record{Type: RecSessionClose, Tenant: "t"})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := testOpenAndClose(t, dir)
+	if rec.Replayed != 3 || rec.Head != 3 || rec.TornBytes != 0 || len(rec.States[0].Items) != 1+len(largest.Items) {
+		t.Fatalf("recovered %d records head %d torn %d", rec.Replayed, rec.Head, rec.TornBytes)
 	}
 }
 
