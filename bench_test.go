@@ -460,9 +460,9 @@ func BenchmarkHeapBulkOps(b *testing.B) {
 
 // BenchmarkMultiQueueHotPathAllocs measures the steady-state batched
 // enqueue+dequeue pair with allocation reporting: the handle's pooled batch
-// and prefetch buffers plus the preallocated heap arrays must hold it at
-// 0 allocs/op (TestMQHandleHotPathZeroAlloc enforces the same bound in the
-// test suite, at every (stickiness, batch) setting).
+// and prefetch buffers plus the heap arrays grown during warm-up must hold
+// it at 0 allocs/op (TestMQHandleHotPathZeroAlloc enforces the same bound in
+// the test suite, at every (stickiness, batch) setting).
 func BenchmarkMultiQueueHotPathAllocs(b *testing.B) {
 	q := core.NewMultiQueue(core.MultiQueueConfig{Queues: 64, Stickiness: 8, Batch: 8})
 	h := q.NewHandle(28)

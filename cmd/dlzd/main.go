@@ -46,7 +46,6 @@ func main() {
 		queues      = flag.Int("queues", 64, "initial m: queues/counter shards per tenant")
 		minQueues   = flag.Int("min-queues", 0, "lower resize bound on m (0 = pin to -queues)")
 		maxQueues   = flag.Int("max-queues", 0, "upper resize bound on m (0 = pin to -queues)")
-		capacity    = flag.Int("capacity", 1024, "per-queue preallocation hint")
 		choices     = flag.Int("choices", 2, "d: random choices per dequeue/increment")
 		stickiness  = flag.Int("stickiness", 16, "s: sticky-choice window")
 		batch       = flag.Int("batch", 8, "k: handle batch size")
@@ -109,7 +108,6 @@ func main() {
 		Queues:         *queues,
 		MinQueues:      *minQueues,
 		MaxQueues:      *maxQueues,
-		Capacity:       *capacity,
 		Choices:        *choices,
 		Stickiness:     *stickiness,
 		Batch:          *batch,

@@ -53,8 +53,6 @@ type Config struct {
 	// 1 <= MinQueues <= Queues <= MaxQueues when set.
 	MinQueues int
 	MaxQueues int
-	// Capacity is the per-queue preallocation hint (default 1024).
-	Capacity int
 	// Choices, Stickiness and Batch configure the fast path of every tenant
 	// structure, with the same semantics and defaults as
 	// dlz.MultiQueueConfig / dlz.MultiCounterConfig.
@@ -154,9 +152,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 64
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1024
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 64

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -437,6 +438,32 @@ func TestTenantLimit403(t *testing.T) {
 	if code := c.get("/v1/first/stats", nil); code != http.StatusOK {
 		t.Fatalf("existing tenant after limit = %d", code)
 	}
+}
+
+// TestTenantAtRestFootprint bounds what a tenant name costs while its
+// structures hold nothing: 64 empty tenants at the default m = 64 add at most
+// 4 MiB of live heap after a collection. A shard starts with no element
+// storage, so the bound holds however many shards a tenant has; a client
+// minting names cannot pin memory that no element uses.
+func TestTenantAtRestFootprint(t *testing.T) {
+	const tenants, bound = 64, 4 << 20
+	s := New(Config{MaxTenants: tenants})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < tenants; i++ {
+		if _, ok := s.tenant([]byte(fmt.Sprintf("tenant%d", i))); !ok {
+			t.Fatalf("tenant %d refused", i)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	got := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if got > bound {
+		t.Fatalf("%d empty tenants hold %d B of live heap, want <= %d", tenants, got, bound)
+	}
+	t.Logf("%d empty tenants hold %d B of live heap", tenants, got)
 }
 
 func TestServerClose503(t *testing.T) {

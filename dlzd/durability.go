@@ -22,6 +22,7 @@ package dlzd
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"time"
 
@@ -98,6 +99,11 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 		_ = l.Close()
 		return nil, fmt.Errorf("dlzd: journal holds %d tenants, MaxTenants is %d", len(states), s.cfg.MaxTenants)
 	}
+	// The fold's multiset died when Open returned; only states survive it.
+	// Collect it now, so the shards, whose arrays grow as restore re-enqueues
+	// into them, reuse its spans instead of touching fresh pages and raising
+	// the recovered daemon's peak RSS (EXPERIMENTS.md §23).
+	runtime.GC()
 	for _, st := range states {
 		if err := s.restoreTenant(st); err != nil {
 			_ = l.Close()

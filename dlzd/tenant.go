@@ -100,7 +100,6 @@ func newTenant(name string, srv *Server) *tenant {
 		srv:  srv,
 		mq: dlz.NewMultiQueue(dlz.MultiQueueConfig{
 			Topology:   topo,
-			Capacity:   cfg.Capacity,
 			Seed:       srv.nextSeed(),
 			Choices:    cfg.Choices,
 			Stickiness: cfg.Stickiness,

@@ -97,7 +97,7 @@ func main() {
 	workers := runtime.GOMAXPROCS(0)
 	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{
 		Topology: dlz.Topology{InitialM: 8 * workers},
-		Capacity: 1 << 14, Seed: 3,
+		Seed:     3,
 	})
 
 	// Node arena: the queue carries 64-bit values, so nodes live in a

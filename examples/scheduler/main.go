@@ -96,7 +96,7 @@ func main() {
 
 	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{
 		Topology: dlz.Topology{InitialM: 8 * workers},
-		Capacity: 4096, Seed: 2,
+		Seed:     2,
 	})
 	var pending atomic.Int64
 	var pops, stale atomic.Int64

@@ -2,21 +2,42 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
+
+// TestNewMultiQueueFootprint bounds what an empty MultiQueue costs: at
+// m = 64, construction allocates at most 32 KiB — the shard blocks (8 KiB,
+// allocated twice when the first array misses its alignment) and a few small
+// objects — because an empty shard holds no element storage. A per-shard
+// preallocation is multiplied by m here and by every tenant in dlzd.
+func TestNewMultiQueueFootprint(t *testing.T) {
+	const m, runs, bound = 64, 20, 32 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		runtime.KeepAlive(NewMultiQueue(MultiQueueConfig{Queues: m}))
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	if got > bound {
+		t.Fatalf("NewMultiQueue at m = %d allocated %d B, want <= %d", m, got, bound)
+	}
+	t.Logf("NewMultiQueue at m = %d allocated %d B", m, got)
+}
 
 // TestMQHandleHotPathZeroAlloc pins the MultiQueue hot path at zero
 // allocations per operation: after warm-up, an enqueue+dequeue pair must
 // reuse the handle's fixed-capacity batch and prefetch buffers and the
-// per-queue heap's preallocated arrays — no growth anywhere — at every
-// (stickiness, batch) setting from the per-op path (1, 1) to (16, 16), not
-// only the headline (8, 8).
+// per-queue heap's arrays grown during warm-up — no growth anywhere — at
+// every (stickiness, batch) setting from the per-op path (1, 1) to (16, 16),
+// not only the headline (8, 8).
 func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		for _, sk := range []int{1, 4, 8, 16} {
 			t.Run(fmt.Sprintf("s=%d,k=%d", sk, sk), func(t *testing.T) {
 				q := NewMultiQueue(MultiQueueConfig{
-					Queues: 16, Stickiness: sk, Batch: sk, Capacity: 4096,
+					Queues: 16, Stickiness: sk, Batch: sk,
 				})
 				h := q.NewHandle(4)
 				for i := 0; i < 4096; i++ {

@@ -67,8 +67,6 @@ type MultiQueueConfig struct {
 	// Clock supplies enqueue timestamps (default: a fresh Tick clock, which
 	// gives strictly unique, consistently ordered stamps).
 	Clock clock.Clock
-	// Capacity is the per-queue preallocation hint (default 1024).
-	Capacity int
 	// Seed has no effect: its only consumer was the level generator of the
 	// skip-list store the queues no longer offer. The field stays until the
 	// benchmark, which sets it, stops doing so.
@@ -105,9 +103,6 @@ type MultiQueueConfig struct {
 // NewMultiQueue returns a MultiQueue with the given configuration.
 func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	topo := cfg.Topology.normalize(cfg.Queues, "MultiQueueConfig")
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 1024
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewTick()
 	}
@@ -124,7 +119,7 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 		cfg.Batch = 1
 	}
 	mq := &MultiQueue{
-		qs:    cpq.NewShards(topo.MaxM, cfg.Capacity),
+		qs:    cpq.NewShards(topo.MaxM),
 		clk:   cfg.Clock,
 		topo:  topo,
 		d:     cfg.Choices,

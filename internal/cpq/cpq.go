@@ -180,15 +180,15 @@ type Queue struct {
 	_            [pad.CacheLine - 112]byte // the fields above are 112 bytes
 }
 
-// NewShards returns n empty queues, each with the given capacity hint, as
-// one contiguous array whose every element starts on a pad.CacheLine
-// boundary: shard i's lock, top word and heap header are one block, and no
-// two shards share one.
-func NewShards(n, capacity int) []Queue {
+// NewShards returns n empty queues as one contiguous array whose every
+// element starts on a pad.CacheLine boundary: shard i's lock, top word and
+// heap header are one block, and no two shards share one. Each heap is the
+// zero heap.Binary, so an empty shard holds no element storage; its arrays
+// grow by append as elements arrive.
+func NewShards(n int) []Queue {
 	qs := alignedQueues(n)
 	for i := range qs {
 		q := &qs[i]
-		q.pq = *heap.NewBinary(capacity)
 		q.top.Init(topPayload(0, true))
 		q.pubEmpty = true
 	}
@@ -222,16 +222,18 @@ func alignedQueues(n int) []Queue {
 	return unsafe.Slice((*Queue)(p), n)
 }
 
-// New returns one empty queue with the given capacity hint, alone in its
-// block. The Backing and the seed are vestiges that keep the benchmark's
-// call compiling: every queue is a heap.Binary, the seed is ignored, and a
-// nonzero Backing — a value that once named another store — panics rather
-// than silently measuring this one.
+// New returns one empty queue alone in its block, its heap built with the
+// given capacity hint (heap.NewBinary). The Backing and the seed are
+// vestiges that keep the benchmark's call compiling: every queue is a
+// heap.Binary, the seed is ignored, and a nonzero Backing — a value that
+// once named another store — panics rather than silently measuring this one.
 func New(b Backing, capacity int, _ uint64) *Queue {
 	if b != 0 {
 		panic(fmt.Sprintf("cpq: unknown backing %d", b))
 	}
-	return &NewShards(1, capacity)[0]
+	q := &NewShards(1)[0]
+	q.pq = *heap.NewBinary(capacity)
+	return q
 }
 
 // beginTop marks the top word mid-update; callers must hold the lock and be

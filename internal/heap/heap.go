@@ -49,8 +49,9 @@ const flushDiv = 16
 // 1/flushDiv of a sorts p and merges the two (flush). No order holds between
 // a and p — every pop compares both minima, tailWindow only decides which
 // part is cheaper for an insert — so Verify checks each part on its own. The
-// zero value is an empty queue; NewBinary preallocates capacity to keep the
-// hot path allocation-free. See DESIGN.md §5.
+// zero value is an empty queue whose arrays grow by append as items arrive;
+// once they have grown to a workload's working size the hot path allocates
+// nothing. See DESIGN.md §5.
 type Binary struct {
 	a []Item
 	p []Item
@@ -59,11 +60,12 @@ type Binary struct {
 	moved uint64
 }
 
-// NewBinary returns an empty queue with the given capacity hint. The hint
-// sizes the pending array: a queue filled by inserts alone collects nearly
-// all of them there, and the first pop adopts that array as the run (a hint
-// spent on the run instead is an array the fill never uses and an adoption
-// that must grow the other one: EXPERIMENTS.md §16, wire-mem's peak_rss_mb).
+// NewBinary returns an empty queue with the given capacity hint for a queue
+// that stands alone (the MultiQueue's shards start as the zero value). The
+// hint sizes the pending array: a queue filled by inserts alone collects
+// nearly all of them there, and the first pop adopts that array as the run
+// (a hint spent on the run instead is an array the fill never uses and an
+// adoption that must grow the other one: EXPERIMENTS.md §16).
 func NewBinary(capacity int) *Binary {
 	return &Binary{p: make([]Item, 0, capacity)}
 }
