@@ -325,7 +325,7 @@ func BenchmarkMultiCounterStickyBatched(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			mc := core.NewMultiCounterConfig(core.MultiCounterConfig{
-				Counters:   8 * runtime.GOMAXPROCS(0),
+				Topology:   core.Topology{InitialM: 8 * runtime.GOMAXPROCS(0)},
 				Choices:    cfg.d,
 				Stickiness: cfg.stick,
 				Batch:      cfg.batch,
@@ -360,7 +360,7 @@ func BenchmarkMultiQueueStickyBatched(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			q := core.NewMultiQueue(core.MultiQueueConfig{
-				Queues:     8 * runtime.GOMAXPROCS(0),
+				Topology:   core.Topology{InitialM: 8 * runtime.GOMAXPROCS(0)},
 				Stickiness: cfg.stick, Batch: cfg.batch,
 			})
 			pre := q.NewHandle(18)
@@ -464,7 +464,7 @@ func BenchmarkHeapBulkOps(b *testing.B) {
 // it at 0 allocs/op (TestMQHandleHotPathZeroAlloc enforces the same bound in
 // the test suite, at every (stickiness, batch) setting).
 func BenchmarkMultiQueueHotPathAllocs(b *testing.B) {
-	q := core.NewMultiQueue(core.MultiQueueConfig{Queues: 64, Stickiness: 8, Batch: 8})
+	q := core.NewMultiQueue(core.MultiQueueConfig{Topology: core.Topology{InitialM: 64}, Stickiness: 8, Batch: 8})
 	h := q.NewHandle(28)
 	for i := 0; i < 8192; i++ {
 		h.Enqueue(uint64(i))
@@ -484,7 +484,7 @@ func BenchmarkMultiQueueHotPathAllocs(b *testing.B) {
 // steady-state batched increment must stay at 0 allocs/op.
 func BenchmarkMultiCounterHotPathAllocs(b *testing.B) {
 	mc := core.NewMultiCounterConfig(core.MultiCounterConfig{
-		Counters: 64, Choices: 2, Stickiness: 8, Batch: 8,
+		Topology: core.Topology{InitialM: 64}, Choices: 2, Stickiness: 8, Batch: 8,
 	})
 	h := mc.NewHandle(29)
 	for i := 0; i < 8192; i++ {
@@ -508,7 +508,7 @@ func BenchmarkMultiQueueVsCoarse(b *testing.B) {
 		{"multiqueue-4n", 4 * runtime.GOMAXPROCS(0)},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			q := core.NewMultiQueue(core.MultiQueueConfig{Queues: cfg.m, Seed: 13})
+			q := core.NewMultiQueue(core.MultiQueueConfig{Topology: core.Topology{InitialM: cfg.m}, Seed: 13})
 			pre := q.NewHandle(14)
 			for i := 0; i < 8192; i++ {
 				pre.Enqueue(uint64(i))

@@ -389,7 +389,6 @@ func main() {
 	if *quiet {
 		return
 	}
-	var epochs uint64
 	for tn := 0; tn < *tenants; tn++ {
 		var st dlzd.StatsResponse
 		if err := getStats(client, *addr, tn, &st); err != nil {
@@ -405,11 +404,9 @@ func main() {
 			st.CounterExact+st.BufferedCounterWeight != deltaSums[tn].Load() {
 			verdict = "MISMATCH"
 		}
-		epochs += st.Resizes
-		fmt.Printf("  tenant load%d: queue=%d (ledger %d) counter=%d (ledger %d) m=%d epochs=%d leases=%d quota=%d [%s]\n",
-			tn, st.QueueLen, want, st.CounterExact, deltaSums[tn].Load(), st.CurrentM, st.Resizes, st.Leases, st.QuotaUsed, verdict)
+		fmt.Printf("  tenant load%d: queue=%d (ledger %d) counter=%d (ledger %d) leases=%d quota=%d [%s]\n",
+			tn, st.QueueLen, want, st.CounterExact, deltaSums[tn].Load(), st.Leases, st.QuotaUsed, verdict)
 	}
-	fmt.Printf("dlzd-load: observed %d resize epochs across %d tenants\n", epochs, *tenants)
 }
 
 // waitReady polls GET /readyz until the daemon answers 200, sleeping between

@@ -43,9 +43,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8377", "listen address")
-		queues      = flag.Int("queues", 64, "initial m: queues/counter shards per tenant")
-		minQueues   = flag.Int("min-queues", 0, "lower resize bound on m (0 = pin to -queues)")
-		maxQueues   = flag.Int("max-queues", 0, "upper resize bound on m (0 = pin to -queues)")
+		queues      = flag.Int("queues", 64, "m: queues/counter shards per tenant, fixed for the tenant's life")
 		choices     = flag.Int("choices", 2, "d: random choices per dequeue/increment")
 		stickiness  = flag.Int("stickiness", 16, "s: sticky-choice window")
 		batch       = flag.Int("batch", 8, "k: handle batch size")
@@ -106,8 +104,6 @@ func main() {
 
 	srv := dlzd.New(dlzd.Config{
 		Queues:         *queues,
-		MinQueues:      *minQueues,
-		MaxQueues:      *maxQueues,
 		Choices:        *choices,
 		Stickiness:     *stickiness,
 		Batch:          *batch,

@@ -157,15 +157,11 @@ func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch in
 		fmt.Sprintf("Figure 1(b): MultiCounter quality (single thread, m=%d, d=%d, s=%d, k=%d)",
 			m, mc.Choices(), mc.Stickiness(), mc.Batch()),
 		"increments", "read-value", "abs-error", "max-gap", "envelope(m log m)")
+	envelope := dlin.Envelope(m)
 	dev := quality.MeasureCounterDeviation(mc.NewHandle(seed), int(incs), int(samples),
 		func(issued, read, absErr, gap uint64) {
-			// Envelope at the counter's live shard count, sampled per row:
-			// a resize mid-audit moves the committed bound with it.
-			tb.Add(issued, read, absErr, gap, dlin.Envelope(mc.M()))
+			tb.Add(issued, read, absErr, gap, envelope)
 		})
-	// The verdict scores against the post-run shard count, not the -m flag
-	// (identical for a fixed topology; live m for an elastic one).
-	envelope := dlin.Envelope(mc.M())
 	within := dev.MeanAbsError <= envelope
 	verdict := "PASS"
 	if !within {
@@ -193,9 +189,7 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, seed uint64, csv bo
 		Choices:  choices, Stickiness: stickiness, Batch: batch,
 	})
 	sample := quality.MeasureDequeueRank(q.NewHandle(seed+1), 64*m, ops)
-	// The verdict scores against the post-run shard count, not the -m flag
-	// (identical for a fixed topology; live m for an elastic one).
-	envelope := dlin.Envelope(q.M())
+	envelope := dlin.Envelope(m)
 	mean := sample.Mean()
 	within := mean <= envelope
 	verdict := "PASS"

@@ -47,27 +47,12 @@
 //		_ = approx
 //	}(0)
 //
-// # Elastic capacity (migrating from fixed m)
+// # Shard count
 //
-// Both structures now size themselves through a shared Topology — initial,
-// minimum and maximum live shard counts — instead of a frozen constructor
-// argument. The fixed-m forms keep working unchanged (a zero Topology pins
-// MinM = MaxM = m), so existing code needs no edits; code that wants
-// elasticity migrates like this:
+// m is fixed at construction: the MultiCounter takes it as
+// NewMultiCounter's argument, the MultiQueue as Topology.InitialM.
 //
-//	// before: frozen shard count
-//	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Queues: 64})
-//	// after: start at 64, resizable in [16, 256]
-//	q = dlz.NewMultiQueue(dlz.MultiQueueConfig{
-//		Topology: dlz.Topology{InitialM: 64, MinM: 16, MaxM: 256},
-//	})
-//	q.Resize(128) // returns the count actually in effect
-//
-// The MultiCounter mirrors this with the dlz.WithTopology option. Resizes
-// are epoch-published: handles notice a flip with one atomic load and re-seed
-// in place, a shrink donates the retired shards' elements to the survivors,
-// and MultiQueue.Stats/MultiCounter.Stats report CurrentM/Epoch/Resizes
-// (DESIGN.md §11).
+//	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Topology: dlz.Topology{InitialM: 64}})
 //
 // The implementation lives in repro/internal/core; this package pins the
 // stable names a downstream user imports.
@@ -99,17 +84,13 @@ type MQHandle = core.MQHandle
 // MultiQueueConfig configures NewMultiQueue.
 type MultiQueueConfig = core.MultiQueueConfig
 
-// Topology is the shared elastic capacity surface of both structures:
-// initial/min/max live shard counts. Embedded in MultiQueueConfig and MultiCounterConfig; the zero value keeps
-// the deprecated fixed-m behavior.
+// Topology carries the shard count m of both structures, fixed at
+// construction. Embedded in MultiQueueConfig and MultiCounterConfig.
 type Topology = core.Topology
 
-// MQStats aggregates a MultiQueue's event counters and elasticity signals
-// (CurrentM/Epoch/Resizes) — the snapshot dlzd exports per tenant.
+// MQStats aggregates a MultiQueue's event counters — the snapshot dlzd
+// exports per tenant.
 type MQStats = core.MQStats
-
-// MCStats carries a MultiCounter's elasticity signals.
-type MCStats = core.MCStats
 
 // Timestamps is the MultiCounter-backed relaxed timestamp oracle.
 type Timestamps = core.Timestamps
@@ -142,11 +123,6 @@ var WithStickiness = core.WithStickiness
 // WithBatch sets the number of increments a handle buffers per shared atomic
 // publish (default 1: per-operation publishing).
 var WithBatch = core.WithBatch
-
-// WithTopology sets the MultiCounter's elastic capacity surface (see the
-// package comment's migration note). The MultiQueue counterpart is
-// MultiQueueConfig.Topology.
-var WithTopology = core.WithTopology
 
 // NewMultiQueue returns a MultiQueue with the given configuration.
 func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue { return core.NewMultiQueue(cfg) }

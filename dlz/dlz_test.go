@@ -55,7 +55,7 @@ func TestMultiCounterConfigPublicAPI(t *testing.T) {
 	// config, and the batched contract (Flush before quiescent audits) must
 	// hold end to end.
 	mc := dlz.NewMultiCounterConfig(dlz.MultiCounterConfig{
-		Counters: 32, Choices: 4, Stickiness: 8, Batch: 8,
+		Topology: dlz.Topology{InitialM: 32}, Choices: 4, Stickiness: 8, Batch: 8,
 	})
 	if mc.Choices() != 4 || mc.Stickiness() != 8 || mc.Batch() != 8 {
 		t.Fatalf("knobs not plumbed: d=%d s=%d k=%d", mc.Choices(), mc.Stickiness(), mc.Batch())
@@ -93,7 +93,7 @@ func TestMultiCounterOptionsPublicAPI(t *testing.T) {
 }
 
 func TestMultiQueueChoicesPublicAPI(t *testing.T) {
-	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Queues: 8, Seed: 11, Choices: 4})
+	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Topology: dlz.Topology{InitialM: 8}, Seed: 11, Choices: 4})
 	if q.Choices() != 4 {
 		t.Fatalf("Choices = %d", q.Choices())
 	}
@@ -115,8 +115,8 @@ func TestMultiQueueChoicesPublicAPI(t *testing.T) {
 
 func TestMultiQueuePublicAPI(t *testing.T) {
 	for _, cfg := range []dlz.MultiQueueConfig{
-		{Queues: 8},
-		{Queues: 8, Stickiness: 4, Batch: 4},
+		{Topology: dlz.Topology{InitialM: 8}},
+		{Topology: dlz.Topology{InitialM: 8}, Stickiness: 4, Batch: 4},
 	} {
 		q := dlz.NewMultiQueue(cfg)
 		h := q.NewHandle(7)
@@ -153,7 +153,7 @@ func TestMultiQueueStickyBatchedPublicAPI(t *testing.T) {
 	// public config, and the batched contract (Flush before quiescent
 	// audits) must hold end to end.
 	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{
-		Queues: 8, Seed: 5, Stickiness: 8, Batch: 8,
+		Topology: dlz.Topology{InitialM: 8}, Seed: 5, Stickiness: 8, Batch: 8,
 	})
 	if q.Stickiness() != 8 || q.Batch() != 8 {
 		t.Fatalf("knobs not plumbed: stickiness=%d batch=%d", q.Stickiness(), q.Batch())

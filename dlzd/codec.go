@@ -316,7 +316,7 @@ func appendSessionCloseResponse(dst []byte, r SessionCloseResponse) []byte {
 }
 
 // appendJSON appends v as json.Encoder writes it: the control plane's
-// encoder (stats, resize, readyz) and the error body's when the message
+// encoder (stats, readyz) and the error body's when the message
 // needs escaping.
 func appendJSON(dst []byte, v any) []byte {
 	b, err := json.Marshal(v)

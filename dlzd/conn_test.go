@@ -472,10 +472,10 @@ func FuzzConnRequest(f *testing.F) {
 		"GET http://host/healthz HTTP/1.1\r\n\r\n",
 		"OPTIONS * HTTP/1.1\r\n\r\n",
 		"GET /%68ealthz HTTP/1.1\nConnection: close\n\n",
-		"POST /v1/t/resize HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n",
-		"POST /v1/t/resize HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 07\r\n\r\n{\"m\":4}",
-		"POST /v1/t/resize HTTP/1.1\r\nContent-Length: +7\r\n\r\n{\"m\":4}",
-		"POST /v1/t/resize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+		"POST /v1/t/session/close HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n",
+		"POST /v1/t/session/close HTTP/1.1\r\nContent-Length: 7\r\nContent-Length: 07\r\n\r\n{\"m\":4}",
+		"POST /v1/t/session/close HTTP/1.1\r\nContent-Length: +7\r\n\r\n{\"m\":4}",
+		"POST /v1/t/session/close HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
 		"GET / HTTP/1.1\r\nX: a\r\n\tb\r\n\r\n",
 		"GET / HTTP/1.1\r\nBad Name: a\r\n\r\n",
 		"GET /a\x00b HTTP/1.1\r\n\r\n",

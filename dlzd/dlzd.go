@@ -43,16 +43,11 @@ const MaxWireBatch = 4096
 // serviceable default; Queues is the only field without one that matters
 // (it defaults to 64).
 type Config struct {
-	// Queues is the initial m for each tenant's MultiQueue and MultiCounter
-	// (default 64). For the paper's guarantees it should be a large constant
-	// multiple of the expected concurrent session count per tenant.
+	// Queues is m for each tenant's MultiQueue and MultiCounter (default
+	// 64), fixed for the tenant's life. For the paper's guarantees it should
+	// be a large constant multiple of the expected concurrent session count
+	// per tenant.
 	Queues int
-	// MinQueues and MaxQueues bound each tenant's live shard count for
-	// manual resizes (POST /v1/{tenant}/resize). 0 pins the bound to Queues —
-	// both zero is the fixed-m pre-elastic behavior. Must satisfy
-	// 1 <= MinQueues <= Queues <= MaxQueues when set.
-	MinQueues int
-	MaxQueues int
 	// Choices, Stickiness and Batch configure the fast path of every tenant
 	// structure, with the same semantics and defaults as
 	// dlz.MultiQueueConfig / dlz.MultiCounterConfig.
@@ -161,16 +156,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Choices < 0 {
 		panic("dlzd: Config.Choices must be >= 0")
-	}
-	minQ, maxQ := cfg.MinQueues, cfg.MaxQueues
-	if minQ == 0 {
-		minQ = cfg.Queues
-	}
-	if maxQ == 0 {
-		maxQ = cfg.Queues
-	}
-	if minQ < 1 || minQ > cfg.Queues || cfg.Queues > maxQ {
-		panic("dlzd: Config needs 1 <= MinQueues <= Queues <= MaxQueues")
 	}
 	if cfg.ShedTarget > 0 && cfg.ShedHold <= 0 {
 		cfg.ShedHold = 100 * time.Millisecond

@@ -401,6 +401,11 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown op", http.StatusNotFound, func() int {
 			return c.post("/v1/ok/frobnicate", EnqueueBatchRequest{Session: "s"}, nil)
 		}},
+		{"no resize op: m is fixed", http.StatusNotFound, func() int {
+			return c.post("/v1/acme/resize", struct {
+				M int `json:"m"`
+			}{8}, nil)
+		}},
 		{"GET on POST op", http.StatusMethodNotAllowed, func() int { return c.get("/v1/ok/enqueue-batch", nil) }},
 		{"POST on stats", http.StatusMethodNotAllowed, func() int {
 			return c.post("/v1/ok/stats", struct{}{}, nil)

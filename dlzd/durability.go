@@ -125,17 +125,12 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 }
 
 // restoreTenant materializes one rebuilt tenant state through the normal
-// structure paths: resize to the journaled m, bulk re-enqueue through a
-// throwaway handle (the same batched AddBatch path the wire rides), seed
+// structure paths: bulk re-enqueue through a throwaway handle (the same batched AddBatch path the wire rides), seed
 // the counter and quota meters, and store the ledger counters directly.
 func (s *Server) restoreTenant(st wal.TenantState) error {
 	t, ok := s.tenant([]byte(st.Name))
 	if !ok {
 		return fmt.Errorf("dlzd: tenant %q refused during recovery", st.Name)
-	}
-	if st.M > 0 {
-		m := t.mq.Resize(st.M)
-		t.mc.Resize(m)
 	}
 	if len(st.Items) > 0 {
 		h := t.mq.NewHandle(s.nextSeed())
@@ -248,7 +243,6 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 		elems = t.mq.SnapshotElements(elems[:0])
 		st := wal.TenantState{
 			Name:            t.name,
-			M:               t.mq.M(),
 			Items:           make([]wal.Item, len(elems)),
 			CounterSum:      t.mc.Exact(),
 			OpsEnqueued:     t.opsEnqueued.Load(),

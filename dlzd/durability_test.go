@@ -91,7 +91,7 @@ func TestDurableRoundTrip(t *testing.T) {
 // must be there, exactly once.
 func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	dir := t.TempDir()
-	_, c := newDurableClient(t, dir, Config{Queues: 4, MinQueues: 1, MaxQueues: 8, Batch: 4, Seed: 7})
+	_, c := newDurableClient(t, dir, Config{Queues: 4, Batch: 4, Seed: 7})
 
 	enq, deq := 0, 0
 	r := rand.New(rand.NewSource(3))
@@ -115,13 +115,10 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 			deq += len(resp.Items)
 		}
 	}
-	if code := c.post("/v1/x/resize", ResizeRequest{M: 2}, nil); code != http.StatusOK {
-		t.Fatalf("resize = %d", code)
-	}
 	// No Close: the wal.Log keeps its segment open, like a killed process.
 	// Every acked op was journaled with a synchronous write, so a fresh
 	// reader sees all of it.
-	s2 := New(Config{Queues: 4, MinQueues: 1, MaxQueues: 8, Batch: 4, Seed: 9, Durability: &Durability{Dir: dir}})
+	s2 := New(Config{Queues: 4, Batch: 4, Seed: 9, Durability: &Durability{Dir: dir}})
 	stats, err := s2.Recover()
 	if err != nil {
 		t.Fatalf("Recover after crash: %v", err)
@@ -136,9 +133,6 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	}
 	if got := tx.opsEnqueued.Load(); got != uint64(enq) {
 		t.Errorf("OpsEnqueued = %d, want %d", got, enq)
-	}
-	if got := tx.mq.M(); got != 2 {
-		t.Errorf("resize not recovered: m = %d, want 2", got)
 	}
 }
 

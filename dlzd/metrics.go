@@ -44,9 +44,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 				Elisions:      st.Elisions,
 				Publications:  st.Publications,
 				LockContended: st.LockContended,
-				CurrentM:      st.CurrentM,
-				Epoch:         st.Epoch,
-				Resizes:       st.Resizes,
 			},
 			agg: agg,
 		}
@@ -123,16 +120,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	gauge("dlzd_shed_level", "Adaptive shed level (0-3), summed across tenants.", shedTotal)
 	perTenant("dlzd_shed_level", func(r tenantRow) uint64 { return uint64(r.t.shedLevel.Load()) })
 
-	// Elastic-topology series (DESIGN.md §11).
-	var mTotal int
-	for _, row := range rows {
-		mTotal += row.mq.CurrentM
-	}
-	gauge("dlzd_queue_current_m", "Live shard count of tenant MultiQueues, summed across tenants.", mTotal)
-	perTenant("dlzd_queue_current_m", func(r tenantRow) uint64 { return uint64(r.mq.CurrentM) })
-	sumCounter("dlzd_resize_epochs_total", "Completed resize epochs across tenant MultiQueues.",
-		func(r tenantRow) uint64 { return r.mq.Resizes })
-
 	// Connection-loop series (DESIGN.md §8). The fallback count is what tells
 	// an operator a client's bodies miss the scanner's fast path.
 	open, requests := s.connStats()
@@ -181,7 +168,4 @@ type MQStatsView struct {
 	Elisions      uint64
 	Publications  uint64
 	LockContended uint64
-	CurrentM      int
-	Epoch         uint64
-	Resizes       uint64
 }

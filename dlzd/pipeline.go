@@ -115,7 +115,7 @@ func busyReply(dst []byte, t *tenant) ([]byte, reply) {
 // handle routes one request and appends its answer's body to dst. The path
 // grammar: /healthz, /readyz, /metrics, and /v1/{tenant}/{op} where op is one
 // of enqueue-batch, delete-min-up-to, counter/add-batch, counter/read,
-// session/close, resize, stats.
+// session/close, stats.
 //
 // /healthz is liveness: 200 for the whole process lifetime, including WAL
 // replay and graceful drain — restarting a recovering daemon only makes it
@@ -181,7 +181,7 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 	case "enqueue-batch", "delete-min-up-to", "counter/add-batch":
 		mutating = true
 		fallthrough
-	case "session/close", "resize":
+	case "session/close":
 		if s.log() != nil {
 			// The tenant's ops gate (read side). The snapshotter takes the
 			// write side, so a capture sees no journaled operation in
@@ -243,8 +243,6 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 		return s.opCounterRead(sc, t, rq, dst)
 	case "session/close":
 		return s.opSessionClose(t, rq, dst)
-	case "resize":
-		return s.opResize(t, rq, dst)
 	case "stats":
 		return s.opStats(t, rq, dst)
 	}
@@ -525,34 +523,11 @@ func (s *Server) opSessionClose(t *tenant, rq *request, dst []byte) ([]byte, rep
 	return appendSessionCloseResponse(dst, SessionCloseResponse{Closed: closed}), reply{status: http.StatusOK}
 }
 
-// opResize serves POST /v1/{tenant}/resize: move the tenant's live shard
-// count to the requested m, clamped to the server's [MinQueues, MaxQueues]
-// range, with the counter tracking the queue. The response reports the count
-// actually in effect — administrative clients treat a clamped result as
-// success, not an error.
-func (s *Server) opResize(t *tenant, rq *request, dst []byte) ([]byte, reply) {
-	var req ResizeRequest
-	if status, msg := decodeControl(rq, &req); status != 0 {
-		return errorReply(dst, status, msg)
-	}
-	if req.M < 1 {
-		return errorReply(dst, http.StatusBadRequest, "m must be >= 1")
-	}
-	m := t.mq.Resize(req.M)
-	t.mc.Resize(m)
-	if err := s.journal(&wal.Record{Type: wal.RecResize, Tenant: t.name, M: m}); err != nil {
-		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
-	}
-	st := t.mq.Stats()
-	return appendJSON(dst, ResizeResponse{M: m, Epoch: st.Epoch, Resizes: st.Resizes}), reply{status: http.StatusOK}
-}
-
 func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
 	if string(rq.method) != http.MethodGet {
 		return errorReply(dst, http.StatusMethodNotAllowed, "GET required")
 	}
 	agg := t.liveLeaseStats()
-	mqs := t.mq.Stats()
 	return appendJSON(dst, StatsResponse{
 		Tenant:                t.name,
 		QueueLen:              t.mq.Len(),
@@ -570,9 +545,6 @@ func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
 		ShedLevel:             int(t.shedLevel.Load()),
 		PanicsRecovered:       t.panicsRecovered.Load(),
 		RepairFailures:        t.repairFailures.Load(),
-		CurrentM:              mqs.CurrentM,
-		Epoch:                 mqs.Epoch,
-		Resizes:               mqs.Resizes,
 	}), reply{status: http.StatusOK}
 }
 

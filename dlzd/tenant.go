@@ -94,7 +94,7 @@ type lease struct {
 
 func newTenant(name string, srv *Server) *tenant {
 	cfg := srv.cfg
-	topo := dlz.Topology{InitialM: cfg.Queues, MinM: cfg.MinQueues, MaxM: cfg.MaxQueues}
+	topo := dlz.Topology{InitialM: cfg.Queues}
 	return &tenant{
 		name: name,
 		srv:  srv,

@@ -99,22 +99,6 @@ type SessionCloseResponse struct {
 	Closed bool `json:"closed"`
 }
 
-// ResizeRequest is the body of POST /v1/{tenant}/resize: move the tenant's
-// live shard count (queue and counter together) to M, clamped to the
-// server's [MinQueues, MaxQueues] range.
-type ResizeRequest struct {
-	M int `json:"m"`
-}
-
-// ResizeResponse reports a resize outcome: the shard count actually in
-// effect after clamping (a clamped request is a success), plus the queue's
-// resize epoch counter and completed-resize count.
-type ResizeResponse struct {
-	M       int    `json:"m"`
-	Epoch   uint64 `json:"epoch"`
-	Resizes uint64 `json:"resizes"`
-}
-
 // StatsResponse is the body of GET /v1/{tenant}/stats — the quiescent audit
 // surface the soak test's conservation check reads. QueueLen and
 // CounterExact count only published state; the Buffered/Prefetched fields
@@ -148,12 +132,6 @@ type StatsResponse struct {
 	// repair ladder (0 under any Count-bounded fault schedule).
 	PanicsRecovered uint64 `json:"panics_recovered"`
 	RepairFailures  uint64 `json:"repair_failures"`
-	// CurrentM/Epoch/Resizes report the tenant queue's elastic topology:
-	// the live shard count, the resize epoch counter and the number of
-	// completed resize epochs (the counter tracks the queue's m).
-	CurrentM int    `json:"current_m"`
-	Epoch    uint64 `json:"epoch"`
-	Resizes  uint64 `json:"resizes"`
 }
 
 // ErrorResponse is the body of every non-2xx reply.

@@ -22,10 +22,8 @@ func main() {
 		perWorker = 200_000
 		shards    = 64 // m; keep m >= C * workers for the paper's guarantee
 	)
-	// The Topology form of the constructor; dlz.NewMultiCounter(shards) is
-	// the fixed-m shorthand, and adding MinM/MaxM here would let
-	// MultiCounter.Resize move the shard count at runtime.
-	mc := dlz.NewMultiCounter(shards, dlz.WithTopology(dlz.Topology{InitialM: shards}))
+	// m is fixed at construction.
+	mc := dlz.NewMultiCounter(shards)
 
 	var wg sync.WaitGroup
 	wg.Add(workers)

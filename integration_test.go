@@ -84,7 +84,7 @@ func TestCounterWitnessCostMatchesProcessGap(t *testing.T) {
 // implied by Theorem 7.1's rank bound).
 func TestMultiQueueNearlySortedDrain(t *testing.T) {
 	const producers, per, m = 4, 4000, 32
-	q := core.NewMultiQueue(core.MultiQueueConfig{Queues: m, Seed: 5})
+	q := core.NewMultiQueue(core.MultiQueueConfig{Topology: core.Topology{InitialM: m}, Seed: 5})
 	var wg sync.WaitGroup
 	wg.Add(producers)
 	for p := 0; p < producers; p++ {

@@ -16,7 +16,7 @@ func TestNewMultiQueueFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		runtime.KeepAlive(NewMultiQueue(MultiQueueConfig{Queues: m}))
+		runtime.KeepAlive(NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}}))
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / runs
@@ -37,7 +37,7 @@ func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 		for _, sk := range []int{1, 4, 8, 16} {
 			t.Run(fmt.Sprintf("s=%d,k=%d", sk, sk), func(t *testing.T) {
 				q := NewMultiQueue(MultiQueueConfig{
-					Queues: 16, Stickiness: sk, Batch: sk,
+					Topology: Topology{InitialM: 16}, Stickiness: sk, Batch: sk,
 				})
 				h := q.NewHandle(4)
 				for i := 0; i < 4096; i++ {
@@ -72,7 +72,7 @@ func TestMCHandleHotPathZeroAlloc(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("d=%d,s=%d,k=%d", c.d, c.s, c.k), func(t *testing.T) {
 			mc := NewMultiCounterConfig(MultiCounterConfig{
-				Counters: 16, Choices: c.d, Stickiness: c.s, Batch: c.k,
+				Topology: Topology{InitialM: 16}, Choices: c.d, Stickiness: c.s, Batch: c.k,
 			})
 			h := mc.NewHandle(5)
 			for i := 0; i < 4096; i++ {

@@ -3,10 +3,7 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/fail"
 )
@@ -18,7 +15,7 @@ import (
 func TestRerollStormStillDequeues(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 3})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Seed: 3})
 	h := q.NewHandle(1)
 	defer h.Close()
 	for i := 0; i < 32; i++ {
@@ -50,7 +47,7 @@ func TestRerollStormStillDequeues(t *testing.T) {
 func TestFlushPanicKeepsBufferIntact(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
-	q := NewMultiQueue(MultiQueueConfig{Queues: 2, Batch: 16, Stickiness: 16, Seed: 7})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 2}, Batch: 16, Stickiness: 16, Seed: 7})
 	h := q.NewHandle(1)
 	const n = 5 // below Batch, so the elements sit in the insert buffer
 	for i := 0; i < n; i++ {
@@ -94,126 +91,4 @@ func TestFlushPanicKeepsBufferIntact(t *testing.T) {
 		t.Fatalf("drained %d distinct elements, want %d", len(seen), n)
 	}
 	h.Close()
-}
-
-// TestResizeDrainDelayConservesUnderRacingPops arms core/resize/drain with a
-// delay, widening the window in which a shrink's drained elements exist only
-// in the resize frame, while racing dequeuers hammer the survivors. The
-// dequeuers may observe the structure emptier than it is — exactly the
-// relaxation the epoch protocol claims is the worst case — but once the
-// donation lands, every element is accounted for: popped + resident equals
-// admitted, exactly.
-func TestResizeDrainDelayConservesUnderRacingPops(t *testing.T) {
-	fail.Reset()
-	defer fail.Reset()
-	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 16, MinM: 2, MaxM: 16}, Seed: 41})
-	h := q.NewHandle(1)
-	const n = 4096
-	for i := 0; i < n; i++ {
-		h.Enqueue(uint64(i))
-	}
-
-	fail.Arm(fail.SiteCoreResizeDrain, fail.Policy{Kind: fail.KindDelay, Delay: 10 * time.Millisecond})
-	var popped atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			hd := q.NewHandle(uint64(id) + 10)
-			defer hd.Close()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, ok := hd.TryDequeue(4); ok {
-					popped.Add(1)
-				}
-			}
-		}(w)
-	}
-	q.Resize(2)  // shrink through the delayed drain window
-	q.Resize(16) // grow back
-	q.Resize(2)  // and shrink again: two delayed windows total
-	close(stop)
-	wg.Wait()
-
-	if fail.Fires(fail.SiteCoreResizeDrain) == 0 {
-		t.Fatal("shrink never hit the core/resize/drain failpoint")
-	}
-	rest := int64(0)
-	for {
-		if _, ok := h.Dequeue(); !ok {
-			break
-		}
-		rest++
-	}
-	if popped.Load()+rest != n {
-		t.Fatalf("popped %d + resident %d != admitted %d — the delayed drain window lost elements",
-			popped.Load(), rest, n)
-	}
-}
-
-// TestResizeDrainStallPublishesBeforeDonation pins the shrink's ordering
-// contract under the harshest schedule: a stall at core/resize/drain freezes
-// the resize after the epoch word published and the victims drained, but
-// before any donation. During the freeze the new topology is already live —
-// M reports the shrunken count, fresh handles route into the survivors, and
-// drained elements are temporarily invisible (the relaxed worst case). After
-// release, conservation is exact.
-func TestResizeDrainStallPublishesBeforeDonation(t *testing.T) {
-	fail.Reset()
-	defer fail.Reset()
-	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 8, MinM: 2, MaxM: 8}, Seed: 43})
-	h := q.NewHandle(1)
-	const n = 512
-	for i := 0; i < n; i++ {
-		h.Enqueue(uint64(i))
-	}
-	before := q.Len()
-	if before != n {
-		t.Fatalf("Len = %d before shrink, want %d", before, n)
-	}
-
-	fail.Arm(fail.SiteCoreResizeDrain, fail.Policy{Kind: fail.KindStall, Count: 1})
-	done := make(chan int)
-	go func() { done <- q.Resize(2) }()
-	for fail.Fires(fail.SiteCoreResizeDrain) == 0 {
-		time.Sleep(time.Millisecond)
-	}
-
-	// Mid-stall: the epoch word flipped first, so the shrunken topology is
-	// already the one new operations see.
-	if got := q.M(); got != 2 {
-		t.Fatalf("M = %d mid-stall, want 2 (publish must precede drain)", got)
-	}
-	if got := q.Len(); got >= n {
-		t.Fatalf("Len = %d mid-stall, want < %d (victims drained into the frozen frame)", got, n)
-	}
-	h2 := q.NewHandle(2)
-	for i := 0; i < 64; i++ {
-		h2.Enqueue(uint64(n + i)) // must route into the live range, not a victim
-	}
-	h2.Flush()
-
-	fail.Release(fail.SiteCoreResizeDrain)
-	if got := <-done; got != 2 {
-		t.Fatalf("Resize returned %d, want 2", got)
-	}
-	if got := q.Len(); got != n+64 {
-		t.Fatalf("Len = %d after release, want %d — donation lost or duplicated elements", got, n+64)
-	}
-	got := 0
-	for {
-		if _, ok := h.Dequeue(); !ok {
-			break
-		}
-		got++
-	}
-	if got != n+64 {
-		t.Fatalf("drained %d, want %d", got, n+64)
-	}
 }

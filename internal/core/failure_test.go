@@ -61,7 +61,7 @@ func TestMultiCounterSurvivesCrashedThreads(t *testing.T) {
 // while holding one queue's lock, TryDequeue keeps making progress by
 // re-drawing, as long as other queues hold elements.
 func TestMultiQueueTryDequeueRoutesAroundDeadLockHolder(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 8, Seed: 1})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 8}, Seed: 1})
 	h := q.NewHandle(2)
 	for v := uint64(0); v < 800; v++ {
 		h.Enqueue(v)

@@ -19,20 +19,16 @@ import (
 // candidates and takes the argmin — the model TestHandleMatchesReference
 // holds Handle's countdown to.
 type refHandle struct {
-	c         *MultiCounter
-	r         *rng.Xoshiro256
-	smp       Sampler
-	epochWord uint64
-	ops       int
-	weight    uint64
-	closed    bool
+	c      *MultiCounter
+	r      *rng.Xoshiro256
+	smp    Sampler
+	ops    int
+	weight uint64
+	closed bool
 }
 
 func newRefHandle(c *MultiCounter, seed uint64) *refHandle {
-	w := c.epoch.Load()
-	_, m := pad.UnpackEpoch(w)
-	return &refHandle{c: c, r: rng.NewXoshiro256(seed), epochWord: w,
-		smp: NewSampler(m, c.d, c.stick)}
+	return &refHandle{c: c, r: rng.NewXoshiro256(seed), smp: NewSampler(c.M(), c.d, c.stick)}
 }
 
 func (h *refHandle) add(delta uint64) {
@@ -49,11 +45,6 @@ func (h *refHandle) add(delta uint64) {
 func (h *refHandle) flush() {
 	if h.ops == 0 {
 		return
-	}
-	if w := h.c.epoch.Load(); w != h.epochWord {
-		h.epochWord = w
-		_, m := pad.UnpackEpoch(w)
-		h.smp.Reseed(m)
 	}
 	cand := h.smp.Candidates(h.r, h.ops)
 	best := cand[0]
@@ -82,14 +73,14 @@ func nextDraw(r *rng.Xoshiro256) uint64 {
 
 // TestHandleMatchesReference drives Handle and refHandle, each on its own
 // counter of one random configuration, through one random interleaving of
-// Add, Increment, Read, Flush, Resize and a final Close. After every step the
+// Add, Increment, Read, Flush and a final Close. After every step the
 // two must agree on every cell, the buffer, Exact and the generator's state:
 // the same draws in the same order, the same shard for every publish.
 func TestHandleMatchesReference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
 		cfg := MultiCounterConfig{
-			Topology:   Topology{InitialM: 1 + rnd.Intn(48), MinM: 1, MaxM: 64},
+			Topology:   Topology{InitialM: 1 + rnd.Intn(48)},
 			Choices:    1 + rnd.Intn(3),
 			Stickiness: []int{1, 8, 16}[rnd.Intn(3)],
 			Batch:      []int{1, 5, 8}[rnd.Intn(3)],
@@ -136,15 +127,10 @@ func TestHandleMatchesReference(t *testing.T) {
 				if got, want := h.Read(), rc.Read(ref.r); got != want {
 					t.Fatalf("trial %d %+v step %d: Read %d, reference %d", trial, cfg, step, got, want)
 				}
-			case p < 94:
+			default:
 				op = "Flush"
 				h.Flush()
 				ref.flush()
-			default:
-				op = "Resize" // leaves a part-full buffer to publish across the flip
-				m := 1 + rnd.Intn(64)
-				c.Resize(m)
-				rc.Resize(m)
 			}
 			agree(step, op)
 		}
@@ -220,15 +206,15 @@ func TestShardsOwnTheirLines(t *testing.T) {
 	}
 	owner := map[uintptr]string{}
 	var keep []*MultiQueue
-	for _, maxM := range []int{1, 3, 5, 8, 64, 100} {
-		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 1, MinM: 1, MaxM: maxM}})
+	for _, m := range []int{1, 3, 5, 8, 64, 100} {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}})
 		keep = append(keep, q)
 		for i := range q.qs {
 			p := uintptr(unsafe.Pointer(&q.qs[i]))
 			if p%pad.CacheLine != 0 {
-				t.Fatalf("MaxM %d: shard %d starts at offset %d of its block", maxM, i, p%pad.CacheLine)
+				t.Fatalf("m %d: shard %d starts at offset %d of its block", m, i, p%pad.CacheLine)
 			}
-			name := fmt.Sprintf("MaxM %d shard %d", maxM, i)
+			name := fmt.Sprintf("m %d shard %d", m, i)
 			for b := p / pad.CacheLine; b <= (p+unsafe.Sizeof(q.qs[i])-1)/pad.CacheLine; b++ {
 				if prev, taken := owner[b]; taken {
 					t.Fatalf("%s and %s touch the same block", prev, name)

@@ -9,7 +9,7 @@ import (
 // Flush holds increments no audit can see — but the loss is now detectable
 // (Buffered/BufferedWeight stay nonzero) and Close drains it to zero.
 func TestHandleDropWithoutFlushDetectable(t *testing.T) {
-	mc := NewMultiCounterConfig(MultiCounterConfig{Counters: 8, Batch: 16})
+	mc := NewMultiCounterConfig(MultiCounterConfig{Topology: Topology{InitialM: 8}, Batch: 16})
 	h := mc.NewHandle(1)
 	for i := 0; i < 10; i++ {
 		h.Add(2)
@@ -47,7 +47,7 @@ func TestHandleDropWithoutFlushDetectable(t *testing.T) {
 // elements are returned to the shared structure, and the element count is
 // conserved exactly.
 func TestMQHandleCloseDrainsBuffersAndPrefetch(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Batch: 8, Stickiness: 8})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Batch: 8, Stickiness: 8})
 	h := q.NewHandle(1)
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -100,7 +100,7 @@ func TestMQHandleCloseDrainsBuffersAndPrefetch(t *testing.T) {
 // truncation boundary, so the returned prefetch cannot be re-ranked by a
 // truncated word.
 func TestMQHandleClosePreservesFullResolutionPriorities(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 1, Batch: 4})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 1}, Batch: 4})
 	h := q.NewHandle(1)
 	base := uint64(1) << 48
 	prios := []uint64{base + 2, 3, base - 1, base, 7, base + 1, base - 2, 5}
@@ -136,7 +136,7 @@ func TestMQHandleClosePreservesFullResolutionPriorities(t *testing.T) {
 // elisions and publications move under batched traffic and rerolls count
 // empty-outcome redraws.
 func TestMQStatsCounters(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 2, Batch: 4, Stickiness: 4, Seed: 9})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 2}, Batch: 4, Stickiness: 4, Seed: 9})
 	h := q.NewHandle(1)
 	if s := q.Stats(); s.Elisions != 0 || s.Publications != 0 || s.LockContended != 0 {
 		t.Fatalf("fresh queue should have zero counters: %+v", s)

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/counters"
 	"repro/internal/pad"
 	"repro/internal/rng"
@@ -28,38 +25,21 @@ import (
 // (DESIGN.md §2). cmd/quality audits the deviation cost of any setting
 // against the m·log₂m envelope.
 type MultiCounter struct {
-	shards *counters.Sharded // sized Topology.MaxM; cells >= live m idle at 0
-	topo   Topology
+	shards *counters.Sharded // m cells
+	m      int
 	d      int
 	stick  int
 	batch  int
-
-	// Elastic topology state, mirroring the MultiQueue's (DESIGN.md §11):
-	// epoch publishes (resize epoch, live m) in one padded atomic word.
-	// Counter cells need no sealing — a straggler increment landing in a
-	// retired cell is swept up by the next resize's re-level and still
-	// counted by Exact, which sums the full MaxM array.
-	epoch    pad.EpochWord
-	resizeMu sync.Mutex
-	resizes  atomic.Uint64
 }
 
 // MultiCounterConfig configures NewMultiCounter. The zero value of optional
 // fields selects the paper's defaults (two fresh choices per increment, no
 // batching — Algorithm 1 exactly).
 type MultiCounterConfig struct {
-	// Counters is m, the number of atomic counters (Algorithm 1's bins).
-	// For Theorem 6.1's guarantees m should be a large constant multiple of
-	// the thread count; m ≈ 4–8× threads balances well in practice
-	// (Figure 1a).
-	//
-	// Deprecated: set Topology.InitialM instead. Counters is kept as the
-	// legacy fixed-m form — when Topology is the zero value it behaves
-	// exactly as before (MinM = MaxM = Counters, no resizing).
-	Counters int
-	// Topology is the redesigned capacity surface: initial, minimum and
-	// maximum live shard counts (DESIGN.md §11). A zero InitialM adopts
-	// Counters.
+	// Topology.InitialM is m, the number of atomic counters (Algorithm 1's
+	// bins), fixed at construction. It must be positive. For Theorem 6.1's
+	// guarantees m should be a large constant multiple of the thread count;
+	// m ≈ 4–8× threads balances well in practice (Figure 1a).
 	Topology Topology
 	// Choices is d, the number of random counters an increment samples
 	// before incrementing the smallest. 0 selects the paper's d = 2;
@@ -112,19 +92,11 @@ func WithBatch(k int) MultiCounterOption {
 	return func(cfg *MultiCounterConfig) { cfg.Batch = k }
 }
 
-// WithTopology sets MultiCounterConfig.Topology, the elastic capacity
-// surface (DESIGN.md §11). Passing a Topology whose InitialM is 0 keeps the
-// constructor's m argument as the initial live shard count while still
-// widening the [MinM, MaxM] resize range.
-func WithTopology(t Topology) MultiCounterOption {
-	return func(cfg *MultiCounterConfig) { cfg.Topology = t }
-}
-
 // NewMultiCounter returns a MultiCounter over m atomic counters with the
 // paper's per-operation two-choice defaults, adjusted by opts. It is the
 // convenience form of NewMultiCounterConfig.
 func NewMultiCounter(m int, opts ...MultiCounterOption) *MultiCounter {
-	cfg := MultiCounterConfig{Counters: m}
+	cfg := MultiCounterConfig{Topology: Topology{InitialM: m}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -135,7 +107,7 @@ func NewMultiCounter(m int, opts ...MultiCounterOption) *MultiCounter {
 // normalizing zero-valued optional fields to the paper's defaults (Choices 2,
 // Stickiness 1, Batch 1 — Algorithm 1 exactly).
 func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
-	topo := cfg.Topology.normalize(cfg.Counters, "MultiCounterConfig")
+	m := cfg.Topology.shards("MultiCounterConfig")
 	if cfg.Choices < 0 {
 		panic("core: MultiCounterConfig.Choices must be >= 0")
 	}
@@ -148,89 +120,17 @@ func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	mc := &MultiCounter{
-		shards: counters.NewSharded(topo.MaxM),
-		topo:   topo,
+	return &MultiCounter{
+		shards: counters.NewSharded(m),
+		m:      m,
 		d:      cfg.Choices,
 		stick:  cfg.Stickiness,
 		batch:  cfg.Batch,
 	}
-	mc.epoch.Init(0, topo.InitialM)
-	return mc
 }
 
-// M returns the live number of underlying counters — one atomic load of the
-// epoch word, current as of that instant (a concurrent Resize may move it).
-func (c *MultiCounter) M() int {
-	_, m := pad.UnpackEpoch(c.epoch.Load())
-	return m
-}
-
-// Topology returns the normalized capacity surface the counter was built
-// with.
-func (c *MultiCounter) Topology() Topology { return c.topo }
-
-// Epoch returns the resize epoch counter (0 until the first Resize).
-func (c *MultiCounter) Epoch() uint64 {
-	e, _ := pad.UnpackEpoch(c.epoch.Load())
-	return uint64(e)
-}
-
-// MCStats carries the MultiCounter's elasticity signals — the counter
-// counterpart of the MQStats resize fields (counter updates are wait-free,
-// so there are no contention counters to aggregate).
-type MCStats struct {
-	// CurrentM is the live shard count at snapshot time, Epoch the resize
-	// epoch counter, and Resizes the number of completed resize epochs.
-	CurrentM int
-	Epoch    uint64
-	Resizes  uint64
-}
-
-// Stats snapshots the elasticity signals without taking any locks.
-func (c *MultiCounter) Stats() MCStats {
-	e, m := pad.UnpackEpoch(c.epoch.Load())
-	return MCStats{CurrentM: m, Epoch: uint64(e), Resizes: c.resizes.Load()}
-}
-
-// Resize moves the live shard count to m (clamped to [MinM, MaxM]) and
-// returns the count actually in effect. The new epoch word publishes first,
-// routing new d-choice updates into the new live range; then every cell of
-// the full MaxM array is swapped to zero and the collected weight is spread
-// evenly over the new range (remainder on the lowest cells). Exact is
-// conserved to the unit: a racing increment lands either before its cell's
-// swap (collected and redistributed) or after (it stays in the cell, which
-// Exact's full-array sum still covers — a straggler in a retired cell is
-// folded back in by the next resize). Read's scaling uses the live m from
-// the same epoch word, so approximate reads stay consistent with the
-// re-leveled cells.
-func (c *MultiCounter) Resize(m int) int {
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	m = c.topo.clamp(m)
-	epoch, cur := pad.UnpackEpoch(c.epoch.Load())
-	if m == cur {
-		return cur
-	}
-	c.epoch.Store(epoch+1, m)
-	c.resizes.Add(1)
-	var w uint64
-	for i := 0; i < c.topo.MaxM; i++ {
-		w += c.shards.Swap(i, 0)
-	}
-	per := w / uint64(m)
-	rem := w % uint64(m)
-	for i := 0; i < m; i++ {
-		add := per
-		if uint64(i) < rem {
-			add++
-		}
-		if add > 0 {
-			c.shards.Add(i, add)
-		}
-	}
-	return m
-}
+// M returns m, the number of underlying counters.
+func (c *MultiCounter) M() int { return c.m }
 
 // Choices returns the configured number of random choices d (>= 1).
 func (c *MultiCounter) Choices() int { return c.d }
@@ -259,7 +159,7 @@ func (c *MultiCounter) Add(r *rng.Xoshiro256, delta uint64) { c.apply(r, delta) 
 
 // apply is the shared unamortised d-choice update.
 func (c *MultiCounter) apply(r *rng.Xoshiro256, delta uint64) {
-	m := c.M()
+	m := c.m
 	if c.d == 1 {
 		c.shards.Add(r.Intn(m), delta)
 		return
@@ -277,11 +177,9 @@ func (c *MultiCounter) apply(r *rng.Xoshiro256, delta uint64) {
 
 // Read returns m times the value of a uniformly random counter — the
 // approximate total (Algorithm 1's read, whose deviation Theorem 6.1
-// bounds by O(m·log m)). Both the sample and the scale use the live m from
-// one epoch-word load.
+// bounds by O(m·log m)).
 func (c *MultiCounter) Read(r *rng.Xoshiro256) uint64 {
-	m := c.M()
-	return uint64(m) * c.shards.Read(r.Intn(m))
+	return uint64(c.m) * c.shards.Read(r.Intn(c.m))
 }
 
 // Exact returns the sum of all counters. At quiescence (all handles flushed)
@@ -294,18 +192,17 @@ func (c *MultiCounter) Exact() uint64 { return c.shards.Sum() }
 // O(log m) bound drives Theorem 6.1). Non-atomic scan; for monitoring and
 // quality experiments.
 func (c *MultiCounter) Gap() uint64 {
-	min, max := c.shards.MinMaxRange(0, c.M())
+	min, max := c.shards.MinMax()
 	return max - min
 }
 
-// Snapshot copies the live per-counter values into dst (len must equal M)
-// for the quality experiment's bin-distribution traces (Figure 1b). Call at
-// quiescence only, since a racing Resize changes M.
+// Snapshot copies the per-counter values into dst (len must equal M) for the
+// quality experiment's bin-distribution traces (Figure 1b).
 func (c *MultiCounter) Snapshot(dst []uint64) {
-	if len(dst) != c.M() {
+	if len(dst) != c.m {
 		panic("core: Snapshot dst length mismatch")
 	}
-	c.shards.SnapshotRange(dst, 0)
+	c.shards.Snapshot(dst)
 }
 
 // Handle binds a MultiCounter to one goroutine's private generator and, in
@@ -327,10 +224,6 @@ type Handle struct {
 	r   rng.Xoshiro256 // by value: no separate allocation to share a line
 	smp Sampler
 
-	// Cached epoch word; syncEpoch re-seeds the sampler for the new live m
-	// on the first publish after a resize flip (one atomic load otherwise).
-	epochWord uint64
-
 	// closed marks a handle retired by Close: its buffer is drained and
 	// every further update is a programming error.
 	closed bool
@@ -338,33 +231,19 @@ type Handle struct {
 	// Pads the handle to two whole cache lines, so that handles minted back
 	// to back (a dlzd lease's pair, consecutive leases) never share the line
 	// room and bufWeight are written on by every update.
-	_ [2*pad.CacheLine - 160]byte
+	_ [2*pad.CacheLine - 144]byte
 }
 
 // NewHandle returns a handle whose random stream is derived from seed,
 // inheriting the counter's Choices, Stickiness and Batch configuration.
 // Distinct workers must use distinct seeds (or rng.Streams).
 func (c *MultiCounter) NewHandle(seed uint64) *Handle {
-	w := c.epoch.Load()
-	_, m := pad.UnpackEpoch(w)
 	return &Handle{
-		room:      c.batch - 1,
-		span:      c.batch - 1,
-		c:         c,
-		r:         *rng.NewXoshiro256(seed),
-		epochWord: w,
-		smp:       NewSampler(m, c.d, c.stick),
-	}
-}
-
-// syncEpoch folds a published resize into the handle: one atomic load
-// against the cached word, and on a flip the sampler re-seeds in place for
-// the new m (no allocation).
-func (h *Handle) syncEpoch() {
-	if w := h.c.epoch.Load(); w != h.epochWord {
-		h.epochWord = w
-		_, m := pad.UnpackEpoch(w)
-		h.smp.Reseed(m)
+		room: c.batch - 1,
+		span: c.batch - 1,
+		c:    c,
+		r:    *rng.NewXoshiro256(seed),
+		smp:  NewSampler(c.m, c.d, c.stick),
 	}
 }
 
@@ -404,7 +283,6 @@ func (h *Handle) addSlow(delta uint64) {
 // sticky d-choice winner with one atomic add, charges the stickiness window
 // per update and empties the buffer.
 func (h *Handle) publish(ops int) {
-	h.syncEpoch()
 	i := argmin(h.c.shards, h.smp.Candidates(&h.r, ops))
 	h.smp.Charge(ops)
 	h.c.shards.Add(i, h.bufWeight)

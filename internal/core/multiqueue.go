@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/clock"
 	"repro/internal/cpq"
 	"repro/internal/fail"
@@ -26,23 +23,13 @@ import (
 // states: analysis guarantees apply while no insertion carries a higher
 // priority than an element already removed.
 type MultiQueue struct {
-	qs    []cpq.Queue // len Topology.MaxM, one block each; slots >= live m are sealed
+	qs    []cpq.Queue // len m, one block each
 	clk   clock.Clock
 	blk   blockClock // non-nil when clk supports block reservation
-	topo  Topology
+	m     int
 	d     int
 	stick int
 	batch int
-
-	// Elastic topology state (DESIGN.md §11). epoch publishes the pair
-	// (resize epoch, live m) in one padded atomic word — the only load a
-	// handle needs to notice a flip, and the linearization point of every
-	// resize. resizeMu serializes Resize and SnapshotElements against each
-	// other; the enqueue/dequeue paths never take it and tolerate a racing
-	// flip through sealed-queue refusals.
-	epoch    pad.EpochWord
-	resizeMu sync.Mutex
-	resizes  atomic.Uint64
 }
 
 // blockClock is the optional fast path a clock can offer batched enqueuers:
@@ -54,15 +41,8 @@ type blockClock interface {
 // MultiQueueConfig configures NewMultiQueue. The zero value of optional
 // fields selects defaults.
 type MultiQueueConfig struct {
-	// Queues is m, the number of internal priority queues.
-	//
-	// Deprecated: set Topology.InitialM instead. Queues is kept as the
-	// legacy fixed-m form — when Topology is the zero value it behaves
-	// exactly as before (MinM = MaxM = Queues, no resizing).
-	Queues int
-	// Topology is the redesigned capacity surface: initial, minimum and
-	// maximum live shard counts (DESIGN.md §11). A zero InitialM adopts
-	// Queues.
+	// Topology.InitialM is m, the number of internal priority queues, fixed
+	// at construction. It must be positive.
 	Topology Topology
 	// Clock supplies enqueue timestamps (default: a fresh Tick clock, which
 	// gives strictly unique, consistently ordered stamps).
@@ -102,7 +82,7 @@ type MultiQueueConfig struct {
 
 // NewMultiQueue returns a MultiQueue with the given configuration.
 func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
-	topo := cfg.Topology.normalize(cfg.Queues, "MultiQueueConfig")
+	m := cfg.Topology.shards("MultiQueueConfig")
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewTick()
 	}
@@ -119,9 +99,9 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 		cfg.Batch = 1
 	}
 	mq := &MultiQueue{
-		qs:    cpq.NewShards(topo.MaxM),
+		qs:    cpq.NewShards(m),
 		clk:   cfg.Clock,
-		topo:  topo,
+		m:     m,
 		d:     cfg.Choices,
 		stick: cfg.Stickiness,
 		batch: cfg.Batch,
@@ -129,12 +109,6 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	if cfg.Batch > 1 {
 		mq.blk, _ = cfg.Clock.(blockClock)
 	}
-	for i := topo.InitialM; i < topo.MaxM; i++ {
-		// Parked tail slot: allocated so a grow never republishes the
-		// shard slice, sealed so nothing lands in it until then.
-		mq.qs[i].Seal()
-	}
-	mq.epoch.Init(0, topo.InitialM)
 	return mq
 }
 
@@ -147,29 +121,14 @@ func (q *MultiQueue) Stickiness() int { return q.stick }
 // Batch returns the configured batching factor k (>= 1).
 func (q *MultiQueue) Batch() int { return q.batch }
 
-// M returns the live number of internal queues — one atomic load of the
-// epoch word, current as of that instant (a concurrent Resize may move it).
-func (q *MultiQueue) M() int {
-	_, m := pad.UnpackEpoch(q.epoch.Load())
-	return m
-}
-
-// Topology returns the normalized capacity surface the queue was built with.
-func (q *MultiQueue) Topology() Topology { return q.topo }
-
-// Epoch returns the resize epoch counter (0 until the first Resize).
-func (q *MultiQueue) Epoch() uint64 {
-	e, _ := pad.UnpackEpoch(q.epoch.Load())
-	return uint64(e)
-}
+// M returns m, the number of internal queues.
+func (q *MultiQueue) M() int { return q.m }
 
 // Len returns the total number of stored elements (exact at quiescence).
 // In batched mode, elements a handle still buffers (MQHandle.Buffered) are
 // not counted until that handle flushes, and prefetched elements
 // (MQHandle.Prefetched) are already excluded — flush all handles before a
-// Len/Sizes audit. The scan covers the full MaxM array, so elements mid-way
-// through a shrink's drain-and-donate hop are never double- or un-counted at
-// quiescence.
+// Len/Sizes audit.
 func (q *MultiQueue) Len() int {
 	n := 0
 	for i := range q.qs {
@@ -191,17 +150,9 @@ type MQStats struct {
 	// LockContended counts blocking lock acquisitions that entered the
 	// spin-backoff slow path.
 	LockContended uint64
-	// CurrentM is the live shard count at snapshot time, Epoch the resize
-	// epoch counter, and Resizes the number of completed resize epochs —
-	// the elasticity signals dlzd's /metrics exports.
-	CurrentM int
-	Epoch    uint64
-	Resizes  uint64
 }
 
 // Stats sums the internal queues' event counters without taking any locks.
-// Counters cover the full MaxM array, so work done in shards a shrink later
-// retired stays visible.
 func (q *MultiQueue) Stats() MQStats {
 	var s MQStats
 	for i := range q.qs {
@@ -210,19 +161,14 @@ func (q *MultiQueue) Stats() MQStats {
 		s.Publications += qs.Publications
 		s.LockContended += qs.LockContended
 	}
-	e, m := pad.UnpackEpoch(q.epoch.Load())
-	s.CurrentM = m
-	s.Epoch = uint64(e)
-	s.Resizes = q.resizes.Load()
 	return s
 }
 
 // Sizes copies the per-queue element counts into dst (len must equal M) —
 // the queue counterpart of MultiCounter.Snapshot, used to observe how evenly
-// the random-insert rule spreads elements. Exact at quiescence; call at
-// quiescence only, since a racing Resize changes M.
+// the random-insert rule spreads elements. Exact at quiescence.
 func (q *MultiQueue) Sizes(dst []int) {
-	if len(dst) != q.M() {
+	if len(dst) != q.m {
 		panic("core: Sizes dst length mismatch")
 	}
 	for i := range dst {
@@ -230,90 +176,17 @@ func (q *MultiQueue) Sizes(dst []int) {
 	}
 }
 
-// Resize moves the live shard count to m (clamped to [MinM, MaxM]) and
-// returns the count actually in effect. Growing unseals parked tail slots
-// and then publishes the new epoch word — handles re-seed their samplers on
-// the first operation that observes the flip. Shrinking publishes the new
-// (smaller) word first — the linearization point, after which no current
-// handle targets a victim — then seals and drains each victim shard
-// [m, old m) through the zero-alloc bulk path and donates the drained
-// elements round-robin to the survivors.
-// Concurrent enqueues that lose the race to a sealing victim are refused by
-// the seal and retried by the handle against the new topology; concurrent
-// dequeues at worst observe a victim as empty, which relaxed semantics
-// already tolerate. Element conservation is exact: every element admitted
-// before the resize is in a survivor (or a caller's prefetch buffer)
-// afterwards.
-func (q *MultiQueue) Resize(m int) int {
-	q.resizeMu.Lock()
-	defer q.resizeMu.Unlock()
-	m = q.topo.clamp(m)
-	epoch, cur := pad.UnpackEpoch(q.epoch.Load())
-	if m == cur {
-		return cur
-	}
-	if m > cur {
-		// Grow: open the new slots before any handle can target them.
-		for i := cur; i < m; i++ {
-			q.qs[i].Unseal()
-		}
-		q.epoch.Store(epoch+1, m)
-		q.resizes.Add(1)
-		return m
-	}
-	// Shrink. Publish first so new operations route within [0, m); then
-	// retire the victims. SealAndDrain atomically seals each victim and
-	// empties it under one lock hold, so an insert that raced the publish
-	// either landed before the drain (and is donated) or is refused.
-	q.epoch.Store(epoch+1, m)
-	q.resizes.Add(1)
-	var drained []heap.Item
-	for v := m; v < cur; v++ {
-		drained = q.qs[v].SealAndDrain(drained)
-	}
-	if fail.Enabled {
-		// Between drain and donation: the displaced elements exist only in
-		// this frame. A delay here widens the not-yet-donated window for the
-		// chaos suite; panics are not armed at this site (they would lose
-		// the frame).
-		_ = fail.Inject(fail.SiteCoreResizeDrain)
-	}
-	q.donateLocked(drained, m)
-	return m
-}
-
-// donateLocked hands drained elements to the live shards [0, m) in
-// round-robin chunks of max(Batch, 16); caller holds resizeMu. The shards are
-// never sealed here, so every AddBatch is accepted.
-func (q *MultiQueue) donateLocked(drained []heap.Item, m int) {
-	chunk := max(q.batch, 16)
-	target := 0
-	for off := 0; off < len(drained); off += chunk {
-		end := min(off+chunk, len(drained))
-		q.qs[target].AddBatch(drained[off:end])
-		target = (target + 1) % m
-	}
-}
-
-// SnapshotElements captures the structure's full contents into dst and
-// puts every element straight back, returning dst extended with the capture
-// in shard-drain order — the point-in-time read the durability snapshotter
-// needs. It holds the resize lock for the whole capture, so no resize can
-// interleave, and drains each live shard without sealing
-// it (cpq.Drain): a shard is never in a refusing state, so a racing insert
-// fallback cannot lose elements. The capture is only a consistent cut if
-// the caller has quiesced concurrent mutators (dlzd's snapshotter holds
-// every tenant's operation gate and flushes every lease first). Elements
-// re-enter round-robin across the live shards.
+// SnapshotElements appends the structure's full contents to dst and returns
+// the extended slice — the point-in-time read the durability snapshotter
+// needs. Each shard appends its sorted run and its pending heap under its own
+// lock and moves nothing, so the placement the next dequeues see is the one
+// before the capture. The capture is only a consistent cut if the caller has
+// quiesced concurrent mutators (dlzd's snapshotter holds every tenant's
+// operation gate and flushes every lease first).
 func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
-	q.resizeMu.Lock()
-	defer q.resizeMu.Unlock()
-	_, m := pad.UnpackEpoch(q.epoch.Load())
-	start := len(dst)
-	for i := 0; i < m; i++ {
-		dst = q.qs[i].Drain(dst)
+	for i := range q.qs {
+		dst = q.qs[i].AppendTo(dst)
 	}
-	q.donateLocked(dst[start:], m)
 	return dst
 }
 
@@ -329,14 +202,6 @@ func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
 type MQHandle struct {
 	q *MultiQueue
 	r rng.Xoshiro256 // by value: no separate allocation to share a line
-
-	// Cached copy of the queue's epoch word and the live m it encodes.
-	// syncEpoch compares one atomic load against epochWord at operation
-	// entry; on a mismatch the handle re-seeds both samplers for the new m
-	// before proceeding. Steady state this
-	// is one load and one predictable branch.
-	epochWord uint64
-	m         int
 
 	// Sticky sampling state: one uniform choice for inserts (Algorithm 2's
 	// enqueue), d choices for removals.
@@ -363,7 +228,7 @@ type MQHandle struct {
 	// every further operation is a programming error.
 	closed bool
 
-	_ [3*pad.CacheLine - 296]byte
+	_ [3*pad.CacheLine - 264]byte
 }
 
 // NewHandle returns a per-goroutine handle seeded with seed, inheriting the
@@ -371,15 +236,11 @@ type MQHandle struct {
 // samplers draw uniformly: one choice per insert (Algorithm 2's enqueue), d
 // per removal.
 func (q *MultiQueue) NewHandle(seed uint64) *MQHandle {
-	w := q.epoch.Load()
-	_, m := pad.UnpackEpoch(w)
 	h := &MQHandle{
-		q:         q,
-		r:         *rng.NewXoshiro256(seed),
-		epochWord: w,
-		m:         m,
-		enq:       NewSampler(m, 1, q.stick),
-		deq:       NewSampler(m, q.d, q.stick),
+		q:   q,
+		r:   *rng.NewXoshiro256(seed),
+		enq: NewSampler(q.m, 1, q.stick),
+		deq: NewSampler(q.m, q.d, q.stick),
 	}
 	if q.batch > 1 {
 		backing := make([]heap.Item, 2*q.batch)
@@ -422,7 +283,7 @@ func (h *MQHandle) Close() {
 		// Return the prefetch remainder through the same uniform sticky
 		// insert rule as an enqueue batch: these elements are logically
 		// still queued, they were only staged for this handle's consumption.
-		h.addBatchRetrying(rest)
+		h.q.qs[h.enqTarget(len(rest))].AddBatch(rest)
 	}
 	h.outBuf, h.outPos = h.outBuf[:0], 0
 	h.closed = true
@@ -434,66 +295,6 @@ func (h *MQHandle) checkOpen() {
 	if h.closed {
 		panic("core: operation on closed MQHandle")
 	}
-}
-
-// syncEpoch folds a published resize into the handle: one atomic load
-// against the cached word, and on a flip both samplers re-seed in place for
-// the new m (no allocation).
-func (h *MQHandle) syncEpoch() {
-	if w := h.q.epoch.Load(); w != h.epochWord {
-		h.reseed(w)
-	}
-}
-
-func (h *MQHandle) reseed(w uint64) {
-	h.epochWord = w
-	_, m := pad.UnpackEpoch(w)
-	h.m = m
-	h.enq.Reseed(m)
-	h.deq.Reseed(m)
-}
-
-// sealedRetryLimit bounds insert retries against sealing shards before the
-// deterministic fallback to queue 0 (never sealed: MinM >= 1 and shrink
-// victims are always the top of the range). Each refusal implies a resize
-// published since the handle's last sync — Go atomics are sequentially
-// consistent and the seal writes behind the victim's lock after the epoch
-// store — so in practice one re-sync resolves it; the bound only matters
-// under a pathological resize storm.
-const sealedRetryLimit = 8
-
-// refusedSealed re-syncs the handle after a sealed-shard refusal, or
-// re-rolls the insert choice if the epoch word has not moved yet.
-func (h *MQHandle) refusedSealed() {
-	if w := h.q.epoch.Load(); w != h.epochWord {
-		h.reseed(w)
-		return
-	}
-	h.enq.Reroll()
-}
-
-// addRetrying inserts one element through the sticky uniform rule, retrying
-// past sealed-shard refusals.
-func (h *MQHandle) addRetrying(priority, value uint64) {
-	for attempt := 0; attempt < sealedRetryLimit; attempt++ {
-		if h.q.qs[h.enqTarget(1)].Add(priority, value) {
-			return
-		}
-		h.refusedSealed()
-	}
-	h.q.qs[0].Add(priority, value)
-}
-
-// addBatchRetrying publishes one insert batch, retrying past sealed-shard
-// refusals with the same fallback.
-func (h *MQHandle) addBatchRetrying(items []heap.Item) {
-	for attempt := 0; attempt < sealedRetryLimit; attempt++ {
-		if h.q.qs[h.enqTarget(len(items))].AddBatch(items) {
-			return
-		}
-		h.refusedSealed()
-	}
-	h.q.qs[0].AddBatch(items)
 }
 
 // Prefetched returns the number of already-dequeued elements this handle
@@ -515,8 +316,7 @@ func (h *MQHandle) Flush() {
 		// refusal path.
 		_ = fail.Inject(fail.SiteCoreFlush)
 	}
-	h.syncEpoch()
-	h.addBatchRetrying(h.inBuf)
+	h.q.qs[h.enqTarget(len(h.inBuf))].AddBatch(h.inBuf)
 	h.inBuf = h.inBuf[:0]
 }
 
@@ -529,8 +329,7 @@ func (h *MQHandle) Flush() {
 func (h *MQHandle) ReturnPrefetched() {
 	h.checkOpen()
 	if rest := h.outBuf[h.outPos:]; len(rest) > 0 {
-		h.syncEpoch()
-		h.addBatchRetrying(rest)
+		h.q.qs[h.enqTarget(len(rest))].AddBatch(rest)
 	}
 	h.outBuf, h.outPos = h.outBuf[:0], 0
 }
@@ -577,8 +376,7 @@ func (h *MQHandle) deqReroll() { h.deq.Reroll() }
 // in per-op mode, or buffer-and-flush in batched mode.
 func (h *MQHandle) insert(priority, value uint64) {
 	if h.q.batch <= 1 {
-		h.syncEpoch()
-		h.addRetrying(priority, value)
+		h.q.qs[h.enqTarget(1)].Add(priority, value)
 		return
 	}
 	h.inBuf = append(h.inBuf, heap.Item{Priority: priority, Value: value})
@@ -648,8 +446,7 @@ func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 		h.outPos++
 		return it, true
 	}
-	h.syncEpoch()
-	for attempt := 0; attempt < 2*h.m; attempt++ {
+	for attempt := 0; attempt < 2*h.q.m; attempt++ {
 		i, key := h.deqBest()
 		if fail.Enabled && fail.Inject(fail.SiteCoreReroll) != nil {
 			// Injected reroll storm: discard the draw as if its queue were
@@ -668,8 +465,7 @@ func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 	// pending inserts are flushed first: they are logically enqueued and a
 	// drain must observe them.
 	h.Flush()
-	h.syncEpoch()
-	for i := 0; i < h.m; i++ {
+	for i := range h.q.qs {
 		if h.q.qs[i].ReadTop().StableEmpty() {
 			continue
 		}
@@ -717,12 +513,11 @@ func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
 		h.outPos++
 		return it, true
 	}
-	h.syncEpoch()
-	for attempt := 0; attempt < 2*h.m; attempt++ {
-		best := h.r.Intn(h.m)
+	for attempt := 0; attempt < 2*h.q.m; attempt++ {
+		best := h.r.Intn(h.q.m)
 		bestTop := h.q.qs[best].ReadTop().Key()
 		for k := 1; k < d; k++ {
-			j := h.r.Intn(h.m)
+			j := h.r.Intn(h.q.m)
 			if top := h.q.qs[j].ReadTop().Key(); top < bestTop {
 				best, bestTop = j, top
 			}
@@ -738,8 +533,7 @@ func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
 		}
 	}
 	h.Flush()
-	h.syncEpoch()
-	for i := 0; i < h.m; i++ {
+	for i := range h.q.qs {
 		if h.q.qs[i].ReadTop().StableEmpty() {
 			continue
 		}
@@ -770,7 +564,6 @@ func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 		h.outPos++
 		return it, true
 	}
-	h.syncEpoch()
 	for pass := 0; pass < 2; pass++ {
 		for a := 0; a < attempts; a++ {
 			i, key := h.deqBest()
@@ -810,9 +603,8 @@ func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 // attempts random queues are offered the batch with TryAddBatch. Reports
 // whether the buffer was published.
 func (h *MQHandle) tryFlush(attempts int) bool {
-	h.syncEpoch()
 	for a := 0; a < attempts; a++ {
-		if h.q.qs[h.r.Intn(h.m)].TryAddBatch(h.inBuf) {
+		if h.q.qs[h.r.Intn(h.q.m)].TryAddBatch(h.inBuf) {
 			h.inBuf = h.inBuf[:0]
 			return true
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 func newMQ(m int) *MultiQueue {
-	return NewMultiQueue(MultiQueueConfig{Queues: m, Seed: 1})
+	return NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}, Seed: 1})
 }
 
 func TestMultiQueueFIFOishSequential(t *testing.T) {
@@ -48,7 +48,7 @@ func TestMultiQueueFIFOishSequential(t *testing.T) {
 // and accessors must report the normalized configuration.
 func TestMultiQueueChoicesConfig(t *testing.T) {
 	for _, d := range []int{0, 1, 2, 4} {
-		q := NewMultiQueue(MultiQueueConfig{Queues: 8, Seed: 3, Choices: d, Stickiness: 4, Batch: 4})
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 8}, Seed: 3, Choices: d, Stickiness: 4, Batch: 4})
 		wantD := d
 		if wantD == 0 {
 			wantD = 2
@@ -82,7 +82,7 @@ func TestMultiQueueChoicesConfig(t *testing.T) {
 				t.Fatal("Choices=-1 did not panic")
 			}
 		}()
-		NewMultiQueue(MultiQueueConfig{Queues: 4, Choices: -1})
+		NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Choices: -1})
 	}()
 }
 
@@ -221,7 +221,7 @@ func TestMultiQueueTryDequeue(t *testing.T) {
 func TestMultiQueueBackings(t *testing.T) {
 	var pops [2][]uint64
 	for i, seed := range []uint64{6, 1 << 40} {
-		q := NewMultiQueue(MultiQueueConfig{Queues: 8, Seed: seed})
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 8}, Seed: seed})
 		h := q.NewHandle(7)
 		for v := uint64(0); v < 500; v++ {
 			h.Enqueue(v)
@@ -245,7 +245,7 @@ func TestMultiQueueBackings(t *testing.T) {
 }
 
 func TestMultiQueueWallClock(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Clock: clock.NewWall(), Seed: 8})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Clock: clock.NewWall(), Seed: 8})
 	h := q.NewHandle(9)
 	for v := uint64(0); v < 100; v++ {
 		h.Enqueue(v)
@@ -268,7 +268,7 @@ func TestMultiQueuePanics(t *testing.T) {
 			t.Fatal("Queues=0 did not panic")
 		}
 	}()
-	NewMultiQueue(MultiQueueConfig{Queues: 0})
+	NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 0}})
 }
 
 func TestMultiQueueSizes(t *testing.T) {
@@ -354,8 +354,8 @@ func TestDistributionalLinearizabilityQueue(t *testing.T) {
 // rejects a genuine history.
 func TestEnqueueTracedStampsInvocation(t *testing.T) {
 	for name, cfg := range map[string]MultiQueueConfig{
-		"per-op":  {Queues: 4, Seed: 5},
-		"batched": {Queues: 4, Seed: 5, Stickiness: 4, Batch: 4},
+		"per-op":  {Topology: Topology{InitialM: 4}, Seed: 5},
+		"batched": {Topology: Topology{InitialM: 4}, Seed: 5, Stickiness: 4, Batch: 4},
 	} {
 		const workers, per = 2, 500
 		q := NewMultiQueue(cfg)

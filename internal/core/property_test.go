@@ -31,7 +31,7 @@ func TestPropertyQuiescentDrainExactMultiset(t *testing.T) {
 		t.Run(fmt.Sprintf("binary/s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			const handles, per, m = 3, 1000, 8
 			q := NewMultiQueue(MultiQueueConfig{
-				Queues:     m,
+				Topology:   Topology{InitialM: m},
 				Stickiness: g.stick, Batch: g.batch,
 			})
 			hs := make([]*MQHandle, handles)
@@ -96,7 +96,7 @@ func TestPropertyQuiescentDrainExactMultiset(t *testing.T) {
 func TestPropertySingleHandleDrainSeesOwnBuffer(t *testing.T) {
 	for _, g := range stickyBatchGrid {
 		q := NewMultiQueue(MultiQueueConfig{
-			Queues: 4, Seed: 11, Stickiness: g.stick, Batch: g.batch,
+			Topology: Topology{InitialM: 4}, Seed: 11, Stickiness: g.stick, Batch: g.batch,
 		})
 		h := q.NewHandle(1)
 		const n = 5 // below every batch size in the grid except 1 and 4
@@ -125,7 +125,7 @@ func TestPropertySingleHandleDrainSeesOwnBuffer(t *testing.T) {
 // insert buffer must be able to get them back through TryDequeue alone —
 // the variant flushes its own buffer and retries before reporting empty.
 func TestPropertyTryDequeueSeesOwnBuffer(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 13, Batch: 8})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Seed: 13, Batch: 8})
 	h := q.NewHandle(1)
 	const n = 3 // strictly less than Batch: nothing is flushed yet
 	for v := uint64(0); v < n; v++ {
@@ -156,7 +156,7 @@ func TestPropertyTryDequeueSeesOwnBuffer(t *testing.T) {
 // including its non-blocking buffer flush — must keep making progress and
 // never block, because every step on the try path uses try-locks only.
 func TestPropertyTryDequeueBatchedRoutesAroundDeadLockHolder(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 8, Seed: 1, Stickiness: 4, Batch: 4})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 8}, Seed: 1, Stickiness: 4, Batch: 4})
 	h := q.NewHandle(2)
 	for v := uint64(0); v < 800; v++ {
 		h.Enqueue(v)
@@ -191,7 +191,7 @@ func TestPropertyTryDequeueBatchedRoutesAroundDeadLockHolder(t *testing.T) {
 // through the same sticky/batched insert path and respects ordering bias:
 // after a flush, the global minimum must come out of an early dequeue.
 func TestPropertyPriorityModeStickyBatched(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 21, Stickiness: 4, Batch: 4})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Seed: 21, Stickiness: 4, Batch: 4})
 	h := q.NewHandle(2)
 	for p := uint64(1000); p >= 1; p-- {
 		h.EnqueuePriority(p, p)
@@ -232,7 +232,7 @@ func TestPropertyMultiCounterConservation(t *testing.T) {
 		t.Run(fmt.Sprintf("d%d/s%d/k%d/a0", g.d, g.stick, g.batch), func(t *testing.T) {
 			const workers, per, m = 4, 5000, 16
 			mc := NewMultiCounterConfig(MultiCounterConfig{
-				Counters: m, Choices: g.d, Stickiness: g.stick, Batch: g.batch,
+				Topology: Topology{InitialM: m}, Choices: g.d, Stickiness: g.stick, Batch: g.batch,
 			})
 			var wg sync.WaitGroup
 			handles := make([]*Handle, workers)
@@ -294,7 +294,7 @@ func TestPropertyMultiCounterConservation(t *testing.T) {
 // occupancy cycles through 1..k-1, 0 and Exact advances in k-sized steps.
 func TestPropertyMultiCounterBatchAutoFlush(t *testing.T) {
 	const m, k = 8, 4
-	mc := NewMultiCounterConfig(MultiCounterConfig{Counters: m, Batch: k})
+	mc := NewMultiCounterConfig(MultiCounterConfig{Topology: Topology{InitialM: m}, Batch: k})
 	h := mc.NewHandle(1)
 	for i := 1; i <= 3*k; i++ {
 		h.Increment()
@@ -316,7 +316,7 @@ func TestPropertyConcurrentStickyBatchedConservation(t *testing.T) {
 		t.Run(fmt.Sprintf("s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			const producers, consumers, per = 4, 2, 3000
 			q := NewMultiQueue(MultiQueueConfig{
-				Queues: 16, Seed: 31, Stickiness: g.stick, Batch: g.batch,
+				Topology: Topology{InitialM: 16}, Seed: 31, Stickiness: g.stick, Batch: g.batch,
 			})
 			var wg sync.WaitGroup
 			prodHandles := make([]*MQHandle, producers)

@@ -73,7 +73,7 @@ func TestQuickMultiCounterReadWithinGapBand(t *testing.T) {
 // in comes out, exactly once each.
 func TestQuickMultiQueueMultisetConservation(t *testing.T) {
 	f := func(vals []uint16, seed uint64, pick uint8) bool {
-		q := NewMultiQueue(MultiQueueConfig{Queues: int(pick%7) + 2})
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: int(pick%7) + 2}})
 		h := q.NewHandle(seed + 1)
 		want := map[uint64]int{}
 		for _, v := range vals {
@@ -105,7 +105,7 @@ func TestQuickMultiQueueMultisetConservation(t *testing.T) {
 // come out in non-decreasing priority order.
 func TestQuickMultiQueueExactWhenMIsOne(t *testing.T) {
 	f := func(prios []uint16, seed uint64) bool {
-		q := NewMultiQueue(MultiQueueConfig{Queues: 1, Seed: seed})
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 1}, Seed: seed})
 		h := q.NewHandle(seed + 1)
 		for _, p := range prios {
 			h.EnqueuePriority(uint64(p), 0)

@@ -32,10 +32,6 @@ type Sampler struct {
 	reroll  bool
 	rerolls uint64
 	cand    []int
-
-	// d0 is the requested d before the m-clamp, retained so a resize epoch
-	// can re-apply the clamp at the new m in place (Reseed).
-	d0 int
 }
 
 // NewSampler returns a sampler drawing d-element candidate sets uniformly
@@ -52,42 +48,17 @@ func NewSampler(m, d, window int) Sampler {
 	if d < 1 {
 		panic("core: NewSampler needs d >= 1")
 	}
-	d0 := d
 	if d > m {
 		d = m
 	}
 	if window < 1 {
 		window = 1
 	}
-	// cand's capacity is the unclamped d0, so a later Reseed at a larger m
-	// can widen the candidate set back toward d0 without allocating, rounded
-	// up to whole cache lines so the array owns its line: handles minted back
-	// to back would otherwise share one on their candidate arrays.
+	// cand's capacity is rounded up to whole cache lines so the array owns
+	// its line: handles minted back to back would otherwise share one on
+	// their candidate arrays.
 	line := pad.CacheLine / int(unsafe.Sizeof(int(0)))
-	return Sampler{m: m, d: d, d0: d0, window: window, cand: make([]int, d, (d0+line-1)/line*line)}
-}
-
-// Reseed re-derives the sampler for a new shard count m — the stale-handle
-// half of a resize epoch (DESIGN.md §11). The clamp d = min(d0, m) is
-// re-applied to the retained requested d; the candidate set and window
-// budget are discarded (the old indices may exceed the new m or target
-// sealed shards), so the next Candidates call draws fresh indices at the new
-// topology.
-// The candidate slice is resized in place within its original capacity —
-// Reseed never allocates, keeping the steady-state 0 allocs/op contract.
-func (s *Sampler) Reseed(m int) {
-	if m < 1 {
-		panic("core: Reseed needs m >= 1")
-	}
-	s.m = m
-	d := s.d0
-	if d > m {
-		d = m
-	}
-	s.d = d
-	s.cand = s.cand[:d]
-	s.left = 0
-	s.reroll = false
+	return Sampler{m: m, d: d, window: window, cand: make([]int, d, (d+line-1)/line*line)}
 }
 
 // Choices returns d, the candidate set size (clamped to m).

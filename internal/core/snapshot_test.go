@@ -1,28 +1,35 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/cpq"
 	"repro/internal/heap"
 )
 
 // TestSnapshotElementsRoundTrip pins the durability snapshotter's core
 // contract: SnapshotElements reports exactly the queue's contents, leaves
-// every element in the structure (same multiset before and after), and a
-// subsequent full dequeue still yields everything.
+// every element where it was (same per-shard sizes and the same published
+// top words before and after, so the next dequeues see the placement they
+// would have seen), and a subsequent full dequeue still yields everything.
 func TestSnapshotElementsRoundTrip(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Batch: 4, Seed: 7})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Batch: 4, Seed: 7})
 	h := q.NewHandle(1)
 	const n = 100
 	for i := 0; i < n; i++ {
 		h.EnqueuePriority(uint64(i%13), uint64(1000+i))
 	}
 	h.Flush()
+	sizes, tops := shardState(q)
 
 	snap := q.SnapshotElements(nil)
 	if len(snap) != n {
 		t.Fatalf("snapshot captured %d of %d elements", len(snap), n)
+	}
+	if gotSizes, gotTops := shardState(q); !slices.Equal(gotSizes, sizes) || !slices.Equal(gotTops, tops) {
+		t.Fatalf("snapshot moved elements: sizes %v tops %v before, %v %v after", sizes, tops, gotSizes, gotTops)
 	}
 	if q.Len() != n {
 		t.Fatalf("snapshot drained the structure: Len=%d", q.Len())
@@ -49,7 +56,7 @@ func TestSnapshotElementsRoundTrip(t *testing.T) {
 // back to the shared structure, the handle stays usable, and nothing is
 // lost or duplicated.
 func TestReturnPrefetched(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 2, Batch: 8, Seed: 5})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 2}, Batch: 8, Seed: 5})
 	h := q.NewHandle(1)
 	for i := 0; i < 32; i++ {
 		h.EnqueuePriority(uint64(i), uint64(i))
@@ -83,6 +90,17 @@ func TestReturnPrefetched(t *testing.T) {
 	if got != 31 {
 		t.Fatalf("dequeued %d of 31 after ReturnPrefetched", got)
 	}
+}
+
+// shardState returns the per-shard sizes and published top words of q.
+func shardState(q *MultiQueue) ([]int, []cpq.TopWord) {
+	sizes := make([]int, q.M())
+	q.Sizes(sizes)
+	tops := make([]cpq.TopWord, q.M())
+	for i := range tops {
+		tops[i] = q.qs[i].ReadTop()
+	}
+	return sizes, tops
 }
 
 func sameMultiset(a, b []heap.Item) bool {

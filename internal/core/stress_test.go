@@ -41,7 +41,7 @@ func TestStressMultiQueueStickyBatched(t *testing.T) {
 		t.Run(fmt.Sprintf("s%d/k%d/a0", g.stick, g.batch), func(t *testing.T) {
 			workers := stressWorkers()
 			q := NewMultiQueue(MultiQueueConfig{
-				Queues: 2 * workers, Seed: 41,
+				Topology: Topology{InitialM: 2 * workers}, Seed: 41,
 				Stickiness: g.stick, Batch: g.batch,
 			})
 			var stop atomic.Bool
@@ -111,7 +111,7 @@ func TestStressMultiQueueStickyBatched(t *testing.T) {
 func TestStressMultiQueueMixedOps(t *testing.T) {
 	workers := stressWorkers()
 	q := NewMultiQueue(MultiQueueConfig{
-		Queues: 2 * workers, Seed: 43, Stickiness: 8, Batch: 8,
+		Topology: Topology{InitialM: 2 * workers}, Seed: 43, Stickiness: 8, Batch: 8,
 	})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -150,7 +150,7 @@ func TestStressMultiCounterStickyBatched(t *testing.T) {
 		t.Run(fmt.Sprintf("d%d/s%d/k%d/a0", g.d, g.stick, g.batch), func(t *testing.T) {
 			workers := stressWorkers()
 			mc := NewMultiCounterConfig(MultiCounterConfig{
-				Counters: 8 * workers, Choices: g.d,
+				Topology: Topology{InitialM: 8 * workers}, Choices: g.d,
 				Stickiness: g.stick, Batch: g.batch,
 			})
 			var stop atomic.Bool

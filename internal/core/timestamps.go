@@ -16,17 +16,9 @@ type Timestamps struct {
 	mc *MultiCounter
 }
 
-// NewTimestamps returns an oracle over m shards. It is the fixed-m
-// convenience form of NewTimestampsTopology.
+// NewTimestamps returns an oracle over m shards.
 func NewTimestamps(m int) *Timestamps {
-	return NewTimestampsTopology(Topology{InitialM: m})
-}
-
-// NewTimestampsTopology returns an oracle whose backing counter sizes
-// itself through the elastic Topology surface (DESIGN.md §11); resize the
-// clock with Counter().Resize.
-func NewTimestampsTopology(t Topology) *Timestamps {
-	return &Timestamps{mc: NewMultiCounterConfig(MultiCounterConfig{Topology: t})}
+	return &Timestamps{mc: NewMultiCounter(m)}
 }
 
 // Counter exposes the backing MultiCounter (for skew instrumentation).

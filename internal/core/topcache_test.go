@@ -20,7 +20,7 @@ import (
 // instead of a test timeout.
 func TestEmptyScanTakesNoLocks(t *testing.T) {
 	for _, batch := range []int{1, 8} {
-		q := NewMultiQueue(MultiQueueConfig{Queues: 16, Seed: 3, Stickiness: 4, Batch: batch})
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 16}, Seed: 3, Stickiness: 4, Batch: batch})
 		h := q.NewHandle(5)
 		// Give every word a non-trivial history, then drain to empty.
 		for i := 0; i < 256; i++ {
@@ -84,7 +84,7 @@ func TestEmptyScanTakesNoLocks(t *testing.T) {
 // differed in cost. Checked on every shard after every dequeue of a full
 // round trip, which must return each element once.
 func TestLockedTopReadAblation(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Queues: 4, Seed: 9})
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Seed: 9})
 	agree := func(step int) {
 		for i := range q.qs {
 			pq := &q.qs[i]

@@ -56,11 +56,6 @@ func (s *Sharded) Inc(i int) uint64 { return s.cells[i].Add(1) }
 // Add atomically adds delta to counter i and returns the new value.
 func (s *Sharded) Add(i int, delta uint64) uint64 { return s.cells[i].Add(delta) }
 
-// Swap atomically installs x into counter i and returns the previous value.
-// The elastic MultiCounter's re-leveling uses it to collect every cell's
-// weight without losing increments that race the scan.
-func (s *Sharded) Swap(i int, x uint64) uint64 { return s.cells[i].Swap(x) }
-
 // Sum returns the sum of all counters. The scan is not atomic; in concurrent
 // runs it is a lower bound on the true total at return time. Experiments use
 // it only at quiescence, where it is exact.
@@ -75,17 +70,9 @@ func (s *Sharded) Sum() uint64 {
 // MinMax returns the smallest and largest counter values in one scan
 // (non-atomic; used at quiescence or for monitoring).
 func (s *Sharded) MinMax() (min, max uint64) {
-	return s.MinMaxRange(0, len(s.cells))
-}
-
-// MinMaxRange returns the smallest and largest values among counters
-// [lo, hi) in one non-atomic scan — the live-range variant the elastic
-// MultiCounter's Gap uses (cells beyond the live boundary are parked at 0
-// and would fake the minimum). hi must exceed lo.
-func (s *Sharded) MinMaxRange(lo, hi int) (min, max uint64) {
-	min = s.cells[lo].Load()
+	min = s.cells[0].Load()
 	max = min
-	for i := lo + 1; i < hi; i++ {
+	for i := 1; i < len(s.cells); i++ {
 		v := s.cells[i].Load()
 		if v < min {
 			min = v
@@ -103,14 +90,8 @@ func (s *Sharded) Snapshot(dst []uint64) {
 	if len(dst) != len(s.cells) {
 		panic("counters: Snapshot dst length mismatch")
 	}
-	s.SnapshotRange(dst, 0)
-}
-
-// SnapshotRange copies the values of counters [lo, lo+len(dst)) into dst —
-// the live-range variant of Snapshot.
-func (s *Sharded) SnapshotRange(dst []uint64, lo int) {
 	for i := range dst {
-		dst[i] = s.cells[lo+i].Load()
+		dst[i] = s.cells[i].Load()
 	}
 }
 

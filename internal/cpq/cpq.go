@@ -162,12 +162,6 @@ type Queue struct {
 	// priorities above 2^TopPrioBits are in play.
 	pubMin   uint64
 	pubEmpty bool
-	// sealed marks a queue retired from its MultiQueue's live range by a
-	// shrink epoch (SealAndDrain) or parked beyond the initial topology at
-	// construction. A sealed queue refuses every insert — reporting refusal
-	// so the caller re-syncs its epoch and re-targets — and is permanently
-	// empty until Unseal. Lock-holder-owned, like pubMin.
-	sealed bool
 	// elisions/publications count the publication protocol's two outcomes:
 	// critical sections that proved the word unchanged and skipped the
 	// Begin/Publish pair, and sections that republished. Incremented only
@@ -331,35 +325,11 @@ func (q *Queue) drainLocked(k int, dst []heap.Item) []heap.Item {
 	return dst
 }
 
-// drainAllLocked removes every element into dst under the held lock and
-// publishes a stable empty top word; a published-empty queue (whose backing
-// is empty) elides the pair. SealAndDrain and Drain share it.
-func (q *Queue) drainAllLocked(dst []heap.Item) []heap.Item {
-	if q.pubEmpty {
-		q.elisions.Add(1)
-		return dst
-	}
-	q.beginTop()
-	for ok := true; ok; {
-		dst, _, ok = q.pq.PopBatch(1<<30, dst)
-	}
-	q.publishTopItem(heap.Item{}, false)
-	return dst
-}
-
-// Add inserts (priority, value), blocking on the queue's lock. It reports
-// whether the insert was accepted: false means the queue is sealed (retired
-// by a shrink epoch) and the element was NOT inserted — the caller must
-// re-sync its epoch and re-target a live queue.
-func (q *Queue) Add(priority, value uint64) bool {
+// Add inserts (priority, value), blocking on the queue's lock.
+func (q *Queue) Add(priority, value uint64) {
 	q.lock.Lock()
-	if q.sealed {
-		q.lock.Unlock()
-		return false
-	}
 	q.addLocked(priority, value)
 	q.lock.Unlock()
-	return true
 }
 
 // batchMin returns the smallest priority in a non-empty batch — the value
@@ -376,27 +346,22 @@ func batchMin(items []heap.Item) uint64 {
 
 // AddBatch inserts all items under one lock acquisition with one cached-top
 // publish, amortising the lock hand-off and the top-store cache-line write
-// over len(items) elements through heap.Binary's PushBatch. It is the insert half of the MultiQueue's sticky/batched fast path;
-// an empty batch is a no-op that takes no lock. Like Add it reports whether
-// the batch was accepted: false means the queue is sealed and NO item was
-// inserted.
-func (q *Queue) AddBatch(items []heap.Item) bool {
+// over len(items) elements through heap.Binary's PushBatch. It is the insert
+// half of the MultiQueue's sticky/batched fast path; an empty batch is a
+// no-op that takes no lock.
+func (q *Queue) AddBatch(items []heap.Item) {
 	if len(items) == 0 {
-		return true
+		return
 	}
 	q.lock.Lock()
-	if q.sealed {
-		q.lock.Unlock()
-		return false
-	}
 	q.addBatchLocked(items)
 	q.lock.Unlock()
-	return true
 }
 
 // TryAddBatch is AddBatch's non-blocking variant: it inserts the batch only
-// if the lock is free and the queue is unsealed, reporting whether the
-// insert happened. An empty batch reports true without touching the lock.
+// if the lock is free, reporting whether the insert happened (false means
+// the queue was contended). An empty batch reports true without touching
+// the lock.
 func (q *Queue) TryAddBatch(items []heap.Item) bool {
 	if len(items) == 0 {
 		return true
@@ -405,10 +370,6 @@ func (q *Queue) TryAddBatch(items []heap.Item) bool {
 		return false
 	}
 	if !q.lock.TryLock() {
-		return false
-	}
-	if q.sealed {
-		q.lock.Unlock()
 		return false
 	}
 	q.addBatchLocked(items)
@@ -452,18 +413,14 @@ func (q *Queue) TryDeleteMinUpTo(k int, dst []heap.Item) (out []heap.Item, acqui
 	return dst, true
 }
 
-// TryAdd inserts (priority, value) only if the lock is free and the queue is
-// unsealed, reporting whether the insert happened. MultiQueue enqueues use it
-// to skip contended queues and re-draw.
+// TryAdd inserts (priority, value) only if the lock is free, reporting
+// whether the insert happened (false means the queue was contended).
+// MultiQueue enqueues use it to skip contended queues and re-draw.
 func (q *Queue) TryAdd(priority, value uint64) bool {
 	if fail.Enabled && fail.Inject(fail.SiteCPQTryRefuse) != nil {
 		return false
 	}
 	if !q.lock.TryLock() {
-		return false
-	}
-	if q.sealed {
-		q.lock.Unlock()
 		return false
 	}
 	q.addLocked(priority, value)
@@ -528,6 +485,17 @@ func (q *Queue) Len() int {
 	return n
 }
 
+// AppendTo appends every element to dst under the lock and returns the
+// extended slice, in unspecified order; the queue keeps every element and
+// its published top word. The durability snapshot uses it to copy a shard
+// without moving anything.
+func (q *Queue) AppendTo(dst []heap.Item) []heap.Item {
+	q.lock.Lock()
+	dst = q.pq.AppendTo(dst)
+	q.lock.Unlock()
+	return dst
+}
+
 // QueueStats is a point-in-time snapshot of one queue's internal event
 // counters — the observability surface dlzd's /metrics aggregates per
 // tenant. All counters are monotonic since construction.
@@ -565,74 +533,3 @@ func (q *Queue) LockForTest() bool { return q.lock.TryLock() }
 
 // UnlockForTest releases a lock taken with LockForTest.
 func (q *Queue) UnlockForTest() { q.lock.Unlock() }
-
-// Seal retires the queue without draining it: set at construction for shard
-// slots beyond the initial topology (the parked tail of a MaxM-sized array).
-// Call only before the queue is shared or under external serialization; a
-// shared live queue is retired with SealAndDrain instead.
-func (q *Queue) Seal() {
-	q.lock.Lock()
-	q.sealed = true
-	q.lock.Unlock()
-}
-
-// SealAndDrain retires a live queue in one critical section — the victim
-// half of a shrink epoch: mark the queue sealed, remove every element into
-// dst, and publish a stable empty top word. Because seal and drain are
-// atomic under the queue's lock, an insert racing the shrink either lands
-// before the seal (its element is drained and donated with the rest) or is
-// refused after it — no element can slip into a retired shard. Returns dst
-// extended with the drained elements, in ascending priority order.
-//
-// Sealing an already-sealed queue drains nothing and returns dst unchanged.
-func (q *Queue) SealAndDrain(dst []heap.Item) []heap.Item {
-	q.lock.Lock()
-	if q.sealed {
-		q.lock.Unlock()
-		return dst
-	}
-	q.sealed = true
-	dst = q.drainAllLocked(dst)
-	q.lock.Unlock()
-	return dst
-}
-
-// Drain removes every element into dst without retiring the queue —
-// the snapshot half of the durability rung: the shard stays in service and
-// keeps accepting inserts the moment the lock releases, so a concurrent
-// flush is refused by nothing and loses nothing (unlike a seal, whose
-// refusal the flush fallback path does not check). A stable empty top word is
-// published before the lock releases. Returns dst extended with the drained
-// elements in ascending priority order. The caller re-adds the drained
-// frame (snapshotters quiesce mutators first, so the empty window is
-// invisible); draining a sealed queue returns dst unchanged — sealed shards
-// hold no elements.
-func (q *Queue) Drain(dst []heap.Item) []heap.Item {
-	q.lock.Lock()
-	if q.sealed {
-		q.lock.Unlock()
-		return dst
-	}
-	dst = q.drainAllLocked(dst)
-	q.lock.Unlock()
-	return dst
-}
-
-// Unseal returns a sealed queue to service — the grow half of a resize
-// epoch, run on parked tail slots before the new topology is published so
-// every queue inside the new live range accepts inserts by the time any
-// handle can target it.
-func (q *Queue) Unseal() {
-	q.lock.Lock()
-	q.sealed = false
-	q.lock.Unlock()
-}
-
-// Sealed reports whether the queue is currently sealed (taking the lock;
-// not a hot-path operation).
-func (q *Queue) Sealed() bool {
-	q.lock.Lock()
-	s := q.sealed
-	q.lock.Unlock()
-	return s
-}

@@ -16,7 +16,7 @@ import (
 // every rejection below is attributable to the injected corruption alone.
 func recordQueueHistory(t *testing.T, workers, per int) ([]trace.Event, uint64) {
 	t.Helper()
-	q := core.NewMultiQueue(core.MultiQueueConfig{Queues: 8, Seed: 3})
+	q := core.NewMultiQueue(core.MultiQueueConfig{Topology: core.Topology{InitialM: 8}, Seed: 3})
 	rec := trace.NewRecorder(workers, 2*per+1)
 	var wg sync.WaitGroup
 	wg.Add(workers)

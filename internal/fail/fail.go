@@ -41,12 +41,6 @@
 //	core/flush         head of MQHandle.Flush with the insert buffer intact
 //	                   (panic/delay interrupt the batch flush before any
 //	                   element publishes; the error outcome is ignored)
-//	core/resize/drain  inside a shrink epoch between draining the victim
-//	                   shards and donating the drained elements to the
-//	                   survivors (delay widens the in-flight window where
-//	                   displaced elements are invisible to dequeuers; panics
-//	                   are not armed here — they would lose the drained
-//	                   frame; the error outcome is ignored)
 //	dlzd/handler/pre   after a request is admitted, before its handler runs
 //	dlzd/handler/post  after a mutating handler applied its operations,
 //	                   before the response is written
@@ -89,7 +83,6 @@ const (
 	SiteCPQTryRefuse    = "cpq/try/refuse"
 	SiteCoreReroll      = "core/deq/reroll"
 	SiteCoreFlush       = "core/flush"
-	SiteCoreResizeDrain = "core/resize/drain"
 	SiteDlzdHandlerPre  = "dlzd/handler/pre"
 	SiteDlzdHandlerPost = "dlzd/handler/post"
 	SiteDlzdEnqueueItem = "dlzd/enqueue/item"

@@ -119,6 +119,11 @@ func (h *Binary) Pop() (Item, bool) {
 	return it, true
 }
 
+// AppendTo appends every stored item to dst — the run, descending, then the
+// pending heap in heap order — and returns the extended slice; the queue
+// itself is left unchanged.
+func (h *Binary) AppendTo(dst []Item) []Item { return append(append(dst, h.a...), h.p...) }
+
 // Reset empties the queue, retaining capacity.
 func (h *Binary) Reset() {
 	h.a = h.a[:0]

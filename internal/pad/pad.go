@@ -9,7 +9,7 @@
 // the adjacent-line spatial prefetcher on Intel parts like the paper's
 // E7-4830 v3.
 //
-// Uint64, Int64, Bool and EpochWord pad themselves. SpinLock and Seq64 are
+// Uint64, Int64 and Bool pad themselves. SpinLock and Seq64 are
 // bare words: their one user, a cpq.Queue shard, holds both beside the rest
 // of its critical-section state in one CacheLine block and pads that block
 // as a whole (DESIGN.md §5, "Shard layout").
@@ -149,41 +149,6 @@ func (s *Seq64) Publish(payload uint64) {
 	seq := ((s.w.Load() | 1) + 1) & seqMask
 	s.w.Store(payload<<SeqBits | seq)
 }
-
-// EpochWord is a cache-line padded atomic word publishing a structure's
-// resize topology: the current live shard count m in the low 32 bits and a
-// monotone epoch counter in the high 32. One atomic load delivers both, so a
-// handle's staleness check on every operation entry is a single load plus a
-// word compare against its cached copy — the seqlock-style "epoch word" of
-// the elastic resize protocol (DESIGN.md §11). Writers (the resize path,
-// serialized by the structure's resize mutex) publish with Store; the
-// epoch half only ever grows, so a reader comparing raw words can never
-// confuse two distinct topologies.
-//
-// The zero value is epoch 0 with m 0; call Init before sharing.
-type EpochWord struct {
-	w atomic.Uint64
-	_ [CacheLine - 8]byte
-}
-
-// PackEpoch assembles a raw epoch word from an epoch counter and a live
-// shard count.
-func PackEpoch(epoch uint32, m int) uint64 { return uint64(epoch)<<32 | uint64(uint32(m)) }
-
-// UnpackEpoch splits a raw epoch word into its epoch counter and live shard
-// count.
-func UnpackEpoch(w uint64) (epoch uint32, m int) { return uint32(w >> 32), int(uint32(w)) }
-
-// Init stores the initial topology before the word is shared.
-func (e *EpochWord) Init(epoch uint32, m int) { e.w.Store(PackEpoch(epoch, m)) }
-
-// Load returns the raw word with one atomic load; decode with UnpackEpoch
-// (or compare raw against a cached copy — the hot-path staleness check).
-func (e *EpochWord) Load() uint64 { return e.w.Load() }
-
-// Store publishes a new topology. Only the exclusive resize writer may call
-// it, and epoch must exceed every previously published epoch.
-func (e *EpochWord) Store(epoch uint32, m int) { e.w.Store(PackEpoch(epoch, m)) }
 
 // SpinLock is a test-and-test-and-set spinlock with adaptive spin-then-yield
 // backoff (see Backoff). It is not padded: the holder places it in the block

@@ -11,7 +11,7 @@ func TestMeasureDequeueRankPerOpBaseline(t *testing.T) {
 	// The per-op baseline at m=32 must show mean rank error O(m), the same
 	// bound TestMultiQueueRankErrorLinearInM asserts at the core layer.
 	const m = 32
-	q := core.NewMultiQueue(core.MultiQueueConfig{Queues: m, Seed: 3})
+	q := core.NewMultiQueue(core.MultiQueueConfig{Topology: core.Topology{InitialM: m}, Seed: 3})
 	sample := MeasureDequeueRank(q.NewHandle(4), 64*m, 20_000)
 	if sample.N() != 20_000 {
 		t.Fatalf("sample has %d entries, want 20000", sample.N())
@@ -27,7 +27,7 @@ func TestMeasureDequeueRankBatchedStaysMeasurable(t *testing.T) {
 	// inside the envelope for a quality-safe window at large enough m.
 	const m = 128
 	q := core.NewMultiQueue(core.MultiQueueConfig{
-		Queues: m, Seed: 5, Stickiness: 8, Batch: 8,
+		Topology: core.Topology{InitialM: m}, Seed: 5, Stickiness: 8, Batch: 8,
 	})
 	sample := MeasureDequeueRank(q.NewHandle(6), 64*m, 20_000)
 	if sample.N() != 20_000 {
@@ -48,7 +48,7 @@ func TestMoreChoicesTightenDequeueRank(t *testing.T) {
 	// fixed seed, so the measurement is deterministic.
 	const m = 32
 	meanFor := func(d int) float64 {
-		q := core.NewMultiQueue(core.MultiQueueConfig{Queues: m, Seed: 9, Choices: d})
+		q := core.NewMultiQueue(core.MultiQueueConfig{Topology: core.Topology{InitialM: m}, Seed: 9, Choices: d})
 		return MeasureDequeueRank(q.NewHandle(10), 64*m, 20_000).Mean()
 	}
 	m1, m2, m4 := meanFor(1), meanFor(2), meanFor(4)
@@ -87,7 +87,7 @@ func TestMeasureCounterDeviationBatchedChargesBuffer(t *testing.T) {
 	// the d = 4 setting, which holds with 2x margin.
 	const m = 64
 	mc := core.NewMultiCounterConfig(core.MultiCounterConfig{
-		Counters: m, Choices: 4, Stickiness: 8, Batch: 8,
+		Topology: core.Topology{InitialM: m}, Choices: 4, Stickiness: 8, Batch: 8,
 	})
 	dev := MeasureCounterDeviation(mc.NewHandle(12), 200_000, 50, nil)
 	if env := dlin.Envelope(m); dev.MeanAbsError > env {
@@ -106,7 +106,7 @@ func TestMoreChoicesTightenCounterDeviation(t *testing.T) {
 	const m = 128
 	devFor := func(d int) float64 {
 		mc := core.NewMultiCounterConfig(core.MultiCounterConfig{
-			Counters: m, Choices: d, Stickiness: 8, Batch: 8,
+			Topology: core.Topology{InitialM: m}, Choices: d, Stickiness: 8, Batch: 8,
 		})
 		return MeasureCounterDeviation(mc.NewHandle(13), 200_000, 50, nil).MeanAbsError
 	}

@@ -76,21 +76,12 @@ type MCClock struct {
 	delta uint64
 }
 
-// NewMCClock returns a relaxed clock over m counter shards with slack Δ. It
-// is the fixed-m convenience form of NewMCClockTopology.
+// NewMCClock returns a relaxed clock over m counter shards with slack Δ.
 func NewMCClock(m int, delta uint64) *MCClock {
-	return NewMCClockTopology(core.Topology{InitialM: m}, delta)
-}
-
-// NewMCClockTopology returns a relaxed clock whose backing counter sizes
-// itself through the elastic Topology surface. Δ must still exceed the
-// expected skew at the topology's LARGEST reachable shard count (MaxM), since
-// a grow mid-run widens the O(m·log m) envelope the slack has to cover.
-func NewMCClockTopology(t core.Topology, delta uint64) *MCClock {
 	if delta == 0 {
 		panic("stm: NewMCClock needs delta > 0")
 	}
-	return &MCClock{ts: core.NewTimestampsTopology(t), delta: delta}
+	return &MCClock{ts: core.NewTimestamps(m), delta: delta}
 }
 
 // Name implements Clock.

@@ -24,7 +24,6 @@ import (
 //
 //	enqueue/deletemin: u32 n | n x (u64 priority, u64 value) | u64 metered
 //	counter-add:       u64 count | u64 weight | u64 metered
-//	resize:            u32 m
 //	session-close:     (empty)
 //
 // The codec is canonical: decode rejects any leftover bytes, so
@@ -65,12 +64,10 @@ const (
 	// RecCounterAdd journals the count and weight a counter/add-batch
 	// request applied.
 	RecCounterAdd RecordType = 3
-	// RecResize journals a topology resize (POST /v1/{tenant}/resize) with
-	// the new shard count.
-	RecResize RecordType = 4
 	// RecSessionClose journals a session retirement. Replay ignores it
 	// (leases are not recovered) but it keeps the journal a complete
-	// operation history for offline checkers.
+	// operation history for offline checkers. Kind 4 once journaled a
+	// shard-count change; the decoder now rejects it as unknown.
 	RecSessionClose RecordType = 5
 )
 
@@ -80,7 +77,6 @@ const (
 //   - RecEnqueue:    Items = applied elements, Metered = quota ops charged
 //   - RecDeleteMin:  Items = delivered elements, Metered = quota ops charged
 //   - RecCounterAdd: Count = deltas applied, Weight = their sum, Metered as above
-//   - RecResize:     M = new shard count
 //   - RecSessionClose: identification fields only
 type Record struct {
 	LSN     uint64
@@ -90,7 +86,6 @@ type Record struct {
 	Items   []Item
 	Count   uint64
 	Weight  uint64
-	M       int
 	Metered uint64
 }
 
@@ -123,8 +118,6 @@ func appendPayload(dst []byte, r *Record) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, r.Count)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Weight)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Metered)
-	case RecResize:
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.M))
 	case RecSessionClose:
 	}
 	return dst
@@ -156,7 +149,7 @@ func decodeInto(r *Record, p []byte) error {
 	r.Type = RecordType(p[0])
 	r.LSN = binary.LittleEndian.Uint64(p[1:])
 	r.Items = r.Items[:0]
-	r.Count, r.Weight, r.M, r.Metered = 0, 0, 0, 0
+	r.Count, r.Weight, r.Metered = 0, 0, 0
 	p = p[9:]
 	var err error
 	if r.Tenant, p, err = cutShortString(p, r.Tenant); err != nil {
@@ -195,12 +188,6 @@ func decodeInto(r *Record, p []byte) error {
 		r.Weight = binary.LittleEndian.Uint64(p[8:])
 		r.Metered = binary.LittleEndian.Uint64(p[16:])
 		p = p[24:]
-	case RecResize:
-		if len(p) != 4 {
-			return fmt.Errorf("wal: resize body length %d", len(p))
-		}
-		r.M = int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
 	case RecSessionClose:
 	default:
 		return fmt.Errorf("wal: unknown record type %d", r.Type)

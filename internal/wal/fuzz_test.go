@@ -99,7 +99,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	valid := encodeSnapshot(nil, &Snapshot{
 		CutLSN: 42,
 		Tenants: []TenantState{
-			{Name: "a", M: 4, Items: []Item{{1, 1}, {2, 2}}, CounterSum: 3,
+			{Name: "a", Items: []Item{{1, 1}, {2, 2}}, CounterSum: 3,
 				OpsEnqueued: 2, OpsDequeued: 0, OpsCounterAdds: 1,
 				CounterDeltaSum: 3, OpsMetered: 3},
 			{Name: "b"},
@@ -144,7 +144,6 @@ func sampleFuzzRecords() []Record {
 			Items: []Item{{5, 50}, {3, 30}}, Metered: 2},
 		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12, Metered: 3},
 		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{3, 30}}, Metered: 1},
-		{Type: RecResize, Tenant: "acme", M: 8},
 		{Type: RecSessionClose, Tenant: "acme", Session: "s1"},
 	}
 }

@@ -180,8 +180,6 @@ func payloadLen(r *Record) int {
 		n += 4 + 16*len(r.Items) + 8
 	case RecCounterAdd:
 		n += 24
-	case RecResize:
-		n += 4
 	}
 	return n
 }
@@ -274,8 +272,6 @@ func (f *fold) apply(r *Record) {
 		t.st.CounterDeltaSum += r.Weight
 		t.st.CounterSum += r.Weight
 		t.st.OpsMetered += r.Metered
-	case RecResize:
-		t.st.M = r.M
 	}
 }
 

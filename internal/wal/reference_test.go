@@ -61,12 +61,6 @@ func decodePayload(p []byte) (Record, error) {
 		r.Weight = binary.LittleEndian.Uint64(p[8:])
 		r.Metered = binary.LittleEndian.Uint64(p[16:])
 		p = p[24:]
-	case RecResize:
-		if len(p) != 4 {
-			return r, fmt.Errorf("wal: resize body length %d", len(p))
-		}
-		r.M = int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
 	case RecSessionClose:
 	default:
 		return r, fmt.Errorf("wal: unknown record type %d", r.Type)
@@ -113,7 +107,7 @@ func DecodeSegment(data []byte, wantFirst uint64) (recs []Record, goodLen int) {
 
 // Rebuild folds a snapshot plus its replayed journal tail into per-tenant
 // logical state in two passes over a multiset that holds every element the
-// records mention: pass one applies every enqueue, counter add and resize,
+// records mention: pass one applies every enqueue and counter add,
 // pass two matches the delete-min records against the multiset, and a
 // delete that finds no element credits a compensating enqueue.
 func Rebuild(snap *Snapshot, records []Record) []TenantState {
@@ -157,8 +151,6 @@ func Rebuild(snap *Snapshot, records []Record) []TenantState {
 			a.st.CounterDeltaSum += r.Weight
 			a.st.CounterSum += r.Weight
 			a.st.OpsMetered += r.Metered
-		case RecResize:
-			a.st.M = r.M
 		}
 	}
 	for i := range records {

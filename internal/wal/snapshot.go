@@ -15,8 +15,9 @@ import (
 )
 
 // snapMagic heads every snapshot payload so a stray file can never be
-// mistaken for one.
-var snapMagic = []byte("DLZSNAP1")
+// mistaken for one. The 2 is the layout: the first one carried a u32 shard
+// count per tenant, and a payload in it fails here rather than mis-parsing.
+var snapMagic = []byte("DLZSNAP2")
 
 // maxSnapTenants bounds the decoded tenant count (dlzd caps namespaces far
 // below this); maxSnapItems bounds one tenant's element count to keep a
@@ -33,8 +34,6 @@ const (
 // identically — the determinism tests diff these byte-for-byte.
 type TenantState struct {
 	Name string
-	// M is the shard count to restore (0 = server default, never resized).
-	M int
 	// Items is the full queue contents, sorted.
 	Items []Item
 	// CounterSum is the relaxed counter's exact value.
@@ -69,7 +68,7 @@ type Snapshot struct {
 func snapshotLen(s *Snapshot) int {
 	n := len(snapMagic) + 8 + 4
 	for i := range s.Tenants {
-		n += 1 + min255(len(s.Tenants[i].Name)) + 4 + 6*8 + 4 + 16*len(s.Tenants[i].Items)
+		n += 1 + min255(len(s.Tenants[i].Name)) + 6*8 + 4 + 16*len(s.Tenants[i].Items)
 	}
 	return n
 }
@@ -82,7 +81,6 @@ func encodeSnapshot(p []byte, s *Snapshot) []byte {
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
 		p = appendShortString(p, t.Name)
-		p = binary.LittleEndian.AppendUint32(p, uint32(t.M))
 		p = binary.LittleEndian.AppendUint64(p, t.CounterSum)
 		p = binary.LittleEndian.AppendUint64(p, t.OpsEnqueued)
 		p = binary.LittleEndian.AppendUint64(p, t.OpsDequeued)
@@ -152,17 +150,16 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
 		}
 		t.Name = string(b)
-		if b, err = d.take(4 + 6*8 + 4); err != nil {
+		if b, err = d.take(6*8 + 4); err != nil {
 			return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
 		}
-		t.M = int(binary.LittleEndian.Uint32(b))
-		t.CounterSum = binary.LittleEndian.Uint64(b[4:])
-		t.OpsEnqueued = binary.LittleEndian.Uint64(b[12:])
-		t.OpsDequeued = binary.LittleEndian.Uint64(b[20:])
-		t.OpsCounterAdds = binary.LittleEndian.Uint64(b[28:])
-		t.CounterDeltaSum = binary.LittleEndian.Uint64(b[36:])
-		t.OpsMetered = binary.LittleEndian.Uint64(b[44:])
-		items := binary.LittleEndian.Uint32(b[52:])
+		t.CounterSum = binary.LittleEndian.Uint64(b)
+		t.OpsEnqueued = binary.LittleEndian.Uint64(b[8:])
+		t.OpsDequeued = binary.LittleEndian.Uint64(b[16:])
+		t.OpsCounterAdds = binary.LittleEndian.Uint64(b[24:])
+		t.CounterDeltaSum = binary.LittleEndian.Uint64(b[32:])
+		t.OpsMetered = binary.LittleEndian.Uint64(b[40:])
+		items := binary.LittleEndian.Uint32(b[48:])
 		if items > maxSnapItems || uint64(items)*16 > uint64(d.left) {
 			return nil, fmt.Errorf("wal: snapshot tenant %q item count %d exceeds payload", t.Name, items)
 		}

@@ -61,7 +61,7 @@ func streamAll(data []byte, wantFirst uint64, w int) (recs []Record, goodLen, si
 // everything the fold treats specially: few distinct (priority, value)
 // pairs, so the same element is enqueued many times over; deletes drawn
 // blind, so some find no element, some find it only later and some never;
-// resizes, counter adds, session closes and empty batches in between; and
+// counter adds, session closes and empty batches in between; and
 // tenants that exist only in the snapshot or only in the tail.
 func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 	tenants := []string{"a", "b", "c", "d"}[:1+rng.Intn(4)]
@@ -76,7 +76,8 @@ func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 			if rng.Intn(3) == 0 {
 				continue
 			}
-			ts := TenantState{Name: name, M: rng.Intn(3) * 8,
+			rng.Intn(3) // the draw that once set a shard count: keeps the streams as they were
+			ts := TenantState{Name: name,
 				CounterSum: uint64(rng.Intn(50)), OpsCounterAdds: uint64(rng.Intn(9)),
 				OpsDequeued: uint64(rng.Intn(9)), OpsMetered: uint64(rng.Intn(99))}
 			for n := rng.Intn(12); n > 0; n-- {
@@ -102,7 +103,10 @@ func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 			r.Type, r.Count, r.Weight = RecCounterAdd, uint64(1+rng.Intn(8)), uint64(rng.Intn(100))
 			r.Metered = r.Count
 		case k < 15:
-			r.Type, r.M = RecResize, 1<<rng.Intn(6)
+			// Once a shard-count record: its draw stays, so that every
+			// other draw of the stream is what it was.
+			r.Type = RecSessionClose
+			rng.Intn(6)
 		default:
 			r.Type = RecSessionClose
 		}

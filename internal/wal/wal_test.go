@@ -2,9 +2,12 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,7 +52,6 @@ func sampleRecords() []Record {
 			Items: []Item{{5, 50}, {3, 30}}, Metered: 2},
 		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12, Metered: 3},
 		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{3, 30}}, Metered: 1},
-		{Type: RecResize, Tenant: "acme", M: 8},
 		{Type: RecSessionClose, Tenant: "acme", Session: "s1"},
 		{Type: RecEnqueue, Tenant: "globex", Session: "g", Items: nil, Metered: 0},
 	}
@@ -258,7 +260,7 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 	snap := &Snapshot{
 		CutLSN: l.Head(),
 		Tenants: []TenantState{{
-			Name: "t", M: 4,
+			Name:        "t",
 			Items:       []Item{{1, 101}, {2, 102}},
 			OpsEnqueued: 20, OpsMetered: 20,
 		}},
@@ -289,7 +291,7 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 		t.Fatalf("states %+v differ from the snapshot they were folded from", rec.States)
 	}
 	ts := rec.States
-	if len(ts) != 1 || ts[0].Name != "t" || ts[0].M != 4 || len(ts[0].Items) != 2 {
+	if len(ts) != 1 || ts[0].Name != "t" || len(ts[0].Items) != 2 {
 		t.Fatalf("snapshot state: %+v", ts)
 	}
 }
@@ -355,6 +357,20 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestFirstSnapshotLayoutRejected: a payload in the first snapshot layout,
+// which carried a u32 shard count per tenant, must fail on its magic rather
+// than be read with every later field shifted by four bytes.
+func TestFirstSnapshotLayoutRejected(t *testing.T) {
+	p := append([]byte("DLZSNAP1"), binary.LittleEndian.AppendUint64(nil, 7)...)
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = appendShortString(p, "t")
+	p = binary.LittleEndian.AppendUint32(p, 8) // the shard count
+	p = append(p, make([]byte, 6*8+4)...)      // counter, ledger, zero items
+	if _, err := DecodeSnapshot(p); err == nil || !strings.Contains(err.Error(), "not a snapshot payload") {
+		t.Fatalf("first-layout snapshot: err %v, want not a snapshot payload", err)
+	}
+}
+
 func TestRebuildCompensation(t *testing.T) {
 	recs := []Record{
 		// The dequeue of (9,9) is journaled before any enqueue of it — the
@@ -363,7 +379,7 @@ func TestRebuildCompensation(t *testing.T) {
 		{LSN: 2, Type: RecEnqueue, Tenant: "a", Items: []Item{{1, 10}, {2, 20}}, Metered: 2},
 		{LSN: 3, Type: RecDeleteMin, Tenant: "a", Items: []Item{{1, 10}}, Metered: 1},
 		{LSN: 4, Type: RecCounterAdd, Tenant: "a", Count: 2, Weight: 7, Metered: 2},
-		{LSN: 5, Type: RecResize, Tenant: "a", M: 16},
+		{LSN: 5, Type: RecSessionClose, Tenant: "a"},
 		{LSN: 6, Type: RecEnqueue, Tenant: "b", Items: []Item{{5, 5}}, Metered: 1},
 	}
 	out := foldAll(nil, recs)
@@ -384,8 +400,8 @@ func TestRebuildCompensation(t *testing.T) {
 	if a.CounterSum != 7 || a.CounterDeltaSum != 7 || a.OpsCounterAdds != 2 {
 		t.Fatalf("a counter: %+v", a)
 	}
-	if a.OpsMetered != 6 || a.M != 16 {
-		t.Fatalf("a metered/m: %+v", a)
+	if a.OpsMetered != 6 {
+		t.Fatalf("a metered: %+v", a)
 	}
 }
 
@@ -393,7 +409,7 @@ func TestRebuildOnSnapshotBase(t *testing.T) {
 	snap := &Snapshot{
 		CutLSN: 10,
 		Tenants: []TenantState{{
-			Name: "a", M: 8, Items: []Item{{1, 1}, {2, 2}},
+			Name: "a", Items: []Item{{1, 1}, {2, 2}},
 			CounterSum: 5, OpsEnqueued: 4, OpsDequeued: 2,
 			OpsCounterAdds: 1, CounterDeltaSum: 5, OpsMetered: 7,
 		}},
@@ -410,7 +426,7 @@ func TestRebuildOnSnapshotBase(t *testing.T) {
 	if !reflect.DeepEqual(a.Items, []Item{{2, 2}, {3, 3}}) {
 		t.Fatalf("items: %+v", a.Items)
 	}
-	if a.OpsEnqueued != 5 || a.OpsDequeued != 3 || a.OpsMetered != 9 || a.M != 8 {
+	if a.OpsEnqueued != 5 || a.OpsDequeued != 3 || a.OpsMetered != 9 {
 		t.Fatalf("ledger: %+v", a)
 	}
 }
@@ -578,6 +594,28 @@ func TestCodecCanonical(t *testing.T) {
 		if !bytes.Equal(re, frame) {
 			t.Fatalf("record %d not canonical", i)
 		}
+	}
+	// Kind 4 once journaled a shard-count change (a u32 body). It is no
+	// longer a record type: a well-framed kind-4 record must be rejected as
+	// unknown, by the decoder and by the reference decoder alike.
+	payload := append([]byte{4}, binary.LittleEndian.AppendUint64(nil, 1)...)
+	payload = appendShortString(appendShortString(payload, "acme"), "")
+	payload = binary.LittleEndian.AppendUint32(payload, 8)
+	var r Record
+	if err := decodeInto(&r, payload); err == nil || !strings.Contains(err.Error(), "unknown record type 4") {
+		t.Fatalf("kind-4 payload: err %v, want unknown record type", err)
+	}
+	if _, err := decodePayload(payload); err == nil || !strings.Contains(err.Error(), "unknown record type 4") {
+		t.Fatalf("reference decoder, kind-4 payload: err %v, want unknown record type", err)
+	}
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
+	frame = append(frame, payload...)
+	if recs, good := scanAll(frame, 1); len(recs) != 0 || good != 0 {
+		t.Fatalf("kind-4 frame: scan kept %d records, goodLen %d", len(recs), good)
+	}
+	if recs, good := DecodeSegment(frame, 1); len(recs) != 0 || good != 0 {
+		t.Fatalf("kind-4 frame: reference kept %d records, goodLen %d", len(recs), good)
 	}
 }
 
