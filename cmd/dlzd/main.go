@@ -8,11 +8,10 @@
 //
 //	dlzd -addr :8377 -queues 64 -batch 8 -stickiness 16
 //
-// The degradation ladder (DESIGN.md §10) is flag-controlled: socket-level
-// limits (-http-read-timeout, -http-read-header-timeout, -http-write-timeout,
-// -http-max-header-bytes) default on, while the per-request deadline
-// (-request-timeout) and adaptive load shedding (-shed-target, -shed-hold)
-// default off so the default flags reproduce the pre-hardening daemon.
+// The degradation ladder (DESIGN.md §10) and the socket limits (DESIGN.md
+// §8) are always on, at values fixed in the dlzd package: a 1s request
+// deadline, a 100ms shed target with a 100ms dwell, 30s read and write
+// timeouts, a 10s header timeout and a 1 MiB header cap. No flag sets them.
 //
 // Drive it with cmd/dlzd-load; scrape GET /metrics for the elision,
 // spin-backoff and sampler-reroll counters plus the degradation-ladder
@@ -53,25 +52,6 @@ func main() {
 		idle        = flag.Duration("idle-timeout", 30*time.Second, "lease idle expiry (0 = never)")
 		seed        = flag.Uint64("seed", 1, "structure/handle seed sequence origin")
 
-		// Request-hardening knobs (DESIGN.md §10). The per-request deadline and
-		// adaptive shedding default off so the flag defaults reproduce the
-		// pre-hardening daemon exactly; the connection loop's limits default
-		// on, because a socket-level slowloris needs no failpoint to happen.
-		reqTimeout = flag.Duration("request-timeout", 0,
-			"per-request handler deadline: 503 busy when the session lease is not lockable in time, partial results past it (0 = no deadline)")
-		shedTarget = flag.Duration("shed-target", 0,
-			"adaptive load shedding latency target: above it a tenant sheds up to 3/4 of mutating requests with 429+Retry-After (0 = disabled)")
-		shedHold = flag.Duration("shed-hold", 100*time.Millisecond,
-			"minimum dwell between adaptive shed level changes")
-		readTimeout = flag.Duration("http-read-timeout", 30*time.Second,
-			"connection read deadline: the idle wait for a next request, and a whole request from its first byte (0 = none)")
-		readHeaderTimeout = flag.Duration("http-read-header-timeout", 10*time.Second,
-			"request line + header read deadline, the slowloris bound (0 = -http-read-timeout)")
-		writeTimeout = flag.Duration("http-write-timeout", 30*time.Second,
-			"response write deadline (0 = none)")
-		maxHeaderBytes = flag.Int("http-max-header-bytes", 1<<20,
-			"request line + header size cap (431 past it)")
-
 		// Durability knobs (DESIGN.md §12); all inert unless -wal-dir is set.
 		walDir = flag.String("wal-dir", "",
 			"write-ahead journal directory; enables crash durability (empty = off)")
@@ -103,19 +83,16 @@ func main() {
 	}
 
 	srv := dlzd.New(dlzd.Config{
-		Queues:         *queues,
-		Choices:        *choices,
-		Stickiness:     *stickiness,
-		Batch:          *batch,
-		MaxTenants:     *maxTenants,
-		MaxInFlight:    *maxInflight,
-		QuotaOps:       *quotaOps,
-		IdleTimeout:    *idle,
-		RequestTimeout: *reqTimeout,
-		ShedTarget:     *shedTarget,
-		ShedHold:       *shedHold,
-		Seed:           *seed,
-		Durability:     durability,
+		Queues:      *queues,
+		Choices:     *choices,
+		Stickiness:  *stickiness,
+		Batch:       *batch,
+		MaxTenants:  *maxTenants,
+		MaxInFlight: *maxInflight,
+		QuotaOps:    *quotaOps,
+		IdleTimeout: *idle,
+		Seed:        *seed,
+		Durability:  durability,
 	})
 
 	// Bind before recovery: /healthz answers immediately while /readyz and
@@ -149,14 +126,7 @@ func main() {
 	}()
 
 	serveErr := make(chan error, 1)
-	go func() {
-		serveErr <- srv.Serve(ln, dlzd.Limits{
-			ReadTimeout:       *readTimeout,
-			ReadHeaderTimeout: *readHeaderTimeout,
-			WriteTimeout:      *writeTimeout,
-			MaxHeaderBytes:    *maxHeaderBytes,
-		})
-	}()
+	go func() { serveErr <- srv.Serve(ln) }()
 
 	stats, err := srv.Recover()
 	if err != nil {

@@ -40,15 +40,12 @@ func TestChaosSoak(t *testing.T) {
 	defer fail.Reset()
 	fail.SetSeed(uint64(*chaosSeed))
 
-	s, c := newTestServer(t, Config{
-		Queues:         8,
-		Batch:          8,
-		Stickiness:     16,
-		Choices:        2,
-		Seed:           42,
-		RequestTimeout: 500 * time.Millisecond,
-		ShedTarget:     5 * time.Millisecond,
-	})
+	s := New(Config{Queues: 8, Batch: 8, Stickiness: 16, Choices: 2, Seed: 42})
+	// A shorter deadline and a far lower shed target than the daemon's, so
+	// that the injected delays and stalls reach both rungs.
+	s.ladder.requestTimeout = 500 * time.Millisecond
+	s.ladder.shedTarget = 5 * time.Millisecond
+	c := serveLoopback(t, s)
 
 	// Conductor: one fault regime per round while the workers run. Fires are
 	// accumulated per kind for the log; coverage is *proven* afterwards by
@@ -402,5 +399,92 @@ func TestJanitorExpiryRace(t *testing.T) {
 	}
 	if st.BufferedEnqueues != 0 || st.PrefetchedDequeues != 0 {
 		t.Errorf("handle-local state survived the sweep: %+v", st)
+	}
+}
+
+// TestDeadlineMidBatch pins the apply loops' deadline stride on a deadline
+// that runs out while a batch is being applied: every item is slowed by an
+// injected 1ms delay against a 20ms deadline, so a 512-item enqueue must
+// stop with 503 and a delete-min-up-to of 512 with a truncated 200, each
+// having applied some items but not all, no more than 64 of them after the
+// deadline passed, and with the server's ledger exact.
+func TestDeadlineMidBatch(t *testing.T) {
+	const (
+		timeout = 20 * time.Millisecond
+		delay   = time.Millisecond
+		n       = 512
+		// Each item takes at least delay, so at most timeout/delay of them
+		// are applied before the deadline, and at most 64 after it.
+		maxApplied = int(timeout/delay) + 64
+	)
+	fail.Reset()
+	defer fail.Reset()
+	// Batch 1: every dequeue is one draw, so the reroll site's delay is paid
+	// per dequeued item.
+	s := New(Config{Queues: 4, Batch: 1, Seed: 23})
+	s.ladder.requestTimeout = timeout
+	c := serveLoopback(t, s)
+	prios := make([]uint64, n)
+	for i := range prios {
+		prios[i] = uint64(i + 1)
+	}
+	stats := func(tenant string) StatsResponse {
+		t.Helper()
+		var st StatsResponse
+		if code := c.get("/v1/"+tenant+"/stats", &st); code != http.StatusOK {
+			t.Fatalf("stats = %d", code)
+		}
+		return st
+	}
+
+	// enqueue-batch: 503, with the applied items committed and published.
+	fail.Arm(fail.SiteDlzdEnqueueItem, fail.Policy{Kind: fail.KindDelay, Delay: delay})
+	if code := c.post("/v1/enq/enqueue-batch",
+		EnqueueBatchRequest{Session: "s", Items: wireItems(prios...)}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("enqueue past its deadline = %d, want 503", code)
+	}
+	fail.Reset()
+	if code := c.post("/v1/enq/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
+		t.Fatalf("close = %d", code)
+	}
+	st := stats("enq")
+	if st.OpsEnqueued == 0 || st.OpsEnqueued >= n {
+		t.Errorf("enqueue applied %d of %d items, want some but not all", st.OpsEnqueued, n)
+	}
+	if int(st.OpsEnqueued) > maxApplied {
+		t.Errorf("enqueue applied %d items, more than 64 after the deadline", st.OpsEnqueued)
+	}
+	if uint64(st.QueueLen) != st.OpsEnqueued {
+		t.Errorf("queue length %d, OpsEnqueued %d, want equal", st.QueueLen, st.OpsEnqueued)
+	}
+
+	// delete-min-up-to: a truncated 200. The fill is in batches of one
+	// stride, which no deadline cuts.
+	for i := 0; i < n; i += deadlineStride {
+		if code := c.post("/v1/deq/enqueue-batch",
+			EnqueueBatchRequest{Session: "s", Items: wireItems(prios[i : i+deadlineStride]...)}, nil); code != http.StatusOK {
+			t.Fatalf("fill = %d", code)
+		}
+	}
+	fail.Arm(fail.SiteCoreReroll, fail.Policy{Kind: fail.KindDelay, Delay: delay})
+	var deq DeleteMinResponse
+	if code := c.post("/v1/deq/delete-min-up-to",
+		DeleteMinRequest{Session: "s", Max: n}, &deq); code != http.StatusOK {
+		t.Fatalf("delete-min past its deadline = %d, want a truncated 200", code)
+	}
+	fail.Reset()
+	if !deq.Truncated || len(deq.Items) == 0 || len(deq.Items) >= n {
+		t.Errorf("delete-min: truncated %v with %d of %d items, want truncated with some but not all",
+			deq.Truncated, len(deq.Items), n)
+	}
+	if len(deq.Items) > maxApplied {
+		t.Errorf("delete-min removed %d items, more than 64 after the deadline", len(deq.Items))
+	}
+	if code := c.post("/v1/deq/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
+		t.Fatalf("close = %d", code)
+	}
+	st = stats("deq")
+	if st.OpsDequeued != uint64(len(deq.Items)) || int64(st.QueueLen) != int64(st.OpsEnqueued)-int64(st.OpsDequeued) {
+		t.Errorf("ledger: Len=%d enq=%d deq=%d, answered %d items", st.QueueLen, st.OpsEnqueued, st.OpsDequeued, len(deq.Items))
 	}
 }

@@ -21,29 +21,12 @@ import (
 	"time"
 )
 
-// Limits are the socket-level bounds Serve holds every connection to: what a
-// slow, oversized or silent client is allowed to cost. The zero value of a
-// timeout means none.
-type Limits struct {
-	// ReadTimeout bounds the wait for a connection's next request and, from
-	// a request's first byte, the read of all of it, body included.
-	ReadTimeout time.Duration
-	// ReadHeaderTimeout bounds the read of a request's line and headers from
-	// its first byte — the slowloris bound. 0 means ReadTimeout.
-	ReadHeaderTimeout time.Duration
-	// WriteTimeout bounds one write of pending answers.
-	WriteTimeout time.Duration
-	// MaxHeaderBytes caps a request's line plus headers (431 past it);
-	// 0 means 1 MiB.
-	MaxHeaderBytes int
-}
-
 // ErrServerClosed is Serve's return after Shutdown.
 var ErrServerClosed = errors.New("dlzd: server closed")
 
 const (
 	// connBuf is a connection's read buffer at rest. Read and output buffers
-	// grow with a request and its answer (bounded by MaxHeaderBytes, maxBody
+	// grow with a request and its answer (bounded by maxHeaderBytes, maxBody
 	// and flushAt) and are dropped past keepBuf once the connection idles.
 	connBuf = 4 << 10
 	keepBuf = 16 << 10
@@ -76,14 +59,9 @@ const (
 
 // Serve accepts connections on ln and serves each on its own goroutine until
 // Shutdown, then returns ErrServerClosed; any other return is the listener's
-// failure. ln is closed on return.
-func (s *Server) Serve(ln net.Listener, lim Limits) error {
-	if lim.ReadHeaderTimeout == 0 {
-		lim.ReadHeaderTimeout = lim.ReadTimeout
-	}
-	if lim.MaxHeaderBytes <= 0 {
-		lim.MaxHeaderBytes = 1 << 20
-	}
+// failure. ln is closed on return. Every connection is held to the socket
+// limits: readTimeout, readHeaderTimeout, writeTimeout and maxHeaderBytes.
+func (s *Server) Serve(ln net.Listener) error {
 	defer ln.Close()
 	if !s.trackListener(ln, true) {
 		return ErrServerClosed
@@ -107,7 +85,7 @@ func (s *Server) Serve(ln net.Listener, lim Limits) error {
 			return err
 		}
 		backoff = 0
-		c := &conn{srv: s, nc: nc, lim: lim, rbuf: make([]byte, connBuf)}
+		c := &conn{srv: s, nc: nc, rbuf: make([]byte, connBuf)}
 		if !s.trackConn(c, true) {
 			nc.Close()
 			continue
@@ -212,7 +190,6 @@ func (s *Server) connStats() (open int, requests uint64) {
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	lim Limits
 
 	state    atomic.Int32
 	requests atomic.Uint64 // answered by the pipeline; folded into srv.requests on exit
@@ -252,14 +229,14 @@ func (c *conn) serve() {
 	}()
 	// Until its first byte a new connection is held to the header deadline,
 	// not the idle one: it has yet to show it speaks at all.
-	wait := c.lim.ReadHeaderTimeout
+	wait := c.srv.ladder.readHeaderTimeout
 	for {
 		if c.r == c.w {
 			if !c.awaitRequest(wait) {
 				return
 			}
 		}
-		wait = c.lim.ReadTimeout
+		wait = c.srv.ladder.readTimeout
 		if !c.serveRequest() {
 			_ = c.flush() // a refusal or a Connection: close answer is still owed
 			return
@@ -281,11 +258,7 @@ func (c *conn) awaitRequest(wait time.Duration) bool {
 	if c.srv.draining.Load() {
 		return false
 	}
-	var by time.Time
-	if wait > 0 {
-		by = time.Now().Add(wait)
-	}
-	c.setReadDeadline(by)
+	c.setReadDeadline(time.Now().Add(wait))
 	n, err := c.nc.Read(c.rbuf)
 	if !c.state.CompareAndSwap(connIdle, connActive) {
 		return false // Shutdown closed the connection under the read
@@ -327,9 +300,7 @@ func (c *conn) flush() error {
 	if len(c.out) == 0 {
 		return nil
 	}
-	if d := c.lim.WriteTimeout; d > 0 {
-		_ = c.nc.SetWriteDeadline(time.Now().Add(d)) // as setReadDeadline: the write reports it
-	}
+	_ = c.nc.SetWriteDeadline(time.Now().Add(c.srv.ladder.writeTimeout)) // as setReadDeadline: the write reports it
 	_, err := c.nc.Write(c.out)
 	c.out = c.out[:0]
 	return err
@@ -368,27 +339,22 @@ func (c *conn) fill(by time.Time, limit int) error {
 // it into out, and reports whether the connection goes on to another.
 func (c *conn) serveRequest() bool {
 	start := time.Now()
-	var headerBy, bodyBy time.Time
-	if d := c.lim.ReadHeaderTimeout; d > 0 {
-		headerBy = start.Add(d)
-	}
-	if d := c.lim.ReadTimeout; d > 0 {
-		bodyBy = start.Add(d)
-	}
+	lim := &c.srv.ladder
+	headerBy, bodyBy := start.Add(lim.readHeaderTimeout), start.Add(lim.readTimeout)
 	// The header block: everything up to the first empty line.
 	end, scanned := -1, 0
 	for {
 		if end, scanned = headerEnd(c.rbuf[c.r:c.w], scanned); end >= 0 {
 			break
 		}
-		if c.w-c.r > c.lim.MaxHeaderBytes {
+		if c.w-c.r > lim.maxHeaderBytes {
 			return c.refuse(http.StatusRequestHeaderFieldsTooLarge, "request header too large")
 		}
-		if c.fill(headerBy, c.lim.MaxHeaderBytes+connBuf) != nil {
+		if c.fill(headerBy, lim.maxHeaderBytes+connBuf) != nil {
 			return false // closed or timed out mid-header: nothing to answer
 		}
 	}
-	if end > c.lim.MaxHeaderBytes {
+	if end > lim.maxHeaderBytes {
 		return c.refuse(http.StatusRequestHeaderFieldsTooLarge, "request header too large")
 	}
 	p := parseHeader(c.rbuf[c.r : c.r+end])
@@ -409,7 +375,7 @@ func (c *conn) serveRequest() bool {
 		p = parseHeader(c.rbuf[c.r : c.r+end])
 	}
 	p.rq.body = c.rbuf[c.r+end : c.r+end+p.contentLength]
-	p.rq.deadline = c.srv.requestDeadline()
+	p.rq.arrival = start
 	c.r += end + p.contentLength
 
 	var rp reply

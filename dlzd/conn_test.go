@@ -122,10 +122,10 @@ const enqueueOne = `{"session":"s","items":[{"priority":1,"value":2}]}`
 func TestConnLimits(t *testing.T) {
 	cases := []struct {
 		name string
-		lim  Limits
+		set  func(*ladder) // nil: the server's own values
 		run  func(t *testing.T, s *Server, c *testClient)
 	}{
-		{"slowloris header is cut off at the header deadline", Limits{ReadHeaderTimeout: 150 * time.Millisecond, ReadTimeout: time.Minute},
+		{"slowloris header is cut off at the header deadline", func(l *ladder) { l.readHeaderTimeout = 150 * time.Millisecond },
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				start := time.Now()
@@ -142,12 +142,12 @@ func TestConnLimits(t *testing.T) {
 				}
 				awaitNoConns(t, s)
 			}},
-		{"silent new connection is cut off at the header deadline", Limits{ReadHeaderTimeout: 100 * time.Millisecond, ReadTimeout: time.Minute},
+		{"silent new connection is cut off at the header deadline", func(l *ladder) { l.readHeaderTimeout = 100 * time.Millisecond },
 			func(t *testing.T, s *Server, c *testClient) {
 				dialRaw(t, c).closed()
 				awaitNoConns(t, s)
 			}},
-		{"oversize header answers 431", Limits{MaxHeaderBytes: 1024},
+		{"oversize header answers 431", func(l *ladder) { l.maxHeaderBytes = 1024 },
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				rc.send("GET /healthz HTTP/1.1\r\nX-Big: " + strings.Repeat("a", 4096) + "\r\n\r\n")
@@ -163,7 +163,7 @@ func TestConnLimits(t *testing.T) {
 				rc.send("GET /healthz HTTP/1.1\r\nX-Big: " + strings.Repeat("a", 512) + "\r\n\r\n")
 				rc.status(http.StatusOK)
 			}},
-		{"declared body over 8 MiB answers 413 before it is read", Limits{},
+		{"declared body over 8 MiB answers 413 before it is read", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				rc.send(fmt.Sprintf("POST /v1/t/enqueue-batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n", maxBody+1))
@@ -173,7 +173,7 @@ func TestConnLimits(t *testing.T) {
 					t.Error("a refused request reached the pipeline")
 				}
 			}},
-		{"refusals: chunked 411, length conflicts 400, version 505, expectation 417", Limits{},
+		{"refusals: chunked 411, length conflicts 400, version 505, expectation 417", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				for _, tc := range []struct {
 					request string
@@ -227,7 +227,7 @@ func TestConnLimits(t *testing.T) {
 				rc.send("GET /%68ealthz HTTP/1.1\r\n\r\n")
 				rc.status(http.StatusOK)
 			}},
-		{"Expect: 100-continue gets the interim 100, then the answer", Limits{},
+		{"Expect: 100-continue gets the interim 100, then the answer", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				rc.send(fmt.Sprintf("POST /v1/t/enqueue-batch HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n", len(enqueueOne)))
@@ -240,7 +240,7 @@ func TestConnLimits(t *testing.T) {
 				rc.send(postRequest("/v1/t/enqueue-batch", enqueueOne, "Expect: 100-continue\r\n"))
 				rc.status(http.StatusOK)
 			}},
-		{"pipelined requests are answered in order", Limits{},
+		{"pipelined requests are answered in order", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				for _, n := range []int{2, 16} {
 					rc := dialRaw(t, c)
@@ -268,7 +268,7 @@ func TestConnLimits(t *testing.T) {
 					t.Errorf("second answer = %q", body)
 				}
 			}},
-		{"a request larger than the read buffer is read whole", Limits{},
+		{"a request larger than the read buffer is read whole", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				rc.send(addRequest(MaxWireBatch) + addRequest(1))
@@ -277,7 +277,7 @@ func TestConnLimits(t *testing.T) {
 				}
 				rc.status(http.StatusOK)
 			}},
-		{"Connection: close and HTTP/1.0 end the connection after the answer", Limits{},
+		{"Connection: close and HTTP/1.0 end the connection after the answer", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				rc.send("GET /healthz HTTP/1.1\r\n\r\n")
@@ -297,7 +297,7 @@ func TestConnLimits(t *testing.T) {
 				rc.closed()
 				awaitNoConns(t, s)
 			}},
-		{"a half-closed client is answered", Limits{},
+		{"a half-closed client is answered", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				rc.send(addRequest(2))
@@ -308,7 +308,7 @@ func TestConnLimits(t *testing.T) {
 				rc.closed()
 				awaitNoConns(t, s)
 			}},
-		{"an idle connection is closed at the idle deadline", Limits{ReadTimeout: 150 * time.Millisecond},
+		{"an idle connection is closed at the idle deadline", func(l *ladder) { l.readTimeout = 150 * time.Millisecond },
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				for i := 0; i < 3; i++ { // requests inside the deadline keep it open
@@ -322,7 +322,7 @@ func TestConnLimits(t *testing.T) {
 					t.Errorf("dlzd_conns_accepted_total = %s, want 2", got)
 				}
 			}},
-		{"a client that never reads is cut off at the write deadline", Limits{WriteTimeout: 200 * time.Millisecond},
+		{"a client that never reads is cut off at the write deadline", func(l *ladder) { l.writeTimeout = 200 * time.Millisecond },
 			func(t *testing.T, s *Server, c *testClient) {
 				rc := dialRaw(t, c)
 				_ = rc.Conn.(*net.TCPConn).SetReadBuffer(4 << 10)
@@ -331,13 +331,15 @@ func TestConnLimits(t *testing.T) {
 				}()
 				awaitNoConns(t, s)
 			}},
-		{"Shutdown closes idle connections and waits for a request in flight", Limits{},
+		// The parked request must outwait the test, not answer 503 at its
+		// deadline.
+		{"Shutdown closes idle connections and waits for a request in flight", func(l *ladder) { l.requestTimeout = time.Minute },
 			func(t *testing.T, s *Server, c *testClient) {
 				idle, busy := dialRaw(t, c), dialRaw(t, c)
 				idle.send("GET /healthz HTTP/1.1\r\n\r\n")
 				idle.status(http.StatusOK)
 				tn, _ := s.tenant([]byte("t"))
-				held, _ := tn.lease(time.Time{}, []byte("s")) // the request below parks on this lease
+				held, _ := tn.lease(farDeadline(), []byte("s")) // the request below parks on this lease
 				busy.send(postRequest("/v1/t/enqueue-batch", enqueueOne, ""))
 				for tn.inflight.Load() == 0 {
 					time.Sleep(time.Millisecond)
@@ -358,7 +360,7 @@ func TestConnLimits(t *testing.T) {
 					nc.Close()
 					t.Error("a draining server still accepts connections")
 				}
-				held.done()
+				held.done(time.Now())
 				if resp, _ := busy.status(http.StatusOK); !resp.Close {
 					t.Error("the drained request's answer does not say Connection: close")
 				}
@@ -370,15 +372,15 @@ func TestConnLimits(t *testing.T) {
 					t.Errorf("%d connections open after Shutdown", open)
 				}
 			}},
-		{"a genuine handler panic kills its connection, not the daemon", Limits{},
+		{"a genuine handler panic kills its connection, not the daemon", nil,
 			func(t *testing.T, s *Server, c *testClient) {
 				var logged lockedBuffer
 				log.SetOutput(&logged)
 				defer log.SetOutput(os.Stderr)
 				tn, _ := s.tenant([]byte("t"))
-				doomed, _ := tn.lease(time.Time{}, []byte("doomed"))
+				doomed, _ := tn.lease(farDeadline(), []byte("doomed"))
 				doomed.mqh = nil // the bug: the next enqueue on this session dereferences nil
-				doomed.done()
+				doomed.done(time.Now())
 				rc := dialRaw(t, c)
 				rc.send(postRequest("/v1/t/enqueue-batch", strings.Replace(enqueueOne, `"s"`, `"doomed"`, 1), ""))
 				rc.closed()
@@ -403,7 +405,10 @@ func TestConnLimits(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s := New(Config{Queues: 2, Batch: 4})
-			tc.run(t, s, serveLoopback(t, s, tc.lim))
+			if tc.set != nil {
+				tc.set(&s.ladder)
+			}
+			tc.run(t, s, serveLoopback(t, s))
 		})
 	}
 }
@@ -486,6 +491,7 @@ func FuzzConnRequest(f *testing.F) {
 		f.Add([]byte(seed), uint8(7))
 	}
 	s := New(Config{Queues: 2, MaxTenants: 4})
+	s.ladder.maxHeaderBytes = 256
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		if end, _ := headerEnd(data, 0); end >= 0 {
 			// However the bytes arrive, the header ends where it ends.
@@ -514,7 +520,7 @@ func FuzzConnRequest(f *testing.F) {
 		}
 		nc := &scriptedConn{chunk: 1 + int(chunk)}
 		nc.in.Reset(data)
-		c := &conn{srv: s, nc: nc, lim: Limits{MaxHeaderBytes: 256}, rbuf: make([]byte, connBuf)}
+		c := &conn{srv: s, nc: nc, rbuf: make([]byte, connBuf)}
 		c.serve()
 		if limit := 2 * (len(data) + connBuf); cap(c.rbuf) > limit {
 			t.Fatalf("%d bytes of input grew the read buffer to %d", len(data), cap(c.rbuf))
@@ -546,13 +552,13 @@ func TestShutdownDeadline(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := s.Serve(ln, Limits{}); err != ErrServerClosed {
+		if err := s.Serve(ln); err != ErrServerClosed {
 			t.Errorf("Serve = %v", err)
 		}
 	}()
 	c := &testClient{t: t, addr: ln.Addr().String()}
 	tn, _ := s.tenant([]byte("t"))
-	held, _ := tn.lease(time.Time{}, []byte("s"))
+	held, _ := tn.lease(farDeadline(), []byte("s"))
 	rc := dialRaw(t, c)
 	rc.send(postRequest("/v1/t/enqueue-batch", enqueueOne, ""))
 	for tn.inflight.Load() == 0 {
@@ -565,9 +571,9 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 	rc.closed()
 	wg.Wait()
-	held.done() // the parked request now runs to its (unsendable) answer
+	held.done(time.Now()) // the parked request now runs to its (unsendable) answer
 	awaitNoConns(t, s)
-	if err := s.Serve(ln, Limits{}); err != ErrServerClosed {
+	if err := s.Serve(ln); err != ErrServerClosed {
 		t.Errorf("Serve after Shutdown = %v", err)
 	}
 }

@@ -39,9 +39,11 @@ import (
 // and response size bounded regardless of client behavior.
 const MaxWireBatch = 4096
 
-// Config configures New. The zero value of every optional field selects a
-// serviceable default; Queues is the only field without one that matters
-// (it defaults to 64).
+// Config configures New. Every field is optional: Queues, MaxTenants and
+// Seed default to 64, 64 and 1, Choices, Stickiness and Batch to the dlz
+// defaults, and a zero MaxInFlight, QuotaOps or IdleTimeout, or a nil
+// Durability, leaves that bound or duty off. The degradation ladder and the
+// socket limits are not configured here: they are the constants below.
 type Config struct {
 	// Queues is m for each tenant's MultiQueue and MultiCounter (default
 	// 64), fixed for the tenant's life. For the paper's guarantees it should
@@ -71,25 +73,6 @@ type Config struct {
 	// explicit ExpireIdle sweep. 0 disables time-based expiry (leases then
 	// live until session close or server Close).
 	IdleTimeout time.Duration
-	// RequestTimeout is the per-request deadline, propagated to the handlers
-	// through the request context: a handler that cannot acquire its session
-	// lease within the deadline answers 503 busy, an enqueue loop that
-	// overruns it aborts with its partial count committed, and a dequeue loop
-	// returns the elements drained so far as a truncated 200. 0 disables
-	// per-request deadlines (handlers then block as long as the work takes,
-	// the pre-hardening behavior).
-	RequestTimeout time.Duration
-	// ShedTarget enables adaptive load shedding (DESIGN.md §10): when a
-	// tenant's EWMA of mutating-request latency exceeds this target, its shed
-	// level escalates one step (up to 3), and level/4 of subsequent mutating
-	// requests are rejected with 429 plus a Retry-After header of 2^(level−1)
-	// seconds; the level steps back down once the EWMA falls below half the
-	// target. 0 disables adaptive shedding, leaving MaxInFlight as the only
-	// (static) backpressure.
-	ShedTarget time.Duration
-	// ShedHold is the minimum dwell between shed level changes, damping
-	// oscillation (default 100ms).
-	ShedHold time.Duration
 	// Seed feeds the structure and handle seed sequence (default 1).
 	Seed uint64
 	// Durability enables the write-ahead journal + snapshot rung (DESIGN.md
@@ -99,12 +82,33 @@ type Config struct {
 	Durability *Durability
 }
 
+// The degradation ladder (DESIGN.md §10) and the connection loop's socket
+// limits (DESIGN.md §8). Every server runs with these values.
+const (
+	requestTimeout    = time.Second            // arrival to deadline: 503 busy or aborted, or a truncated 200
+	shedTarget        = 100 * time.Millisecond // a tenant whose latency EWMA is above it sheds (429)
+	shedHold          = 100 * time.Millisecond // minimum dwell between two shed level changes
+	readTimeout       = 30 * time.Second       // the idle wait, and a whole request from its first byte
+	readHeaderTimeout = 10 * time.Second       // line and headers from the first byte: the slowloris bound
+	writeTimeout      = 30 * time.Second       // one write of pending answers
+	maxHeaderBytes    = 1 << 20                // line plus headers; 431 past it
+)
+
+// ladder is a server's copy of the constants above. New fills it; only a
+// test writes it, to set a value before the server sees traffic.
+type ladder struct {
+	requestTimeout, shedTarget, shedHold         time.Duration
+	readTimeout, readHeaderTimeout, writeTimeout time.Duration
+	maxHeaderBytes                               int
+}
+
 // Server is the daemon: the wire API's request pipeline (pipeline.go), the
 // connection loop that serves it on a listener (Serve, conn.go), an
 // http.Handler over the same pipeline, and the lease-lifecycle entry points
 // the binary and the tests drive directly. Create with New.
 type Server struct {
-	cfg Config
+	cfg    Config
+	ladder ladder
 
 	mu      sync.RWMutex // guards tenants
 	tenants map[string]*tenant
@@ -157,9 +161,6 @@ func New(cfg Config) *Server {
 	if cfg.Choices < 0 {
 		panic("dlzd: Config.Choices must be >= 0")
 	}
-	if cfg.ShedTarget > 0 && cfg.ShedHold <= 0 {
-		cfg.ShedHold = 100 * time.Millisecond
-	}
 	if d := cfg.Durability; d != nil {
 		if d.Dir == "" {
 			panic("dlzd: Config.Durability.Dir is required")
@@ -170,7 +171,8 @@ func New(cfg Config) *Server {
 		}
 		cfg.Durability = &dd
 	}
-	s := &Server{cfg: cfg, tenants: map[string]*tenant{}}
+	s := &Server{cfg: cfg, tenants: map[string]*tenant{}, ladder: ladder{
+		requestTimeout, shedTarget, shedHold, readTimeout, readHeaderTimeout, writeTimeout, maxHeaderBytes}}
 	s.seeds.Store(cfg.Seed)
 	// A durable server is born not-ready: Recover must replay the journal
 	// before /v1 traffic is admitted.

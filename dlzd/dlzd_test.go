@@ -24,23 +24,24 @@ type testClient struct {
 
 // newTestServer builds cfg's server and serves it the way the binary does —
 // Serve on a loopback listener — so every suite drives the connection loop
-// the daemon ships. The server is drained when the test ends.
+// the daemon ships. The server is drained when the test ends. A test that
+// sets a ladder value calls New, sets it, and then serveLoopback.
 func newTestServer(t *testing.T, cfg Config) (*Server, *testClient) {
 	t.Helper()
 	s := New(cfg)
-	return s, serveLoopback(t, s, Limits{})
+	return s, serveLoopback(t, s)
 }
 
-// serveLoopback runs s.Serve under lim on a loopback listener until the test
-// ends, and fails the test if the drain leaves a connection goroutine behind.
-func serveLoopback(t *testing.T, s *Server, lim Limits) *testClient {
+// serveLoopback runs s.Serve on a loopback listener until the test ends, and
+// fails the test if the drain leaves a connection goroutine behind.
+func serveLoopback(t *testing.T, s *Server) *testClient {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- s.Serve(ln, lim) }()
+	go func() { served <- s.Serve(ln) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -54,6 +55,9 @@ func serveLoopback(t *testing.T, s *Server, lim Limits) *testClient {
 	addr := ln.Addr().String()
 	return &testClient{t: t, addr: addr, url: "http://" + addr}
 }
+
+// farDeadline is a lease deadline no test reaches.
+func farDeadline() time.Time { return time.Now().Add(time.Hour) }
 
 func (c *testClient) post(path string, body, out any) int {
 	c.t.Helper()

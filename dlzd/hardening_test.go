@@ -13,46 +13,61 @@ import (
 // backpressure, and the /metrics surface for all of it. They run in both
 // build modes, so the chaos CI job and the default suite cover them.
 
-// TestRequestDeadline pins the per-request deadline semantics with an
-// already-expired deadline: enqueue and counter add-batch abort with 503 and
-// zero applied operations, while delete-min-up-to answers a truncated 200 —
-// a dequeue loop cut short has removed nothing it can put back, so partial
-// success is the response that preserves delivered-exactly-once (here the
-// partial result is empty).
+// TestRequestDeadline pins the per-request deadline semantics with a
+// deadline that has passed before the first item. The apply loops read the
+// clock once every deadlineStride items, so enqueue and counter add-batch
+// abort with 503 after exactly one stride, while delete-min-up-to answers a
+// truncated 200 holding one stride — a dequeue loop cut short has removed
+// elements it cannot put back, so partial success is the response that
+// preserves delivered-exactly-once. A batch of one stride is never cut.
 func TestRequestDeadline(t *testing.T) {
-	_, c := newTestServer(t, Config{Queues: 4, Batch: 4, RequestTimeout: time.Nanosecond, Seed: 3})
+	s := New(Config{Queues: 4, Batch: 4, Seed: 3})
+	s.ladder.requestTimeout = time.Nanosecond
+	c := serveLoopback(t, s)
 
+	const n = 2 * deadlineStride
+	prios := make([]uint64, n)
+	deltas := make([]uint64, n)
+	for i := range prios {
+		prios[i], deltas[i] = uint64(i+1), 1
+	}
 	if code := c.post("/v1/dead/enqueue-batch",
-		EnqueueBatchRequest{Session: "s", Items: wireItems(1, 2, 3)}, nil); code != http.StatusServiceUnavailable {
+		EnqueueBatchRequest{Session: "s", Items: wireItems(prios...)}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("enqueue under expired deadline = %d, want 503", code)
 	}
+	if code := c.post("/v1/dead/enqueue-batch",
+		EnqueueBatchRequest{Session: "s", Items: wireItems(prios[:deadlineStride]...)}, nil); code != http.StatusOK {
+		t.Errorf("one-stride enqueue under expired deadline = %d, want 200", code)
+	}
 	if code := c.post("/v1/dead/counter/add-batch",
-		CounterAddRequest{Session: "s", Deltas: []uint64{5}}, nil); code != http.StatusServiceUnavailable {
+		CounterAddRequest{Session: "s", Deltas: deltas}, nil); code != http.StatusServiceUnavailable {
 		t.Errorf("counter add under expired deadline = %d, want 503", code)
 	}
 	var deq DeleteMinResponse
 	if code := c.post("/v1/dead/delete-min-up-to",
-		DeleteMinRequest{Session: "s", Max: 4}, &deq); code != http.StatusOK {
+		DeleteMinRequest{Session: "s", Max: n}, &deq); code != http.StatusOK {
 		t.Errorf("delete-min under expired deadline = %d, want truncated 200", code)
 	}
-	if !deq.Truncated || len(deq.Items) != 0 {
-		t.Errorf("delete-min under expired deadline = %+v, want empty truncated response", deq)
+	if !deq.Truncated || len(deq.Items) != deadlineStride {
+		t.Errorf("delete-min under expired deadline: truncated %v with %d items, want truncated with %d",
+			deq.Truncated, len(deq.Items), deadlineStride)
 	}
 
 	var st StatsResponse
 	if code := c.get("/v1/dead/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
-	if st.OpsEnqueued != 0 || st.OpsDequeued != 0 || st.CounterDeltaSum != 0 {
-		t.Errorf("aborted requests leaked applied ops: %+v", st)
+	if st.OpsEnqueued != 2*deadlineStride || st.OpsDequeued != deadlineStride || st.CounterDeltaSum != deadlineStride {
+		t.Errorf("applied ops = %d enqueued, %d dequeued, %d added; want %d, %d, %d",
+			st.OpsEnqueued, st.OpsDequeued, st.CounterDeltaSum, 2*deadlineStride, deadlineStride, deadlineStride)
 	}
 	// The quota meter charges at admission (before the deadline check), so
 	// the conservation pair still agrees.
 	if st.QuotaUsed != st.OpsMetered {
 		t.Errorf("QuotaUsed = %d, OpsMetered = %d, want equal", st.QuotaUsed, st.OpsMetered)
 	}
-	if m := c.metrics(); lineValue(t, m, "dlzd_deadline_aborts_total") == "0" {
-		t.Error("dlzd_deadline_aborts_total = 0 after three deadline aborts")
+	if got := lineValue(t, c.metrics(), "dlzd_deadline_aborts_total"); got != "3" {
+		t.Errorf("dlzd_deadline_aborts_total = %s after three deadline aborts", got)
 	}
 }
 
@@ -61,12 +76,14 @@ func TestRequestDeadline(t *testing.T) {
 // same token answers 503 with a Retry-After hint instead of joining an
 // unbounded convoy — and the lease survives for the holder.
 func TestLeaseBusy503(t *testing.T) {
-	s, c := newTestServer(t, Config{Queues: 4, RequestTimeout: 20 * time.Millisecond, Seed: 5})
+	s := New(Config{Queues: 4, Seed: 5})
+	s.ladder.requestTimeout = 20 * time.Millisecond
+	c := serveLoopback(t, s)
 	tn, ok := s.tenant([]byte("busy"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
-	l, ok := tn.lease(time.Time{}, []byte("tok"))
+	l, ok := tn.lease(farDeadline(), []byte("tok"))
 	if !ok {
 		t.Fatal("white-box lease acquisition failed")
 	}
@@ -79,7 +96,7 @@ func TestLeaseBusy503(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Errorf("busy Retry-After = %q, want \"1\"", got)
 	}
-	l.done()
+	l.done(time.Now())
 	if code := c.post("/v1/busy/enqueue-batch",
 		EnqueueBatchRequest{Session: "tok", Items: wireItems(1)}, nil); code != http.StatusOK {
 		t.Errorf("request after release = %d, want 200", code)
@@ -115,14 +132,16 @@ func TestInFlightRetryAfter(t *testing.T) {
 // every 4 mutating requests are rejected with 429 and a Retry-After of
 // 2^(L−1) seconds, and reads are never shed.
 func TestAdaptiveShedGate(t *testing.T) {
-	s, c := newTestServer(t, Config{Queues: 4, ShedTarget: time.Second, Seed: 13})
+	s := New(Config{Queues: 4, Seed: 13})
+	// Stamp the dwell clock and stretch the dwell, so the controller itself
+	// (observing these fast requests) cannot step the level down.
+	s.ladder.shedHold = time.Hour
+	c := serveLoopback(t, s)
 	tn, ok := s.tenant([]byte("shed"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
 	tn.shedLevel.Store(2)
-	// Stamp the dwell clock so the controller itself (observing these fast
-	// requests) cannot step the level down inside the ShedHold window.
 	tn.shedShift.Store(time.Now().UnixNano())
 
 	sheds := 0
@@ -160,36 +179,59 @@ func TestAdaptiveShedGate(t *testing.T) {
 	}
 }
 
-// TestShedLevelTracksLatency pins the adaptive controller white-box: the
-// EWMA escalates the level one step per dwell while latency exceeds the
-// target, saturates at 3, and steps back down to 0 once the EWMA decays
-// below half the target.
+// TestShedLevelTracksLatency pins the adaptive controller white-box, on a
+// clock that advances one dwell per sample: the EWMA escalates the level one
+// step per dwell while latency exceeds the target, saturates at 3, and steps
+// back down to 0 once the EWMA decays below half the target.
 func TestShedLevelTracksLatency(t *testing.T) {
-	s := New(Config{Queues: 4, ShedTarget: time.Millisecond, ShedHold: time.Nanosecond, Seed: 17})
+	s := New(Config{Queues: 4, Seed: 17})
 	tn, ok := s.tenant([]byte("ctl"))
 	if !ok {
 		t.Fatal("tenant refused")
 	}
+	now := time.Now()
+	observe := func(d time.Duration) {
+		now = now.Add(shedHold)
+		tn.observeLatency(d, now)
+	}
 	for i := 0; i < 5; i++ {
-		tn.observeLatency(10 * time.Millisecond)
+		observe(10 * shedTarget)
 	}
 	if lvl := tn.shedLevel.Load(); lvl != 3 {
 		t.Errorf("shed level after sustained overload = %d, want saturation at 3", lvl)
 	}
 	for i := 0; i < 400 && tn.shedLevel.Load() > 0; i++ {
-		tn.observeLatency(time.Microsecond)
+		observe(time.Microsecond)
 	}
 	if lvl := tn.shedLevel.Load(); lvl != 0 {
 		t.Errorf("shed level after sustained recovery = %d, want 0", lvl)
 	}
-	// With ShedTarget unset observeLatency is inert: no level movement.
-	s2 := New(Config{Queues: 4, Seed: 19})
-	tn2, _ := s2.tenant([]byte("off"))
-	for i := 0; i < 10; i++ {
-		tn2.observeLatency(time.Second)
+}
+
+// TestDefaultServerRunsLadder pins that the ladder is a property of every
+// server, not an option: New(Config{}) holds the documented values, and its
+// first mutating request feeds the shed EWMA.
+func TestDefaultServerRunsLadder(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	want := ladder{
+		requestTimeout:    time.Second,
+		shedTarget:        100 * time.Millisecond,
+		shedHold:          100 * time.Millisecond,
+		readTimeout:       30 * time.Second,
+		readHeaderTimeout: 10 * time.Second,
+		writeTimeout:      30 * time.Second,
+		maxHeaderBytes:    1 << 20,
 	}
-	if lvl := tn2.shedLevel.Load(); lvl != 0 {
-		t.Errorf("shed level moved to %d with shedding disabled", lvl)
+	if s.ladder != want {
+		t.Errorf("default ladder = %+v, want %+v", s.ladder, want)
+	}
+	if code := c.post("/v1/d/enqueue-batch",
+		EnqueueBatchRequest{Session: "s", Items: wireItems(1)}, nil); code != http.StatusOK {
+		t.Fatalf("enqueue = %d, want 200", code)
+	}
+	tn, _ := s.tenant([]byte("d"))
+	if tn.latEWMA.Load() == 0 {
+		t.Error("latency EWMA still 0 after a mutating request on a default server")
 	}
 }
 

@@ -29,9 +29,10 @@ const maxBody = 8 << 20
 // only read, and only until handle returns.
 type request struct {
 	method, path, query, body []byte
-	// deadline bounds the session-lease wait and the apply loops: the
-	// request's arrival plus Config.RequestTimeout, zero for none.
-	deadline time.Time
+	// arrival is when the transport began to read the request. The
+	// deadline is arrival + requestTimeout; the shed EWMA samples the time
+	// from arrival to the answer.
+	arrival time.Time
 }
 
 // reply is an answer without its body.
@@ -87,17 +88,26 @@ func (sc *scratch) walItems(items []WireItem) []wal.Item {
 	return sc.wal
 }
 
-// requestDeadline is now plus Config.RequestTimeout, zero without one.
-func (s *Server) requestDeadline() time.Time {
-	if d := s.cfg.RequestTimeout; d > 0 {
-		return time.Now().Add(d)
-	}
-	return time.Time{}
+// deadlineStride is how many items an apply loop runs between two reads of
+// the clock against the request deadline. The first read is after item 64,
+// so a batch of 64 or fewer runs without one.
+const deadlineStride = 64
+
+// deadline is rq's arrival plus the request timeout.
+func (s *Server) deadline(rq *request) time.Time {
+	return rq.arrival.Add(s.ladder.requestTimeout)
 }
 
-// expired reports whether a request deadline has passed.
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && !time.Now().Before(deadline)
+// overdue reports whether an apply loop that has run n items must stop for
+// rq's deadline: it reads the clock only at every deadlineStride-th item,
+// and inlines into the loop.
+func (s *Server) overdue(rq *request, n int) bool {
+	return n%deadlineStride == 0 && n > 0 && s.expired(rq)
+}
+
+// expired reports whether rq's deadline has passed.
+func (s *Server) expired(rq *request) bool {
+	return !time.Now().Before(s.deadline(rq))
 }
 
 func errorReply(dst []byte, status int, msg string) ([]byte, reply) {
@@ -198,22 +208,24 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 			return appendError(dst, "load shed"), reply{status: http.StatusTooManyRequests, retryAfter: retryAfter}
 		}
 	}
-	var start time.Time
-	if mutating && s.cfg.ShedTarget > 0 {
-		start = time.Now()
-	}
 	defer func() {
 		rec := recover()
+		// One clock read serves the lease's idle stamp, the shed EWMA's
+		// sample and the shed level's dwell check.
+		var now time.Time
+		if sc.lease != nil || mutating {
+			now = time.Now()
+		}
 		if l := sc.lease; l != nil {
 			sc.lease = nil
 			if rec != nil {
-				t.repair(l)
+				t.repair(l, now)
 			} else {
-				l.done()
+				l.done(now)
 			}
 		}
-		if !start.IsZero() {
-			t.observeLatency(time.Since(start))
+		if mutating {
+			t.observeLatency(now.Sub(rq.arrival), now)
 		}
 		if rec != nil {
 			site, injected := fail.IsInjectedPanic(rec)
@@ -297,7 +309,7 @@ func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte)
 	if len(items) == 0 || len(items) > MaxWireBatch {
 		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("items must number in [1, %d]", MaxWireBatch))
 	}
-	l, ok := t.lease(rq.deadline, sc.rq.session)
+	l, ok := t.lease(s.deadline(rq), sc.rq.session)
 	if !ok {
 		return busyReply(dst, t)
 	}
@@ -336,7 +348,7 @@ func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte)
 					fmt.Sprintf("injected abort after %d items", applied))
 			}
 		}
-		if expired(rq.deadline) {
+		if s.overdue(rq, applied) {
 			t.deadlineAborts.Add(1)
 			return errorReply(dst, http.StatusServiceUnavailable,
 				fmt.Sprintf("deadline exceeded after %d items", applied))
@@ -366,7 +378,7 @@ func (s *Server) opDeleteMinUpTo(sc *scratch, t *tenant, rq *request, dst []byte
 	if max < 1 || max > MaxWireBatch {
 		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("max must be in [1, %d]", MaxWireBatch))
 	}
-	l, ok := t.lease(rq.deadline, sc.rq.session)
+	l, ok := t.lease(s.deadline(rq), sc.rq.session)
 	if !ok {
 		return busyReply(dst, t)
 	}
@@ -398,7 +410,7 @@ func (s *Server) opDeleteMinUpTo(sc *scratch, t *tenant, rq *request, dst []byte
 	}()
 	truncated := false
 	for len(items) < max {
-		if expired(rq.deadline) {
+		if s.overdue(rq, len(items)) {
 			// Deadline mid-drain: answer 200 with what was obtained — the
 			// elements are already removed, so a partial success is the
 			// response that keeps delivered-exactly-once intact.
@@ -434,7 +446,7 @@ func (s *Server) opCounterAddBatch(sc *scratch, t *tenant, rq *request, dst []by
 	if len(deltas) == 0 || len(deltas) > MaxWireBatch {
 		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("deltas must number in [1, %d]", MaxWireBatch))
 	}
-	l, ok := t.lease(rq.deadline, sc.rq.session)
+	l, ok := t.lease(s.deadline(rq), sc.rq.session)
 	if !ok {
 		return busyReply(dst, t)
 	}
@@ -462,7 +474,7 @@ func (s *Server) opCounterAddBatch(sc *scratch, t *tenant, rq *request, dst []by
 		_ = journal()
 	}()
 	for _, d := range deltas {
-		if expired(rq.deadline) {
+		if s.overdue(rq, applied) {
 			t.deadlineAborts.Add(1)
 			return errorReply(dst, http.StatusServiceUnavailable,
 				fmt.Sprintf("deadline exceeded after %d deltas", applied))
@@ -494,7 +506,7 @@ func (s *Server) opCounterRead(sc *scratch, t *tenant, rq *request, dst []byte) 
 	if session == "" {
 		return errorReply(dst, http.StatusBadRequest, "session query parameter required")
 	}
-	l, ok := t.lease(rq.deadline, []byte(session))
+	l, ok := t.lease(s.deadline(rq), []byte(session))
 	if !ok {
 		return busyReply(dst, t)
 	}
@@ -573,6 +585,7 @@ var (
 
 // ServeHTTP answers one request through the transport-free core.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	arrival := time.Now()
 	s.requests.Add(1)
 	hs := scratchPool.Get().(*httpScratch)
 	defer scratchPool.Put(hs)
@@ -591,7 +604,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		out, rp = errorReply(hs.out[:0], http.StatusBadRequest, "bad request body: "+err.Error())
 	default:
-		rq := request{method: in[:m], path: in[m:p], query: in[p:q], body: in[q:], deadline: s.requestDeadline()}
+		rq := request{method: in[:m], path: in[m:p], query: in[p:q], body: in[q:], arrival: arrival}
 		out, rp = s.handle(&hs.scratch, &rq, hs.out[:0])
 	}
 	h := w.Header()

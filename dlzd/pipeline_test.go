@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The suites drive Serve; these three drive the http.Handler adapter, which
@@ -92,6 +93,7 @@ func TestHotRequestsZeroAlloc(t *testing.T) {
 	dst := make([]byte, 0, 1024)
 	round := func() {
 		for i := range requests {
+			requests[i].arrival = time.Now() // as a transport stamps it
 			out, rp := s.handle(&sc, &requests[i], dst[:0])
 			if rp.status != http.StatusOK {
 				t.Fatalf("%s = %d %s", requests[i].path, rp.status, out)

@@ -117,16 +117,15 @@ func newTenant(name string, srv *Server) *tenant {
 }
 
 // lease returns the live lease for token, creating one on first use. The
-// returned lease is locked; serveTenantOp's recovery envelope releases it
-// with l.done (normal return) or t.repair (panic). A lease that lost a race
+// returned lease is locked; tenantOp's recovery envelope releases it with
+// l.done (normal return) or t.repair (panic). A lease that lost a race
 // with the expiry sweep is closed by the time its lock is acquired; the
 // lookup retries so the caller always gets a live one.
 //
-// The lock wait is bounded by deadline: when the request carries one
-// (Config.RequestTimeout) and the token's current holder does not release in
-// time — stalled, descheduled, or serving a long drain — ok is false and the
-// caller answers 503 busy instead of joining an unbounded convoy on one
-// session token.
+// The lock wait is bounded by the request deadline: when the token's
+// current holder does not release in time — stalled, descheduled, or serving
+// a long drain — ok is false and the caller answers 503 busy instead of
+// joining an unbounded convoy on one session token.
 func (t *tenant) lease(deadline time.Time, token []byte) (*lease, bool) {
 	for {
 		t.mu.Lock()
@@ -154,13 +153,10 @@ func (t *tenant) lease(deadline time.Time, token []byte) (*lease, bool) {
 	}
 }
 
-// lockUntil acquires the lease lock, giving up at deadline. The zero
-// deadline blocks unconditionally (the cheap path: no clock, one Lock).
+// lockUntil acquires the lease lock, giving up at deadline. An uncontended
+// lock is one TryLock: the clock is read only while the lock is held by
+// another request.
 func (l *lease) lockUntil(deadline time.Time) bool {
-	if deadline.IsZero() {
-		l.mu.Lock()
-		return true
-	}
 	for !l.mu.TryLock() {
 		left := time.Until(deadline)
 		if left <= 0 {
@@ -171,9 +167,9 @@ func (l *lease) lockUntil(deadline time.Time) bool {
 	return true
 }
 
-// done releases a lease taken with tenant.lease, stamping it as just used.
-func (l *lease) done() {
-	l.lastUsed.Store(time.Now().UnixNano())
+// done releases a lease taken with tenant.lease, stamping it as used at now.
+func (l *lease) done(now time.Time) {
+	l.lastUsed.Store(now.UnixNano())
 	l.mu.Unlock()
 }
 
@@ -262,8 +258,8 @@ func (l *lease) tryFlush() (ok bool) {
 // the handles themselves keep faulting — delink and retire the lease through
 // the close ladder. Either way l.mu is released and the token is immediately
 // serviceable again (same lease if flushed, a fresh one if retired).
-func (t *tenant) repair(l *lease) {
-	defer l.done()
+func (t *tenant) repair(l *lease, now time.Time) {
+	defer l.done(now)
 	if l.closed {
 		return
 	}
@@ -377,9 +373,8 @@ type leaseAggregate struct {
 // shed is the adaptive-admission decision for one mutating request: at shed
 // level L (0..3), L out of every 4 are rejected, and the Retry-After hint
 // doubles with each level (1s, 2s, 4s) so shed traffic spreads out instead
-// of hammering a tenant that is already past its latency target. Level 0 —
-// the permanent state when Config.ShedTarget is unset — costs one atomic
-// load.
+// of hammering a tenant that is already past its latency target. Level 0
+// costs one atomic load.
 func (t *tenant) shed() (retryAfterSeconds int, shed bool) {
 	lvl := t.shedLevel.Load()
 	if lvl <= 0 {
@@ -392,17 +387,14 @@ func (t *tenant) shed() (retryAfterSeconds int, shed bool) {
 	return 0, false
 }
 
-// observeLatency feeds one mutating request's wall time into the shed
-// EWMA (α = 1/8) and moves the shed level: up one step while the EWMA
-// exceeds ShedTarget, down one step once it falls below half the target,
-// never more often than ShedHold. The CAS on shedShift makes concurrent
-// observers agree on at most one step per dwell; everything else tolerates
-// racy updates (a lost EWMA store skews the estimate by one sample).
-func (t *tenant) observeLatency(d time.Duration) {
-	target := t.srv.cfg.ShedTarget
-	if target <= 0 {
-		return
-	}
+// observeLatency feeds one mutating request's time from arrival to answer,
+// d, answered at now, into the shed EWMA (α = 1/8) and moves the shed
+// level: up one step while the EWMA exceeds shedTarget, down one step once
+// it falls below half the target, never more often than shedHold. The CAS
+// on shedShift makes concurrent observers agree on at most one step per
+// dwell; everything else tolerates racy updates (a lost EWMA store skews the
+// estimate by one sample).
+func (t *tenant) observeLatency(d time.Duration, now time.Time) {
 	us := uint64(d.Microseconds())
 	if us == 0 {
 		us = 1
@@ -414,20 +406,20 @@ func (t *tenant) observeLatency(d time.Duration) {
 	}
 	t.latEWMA.Store(ewma)
 
-	now := time.Now().UnixNano()
+	at := now.UnixNano()
 	last := t.shedShift.Load()
-	if now-last < int64(t.srv.cfg.ShedHold) {
+	if at-last < int64(t.srv.ladder.shedHold) {
 		return
 	}
 	lvl := t.shedLevel.Load()
-	tgt := uint64(target.Microseconds())
+	tgt := uint64(t.srv.ladder.shedTarget.Microseconds())
 	switch {
 	case ewma > tgt && lvl < 3:
-		if t.shedShift.CompareAndSwap(last, now) {
+		if t.shedShift.CompareAndSwap(last, at) {
 			t.shedLevel.Store(lvl + 1)
 		}
 	case ewma < tgt/2 && lvl > 0:
-		if t.shedShift.CompareAndSwap(last, now) {
+		if t.shedShift.CompareAndSwap(last, at) {
 			t.shedLevel.Store(lvl - 1)
 		}
 	}
