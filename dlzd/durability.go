@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/heap"
 	"repro/internal/wal"
 )
 
@@ -99,10 +99,9 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 		_ = l.Close()
 		return nil, fmt.Errorf("dlzd: journal holds %d tenants, MaxTenants is %d", len(states), s.cfg.MaxTenants)
 	}
-	// The fold's multiset died when Open returned; only states survive it.
-	// Collect it now, so the shards, whose arrays grow as restore re-enqueues
-	// into them, reuse its spans instead of touching fresh pages and raising
-	// the recovered daemon's peak RSS (EXPERIMENTS.md §23).
+	// Everything the fold built but the states died when Open returned.
+	// Collect it now, so the shards growing under restore reuse its spans,
+	// not fresh pages that would raise the peak RSS (EXPERIMENTS.md §26).
 	runtime.GC()
 	for _, st := range states {
 		if err := s.restoreTenant(st); err != nil {
@@ -221,7 +220,7 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 	}()
 
 	snap := &wal.Snapshot{}
-	var elems []heap.Item // one drain buffer for every tenant's capture
+	var elems []wal.Item // one drain buffer for every tenant's capture
 	for _, t := range tenants {
 		// Quiesce the leases: publish buffered inserts and increments, and
 		// return unconsumed prefetched elements so the capture sees them.
@@ -243,16 +242,13 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 		elems = t.mq.SnapshotElements(elems[:0])
 		st := wal.TenantState{
 			Name:            t.name,
-			Items:           make([]wal.Item, len(elems)),
+			Items:           slices.Clone(elems),
 			CounterSum:      t.mc.Exact(),
 			OpsEnqueued:     t.opsEnqueued.Load(),
 			OpsDequeued:     t.opsDequeued.Load(),
 			OpsCounterAdds:  t.opsCounterAdds.Load(),
 			CounterDeltaSum: t.counterDeltaSum.Load(),
 			OpsMetered:      t.opsMetered.Load(),
-		}
-		for i, e := range elems {
-			st.Items[i] = wal.Item(e)
 		}
 		st.SortItems()
 		snap.Tenants = append(snap.Tenants, st)

@@ -12,13 +12,25 @@
 // set of m linearizable priority queues" built from sequential ones.
 package heap
 
-import "math"
+import (
+	"cmp"
+	"math"
+)
 
 // Item is a priority-queue entry: a 64-bit priority (smaller dequeues first)
 // and an opaque 64-bit payload.
 type Item struct {
 	Priority uint64
 	Value    uint64
+}
+
+// Compare orders items by priority, then by value: the total order in which
+// the journal stores and folds them (Binary needs only the priority).
+func (a Item) Compare(b Item) int {
+	if c := cmp.Compare(a.Priority, b.Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Value, b.Value)
 }
 
 // stashRun is how many items of a batch bound for the tail of Binary's

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/heap"
 )
 
 // Frame layout (all integers little-endian):
@@ -46,11 +48,9 @@ const maxBatchItems = 1 << 16
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Item is one priority-queue element as journaled: the same (priority,
-// value) pair the wire protocol carries.
-type Item struct {
-	Priority uint64
-	Value    uint64
-}
+// value) pair the wire protocol carries, and the shards' own element type,
+// so a snapshot takes the shards' elements as they are.
+type Item = heap.Item
 
 // RecordType discriminates journal records. Values are part of the on-disk
 // format; never renumber.

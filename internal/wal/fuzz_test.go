@@ -45,7 +45,7 @@ func FuzzWALReplay(f *testing.F) {
 	// A 165-byte enqueue of eight items, longer than every window.
 	long := Record{LSN: 1, Type: RecEnqueue, Tenant: "acme", Session: "s1", Metered: 8}
 	for i := uint64(0); i < 8; i++ {
-		long.Items = append(long.Items, Item{i, 10 * i})
+		long.Items = append(long.Items, Item{Priority: i, Value: 10 * i})
 	}
 	f.Add(appendFrame(appendFrame(nil, &long), &Record{LSN: 2, Type: RecSessionClose, Tenant: "acme", Session: "s1"}))
 	// Two 32-byte frames fill the 64-byte window exactly; the third frame is
@@ -99,7 +99,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	valid := encodeSnapshot(nil, &Snapshot{
 		CutLSN: 42,
 		Tenants: []TenantState{
-			{Name: "a", Items: []Item{{1, 1}, {2, 2}}, CounterSum: 3,
+			{Name: "a", Items: []Item{{Priority: 1, Value: 1}, {Priority: 2, Value: 2}}, CounterSum: 3,
 				OpsEnqueued: 2, OpsDequeued: 0, OpsCounterAdds: 1,
 				CounterDeltaSum: 3, OpsMetered: 3},
 			{Name: "b"},
@@ -141,9 +141,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 func sampleFuzzRecords() []Record {
 	return []Record{
 		{Type: RecEnqueue, Tenant: "acme", Session: "s1",
-			Items: []Item{{5, 50}, {3, 30}}, Metered: 2},
+			Items: []Item{{Priority: 5, Value: 50}, {Priority: 3, Value: 30}}, Metered: 2},
 		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12, Metered: 3},
-		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{3, 30}}, Metered: 1},
+		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{Priority: 3, Value: 30}}, Metered: 1},
 		{Type: RecSessionClose, Tenant: "acme", Session: "s1"},
 	}
 }

@@ -2,7 +2,7 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -65,7 +65,7 @@ const recoverWindow = 64 << 10
 // stops at the first invalid frame, exactly like the recovery state machine
 // in DESIGN.md §12. Only I/O failures return errors.
 func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
-	entries, err := os.ReadDir(dir)
+	segs, snaps, err := listDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return &Recovered{}, nil
@@ -73,32 +73,16 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		return nil, err
 	}
 
-	type seg struct {
-		first uint64
-		path  string
-	}
-	var segs []seg
-	var snaps []seg // first = cut LSN
-	for _, e := range entries {
-		name := e.Name()
-		if first, ok := parseSeq(name, "wal-", ".seg"); ok {
-			segs = append(segs, seg{first, filepath.Join(dir, name)})
-		} else if cut, ok := parseSeq(name, "snap-", ".snap"); ok {
-			snaps = append(snaps, seg{cut, filepath.Join(dir, name)})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].first > snaps[j].first })
-
 	rec := &Recovered{}
-	for _, sn := range snaps {
-		if s, err := loadSnapshotFile(sn.path); err == nil {
+	for i := len(snaps) - 1; i >= 0; i-- { // newest first
+		if s, err := loadSnapshotFile(snaps[i].path); err == nil {
 			rec.Snapshot = s
 			rec.SnapshotCut = s.CutLSN
 			break
 		}
 		// An undecodable snapshot (torn write before the rename discipline,
-		// bit rot) is skipped; an older one or the raw journal still works.
+		// bit rot, items out of order) is skipped; an older one or the raw
+		// journal still works.
 	}
 	cut := rec.SnapshotCut
 	rec.Head = cut
@@ -107,7 +91,7 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	// cut+1. Everything before it holds only snapshotted records.
 	start := 0
 	for i := range segs {
-		if segs[i].first <= cut+1 {
+		if segs[i].seq <= cut+1 {
 			start = i
 		}
 	}
@@ -128,7 +112,7 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	win := make([]byte, recoverWindow) // every segment streams through it
 	for i := start; i < len(segs); i++ {
 		s := segs[i]
-		if s.first > rec.Head+1 {
+		if s.seq > rec.Head+1 {
 			// LSN gap: this segment and everything after it are unreachable
 			// from the durable prefix.
 			rec.SegmentsDropped += len(segs) - i
@@ -144,7 +128,7 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 			return nil, err
 		}
 		var good, size int64
-		good, size, win, err = sc.scanStream(file, win, s.first, visit)
+		good, size, win, err = sc.scanStream(file, win, s.seq, visit)
 		_ = file.Close() // read-only
 		if err != nil {
 			return nil, err
@@ -174,7 +158,7 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 // payloadLen returns the encoded payload size of r without materializing
 // the frame (Append's size check, and tail-size accounting during recovery).
 func payloadLen(r *Record) int {
-	n := 1 + 8 + 1 + min255(len(r.Tenant)) + 1 + min255(len(r.Session))
+	n := 1 + 8 + 1 + min(len(r.Tenant), 255) + 1 + min(len(r.Session), 255)
 	switch r.Type {
 	case RecEnqueue, RecDeleteMin:
 		n += 4 + 16*len(r.Items) + 8
@@ -184,52 +168,45 @@ func payloadLen(r *Record) int {
 	return n
 }
 
-func min255(n int) int {
-	if n > 255 {
-		return 255
-	}
-	return n
-}
-
 // fold accumulates a snapshot plus journal records into per-tenant logical
 // state, one record at a time. It is a pure function of the record
 // sequence, so replaying the same journal twice yields identical output —
 // the determinism guarantee the recovery tests diff.
 //
-// The journal tail's queue contents are a signed multiset per tenant: an
-// enqueued element counts +1, a delivered one −1, and an entry that returns
-// to zero leaves the map, so what is resident is the tail's unmatched
-// elements, not every element the journal ever mentioned. A count may go
-// negative: a delete whose element has no matching enqueue yet (the element
-// was enqueued and dequeued by racing sessions and the dequeue record was
-// appended first — append order is per-record, not per-element), or a delete
-// of an element the snapshot holds. If the enqueue follows, the pair cancels
-// then. The snapshot's elements stay in their tenant's Items slice, out of
-// the map, and meet the negative entries once, in states: each snapshot copy
-// of an element is dropped while its count is negative, and the count rises
-// by one. What is still negative after that is a delete whose enqueue the
-// crash cut off; it is compensated by crediting the missing enqueue, so the
-// recovered ledger still satisfies
+// A tenant keeps the tail's unmatched elements as two runs in canonical
+// (priority, value) order, enqueues (seeded with the snapshot's items) and
+// deletes, beside an unsorted delta that its records append to. flush
+// cancels the delta against itself and the runs and merges the rest in, so
+// a matched pair cancels once both halves have met, as in Lee & Mathur's
+// decrease-and-conquer monitor. No element is in both runs: one with S
+// snapshot copies, E enqueues and D deletes ends as max(0, S+E−D) queue
+// copies and max(0, D−E−S) delete-run copies in any arrival order (integer
+// addition commutes, so one pass equals applying all enqueues first). A
+// delete-run copy is a delete whose enqueue the crash cut off (append order
+// is per record, not per element: a racing session's dequeue can be
+// journaled first). Crediting the missing enqueue keeps the ledger exact,
 //
 //	QueueLen == OpsEnqueued - OpsDequeued
 //
-// exactly, and the element itself is (correctly) absent from the queue.
-// With S snapshot copies, E enqueues and D deletes of one element, the queue
-// gets max(0, S+E−D) copies and the ledger max(0, D−E−S) credits whatever
-// order they arrive in, which is why one pass equals applying all enqueues
-// first.
+// and the element itself is (correctly) absent from the queue.
 type fold struct {
 	tenants map[string]*tenantFold
 }
 
+// deltaFloor is the fewest items a tenant's delta collects before a flush;
+// once the runs hold more than four times that, it waits for a quarter of
+// them, so that a flush's pass over the runs costs O(1) per delta item.
+const deltaFloor = 4096
+
 type tenantFold struct {
-	st  TenantState    // Items holds the snapshot's copies until states
-	net map[Item]int64 // the tail's signed multiset; no entry is ever zero
+	st         TenantState // Items is the enqueue run
+	deleted    []Item      // the delete run
+	adds, dels []Item      // the delta: items of the records since the last flush
 }
 
 // newFold starts a fold from snap. It moves each snapshot tenant's Items
-// into the fold, leaving them nil in snap: states compacts that array in
-// place and returns it as the tenant's queue.
+// into the fold as its enqueue run, leaving them nil in snap: the run is
+// compacted and grown in place and returned as the tenant's queue.
 func newFold(snap *Snapshot) *fold {
 	f := &fold{tenants: make(map[string]*tenantFold)}
 	if snap != nil {
@@ -244,7 +221,7 @@ func newFold(snap *Snapshot) *fold {
 func (f *fold) tenant(name string) *tenantFold {
 	t := f.tenants[name]
 	if t == nil {
-		t = &tenantFold{st: TenantState{Name: name}, net: make(map[Item]int64)}
+		t = &tenantFold{st: TenantState{Name: name}}
 		f.tenants[name] = t
 	}
 	return t
@@ -256,15 +233,11 @@ func (f *fold) apply(r *Record) {
 	t := f.tenant(r.Tenant)
 	switch r.Type {
 	case RecEnqueue:
-		for _, it := range r.Items {
-			t.add(it, 1)
-		}
+		t.adds = append(t.adds, r.Items...)
 		t.st.OpsEnqueued += uint64(len(r.Items))
 		t.st.OpsMetered += r.Metered
 	case RecDeleteMin:
-		for _, it := range r.Items {
-			t.add(it, -1)
-		}
+		t.dels = append(t.dels, r.Items...)
 		t.st.OpsDequeued += uint64(len(r.Items))
 		t.st.OpsMetered += r.Metered
 	case RecCounterAdd:
@@ -273,58 +246,69 @@ func (f *fold) apply(r *Record) {
 		t.st.CounterSum += r.Weight
 		t.st.OpsMetered += r.Metered
 	}
-}
-
-func (t *tenantFold) add(it Item, d int64) {
-	if n := t.net[it] + d; n == 0 {
-		delete(t.net, it)
-	} else {
-		t.net[it] = n
+	if len(t.adds)+len(t.dels) >= max(deltaFloor, (len(t.st.Items)+len(t.deleted))/4) {
+		t.flush()
 	}
 }
 
-// states finishes the fold: negative entries first cancel snapshot copies,
-// then positive entries join the queue's items in canonical order and
-// negative ones become the compensating enqueue credits. Each tenant's
-// multiset is released as soon as it has been read out.
+// flush sorts the delta, cancels it against itself and the runs, and merges
+// what is left into the runs. The delta's arrays are kept for the next one.
+func (t *tenantFold) flush() {
+	slices.SortFunc(t.adds, Item.Compare)
+	slices.SortFunc(t.dels, Item.Compare)
+	adds, dels := cancel(t.adds, t.dels)
+	t.st.Items, dels = cancel(t.st.Items, dels)
+	t.deleted, adds = cancel(t.deleted, adds)
+	t.st.Items = merge(t.st.Items, adds)
+	t.deleted = merge(t.deleted, dels)
+	t.adds, t.dels = t.adds[:0], t.dels[:0]
+}
+
+// cancel removes one copy from each of the sorted a and b for every pair of
+// equal items they hold, compacting both in place.
+func cancel(a, b []Item) ([]Item, []Item) {
+	i, j, ka, kb := 0, 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := a[i].Compare(b[j]); {
+		case c < 0:
+			a[ka], i, ka = a[i], i+1, ka+1
+		case c > 0:
+			b[kb], j, kb = b[j], j+1, kb+1
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	ka += copy(a[ka:], a[i:])
+	kb += copy(b[kb:], b[j:])
+	return a[:ka], b[:kb]
+}
+
+// merge merges the sorted b into the sorted a from the back, so a's array,
+// grown first if it is too short, is the only one written.
+func merge(a, b []Item) []Item {
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i].Compare(b[j]) > 0 {
+			a[k], i = a[i], i-1
+		} else {
+			a[k], j = b[j], j-1
+		}
+	}
+	return a
+}
+
+// states finishes the fold: a last flush, then each tenant's enqueue run is
+// its queue, already in canonical order, and each item left in its delete
+// run is a compensating enqueue credit.
 func (f *fold) states() []TenantState {
 	out := make([]TenantState, 0, len(f.tenants))
 	for _, t := range f.tenants {
-		items := t.st.Items
-		if len(t.net) > 0 {
-			kept := items[:0]
-			for _, it := range items {
-				if t.net[it] < 0 {
-					t.add(it, 1)
-				} else {
-					kept = append(kept, it)
-				}
-			}
-			items = kept
+		t.flush()
+		t.st.OpsEnqueued += uint64(len(t.deleted))
+		if len(t.st.Items) == 0 {
+			t.st.Items = nil // as for a tenant that never had items: equal states stay DeepEqual
 		}
-		live := 0
-		for _, n := range t.net {
-			if n > 0 {
-				live += int(n)
-			}
-		}
-		if len(items)+live > cap(items) {
-			items = append(make([]Item, 0, len(items)+live), items...)
-		}
-		for it, n := range t.net {
-			for ; n > 0; n-- {
-				items = append(items, it)
-			}
-			if n < 0 {
-				t.st.OpsEnqueued += uint64(-n)
-			}
-		}
-		if len(items) == 0 {
-			items = nil // as for a tenant that never had items: equal states stay DeepEqual
-		}
-		t.st.Items = items
-		t.net = nil
-		t.st.SortItems()
 		out = append(out, t.st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

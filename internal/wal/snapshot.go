@@ -3,7 +3,6 @@ package wal
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -11,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 )
 
 // snapMagic heads every snapshot payload so a stray file can never be
@@ -47,14 +45,7 @@ type TenantState struct {
 }
 
 // SortItems sorts ts.Items into the canonical (priority, value) order.
-func (ts *TenantState) SortItems() {
-	slices.SortFunc(ts.Items, func(a, b Item) int {
-		if c := cmp.Compare(a.Priority, b.Priority); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Value, b.Value)
-	})
-}
+func (ts *TenantState) SortItems() { slices.SortFunc(ts.Items, Item.Compare) }
 
 // Snapshot is a point-in-time capture of every tenant at a single cut LSN:
 // replaying records with LSN > CutLSN on top of it reproduces the journal
@@ -68,7 +59,7 @@ type Snapshot struct {
 func snapshotLen(s *Snapshot) int {
 	n := len(snapMagic) + 8 + 4
 	for i := range s.Tenants {
-		n += 1 + min255(len(s.Tenants[i].Name)) + 6*8 + 4 + 16*len(s.Tenants[i].Items)
+		n += 1 + min(len(s.Tenants[i].Name), 255) + 6*8 + 4 + 16*len(s.Tenants[i].Items)
 	}
 	return n
 }
@@ -129,7 +120,9 @@ func (d *snapDecoder) take(k int) ([]byte, error) {
 // through one buffer of at most 64 KiB and never past n bytes of r, and
 // decodes items from that buffer straight into each tenant's slice, so no
 // copy of the payload is ever resident. Strict: a payload that ends early,
-// carries an out-of-range count or has bytes left over is an error.
+// carries an out-of-range count, holds a tenant's items out of canonical
+// order (recovery folds the journal into them as a sorted run) or has bytes
+// left over is an error.
 func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 	d := snapDecoder{br: bufio.NewReaderSize(io.LimitReader(r, n), int(min(n, 64<<10))), left: n}
 	b, err := d.take(len(snapMagic) + 12)
@@ -171,7 +164,10 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 				return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
 			}
 			for ; len(b) > 0; b = b[16:] {
-				t.Items[j] = Item{binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])}
+				t.Items[j] = Item{Priority: binary.LittleEndian.Uint64(b), Value: binary.LittleEndian.Uint64(b[8:])}
+				if j > 0 && t.Items[j].Compare(t.Items[j-1]) < 0 {
+					return nil, fmt.Errorf("wal: snapshot tenant %q item %d out of order", t.Name, j)
+				}
 				j++
 			}
 		}
@@ -267,33 +263,23 @@ func readSnapshotFile(r io.Reader, size int64) (*Snapshot, error) {
 // failures are ignored: a leftover dead file is re-derived as dead on the
 // next recovery.
 func (l *Log) truncateObsolete(cut uint64) {
-	entries, err := os.ReadDir(l.opt.Dir)
+	segs, snaps, err := listDir(l.opt.Dir)
 	if err != nil {
 		return
 	}
 	l.mu.Lock()
-	active := l.segName
+	active := filepath.Join(l.opt.Dir, l.segName)
 	l.mu.Unlock()
-
-	type seg struct {
-		first uint64
-		name  string
-	}
-	var segs []seg
-	for _, e := range entries {
-		name := e.Name()
-		if first, ok := parseSeq(name, "wal-", ".seg"); ok {
-			segs = append(segs, seg{first, name})
-		} else if c, ok := parseSeq(name, "snap-", ".snap"); ok && c < cut {
-			_ = os.Remove(filepath.Join(l.opt.Dir, name))
+	for _, sn := range snaps {
+		if sn.seq < cut {
+			_ = os.Remove(sn.path)
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	// A segment is dead when its successor starts at or before cut+1: every
 	// record it holds is then ≤ cut and covered by the snapshot.
 	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].first <= cut+1 && segs[i].name != active {
-			_ = os.Remove(filepath.Join(l.opt.Dir, segs[i].name))
+		if segs[i+1].seq <= cut+1 && segs[i].path != active {
+			_ = os.Remove(segs[i].path)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func streamAll(data []byte, wantFirst uint64, w int) (recs []Record, goodLen, si
 // tenants that exist only in the snapshot or only in the tail.
 func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 	tenants := []string{"a", "b", "c", "d"}[:1+rng.Intn(4)]
-	item := func() Item { return Item{uint64(rng.Intn(4)), uint64(rng.Intn(3))} }
+	item := func() Item { return Item{Priority: uint64(rng.Intn(4)), Value: uint64(rng.Intn(3))} }
 
 	var snap *Snapshot
 	lsn := uint64(0)
@@ -122,7 +122,7 @@ func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 }
 
 // TestFoldMatchesTwoPassRebuild is the differential property test: on
-// seeded random streams the one-pass signed-multiset fold — fed from memory,
+// seeded random streams the one-pass fold into sorted runs — fed from memory,
 // and fed by the scanner out of its recycled scratch record — produces
 // exactly what the two-pass reference produces, down to the snapshot bytes.
 func TestFoldMatchesTwoPassRebuild(t *testing.T) {
@@ -195,6 +195,79 @@ func TestFoldMatchesTwoPassRebuild(t *testing.T) {
 	}
 }
 
+// TestFoldFlushesMatchTwoPassRebuild holds the fold to the two-pass
+// reference on streams long enough that every tenant's delta is flushed into
+// its runs at least ten times before states: a snapshot seed, a key space of
+// twelve elements so that each one is enqueued and deleted thousands of
+// times over, and rounds biased toward enqueues or toward deletes so that
+// either run grows. A delete that reaches the delete run in one flush and
+// meets its enqueue in a later one must occur, or the test fails.
+func TestFoldFlushesMatchTwoPassRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	item := func() Item { return Item{Priority: uint64(rng.Intn(4)), Value: uint64(rng.Intn(3))} }
+	lateEnqueues := 0
+	for round, enqueueShare := range []float64{0.5, 0.56, 0.44, 0.5} {
+		tenants := []string{"a", "b", "c"}[:1+round%3]
+		snap := &Snapshot{CutLSN: 100}
+		fed := make([]int, len(tenants)) // items each tenant's records carry
+		for _, name := range tenants {
+			ts := TenantState{Name: name}
+			for n := rng.Intn(3000); n > 0; n-- {
+				ts.Items = append(ts.Items, item())
+			}
+			ts.SortItems()
+			ts.OpsEnqueued = uint64(len(ts.Items))
+			snap.Tenants = append(snap.Tenants, ts)
+		}
+		var recs []Record
+		for lsn := snap.CutLSN + 1; ; lsn++ {
+			tn := rng.Intn(len(tenants))
+			r := Record{LSN: lsn, Type: RecDeleteMin, Tenant: tenants[tn], Session: "s"}
+			if rng.Float64() < enqueueShare {
+				r.Type = RecEnqueue
+			}
+			for n := 1 + rng.Intn(64); n > 0; n-- {
+				r.Items = append(r.Items, item())
+			}
+			r.Metered = uint64(len(r.Items))
+			recs = append(recs, r)
+			fed[tn] += len(r.Items)
+			if slices.Min(fed) >= 12*deltaFloor {
+				break
+			}
+		}
+
+		f := newFold(cloneSnapshot(snap))
+		flushes := make(map[string]int)
+		for i := range recs {
+			r := &recs[i]
+			if r.Type == RecEnqueue {
+				for _, it := range r.Items {
+					if _, found := slices.BinarySearchFunc(f.tenant(r.Tenant).deleted, it, Item.Compare); found {
+						lateEnqueues++
+					}
+				}
+			}
+			f.apply(r)
+			if tf := f.tenants[r.Tenant]; len(tf.adds)+len(tf.dels) == 0 {
+				flushes[r.Tenant]++
+			}
+		}
+		got, want := f.states(), Rebuild(snap, recs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: fold across %v flushes differs from the two-pass rebuild", round, flushes)
+		}
+		for _, name := range tenants {
+			if flushes[name] < 10 {
+				t.Fatalf("round %d tenant %s: %d flushes, want >= 10", round, name, flushes[name])
+			}
+		}
+	}
+	if lateEnqueues == 0 {
+		t.Fatalf("no enqueue met a delete already flushed into the delete run")
+	}
+}
+
 // TestReplayRecordsAreDeepCopies pins the aliasing contract: the scanner
 // decodes every frame into one scratch record, so whatever keeps a record
 // must have copied it. Scribbling over the scratch record after the scan
@@ -206,7 +279,7 @@ func TestReplayRecordsAreDeepCopies(t *testing.T) {
 	var image []byte
 	for i := 0; i < 40; i++ {
 		r := Record{Type: RecEnqueue, Tenant: "t", Session: "s", Metered: 3,
-			Items: []Item{{uint64(i), 1}, {uint64(i), 2}, {uint64(i), 3}}}
+			Items: []Item{{Priority: uint64(i), Value: 1}, {Priority: uint64(i), Value: 2}, {Priority: uint64(i), Value: 3}}}
 		mustAppend(t, l, r)
 		r.LSN = uint64(i + 1)
 		image = appendFrame(image, &r)
@@ -221,7 +294,7 @@ func TestReplayRecordsAreDeepCopies(t *testing.T) {
 	sc.scanSegment(image, 1, func(r *Record) { kept = append(kept, r.clone()) })
 	scratch := sc.rec.Items[:cap(sc.rec.Items)]
 	for i := range scratch {
-		scratch[i] = Item{^uint64(0), ^uint64(0)}
+		scratch[i] = Item{Priority: ^uint64(0), Value: ^uint64(0)}
 	}
 	sc.rec.Tenant, sc.rec.Session = "scribbled", "scribbled"
 	if !reflect.DeepEqual(kept, want) {
@@ -243,12 +316,12 @@ func TestReplayRecordsAreDeepCopies(t *testing.T) {
 
 // TestStreamingRecoveryZeroAlloc is the allocation gate on the boot path:
 // scanning a warm segment of batch-8 enqueue/delete pairs and folding it
-// allocates nothing — no Record, no Items slice, no string, no map growth —
-// and because every pair cancels the moment its delete is seen, the multiset
-// ends empty. Streaming the same segment through a window a small fraction
-// of its size, so that frames straddle every refill, allocates nothing
-// either once the window exists. Boot therefore holds one window plus the
-// live state.
+// allocates nothing — no Record, no Items slice, no string, no run growth —
+// and because both halves of every pair reach the same delta and cancel
+// there, the runs end empty. Streaming the same segment through a window a
+// small fraction of its size, so that frames straddle every refill,
+// allocates nothing either once the window exists. Boot therefore holds one
+// window plus the live state.
 func TestStreamingRecoveryZeroAlloc(t *testing.T) {
 	const pairs = 512
 	var image []byte
@@ -256,7 +329,7 @@ func TestStreamingRecoveryZeroAlloc(t *testing.T) {
 	for i := 0; i < pairs; i++ {
 		items := make([]Item, 8)
 		for j := range items {
-			items[j] = Item{uint64(i % 97), uint64(i*8 + j)}
+			items[j] = Item{Priority: uint64(i % 97), Value: uint64(i*8 + j)}
 		}
 		for _, typ := range []RecordType{RecEnqueue, RecDeleteMin} {
 			lsn++
@@ -288,8 +361,10 @@ func TestStreamingRecoveryZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, stream); allocs != 0 {
 		t.Fatalf("%v allocs per segment streamed through a warm %d-byte window, want 0", allocs, len(win))
 	}
-	if n := len(f.tenants["acme"].net); n != 0 {
-		t.Fatalf("%d elements left in the multiset after fully matched pairs", n)
+	acme := f.tenants["acme"]
+	acme.flush()
+	if n := len(acme.st.Items) + len(acme.deleted); n != 0 {
+		t.Fatalf("%d elements left in the runs after fully matched pairs", n)
 	}
 	st := f.states()
 	if len(st) != 1 || len(st[0].Items) != 0 || st[0].OpsEnqueued != st[0].OpsDequeued {
@@ -322,7 +397,7 @@ func TestOpenSegmentsAllocBound(t *testing.T) {
 		image = image[:0]
 		for len(image) < segBytes-512 {
 			for j := range items {
-				items[j] = Item{lsn % 97, lsn*8 + uint64(j)}
+				items[j] = Item{Priority: lsn % 97, Value: lsn*8 + uint64(j)}
 			}
 			for _, typ := range []RecordType{RecEnqueue, RecDeleteMin} {
 				lsn++
@@ -347,21 +422,92 @@ func TestOpenSegmentsAllocBound(t *testing.T) {
 	}
 }
 
+// TestOpenTailAllocBound is the boot-path memory gate for a journal tail
+// that leaves a large queue behind, as a killed daemon's does: four tenants
+// each enqueue 26 k elements in batches of 8, then enqueue and deliver
+// (in random order) four times as many more, so that 104 k elements survive
+// a tail of over 900 k. Open allocates at most 112 bytes per surviving
+// element. The fold keeps the unmatched elements in sorted arrays, 16 B per
+// element grown by append (85 B per survivor in all here), beside a delta of
+// a few thousand items; a fold that keeps them in a map from element to
+// count allocates 156 B per survivor here and fails, since an entry costs
+// several times 16 B and the deletes' tombstones grow the map further.
+func TestOpenTailAllocBound(t *testing.T) {
+	const tenants, prefill, rounds = 4, 26_000 / 8, 4 * 26_000 / 8
+	rng := rand.New(rand.NewSource(36))
+	var image []byte
+	var live [tenants][]Item // each tenant's enqueued, not yet delivered elements
+	lsn, seq := uint64(0), uint64(0)
+	appendBatch := func(tn int, typ RecordType) {
+		lsn++
+		r := Record{LSN: lsn, Type: typ, Tenant: fmt.Sprint("tenant-", tn), Session: "caller-0", Metered: 8}
+		for j := 0; j < 8; j++ {
+			if typ == RecDeleteMin {
+				k := rng.Intn(len(live[tn]))
+				r.Items = append(r.Items, live[tn][k])
+				live[tn][k] = live[tn][len(live[tn])-1]
+				live[tn] = live[tn][:len(live[tn])-1]
+				continue
+			}
+			seq++
+			it := Item{Priority: uint64(rng.Int63n(1 << 40)), Value: seq}
+			r.Items = append(r.Items, it)
+			live[tn] = append(live[tn], it)
+		}
+		image = appendFrame(image, &r)
+	}
+	for s := 0; s < prefill*tenants; s++ {
+		appendBatch(s%tenants, RecEnqueue)
+	}
+	for s := 0; s < rounds*tenants; s++ {
+		appendBatch(s%tenants, RecEnqueue)
+		appendBatch(s%tenants, RecDeleteMin)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	survivors := 0
+	for _, l := range live {
+		survivors += len(l)
+	}
+
+	var l *Log
+	var rec *Recovered
+	got := heapAllocated(func() { l, rec = testOpen(t, dir, Options{}) })
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Replayed != int(lsn) || len(rec.States) != tenants {
+		t.Fatalf("recovered %d of %d records, %d states", rec.Replayed, lsn, len(rec.States))
+	}
+	for i, st := range rec.States {
+		want := slices.Clone(live[i])
+		slices.SortFunc(want, Item.Compare)
+		if !reflect.DeepEqual(st.Items, want) || st.OpsEnqueued-st.OpsDequeued != uint64(len(want)) {
+			t.Fatalf("tenant %s: recovered %d items, want %d", st.Name, len(st.Items), len(want))
+		}
+	}
+	if perElem := float64(got) / float64(survivors); perElem > 112 {
+		t.Fatalf("Open of a tail leaving %d elements allocated %d bytes (%.1f per element), want <= 112", survivors, got, perElem)
+	}
+}
+
 // TestOpenSnapshotAllocBound is the boot-path memory gate for a large
 // snapshot: Open over a snapshot of 100 k elements and a short tail that
 // deletes some of them and enqueues others allocates at most 40 bytes per
 // element plus 256 KiB. The snapshot is decoded through a 64 KiB buffer
-// straight into its item array (16 B per element), and its elements stay out
-// of the fold's multiset. Here the tail's deletes free room in that array for
-// its enqueues; a tail that grows the queue costs one exact copy of the array
-// (16 B more per element), still inside the bound.
+// straight into its item array (16 B per element), which is the fold's
+// enqueue run. Here the tail's deletes free room in that array for its
+// enqueues; a tail that grows the queue costs one copy of the array grown by
+// append (about 20 B more per element), still inside the bound.
 func TestOpenSnapshotAllocBound(t *testing.T) {
 	const n, tail = 100_000, 64
 	dir := t.TempDir()
 	l, _ := testOpen(t, dir, Options{})
 	ts := TenantState{Name: "acme", OpsEnqueued: n, OpsMetered: n, Items: make([]Item, n)}
 	for i := range ts.Items {
-		ts.Items[i] = Item{uint64(i % 997), uint64(i)}
+		ts.Items[i] = Item{Priority: uint64(i % 997), Value: uint64(i)}
 	}
 	ts.SortItems()
 	if err := l.WriteSnapshot(&Snapshot{Tenants: []TenantState{ts}}); err != nil {
@@ -369,7 +515,7 @@ func TestOpenSnapshotAllocBound(t *testing.T) {
 	}
 	want := slices.Clone(ts.Items[tail:])
 	for i := 0; i < tail; i++ {
-		fresh := Item{1 << 40, uint64(i)}
+		fresh := Item{Priority: 1 << 40, Value: uint64(i)}
 		mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "acme", Session: "s", Items: ts.Items[i : i+1], Metered: 1})
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "acme", Session: "s", Items: []Item{fresh}, Metered: 1})
 		want = append(want, fresh)

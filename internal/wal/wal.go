@@ -16,17 +16,18 @@
 // snap-%016x.snap by their cut LSN. Recovery (Open) streams the newest
 // decodable snapshot into per-tenant item slices, then streams the chained
 // segment tail behind it through one 64 KiB read window, folding each record
-// into a multiset of the tail's unmatched elements as it is decoded. It
+// into sorted runs of the tail's unmatched elements as it is decoded. It
 // truncates the first torn or corrupt frame, drops unreachable later
 // segments, and reports the states and everything it did in Recovered. Boot
-// memory is the window, the snapshot's items and that multiset; the segment
-// size does not enter it.
+// memory is the window and those runs, which start as the snapshot's items;
+// the segment size does not enter it.
 package wal
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,6 +151,30 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 		return 0, false
 	}
 	return v, true
+}
+
+// dirFile is one journal file: a segment, whose seq is its first LSN, or a
+// snapshot, whose seq is its cut.
+type dirFile struct {
+	seq  uint64
+	path string
+}
+
+// listDir returns dir's segments and snapshots, each sorted by seq.
+func listDir(dir string) (segs, snaps []dirFile, err error) {
+	entries, err := os.ReadDir(dir)
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		if seq, ok := parseSeq(e.Name(), "wal-", ".seg"); ok {
+			segs = append(segs, dirFile{seq, path})
+		} else if seq, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
+			snaps = append(snaps, dirFile{seq, path})
+		}
+	}
+	for _, fs := range [][]dirFile{segs, snaps} {
+		sort.Slice(fs, func(i, j int) bool { return fs[i].seq < fs[j].seq })
+	}
+	return segs, snaps, err
 }
 
 // Open recovers the journal in opt.Dir (truncating any torn tail), starts a

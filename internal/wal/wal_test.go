@@ -49,9 +49,9 @@ func mustAppend(t *testing.T, l *Log, r Record) uint64 {
 func sampleRecords() []Record {
 	return []Record{
 		{Type: RecEnqueue, Tenant: "acme", Session: "s1",
-			Items: []Item{{5, 50}, {3, 30}}, Metered: 2},
+			Items: []Item{{Priority: 5, Value: 50}, {Priority: 3, Value: 30}}, Metered: 2},
 		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12, Metered: 3},
-		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{3, 30}}, Metered: 1},
+		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{Priority: 3, Value: 30}}, Metered: 1},
 		{Type: RecSessionClose, Tenant: "acme", Session: "s1"},
 		{Type: RecEnqueue, Tenant: "globex", Session: "g", Items: nil, Metered: 0},
 	}
@@ -119,7 +119,7 @@ func TestSegmentRollAndRecovery(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i), uint64(i)}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: uint64(i)}}, Metered: 1})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -165,7 +165,7 @@ func TestTornTailTruncated(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 5; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i), 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -199,7 +199,7 @@ func TestBitFlipStopsReplay(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 6; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i), 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -230,7 +230,7 @@ func TestDuplicateSegmentSuffixDropped(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 4; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i), 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -255,13 +255,13 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{SegmentBytes: 128})
 	for i := 0; i < 20; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i), uint64(100 + i)}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: uint64(100 + i)}}, Metered: 1})
 	}
 	snap := &Snapshot{
 		CutLSN: l.Head(),
 		Tenants: []TenantState{{
 			Name:        "t",
-			Items:       []Item{{1, 101}, {2, 102}},
+			Items:       []Item{{Priority: 1, Value: 101}, {Priority: 2, Value: 102}},
 			OpsEnqueued: 20, OpsMetered: 20,
 		}},
 	}
@@ -306,7 +306,7 @@ func TestWriteSnapshotAllocBound(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	ts := TenantState{Name: "acme", OpsEnqueued: n, OpsMetered: n, Items: make([]Item, n)}
 	for i := range ts.Items {
-		ts.Items[i] = Item{uint64(i), uint64(i)}
+		ts.Items[i] = Item{Priority: uint64(i), Value: uint64(i)}
 	}
 	snap := &Snapshot{Tenants: []TenantState{ts}}
 	var err error
@@ -330,7 +330,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 3; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i), 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
 	}
 	if err := l.WriteSnapshot(&Snapshot{CutLSN: 2}); err != nil {
 		t.Fatal(err)
@@ -357,6 +357,44 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderSnapshotFallsBack: a snapshot whose frame and checksum are
+// intact but whose items are out of canonical order fails to decode, since
+// the fold takes them as a sorted run, and recovery starts from the older
+// snapshot behind it instead.
+func TestOutOfOrderSnapshotFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{})
+	var items []Item
+	for i := 0; i < 4; i++ {
+		items = append(items, Item{Priority: uint64(i), Value: 1})
+		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s", Items: items[i:], Metered: 1})
+	}
+	older := TenantState{Name: "t", Items: items[:2], OpsEnqueued: 2, OpsMetered: 2}
+	if err := l.WriteSnapshot(&Snapshot{CutLSN: 2, Tenants: []TenantState{older}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newer := TenantState{Name: "t", Items: []Item{items[0], items[2], items[1], items[3]}, OpsEnqueued: 4, OpsMetered: 4}
+	payload := encodeSnapshot(nil, &Snapshot{CutLSN: 4, Tenants: []TenantState{newer}})
+	if _, err := DecodeSnapshot(payload); err == nil || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("out-of-order snapshot: err %v, want out of order", err)
+	}
+	file := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
+	if err := os.WriteFile(filepath.Join(dir, snapName(4)), append(file, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := testOpenAndClose(t, dir)
+	if rec.SnapshotCut != 2 || rec.Replayed != 2 || rec.Head != 4 {
+		t.Fatalf("recovered from cut %d with %d records to head %d, want cut 2, 2 records, head 4", rec.SnapshotCut, rec.Replayed, rec.Head)
+	}
+	if len(rec.States) != 1 || !reflect.DeepEqual(rec.States[0].Items, items) {
+		t.Fatalf("states %+v, want items %v", rec.States, items)
+	}
+}
+
 // TestFirstSnapshotLayoutRejected: a payload in the first snapshot layout,
 // which carried a u32 shard count per tenant, must fail on its magic rather
 // than be read with every later field shifted by four bytes.
@@ -375,19 +413,19 @@ func TestRebuildCompensation(t *testing.T) {
 	recs := []Record{
 		// The dequeue of (9,9) is journaled before any enqueue of it — the
 		// racing-session interleaving the fold compensates for.
-		{LSN: 1, Type: RecDeleteMin, Tenant: "a", Items: []Item{{9, 9}}, Metered: 1},
-		{LSN: 2, Type: RecEnqueue, Tenant: "a", Items: []Item{{1, 10}, {2, 20}}, Metered: 2},
-		{LSN: 3, Type: RecDeleteMin, Tenant: "a", Items: []Item{{1, 10}}, Metered: 1},
+		{LSN: 1, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 9, Value: 9}}, Metered: 1},
+		{LSN: 2, Type: RecEnqueue, Tenant: "a", Items: []Item{{Priority: 1, Value: 10}, {Priority: 2, Value: 20}}, Metered: 2},
+		{LSN: 3, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 10}}, Metered: 1},
 		{LSN: 4, Type: RecCounterAdd, Tenant: "a", Count: 2, Weight: 7, Metered: 2},
 		{LSN: 5, Type: RecSessionClose, Tenant: "a"},
-		{LSN: 6, Type: RecEnqueue, Tenant: "b", Items: []Item{{5, 5}}, Metered: 1},
+		{LSN: 6, Type: RecEnqueue, Tenant: "b", Items: []Item{{Priority: 5, Value: 5}}, Metered: 1},
 	}
 	out := foldAll(nil, recs)
 	if len(out) != 2 || out[0].Name != "a" || out[1].Name != "b" {
 		t.Fatalf("tenants: %+v", out)
 	}
 	a := out[0]
-	if !reflect.DeepEqual(a.Items, []Item{{2, 20}}) {
+	if !reflect.DeepEqual(a.Items, []Item{{Priority: 2, Value: 20}}) {
 		t.Fatalf("a items: %+v", a.Items)
 	}
 	// unmatched dequeue of (9,9) credits a compensating enqueue: 2+1 = 3.
@@ -409,21 +447,21 @@ func TestRebuildOnSnapshotBase(t *testing.T) {
 	snap := &Snapshot{
 		CutLSN: 10,
 		Tenants: []TenantState{{
-			Name: "a", Items: []Item{{1, 1}, {2, 2}},
+			Name: "a", Items: []Item{{Priority: 1, Value: 1}, {Priority: 2, Value: 2}},
 			CounterSum: 5, OpsEnqueued: 4, OpsDequeued: 2,
 			OpsCounterAdds: 1, CounterDeltaSum: 5, OpsMetered: 7,
 		}},
 	}
 	recs := []Record{
-		{LSN: 11, Type: RecDeleteMin, Tenant: "a", Items: []Item{{1, 1}}, Metered: 1},
-		{LSN: 12, Type: RecEnqueue, Tenant: "a", Items: []Item{{3, 3}}, Metered: 1},
+		{LSN: 11, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 1}}, Metered: 1},
+		{LSN: 12, Type: RecEnqueue, Tenant: "a", Items: []Item{{Priority: 3, Value: 3}}, Metered: 1},
 	}
 	out := foldAll(snap, recs)
 	if len(out) != 1 {
 		t.Fatalf("tenants: %+v", out)
 	}
 	a := out[0]
-	if !reflect.DeepEqual(a.Items, []Item{{2, 2}, {3, 3}}) {
+	if !reflect.DeepEqual(a.Items, []Item{{Priority: 2, Value: 2}, {Priority: 3, Value: 3}}) {
 		t.Fatalf("items: %+v", a.Items)
 	}
 	if a.OpsEnqueued != 5 || a.OpsDequeued != 3 || a.OpsMetered != 9 {
@@ -436,10 +474,10 @@ func TestRebuildDeterministic(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{SegmentBytes: 200})
 	for i := 0; i < 50; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{uint64(i % 7), uint64(i)}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i % 7), Value: uint64(i)}}, Metered: 1})
 		if i%3 == 0 {
 			mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "t", Session: "s",
-				Items: []Item{{uint64(i % 7), uint64(i)}}, Metered: 1})
+				Items: []Item{{Priority: uint64(i % 7), Value: uint64(i)}}, Metered: 1})
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -478,7 +516,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				r := Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-					Items: []Item{{uint64(w), uint64(i)}}, Metered: 1}
+					Items: []Item{{Priority: uint64(w), Value: uint64(i)}}, Metered: 1}
 				if _, err := l.Append(&r); err != nil {
 					errs <- err
 					return
@@ -538,7 +576,7 @@ func TestIntervalFlusher(t *testing.T) {
 func TestAppendRefusesOversizedRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := testOpen(t, dir, Options{})
-	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{{1, 1}}, Metered: 1})
+	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{{Priority: 1, Value: 1}}, Metered: 1})
 	seg := filepath.Join(dir, segName(1))
 	st, err := os.Stat(seg)
 	if err != nil {
@@ -548,10 +586,10 @@ func TestAppendRefusesOversizedRecord(t *testing.T) {
 	largest := Record{Type: RecEnqueue, Tenant: "t"}
 	largest.Items = make([]Item, (MaxPayload-payloadLen(&largest))/16)
 	for i := range largest.Items {
-		largest.Items[i] = Item{uint64(i), uint64(i)}
+		largest.Items[i] = Item{Priority: uint64(i), Value: uint64(i)}
 	}
 	over := largest
-	over.Items = append(largest.Items[:len(largest.Items):len(largest.Items)], Item{1 << 40, 1})
+	over.Items = append(largest.Items[:len(largest.Items):len(largest.Items)], Item{Priority: 1 << 40, Value: 1})
 	for _, r := range []Record{over, {Type: RecDeleteMin, Tenant: "t", Items: make([]Item, maxBatchItems+1)}} {
 		lsn, err := l.Append(&r)
 		if err == nil || lsn != 0 || r.LSN != 0 {
