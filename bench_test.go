@@ -1,7 +1,7 @@
 // Benchmarks regenerating every figure of the paper's evaluation (Section 8)
 // plus the analysis-validation experiments and the DESIGN.md ablations.
 // Custom metrics carry the figures' y-axes beyond ns/op: gap (bin imbalance),
-// abort-rate (TL2), rank-mean (MultiQueue quality).
+// abort-rate and readver-abort-rate (TL2), rank-mean (MultiQueue quality).
 //
 // Index (see DESIGN.md §4 and EXPERIMENTS.md):
 //
@@ -12,7 +12,10 @@
 //	Figure 1(e) -> BenchmarkFig1eTL2_10K
 //	Theorem 6.1 -> BenchmarkThm61Gap
 //	Lemma 6.6   -> BenchmarkLemma66Audit
-//	Theorem 7.1 -> BenchmarkThm71Rank
+//	Theorem 7.1 -> BenchmarkThm71Rank, BenchmarkThm71Adversarial
+//	Graphical   -> BenchmarkGraphicalAllocation (PTW graphical processes)
+//	Section 5   -> TestDistributionalLinearizability{Counter,Queue} in
+//	               internal/core (live witness replay, E9; -v logs the tail)
 //	Ablation A1 -> BenchmarkAblationDChoice
 //	Ablation A2 -> BenchmarkAblationRatio
 //	Ablation A3 -> BenchmarkAblationDelta
@@ -112,7 +115,7 @@ func benchTL2(b *testing.B, objects int, mkClock func(threads int) stm.Clock) {
 	threads := runtime.GOMAXPROCS(0)
 	clk := mkClock(threads)
 	arr := stm.NewArray(objects)
-	var commits, aborts atomic.Uint64
+	var commits, aborts, readVer atomic.Uint64
 	b.RunParallel(func(pb *testing.PB) {
 		seed := nextSeed()
 		tx := stm.NewTx(arr, clk.NewHandle(seed), seed)
@@ -142,20 +145,26 @@ func benchTL2(b *testing.B, objects int, mkClock func(threads int) stm.Clock) {
 		}
 		commits.Add(tx.Stats.Commits)
 		aborts.Add(tx.Stats.TotalAborts())
+		readVer.Add(tx.Stats.Aborts[stm.AbortReadVersion])
 	})
 	b.StopTimer()
 	if sum, want := arr.Sum(), 2*commits.Load(); sum != want {
 		b.Fatalf("verification failed: array sum %d, want %d", sum, want)
 	}
-	b.ReportMetric(float64(aborts.Load())/float64(commits.Load()+aborts.Load()+1), "abort-rate")
+	attempts := float64(commits.Load() + aborts.Load() + 1)
+	b.ReportMetric(float64(aborts.Load())/attempts, "abort-rate")
+	// Reads of a slot versioned past the reader's rv — with the relaxed clock,
+	// the slots stamped Δ in the future that ablation A3 sweeps against.
+	b.ReportMetric(float64(readVer.Load())/attempts, "readver-abort-rate")
 }
 
 func faaClock(int) stm.Clock { return stm.NewFAAClock() }
 
-// mcClock sizes the relaxed clock like the tl2-bench tool: m = 8 shards per
-// thread and Δ = 8·m, just above the counter's skew (m·gap). Δ is fixed
-// across object counts, so the hot-window fraction 2Δ/M produces the paper's
-// Figure 1(c)→1(e) degradation as M shrinks.
+// mcClock sizes the relaxed clock by the rule stm.MCClock's doc states (Δ
+// must exceed the counter's skew, Section 8): m = 8 shards per thread and
+// Δ = 8·m, just above the observed skew (m·gap). Δ is fixed across object
+// counts, so the hot-window fraction 2Δ/M produces the paper's Figure
+// 1(c)→1(e) degradation as M shrinks.
 func mcClock(threads int) stm.Clock {
 	m := 8 * threads
 	return stm.NewMCClock(m, 8*uint64(m))
@@ -251,6 +260,7 @@ func BenchmarkGraphicalAllocation(b *testing.B) {
 	}{
 		{"cycle", balance.CycleGraph(m)},
 		{"hypercube", balance.HypercubeGraph(dim)},
+		{"random-4-regular", balance.RandomRegularish(m, 4, 22)},
 		{"complete", balance.CompleteGraph(m)},
 	} {
 		b.Run(gr.name, func(b *testing.B) {

@@ -12,8 +12,8 @@
 // trade is audited).
 //
 // The paper measures quality single-threaded because "it is not clear how to
-// order the concurrent read steps"; the dlcheck tool provides the concurrent
-// counterpart via explicit linearization stamps.
+// order the concurrent read steps"; core's TestDistributionalLinearizability*
+// tests provide the concurrent counterpart via explicit linearization stamps.
 //
 // The command exits 1 when the measured mean exceeds the envelope, so it can
 // gate scripts.
@@ -27,13 +27,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dlin"
-	"repro/internal/harness"
 	"repro/internal/quality"
 )
 
@@ -153,25 +153,21 @@ func runCounterQuality(m int, incs, samples int64, choices, stickiness, batch in
 		Topology: core.Topology{InitialM: m},
 		Choices:  choices, Stickiness: stickiness, Batch: batch,
 	})
-	tb := harness.NewTable(
+	tb := newTable(
 		fmt.Sprintf("Figure 1(b): MultiCounter quality (single thread, m=%d, d=%d, s=%d, k=%d)",
 			m, mc.Choices(), mc.Stickiness(), mc.Batch()),
 		"increments", "read-value", "abs-error", "max-gap", "envelope(m log m)")
 	envelope := dlin.Envelope(m)
 	dev := quality.MeasureCounterDeviation(mc.NewHandle(seed), int(incs), int(samples),
 		func(issued, read, absErr, gap uint64) {
-			tb.Add(issued, read, absErr, gap, envelope)
+			tb.add(issued, read, absErr, gap, envelope)
 		})
 	within := dev.MeanAbsError <= envelope
 	verdict := "PASS"
 	if !within {
 		verdict = "FAIL"
 	}
-	if csv {
-		tb.WriteCSV(os.Stdout)
-	} else {
-		tb.WriteMarkdown(os.Stdout)
-	}
+	tb.write(os.Stdout, csv)
 	fmt.Fprintf(os.Stderr, "mean-within-envelope: %s (mean %.2f, max %d, max-gap %d, envelope %.0f)\n",
 		verdict, dev.MeanAbsError, dev.MaxAbsError, dev.MaxGap, envelope)
 	return within
@@ -198,20 +194,69 @@ func runQueueQuality(m, ops, choices, stickiness, batch int, seed uint64, csv bo
 	}
 	// Report the normalized knobs (0 becomes 1), not the raw flags, so the
 	// header names the configuration actually measured.
-	tb := harness.NewTable(
+	tb := newTable(
 		fmt.Sprintf("MultiQueue dequeue rank error (m=%d, d=%d, stickiness=%d, batch=%d, single thread)",
 			m, q.Choices(), q.Stickiness(), q.Batch()),
 		"metric", "value", "theory-scale")
-	tb.Add("mean", mean, fmt.Sprintf("O(m)=%d", m))
-	tb.Add("p50", sample.Quantile(0.5), "")
-	tb.Add("p99", sample.Quantile(0.99), "")
-	tb.Add("p99.9", sample.Quantile(0.999), fmt.Sprintf("O(m log m)=%.0f", envelope))
-	tb.Add("max", sample.Max(), "")
-	tb.Add("mean-within-envelope", verdict, fmt.Sprintf("mean %.2f vs m·log m = %.0f", mean, envelope))
-	if csv {
-		tb.WriteCSV(os.Stdout)
-	} else {
-		tb.WriteMarkdown(os.Stdout)
-	}
+	tb.add("mean", mean, fmt.Sprintf("O(m)=%d", m))
+	tb.add("p50", sample.Quantile(0.5), "")
+	tb.add("p99", sample.Quantile(0.99), "")
+	tb.add("p99.9", sample.Quantile(0.999), fmt.Sprintf("O(m log m)=%.0f", envelope))
+	tb.add("max", sample.Max(), "")
+	tb.add("mean-within-envelope", verdict, fmt.Sprintf("mean %.2f vs m·log m = %.0f", mean, envelope))
+	tb.write(os.Stdout, csv)
 	return within
+}
+
+// table is an ordered grid of output cells, rendered as markdown or CSV.
+type table struct {
+	title   string
+	columns []string
+	rows    [][]string
+}
+
+func newTable(title string, columns ...string) *table {
+	return &table{title: title, columns: columns}
+}
+
+// add appends a row; float64 cells print with %.4g, the rest with %v.
+func (t *table) add(cells ...any) {
+	row := make([]string, len(cells))
+	for i, c := range cells {
+		if v, ok := c.(float64); ok {
+			row[i] = fmt.Sprintf("%.4g", v)
+		} else {
+			row[i] = fmt.Sprintf("%v", c)
+		}
+	}
+	t.rows = append(t.rows, row)
+}
+
+func (t *table) write(w io.Writer, csv bool) {
+	if csv {
+		t.writeCSV(w)
+	} else {
+		t.writeMarkdown(w)
+	}
+}
+
+// writeMarkdown renders the table as GitHub-flavored markdown.
+func (t *table) writeMarkdown(w io.Writer) {
+	if t.title != "" {
+		fmt.Fprintf(w, "### %s\n\n", t.title)
+	}
+	fmt.Fprintf(w, "| %s |\n", strings.Join(t.columns, " | "))
+	fmt.Fprintf(w, "|%s\n", strings.Repeat(" --- |", len(t.columns)))
+	for _, r := range t.rows {
+		fmt.Fprintf(w, "| %s |\n", strings.Join(r, " | "))
+	}
+	fmt.Fprintln(w)
+}
+
+// writeCSV renders the table as CSV, header row first.
+func (t *table) writeCSV(w io.Writer) {
+	fmt.Fprintln(w, strings.Join(t.columns, ","))
+	for _, r := range t.rows {
+		fmt.Fprintln(w, strings.Join(r, ","))
+	}
 }

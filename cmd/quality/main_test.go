@@ -63,3 +63,35 @@ func TestValidateModeFlags(t *testing.T) {
 		})
 	}
 }
+
+func TestTableMarkdown(t *testing.T) {
+	tb := newTable("Demo", "threads", "mops")
+	tb.add(1, 2.5)
+	tb.add(2, 4.25)
+	var sb strings.Builder
+	tb.writeMarkdown(&sb)
+	out := sb.String()
+	for _, want := range []string{"### Demo", "| threads | mops |", "| --- | --- |", "| 1 | 2.5 |", "| 2 | 4.25 |"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("markdown missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+func TestTableCSV(t *testing.T) {
+	tb := newTable("", "a", "b")
+	tb.add("x", 1)
+	var sb strings.Builder
+	tb.writeCSV(&sb)
+	if sb.String() != "a,b\nx,1\n" {
+		t.Fatalf("csv = %q", sb.String())
+	}
+}
+
+func TestTableFloatFormatting(t *testing.T) {
+	tb := newTable("", "v")
+	tb.add(3.14159265)
+	if tb.rows[0][0] != "3.142" {
+		t.Fatalf("float cell = %q", tb.rows[0][0])
+	}
+}

@@ -3,8 +3,8 @@
 // relaxation of Peres–Talwar–Wieder, corrupted and stale variants modeling
 // adversarial concurrency, and the sequential MultiQueue rank process of
 // Alistarh et al. [3]. It also computes the paper's potential functions
-// Φ, Ψ, Γ (Section 6.2), which the tests and the balance-sim tool use to
-// check E[Γ(t)] = O(m) empirically.
+// Φ, Ψ, Γ (Section 6.2), which the tests use to check E[Γ(t)] = O(m)
+// empirically.
 //
 // These processes are the sequential randomized relaxations R that the
 // concurrent data structures in internal/core are distributionally

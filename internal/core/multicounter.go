@@ -370,8 +370,8 @@ func (h *Handle) Counter() *MultiCounter { return h.c }
 // counter spec tolerates that: it rejects no history — a read is charged
 // |value − increments linearized before it| — and the error is at most one
 // per increment in flight when the read is stamped, fewer than the recording
-// threads, against an O(m·log m) deviation envelope. Used by the dlcheck tool
-// and the distributional-linearizability integration tests.
+// threads, against an O(m·log m) deviation envelope. Used by the
+// distributional-linearizability tests.
 func (h *Handle) IncrementTraced(rec *trace.Recorder, log *trace.ThreadLog) {
 	start := rec.Stamp()
 	h.c.Increment(&h.r)

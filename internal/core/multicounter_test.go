@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -217,6 +218,19 @@ func TestDistributionalLinearizabilityCounter(t *testing.T) {
 	if mean := w.Costs.Mean(); mean > 2*envelope {
 		t.Fatalf("mean read cost %v exceeds 2x envelope %v", mean, envelope)
 	}
+	logTail(t, w, m)
+}
+
+// logTail reports the witness's empirical tail P[cost > R·envelope] at
+// R ∈ {0.25, 0.5, 1, 2}, the Lemma 6.8-style quantity the paper bounds by
+// m^(-Ω(R)). It is a report for -v runs, not a bound.
+func logTail(t *testing.T, w *dlin.Witness, m int) {
+	t.Helper()
+	line := "tail P[cost > R·envelope]:"
+	for _, pt := range w.Tail(m, 0.25, 0.5, 1, 2) {
+		line += fmt.Sprintf("  R=%.2g: %.5f", pt.R, pt.Frac)
+	}
+	t.Log(line)
 }
 
 func TestTimestampsSampleAndTick(t *testing.T) {

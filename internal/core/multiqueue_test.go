@@ -346,6 +346,7 @@ func TestDistributionalLinearizabilityQueue(t *testing.T) {
 	if mean := w.Costs.Mean(); mean > 2*envelope {
 		t.Fatalf("mean dequeue rank cost %v exceeds 2x envelope %v", mean, envelope)
 	}
+	logTail(t, w, m)
 }
 
 // TestEnqueueTracedStampsInvocation pins the enqueue's linearization point at

@@ -64,8 +64,9 @@ type CounterDeviation struct {
 // increments, sampling Read and Gap at samples evenly spaced points, and
 // reports the deviation of the sampled reads from the true issued count
 // (Figure 1b's y-axes). The paper measures quality single-threaded because
-// concurrent read steps have no canonical order; cmd/dlcheck provides the
-// concurrent counterpart via explicit linearization stamps.
+// concurrent read steps have no canonical order; core's
+// TestDistributionalLinearizabilityCounter provides the concurrent
+// counterpart via explicit linearization stamps.
 //
 // A non-nil onSample receives every sample point (issued increments, read
 // value, |read − issued|, current gap) — cmd/quality tabulates the Figure

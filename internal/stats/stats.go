@@ -1,6 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
-// experiment harness: streaming moments, quantiles, histograms, and the
-// gap/deviation trackers that the paper's quality plots report.
+// schedule simulators, the quality audits and the dlin witness: streaming
+// moments, quantiles, histograms, and the gap/deviation trackers that the
+// paper's quality plots report.
 //
 // Everything here is single-writer; concurrent experiments aggregate
 // per-worker instances after the measurement window closes rather than

@@ -33,10 +33,9 @@ type WorkloadConfig struct {
 
 // WorkloadResult aggregates a run.
 type WorkloadResult struct {
-	Commits       uint64
-	Aborts        uint64
-	AbortsByCause [numAbortCauses]uint64
-	Elapsed       time.Duration
+	Commits uint64
+	Aborts  uint64
+	Elapsed time.Duration
 	// Mops is committed transactions per second, in millions.
 	Mops float64
 	// Verified reports the paper's post-run exactness check: the array sum
@@ -136,10 +135,7 @@ func RunIncrement(cfg WorkloadConfig) WorkloadResult {
 	res.Elapsed = elapsed
 	for _, tx := range txs {
 		res.Commits += tx.Stats.Commits
-		for c, n := range tx.Stats.Aborts {
-			res.AbortsByCause[c] += n
-			res.Aborts += n
-		}
+		res.Aborts += tx.Stats.TotalAborts()
 	}
 	res.Mops = float64(res.Commits) / elapsed.Seconds() / 1e6
 	res.ArraySum = arr.Sum()
