@@ -68,7 +68,7 @@ func drainClose(body io.ReadCloser) {
 // postJSON posts body and decodes a 2xx response into out. On a non-2xx it
 // surfaces what the retry policy needs: the server's Retry-After hint (zero
 // when absent) and the error body's message (which distinguishes a load shed
-// from an exhausted quota or a busy session at the same status code).
+// from an in-flight overflow or a busy session at the same status code).
 func postJSON(client *http.Client, url string, body, out any) (code int, retryAfter time.Duration, errMsg string, err error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -404,8 +404,8 @@ func main() {
 			st.CounterExact+st.BufferedCounterWeight != deltaSums[tn].Load() {
 			verdict = "MISMATCH"
 		}
-		fmt.Printf("  tenant load%d: queue=%d (ledger %d) counter=%d (ledger %d) leases=%d quota=%d [%s]\n",
-			tn, st.QueueLen, want, st.CounterExact, deltaSums[tn].Load(), st.Leases, st.QuotaUsed, verdict)
+		fmt.Printf("  tenant load%d: queue=%d (ledger %d) counter=%d (ledger %d) leases=%d [%s]\n",
+			tn, st.QueueLen, want, st.CounterExact, deltaSums[tn].Load(), st.Leases, verdict)
 	}
 }
 

@@ -48,7 +48,6 @@ func main() {
 		batch       = flag.Int("batch", 8, "k: handle batch size")
 		maxTenants  = flag.Int("max-tenants", 64, "tenant namespace cap")
 		maxInflight = flag.Int("max-inflight", 256, "per-tenant in-flight request budget (0 = unlimited)")
-		quotaOps    = flag.Uint64("quota-ops", 0, "per-tenant lifetime operation quota (0 = unlimited)")
 		idle        = flag.Duration("idle-timeout", 30*time.Second, "lease idle expiry (0 = never)")
 		seed        = flag.Uint64("seed", 1, "structure/handle seed sequence origin")
 
@@ -89,7 +88,6 @@ func main() {
 		Batch:       *batch,
 		MaxTenants:  *maxTenants,
 		MaxInFlight: *maxInflight,
-		QuotaOps:    *quotaOps,
 		IdleTimeout: *idle,
 		Seed:        *seed,
 		Durability:  durability,

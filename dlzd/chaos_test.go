@@ -26,9 +26,8 @@ var chaosSeed = flag.Int64("chaosseed", 1, "seed for the chaos fault schedule")
 // runs a deterministic coverage pass that provably fires every fault kind,
 // quiesces, and asserts exact conservation from the server's defer-committed
 // ledger: QueueLen == OpsEnqueued − OpsDequeued, CounterExact ==
-// CounterDeltaSum, QuotaUsed == OpsMetered, zero surviving leases, zero
-// repair failures. Run with -race; reproduce a failure with its printed
-// -chaosseed.
+// CounterDeltaSum, zero surviving leases, zero repair failures. Run with
+// -race; reproduce a failure with its printed -chaosseed.
 func TestChaosSoak(t *testing.T) {
 	const (
 		tenants          = 4
@@ -205,10 +204,6 @@ func TestChaosSoak(t *testing.T) {
 		if st.CounterExact != st.CounterDeltaSum {
 			t.Errorf("tenant %d: counter conservation violated: Exact=%d, applied delta sum=%d",
 				i, st.CounterExact, st.CounterDeltaSum)
-		}
-		if st.QuotaUsed != st.OpsMetered {
-			t.Errorf("tenant %d: quota meter drifted: QuotaUsed=%d, metered=%d",
-				i, st.QuotaUsed, st.OpsMetered)
 		}
 		if st.BufferedEnqueues != 0 || st.BufferedCounterOps != 0 || st.PrefetchedDequeues != 0 {
 			t.Errorf("tenant %d: handle-local state survived the sweep: %+v", i, st)

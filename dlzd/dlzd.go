@@ -18,9 +18,9 @@
 // rides the zero-alloc AddBatch/DeleteMinUpTo fast path end-to-end: wire
 // batches land in the leased handle's fixed buffers and publish in Batch-size
 // lumps with one lock acquisition each. Backpressure is a bounded per-tenant
-// in-flight budget (429 on overflow); per-tenant quotas are metered by a
-// MultiCounter themselves. GET /metrics exports the publication-elision,
-// spin-backoff and sampler-reroll counters the internals already maintain.
+// in-flight budget (429 on overflow). GET /metrics exports the
+// publication-elision, spin-backoff and sampler-reroll counters the internals
+// already maintain.
 //
 // Run it with cmd/dlzd; drive it with cmd/dlzd-load.
 package dlzd
@@ -41,9 +41,9 @@ const MaxWireBatch = 4096
 
 // Config configures New. Every field is optional: Queues, MaxTenants and
 // Seed default to 64, 64 and 1, Choices, Stickiness and Batch to the dlz
-// defaults, and a zero MaxInFlight, QuotaOps or IdleTimeout, or a nil
-// Durability, leaves that bound or duty off. The degradation ladder and the
-// socket limits are not configured here: they are the constants below.
+// defaults, and a zero MaxInFlight or IdleTimeout, or a nil Durability,
+// leaves that bound or duty off. The degradation ladder and the socket limits
+// are not configured here: they are the constants below.
 type Config struct {
 	// Queues is m for each tenant's MultiQueue and MultiCounter (default
 	// 64), fixed for the tenant's life. For the paper's guarantees it should
@@ -63,11 +63,6 @@ type Config struct {
 	// tenant's handlers — the backpressure budget; overflow is rejected
 	// with 429. 0 means unlimited.
 	MaxInFlight int
-	// QuotaOps caps the total operations (enqueued items + dequeued items +
-	// counter deltas) a tenant may admit over its lifetime, metered by a
-	// per-tenant quota MultiCounter; exhaustion is rejected with 429.
-	// 0 means unlimited.
-	QuotaOps uint64
 	// IdleTimeout is the lease idle expiry: a session untouched for this
 	// long is flushed and retired by the janitor (StartJanitor) or by an
 	// explicit ExpireIdle sweep. 0 disables time-based expiry (leases then

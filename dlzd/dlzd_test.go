@@ -253,32 +253,6 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-func TestQuotaExhaustion429(t *testing.T) {
-	_, c := newTestServer(t, Config{Queues: 2, QuotaOps: 10})
-	// Quota admission is check-then-meter: a request admitted under the limit
-	// may push the meter past it (bounded overshoot of one wire batch), and
-	// the next request is refused.
-	if code := c.post("/v1/q/counter/add-batch", CounterAddRequest{Session: "s", Deltas: make([]uint64, 8)}, nil); code != http.StatusOK {
-		t.Fatalf("first batch = %d, want 200", code)
-	}
-	if code := c.post("/v1/q/counter/add-batch", CounterAddRequest{Session: "s", Deltas: make([]uint64, 8)}, nil); code != http.StatusOK {
-		t.Fatalf("second batch (meter at 8 < 10) = %d, want 200", code)
-	}
-	if code := c.post("/v1/q/counter/add-batch", CounterAddRequest{Session: "s", Deltas: []uint64{1}}, nil); code != http.StatusTooManyRequests {
-		t.Fatalf("exhausted batch = %d, want 429", code)
-	}
-	var st StatsResponse
-	if code := c.get("/v1/q/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	if st.QuotaUsed != 16 {
-		t.Fatalf("QuotaUsed = %d, want 16", st.QuotaUsed)
-	}
-	if !strings.Contains(c.metrics(), `dlzd_rejected_quota_total{tenant="q"} 1`) {
-		t.Fatal("quota rejection not visible in /metrics")
-	}
-}
-
 // TestLeaseExpiryFlushes is the daemon half of the abandoned-handle bugfix
 // regression: a session that vanishes without closing holds buffered
 // elements and increments; the idle sweep must publish every one of them.
@@ -451,11 +425,12 @@ func TestTenantLimit403(t *testing.T) {
 
 // TestTenantAtRestFootprint bounds what a tenant name costs while its
 // structures hold nothing: 64 empty tenants at the default m = 64 add at most
-// 4 MiB of live heap after a collection. A shard starts with no element
-// storage, so the bound holds however many shards a tenant has; a client
-// minting names cannot pin memory that no element uses.
+// 1,421,000 B of live heap after a collection, the 1,136,408 B they measure
+// on linux/amd64 plus a quarter. A shard starts with no element storage, so
+// the bound holds however many shards a tenant has; a client minting names
+// cannot pin memory that no element uses.
 func TestTenantAtRestFootprint(t *testing.T) {
-	const tenants, bound = 64, 4 << 20
+	const tenants, bound = 64, 1_421_000
 	s := New(Config{MaxTenants: tenants})
 	var before, after runtime.MemStats
 	runtime.GC()

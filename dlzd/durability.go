@@ -124,8 +124,9 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 }
 
 // restoreTenant materializes one rebuilt tenant state through the normal
-// structure paths: bulk re-enqueue through a throwaway handle (the same batched AddBatch path the wire rides), seed
-// the counter and quota meters, and store the ledger counters directly.
+// structure paths: bulk re-enqueue through a throwaway handle (the same
+// batched AddBatch path the wire rides), seed the counter, and store the
+// ledger counters directly.
 func (s *Server) restoreTenant(st wal.TenantState) error {
 	t, ok := s.tenant([]byte(st.Name))
 	if !ok {
@@ -143,16 +144,10 @@ func (s *Server) restoreTenant(st wal.TenantState) error {
 		ch.Add(st.CounterSum)
 		ch.Close()
 	}
-	if st.OpsMetered > 0 {
-		qh := t.quota.NewHandle(s.nextSeed())
-		qh.Add(st.OpsMetered)
-		qh.Close()
-	}
 	t.opsEnqueued.Store(st.OpsEnqueued)
 	t.opsDequeued.Store(st.OpsDequeued)
 	t.opsCounterAdds.Store(st.OpsCounterAdds)
 	t.counterDeltaSum.Store(st.CounterDeltaSum)
-	t.opsMetered.Store(st.OpsMetered)
 	return nil
 }
 
@@ -248,7 +243,6 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 			OpsDequeued:     t.opsDequeued.Load(),
 			OpsCounterAdds:  t.opsCounterAdds.Load(),
 			CounterDeltaSum: t.counterDeltaSum.Load(),
-			OpsMetered:      t.opsMetered.Load(),
 		}
 		st.SortItems()
 		snap.Tenants = append(snap.Tenants, st)

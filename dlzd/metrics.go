@@ -93,8 +93,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		func(r tenantRow) uint64 { return r.t.leasesExpired.Load() })
 	sumCounter("dlzd_rejected_inflight_total", "Requests rejected by the in-flight backpressure budget.",
 		func(r tenantRow) uint64 { return r.t.rejectedInflite.Load() })
-	sumCounter("dlzd_rejected_quota_total", "Requests rejected by the tenant operation quota.",
-		func(r tenantRow) uint64 { return r.t.rejectedQuota.Load() })
 	sumCounter("dlzd_ops_enqueued_total", "Elements accepted by enqueue-batch.",
 		func(r tenantRow) uint64 { return r.t.opsEnqueued.Load() })
 	sumCounter("dlzd_ops_dequeued_total", "Elements returned by delete-min-up-to.",

@@ -314,9 +314,6 @@ func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte)
 		return busyReply(dst, t)
 	}
 	sc.lease = l
-	if !t.admitQuota(l, len(items)) {
-		return errorReply(dst, http.StatusTooManyRequests, "tenant operation quota exhausted")
-	}
 	// The applied count commits by defer so it is exact on every exit — a
 	// clean 200, an injected mid-batch abort, a deadline overrun, or a panic
 	// unwinding to the recovery envelope. Conservation audits rely on it:
@@ -334,7 +331,7 @@ func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte)
 		}
 		logged = true
 		sc.rec = wal.Record{Type: wal.RecEnqueue, Tenant: t.name, Session: l.token,
-			Items: sc.walItems(items[:applied]), Metered: uint64(len(items))}
+			Items: sc.walItems(items[:applied])}
 		return s.journal(&sc.rec)
 	}
 	defer func() {
@@ -383,9 +380,6 @@ func (s *Server) opDeleteMinUpTo(sc *scratch, t *tenant, rq *request, dst []byte
 		return busyReply(dst, t)
 	}
 	sc.lease = l
-	if !t.admitQuota(l, max) {
-		return errorReply(dst, http.StatusTooManyRequests, "tenant operation quota exhausted")
-	}
 	// Defer-committed like the enqueue count: elements drained out of the
 	// structure are counted even when a later fault turns the response into
 	// a 500 (at-most-once delivery — the server ledger stays exact).
@@ -400,7 +394,7 @@ func (s *Server) opDeleteMinUpTo(sc *scratch, t *tenant, rq *request, dst []byte
 		}
 		logged = true
 		sc.rec = wal.Record{Type: wal.RecDeleteMin, Tenant: t.name, Session: l.token,
-			Items: sc.walItems(items), Metered: uint64(max)}
+			Items: sc.walItems(items)}
 		return s.journal(&sc.rec)
 	}
 	defer func() {
@@ -451,9 +445,6 @@ func (s *Server) opCounterAddBatch(sc *scratch, t *tenant, rq *request, dst []by
 		return busyReply(dst, t)
 	}
 	sc.lease = l
-	if !t.admitQuota(l, len(deltas)) {
-		return errorReply(dst, http.StatusTooManyRequests, "tenant operation quota exhausted")
-	}
 	// Both the op count and the delta weight commit by defer, so
 	// CounterDeltaSum equals the counter's exact value at quiescence even
 	// when a fault interrupts the apply loop.
@@ -465,7 +456,7 @@ func (s *Server) opCounterAddBatch(sc *scratch, t *tenant, rq *request, dst []by
 		}
 		logged = true
 		sc.rec = wal.Record{Type: wal.RecCounterAdd, Tenant: t.name, Session: l.token,
-			Count: uint64(applied), Weight: weight, Metered: uint64(len(deltas))}
+			Count: uint64(applied), Weight: weight}
 		return s.journal(&sc.rec)
 	}
 	defer func() {
@@ -544,7 +535,6 @@ func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
 		Tenant:                t.name,
 		QueueLen:              t.mq.Len(),
 		CounterExact:          t.mc.Exact(),
-		QuotaUsed:             t.quota.Exact(),
 		Leases:                agg.leases,
 		BufferedEnqueues:      agg.bufferedEnqueues,
 		PrefetchedDequeues:    agg.prefetchedDequeues,
@@ -552,7 +542,6 @@ func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
 		BufferedCounterWeight: agg.bufferedCounterWeight,
 		OpsEnqueued:           t.opsEnqueued.Load(),
 		OpsDequeued:           t.opsDequeued.Load(),
-		OpsMetered:            t.opsMetered.Load(),
 		CounterDeltaSum:       t.counterDeltaSum.Load(),
 		ShedLevel:             int(t.shedLevel.Load()),
 		PanicsRecovered:       t.panicsRecovered.Load(),

@@ -9,13 +9,6 @@ import (
 	"repro/internal/fail"
 )
 
-// quotaShards is m for the per-tenant quota MultiCounter. Quota metering is
-// deliberately served by the structure under test — the "quotas metered by
-// MultiCounters themselves" requirement — but with a small m and per-op
-// publishing so Exact scans stay cheap and enforcement is deterministic at
-// request boundaries.
-const quotaShards = 8
-
 // tenant is one namespace: a MultiQueue plus a MultiCounter, the session
 // leases bound to them, and the tenant-scoped accounting /metrics exports.
 type tenant struct {
@@ -23,10 +16,6 @@ type tenant struct {
 	srv  *Server
 	mq   *dlz.MultiQueue
 	mc   *dlz.MultiCounter
-	// quota meters admitted operations for this tenant. Every admitted wire
-	// operation adds its op count through the lease's per-op quota handle,
-	// and admission checks Exact against Config.QuotaOps.
-	quota *dlz.MultiCounter
 
 	mu     sync.Mutex // guards leases
 	leases map[string]*lease
@@ -46,16 +35,13 @@ type tenant struct {
 	leasesOpened    atomic.Uint64
 	leasesExpired   atomic.Uint64
 	rejectedInflite atomic.Uint64
-	rejectedQuota   atomic.Uint64
 	opsEnqueued     atomic.Uint64
 	opsDequeued     atomic.Uint64
 	opsCounterAdds  atomic.Uint64
 	// counterDeltaSum is the total weight applied through counter/add-batch
 	// (defer-committed per request), the value CounterExact must equal at
-	// quiescence; opsMetered is the total operation count charged against the
-	// quota meter, the value QuotaUsed must equal at quiescence.
+	// quiescence.
 	counterDeltaSum atomic.Uint64
-	opsMetered      atomic.Uint64
 	// Degradation-ladder counters (DESIGN.md §10).
 	rejectedBusy    atomic.Uint64 // 503: session lease not lockable in time
 	rejectedShed    atomic.Uint64 // 429: adaptive load shedding
@@ -73,10 +59,10 @@ type tenant struct {
 	shedSeq   atomic.Uint64
 }
 
-// lease binds one session token to a handle pair (queue + counter) plus the
-// quota-metering handle. The lease's mutex serializes requests carrying the
-// same token, honoring the handles' one-goroutine-at-a-time contract while
-// letting the sticky sampler state survive across requests.
+// lease binds one session token to a handle pair (queue + counter). The
+// lease's mutex serializes requests carrying the same token, honoring the
+// handles' one-goroutine-at-a-time contract while letting the sticky sampler
+// state survive across requests.
 type lease struct {
 	t     *tenant
 	token string
@@ -84,7 +70,6 @@ type lease struct {
 	mu     sync.Mutex
 	mqh    *dlz.MQHandle
 	ch     *dlz.Handle
-	qh     *dlz.Handle // quota handle: per-op publish on the quota counter
 	closed bool
 
 	// lastUsed is the unix-nano stamp of the last completed request, read
@@ -100,7 +85,6 @@ func newTenant(name string, srv *Server) *tenant {
 		srv:  srv,
 		mq: dlz.NewMultiQueue(dlz.MultiQueueConfig{
 			Topology:   topo,
-			Seed:       srv.nextSeed(),
 			Choices:    cfg.Choices,
 			Stickiness: cfg.Stickiness,
 			Batch:      cfg.Batch,
@@ -111,7 +95,6 @@ func newTenant(name string, srv *Server) *tenant {
 			Stickiness: cfg.Stickiness,
 			Batch:      cfg.Batch,
 		}),
-		quota:  dlz.NewMultiCounter(quotaShards),
 		leases: map[string]*lease{},
 	}
 }
@@ -136,7 +119,6 @@ func (t *tenant) lease(deadline time.Time, token []byte) (*lease, bool) {
 				token: string(token),
 				mqh:   t.mq.NewHandle(t.srv.nextSeed()),
 				ch:    t.mc.NewHandle(t.srv.nextSeed()),
-				qh:    t.quota.NewHandle(t.srv.nextSeed()),
 			}
 			l.lastUsed.Store(time.Now().UnixNano())
 			t.leases[l.token] = l
@@ -212,7 +194,7 @@ func (l *lease) closeLocked() bool {
 const retireAttempts = 8
 
 // tryRetire makes one retirement attempt: pass the dlzd/lease/close
-// failpoint, then close the three handles. Injected errors report a failed
+// failpoint, then close the two handles. Injected errors report a failed
 // attempt; injected panics are absorbed into the same outcome; genuine
 // panics propagate.
 func (l *lease) tryRetire() (ok bool) {
@@ -231,7 +213,6 @@ func (l *lease) tryRetire() (ok bool) {
 	}
 	l.mqh.Close()
 	l.ch.Close()
-	l.qh.Close()
 	return true
 }
 
@@ -341,22 +322,6 @@ func (t *tenant) acquire() bool {
 }
 
 func (t *tenant) release() { t.inflight.Add(-1) }
-
-// admitQuota checks the tenant's metered quota before an n-operation
-// request and meters the operations through the lease's quota handle on
-// admission. Enforcement reads the quota MultiCounter's exact sum — m is
-// small and the handle publishes per op, so the meter is deterministic at
-// request boundaries even though the structure itself is relaxed.
-func (t *tenant) admitQuota(l *lease, n int) bool {
-	limit := t.srv.cfg.QuotaOps
-	if limit > 0 && t.quota.Exact() >= limit {
-		t.rejectedQuota.Add(1)
-		return false
-	}
-	l.qh.Add(uint64(n))
-	t.opsMetered.Add(uint64(n))
-	return true
-}
 
 // liveLeaseStats sums the handle-local buffers and sampler rerolls across
 // live leases, briefly taking each lease lock (the same order the request

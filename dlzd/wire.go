@@ -105,17 +105,15 @@ type SessionCloseResponse struct {
 // report what live leases still hold, so the logical totals even mid-run
 // are QueueLen+BufferedEnqueues+PrefetchedDequeues (elements not yet
 // delivered to any client) and CounterExact+BufferedCounterWeight.
-// The applied-operation ledger (OpsEnqueued, OpsDequeued, CounterDeltaSum,
-// OpsMetered) is defer-committed inside the handlers, so it stays exact
-// through injected faults; at quiescence (all leases closed) conservation
-// demands QueueLen == OpsEnqueued − OpsDequeued, CounterExact ==
-// CounterDeltaSum and QuotaUsed == OpsMetered — the chaos soak's exit
-// criteria.
+// The applied-operation ledger (OpsEnqueued, OpsDequeued, CounterDeltaSum)
+// is defer-committed inside the handlers, so it stays exact through injected
+// faults; at quiescence (all leases closed) conservation demands QueueLen ==
+// OpsEnqueued − OpsDequeued and CounterExact == CounterDeltaSum — the chaos
+// soak's exit criteria.
 type StatsResponse struct {
 	Tenant                string `json:"tenant"`
 	QueueLen              int    `json:"queue_len"`
 	CounterExact          uint64 `json:"counter_exact"`
-	QuotaUsed             uint64 `json:"quota_used"`
 	Leases                int    `json:"leases"`
 	BufferedEnqueues      int    `json:"buffered_enqueues"`
 	PrefetchedDequeues    int    `json:"prefetched_dequeues"`
@@ -123,7 +121,6 @@ type StatsResponse struct {
 	BufferedCounterWeight uint64 `json:"buffered_counter_weight"`
 	OpsEnqueued           uint64 `json:"ops_enqueued"`
 	OpsDequeued           uint64 `json:"ops_dequeued"`
-	OpsMetered            uint64 `json:"ops_metered"`
 	CounterDeltaSum       uint64 `json:"counter_delta_sum"`
 	// ShedLevel is the tenant's current adaptive shed level (0..3).
 	ShedLevel int `json:"shed_level"`

@@ -9,7 +9,8 @@ import (
 	"repro/internal/heap"
 )
 
-// Frame layout (all integers little-endian):
+// A segment is the 8-byte format word segWord followed by frames. Frame
+// layout (all integers little-endian):
 //
 //	u32 payloadLen | u32 crc32c(payload) | payload
 //
@@ -24,8 +25,8 @@ import (
 //
 // Per-type bodies:
 //
-//	enqueue/deletemin: u32 n | n x (u64 priority, u64 value) | u64 metered
-//	counter-add:       u64 count | u64 weight | u64 metered
+//	enqueue/deletemin: u32 n | n x (u64 priority, u64 value)
+//	counter-add:       u64 count | u64 weight
 //	session-close:     (empty)
 //
 // The codec is canonical: decode rejects any leftover bytes, so
@@ -74,9 +75,9 @@ const (
 // Record is one journal entry. LSN is assigned by Log.Append; the remaining
 // fields are set by the caller according to Type:
 //
-//   - RecEnqueue:    Items = applied elements, Metered = quota ops charged
-//   - RecDeleteMin:  Items = delivered elements, Metered = quota ops charged
-//   - RecCounterAdd: Count = deltas applied, Weight = their sum, Metered as above
+//   - RecEnqueue:    Items = applied elements
+//   - RecDeleteMin:  Items = delivered elements
+//   - RecCounterAdd: Count = deltas applied, Weight = their sum
 //   - RecSessionClose: identification fields only
 type Record struct {
 	LSN     uint64
@@ -86,6 +87,9 @@ type Record struct {
 	Items   []Item
 	Count   uint64
 	Weight  uint64
+	// Metered is neither encoded nor decoded: it once journaled the
+	// operations a tenant quota charged, and is kept only because the
+	// benchmark still sets it. It goes with the benchmark's next change.
 	Metered uint64
 }
 
@@ -113,11 +117,9 @@ func appendPayload(dst []byte, r *Record) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, it.Priority)
 			dst = binary.LittleEndian.AppendUint64(dst, it.Value)
 		}
-		dst = binary.LittleEndian.AppendUint64(dst, r.Metered)
 	case RecCounterAdd:
 		dst = binary.LittleEndian.AppendUint64(dst, r.Count)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Weight)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Metered)
 	case RecSessionClose:
 	}
 	return dst
@@ -134,9 +136,10 @@ func appendShortString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeInto parses one record payload into r, overwriting every field. It
-// is strict: unknown types, short bodies, oversized batches, and leftover
-// trailing bytes are all errors, making the accepted encoding canonical.
+// decodeInto parses one record payload into r, overwriting every encoded
+// field. It is strict: unknown types, short bodies, oversized batches, and
+// leftover trailing bytes are all errors, making the accepted encoding
+// canonical.
 //
 // r is recycled, not rebuilt: Items is refilled in place over its backing
 // array and the tenant/session strings are kept when the payload repeats
@@ -149,7 +152,7 @@ func decodeInto(r *Record, p []byte) error {
 	r.Type = RecordType(p[0])
 	r.LSN = binary.LittleEndian.Uint64(p[1:])
 	r.Items = r.Items[:0]
-	r.Count, r.Weight, r.Metered = 0, 0, 0
+	r.Count, r.Weight = 0, 0
 	p = p[9:]
 	var err error
 	if r.Tenant, p, err = cutShortString(p, r.Tenant); err != nil {
@@ -168,7 +171,7 @@ func decodeInto(r *Record, p []byte) error {
 		if n > maxBatchItems {
 			return fmt.Errorf("wal: item count %d exceeds cap", n)
 		}
-		if uint64(len(p)) != uint64(n)*16+8 {
+		if uint64(len(p)) != uint64(n)*16 {
 			return fmt.Errorf("wal: item body length %d != %d items", len(p), n)
 		}
 		for ; n > 0; n-- {
@@ -178,16 +181,13 @@ func decodeInto(r *Record, p []byte) error {
 			})
 			p = p[16:]
 		}
-		r.Metered = binary.LittleEndian.Uint64(p)
-		p = p[8:]
 	case RecCounterAdd:
-		if len(p) != 24 {
+		if len(p) != 16 {
 			return fmt.Errorf("wal: counter body length %d", len(p))
 		}
 		r.Count = binary.LittleEndian.Uint64(p)
 		r.Weight = binary.LittleEndian.Uint64(p[8:])
-		r.Metered = binary.LittleEndian.Uint64(p[16:])
-		p = p[24:]
+		p = p[16:]
 	case RecSessionClose:
 	default:
 		return fmt.Errorf("wal: unknown record type %d", r.Type)

@@ -36,14 +36,14 @@ func FuzzWALReplay(f *testing.F) {
 	huge[0] = 0xff // absurd length field
 	f.Add(huge)
 	// Seeds for the windowed scan (windows of 9, 9+len%56 and 64 bytes). The
-	// 49-byte counter add followed by the 69-byte enqueue: the enqueue
+	// 41-byte counter add followed by the 61-byte enqueue: the enqueue
 	// straddles the first refill of the 64-byte window.
 	recs := sampleFuzzRecords()
 	add, enq := recs[1], recs[0]
 	add.LSN, enq.LSN = 1, 2
 	f.Add(appendFrame(appendFrame(nil, &add), &enq))
-	// A 165-byte enqueue of eight items, longer than every window.
-	long := Record{LSN: 1, Type: RecEnqueue, Tenant: "acme", Session: "s1", Metered: 8}
+	// A 157-byte enqueue of eight items, longer than every window.
+	long := Record{LSN: 1, Type: RecEnqueue, Tenant: "acme", Session: "s1"}
 	for i := uint64(0); i < 8; i++ {
 		long.Items = append(long.Items, Item{Priority: i, Value: 10 * i})
 	}
@@ -101,7 +101,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		Tenants: []TenantState{
 			{Name: "a", Items: []Item{{Priority: 1, Value: 1}, {Priority: 2, Value: 2}}, CounterSum: 3,
 				OpsEnqueued: 2, OpsDequeued: 0, OpsCounterAdds: 1,
-				CounterDeltaSum: 3, OpsMetered: 3},
+				CounterDeltaSum: 3},
 			{Name: "b"},
 		},
 	})
@@ -141,9 +141,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 func sampleFuzzRecords() []Record {
 	return []Record{
 		{Type: RecEnqueue, Tenant: "acme", Session: "s1",
-			Items: []Item{{Priority: 5, Value: 50}, {Priority: 3, Value: 30}}, Metered: 2},
-		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12, Metered: 3},
-		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{Priority: 3, Value: 30}}, Metered: 1},
+			Items: []Item{{Priority: 5, Value: 50}, {Priority: 3, Value: 30}}},
+		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12},
+		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{Priority: 3, Value: 30}}},
 		{Type: RecSessionClose, Tenant: "acme", Session: "s1"},
 	}
 }

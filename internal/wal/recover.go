@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -61,9 +64,10 @@ const recoverWindow = 64 << 10
 // repairs as it goes — truncates torn files and removes unreachable
 // segments so the directory is left frame-clean — and retains nothing per
 // record. With keep set (Replay) it is read-only and also collects a deep
-// copy of every replayed record. Corruption is never an error — the scan
+// copy of every replayed record. Corruption is not an error — the scan
 // stops at the first invalid frame, exactly like the recovery state machine
-// in DESIGN.md §12. Only I/O failures return errors.
+// in DESIGN.md §12 — but I/O failures are, and so is a file in another
+// on-disk format (errFormat), before any file is touched.
 func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	segs, snaps, err := listDir(dir)
 	if err != nil {
@@ -75,10 +79,14 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 
 	rec := &Recovered{}
 	for i := len(snaps) - 1; i >= 0; i-- { // newest first
-		if s, err := loadSnapshotFile(snaps[i].path); err == nil {
+		s, err := loadSnapshotFile(snaps[i].path)
+		if err == nil {
 			rec.Snapshot = s
 			rec.SnapshotCut = s.CutLSN
 			break
+		}
+		if errors.Is(err, errFormat) {
+			return nil, fmt.Errorf("wal: %s: %w", snaps[i].path, err)
 		}
 		// An undecodable snapshot (torn write before the rename discipline,
 		// bit rot, items out of order) is skipped; an older one or the raw
@@ -127,8 +135,23 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The word goes through the window, so checking it allocates
+		// nothing. A segment shorter than it is a crash during its creation.
 		var good, size int64
-		good, size, win, err = sc.scanStream(file, win, s.seq, visit)
+		n, err := io.ReadFull(file, win[:len(segWord)])
+		switch {
+		case err == io.EOF || err == io.ErrUnexpectedEOF: // empty and torn
+			size, err = int64(n), nil
+		case err == nil && string(win[:n]) != segWord:
+			found := "no format word"
+			if string(win[:n-1]) == segWord[:n-1] {
+				found = "format " + string(win[:n])
+			}
+			err = fmt.Errorf("wal: %s: %s, want %s: %w", s.path, found, segWord, errFormat)
+		case err == nil:
+			good, size, win, err = sc.scanStream(file, win, s.seq, visit)
+			good, size = good+int64(n), size+int64(n)
+		}
 		_ = file.Close() // read-only
 		if err != nil {
 			return nil, err
@@ -161,9 +184,9 @@ func payloadLen(r *Record) int {
 	n := 1 + 8 + 1 + min(len(r.Tenant), 255) + 1 + min(len(r.Session), 255)
 	switch r.Type {
 	case RecEnqueue, RecDeleteMin:
-		n += 4 + 16*len(r.Items) + 8
+		n += 4 + 16*len(r.Items)
 	case RecCounterAdd:
-		n += 24
+		n += 16
 	}
 	return n
 }
@@ -235,16 +258,13 @@ func (f *fold) apply(r *Record) {
 	case RecEnqueue:
 		t.adds = append(t.adds, r.Items...)
 		t.st.OpsEnqueued += uint64(len(r.Items))
-		t.st.OpsMetered += r.Metered
 	case RecDeleteMin:
 		t.dels = append(t.dels, r.Items...)
 		t.st.OpsDequeued += uint64(len(r.Items))
-		t.st.OpsMetered += r.Metered
 	case RecCounterAdd:
 		t.st.OpsCounterAdds += r.Count
 		t.st.CounterDeltaSum += r.Weight
 		t.st.CounterSum += r.Weight
-		t.st.OpsMetered += r.Metered
 	}
 	if len(t.adds)+len(t.dels) >= max(deltaFloor, (len(t.st.Items)+len(t.deleted))/4) {
 		t.flush()

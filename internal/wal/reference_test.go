@@ -40,7 +40,7 @@ func decodePayload(p []byte) (Record, error) {
 		if n > maxBatchItems {
 			return r, fmt.Errorf("wal: item count %d exceeds cap", n)
 		}
-		if uint64(len(p)) != uint64(n)*16+8 {
+		if uint64(len(p)) != uint64(n)*16 {
 			return r, fmt.Errorf("wal: item body length %d != %d items", len(p), n)
 		}
 		if n > 0 {
@@ -51,16 +51,13 @@ func decodePayload(p []byte) (Record, error) {
 				p = p[16:]
 			}
 		}
-		r.Metered = binary.LittleEndian.Uint64(p)
-		p = p[8:]
 	case RecCounterAdd:
-		if len(p) != 24 {
+		if len(p) != 16 {
 			return r, fmt.Errorf("wal: counter body length %d", len(p))
 		}
 		r.Count = binary.LittleEndian.Uint64(p)
 		r.Weight = binary.LittleEndian.Uint64(p[8:])
-		r.Metered = binary.LittleEndian.Uint64(p[16:])
-		p = p[24:]
+		p = p[16:]
 	case RecSessionClose:
 	default:
 		return r, fmt.Errorf("wal: unknown record type %d", r.Type)
@@ -145,12 +142,10 @@ func Rebuild(snap *Snapshot, records []Record) []TenantState {
 				a.multiset[it]++
 			}
 			a.st.OpsEnqueued += uint64(len(r.Items))
-			a.st.OpsMetered += r.Metered
 		case RecCounterAdd:
 			a.st.OpsCounterAdds += r.Count
 			a.st.CounterDeltaSum += r.Weight
 			a.st.CounterSum += r.Weight
-			a.st.OpsMetered += r.Metered
 		}
 	}
 	for i := range records {
@@ -167,7 +162,6 @@ func Rebuild(snap *Snapshot, records []Record) []TenantState {
 			}
 		}
 		a.st.OpsDequeued += uint64(len(r.Items))
-		a.st.OpsMetered += r.Metered
 	}
 	out := make([]TenantState, 0, len(accs))
 	for _, a := range accs {

@@ -13,9 +13,10 @@ import (
 )
 
 // snapMagic heads every snapshot payload so a stray file can never be
-// mistaken for one. The 2 is the layout: the first one carried a u32 shard
-// count per tenant, and a payload in it fails here rather than mis-parsing.
-var snapMagic = []byte("DLZSNAP2")
+// mistaken for one. The 3 is the layout: the first one carried a u32 shard
+// count per tenant and the second a metered-operations word, and a payload
+// in either is refused here rather than mis-parsed.
+const snapMagic = "DLZSNAP3"
 
 // maxSnapTenants bounds the decoded tenant count (dlzd caps namespaces far
 // below this); maxSnapItems bounds one tenant's element count to keep a
@@ -41,7 +42,6 @@ type TenantState struct {
 	OpsDequeued     uint64
 	OpsCounterAdds  uint64
 	CounterDeltaSum uint64
-	OpsMetered      uint64
 }
 
 // SortItems sorts ts.Items into the canonical (priority, value) order.
@@ -59,7 +59,7 @@ type Snapshot struct {
 func snapshotLen(s *Snapshot) int {
 	n := len(snapMagic) + 8 + 4
 	for i := range s.Tenants {
-		n += 1 + min(len(s.Tenants[i].Name), 255) + 6*8 + 4 + 16*len(s.Tenants[i].Items)
+		n += 1 + min(len(s.Tenants[i].Name), 255) + 5*8 + 4 + 16*len(s.Tenants[i].Items)
 	}
 	return n
 }
@@ -77,7 +77,6 @@ func encodeSnapshot(p []byte, s *Snapshot) []byte {
 		p = binary.LittleEndian.AppendUint64(p, t.OpsDequeued)
 		p = binary.LittleEndian.AppendUint64(p, t.OpsCounterAdds)
 		p = binary.LittleEndian.AppendUint64(p, t.CounterDeltaSum)
-		p = binary.LittleEndian.AppendUint64(p, t.OpsMetered)
 		p = binary.LittleEndian.AppendUint32(p, uint32(len(t.Items)))
 		for _, it := range t.Items {
 			p = binary.LittleEndian.AppendUint64(p, it.Priority)
@@ -126,8 +125,11 @@ func (d *snapDecoder) take(k int) ([]byte, error) {
 func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 	d := snapDecoder{br: bufio.NewReaderSize(io.LimitReader(r, n), int(min(n, 64<<10))), left: n}
 	b, err := d.take(len(snapMagic) + 12)
-	if err != nil || string(b[:len(snapMagic)]) != string(snapMagic) {
+	if err != nil || string(b[:len(snapMagic)-1]) != snapMagic[:len(snapMagic)-1] {
 		return nil, fmt.Errorf("wal: not a snapshot payload")
+	}
+	if string(b[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("snapshot format %s, want %s: %w", b[:len(snapMagic)], snapMagic, errFormat)
 	}
 	s := &Snapshot{CutLSN: binary.LittleEndian.Uint64(b[len(snapMagic):])}
 	tenants := binary.LittleEndian.Uint32(b[len(snapMagic)+8:])
@@ -143,7 +145,7 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
 		}
 		t.Name = string(b)
-		if b, err = d.take(6*8 + 4); err != nil {
+		if b, err = d.take(5*8 + 4); err != nil {
 			return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
 		}
 		t.CounterSum = binary.LittleEndian.Uint64(b)
@@ -151,8 +153,7 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 		t.OpsDequeued = binary.LittleEndian.Uint64(b[16:])
 		t.OpsCounterAdds = binary.LittleEndian.Uint64(b[24:])
 		t.CounterDeltaSum = binary.LittleEndian.Uint64(b[32:])
-		t.OpsMetered = binary.LittleEndian.Uint64(b[40:])
-		items := binary.LittleEndian.Uint32(b[48:])
+		items := binary.LittleEndian.Uint32(b[40:])
 		if items > maxSnapItems || uint64(items)*16 > uint64(d.left) {
 			return nil, fmt.Errorf("wal: snapshot tenant %q item count %d exceeds payload", t.Name, items)
 		}

@@ -79,7 +79,8 @@ func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 			rng.Intn(3) // the draw that once set a shard count: keeps the streams as they were
 			ts := TenantState{Name: name,
 				CounterSum: uint64(rng.Intn(50)), OpsCounterAdds: uint64(rng.Intn(9)),
-				OpsDequeued: uint64(rng.Intn(9)), OpsMetered: uint64(rng.Intn(99))}
+				OpsDequeued: uint64(rng.Intn(9))}
+			rng.Intn(99) // the draw that once set a metered count: keeps the streams as they were
 			for n := rng.Intn(12); n > 0; n-- {
 				ts.Items = append(ts.Items, item())
 			}
@@ -101,7 +102,6 @@ func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 			r.Type = RecDeleteMin
 		case k < 14:
 			r.Type, r.Count, r.Weight = RecCounterAdd, uint64(1+rng.Intn(8)), uint64(rng.Intn(100))
-			r.Metered = r.Count
 		case k < 15:
 			// Once a shard-count record: its draw stays, so that every
 			// other draw of the stream is what it was.
@@ -114,7 +114,6 @@ func randomStream(rng *rand.Rand) (*Snapshot, []Record) {
 			for n := rng.Intn(9); n > 0; n-- {
 				r.Items = append(r.Items, item())
 			}
-			r.Metered = uint64(len(r.Items))
 		}
 		recs[i] = r
 	}
@@ -229,7 +228,6 @@ func TestFoldFlushesMatchTwoPassRebuild(t *testing.T) {
 			for n := 1 + rng.Intn(64); n > 0; n-- {
 				r.Items = append(r.Items, item())
 			}
-			r.Metered = uint64(len(r.Items))
 			recs = append(recs, r)
 			fed[tn] += len(r.Items)
 			if slices.Min(fed) >= 12*deltaFloor {
@@ -278,7 +276,7 @@ func TestReplayRecordsAreDeepCopies(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{SegmentBytes: 512})
 	var image []byte
 	for i := 0; i < 40; i++ {
-		r := Record{Type: RecEnqueue, Tenant: "t", Session: "s", Metered: 3,
+		r := Record{Type: RecEnqueue, Tenant: "t", Session: "s",
 			Items: []Item{{Priority: uint64(i), Value: 1}, {Priority: uint64(i), Value: 2}, {Priority: uint64(i), Value: 3}}}
 		mustAppend(t, l, r)
 		r.LSN = uint64(i + 1)
@@ -333,7 +331,7 @@ func TestStreamingRecoveryZeroAlloc(t *testing.T) {
 		}
 		for _, typ := range []RecordType{RecEnqueue, RecDeleteMin} {
 			lsn++
-			image = appendFrame(image, &Record{LSN: lsn, Type: typ, Tenant: "acme", Session: "caller-0", Items: items, Metered: 8})
+			image = appendFrame(image, &Record{LSN: lsn, Type: typ, Tenant: "acme", Session: "caller-0", Items: items})
 		}
 	}
 	f := newFold(nil)
@@ -394,14 +392,14 @@ func TestOpenSegmentsAllocBound(t *testing.T) {
 	lsn := uint64(0)
 	for s := 0; s < 8; s++ {
 		first := lsn + 1
-		image = image[:0]
+		image = append(image[:0], segWord...)
 		for len(image) < segBytes-512 {
 			for j := range items {
 				items[j] = Item{Priority: lsn % 97, Value: lsn*8 + uint64(j)}
 			}
 			for _, typ := range []RecordType{RecEnqueue, RecDeleteMin} {
 				lsn++
-				image = appendFrame(image, &Record{LSN: lsn, Type: typ, Tenant: "acme", Session: "caller-0", Items: items, Metered: 8})
+				image = appendFrame(image, &Record{LSN: lsn, Type: typ, Tenant: "acme", Session: "caller-0", Items: items})
 			}
 		}
 		if err := os.WriteFile(filepath.Join(dir, segName(first)), image, 0o644); err != nil {
@@ -435,12 +433,12 @@ func TestOpenSegmentsAllocBound(t *testing.T) {
 func TestOpenTailAllocBound(t *testing.T) {
 	const tenants, prefill, rounds = 4, 26_000 / 8, 4 * 26_000 / 8
 	rng := rand.New(rand.NewSource(36))
-	var image []byte
+	image := []byte(segWord)
 	var live [tenants][]Item // each tenant's enqueued, not yet delivered elements
 	lsn, seq := uint64(0), uint64(0)
 	appendBatch := func(tn int, typ RecordType) {
 		lsn++
-		r := Record{LSN: lsn, Type: typ, Tenant: fmt.Sprint("tenant-", tn), Session: "caller-0", Metered: 8}
+		r := Record{LSN: lsn, Type: typ, Tenant: fmt.Sprint("tenant-", tn), Session: "caller-0"}
 		for j := 0; j < 8; j++ {
 			if typ == RecDeleteMin {
 				k := rng.Intn(len(live[tn]))
@@ -505,7 +503,7 @@ func TestOpenSnapshotAllocBound(t *testing.T) {
 	const n, tail = 100_000, 64
 	dir := t.TempDir()
 	l, _ := testOpen(t, dir, Options{})
-	ts := TenantState{Name: "acme", OpsEnqueued: n, OpsMetered: n, Items: make([]Item, n)}
+	ts := TenantState{Name: "acme", OpsEnqueued: n, Items: make([]Item, n)}
 	for i := range ts.Items {
 		ts.Items[i] = Item{Priority: uint64(i % 997), Value: uint64(i)}
 	}
@@ -516,8 +514,8 @@ func TestOpenSnapshotAllocBound(t *testing.T) {
 	want := slices.Clone(ts.Items[tail:])
 	for i := 0; i < tail; i++ {
 		fresh := Item{Priority: 1 << 40, Value: uint64(i)}
-		mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "acme", Session: "s", Items: ts.Items[i : i+1], Metered: 1})
-		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "acme", Session: "s", Items: []Item{fresh}, Metered: 1})
+		mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "acme", Session: "s", Items: ts.Items[i : i+1]})
+		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "acme", Session: "s", Items: []Item{fresh}})
 		want = append(want, fresh)
 	}
 	if err := l.Close(); err != nil {

@@ -12,18 +12,20 @@
 // until a sync covering its LSN completes, but concurrent waiters share one
 // fsync).
 //
-// Segments are named wal-%016x.seg by the first LSN they hold; snapshots
-// snap-%016x.snap by their cut LSN. Recovery (Open) streams the newest
-// decodable snapshot into per-tenant item slices, then streams the chained
-// segment tail behind it through one 64 KiB read window, folding each record
-// into sorted runs of the tail's unmatched elements as it is decoded. It
-// truncates the first torn or corrupt frame, drops unreachable later
-// segments, and reports the states and everything it did in Recovered. Boot
-// memory is the window and those runs, which start as the snapshot's items;
-// the segment size does not enter it.
+// Segments are named wal-%016x.seg by the first LSN they hold and start with
+// the format word segWord; snapshots are named snap-%016x.snap by their cut
+// LSN. Recovery (Open) streams the newest decodable snapshot into per-tenant
+// item slices, then streams the chained segment tail behind it through one
+// 64 KiB read window, folding each record into sorted runs of the tail's
+// unmatched elements as it is decoded. It truncates the first torn or corrupt
+// frame, drops unreachable later segments, and reports the states and
+// everything it did in Recovered; a file in another on-disk format fails it
+// instead, with nothing repaired. Boot memory is the window and those runs,
+// which start as the snapshot's items; the segment size does not enter it.
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -101,6 +103,14 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// segWord heads every segment; its last byte is the format version. A
+// segment without it, or with another version, is refused, not read as torn.
+const segWord = "DLZJRNL3"
+
+// errFormat marks a journal file in an on-disk format this build does not
+// read: Open and Replay fail on it without touching any file.
+var errFormat = errors.New("written in another on-disk format; refusing to recover")
 
 // ErrClosed is returned by Append after Close, and sticks after an
 // unrecoverable write failure left the active segment in an unknown state.
@@ -216,23 +226,27 @@ func OpenWithProgress(opt Options, prog *Progress) (*Log, *Recovered, error) {
 	return l, rec, nil
 }
 
-// openSegment creates the segment named by first and makes it the active
-// one. The directory is fsynced before any record goes into the file:
-// fsyncing a record's bytes does not make the file's name durable, and a
-// power cut after a roll must not lose the file that holds them.
+// openSegment creates the segment named by first, writes its format word
+// and makes it the active one. The directory is fsynced before any record
+// goes into the file: fsyncing a record's bytes does not make the file's name
+// durable, and a power cut after a roll must not lose the file that holds
+// them.
 func (l *Log) openSegment(first uint64) error {
 	name := segName(first)
 	f, err := os.OpenFile(filepath.Join(l.opt.Dir, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := syncDir(l.opt.Dir); err != nil {
-		_ = f.Close() // nothing was written to it
+	if _, err = f.WriteString(segWord); err == nil {
+		err = syncDir(l.opt.Dir)
+	}
+	if err != nil {
+		_ = f.Close() // holds no record: recovery reads a short word as an empty torn segment
 		return err
 	}
 	l.f = f
 	l.segName = name
-	l.segBytes = 0
+	l.segBytes = int64(len(segWord))
 	return nil
 }
 
@@ -279,7 +293,7 @@ func (l *Log) Append(r *Record) (uint64, error) {
 	r.LSN = lsn
 	l.scratch = appendFrame(l.scratch[:0], r)
 	frame := l.scratch
-	if l.segBytes > 0 && l.segBytes+int64(len(frame)) > l.opt.SegmentBytes {
+	if l.segBytes > int64(len(segWord)) && l.segBytes+int64(len(frame)) > l.opt.SegmentBytes {
 		if err := l.rollLocked(lsn); err != nil {
 			l.mu.Unlock()
 			return 0, err

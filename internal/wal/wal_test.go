@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -49,11 +50,11 @@ func mustAppend(t *testing.T, l *Log, r Record) uint64 {
 func sampleRecords() []Record {
 	return []Record{
 		{Type: RecEnqueue, Tenant: "acme", Session: "s1",
-			Items: []Item{{Priority: 5, Value: 50}, {Priority: 3, Value: 30}}, Metered: 2},
-		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12, Metered: 3},
-		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{Priority: 3, Value: 30}}, Metered: 1},
+			Items: []Item{{Priority: 5, Value: 50}, {Priority: 3, Value: 30}}},
+		{Type: RecCounterAdd, Tenant: "acme", Session: "s1", Count: 3, Weight: 12},
+		{Type: RecDeleteMin, Tenant: "acme", Session: "s2", Items: []Item{{Priority: 3, Value: 30}}},
 		{Type: RecSessionClose, Tenant: "acme", Session: "s1"},
-		{Type: RecEnqueue, Tenant: "globex", Session: "g", Items: nil, Metered: 0},
+		{Type: RecEnqueue, Tenant: "globex", Session: "g", Items: nil},
 	}
 }
 
@@ -119,7 +120,7 @@ func TestSegmentRollAndRecovery(t *testing.T) {
 	const n = 100
 	for i := 0; i < n; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i), Value: uint64(i)}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: uint64(i)}}})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -165,7 +166,7 @@ func TestTornTailTruncated(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 5; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -199,7 +200,7 @@ func TestBitFlipStopsReplay(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 6; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -230,7 +231,7 @@ func TestDuplicateSegmentSuffixDropped(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 4; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -255,14 +256,14 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{SegmentBytes: 128})
 	for i := 0; i < 20; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i), Value: uint64(100 + i)}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: uint64(100 + i)}}})
 	}
 	snap := &Snapshot{
 		CutLSN: l.Head(),
 		Tenants: []TenantState{{
 			Name:        "t",
 			Items:       []Item{{Priority: 1, Value: 101}, {Priority: 2, Value: 102}},
-			OpsEnqueued: 20, OpsMetered: 20,
+			OpsEnqueued: 20,
 		}},
 	}
 	if err := l.WriteSnapshot(snap); err != nil {
@@ -304,7 +305,7 @@ func TestWriteSnapshotAllocBound(t *testing.T) {
 	const n = 100_000
 	dir := t.TempDir()
 	l, _ := testOpen(t, dir, Options{})
-	ts := TenantState{Name: "acme", OpsEnqueued: n, OpsMetered: n, Items: make([]Item, n)}
+	ts := TenantState{Name: "acme", OpsEnqueued: n, Items: make([]Item, n)}
 	for i := range ts.Items {
 		ts.Items[i] = Item{Priority: uint64(i), Value: uint64(i)}
 	}
@@ -330,7 +331,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{})
 	for i := 0; i < 3; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i), Value: 1}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i), Value: 1}}})
 	}
 	if err := l.WriteSnapshot(&Snapshot{CutLSN: 2}); err != nil {
 		t.Fatal(err)
@@ -367,16 +368,16 @@ func TestOutOfOrderSnapshotFallsBack(t *testing.T) {
 	var items []Item
 	for i := 0; i < 4; i++ {
 		items = append(items, Item{Priority: uint64(i), Value: 1})
-		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s", Items: items[i:], Metered: 1})
+		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s", Items: items[i:]})
 	}
-	older := TenantState{Name: "t", Items: items[:2], OpsEnqueued: 2, OpsMetered: 2}
+	older := TenantState{Name: "t", Items: items[:2], OpsEnqueued: 2}
 	if err := l.WriteSnapshot(&Snapshot{CutLSN: 2, Tenants: []TenantState{older}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	newer := TenantState{Name: "t", Items: []Item{items[0], items[2], items[1], items[3]}, OpsEnqueued: 4, OpsMetered: 4}
+	newer := TenantState{Name: "t", Items: []Item{items[0], items[2], items[1], items[3]}, OpsEnqueued: 4}
 	payload := encodeSnapshot(nil, &Snapshot{CutLSN: 4, Tenants: []TenantState{newer}})
 	if _, err := DecodeSnapshot(payload); err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("out-of-order snapshot: err %v, want out of order", err)
@@ -397,15 +398,16 @@ func TestOutOfOrderSnapshotFallsBack(t *testing.T) {
 
 // TestFirstSnapshotLayoutRejected: a payload in the first snapshot layout,
 // which carried a u32 shard count per tenant, must fail on its magic rather
-// than be read with every later field shifted by four bytes.
+// than be read with every later field shifted by four bytes, and the error
+// must name the layout it found.
 func TestFirstSnapshotLayoutRejected(t *testing.T) {
 	p := append([]byte("DLZSNAP1"), binary.LittleEndian.AppendUint64(nil, 7)...)
 	p = binary.LittleEndian.AppendUint32(p, 1)
 	p = appendShortString(p, "t")
 	p = binary.LittleEndian.AppendUint32(p, 8) // the shard count
 	p = append(p, make([]byte, 6*8+4)...)      // counter, ledger, zero items
-	if _, err := DecodeSnapshot(p); err == nil || !strings.Contains(err.Error(), "not a snapshot payload") {
-		t.Fatalf("first-layout snapshot: err %v, want not a snapshot payload", err)
+	if _, err := DecodeSnapshot(p); !errors.Is(err, errFormat) || !strings.Contains(err.Error(), "format DLZSNAP1") {
+		t.Fatalf("first-layout snapshot: err %v, want a format error naming DLZSNAP1", err)
 	}
 }
 
@@ -413,12 +415,12 @@ func TestRebuildCompensation(t *testing.T) {
 	recs := []Record{
 		// The dequeue of (9,9) is journaled before any enqueue of it — the
 		// racing-session interleaving the fold compensates for.
-		{LSN: 1, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 9, Value: 9}}, Metered: 1},
-		{LSN: 2, Type: RecEnqueue, Tenant: "a", Items: []Item{{Priority: 1, Value: 10}, {Priority: 2, Value: 20}}, Metered: 2},
-		{LSN: 3, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 10}}, Metered: 1},
-		{LSN: 4, Type: RecCounterAdd, Tenant: "a", Count: 2, Weight: 7, Metered: 2},
+		{LSN: 1, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 9, Value: 9}}},
+		{LSN: 2, Type: RecEnqueue, Tenant: "a", Items: []Item{{Priority: 1, Value: 10}, {Priority: 2, Value: 20}}},
+		{LSN: 3, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 10}}},
+		{LSN: 4, Type: RecCounterAdd, Tenant: "a", Count: 2, Weight: 7},
 		{LSN: 5, Type: RecSessionClose, Tenant: "a"},
-		{LSN: 6, Type: RecEnqueue, Tenant: "b", Items: []Item{{Priority: 5, Value: 5}}, Metered: 1},
+		{LSN: 6, Type: RecEnqueue, Tenant: "b", Items: []Item{{Priority: 5, Value: 5}}},
 	}
 	out := foldAll(nil, recs)
 	if len(out) != 2 || out[0].Name != "a" || out[1].Name != "b" {
@@ -438,9 +440,6 @@ func TestRebuildCompensation(t *testing.T) {
 	if a.CounterSum != 7 || a.CounterDeltaSum != 7 || a.OpsCounterAdds != 2 {
 		t.Fatalf("a counter: %+v", a)
 	}
-	if a.OpsMetered != 6 {
-		t.Fatalf("a metered: %+v", a)
-	}
 }
 
 func TestRebuildOnSnapshotBase(t *testing.T) {
@@ -449,12 +448,12 @@ func TestRebuildOnSnapshotBase(t *testing.T) {
 		Tenants: []TenantState{{
 			Name: "a", Items: []Item{{Priority: 1, Value: 1}, {Priority: 2, Value: 2}},
 			CounterSum: 5, OpsEnqueued: 4, OpsDequeued: 2,
-			OpsCounterAdds: 1, CounterDeltaSum: 5, OpsMetered: 7,
+			OpsCounterAdds: 1, CounterDeltaSum: 5,
 		}},
 	}
 	recs := []Record{
-		{LSN: 11, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 1}}, Metered: 1},
-		{LSN: 12, Type: RecEnqueue, Tenant: "a", Items: []Item{{Priority: 3, Value: 3}}, Metered: 1},
+		{LSN: 11, Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 1}}},
+		{LSN: 12, Type: RecEnqueue, Tenant: "a", Items: []Item{{Priority: 3, Value: 3}}},
 	}
 	out := foldAll(snap, recs)
 	if len(out) != 1 {
@@ -464,7 +463,7 @@ func TestRebuildOnSnapshotBase(t *testing.T) {
 	if !reflect.DeepEqual(a.Items, []Item{{Priority: 2, Value: 2}, {Priority: 3, Value: 3}}) {
 		t.Fatalf("items: %+v", a.Items)
 	}
-	if a.OpsEnqueued != 5 || a.OpsDequeued != 3 || a.OpsMetered != 9 {
+	if a.OpsEnqueued != 5 || a.OpsDequeued != 3 {
 		t.Fatalf("ledger: %+v", a)
 	}
 }
@@ -474,10 +473,10 @@ func TestRebuildDeterministic(t *testing.T) {
 	l, _ := testOpen(t, dir, Options{SegmentBytes: 200})
 	for i := 0; i < 50; i++ {
 		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-			Items: []Item{{Priority: uint64(i % 7), Value: uint64(i)}}, Metered: 1})
+			Items: []Item{{Priority: uint64(i % 7), Value: uint64(i)}}})
 		if i%3 == 0 {
 			mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "t", Session: "s",
-				Items: []Item{{Priority: uint64(i % 7), Value: uint64(i)}}, Metered: 1})
+				Items: []Item{{Priority: uint64(i % 7), Value: uint64(i)}}})
 		}
 	}
 	if err := l.Close(); err != nil {
@@ -516,7 +515,7 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				r := Record{Type: RecEnqueue, Tenant: "t", Session: "s",
-					Items: []Item{{Priority: uint64(w), Value: uint64(i)}}, Metered: 1}
+					Items: []Item{{Priority: uint64(w), Value: uint64(i)}}}
 				if _, err := l.Append(&r); err != nil {
 					errs <- err
 					return
@@ -576,7 +575,7 @@ func TestIntervalFlusher(t *testing.T) {
 func TestAppendRefusesOversizedRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := testOpen(t, dir, Options{})
-	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{{Priority: 1, Value: 1}}, Metered: 1})
+	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{{Priority: 1, Value: 1}}})
 	seg := filepath.Join(dir, segName(1))
 	st, err := os.Stat(seg)
 	if err != nil {
