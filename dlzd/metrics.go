@@ -19,8 +19,11 @@ import (
 //     top-word cache (cpq covered-insert and empty-pop fast paths);
 //   - dlzd_spin_backoff_total: slow-path lock acquisitions, i.e. acquires
 //     that engaged the adaptive spin/yield backoff schedule;
-//   - dlzd_sampler_rerolls_total: sticky d-choice sampler rerolls, live
-//     leases plus rerolls harvested from retired leases.
+//   - dlzd_sampler_rerolls_total: sticky sampler rerolls, live leases plus
+//     rerolls harvested from retired leases. A dequeue draw that finds its
+//     shard empty or locked and an insert whose shard refuses the try-lock
+//     both redraw instead of waiting, so this counter, not
+//     dlzd_spin_backoff_total, carries shard contention.
 func (s *Server) appendMetrics(dst []byte) []byte {
 	tenants := s.tenantSnapshot()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
@@ -74,7 +77,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	perTenant("dlzd_queue_publications_total", func(r tenantRow) uint64 { return r.mq.Publications })
 	counter("dlzd_spin_backoff_total", "Slow-path lock acquisitions that engaged the adaptive spin backoff.", backoff)
 	perTenant("dlzd_spin_backoff_total", func(r tenantRow) uint64 { return r.mq.LockContended })
-	counter("dlzd_sampler_rerolls_total", "Sticky d-choice sampler rerolls (live leases plus retired).", rerolls)
+	counter("dlzd_sampler_rerolls_total", "Sticky sampler rerolls: empty or contended dequeue draws and refused insert publishes (live leases plus retired).", rerolls)
 	perTenant("dlzd_sampler_rerolls_total", func(r tenantRow) uint64 { return r.agg.rerolls + r.t.retiredRerolls.Load() })
 
 	gauge("dlzd_leases_active", "Live session leases.", leases)

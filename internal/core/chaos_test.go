@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fail"
+	"repro/internal/heap"
 )
 
 // TestRerollStormStillDequeues arms core/deq/reroll so a burst of d-choice
@@ -91,4 +92,51 @@ func TestFlushPanicKeepsBufferIntact(t *testing.T) {
 		t.Fatalf("drained %d distinct elements, want %d", len(seen), n)
 	}
 	h.Close()
+}
+
+// TestEveryTryRefusedStillFinishes arms cpq/try/refuse to refuse every try,
+// which is what a structure whose every lock is always held looks like to
+// the redraw loops. Inserts, Flush, Dequeue and Close must still finish
+// through their blocking last resorts — a publish after m refusals, the
+// dequeue sweep, Close's publish of the prefetch remainder — and a drain
+// must return every element exactly once.
+func TestEveryTryRefusedStillFinishes(t *testing.T) {
+	fail.Reset()
+	defer fail.Reset()
+	for _, batch := range []int{1, 8} {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Stickiness: 8, Batch: batch})
+		h := q.NewHandle(1)
+		fail.Arm(fail.SiteCPQTryRefuse, fail.Policy{Kind: fail.KindError})
+		const n = 100
+		for i := 0; i < n; i++ {
+			h.Enqueue(uint64(i))
+		}
+		h.Flush()
+		seen := map[uint64]bool{}
+		take := func(it heap.Item) {
+			if seen[it.Value] {
+				t.Fatalf("batch=%d: element %d returned twice", batch, it.Value)
+			}
+			seen[it.Value] = true
+		}
+		for i := 0; i < n/2; i++ {
+			it, ok := h.Dequeue()
+			if !ok {
+				t.Fatalf("batch=%d: Dequeue %d found nothing", batch, i)
+			}
+			take(it)
+		}
+		h.Close()
+		d := q.NewHandle(2)
+		for it, ok := d.Dequeue(); ok; it, ok = d.Dequeue() {
+			take(it)
+		}
+		if len(seen) != n {
+			t.Fatalf("batch=%d: drained %d distinct elements, want %d", batch, len(seen), n)
+		}
+		if fail.Fires(fail.SiteCPQTryRefuse) == 0 {
+			t.Fatalf("batch=%d: no try was refused", batch)
+		}
+		fail.Reset()
+	}
 }

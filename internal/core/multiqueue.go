@@ -8,6 +8,7 @@ import (
 	"repro/internal/pad"
 	"repro/internal/rng"
 	"repro/internal/trace"
+	"runtime"
 )
 
 // MultiQueue is the relaxed queue of Algorithm 2: m linearizable priority
@@ -71,8 +72,8 @@ type MultiQueueConfig struct {
 	// relaxation (re-measure with cmd/quality -queue).
 	Stickiness int
 	// Batch is the batching factor k: handles buffer up to k enqueues and
-	// flush them with one cpq.AddBatch, and prefetch up to k elements per
-	// dequeue refill with one cpq.DeleteMinUpTo — one lock acquisition and
+	// flush them with one cpq.TryAddBatch, and prefetch up to k elements per
+	// dequeue refill with one cpq.TryDeleteMinUpTo — one lock acquisition and
 	// one cached-top publish per k elements instead of per element. 0 or 1
 	// means per-operation locking. Buffered enqueues are invisible to other
 	// handles until the batch flushes (call MQHandle.Flush at quiescence);
@@ -212,8 +213,8 @@ type MQHandle struct {
 	// slices are carved from one fixed backing array sized at NewHandle with
 	// full-slice expressions capping them at Batch, so the steady-state hot
 	// path never grows either and performs zero allocations per operation
-	// (cpq.AddBatch reads at most len(inBuf) <= Batch items;
-	// cpq.DeleteMinUpTo appends at most Batch items into cap-Batch outBuf).
+	// (cpq.TryAddBatch reads at most len(inBuf) <= Batch items;
+	// cpq.TryDeleteMinUpTo appends at most Batch items into cap-Batch outBuf).
 	// BenchmarkMultiQueueHotPathAllocs and TestMQHandleHotPathZeroAlloc
 	// enforce the invariant.
 	inBuf  []heap.Item
@@ -257,10 +258,13 @@ func (h *MQHandle) Queue() *MultiQueue { return h.q }
 // insert buffer, not yet visible to other handles. Zero unless Batch > 1.
 func (h *MQHandle) Buffered() int { return len(h.inBuf) }
 
-// Rerolls returns the number of empty/contended dequeue outcomes that
-// requested fresh sticky candidates (Sampler.Reroll) over this handle's
-// lifetime — the sampler-pressure signal dlzd's /metrics aggregates.
-func (h *MQHandle) Rerolls() uint64 { return h.deq.Rerolls() }
+// Rerolls returns the number of outcomes that requested fresh sticky
+// candidates (Sampler.Reroll) over this handle's lifetime: dequeue draws
+// whose winner was empty or locked, and insert publishes whose shard refused
+// the try-lock. It is the sampler-pressure and contention signal dlzd's
+// /metrics aggregates; a contended shard is redrawn, not waited on, so this
+// counter, not the lock's backoff counter, is where contention shows.
+func (h *MQHandle) Rerolls() uint64 { return h.deq.Rerolls() + h.enq.Rerolls() }
 
 // Closed reports whether Close has retired this handle.
 func (h *MQHandle) Closed() bool { return h.closed }
@@ -279,13 +283,7 @@ func (h *MQHandle) Close() {
 		return
 	}
 	h.Flush()
-	if rest := h.outBuf[h.outPos:]; len(rest) > 0 {
-		// Return the prefetch remainder through the same uniform sticky
-		// insert rule as an enqueue batch: these elements are logically
-		// still queued, they were only staged for this handle's consumption.
-		h.q.qs[h.enqTarget(len(rest))].AddBatch(rest)
-	}
-	h.outBuf, h.outPos = h.outBuf[:0], 0
+	h.ReturnPrefetched()
 	h.closed = true
 }
 
@@ -302,8 +300,10 @@ func (h *MQHandle) checkOpen() {
 func (h *MQHandle) Prefetched() int { return len(h.outBuf) - h.outPos }
 
 // Flush publishes any buffered inserts to the shared structure with one
-// batched add. Call at quiescence (before Len/Sizes audits or a drain by
-// another handle); a handle with an empty buffer flushes for free.
+// batched add (publish): the sticky insert target is offered the batch with
+// a try-lock, a refusal yields and redraws, and only after m refusals does
+// Flush wait on a lock. Call at quiescence (before Len/Sizes audits or a drain by another
+// handle); a handle with an empty buffer flushes for free.
 func (h *MQHandle) Flush() {
 	if len(h.inBuf) == 0 {
 		return
@@ -316,7 +316,7 @@ func (h *MQHandle) Flush() {
 		// refusal path.
 		_ = fail.Inject(fail.SiteCoreFlush)
 	}
-	h.q.qs[h.enqTarget(len(h.inBuf))].AddBatch(h.inBuf)
+	h.publish(h.inBuf, true)
 	h.inBuf = h.inBuf[:0]
 }
 
@@ -325,24 +325,43 @@ func (h *MQHandle) Flush() {
 // durability snapshot runs on every live lease so the capture sees those
 // elements (they were physically removed by a DeleteMinUpTo refill but are
 // logically still queued). The handle stays open; its next Dequeue simply
-// refills. Pair with Flush for a full quiesce of both buffers.
+// refills. Pair with Flush for a full quiesce of both buffers. The elements
+// go back through the same uniform sticky insert rule as an enqueue batch.
 func (h *MQHandle) ReturnPrefetched() {
 	h.checkOpen()
 	if rest := h.outBuf[h.outPos:]; len(rest) > 0 {
-		h.q.qs[h.enqTarget(len(rest))].AddBatch(rest)
+		h.publish(rest, true)
 	}
 	h.outBuf, h.outPos = h.outBuf[:0], 0
 }
 
-// enqTarget picks the insert queue through the sticky uniform sampler and
-// charges n logical operations against the stickiness window. A choice
-// serves at most max(stick, batch) elements — exactly stick when batch
-// divides into it, one whole batch when batch exceeds the window (the
-// sampler never splits a batch across choices).
-func (h *MQHandle) enqTarget(n int) int {
-	i := h.enq.Candidates(&h.r, n)[0]
-	h.enq.Charge(n)
-	return i
+// publish adds items to the queue the sticky uniform insert sampler draws
+// and charges the stickiness window for them. Each drawn queue is offered
+// the items with a try-lock. A refusal rerolls the sampler, which keeps only
+// the window budget the refused choice had left, yields the processor once
+// and draws again: the yield lets a lock holder the scheduler preempted run
+// and release, where routing around it would leave its queue without any of
+// the elements stamped meanwhile (DESIGN.md §2, "Contention"). After m
+// refusals publish waits on one more draw's lock if block is set, and
+// otherwise reports false with nothing moved. A choice serves at most
+// max(stick, batch) elements — exactly stick when batch divides into it,
+// one whole batch when batch exceeds the window (the sampler never splits a
+// batch across choices).
+func (h *MQHandle) publish(items []heap.Item, block bool) bool {
+	n := len(items)
+	for a := 0; a < h.q.m; a++ {
+		if h.q.qs[h.enq.Candidates(&h.r, n)[0]].TryAddBatch(items) {
+			h.enq.Charge(n)
+			return true
+		}
+		h.enq.Reroll()
+		runtime.Gosched()
+	}
+	if block {
+		h.q.qs[h.enq.Candidates(&h.r, n)[0]].AddBatch(items)
+		h.enq.Charge(n)
+	}
+	return block
 }
 
 // deqBest picks the d-choice removal target: the sticky candidate set's
@@ -372,11 +391,11 @@ func (h *MQHandle) deqCharge(n int) { h.deq.Charge(n) }
 // (Sampler.Reroll).
 func (h *MQHandle) deqReroll() { h.deq.Reroll() }
 
-// insert routes one stamped element through the batching layer: direct Add
-// in per-op mode, or buffer-and-flush in batched mode.
+// insert routes one stamped element through the batching layer: published
+// on its own in per-op mode, or buffer-and-flush in batched mode.
 func (h *MQHandle) insert(priority, value uint64) {
 	if h.q.batch <= 1 {
-		h.q.qs[h.enqTarget(1)].Add(priority, value)
+		h.publish([]heap.Item{{Priority: priority, Value: value}}, true)
 		return
 	}
 	h.inBuf = append(h.inBuf, heap.Item{Priority: priority, Value: value})
@@ -428,13 +447,16 @@ func (h *MQHandle) EnqueuePriority(priority, value uint64) {
 // possibly stale information; the deletion itself is linearizable. A chosen
 // queue whose word is stable-empty is skipped without touching its lock —
 // the word's linearization argument (DESIGN.md §6) makes that observation as
-// good as a locked Peek. If the chosen queue turns out empty the operation
-// retries, and after 2·m fruitless draws it scans all queues once (flushing
-// this handle's own insert buffer first, so a single-handle drain never
-// misses its buffered elements); the scan likewise trusts stable-empty words
-// and locks only queues that might hold elements, so a drain of an
-// all-empty structure performs zero lock acquisitions; ok is false only when
-// every queue was observed empty.
+// good as a locked Peek — and the winner is only try-locked: a queue that
+// turns out empty or whose lock is held (draw) yields once, rerolls the
+// sampler, and the operation draws again, so a dequeuer never waits behind a busy queue while
+// other queues are drawable. After 2·m fruitless draws it scans all queues
+// once (flushing this handle's own insert buffer first, so a single-handle
+// drain never misses its buffered elements); the scan is the one step that
+// waits on a lock, and it likewise trusts stable-empty words and locks only
+// queues that might hold elements, so a drain of an all-empty structure
+// performs zero lock acquisitions; ok is false only when every queue was
+// observed empty.
 //
 // In batched mode the winner is drained with DeleteMinUpTo(Batch) and the
 // run beyond the first element is served from the handle's prefetch buffer
@@ -446,20 +468,8 @@ func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 		h.outPos++
 		return it, true
 	}
-	for attempt := 0; attempt < 2*h.q.m; attempt++ {
-		i, key := h.deqBest()
-		if fail.Enabled && fail.Inject(fail.SiteCoreReroll) != nil {
-			// Injected reroll storm: discard the draw as if its queue were
-			// contended, exercising the sampler's reroll inheritance.
-			h.deqReroll()
-			continue
-		}
-		if key != cpq.TopKeyEmpty {
-			if it, ok = h.deleteFrom(i); ok {
-				return it, true
-			}
-		}
-		h.deqReroll()
+	if it, ok = h.draw(2 * h.q.m); ok {
+		return it, true
 	}
 	// Fallback sweep so that draining terminates deterministically. Our own
 	// pending inserts are flushed first: they are logically enqueued and a
@@ -469,25 +479,63 @@ func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 		if h.q.qs[i].ReadTop().StableEmpty() {
 			continue
 		}
-		if it, ok = h.deleteFrom(i); ok {
+		if it, ok = h.deleteFrom(i, true); ok {
 			return it, true
 		}
 	}
 	return heap.Item{}, false
 }
 
+// draw is the d-choice loop Dequeue and TryDequeue share: up to n draws,
+// each comparing the sticky candidates' top words and try-locking the
+// winner (deleteFrom without block). A stable-empty winner, an empty queue
+// and a refused lock all reroll the sampler for a fresh draw; a winner
+// whose word was not empty but that gave nothing also yields the processor
+// once first, as publish does on a refusal. ok is false if no draw obtained
+// an element.
+func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
+	for a := 0; a < n; a++ {
+		i, key := h.deqBest()
+		if fail.Enabled && fail.Inject(fail.SiteCoreReroll) != nil {
+			// Injected reroll storm: discard the draw as if its queue were
+			// contended, exercising the sampler's reroll inheritance.
+			h.deqReroll()
+			continue
+		}
+		if key != cpq.TopKeyEmpty {
+			if it, ok = h.deleteFrom(i, false); ok {
+				return it, true
+			}
+			runtime.Gosched()
+		}
+		h.deqReroll()
+	}
+	return heap.Item{}, false
+}
+
 // deleteFrom removes from queue i: a single DeleteMin in per-op mode, or a
 // DeleteMinUpTo(Batch) refill in batched mode with the first element
-// returned and the rest parked in the prefetch buffer.
-func (h *MQHandle) deleteFrom(i int) (heap.Item, bool) {
+// returned and the rest parked in the prefetch buffer. Without block it
+// only try-locks the queue, and a refused lock reads as empty. The window is
+// charged for the elements obtained.
+func (h *MQHandle) deleteFrom(i int, block bool) (it heap.Item, ok bool) {
+	q := &h.q.qs[i]
 	if h.q.batch <= 1 {
-		it, ok := h.q.qs[i].DeleteMin()
+		if block {
+			it, ok = q.DeleteMin()
+		} else {
+			it, ok, _ = q.TryDeleteMin()
+		}
 		if ok {
 			h.deqCharge(1)
 		}
 		return it, ok
 	}
-	h.outBuf = h.q.qs[i].DeleteMinUpTo(h.q.batch, h.outBuf[:0])
+	if block {
+		h.outBuf = q.DeleteMinUpTo(h.q.batch, h.outBuf[:0])
+	} else {
+		h.outBuf, _ = q.TryDeleteMinUpTo(h.q.batch, h.outBuf[:0])
+	}
 	if len(h.outBuf) == 0 {
 		h.outPos = 0
 		return heap.Item{}, false
@@ -528,7 +576,7 @@ func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
 			// one the comparison ranked).
 			continue
 		}
-		if it, ok = h.q.qs[best].DeleteMin(); ok {
+		if it, ok, _ = h.q.qs[best].TryDeleteMin(); ok {
 			return it, true
 		}
 	}
@@ -544,19 +592,16 @@ func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
 	return heap.Item{}, false
 }
 
-// TryDequeue is the lock-avoiding variant used by throughput benchmarks:
-// it compares the d sampled cached top words and only try-locks the winner,
-// re-drawing on contention instead of spinning. attempts bounds the number
-// of draws; ok is false if no element was obtained within the budget.
-// Nothing on this path ever blocks on a queue lock, so it routes around
-// dead or stalled lock holders in every mode. The comparison already ranks
-// mid-update queues behind real minima, and a winner whose word is
-// stable-empty is skipped before the try-lock — no CAS, no cache-line
-// bounce — so spinning over an empty structure costs only atomic loads.
-// Like Dequeue, a batched handle serves its prefetch buffer first, uses the
-// sticky candidate set, refills with a try-locked DeleteMinUpTo, and before
-// giving up attempts a non-blocking flush of its own insert buffer
-// (TryAddBatch to random queues) and retries the budget once.
+// TryDequeue is Dequeue without its blocking sweep: up to attempts draws of
+// the same loop (draw), and nothing on this path ever waits on a queue lock,
+// so it routes around dead or stalled lock holders in every mode. The
+// comparison already ranks mid-update queues behind real minima, and a
+// winner whose word is stable-empty is skipped before the try-lock — no
+// CAS, no cache-line bounce — so spinning over an empty structure costs only
+// atomic loads. Like Dequeue, a batched handle serves its prefetch buffer
+// first; before giving up it offers its own insert buffer to m drawn queues
+// by try-lock (publish without block) and, if one takes it, draws once more.
+// ok is false if no element was obtained within the budget.
 func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 	h.checkOpen()
 	if h.outPos < len(h.outBuf) {
@@ -564,52 +609,11 @@ func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 		h.outPos++
 		return it, true
 	}
-	for pass := 0; pass < 2; pass++ {
-		for a := 0; a < attempts; a++ {
-			i, key := h.deqBest()
-			if fail.Enabled && fail.Inject(fail.SiteCoreReroll) != nil {
-				h.deqReroll()
-				continue
-			}
-			if key == cpq.TopKeyEmpty {
-				h.deqReroll()
-				continue
-			}
-			if h.q.batch <= 1 {
-				if it, okPop, acquired := h.q.qs[i].TryDeleteMin(); acquired && okPop {
-					h.deqCharge(1)
-					return it, true
-				}
-			} else if out, acquired := h.q.qs[i].TryDeleteMinUpTo(h.q.batch, h.outBuf[:0]); acquired && len(out) > 0 {
-				h.outBuf = out
-				h.outPos = 1
-				h.deqCharge(len(out))
-				return out[0], true
-			}
-			// Contended or empty: abandon the sticky pair for a fresh draw.
-			h.deqReroll()
-		}
-		if len(h.inBuf) == 0 {
-			break
-		}
-		if !h.tryFlush(attempts) {
-			break
-		}
+	if it, ok = h.draw(attempts); ok || len(h.inBuf) == 0 || !h.publish(h.inBuf, false) {
+		return it, ok
 	}
-	return heap.Item{}, false
-}
-
-// tryFlush attempts to publish the insert buffer without blocking: up to
-// attempts random queues are offered the batch with TryAddBatch. Reports
-// whether the buffer was published.
-func (h *MQHandle) tryFlush(attempts int) bool {
-	for a := 0; a < attempts; a++ {
-		if h.q.qs[h.r.Intn(h.q.m)].TryAddBatch(h.inBuf) {
-			h.inBuf = h.inBuf[:0]
-			return true
-		}
-	}
-	return false
+	h.inBuf = h.inBuf[:0]
+	return h.draw(attempts)
 }
 
 // EnqueueTraced performs Enqueue and records the operation; the assigned

@@ -24,9 +24,9 @@
 // way a stable word — even sequence — equals the queue's true minimum at
 // the instant of the load, and a mid-update word is the "stale but
 // previously true" information the paper's analysis models.
-// Readers that cannot use a possibly-stale answer (TryDequeue skipping
-// contended queues, the drain sweep trusting emptiness) dispatch on the
-// sentinel instead of taking the lock.
+// Readers that cannot use a possibly-stale answer (the MultiQueue's dequeue
+// draws ranking contended queues last, the drain sweep trusting emptiness)
+// dispatch on the sentinel instead of taking the lock.
 package cpq
 
 import (
@@ -287,8 +287,14 @@ func (q *Queue) addLocked(priority, value uint64) {
 }
 
 // addBatchLocked inserts a non-empty batch under the held lock with the
-// publication protocol applied.
+// publication protocol applied. A one-item batch (a per-op MultiQueue
+// insert) takes addLocked's single Push, which costs less than PushBatch's
+// stack run and merge.
 func (q *Queue) addBatchLocked(items []heap.Item) {
+	if len(items) == 1 {
+		q.addLocked(items[0].Priority, items[0].Value)
+		return
+	}
 	if q.topCovers(batchMin(items)) {
 		q.elisions.Add(1)
 		q.pq.PushBatch(items)

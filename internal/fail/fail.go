@@ -34,7 +34,11 @@
 //	                   here makes readers see in-flight words)
 //	cpq/try/refuse     head of every cpq try-path (an error policy forces
 //	                   the refusal outcome: TryAdd/TryDeleteMin and their
-//	                   batch variants report the lock contended)
+//	                   batch variants report the lock contended); the
+//	                   MultiQueue's default paths try first — every insert
+//	                   publish, Flush and dequeue refill — so refusing all
+//	                   of them drives Dequeue, Flush and Close onto their
+//	                   blocking last resorts
 //	core/deq/reroll    after each d-choice draw in Dequeue/TryDequeue (an
 //	                   error policy discards the draw and rerolls — a
 //	                   sampler reroll storm)
