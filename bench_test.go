@@ -85,15 +85,15 @@ func BenchmarkFig1aMultiCounterC8(b *testing.B) { benchFig1aMultiCounter(b, 8) }
 func BenchmarkFig1bQuality(b *testing.B) {
 	const m = 64
 	mc := core.NewMultiCounter(m)
-	r := rng.NewXoshiro256(7)
+	h := mc.NewHandle(7)
 	var maxGap, maxErr uint64
 	for i := 0; i < b.N; i++ {
-		mc.Increment(r)
+		h.Increment()
 		if i%1024 == 0 {
 			if g := mc.Gap(); g > maxGap {
 				maxGap = g
 			}
-			v := mc.Read(r)
+			v := h.Read()
 			truth := uint64(i + 1)
 			e := v - truth
 			if v < truth {
@@ -278,10 +278,10 @@ func BenchmarkAblationDChoice(b *testing.B) {
 	for _, d := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			const m = 64
-			mc := core.NewMultiCounter(m, core.WithChoices(d))
-			r := rng.NewXoshiro256(9)
+			mc := core.NewMultiCounterConfig(core.MultiCounterConfig{Topology: core.Topology{InitialM: m}, Choices: d})
+			h := mc.NewHandle(9)
 			for i := 0; i < b.N; i++ {
-				mc.Increment(r)
+				h.Increment()
 			}
 			b.ReportMetric(float64(mc.Gap()), "gap")
 		})

@@ -3,7 +3,7 @@
 // Linearizable Data Structures" (Alistarh, Brown, Kopinsky, Li, Nadiradze,
 // SPAA 2018).
 //
-// Three structures are exported:
+// Two structures are exported:
 //
 //   - MultiCounter — a scalable approximate counter (Algorithm 1). Reads are
 //     within O(m·log m) of the true increment count, in expectation and
@@ -30,9 +30,10 @@
 //     cross-handle drains); cmd/quality -queue re-measures the rank-error
 //     distribution for any (Choices, Stickiness, Batch) setting against the
 //     O(m·log m) envelope.
-//   - Timestamps — a relaxed timestamp oracle built on the MultiCounter,
-//     the drop-in replacement for fetch-and-add global clocks evaluated on
-//     TL2 in the paper's Section 8 (see repro/internal/stm for the STM).
+//
+// The paper's Section 8 use of the MultiCounter — a relaxed global clock
+// for TL2 — lives in repro/internal/stm, whose MCClock drives one counter
+// Handle per transaction thread.
 //
 // # Usage
 //
@@ -68,9 +69,6 @@ type MultiCounter = core.MultiCounter
 // paper's per-op two-choice defaults).
 type MultiCounterConfig = core.MultiCounterConfig
 
-// MultiCounterOption adjusts the convenience constructor NewMultiCounter.
-type MultiCounterOption = core.MultiCounterOption
-
 // Handle is a per-goroutine view of a MultiCounter. In batched mode it owns
 // the increment buffer; call Handle.Flush at quiescence.
 type Handle = core.Handle
@@ -92,20 +90,11 @@ type Topology = core.Topology
 // exports per tenant.
 type MQStats = core.MQStats
 
-// Timestamps is the MultiCounter-backed relaxed timestamp oracle.
-type Timestamps = core.Timestamps
-
-// TSHandle is a per-goroutine view of a Timestamps oracle.
-type TSHandle = core.TSHandle
-
 // NewMultiCounter returns a MultiCounter over m atomic counters with the
-// paper's per-op two-choice defaults, adjusted by opts. For the paper's
-// guarantees m should be a large constant multiple of the number of
-// concurrent threads; in practice m ≈ 4–8× threads already balances well
-// (Figure 1a).
-func NewMultiCounter(m int, opts ...MultiCounterOption) *MultiCounter {
-	return core.NewMultiCounter(m, opts...)
-}
+// paper's per-op two-choice defaults. For the paper's guarantees m should be
+// a large constant multiple of the number of concurrent threads; in practice
+// m ≈ 4–8× threads already balances well (Figure 1a).
+func NewMultiCounter(m int) *MultiCounter { return core.NewMultiCounter(m) }
 
 // NewMultiCounterConfig returns a MultiCounter with the full configuration,
 // including the d-choice and sticky/batched fast-path axes.
@@ -113,19 +102,5 @@ func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
 	return core.NewMultiCounterConfig(cfg)
 }
 
-// WithChoices sets the number of random choices d per increment (default 2).
-var WithChoices = core.WithChoices
-
-// WithStickiness sets the sticky sampling window s (default 1: fresh choices
-// every increment).
-var WithStickiness = core.WithStickiness
-
-// WithBatch sets the number of increments a handle buffers per shared atomic
-// publish (default 1: per-operation publishing).
-var WithBatch = core.WithBatch
-
 // NewMultiQueue returns a MultiQueue with the given configuration.
 func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue { return core.NewMultiQueue(cfg) }
-
-// NewTimestamps returns a relaxed timestamp oracle over m shards.
-func NewTimestamps(m int) *Timestamps { return core.NewTimestamps(m) }

@@ -40,7 +40,10 @@ func TestMultiCounterPublicAPI(t *testing.T) {
 }
 
 func TestMultiCounterChoicesOption(t *testing.T) {
-	mc := dlz.NewMultiCounter(16, dlz.WithChoices(4))
+	mc := dlz.NewMultiCounterConfig(dlz.MultiCounterConfig{Topology: dlz.Topology{InitialM: 16}, Choices: 4})
+	if mc.Choices() != 4 {
+		t.Fatalf("Choices = %d", mc.Choices())
+	}
 	h := mc.NewHandle(1)
 	for i := 0; i < 1000; i++ {
 		h.Increment()
@@ -77,39 +80,27 @@ func TestMultiCounterConfigPublicAPI(t *testing.T) {
 	}
 }
 
-func TestMultiCounterOptionsPublicAPI(t *testing.T) {
-	mc := dlz.NewMultiCounter(16, dlz.WithStickiness(4), dlz.WithBatch(4))
-	if mc.Stickiness() != 4 || mc.Batch() != 4 {
-		t.Fatalf("options not plumbed: s=%d k=%d", mc.Stickiness(), mc.Batch())
-	}
-	h := mc.NewHandle(2)
-	for i := 0; i < 100; i++ {
-		h.Increment()
-	}
-	h.Flush()
-	if mc.Exact() != 100 {
-		t.Fatalf("Exact = %d", mc.Exact())
-	}
-}
-
 func TestMultiQueueChoicesPublicAPI(t *testing.T) {
-	q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Topology: dlz.Topology{InitialM: 8}, Seed: 11, Choices: 4})
-	if q.Choices() != 4 {
-		t.Fatalf("Choices = %d", q.Choices())
-	}
-	h := q.NewHandle(1)
-	for v := uint64(0); v < 200; v++ {
-		h.Enqueue(v)
-	}
-	drained := 0
-	for {
-		if _, ok := h.Dequeue(); !ok {
-			break
+	// Choices above m clamp to m: Choices reports the d a run uses.
+	for _, tc := range []struct{ m, d, want int }{{8, 4, 4}, {4, 8, 4}} {
+		q := dlz.NewMultiQueue(dlz.MultiQueueConfig{Topology: dlz.Topology{InitialM: tc.m}, Seed: 11, Choices: tc.d})
+		if q.Choices() != tc.want {
+			t.Fatalf("m %d, Choices %d: Choices() = %d, want %d", tc.m, tc.d, q.Choices(), tc.want)
 		}
-		drained++
-	}
-	if drained != 200 {
-		t.Fatalf("drained %d", drained)
+		h := q.NewHandle(1)
+		for v := uint64(0); v < 200; v++ {
+			h.Enqueue(v)
+		}
+		drained := 0
+		for {
+			if _, ok := h.Dequeue(); !ok {
+				break
+			}
+			drained++
+		}
+		if drained != 200 {
+			t.Fatalf("m %d, Choices %d: drained %d", tc.m, tc.d, drained)
+		}
 	}
 }
 
@@ -133,18 +124,6 @@ func TestMultiQueuePublicAPI(t *testing.T) {
 		if drained != 300 {
 			t.Fatalf("drained %d", drained)
 		}
-	}
-}
-
-func TestTimestampsPublicAPI(t *testing.T) {
-	ts := dlz.NewTimestamps(32)
-	h := ts.NewHandle(3)
-	before := h.Sample()
-	for i := 0; i < 3200; i++ {
-		h.Tick()
-	}
-	if h.Sample() <= before {
-		t.Fatal("oracle did not advance")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package core implements the paper's primary contributions: the
-// MultiCounter relaxed approximate counter (Algorithm 1), the MultiQueue
-// relaxed priority/FIFO queue (Algorithm 2), and the relaxed timestamp
-// oracle that plugs the MultiCounter into timestamp-based concurrency
-// control (Section 8's TL2 experiment).
+// MultiCounter relaxed approximate counter (Algorithm 1) and the MultiQueue
+// relaxed priority/FIFO queue (Algorithm 2). Section 8's TL2 experiment
+// uses the MultiCounter as its global clock through per-operation Handles
+// (internal/stm).
 //
 // Both structures follow the same recipe, which Section 6 proves sound under
 // an oblivious adversary when the number of shards m is a sufficiently large
@@ -12,7 +12,8 @@
 //     counters; lock-protected priority queues);
 //   - updates that must be "small" (increments; dequeues) sample d shards
 //     (the paper's default d = 2) and operate on the apparently better one —
-//     the d-choice rule, implemented once as the shared Sampler;
+//     the d-choice rule, implemented once as the shared Sampler, through
+//     which every counter update and every dequeue draws;
 //   - the structure is distributionally linearizable (Section 5) to a
 //     sequential relaxed process whose per-operation cost is O(m·log m)
 //     w.h.p.: counter reads deviate by at most O(m·log m) from the true

@@ -7,7 +7,7 @@ import (
 )
 
 // Tests for the paper-extension features: weighted increments (Add) and
-// d-choice dequeues (DequeueD).
+// d-choice dequeues (MultiQueueConfig.Choices).
 
 func TestAddPreservesExactSum(t *testing.T) {
 	mc := NewMultiCounter(16)
@@ -58,8 +58,7 @@ func TestAddBoundedWeightsKeepGapSmall(t *testing.T) {
 
 func TestAddSingleChoiceDiverges(t *testing.T) {
 	m := 64
-	d1 := NewMultiCounter(m, WithChoices(1))
-	d2 := NewMultiCounter(m, WithChoices(2))
+	d1, d2 := newMCd(m, 1), newMCd(m, 2)
 	h1, h2 := d1.NewHandle(3), d2.NewHandle(3)
 	for i := 0; i < 100000; i++ {
 		h1.Add(2)
@@ -70,16 +69,21 @@ func TestAddSingleChoiceDiverges(t *testing.T) {
 	}
 }
 
+// newMQd returns a per-op MultiQueue over m queues with d dequeue choices.
+func newMQd(m, d int) *MultiQueue {
+	return NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}, Choices: d})
+}
+
 func TestDequeueDDrains(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
-		q := newMQ(8)
+		q := newMQd(8, d)
 		h := q.NewHandle(4)
 		for v := uint64(0); v < 500; v++ {
 			h.Enqueue(v)
 		}
 		seen := map[uint64]bool{}
 		for {
-			it, ok := h.DequeueD(d)
+			it, ok := h.Dequeue()
 			if !ok {
 				break
 			}
@@ -94,23 +98,11 @@ func TestDequeueDDrains(t *testing.T) {
 	}
 }
 
-func TestDequeueDPanics(t *testing.T) {
-	q := newMQ(4)
-	h := q.NewHandle(5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DequeueD(0) did not panic")
-		}
-	}()
-	h.DequeueD(0)
-}
-
 // TestDequeueDRankImprovesWithD: more choices, lower dequeue rank. Measured
 // on the steady-state single-threaded process with a persistent buffer.
 func TestDequeueDRankImprovesWithD(t *testing.T) {
 	meanRank := func(d int) float64 {
-		m := 32
-		q := newMQ(m)
+		q := newMQd(32, d)
 		h := q.NewHandle(6)
 		const buffer, ops = 2048, 10000
 		for i := 0; i < buffer; i++ {
@@ -126,7 +118,7 @@ func TestDequeueDRankImprovesWithD(t *testing.T) {
 		var sum float64
 		for i := 0; i < ops; i++ {
 			h.Enqueue(0)
-			it, ok := h.DequeueD(d)
+			it, ok := h.Dequeue()
 			if !ok {
 				t.Fatal("dequeue failed")
 			}

@@ -111,39 +111,3 @@ func TestCPQTryOpsSkipHeldLock(t *testing.T) {
 		t.Fatal("TryAdd failed after unlock")
 	}
 }
-
-func TestTimestampsMonotoneHandle(t *testing.T) {
-	ts := NewTimestamps(32)
-	// Advance via another handle concurrently to create sampling noise.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	stop := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		h := ts.NewHandle(50)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				h.Advance()
-			}
-		}
-	}()
-	m := ts.NewHandle(51).Monotone()
-	prev := uint64(0)
-	for i := 0; i < 20000; i++ {
-		v := m.Sample()
-		if v < prev {
-			close(stop)
-			t.Fatalf("monotone sample went backwards: %d < %d", v, prev)
-		}
-		prev = v
-	}
-	if v := m.Tick(); v < prev {
-		close(stop)
-		t.Fatalf("Tick went backwards")
-	}
-	close(stop)
-	wg.Wait()
-}

@@ -49,12 +49,12 @@ func (h *refHandle) flush() {
 	cand := h.smp.Candidates(h.r, h.ops)
 	best := cand[0]
 	for _, i := range cand[1:] {
-		if h.c.shards.Read(i) < h.c.shards.Read(best) {
+		if h.c.cells[i].Load() < h.c.cells[best].Load() {
 			best = i
 		}
 	}
 	h.smp.Charge(h.ops)
-	h.c.shards.Add(best, h.weight)
+	h.c.cells[best].Add(h.weight)
 	h.ops, h.weight = 0, 0
 }
 

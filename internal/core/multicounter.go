@@ -1,17 +1,17 @@
 package core
 
 import (
-	"repro/internal/counters"
 	"repro/internal/pad"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
 // MultiCounter is the relaxed approximate counter of Algorithm 1: m atomic
-// counters; Increment applies the d-choice rule (read d random counters,
-// increment the one that appeared smallest; the paper's default is d = 2);
-// Read samples one counter and scales by m to keep the magnitude of the true
-// total.
+// counters; Handle.Increment applies the d-choice rule (read d distinct
+// random counters, increment the one that appeared smallest; the paper's
+// default is d = 2); Read samples one counter and scales by m to keep the
+// magnitude of the true total. Every update goes through a Handle, and so
+// through the one Sampler both structures share.
 //
 // With m ≥ C·n for the analysis constant C, Theorem 6.1 shows the value
 // returned by Read is within O(m·log m) of the number of completed
@@ -25,11 +25,10 @@ import (
 // (DESIGN.md §2). cmd/quality audits the deviation cost of any setting
 // against the m·log₂m envelope.
 type MultiCounter struct {
-	shards *counters.Sharded // m cells
-	m      int
-	d      int
-	stick  int
-	batch  int
+	cells []pad.Uint64 // m counters, each on its own line
+	d     int
+	stick int
+	batch int
 }
 
 // MultiCounterConfig configures NewMultiCounter. The zero value of optional
@@ -44,7 +43,8 @@ type MultiCounterConfig struct {
 	// Choices is d, the number of random counters an increment samples
 	// before incrementing the smallest. 0 selects the paper's d = 2;
 	// d = 1 is the divergent single-choice process (ablation A1); d > 2
-	// trades extra shared reads for a tighter gap. Negative values panic.
+	// trades extra shared reads for a tighter gap; d > m clamps to m.
+	// Negative values panic.
 	Choices int
 	// Stickiness is the operation-stickiness window s: a handle re-uses its
 	// d sampled shard candidates for up to s consecutive increments before
@@ -63,49 +63,17 @@ type MultiCounterConfig struct {
 	Batch int
 }
 
-// MultiCounterOption is a functional option for the NewMultiCounter
-// convenience constructor; options edit the MultiCounterConfig before the
-// counter is built.
-type MultiCounterOption func(*MultiCounterConfig)
-
-// WithChoices sets MultiCounterConfig.Choices, the number of random choices
-// d per increment (default 2). d = 1 degenerates to the divergent
-// single-choice process and exists for ablation A1; d > 2 trades extra reads
-// for tighter balance. d < 1 panics.
-func WithChoices(d int) MultiCounterOption {
-	if d < 1 {
-		panic("core: WithChoices needs d >= 1")
-	}
-	return func(cfg *MultiCounterConfig) { cfg.Choices = d }
-}
-
-// WithStickiness sets MultiCounterConfig.Stickiness, the sticky sampling
-// window s (values below 1 normalize to 1: fresh choices every increment).
-func WithStickiness(s int) MultiCounterOption {
-	return func(cfg *MultiCounterConfig) { cfg.Stickiness = s }
-}
-
-// WithBatch sets MultiCounterConfig.Batch, the number of increments a handle
-// buffers per shared atomic publish (values below 1 normalize to 1:
-// per-operation publishing, Algorithm 1 exactly).
-func WithBatch(k int) MultiCounterOption {
-	return func(cfg *MultiCounterConfig) { cfg.Batch = k }
-}
-
 // NewMultiCounter returns a MultiCounter over m atomic counters with the
-// paper's per-operation two-choice defaults, adjusted by opts. It is the
-// convenience form of NewMultiCounterConfig.
-func NewMultiCounter(m int, opts ...MultiCounterOption) *MultiCounter {
-	cfg := MultiCounterConfig{Topology: Topology{InitialM: m}}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return NewMultiCounterConfig(cfg)
+// paper's per-operation two-choice defaults. It is the convenience form of
+// NewMultiCounterConfig.
+func NewMultiCounter(m int) *MultiCounter {
+	return NewMultiCounterConfig(MultiCounterConfig{Topology: Topology{InitialM: m}})
 }
 
 // NewMultiCounterConfig returns a MultiCounter with the given configuration,
 // normalizing zero-valued optional fields to the paper's defaults (Choices 2,
-// Stickiness 1, Batch 1 — Algorithm 1 exactly).
+// Stickiness 1, Batch 1 — Algorithm 1 exactly). Choices above m clamp to m,
+// as the handles' Sampler does.
 func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
 	m := cfg.Topology.shards("MultiCounterConfig")
 	if cfg.Choices < 0 {
@@ -121,18 +89,17 @@ func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
 		cfg.Batch = 1
 	}
 	return &MultiCounter{
-		shards: counters.NewSharded(m),
-		m:      m,
-		d:      cfg.Choices,
-		stick:  cfg.Stickiness,
-		batch:  cfg.Batch,
+		cells: make([]pad.Uint64, m),
+		d:     min(cfg.Choices, m),
+		stick: cfg.Stickiness,
+		batch: cfg.Batch,
 	}
 }
 
 // M returns m, the number of underlying counters.
-func (c *MultiCounter) M() int { return c.m }
+func (c *MultiCounter) M() int { return len(c.cells) }
 
-// Choices returns the configured number of random choices d (>= 1).
+// Choices returns the configured number of random choices d (1 ≤ d ≤ m).
 func (c *MultiCounter) Choices() int { return c.d }
 
 // Stickiness returns the configured stickiness window s (>= 1).
@@ -141,68 +108,48 @@ func (c *MultiCounter) Stickiness() int { return c.stick }
 // Batch returns the configured batching factor k (>= 1).
 func (c *MultiCounter) Batch() int { return c.batch }
 
-// Increment applies one unamortised d-choice increment using the
-// caller-owned generator r — Algorithm 1's increment, ignoring the
-// stickiness and batching configuration (handles carry that state; see
-// Handle.Increment). Reads and the update are separate atomic steps, exactly
-// as in the paper — the value read may be stale by the time of the
-// increment, which is the concurrency the analysis covers.
-func (c *MultiCounter) Increment(r *rng.Xoshiro256) { c.apply(r, 1) }
-
-// Add applies one unamortised d-choice update of weight delta — the weighted
-// balls-into-bins extension (Talwar–Wieder; Berenbrink et al., discussed in
-// the paper's related work). Theorem 7.1's potential argument covers weight
-// distributions with bounded moment generating functions, which includes any
-// fixed bounded delta; keep deltas small relative to the O(log m) gap scale
-// or the guarantee constants degrade.
-func (c *MultiCounter) Add(r *rng.Xoshiro256, delta uint64) { c.apply(r, delta) }
-
-// apply is the shared unamortised d-choice update.
-func (c *MultiCounter) apply(r *rng.Xoshiro256, delta uint64) {
-	m := c.m
-	if c.d == 1 {
-		c.shards.Add(r.Intn(m), delta)
-		return
-	}
-	best := r.Intn(m)
-	bestV := c.shards.Read(best)
-	for k := 1; k < c.d; k++ {
-		i := r.Intn(m)
-		if v := c.shards.Read(i); v < bestV {
-			best, bestV = i, v
-		}
-	}
-	c.shards.Add(best, delta)
-}
-
 // Read returns m times the value of a uniformly random counter — the
 // approximate total (Algorithm 1's read, whose deviation Theorem 6.1
 // bounds by O(m·log m)).
 func (c *MultiCounter) Read(r *rng.Xoshiro256) uint64 {
-	return uint64(c.m) * c.shards.Read(r.Intn(c.m))
+	m := len(c.cells)
+	return uint64(m) * c.cells[r.Intn(m)].Load()
 }
 
 // Exact returns the sum of all counters. At quiescence (all handles flushed)
 // this equals the total published weight; under concurrency it is a lower
 // bound at the instant the scan ends. Increments still buffered by batched
 // handles are not included until those handles flush.
-func (c *MultiCounter) Exact() uint64 { return c.shards.Sum() }
+func (c *MultiCounter) Exact() uint64 {
+	var total uint64
+	for i := range c.cells {
+		total += c.cells[i].Load()
+	}
+	return total
+}
 
 // Gap returns the current max − min over the counters (the quantity whose
 // O(log m) bound drives Theorem 6.1). Non-atomic scan; for monitoring and
 // quality experiments.
 func (c *MultiCounter) Gap() uint64 {
-	min, max := c.shards.MinMax()
-	return max - min
+	lo := c.cells[0].Load()
+	hi := lo
+	for i := range c.cells {
+		v := c.cells[i].Load()
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return hi - lo
 }
 
 // Snapshot copies the per-counter values into dst (len must equal M) for the
 // quality experiment's bin-distribution traces (Figure 1b).
 func (c *MultiCounter) Snapshot(dst []uint64) {
-	if len(dst) != c.m {
+	if len(dst) != len(c.cells) {
 		panic("core: Snapshot dst length mismatch")
 	}
-	c.shards.Snapshot(dst)
+	for i := range dst {
+		dst[i] = c.cells[i].Load()
+	}
 }
 
 // Handle binds a MultiCounter to one goroutine's private generator and, in
@@ -243,7 +190,7 @@ func (c *MultiCounter) NewHandle(seed uint64) *Handle {
 		span: c.batch - 1,
 		c:    c,
 		r:    *rng.NewXoshiro256(seed),
-		smp:  NewSampler(c.m, c.d, c.stick),
+		smp:  NewSampler(len(c.cells), c.d, c.stick),
 	}
 }
 
@@ -253,8 +200,12 @@ func (c *MultiCounter) NewHandle(seed uint64) *Handle {
 func (h *Handle) Increment() { h.Add(1) }
 
 // Add applies one relaxed update of weight delta through the same
-// sticky/batched path as Increment (the weighted extension; see
-// MultiCounter.Add for the analysis caveats). While the buffer has room the
+// sticky/batched path as Increment — the weighted balls-into-bins extension
+// (Talwar–Wieder; Berenbrink et al., discussed in the paper's related work).
+// Theorem 7.1's potential argument covers weight distributions with bounded
+// moment generating functions, which includes any fixed bounded delta; keep
+// deltas small relative to the O(log m) gap scale or the guarantee
+// constants degrade. While the buffer has room the
 // update is a decrement and an add on handle-local words, small enough to
 // inline into the caller's loop; everything else is addSlow.
 func (h *Handle) Add(delta uint64) {
@@ -283,9 +234,9 @@ func (h *Handle) addSlow(delta uint64) {
 // sticky d-choice winner with one atomic add, charges the stickiness window
 // per update and empties the buffer.
 func (h *Handle) publish(ops int) {
-	i := argmin(h.c.shards, h.smp.Candidates(&h.r, ops))
+	i := argmin(h.c.cells, h.smp.Candidates(&h.r, ops))
 	h.smp.Charge(ops)
-	h.c.shards.Add(i, h.bufWeight)
+	h.c.cells[i].Add(h.bufWeight)
 	h.bufWeight, h.room = 0, h.span
 }
 
@@ -294,14 +245,14 @@ func (h *Handle) publish(ops int) {
 // synchronization, so the winner may be stale by the time the caller adds to
 // it; that staleness is the relaxation the analysis bounds. A single
 // candidate (d = 1) is returned without reading its cell.
-func argmin(cells *counters.Sharded, cand []int) int {
+func argmin(cells []pad.Uint64, cand []int) int {
 	best := cand[0]
 	if len(cand) == 1 {
 		return best
 	}
-	bestV := cells.Read(best)
+	bestV := cells[best].Load()
 	for _, i := range cand[1:] {
-		if v := cells.Read(i); v < bestV {
+		if v := cells[i].Load(); v < bestV {
 			best, bestV = i, v
 		}
 	}
@@ -360,21 +311,20 @@ func (h *Handle) Close() {
 // Counter returns the underlying MultiCounter.
 func (h *Handle) Counter() *MultiCounter { return h.c }
 
-// IncrementTraced performs an unamortised increment and records the
-// operation in log with stamps from rec; the linearization stamp is taken
-// adjacent to the atomic increment. Traced operations always use the per-op
-// path (never the handle's batch buffer) so the stamp brackets the shared
-// memory step the dlin replay orders. Unlike an enqueue's stamp (see
-// MQHandle.EnqueueTraced), this one may follow the moment other handles can
-// see the increment, so a read that observes it can be stamped first. The
-// counter spec tolerates that: it rejects no history — a read is charged
-// |value − increments linearized before it| — and the error is at most one
-// per increment in flight when the read is stamped, fewer than the recording
-// threads, against an O(m·log m) deviation envelope. Used by the
+// IncrementTraced performs Increment and records the operation in log with
+// stamps from rec; the linearization stamp is taken adjacent to the atomic
+// increment. The handle must have Batch 1, so that the increment publishes
+// inside the stamps instead of waiting in the buffer. Unlike an enqueue's
+// stamp (see MQHandle.EnqueueTraced), this one may follow the moment other
+// handles can see the increment, so a read that observes it can be stamped
+// first. The counter spec tolerates that: it rejects no history — a read is
+// charged |value − increments linearized before it| — and the error is at
+// most one per increment in flight when the read is stamped, fewer than the
+// recording threads, against an O(m·log m) deviation envelope. Used by the
 // distributional-linearizability tests.
 func (h *Handle) IncrementTraced(rec *trace.Recorder, log *trace.ThreadLog) {
 	start := rec.Stamp()
-	h.c.Increment(&h.r)
+	h.Increment()
 	lin := rec.Stamp()
 	log.Record(trace.Event{Kind: trace.KindInc, Start: start, Lin: lin, End: lin})
 }
@@ -383,7 +333,7 @@ func (h *Handle) IncrementTraced(rec *trace.Recorder, log *trace.ThreadLog) {
 // value.
 func (h *Handle) ReadTraced(rec *trace.Recorder, log *trace.ThreadLog) uint64 {
 	start := rec.Stamp()
-	v := h.c.Read(&h.r)
+	v := h.Read()
 	lin := rec.Stamp()
 	log.Record(trace.Event{Kind: trace.KindRead, Start: start, Lin: lin, End: lin, Ret: v})
 	return v

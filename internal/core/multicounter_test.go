@@ -11,6 +11,11 @@ import (
 	"repro/internal/trace"
 )
 
+// newMCd returns a per-op counter over m cells with d choices.
+func newMCd(m, d int) *MultiCounter {
+	return NewMultiCounterConfig(MultiCounterConfig{Topology: Topology{InitialM: m}, Choices: d})
+}
+
 func TestMultiCounterSequentialExact(t *testing.T) {
 	mc := NewMultiCounter(16)
 	h := mc.NewHandle(1)
@@ -104,8 +109,8 @@ func TestMultiCounterConcurrentGapBounded(t *testing.T) {
 func TestSingleChoiceWorseThanTwoChoice(t *testing.T) {
 	// Ablation A1 at the data-structure level.
 	m := 64
-	d1 := NewMultiCounter(m, WithChoices(1))
-	d2 := NewMultiCounter(m, WithChoices(2))
+	d1 := newMCd(m, 1)
+	d2 := newMCd(m, 2)
 	h1, h2 := d1.NewHandle(4), d2.NewHandle(4)
 	for i := 0; i < 200000; i++ {
 		h1.Increment()
@@ -118,8 +123,8 @@ func TestSingleChoiceWorseThanTwoChoice(t *testing.T) {
 
 func TestFourChoiceTighterOrEqual(t *testing.T) {
 	m := 64
-	d2 := NewMultiCounter(m, WithChoices(2))
-	d4 := NewMultiCounter(m, WithChoices(4))
+	d2 := newMCd(m, 2)
+	d4 := newMCd(m, 4)
 	h2, h4 := d2.NewHandle(5), d4.NewHandle(5)
 	for i := 0; i < 200000; i++ {
 		h2.Increment()
@@ -159,10 +164,10 @@ func TestMultiCounterPanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("WithChoices(0) did not panic")
+				t.Fatal("Choices -1 did not panic")
 			}
 		}()
-		NewMultiCounter(4, WithChoices(0))
+		newMCd(4, -1)
 	}()
 }
 
@@ -174,6 +179,11 @@ func TestHandleAccessors(t *testing.T) {
 	}
 	if mc.M() != 8 {
 		t.Fatalf("M = %d", mc.M())
+	}
+	// d > m clamps to m, as the handle's sampler does, so Choices reports
+	// the d a run actually uses.
+	if d := newMCd(4, 8).Choices(); d != 4 {
+		t.Fatalf("Choices 8 over m = 4 reports %d, want 4", d)
 	}
 }
 
@@ -233,44 +243,46 @@ func logTail(t *testing.T, w *dlin.Witness, m int) {
 	t.Log(line)
 }
 
+// TestTimestampsSampleAndTick uses the counter the way internal/stm's
+// relaxed TL2 clock does: a per-op handle reads the time and ticks it.
 func TestTimestampsSampleAndTick(t *testing.T) {
-	ts := NewTimestamps(32)
-	h := ts.NewHandle(8)
-	v0 := h.Sample()
+	mc := NewMultiCounter(32)
+	h := mc.NewHandle(8)
+	v0 := h.Read()
 	for i := 0; i < 3200; i++ {
-		h.Tick()
+		h.Increment()
 	}
-	v1 := h.Sample()
+	v1 := h.Read()
 	if v1 <= v0 {
 		t.Fatalf("timestamp did not advance: %d -> %d", v0, v1)
 	}
-	if ts.Counter().Exact() != 3200 {
-		t.Fatalf("Exact = %d", ts.Counter().Exact())
+	if mc.Exact() != 3200 {
+		t.Fatalf("Exact = %d", mc.Exact())
 	}
 }
 
 func TestTimestampsConcurrentSkewBounded(t *testing.T) {
-	// Concurrent tickers; afterwards samples from any handle should be
-	// within m*gap + m of the true count.
+	// Concurrent tickers on per-op handles; afterwards samples from any
+	// handle should be within m*gap + m of the true count.
 	const workers, per, m = 4, 20000, 64
-	ts := NewTimestamps(m)
+	mc := NewMultiCounter(m)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			h := ts.NewHandle(uint64(w) + 30)
+			h := mc.NewHandle(uint64(w) + 30)
 			for i := 0; i < per; i++ {
-				h.Tick()
+				h.Increment()
 			}
 		}(w)
 	}
 	wg.Wait()
 	true64 := float64(workers * per)
-	gap := float64(ts.Counter().Gap())
-	h := ts.NewHandle(99)
+	gap := float64(mc.Gap())
+	h := mc.NewHandle(99)
 	for i := 0; i < 100; i++ {
-		v := float64(h.Sample())
+		v := float64(h.Read())
 		if math.Abs(v-true64) > float64(m)*gap+float64(m) {
 			t.Fatalf("sample %v deviates beyond m*gap from %v", v, true64)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/clock"
 	"repro/internal/cpq"
 	"repro/internal/fail"
 	"repro/internal/heap"
@@ -24,19 +23,16 @@ import (
 // states: analysis guarantees apply while no insertion carries a higher
 // priority than an element already removed.
 type MultiQueue struct {
-	qs    []cpq.Queue // len m, one block each
-	clk   clock.Clock
-	blk   blockClock // non-nil when clk supports block reservation
+	qs []cpq.Queue // len m, one block each
+	// tick issues enqueue stamps: strictly unique, consistently ordered, a
+	// contract at least as strong as the paper's consistent per-processor
+	// clocks. Its word is allocated apart, on its own line, so the stamp
+	// traffic does not bounce the line every operation reads qs and m from.
+	tick  *pad.Uint64
 	m     int
 	d     int
 	stick int
 	batch int
-}
-
-// blockClock is the optional fast path a clock can offer batched enqueuers:
-// reserve n consecutive stamps with one shared atomic operation.
-type blockClock interface {
-	Block(n int) uint64
 }
 
 // MultiQueueConfig configures NewMultiQueue. The zero value of optional
@@ -45,9 +41,6 @@ type MultiQueueConfig struct {
 	// Topology.InitialM is m, the number of internal priority queues, fixed
 	// at construction. It must be positive.
 	Topology Topology
-	// Clock supplies enqueue timestamps (default: a fresh Tick clock, which
-	// gives strictly unique, consistently ordered stamps).
-	Clock clock.Clock
 	// Seed has no effect: its only consumer was the level generator of the
 	// skip-list store the queues no longer offer. The field stays until the
 	// benchmark, which sets it, stops doing so.
@@ -55,9 +48,9 @@ type MultiQueueConfig struct {
 	// Choices is d, the number of random queue heads a dequeue compares
 	// before deleting from the smallest. 0 selects the paper's d = 2;
 	// d = 1 is the divergent single-choice baseline (ablation A1); d > 2
-	// tightens rank quality at the cost of extra ReadMin traffic. Negative
-	// values panic. Enqueues always use one uniform choice, as in
-	// Algorithm 2.
+	// tightens rank quality at the cost of extra ReadMin traffic; d > m
+	// clamps to m. Negative values panic. Enqueues always use one uniform
+	// choice, as in Algorithm 2.
 	Choices int
 	// Stickiness is the operation-stickiness window s: a handle re-uses its
 	// randomly chosen queue (for inserts) and queue pair (for removes) for
@@ -84,9 +77,6 @@ type MultiQueueConfig struct {
 // NewMultiQueue returns a MultiQueue with the given configuration.
 func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	m := cfg.Topology.shards("MultiQueueConfig")
-	if cfg.Clock == nil {
-		cfg.Clock = clock.NewTick()
-	}
 	if cfg.Choices < 0 {
 		panic("core: MultiQueueConfig.Choices must be >= 0")
 	}
@@ -99,21 +89,17 @@ func NewMultiQueue(cfg MultiQueueConfig) *MultiQueue {
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
 	}
-	mq := &MultiQueue{
+	return &MultiQueue{
 		qs:    cpq.NewShards(m),
-		clk:   cfg.Clock,
+		tick:  new(pad.Uint64),
 		m:     m,
-		d:     cfg.Choices,
+		d:     min(cfg.Choices, m),
 		stick: cfg.Stickiness,
 		batch: cfg.Batch,
 	}
-	if cfg.Batch > 1 {
-		mq.blk, _ = cfg.Clock.(blockClock)
-	}
-	return mq
 }
 
-// Choices returns the configured number of dequeue choices d (>= 1).
+// Choices returns the configured number of dequeue choices d (1 ≤ d ≤ m).
 func (q *MultiQueue) Choices() int { return q.d }
 
 // Stickiness returns the configured stickiness window s (>= 1).
@@ -221,7 +207,7 @@ type MQHandle struct {
 	outBuf []heap.Item
 	outPos int
 
-	// Block-reserved clock stamps (batched mode over a Tick clock).
+	// Block-reserved enqueue stamps: Batch consecutive ticks per reservation.
 	stampNext uint64
 	stampLeft int
 
@@ -407,9 +393,9 @@ func (h *MQHandle) insert(priority, value uint64) {
 // Enqueue implements Algorithm 2's Enqueue: stamp with the clock, insert
 // into a uniformly random queue (sticky across the stickiness window, and
 // buffered into one AddBatch per Batch elements in batched mode). It returns
-// the priority assigned, which doubles as the element's unique label under a
-// Tick clock. The stamp is taken at call time, so batching delays visibility
-// but never reorders a handle's own elements.
+// the priority assigned, which doubles as the element's unique label. The
+// stamp is taken at call time, so batching delays visibility but never
+// reorders a handle's own elements.
 func (h *MQHandle) Enqueue(value uint64) uint64 {
 	h.checkOpen()
 	p := h.stamp()
@@ -417,15 +403,16 @@ func (h *MQHandle) Enqueue(value uint64) uint64 {
 	return p
 }
 
-// stamp draws the next enqueue timestamp: directly from the clock in per-op
-// mode, or from a handle-owned block of Batch consecutive ticks reserved
-// with one shared atomic operation when the clock supports it.
+// stamp draws the next enqueue timestamp from a handle-owned block of Batch
+// consecutive ticks, reserved with one atomic add on the queue's tick word
+// (at Batch 1, one Add(1) per enqueue). A reserved tick may be assigned
+// after another handle draws a larger one — bounded extra relaxation of the
+// same kind the insert buffer already introduces (at most Batch stamps per
+// handle).
 func (h *MQHandle) stamp() uint64 {
-	if h.q.blk == nil {
-		return h.q.clk.Now()
-	}
 	if h.stampLeft == 0 {
-		h.stampNext = h.q.blk.Block(h.q.batch)
+		k := uint64(h.q.batch)
+		h.stampNext = h.q.tick.Add(k) - k + 1
 		h.stampLeft = h.q.batch
 	}
 	p := h.stampNext
@@ -543,53 +530,6 @@ func (h *MQHandle) deleteFrom(i int, block bool) (it heap.Item, ok bool) {
 	h.deqCharge(len(h.outBuf))
 	h.outPos = 1
 	return h.outBuf[0], true
-}
-
-// DequeueD overrides the configured choice count for one operation: it
-// reads the heads of d fresh (never sticky) random queues and deletes from
-// the best. d = 1 is the divergent single-choice baseline (ablation A1 for
-// queues); prefer MultiQueueConfig.Choices for a structure-wide setting —
-// DequeueD exists for per-call sweeps. The retry/sweep structure matches
-// Dequeue.
-func (h *MQHandle) DequeueD(d int) (it heap.Item, ok bool) {
-	if d < 1 {
-		panic("core: DequeueD needs d >= 1")
-	}
-	h.checkOpen()
-	if h.outPos < len(h.outBuf) {
-		it = h.outBuf[h.outPos]
-		h.outPos++
-		return it, true
-	}
-	for attempt := 0; attempt < 2*h.q.m; attempt++ {
-		best := h.r.Intn(h.q.m)
-		bestTop := h.q.qs[best].ReadTop().Key()
-		for k := 1; k < d; k++ {
-			j := h.r.Intn(h.q.m)
-			if top := h.q.qs[j].ReadTop().Key(); top < bestTop {
-				best, bestTop = j, top
-			}
-		}
-		if bestTop == cpq.TopKeyEmpty {
-			// The winning key already encodes stable-empty; skip without
-			// re-reading the word (a second load could disagree with the
-			// one the comparison ranked).
-			continue
-		}
-		if it, ok, _ = h.q.qs[best].TryDeleteMin(); ok {
-			return it, true
-		}
-	}
-	h.Flush()
-	for i := range h.q.qs {
-		if h.q.qs[i].ReadTop().StableEmpty() {
-			continue
-		}
-		if it, ok = h.q.qs[i].DeleteMin(); ok {
-			return it, true
-		}
-	}
-	return heap.Item{}, false
 }
 
 // TryDequeue is Dequeue without its blocking sweep: up to attempts draws of

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/clock"
 	"repro/internal/dlin"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -86,16 +85,40 @@ func TestMultiQueueChoicesConfig(t *testing.T) {
 	}()
 }
 
+// TestMultiQueueTimestampsUnique: concurrent handles stamp from the queue's
+// one tick word, per enqueue at Batch 1 and in reserved blocks at Batch 8.
+// Each handle's stamps strictly increase and no stamp repeats across
+// handles.
 func TestMultiQueueTimestampsUnique(t *testing.T) {
-	q := newMQ(4)
-	h := q.NewHandle(2)
-	seen := map[uint64]bool{}
-	for v := uint64(0); v < 1000; v++ {
-		p := h.Enqueue(v)
-		if seen[p] {
-			t.Fatalf("duplicate priority %d from tick clock", p)
+	const handles, per = 4, 5000
+	for _, batch := range []int{1, 8} {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Batch: batch})
+		stamps := make([][]uint64, handles)
+		var wg sync.WaitGroup
+		wg.Add(handles)
+		for w := 0; w < handles; w++ {
+			go func(w int) {
+				defer wg.Done()
+				h := q.NewHandle(uint64(w) + 2)
+				for v := uint64(0); v < per; v++ {
+					stamps[w] = append(stamps[w], h.Enqueue(v))
+				}
+				h.Flush()
+			}(w)
 		}
-		seen[p] = true
+		wg.Wait()
+		seen := make(map[uint64]int, handles*per)
+		for w, ps := range stamps {
+			for i, p := range ps {
+				if i > 0 && p <= ps[i-1] {
+					t.Fatalf("batch %d: handle %d stamped %d after %d", batch, w, p, ps[i-1])
+				}
+				if prev, dup := seen[p]; dup {
+					t.Fatalf("batch %d: priority %d stamped by handles %d and %d", batch, p, prev, w)
+				}
+				seen[p] = w
+			}
+		}
 	}
 }
 
@@ -241,24 +264,6 @@ func TestMultiQueueBackings(t *testing.T) {
 		if pops[0][j] != pops[1][j] {
 			t.Fatalf("pop %d: value %d with one seed, %d with the other", j, pops[0][j], pops[1][j])
 		}
-	}
-}
-
-func TestMultiQueueWallClock(t *testing.T) {
-	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 4}, Clock: clock.NewWall(), Seed: 8})
-	h := q.NewHandle(9)
-	for v := uint64(0); v < 100; v++ {
-		h.Enqueue(v)
-	}
-	drained := 0
-	for {
-		if _, ok := h.Dequeue(); !ok {
-			break
-		}
-		drained++
-	}
-	if drained != 100 {
-		t.Fatalf("drained %d", drained)
 	}
 }
 

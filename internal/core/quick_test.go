@@ -128,18 +128,17 @@ func TestQuickMultiQueueExactWhenMIsOne(t *testing.T) {
 	}
 }
 
-// TestQuickTimestampsNeverExceedMTimesTotal: a sample is m times one shard,
-// and no shard exceeds the total number of ticks, so samples are bounded by
+// TestQuickTimestampsBounded: a per-op handle's read is m times one shard,
+// and no shard exceeds the total number of ticks, so reads are bounded by
 // m times the tick count (and are never negative by construction).
 func TestQuickTimestampsBounded(t *testing.T) {
 	f := func(ticks uint8, seed uint64) bool {
 		m := 8
-		ts := NewTimestamps(m)
-		h := ts.NewHandle(seed)
+		h := NewMultiCounter(m).NewHandle(seed)
 		for i := 0; i < int(ticks); i++ {
-			h.Tick()
+			h.Increment()
 		}
-		v := h.Sample()
+		v := h.Read()
 		return v <= uint64(m)*uint64(ticks)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

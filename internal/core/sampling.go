@@ -64,9 +64,6 @@ func NewSampler(m, d, window int) Sampler {
 // Choices returns d, the candidate set size (clamped to m).
 func (s *Sampler) Choices() int { return s.d }
 
-// Window returns the stickiness window (>= 1).
-func (s *Sampler) Window() int { return s.window }
-
 // contains reports whether idx already occurs in cand.
 func contains(cand []int, idx int) bool {
 	for _, c := range cand {
@@ -140,13 +137,6 @@ func (s *Sampler) BestKeyed(r *rng.Xoshiro256, need int, load func(int) uint64) 
 // per element (not per lock acquisition or flush) keeps the window — and so
 // the measured relaxation cost — comparable across batch sizes.
 func (s *Sampler) Charge(n int) { s.left -= n }
-
-// Expire discards the current candidate set AND the remaining window budget:
-// the next Candidates call draws fresh indices and starts a full new
-// window. Use it when the whole window is invalidated (the structure was
-// reconfigured, a drain completed); for an empty or contended candidate that
-// merely needs a different draw, Reroll keeps the budget accounting honest.
-func (s *Sampler) Expire() { s.left = 0 }
 
 // Reroll requests a fresh draw at the next Candidates call while
 // keeping the remaining window budget: the replacement candidates serve only

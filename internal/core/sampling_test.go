@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"repro/internal/counters"
+	"repro/internal/pad"
 	"repro/internal/rng"
 )
 
@@ -51,22 +51,11 @@ func TestSamplerNeverSplitsABatch(t *testing.T) {
 	}
 }
 
-func TestSamplerExpire(t *testing.T) {
-	s := NewSampler(1024, 2, 100)
-	r := rng.NewXoshiro256(4)
-	a := append([]int(nil), s.Candidates(r, 1)...)
-	s.Expire()
-	b := s.Candidates(r, 1)
-	if a[0] == b[0] && a[1] == b[1] {
-		t.Fatalf("Expire did not force a fresh draw: %v", a)
-	}
-}
-
 func TestSamplerBestPicksArgmin(t *testing.T) {
 	loads := []uint64{9, 3, 7, 1, 8, 2, 6, 4}
-	cells := counters.NewSharded(len(loads))
+	cells := make([]pad.Uint64, len(loads))
 	for i, v := range loads {
-		cells.Add(i, v)
+		cells[i].Store(v)
 	}
 	s := NewSampler(len(loads), 4, 1)
 	r := rng.NewXoshiro256(5)
@@ -112,11 +101,11 @@ func TestSamplerPanics(t *testing.T) {
 		}()
 	}
 	// window < 1 normalizes instead of panicking.
-	if s := NewSampler(4, 2, 0); s.Window() != 1 {
-		t.Fatalf("window 0 normalized to %d, want 1", s.Window())
+	if s := NewSampler(4, 2, 0); s.window != 1 {
+		t.Fatalf("window 0 normalized to %d, want 1", s.window)
 	}
-	if s := NewSampler(4, 3, 7); s.Choices() != 3 || s.Window() != 7 {
-		t.Fatalf("accessors returned d=%d w=%d", s.Choices(), s.Window())
+	if s := NewSampler(4, 3, 7); s.Choices() != 3 || s.window != 7 {
+		t.Fatalf("accessor returned d=%d, window %d", s.Choices(), s.window)
 	}
 }
 
@@ -152,8 +141,8 @@ func TestSamplerDedupesCandidates(t *testing.T) {
 
 // TestSamplerRerollKeepsRemainingBudget pins the Reroll semantics the
 // queue's empty/contended path relies on: a reroll forces a fresh draw but
-// the replacement candidates inherit only the remaining window budget —
-// unlike Expire, which starts a whole new window. The sampler has window 10;
+// the replacement candidates inherit only the remaining window budget, not
+// a whole new window. The sampler has window 10;
 // after charging 3 and rerolling, the fresh set must expire after 7 more
 // charges, not 10.
 func TestSamplerRerollKeepsRemainingBudget(t *testing.T) {
@@ -178,20 +167,6 @@ func TestSamplerRerollKeepsRemainingBudget(t *testing.T) {
 	third := s.Candidates(r, 1)
 	if third[0] == second[0] && third[1] == second[1] {
 		t.Fatalf("rerolled set survived past the inherited budget: %v", third)
-	}
-	// Contrast: Expire resets the whole window.
-	s2 := NewSampler(1<<20, 2, 10)
-	r2 := rng.NewXoshiro256(22)
-	s2.Candidates(r2, 1)
-	s2.Charge(3)
-	s2.Expire()
-	fresh := append([]int(nil), s2.Candidates(r2, 1)...)
-	for i := 0; i < 9; i++ {
-		s2.Charge(1)
-		got := s2.Candidates(r2, 1)
-		if got[0] != fresh[0] || got[1] != fresh[1] {
-			t.Fatalf("Expire-refreshed set changed %d charges into its full 10-op window", i+1)
-		}
 	}
 }
 

@@ -104,8 +104,8 @@ func TestStressMultiQueueStickyBatched(t *testing.T) {
 	}
 }
 
-// TestStressMultiQueueMixedOps exercises every dequeue variant (Dequeue,
-// DequeueD, TryDequeue) concurrently against batched enqueues — the variants
+// TestStressMultiQueueMixedOps exercises both dequeue variants (Dequeue,
+// TryDequeue) concurrently against batched enqueues — the variants
 // share the prefetch buffer, so the race detector must see a consistent
 // handle-local protocol.
 func TestStressMultiQueueMixedOps(t *testing.T) {
@@ -125,10 +125,8 @@ func TestStressMultiQueueMixedOps(t *testing.T) {
 				h.Enqueue(n)
 				n++
 				switch n % 3 {
-				case 0:
+				case 0, 1:
 					h.Dequeue()
-				case 1:
-					h.DequeueD(3)
 				default:
 					h.TryDequeue(8)
 				}

@@ -51,94 +51,3 @@ func TestExactConcurrent(t *testing.T) {
 		}
 	}
 }
-
-func TestShardedBasics(t *testing.T) {
-	s := NewSharded(4)
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	s.Inc(0)
-	s.Inc(0)
-	s.Add(3, 10)
-	if s.Read(0) != 2 || s.Read(1) != 0 || s.Read(3) != 10 {
-		t.Fatal("per-shard reads wrong")
-	}
-	if s.Sum() != 12 {
-		t.Fatalf("Sum = %d", s.Sum())
-	}
-	min, max := s.MinMax()
-	if min != 0 || max != 10 {
-		t.Fatalf("MinMax = %d,%d", min, max)
-	}
-	snap := make([]uint64, 4)
-	s.Snapshot(snap)
-	if snap[0] != 2 || snap[3] != 10 {
-		t.Fatal("Snapshot wrong")
-	}
-}
-
-func TestShardedPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("NewSharded(0) did not panic")
-			}
-		}()
-		NewSharded(0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Snapshot with wrong length did not panic")
-			}
-		}()
-		NewSharded(2).Snapshot(make([]uint64, 3))
-	}()
-}
-
-func TestShardedConcurrentSum(t *testing.T) {
-	s := NewSharded(16)
-	const workers, per = 8, 20000
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				s.Inc((w + i) % 16)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Sum() != workers*per {
-		t.Fatalf("Sum = %d, want %d", s.Sum(), workers*per)
-	}
-}
-
-func TestStripedConcurrent(t *testing.T) {
-	const workers, per = 8, 20000
-	s := NewStriped(workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				s.Inc(w)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.Read() != workers*per {
-		t.Fatalf("Read = %d, want %d", s.Read(), workers*per)
-	}
-}
-
-func TestStripedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewStriped(0) did not panic")
-		}
-	}()
-	NewStriped(0)
-}

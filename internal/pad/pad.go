@@ -9,7 +9,7 @@
 // the adjacent-line spatial prefetcher on Intel parts like the paper's
 // E7-4830 v3.
 //
-// Uint64, Int64 and Bool pad themselves. SpinLock and Seq64 are
+// Uint64 pads itself. SpinLock and Seq64 are
 // bare words: their one user, a cpq.Queue shard, holds both beside the rest
 // of its critical-section state in one CacheLine block and pads that block
 // as a whole (DESIGN.md §5, "Shard layout").
@@ -46,39 +46,6 @@ func (p *Uint64) Swap(x uint64) uint64 { return p.v.Swap(x) }
 
 // CompareAndSwap executes the CAS and reports whether it succeeded.
 func (p *Uint64) CompareAndSwap(old, new uint64) bool { return p.v.CompareAndSwap(old, new) }
-
-// Int64 is a cache-line padded atomic int64. The zero value is 0.
-type Int64 struct {
-	v atomic.Int64
-	_ [CacheLine - 8]byte
-}
-
-// Load atomically reads the value.
-func (p *Int64) Load() int64 { return p.v.Load() }
-
-// Store atomically writes the value.
-func (p *Int64) Store(x int64) { p.v.Store(x) }
-
-// Add atomically adds delta and returns the new value.
-func (p *Int64) Add(delta int64) int64 { return p.v.Add(delta) }
-
-// CompareAndSwap executes the CAS and reports whether it succeeded.
-func (p *Int64) CompareAndSwap(old, new int64) bool { return p.v.CompareAndSwap(old, new) }
-
-// Bool is a cache-line padded atomic bool. The zero value is false.
-type Bool struct {
-	v atomic.Bool // wraps a uint32
-	_ [CacheLine - 4]byte
-}
-
-// Load atomically reads the value.
-func (p *Bool) Load() bool { return p.v.Load() }
-
-// Store atomically writes the value.
-func (p *Bool) Store(x bool) { p.v.Store(x) }
-
-// CompareAndSwap executes the CAS and reports whether it succeeded.
-func (p *Bool) CompareAndSwap(old, new bool) bool { return p.v.CompareAndSwap(old, new) }
 
 // SeqBits is the width of the Seq64 sequence field. The remaining
 // 64 − SeqBits high bits carry the payload.

@@ -11,12 +11,6 @@ func TestPaddedSizes(t *testing.T) {
 	if s := unsafe.Sizeof(Uint64{}); s != CacheLine {
 		t.Fatalf("Uint64 size %d, want %d", s, CacheLine)
 	}
-	if s := unsafe.Sizeof(Int64{}); s != CacheLine {
-		t.Fatalf("Int64 size %d, want %d", s, CacheLine)
-	}
-	if s := unsafe.Sizeof(Bool{}); s != CacheLine {
-		t.Fatalf("Bool size %d, want %d", s, CacheLine)
-	}
 	// The shard that holds these two pads them; bare, they are a 4-byte
 	// state word beside an 8-byte counter, and one 8-byte word.
 	if s := unsafe.Sizeof(SpinLock{}); s != 16 {
@@ -44,31 +38,6 @@ func TestUint64Ops(t *testing.T) {
 	}
 	if u.CompareAndSwap(8, 11) {
 		t.Fatal("CAS with stale old should fail")
-	}
-}
-
-func TestInt64Ops(t *testing.T) {
-	var v Int64
-	v.Store(-4)
-	if v.Add(1) != -3 {
-		t.Fatal("Add on negative failed")
-	}
-	if !v.CompareAndSwap(-3, 7) || v.Load() != 7 {
-		t.Fatal("CAS failed")
-	}
-}
-
-func TestBoolOps(t *testing.T) {
-	var b Bool
-	if b.Load() {
-		t.Fatal("zero value not false")
-	}
-	b.Store(true)
-	if !b.Load() {
-		t.Fatal("Store(true) not visible")
-	}
-	if !b.CompareAndSwap(true, false) || b.Load() {
-		t.Fatal("CAS failed")
 	}
 }
 

@@ -72,7 +72,7 @@ func (h faaHandle) Help() {}
 // anything its writer observed. Δ must exceed the counter's expected skew
 // (O(m·log m), Theorem 6.1) for the protocol to be safe w.h.p. (Section 8).
 type MCClock struct {
-	ts    *core.Timestamps
+	mc    *core.MultiCounter
 	delta uint64
 }
 
@@ -81,7 +81,7 @@ func NewMCClock(m int, delta uint64) *MCClock {
 	if delta == 0 {
 		panic("stm: NewMCClock needs delta > 0")
 	}
-	return &MCClock{ts: core.NewTimestamps(m), delta: delta}
+	return &MCClock{mc: core.NewMultiCounter(m), delta: delta}
 }
 
 // Name implements Clock.
@@ -91,32 +91,33 @@ func (c *MCClock) Name() string { return "tl2-multicounter" }
 func (c *MCClock) Delta() uint64 { return c.delta }
 
 // Counter exposes the backing MultiCounter for skew instrumentation.
-func (c *MCClock) Counter() *core.MultiCounter { return c.ts.Counter() }
+func (c *MCClock) Counter() *core.MultiCounter { return c.mc }
 
-// NewHandle implements Clock.
+// NewHandle implements Clock with a per-operation counter handle: every
+// increment publishes at once, so the clock never lags a commit.
 func (c *MCClock) NewHandle(seed uint64) ClockHandle {
-	return &mcHandle{h: c.ts.NewHandle(seed), delta: c.delta}
+	return &mcHandle{h: c.mc.NewHandle(seed), delta: c.delta}
 }
 
 type mcHandle struct {
-	h     *core.TSHandle
+	h     *core.Handle
 	delta uint64
 }
 
 // Sample implements ClockHandle.
-func (h *mcHandle) Sample() uint64 { return h.h.Sample() }
+func (h *mcHandle) Sample() uint64 { return h.h.Read() }
 
 // CommitVersion implements ClockHandle: advance the relaxed clock, then
 // stamp the write Δ beyond everything this transaction has observed.
 func (h *mcHandle) CommitVersion(tmax uint64) uint64 {
-	h.h.Tick()
+	h.h.Increment()
 	return tmax + h.delta
 }
 
 // Help implements ClockHandle by pushing the relaxed clock forward one
 // relaxed increment, so readers blocked on future-stamped slots make the
 // time they are waiting for actually pass.
-func (h *mcHandle) Help() { h.h.Advance() }
+func (h *mcHandle) Help() { h.h.Increment() }
 
 // TickClock is an exact clock that, like MCClock, writes in the future by Δ
 // but advances an exact counter. It isolates the contribution of the Δ rule

@@ -20,7 +20,7 @@ package trace
 import (
 	"sort"
 
-	"repro/internal/clock"
+	"repro/internal/pad"
 )
 
 // Kind identifies the recorded operation.
@@ -53,14 +53,14 @@ type Event struct {
 
 // Recorder owns the stamp clock and the per-thread logs.
 type Recorder struct {
-	stamps *clock.Tick
+	stamps *pad.Uint64 // allocated apart, on its own line
 	logs   []ThreadLog
 }
 
 // NewRecorder returns a recorder for the given number of threads, with each
 // thread log preallocated to capacity events.
 func NewRecorder(threads, capacity int) *Recorder {
-	r := &Recorder{stamps: clock.NewTick(), logs: make([]ThreadLog, threads)}
+	r := &Recorder{stamps: new(pad.Uint64), logs: make([]ThreadLog, threads)}
 	for i := range r.logs {
 		r.logs[i] = ThreadLog{id: int32(i), events: make([]Event, 0, capacity)}
 	}
@@ -68,7 +68,7 @@ func NewRecorder(threads, capacity int) *Recorder {
 }
 
 // Stamp returns the next global stamp.
-func (r *Recorder) Stamp() uint64 { return r.stamps.Now() }
+func (r *Recorder) Stamp() uint64 { return r.stamps.Add(1) }
 
 // Log returns thread t's log. Each ThreadLog must be used by one goroutine.
 func (r *Recorder) Log(t int) *ThreadLog { return &r.logs[t] }
