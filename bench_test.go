@@ -390,17 +390,21 @@ func BenchmarkMultiQueueStickyBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkCPQBatchOps isolates the cpq layer: per-element Add/DeleteMin
-// against AddBatch/DeleteMinUpTo amortising one lock over 8 elements.
+// BenchmarkCPQBatchOps isolates the cpq layer: one-item batches (the
+// paper's per-element Add/DeleteMin) against AddBatch/DeleteMinUpTo
+// amortising one lock over 8 elements.
 func BenchmarkCPQBatchOps(b *testing.B) {
 	const k = 8
 	b.Run("per-op", func(b *testing.B) {
 		q := cpq.New(0, 1024, 0)
+		one := make([]heap.Item, 1)
+		var out []heap.Item
 		for i := 0; i < b.N; i++ {
-			q.Add(uint64(i), uint64(i))
+			one[0] = heap.Item{Priority: uint64(i), Value: uint64(i)}
+			q.AddBatch(one)
 			if i%k == k-1 {
 				for j := 0; j < k; j++ {
-					q.DeleteMin()
+					out = q.DeleteMinUpTo(1, out[:0])
 				}
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/dlz"
 )
 
 // appendMetrics appends the Prometheus-style text exposition of GET /metrics.
@@ -30,7 +32,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 
 	type tenantRow struct {
 		t   *tenant
-		mq  MQStatsView
+		mq  dlz.MQStats
 		agg leaseAggregate
 	}
 	var (
@@ -41,16 +43,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	for _, t := range tenants {
 		st := t.mq.Stats()
 		agg := t.liveLeaseStats()
-		row := tenantRow{
-			t: t,
-			mq: MQStatsView{
-				Elisions:      st.Elisions,
-				Publications:  st.Publications,
-				LockContended: st.LockContended,
-			},
-			agg: agg,
-		}
-		rows = append(rows, row)
+		rows = append(rows, tenantRow{t: t, mq: st, agg: agg})
 		elisions += st.Elisions
 		publications += st.Publications
 		backoff += st.LockContended
@@ -160,13 +153,4 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		float64(s.recoveryNanos.Load())/1e9)
 
 	return append(dst, b.String()...)
-}
-
-// MQStatsView mirrors the core MultiQueue stats counters for metrics
-// assembly without importing the internal package into every metrics
-// consumer.
-type MQStatsView struct {
-	Elisions      uint64
-	Publications  uint64
-	LockContended uint64
 }

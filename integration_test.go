@@ -148,7 +148,7 @@ func TestTL2OverRelaxedOracleEndToEnd(t *testing.T) {
 // clocks must produce the identical final array sum (2 per committed tx) —
 // the paper's exactness check, run as a differential test.
 func TestExactVsRelaxedClockSameWorkload(t *testing.T) {
-	for _, clk := range []stm.Clock{stm.NewFAAClock(), stm.NewTickClock(128), stm.NewMCClock(32, 256)} {
+	for _, clk := range []stm.Clock{stm.NewFAAClock(), stm.NewMCClock(32, 256)} {
 		res := stm.RunIncrement(stm.WorkloadConfig{
 			Objects: 16384, Workers: 2, Clock: clk, OpsPerWorker: 3000, Seed: 88,
 		})

@@ -55,7 +55,7 @@ func redrawnRun(t *testing.T, batch int, seed uint64) bool {
 		if i == victim {
 			p = 0
 		}
-		q.qs[i].Add(p, p)
+		q.qs[i].AddBatch([]heap.Item{{Priority: p, Value: p}})
 		want[p] = true
 	}
 	if !q.qs[victim].LockForTest() {
@@ -139,7 +139,7 @@ func TestSeizedShardsSweepWaits(t *testing.T) {
 		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}, Batch: batch})
 		h := q.NewHandle(1)
 		for i := range q.qs {
-			q.qs[i].Add(uint64(i), uint64(i))
+			q.qs[i].AddBatch([]heap.Item{{Priority: uint64(i), Value: uint64(i)}})
 			if !q.qs[i].LockForTest() {
 				t.Fatalf("batch=%d: could not seize lock %d", batch, i)
 			}

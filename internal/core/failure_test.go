@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cpq"
+	"repro/internal/heap"
 )
 
 // Failure-injection tests: the paper's model lets the adversary crash up to
@@ -91,23 +92,23 @@ func TestMultiQueueTryDequeueRoutesAroundDeadLockHolder(t *testing.T) {
 // fast on a held lock instead of blocking.
 func TestCPQTryOpsSkipHeldLock(t *testing.T) {
 	pq := cpq.New(0, 8, 0)
-	pq.Add(1, 10)
+	pq.AddBatch([]heap.Item{{Priority: 1, Value: 10}})
 	if !pq.LockForTest() {
 		t.Fatal("setup lock failed")
 	}
-	if pq.TryAdd(2, 20) {
-		t.Fatal("TryAdd succeeded on a held lock")
+	if pq.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}}) {
+		t.Fatal("TryAddBatch succeeded on a held lock")
 	}
-	if _, _, acquired := pq.TryDeleteMin(); acquired {
-		t.Fatal("TryDeleteMin acquired a held lock")
+	if _, acquired := pq.TryDeleteMinUpTo(1, nil); acquired {
+		t.Fatal("TryDeleteMinUpTo acquired a held lock")
 	}
-	// ReadMin stays readable (lock-free cached top) — the property the
+	// The top word stays readable (lock-free cached top) — the property the
 	// two-choice comparison depends on even when a lock holder is stalled.
-	if pq.ReadMin() != 1 {
-		t.Fatalf("ReadMin = %d under held lock", pq.ReadMin())
+	if pq.ReadTop().Min() != 1 {
+		t.Fatalf("ReadTop().Min() = %d under held lock", pq.ReadTop().Min())
 	}
 	pq.UnlockForTest()
-	if !pq.TryAdd(2, 20) {
-		t.Fatal("TryAdd failed after unlock")
+	if !pq.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}}) {
+		t.Fatal("TryAddBatch failed after unlock")
 	}
 }

@@ -283,12 +283,6 @@ func (h *Handle) Flush() {
 // caller needs them counted.
 func (h *Handle) Read() uint64 { return h.c.Read(&h.r) }
 
-// Rerolls returns the number of Sampler.Reroll requests over this handle's
-// lifetime. The counter path never rerolls on its own (there is no
-// empty/contended outcome to abandon), so this is zero today; it exists so
-// the two handle types expose the same observability surface.
-func (h *Handle) Rerolls() uint64 { return h.smp.Rerolls() }
-
 // Closed reports whether Close has retired this handle.
 func (h *Handle) Closed() bool { return h.closed }
 

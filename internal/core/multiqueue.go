@@ -48,7 +48,7 @@ type MultiQueueConfig struct {
 	// Choices is d, the number of random queue heads a dequeue compares
 	// before deleting from the smallest. 0 selects the paper's d = 2;
 	// d = 1 is the divergent single-choice baseline (ablation A1); d > 2
-	// tightens rank quality at the cost of extra ReadMin traffic; d > m
+	// tightens rank quality at the cost of extra top-word loads; d > m
 	// clamps to m. Negative values panic. Enqueues always use one uniform
 	// choice, as in Algorithm 2.
 	Choices int
@@ -68,9 +68,10 @@ type MultiQueueConfig struct {
 	// flush them with one cpq.TryAddBatch, and prefetch up to k elements per
 	// dequeue refill with one cpq.TryDeleteMinUpTo — one lock acquisition and
 	// one cached-top publish per k elements instead of per element. 0 or 1
-	// means per-operation locking. Buffered enqueues are invisible to other
-	// handles until the batch flushes (call MQHandle.Flush at quiescence);
-	// prefetched elements are already dequeued from the shared structure.
+	// is the same path with batches of one: Algorithm 2's per-operation
+	// Add and DeleteMin. Buffered enqueues are invisible to other handles
+	// until the batch flushes (call MQHandle.Flush at quiescence); prefetched
+	// elements are already dequeued from the shared structure.
 	Batch int
 }
 
@@ -177,11 +178,11 @@ func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
 	return dst
 }
 
-// MQHandle binds a MultiQueue to one goroutine's private generator and, in
-// sticky/batched mode, the handle-local fast-path state: the sticky samplers
-// holding the current queue choices, the insert buffer awaiting its batch
-// flush, and the prefetched dequeue run. A handle must be used by one
-// goroutine at a time.
+// MQHandle binds a MultiQueue to one goroutine's private generator and the
+// handle-local state: the sticky samplers holding the current queue choices,
+// the insert buffer awaiting its batch flush, and the prefetched dequeue run
+// (both buffers hold at most one element at Batch 1). A handle must be used
+// by one goroutine at a time.
 //
 // The struct is padded to three whole cache lines; a field that changes its
 // size must re-pad it, or handles minted back to back share a line
@@ -229,11 +230,9 @@ func (q *MultiQueue) NewHandle(seed uint64) *MQHandle {
 		enq: NewSampler(q.m, 1, q.stick),
 		deq: NewSampler(q.m, q.d, q.stick),
 	}
-	if q.batch > 1 {
-		backing := make([]heap.Item, 2*q.batch)
-		h.inBuf = backing[0:0:q.batch]
-		h.outBuf = backing[q.batch : q.batch : 2*q.batch]
-	}
+	backing := make([]heap.Item, 2*q.batch)
+	h.inBuf = backing[0:0:q.batch]
+	h.outBuf = backing[q.batch : q.batch : 2*q.batch]
 	return h
 }
 
@@ -377,13 +376,9 @@ func (h *MQHandle) deqCharge(n int) { h.deq.Charge(n) }
 // (Sampler.Reroll).
 func (h *MQHandle) deqReroll() { h.deq.Reroll() }
 
-// insert routes one stamped element through the batching layer: published
-// on its own in per-op mode, or buffer-and-flush in batched mode.
+// insert appends one stamped element to the insert buffer and flushes the
+// buffer once it holds Batch elements (at Batch 1, on every insert).
 func (h *MQHandle) insert(priority, value uint64) {
-	if h.q.batch <= 1 {
-		h.publish([]heap.Item{{Priority: priority, Value: value}}, true)
-		return
-	}
 	h.inBuf = append(h.inBuf, heap.Item{Priority: priority, Value: value})
 	if len(h.inBuf) >= h.q.batch {
 		h.Flush()
@@ -430,7 +425,7 @@ func (h *MQHandle) EnqueuePriority(priority, value uint64) {
 
 // Dequeue implements Algorithm 2's Dequeue, generalized to the configured
 // choice count: sample d random queues, compare their cached top words,
-// DeleteMin on the apparently smallest. As in the paper, the comparison uses
+// delete from the apparently smallest. As in the paper, the comparison uses
 // possibly stale information; the deletion itself is linearizable. A chosen
 // queue whose word is stable-empty is skipped without touching its lock —
 // the word's linearization argument (DESIGN.md §6) makes that observation as
@@ -445,9 +440,9 @@ func (h *MQHandle) EnqueuePriority(priority, value uint64) {
 // performs zero lock acquisitions; ok is false only when every queue was
 // observed empty.
 //
-// In batched mode the winner is drained with DeleteMinUpTo(Batch) and the
-// run beyond the first element is served from the handle's prefetch buffer
-// by subsequent calls — one lock acquisition per Batch elements.
+// The winner is drained with DeleteMinUpTo(Batch) and the run beyond the
+// first element is served from the handle's prefetch buffer by subsequent
+// calls — one lock acquisition per Batch elements (per element at Batch 1).
 func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 	h.checkOpen()
 	if h.outPos < len(h.outBuf) {
@@ -500,24 +495,13 @@ func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
 	return heap.Item{}, false
 }
 
-// deleteFrom removes from queue i: a single DeleteMin in per-op mode, or a
-// DeleteMinUpTo(Batch) refill in batched mode with the first element
-// returned and the rest parked in the prefetch buffer. Without block it
-// only try-locks the queue, and a refused lock reads as empty. The window is
-// charged for the elements obtained.
+// deleteFrom refills from queue i with DeleteMinUpTo(Batch), returning the
+// first element and parking the rest in the prefetch buffer (at Batch 1
+// there is no rest). Without block it only try-locks the queue, and a
+// refused lock reads as empty. The window is charged for the elements
+// obtained.
 func (h *MQHandle) deleteFrom(i int, block bool) (it heap.Item, ok bool) {
 	q := &h.q.qs[i]
-	if h.q.batch <= 1 {
-		if block {
-			it, ok = q.DeleteMin()
-		} else {
-			it, ok, _ = q.TryDeleteMin()
-		}
-		if ok {
-			h.deqCharge(1)
-		}
-		return it, ok
-	}
 	if block {
 		h.outBuf = q.DeleteMinUpTo(h.q.batch, h.outBuf[:0])
 	} else {
@@ -561,10 +545,10 @@ func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 // enqueue is linearized at its invocation (Lin = Start; End is stamped after
 // the call): no dequeue can return the element before Enqueue inserts it, so
 // every dequeue of it is stamped after this Lin. A stamp taken after Enqueue
-// returns would not be sound: in per-op mode, and on the call that flushes a
-// batch, the element is visible before that stamp, another handle can
-// dequeue it and stamp first, and the replay rejects a genuine history
-// ("dequeue of absent label"). In batched mode the element stays buffered,
+// returns would not be sound: on the call that flushes the buffer (every
+// call at Batch 1) the element is visible before that stamp, another handle
+// can dequeue it and stamp first, and the replay rejects a genuine history
+// ("dequeue of absent label"). At Batch > 1 the element stays buffered,
 // invisible to other handles, for a while after its stamp; the replay stays
 // sound (the relaxed spec treats dequeue-empty as a zero-cost no-op and
 // labels stay unique) but dequeue rank costs are then measured against all

@@ -86,8 +86,8 @@ func TestLockedTopReadAblation(t *testing.T) {
 		for i := range q.qs {
 			pq := &q.qs[i]
 			want := uint64(cpq.EmptyTop)
-			if it, ok := pq.PeekMin(); ok {
-				want = it.Priority
+			for _, it := range pq.AppendTo(nil) {
+				want = min(want, it.Priority)
 			}
 			if w := pq.ReadTop(); w.InFlight() || w.Min() != want {
 				t.Fatalf("step %d: queue %d cached top %d (in flight %v), locked read %d",

@@ -10,10 +10,10 @@ import (
 	"repro/internal/heap"
 )
 
-// TestTryPathsRefuseUnderInjection proves all four try entry points route
-// through cpq/try/refuse: with an every-other-hit error policy armed they
-// alternate refusal and success, and refused calls leave the queue's state
-// untouched (the lock was never taken).
+// TestTryPathsRefuseUnderInjection proves both try entry points, with one
+// item and with several, route through cpq/try/refuse: with an
+// every-other-hit error policy armed they alternate refusal and success, and
+// refused calls leave the queue's state untouched (the lock was never taken).
 func TestTryPathsRefuseUnderInjection(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
@@ -21,30 +21,30 @@ func TestTryPathsRefuseUnderInjection(t *testing.T) {
 	fail.Arm(fail.SiteCPQTryRefuse, fail.Policy{Kind: fail.KindError, Every: 2})
 
 	// Every=2 fires on hits 2, 4, ... — first call of each pair succeeds.
-	if !q.TryAdd(5, 100) {
-		t.Fatal("hit 1: TryAdd refused")
+	if !tryAddOne(q, 5, 100) {
+		t.Fatal("hit 1: one-item TryAddBatch refused")
 	}
-	if q.TryAdd(6, 101) {
-		t.Fatal("hit 2: TryAdd succeeded through an armed refusal")
+	if tryAddOne(q, 6, 101) {
+		t.Fatal("hit 2: one-item TryAddBatch succeeded through an armed refusal")
 	}
-	if !q.TryAddBatch([]heap.Item{{Priority: 7, Value: 102}}) {
+	if !q.TryAddBatch([]heap.Item{{Priority: 7, Value: 102}, {Priority: 8, Value: 103}}) {
 		t.Fatal("hit 3: TryAddBatch refused")
 	}
-	if q.TryAddBatch([]heap.Item{{Priority: 8, Value: 103}}) {
+	if q.TryAddBatch([]heap.Item{{Priority: 9, Value: 104}, {Priority: 10, Value: 105}}) {
 		t.Fatal("hit 4: TryAddBatch succeeded through an armed refusal")
 	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d after 2 accepted inserts, want 2", q.Len())
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d after 3 accepted inserts, want 3", q.Len())
 	}
 
-	if it, ok, acquired := q.TryDeleteMin(); !acquired || !ok || it.Value != 100 {
-		t.Fatalf("hit 5: TryDeleteMin = (%v, %v, %v), want element 100", it, ok, acquired)
+	if it, ok, acquired := tryDeleteOne(q); !acquired || !ok || it.Value != 100 {
+		t.Fatalf("hit 5: TryDeleteMinUpTo(1) = (%v, %v, %v), want element 100", it, ok, acquired)
 	}
-	if _, _, acquired := q.TryDeleteMin(); acquired {
-		t.Fatal("hit 6: TryDeleteMin acquired through an armed refusal")
+	if _, _, acquired := tryDeleteOne(q); acquired {
+		t.Fatal("hit 6: TryDeleteMinUpTo(1) acquired through an armed refusal")
 	}
-	if out, acquired := q.TryDeleteMinUpTo(4, nil); !acquired || len(out) != 1 {
-		t.Fatalf("hit 7: TryDeleteMinUpTo = (%d items, %v), want the last element", len(out), acquired)
+	if out, acquired := q.TryDeleteMinUpTo(4, nil); !acquired || len(out) != 2 {
+		t.Fatalf("hit 7: TryDeleteMinUpTo = (%d items, %v), want the last two elements", len(out), acquired)
 	}
 	if _, acquired := q.TryDeleteMinUpTo(4, nil); acquired {
 		t.Fatal("hit 8: TryDeleteMinUpTo acquired through an armed refusal")
@@ -63,12 +63,12 @@ func TestTopPublishDelayWidensInFlightWindow(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
 	q := newQueue(16)
-	q.Add(50, 1) // non-empty, published min 50
+	addOne(q, 50, 1) // non-empty, published min 50
 
 	fail.Arm(fail.SiteCPQTopPublish, fail.Policy{Kind: fail.KindDelay, Delay: 50 * time.Millisecond, Count: 1})
 	done := make(chan struct{})
 	go func() {
-		q.Add(10, 2) // changes the minimum: Begin → [delay] → Publish
+		addOne(q, 10, 2) // changes the minimum: Begin → [delay] → Publish
 		close(done)
 	}()
 

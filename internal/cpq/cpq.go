@@ -1,6 +1,10 @@
 // Package cpq provides the linearizable concurrent priority queue that
 // Algorithm 2 assumes as its building block: "a set of m linearizable
 // priority queues such that each supports Add(e, p), DeleteMin, ReadMin".
+// A Queue moves elements in batches only, and the paper's three operations
+// are their smallest cases: Add(e, p) is an AddBatch of one item, DeleteMin
+// is DeleteMinUpTo(1), and ReadMin is ReadTop().Min(). A batch of k moves k
+// elements under one lock acquisition and one top-word publish.
 //
 // Each Queue is a sequential priority queue (heap.Binary's sorted run and
 // pending heap) guarded by a spinlock, plus a lock-free top word: a single
@@ -41,7 +45,7 @@ import (
 	"repro/internal/pad"
 )
 
-// EmptyTop is the ReadMin value published by an empty queue. It compares
+// EmptyTop is the TopWord.Min value published by an empty queue. It compares
 // greater than every real priority, so two-choice comparisons naturally
 // avoid empty queues.
 const EmptyTop = math.MaxUint64
@@ -67,7 +71,7 @@ const (
 	// minus the sequence field minus the empty bit.
 	TopPrioBits = 63 - pad.SeqBits
 	// TopPrioMask selects the priority bits a published word can carry;
-	// ReadMin returns priorities reduced to this mask.
+	// TopWord.Min returns priorities reduced to this mask.
 	TopPrioMask = 1<<TopPrioBits - 1
 	// TopKeyInFlight is the comparison key of a mid-update word: it loses to
 	// every real minimum, so d-choice comparisons skip queues whose lock
@@ -232,7 +236,7 @@ func New(b Backing, capacity int, _ uint64) *Queue {
 
 // beginTop marks the top word mid-update; callers must hold the lock and be
 // about to change the published state. Readers that land between beginTop
-// and publishTop see the sentinel plus the last published minimum.
+// and publishTopItem see the sentinel plus the last published minimum.
 func (q *Queue) beginTop() { q.top.Begin() }
 
 // topCovers reports whether the published top already covers an insert whose
@@ -245,14 +249,6 @@ func (q *Queue) beginTop() { q.top.Begin() }
 // uses the full-resolution mirror, so priorities beyond the word's truncated
 // field cannot fool it.
 func (q *Queue) topCovers(p uint64) bool { return !q.pubEmpty && p >= q.pubMin }
-
-// publishTop republishes the exact current minimum from a Peek; callers must
-// hold the lock. The per-element paths use it; the batch paths publish the
-// minimum their batch call already reported via publishTopItem.
-func (q *Queue) publishTop() {
-	it, ok := q.pq.Peek()
-	q.publishTopItem(it, ok)
-}
 
 // publishTopItem republishes the top word from an already-known minimum
 // (ok false meaning empty), maintaining the full-resolution mirror; callers
@@ -273,26 +269,26 @@ func (q *Queue) publishTopItem(it heap.Item, ok bool) {
 
 // addLocked inserts one item under the held lock with the publication
 // protocol applied: elided when the published top covers the priority,
-// Begin/Publish bracketing otherwise. The four insert entry points share it
-// so the elision rule lives in one place.
-func (q *Queue) addLocked(priority, value uint64) {
-	if q.topCovers(priority) {
+// Begin/Publish bracketing otherwise. An insert the published top does not
+// cover is the new minimum, so it publishes the item itself without a Peek.
+func (q *Queue) addLocked(it heap.Item) {
+	if q.topCovers(it.Priority) {
 		q.elisions.Add(1)
-		q.pq.Push(heap.Item{Priority: priority, Value: value})
+		q.pq.Push(it)
 		return
 	}
 	q.beginTop()
-	q.pq.Push(heap.Item{Priority: priority, Value: value})
-	q.publishTop()
+	q.pq.Push(it)
+	q.publishTopItem(it, true)
 }
 
 // addBatchLocked inserts a non-empty batch under the held lock with the
-// publication protocol applied. A one-item batch (a per-op MultiQueue
-// insert) takes addLocked's single Push, which costs less than PushBatch's
+// publication protocol applied. A one-item batch (a MultiQueue insert at
+// Batch 1) takes addLocked's single Push, which costs less than PushBatch's
 // stack run and merge.
 func (q *Queue) addBatchLocked(items []heap.Item) {
 	if len(items) == 1 {
-		q.addLocked(items[0].Priority, items[0].Value)
+		q.addLocked(items[0])
 		return
 	}
 	if q.topCovers(batchMin(items)) {
@@ -303,19 +299,6 @@ func (q *Queue) addBatchLocked(items []heap.Item) {
 	q.beginTop()
 	min, ok := q.pq.PushBatch(items)
 	q.publishTopItem(min, ok)
-}
-
-// popLocked removes the minimum under the held lock with the publication
-// protocol applied: a published-empty queue elides the whole pair.
-func (q *Queue) popLocked() (heap.Item, bool) {
-	if q.pubEmpty {
-		q.elisions.Add(1)
-		return heap.Item{}, false
-	}
-	q.beginTop()
-	it, ok := q.pq.Pop()
-	q.publishTop()
-	return it, ok
 }
 
 // drainLocked removes up to k minima into dst under the held lock with the
@@ -329,13 +312,6 @@ func (q *Queue) drainLocked(k int, dst []heap.Item) []heap.Item {
 	dst, min, ok := q.pq.PopBatch(k, dst)
 	q.publishTopItem(min, ok)
 	return dst
-}
-
-// Add inserts (priority, value), blocking on the queue's lock.
-func (q *Queue) Add(priority, value uint64) {
-	q.lock.Lock()
-	q.addLocked(priority, value)
-	q.lock.Unlock()
 }
 
 // batchMin returns the smallest priority in a non-empty batch — the value
@@ -419,45 +395,6 @@ func (q *Queue) TryDeleteMinUpTo(k int, dst []heap.Item) (out []heap.Item, acqui
 	return dst, true
 }
 
-// TryAdd inserts (priority, value) only if the lock is free, reporting
-// whether the insert happened (false means the queue was contended).
-// MultiQueue enqueues use it to skip contended queues and re-draw.
-func (q *Queue) TryAdd(priority, value uint64) bool {
-	if fail.Enabled && fail.Inject(fail.SiteCPQTryRefuse) != nil {
-		return false
-	}
-	if !q.lock.TryLock() {
-		return false
-	}
-	q.addLocked(priority, value)
-	q.lock.Unlock()
-	return true
-}
-
-// DeleteMin removes and returns the minimum item, blocking on the lock.
-// ok is false when the queue is empty.
-func (q *Queue) DeleteMin() (it heap.Item, ok bool) {
-	q.lock.Lock()
-	it, ok = q.popLocked()
-	q.lock.Unlock()
-	return it, ok
-}
-
-// TryDeleteMin attempts DeleteMin without blocking. acquired reports whether
-// the lock was obtained; when acquired is false the queue was contended and
-// (it, ok) are meaningless.
-func (q *Queue) TryDeleteMin() (it heap.Item, ok, acquired bool) {
-	if fail.Enabled && fail.Inject(fail.SiteCPQTryRefuse) != nil {
-		return heap.Item{}, false, false
-	}
-	if !q.lock.TryLock() {
-		return heap.Item{}, false, false
-	}
-	it, ok = q.popLocked()
-	q.lock.Unlock()
-	return it, ok, true
-}
-
 // ReadTop returns the queue's decoded top word from a single atomic load —
 // zero lock acquisitions, the steady-state read path of the MultiQueue's
 // d-choice comparison and empty-queue scan. A stable word (even sequence)
@@ -465,23 +402,6 @@ func (q *Queue) TryDeleteMin() (it heap.Item, ok, acquired bool) {
 // mid-update word carries the sentinel plus the last published minimum. It
 // is small enough to inline into the d-choice loop.
 func (q *Queue) ReadTop() TopWord { return TopWord(q.top.LoadWord()) }
-
-// ReadMin returns the cached minimum priority without locking: the true
-// minimum reduced to TopPrioMask (exact for priorities below 2^TopPrioBits),
-// or EmptyTop when the queue was last seen empty. Mid-update words report
-// the last published value — the paper's stale-but-previously-true read.
-// This is Algorithm 2's ReadMin specialized to the priority, which is all
-// the two-choice comparison consumes.
-func (q *Queue) ReadMin() uint64 { return q.ReadTop().Min() }
-
-// PeekMin returns the current minimum item under the lock; ok is false when
-// empty. Used by tests and the exact-drain verifier, not by the hot path.
-func (q *Queue) PeekMin() (it heap.Item, ok bool) {
-	q.lock.Lock()
-	it, ok = q.pq.Peek()
-	q.lock.Unlock()
-	return it, ok
-}
 
 // Len returns the number of elements under the lock (exact at quiescence).
 func (q *Queue) Len() int {

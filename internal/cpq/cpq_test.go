@@ -12,26 +12,66 @@ import (
 // the zero Backing, the only one it accepts, and a seed it ignores.
 func newQueue(capacity int) *Queue { return New(0, capacity, 0) }
 
+// addOne is the paper's Add(e, p): an AddBatch of one item.
+func addOne(q *Queue, priority, value uint64) {
+	q.AddBatch([]heap.Item{{Priority: priority, Value: value}})
+}
+
+// tryAddOne is addOne through TryAddBatch: false means the lock was held.
+func tryAddOne(q *Queue, priority, value uint64) bool {
+	return q.TryAddBatch([]heap.Item{{Priority: priority, Value: value}})
+}
+
+// deleteOne is the paper's DeleteMin: DeleteMinUpTo(1), ok false when empty.
+func deleteOne(q *Queue) (heap.Item, bool) {
+	out := q.DeleteMinUpTo(1, nil)
+	if len(out) == 0 {
+		return heap.Item{}, false
+	}
+	return out[0], true
+}
+
+// tryDeleteOne is deleteOne through TryDeleteMinUpTo: acquired false means
+// the lock was held, and (it, ok) are then meaningless.
+func tryDeleteOne(q *Queue) (it heap.Item, ok, acquired bool) {
+	out, acquired := q.TryDeleteMinUpTo(1, nil)
+	if len(out) == 0 {
+		return heap.Item{}, false, acquired
+	}
+	return out[0], true, acquired
+}
+
+// minOf returns the smallest (priority, value) in items, ok false when
+// there is none: the queue's true minimum when items is its AppendTo.
+func minOf(items []heap.Item) (min heap.Item, ok bool) {
+	for i, it := range items {
+		if i == 0 || it.Priority < min.Priority {
+			min = it
+		}
+	}
+	return min, len(items) > 0
+}
+
 func TestSequentialSemantics(t *testing.T) {
 	q := newQueue(16)
-	if q.ReadMin() != EmptyTop {
-		t.Fatal("fresh ReadMin != EmptyTop")
+	if q.ReadTop().Min() != EmptyTop {
+		t.Fatal("fresh ReadTop().Min() != EmptyTop")
 	}
-	q.Add(5, 50)
-	q.Add(2, 20)
-	q.Add(9, 90)
-	if q.ReadMin() != 2 {
-		t.Fatalf("ReadMin = %d, want 2", q.ReadMin())
+	addOne(q, 5, 50)
+	addOne(q, 2, 20)
+	addOne(q, 9, 90)
+	if q.ReadTop().Min() != 2 {
+		t.Fatalf("ReadTop().Min() = %d, want 2", q.ReadTop().Min())
 	}
-	if it, ok := q.PeekMin(); !ok || it.Priority != 2 || it.Value != 20 {
-		t.Fatalf("PeekMin = %+v", it)
+	if it, ok := minOf(q.AppendTo(nil)); !ok || it.Priority != 2 || it.Value != 20 {
+		t.Fatalf("minimum of AppendTo = %+v", it)
 	}
-	it, ok := q.DeleteMin()
+	it, ok := deleteOne(q)
 	if !ok || it.Priority != 2 || it.Value != 20 {
-		t.Fatalf("DeleteMin = %+v", it)
+		t.Fatalf("DeleteMinUpTo(1) = %+v", it)
 	}
-	if q.ReadMin() != 5 {
-		t.Fatalf("ReadMin after delete = %d", q.ReadMin())
+	if q.ReadTop().Min() != 5 {
+		t.Fatalf("ReadTop().Min() after delete = %d", q.ReadTop().Min())
 	}
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
@@ -40,25 +80,25 @@ func TestSequentialSemantics(t *testing.T) {
 
 func TestEmptyDelete(t *testing.T) {
 	q := newQueue(4)
-	if _, ok := q.DeleteMin(); ok {
-		t.Fatal("DeleteMin on empty returned ok")
+	if _, ok := deleteOne(q); ok {
+		t.Fatal("DeleteMinUpTo(1) on empty returned ok")
 	}
-	it, ok, acquired := q.TryDeleteMin()
+	it, ok, acquired := tryDeleteOne(q)
 	if !acquired {
-		t.Fatal("TryDeleteMin on uncontended queue did not acquire")
+		t.Fatal("TryDeleteMinUpTo(1) on uncontended queue did not acquire")
 	}
 	if ok {
-		t.Fatalf("TryDeleteMin on empty returned item %+v", it)
+		t.Fatalf("TryDeleteMinUpTo(1) on empty returned item %+v", it)
 	}
 }
 
 func TestTryAdd(t *testing.T) {
 	q := newQueue(4)
-	if !q.TryAdd(1, 10) {
-		t.Fatal("TryAdd on free queue failed")
+	if !tryAddOne(q, 1, 10) {
+		t.Fatal("one-item TryAddBatch on free queue failed")
 	}
-	if q.ReadMin() != 1 {
-		t.Fatal("TryAdd did not publish top")
+	if q.ReadTop().Min() != 1 {
+		t.Fatal("one-item TryAddBatch did not publish top")
 	}
 }
 
@@ -71,16 +111,16 @@ func TestReadMinTracksTopAtQuiescence(t *testing.T) {
 		if p < min {
 			min = p
 		}
-		q.Add(p, 0)
-		if q.ReadMin() != min {
-			t.Fatalf("cached top %d != true min %d", q.ReadMin(), min)
+		addOne(q, p, 0)
+		if q.ReadTop().Min() != min {
+			t.Fatalf("cached top %d != true min %d", q.ReadTop().Min(), min)
 		}
 	}
 	// Drain: cached top must track the heap top exactly.
 	prev := uint64(0)
 	for {
-		top := q.ReadMin()
-		it, ok := q.DeleteMin()
+		top := q.ReadTop().Min()
+		it, ok := deleteOne(q)
 		if !ok {
 			if top != EmptyTop {
 				t.Fatalf("top %d on empty queue", top)
@@ -115,7 +155,7 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 			r := rng.NewXoshiro256(uint64(100 + p))
 			for i := 0; i < perProducer; i++ {
 				v := uint64(p*perProducer + i)
-				q.Add(r.Uint64n(1<<32), v)
+				addOne(q, r.Uint64n(1<<32), v)
 			}
 		}(p)
 	}
@@ -127,7 +167,7 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for {
-				it, ok := q.DeleteMin()
+				it, ok := deleteOne(q)
 				if ok {
 					popped[c] = append(popped[c], it.Value)
 					continue
@@ -135,7 +175,7 @@ func TestConcurrentNoLossNoDup(t *testing.T) {
 				select {
 				case <-done:
 					// Producers finished; one more sweep then exit.
-					if it, ok := q.DeleteMin(); ok {
+					if it, ok := deleteOne(q); ok {
 						popped[c] = append(popped[c], it.Value)
 						continue
 					}
@@ -176,7 +216,7 @@ func TestConcurrentOrderIsLocallySorted(t *testing.T) {
 			defer wg.Done()
 			r := rng.NewXoshiro256(uint64(p) + 7)
 			for i := 0; i < per; i++ {
-				q.Add(r.Uint64n(1<<40), 1)
+				addOne(q, r.Uint64n(1<<40), 1)
 			}
 		}(p)
 	}
@@ -184,7 +224,7 @@ func TestConcurrentOrderIsLocallySorted(t *testing.T) {
 	prev := uint64(0)
 	count := 0
 	for {
-		it, ok := q.DeleteMin()
+		it, ok := deleteOne(q)
 		if !ok {
 			break
 		}
@@ -211,7 +251,7 @@ func TestNewPanicsOnUnknownBacking(t *testing.T) {
 func TestAddBatchDeleteMinUpTo(t *testing.T) {
 	q := newQueue(16)
 	q.AddBatch(nil) // empty batch: no lock, no effect
-	if q.Len() != 0 || q.ReadMin() != EmptyTop {
+	if q.Len() != 0 || q.ReadTop().Min() != EmptyTop {
 		t.Fatal("empty AddBatch changed state")
 	}
 	batch := []heap.Item{{Priority: 7, Value: 70}, {Priority: 3, Value: 30}, {Priority: 5, Value: 50}}
@@ -219,23 +259,23 @@ func TestAddBatchDeleteMinUpTo(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len after AddBatch = %d", q.Len())
 	}
-	if q.ReadMin() != 3 {
-		t.Fatalf("ReadMin after AddBatch = %d, want 3", q.ReadMin())
+	if q.ReadTop().Min() != 3 {
+		t.Fatalf("ReadTop().Min() after AddBatch = %d, want 3", q.ReadTop().Min())
 	}
 	// Drain two with one call; ascending order required.
 	got := q.DeleteMinUpTo(2, nil)
 	if len(got) != 2 || got[0].Priority != 3 || got[1].Priority != 5 {
 		t.Fatalf("DeleteMinUpTo(2) = %+v", got)
 	}
-	if q.ReadMin() != 7 {
-		t.Fatalf("ReadMin after partial drain = %d, want 7", q.ReadMin())
+	if q.ReadTop().Min() != 7 {
+		t.Fatalf("ReadTop().Min() after partial drain = %d, want 7", q.ReadTop().Min())
 	}
 	// Asking for more than remain returns the remainder and publishes empty.
 	got = q.DeleteMinUpTo(10, got[:0])
 	if len(got) != 1 || got[0].Priority != 7 {
 		t.Fatalf("final DeleteMinUpTo = %+v", got)
 	}
-	if q.ReadMin() != EmptyTop || q.Len() != 0 {
+	if q.ReadTop().Min() != EmptyTop || q.Len() != 0 {
 		t.Fatal("queue not empty after full drain")
 	}
 	// k <= 0 and empty-queue calls leave dst untouched.
@@ -262,8 +302,8 @@ func TestTryAddBatch(t *testing.T) {
 	if !q.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}, {Priority: 1, Value: 10}}) {
 		t.Fatal("TryAddBatch failed on a free lock")
 	}
-	if q.Len() != 2 || q.ReadMin() != 1 {
-		t.Fatalf("Len=%d ReadMin=%d after TryAddBatch", q.Len(), q.ReadMin())
+	if q.Len() != 2 || q.ReadTop().Min() != 1 {
+		t.Fatalf("Len=%d ReadTop().Min()=%d after TryAddBatch", q.Len(), q.ReadTop().Min())
 	}
 }
 
@@ -327,22 +367,22 @@ func TestBatchConcurrentConservation(t *testing.T) {
 
 // TestStatsElisionAndPublicationCounters pins the publication-protocol
 // counters Stats exports: a covered insert elides, a word-changing section
-// publishes, and an empty delete elides — on both the batch and the
-// per-element paths, which increment at different sites.
+// publishes, and an empty delete elides — for one-item batches, which take
+// addLocked's single Push, and for longer ones, which take PushBatch.
 func TestStatsElisionAndPublicationCounters(t *testing.T) {
 	q := newQueue(16)
 	if s := q.Stats(); s != (QueueStats{}) {
 		t.Fatalf("fresh queue stats %+v, want zero", s)
 	}
-	if _, ok := q.DeleteMin(); ok {
+	if _, ok := deleteOne(q); ok {
 		t.Fatal("empty queue returned an element")
 	}
 	s := q.Stats()
 	if s.Elisions != 1 || s.Publications != 0 {
 		t.Fatalf("published-empty delete must elide: %+v", s)
 	}
-	q.Add(5, 5) // changes the word: publishes
-	q.Add(9, 9) // covered by published min 5: elides
+	addOne(q, 5, 5) // changes the word: publishes
+	addOne(q, 9, 9) // covered by published min 5: elides
 	s = q.Stats()
 	if s.Publications != 1 {
 		t.Fatalf("first insert must publish exactly once: %+v", s)
@@ -370,8 +410,9 @@ func TestStatsElisionAndPublicationCounters(t *testing.T) {
 	}
 }
 
-// TestStatsLockContended drives two goroutines through blocking Adds on one
-// queue long enough that at least one Lock call observes the lock held.
+// TestStatsLockContended drives two goroutines through blocking one-item
+// AddBatch calls on one queue long enough that at least one Lock call
+// observes the lock held.
 func TestStatsLockContended(t *testing.T) {
 	q := newQueue(1024)
 	var wg sync.WaitGroup
@@ -380,12 +421,12 @@ func TestStatsLockContended(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50_000; i++ {
-				q.Add(uint64(i), uint64(g))
+				addOne(q, uint64(i), uint64(g))
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Contention is probabilistic but two tight Add loops over one lock
+	// Contention is probabilistic but two tight AddBatch loops over one lock
 	// reliably collide within 100k acquisitions on any scheduler; treat the
 	// count as informational if it stays zero on a single-CPU runner.
 	if s := q.Stats(); s.LockContended == 0 {

@@ -8,10 +8,11 @@ import (
 	"repro/internal/rng"
 )
 
-// TestDifferentialAllBackings drives the queue's single and batch entry
-// points, lock and top-word publish included, through randomized operation
-// streams against a sorted-slice reference model. Every removal
-// order, every ReadMin publish and every Len must match the model exactly.
+// TestDifferentialAllBackings drives the queue's entry points with batches
+// of one and of up to 16, lock and top-word publish included, through
+// randomized operation streams against a sorted-slice reference model. Every
+// removal order, every published minimum and every Len must match the model
+// exactly.
 func TestDifferentialAllBackings(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		r := rng.NewXoshiro256(11)
@@ -29,16 +30,16 @@ func TestDifferentialAllBackings(t *testing.T) {
 				switch r.Uint64n(5) {
 				case 0, 1:
 					p := r.Uint64n(128)
-					q.Add(p, r.Next())
+					addOne(q, p, r.Next())
 					pushRef(p)
 				case 2:
-					it, ok := q.DeleteMin()
+					it, ok := deleteOne(q)
 					if ok != (len(ref) > 0) {
-						t.Fatalf("op %d: DeleteMin ok=%v with %d modeled items", op, ok, len(ref))
+						t.Fatalf("op %d: DeleteMinUpTo(1) ok=%v with %d modeled items", op, ok, len(ref))
 					}
 					if ok {
 						if it.Priority != ref[0] {
-							t.Fatalf("op %d: DeleteMin = %d, want %d", op, it.Priority, ref[0])
+							t.Fatalf("op %d: DeleteMinUpTo(1) = %d, want %d", op, it.Priority, ref[0])
 						}
 						ref = ref[1:]
 					}
@@ -78,8 +79,8 @@ func TestDifferentialAllBackings(t *testing.T) {
 				if len(ref) > 0 {
 					wantTop = ref[0]
 				}
-				if top := q.ReadMin(); top != wantTop {
-					t.Fatalf("op %d: ReadMin = %d, want %d", op, top, wantTop)
+				if top := q.ReadTop().Min(); top != wantTop {
+					t.Fatalf("op %d: ReadTop().Min() = %d, want %d", op, top, wantTop)
 				}
 			}
 		}

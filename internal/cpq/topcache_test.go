@@ -23,7 +23,9 @@ import (
 // elision rule (covered inserts, deletes on a published-empty queue) where
 // it cannot. Priorities mix small values with values above 2^TopPrioBits so
 // the truncation path and the full-resolution covered check are both
-// exercised.
+// exercised. Ops 0, 1 and 5 are one-item AddBatch/TryAddBatch calls, which
+// take addLocked's single Push and publish the pushed item without a Peek;
+// the model checks that publish too.
 func driveTopCache(t *testing.T, data []byte) {
 	t.Helper()
 	q := newQueue(4)
@@ -67,17 +69,17 @@ func driveTopCache(t *testing.T, data []byte) {
 		case 0, 1:
 			p := prio(op)
 			addPublishes(p)
-			q.Add(p, r.Next())
+			addOne(q, p, r.Next())
 			pushRef(p)
 		case 2:
 			delPublishes()
-			it, ok := q.DeleteMin()
+			it, ok := deleteOne(q)
 			if ok != (len(ref) > 0) {
-				t.Fatalf("op %d DeleteMin ok=%v with %d modeled", opIdx, ok, len(ref))
+				t.Fatalf("op %d DeleteMinUpTo(1) ok=%v with %d modeled", opIdx, ok, len(ref))
 			}
 			if ok {
 				if it.Priority != ref[0] {
-					t.Fatalf("op %d DeleteMin = %d, want %d", opIdx, it.Priority, ref[0])
+					t.Fatalf("op %d DeleteMinUpTo(1) = %d, want %d", opIdx, it.Priority, ref[0])
 				}
 				ref = ref[1:]
 			}
@@ -117,19 +119,19 @@ func driveTopCache(t *testing.T, data []byte) {
 		case 5:
 			p := prio(op)
 			addPublishes(p)
-			if !q.TryAdd(p, r.Next()) {
-				t.Fatalf("op %d TryAdd refused without contention", opIdx)
+			if !tryAddOne(q, p, r.Next()) {
+				t.Fatalf("op %d one-item TryAddBatch refused without contention", opIdx)
 			}
 			pushRef(p)
 		case 6:
 			delPublishes()
-			it, ok, acquired := q.TryDeleteMin()
+			it, ok, acquired := tryDeleteOne(q)
 			if !acquired {
-				t.Fatalf("op %d TryDeleteMin refused without contention", opIdx)
+				t.Fatalf("op %d TryDeleteMinUpTo(1) refused without contention", opIdx)
 			}
 			if ok {
 				if it.Priority != ref[0] {
-					t.Fatalf("op %d TryDeleteMin = %d, want %d", opIdx, it.Priority, ref[0])
+					t.Fatalf("op %d TryDeleteMinUpTo(1) = %d, want %d", opIdx, it.Priority, ref[0])
 				}
 				ref = ref[1:]
 			}
@@ -216,7 +218,7 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 		// Standing buffer so the queue never empties mid-run (the
 		// writers add two per removal).
 		for i := 0; i < 64; i++ {
-			q.Add(next.Add(1), 0)
+			addOne(q, next.Add(1), 0)
 		}
 
 		const writers, readers, rounds = 2, 2, 4000
@@ -230,8 +232,8 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 				for i := 0; i < rounds; i++ {
 					addMu.Lock()
 					if i%2 == 0 {
-						q.Add(next.Add(1), 0)
-						q.Add(next.Add(1), 0)
+						addOne(q, next.Add(1), 0)
+						addOne(q, next.Add(1), 0)
 					} else {
 						buf = append(buf[:0],
 							heap.Item{Priority: next.Add(1)},
@@ -239,12 +241,12 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 						q.AddBatch(buf)
 					}
 					addMu.Unlock()
-					it, ok := q.DeleteMin()
+					it, ok := deleteOne(q)
 					if !ok {
 						t.Error("queue emptied despite standing buffer")
 						return
 					}
-					// CAS-max: publish the removal only after DeleteMin
+					// CAS-max: publish the removal only after the delete
 					// returned, so the watermark invariant holds from the
 					// reader's point of view.
 					for {
@@ -289,9 +291,10 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 		close(stop)
 		readerWG.Wait()
 
-		// Quiescence: the word equals a locked Peek exactly.
+		// Quiescence: the word equals the minimum of a locked AppendTo
+		// exactly.
 		w := q.ReadTop()
-		it, ok := q.PeekMin()
+		it, ok := minOf(q.AppendTo(nil))
 		if !ok || w.InFlight() || w.Empty() || w.Min() != it.Priority&TopPrioMask {
 			t.Fatalf("quiescent word (min %d, empty %v, inflight %v) != true min %d",
 				w.Min(), w.Empty(), w.InFlight(), it.Priority)

@@ -25,17 +25,17 @@ func TestTryPathsAgainstHeldLock(t *testing.T) {
 		}
 		wordBefore := q.ReadTop()
 
-		if q.TryAdd(1, 10) {
-			t.Fatal("TryAdd succeeded against a held lock")
+		if tryAddOne(q, 1, 10) {
+			t.Fatal("one-item TryAddBatch succeeded against a held lock")
 		}
-		if q.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}}) {
+		if q.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}, {Priority: 3, Value: 30}}) {
 			t.Fatal("TryAddBatch succeeded against a held lock")
 		}
 		if !q.TryAddBatch(nil) {
 			t.Fatal("empty TryAddBatch must report true without the lock")
 		}
-		if _, _, acquired := q.TryDeleteMin(); acquired {
-			t.Fatal("TryDeleteMin acquired a held lock")
+		if _, _, acquired := tryDeleteOne(q); acquired {
+			t.Fatal("TryDeleteMinUpTo(1) acquired a held lock")
 		}
 		sentinel := []heap.Item{{Priority: 99, Value: 990}}
 		out, acquired := q.TryDeleteMinUpTo(8, sentinel)
@@ -45,8 +45,8 @@ func TestTryPathsAgainstHeldLock(t *testing.T) {
 		if len(out) != 1 || out[0] != sentinel[0] {
 			t.Fatalf("TryDeleteMinUpTo mutated dst under contention: %+v", out)
 		}
-		if q.ReadMin() != 4 {
-			t.Fatalf("contended try-paths mutated the cached top: ReadMin=%d", q.ReadMin())
+		if q.ReadTop().Min() != 4 {
+			t.Fatalf("contended try-paths mutated the cached top: Min=%d", q.ReadTop().Min())
 		}
 		// Refused try-paths must not have touched the word at all: same
 		// minimum, same publication sequence, no stray sentinel. A held
@@ -65,17 +65,17 @@ func TestTryPathsAgainstHeldLock(t *testing.T) {
 
 		// Every refused insert is retried now; the queue must end up with
 		// exactly the original plus the retried items, each once.
-		if !q.TryAdd(1, 10) {
-			t.Fatal("TryAdd failed on a free lock")
+		if !tryAddOne(q, 1, 10) {
+			t.Fatal("one-item TryAddBatch failed on a free lock")
 		}
-		if !q.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}}) {
+		if !q.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}, {Priority: 3, Value: 30}}) {
 			t.Fatal("TryAddBatch failed on a free lock")
 		}
 		got, acquired := q.TryDeleteMinUpTo(8, nil)
 		if !acquired {
 			t.Fatal("TryDeleteMinUpTo failed on a free lock")
 		}
-		want := []heap.Item{{Priority: 1, Value: 10}, {Priority: 2, Value: 20}, {Priority: 4, Value: 40}, {Priority: 6, Value: 60}}
+		want := []heap.Item{{Priority: 1, Value: 10}, {Priority: 2, Value: 20}, {Priority: 3, Value: 30}, {Priority: 4, Value: 40}, {Priority: 6, Value: 60}}
 		if len(got) != len(want) {
 			t.Fatalf("drained %d items, want %d: %+v", len(got), len(want), got)
 		}
@@ -129,7 +129,7 @@ func TestTryPathsConcurrentConservation(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				v := uint64(w*perWriter + i)
 				if i%2 == 0 {
-					for !q.TryAdd(r.Uint64n(1000), v) {
+					for !tryAddOne(q, r.Uint64n(1000), v) {
 						runtime.Gosched()
 					}
 					continue

@@ -33,8 +33,8 @@
 //	                   top word going mid-update and the republish (delay
 //	                   here makes readers see in-flight words)
 //	cpq/try/refuse     head of every cpq try-path (an error policy forces
-//	                   the refusal outcome: TryAdd/TryDeleteMin and their
-//	                   batch variants report the lock contended); the
+//	                   the refusal outcome: TryAddBatch and
+//	                   TryDeleteMinUpTo report the lock contended); the
 //	                   MultiQueue's default paths try first — every insert
 //	                   publish, Flush and dequeue refill — so refusing all
 //	                   of them drives Dequeue, Flush and Close onto their

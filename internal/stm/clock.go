@@ -119,41 +119,8 @@ func (h *mcHandle) CommitVersion(tmax uint64) uint64 {
 // time they are waiting for actually pass.
 func (h *mcHandle) Help() { h.h.Increment() }
 
-// TickClock is an exact clock that, like MCClock, writes in the future by Δ
-// but advances an exact counter. It isolates the contribution of the Δ rule
-// from the contribution of the relaxed counter in ablation A3.
-type TickClock struct {
-	g     pad.Uint64
-	delta uint64
-}
-
-// NewTickClock returns the exact future-writing clock with slack Δ.
-func NewTickClock(delta uint64) *TickClock { return &TickClock{delta: delta} }
-
-// Name implements Clock.
-func (c *TickClock) Name() string { return "tl2-faa-delta" }
-
-// NewHandle implements Clock.
-func (c *TickClock) NewHandle(uint64) ClockHandle { return tickHandle{c} }
-
-type tickHandle struct{ c *TickClock }
-
-// Sample implements ClockHandle.
-func (h tickHandle) Sample() uint64 { return h.c.g.Load() }
-
-// CommitVersion implements ClockHandle.
-func (h tickHandle) CommitVersion(tmax uint64) uint64 {
-	h.c.g.Add(1)
-	return tmax + h.c.delta
-}
-
-// Help implements ClockHandle: the exact future-writing clock has the same
-// livelock hazard as the relaxed one, so it helps the same way.
-func (h tickHandle) Help() { h.c.g.Add(1) }
-
 // Interface checks.
 var (
 	_ Clock = (*FAAClock)(nil)
 	_ Clock = (*MCClock)(nil)
-	_ Clock = (*TickClock)(nil)
 )

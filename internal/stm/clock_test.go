@@ -9,7 +9,6 @@ func TestClockNames(t *testing.T) {
 	names := map[string]Clock{
 		"tl2-faa":          NewFAAClock(),
 		"tl2-multicounter": NewMCClock(8, 64),
-		"tl2-faa-delta":    NewTickClock(64),
 	}
 	for want, c := range names {
 		if c.Name() != want {
@@ -46,24 +45,6 @@ func TestFAAHelpIsNoop(t *testing.T) {
 	}
 }
 
-func TestTickClockHelpAdvances(t *testing.T) {
-	c := NewTickClock(10)
-	h := c.NewHandle(0)
-	before := h.Sample()
-	h.Help()
-	if h.Sample() != before+1 {
-		t.Fatalf("TickClock Help: %d -> %d", before, h.Sample())
-	}
-	// CommitVersion stamps tmax + Δ and advances the clock.
-	wv := h.CommitVersion(100)
-	if wv != 110 {
-		t.Fatalf("CommitVersion = %d, want 110", wv)
-	}
-	if h.Sample() != before+2 {
-		t.Fatalf("clock after commit = %d", h.Sample())
-	}
-}
-
 func TestMCClockHelpAdvances(t *testing.T) {
 	c := NewMCClock(4, 16)
 	h := c.NewHandle(1)
@@ -90,7 +71,7 @@ func TestArrayAccessors(t *testing.T) {
 	if arr.MaxVersion() != 0 {
 		t.Fatalf("fresh MaxVersion = %d", arr.MaxVersion())
 	}
-	tx := NewTx(arr, NewTickClock(7).NewHandle(0), 1)
+	tx := NewTx(arr, NewMCClock(4, 7).NewHandle(0), 1)
 	if err := tx.Run(func(tx *Tx) error { tx.Store(2, 5); return nil }); err != nil {
 		t.Fatal(err)
 	}
