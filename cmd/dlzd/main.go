@@ -6,16 +6,21 @@
 //
 // Usage:
 //
-//	dlzd -addr :8377 -queues 64 -batch 8 -stickiness 16
+//	dlzd -addr :8377 -queues 64
+//
+// Every tenant structure runs d = 2 choices, a stickiness window of 16 and a
+// handle batch of 8, with seed 1: the configuration the benchmark measures.
+// No flag sets them.
 //
 // The degradation ladder (DESIGN.md §10) and the socket limits (DESIGN.md
 // §8) are always on, at values fixed in the dlzd package: a 1s request
 // deadline, a 100ms shed target with a 100ms dwell, 30s read and write
 // timeouts, a 10s header timeout and a 1 MiB header cap. No flag sets them.
 //
-// Drive it with cmd/dlzd-load; scrape GET /metrics for the elision,
-// spin-backoff and sampler-reroll counters plus the degradation-ladder
-// series (shed level, busy/deadline/panic counters).
+// Drive it with cmd/dlzd-load, which exits 1 when a tenant's stats leave
+// the client's ledger; scrape GET /metrics for the elision, spin-backoff and
+// sampler-reroll counters plus the degradation-ladder series (shed level,
+// busy/deadline/panic counters).
 //
 // Durability (DESIGN.md §12) is opt-in via -wal-dir: the daemon journals
 // every acknowledged mutating request, recovers the journal before flipping
@@ -43,13 +48,9 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8377", "listen address")
 		queues      = flag.Int("queues", 64, "m: queues/counter shards per tenant, fixed for the tenant's life")
-		choices     = flag.Int("choices", 2, "d: random choices per dequeue/increment")
-		stickiness  = flag.Int("stickiness", 16, "s: sticky-choice window")
-		batch       = flag.Int("batch", 8, "k: handle batch size")
 		maxTenants  = flag.Int("max-tenants", 64, "tenant namespace cap")
 		maxInflight = flag.Int("max-inflight", 256, "per-tenant in-flight request budget (0 = unlimited)")
 		idle        = flag.Duration("idle-timeout", 30*time.Second, "lease idle expiry (0 = never)")
-		seed        = flag.Uint64("seed", 1, "structure/handle seed sequence origin")
 
 		// Durability knobs (DESIGN.md §12); all inert unless -wal-dir is set.
 		walDir = flag.String("wal-dir", "",
@@ -83,13 +84,11 @@ func main() {
 
 	srv := dlzd.New(dlzd.Config{
 		Queues:      *queues,
-		Choices:     *choices,
-		Stickiness:  *stickiness,
-		Batch:       *batch,
+		Stickiness:  16,
+		Batch:       8,
 		MaxTenants:  *maxTenants,
 		MaxInFlight: *maxInflight,
 		IdleTimeout: *idle,
-		Seed:        *seed,
 		Durability:  durability,
 	})
 
@@ -100,8 +99,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("dlzd: listening on %s (m=%d batch=%d stickiness=%d)",
-		*addr, *queues, *batch, *stickiness)
+	log.Printf("dlzd: listening on %s (m=%d)", *addr, *queues)
 
 	stopped := make(chan struct{})
 	done := make(chan os.Signal, 1)

@@ -22,7 +22,9 @@
 // publication-elision, spin-backoff and sampler-reroll counters the internals
 // already maintain.
 //
-// Run it with cmd/dlzd; drive it with cmd/dlzd-load.
+// Run it with cmd/dlzd, which passes Stickiness 16 and Batch 8 and leaves
+// every other structure field at its default; cmd/dlzd-load drives it and
+// checks that every acknowledged operation is still there.
 package dlzd
 
 import (

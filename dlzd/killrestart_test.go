@@ -49,9 +49,9 @@ func (b *lockedBuffer) String() string {
 // TestKillRestartSoak is the chaos proof for DESIGN.md §12: a real dlzd
 // process journaling under live dlzd-load traffic is SIGKILLed mid-flight
 // -killcycles times — with a short fsync interval, so kills land inside or
-// around fsync windows — and restarted each time. The -expect-restart load
-// client tracks acked vs maybe-applied ledgers and must print RECOVERY PASS:
-// zero acked-op loss, unacked overshoot bounded by in-flight requests. A
+// around fsync windows — and restarted each time. The load client tracks
+// acked vs maybe-applied ledgers and must print RECOVERY PASS: zero acked-op
+// loss, unacked overshoot bounded by in-flight requests. A
 // final SIGTERM restart must replay zero records (the shutdown snapshot
 // covered everything), and two offline replays of the surviving journal must
 // be identical.
@@ -123,7 +123,6 @@ func TestKillRestartSoak(t *testing.T) {
 	loadOut := &lockedBuffer{}
 	load := exec.Command(bin+"/dlzd-load",
 		"-addr", "http://"+addr,
-		"-expect-restart",
 		"-ops", strconv.Itoa(*killCycles*8000),
 		"-workers", "4",
 		"-tenants", "4",

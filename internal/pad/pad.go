@@ -18,7 +18,6 @@ package pad
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fail"
 )
@@ -259,70 +258,3 @@ func (b *Backoff) Yielding() bool { return b.spins >= backoffMaxSpins }
 //
 //go:noinline
 func spinHint() {}
-
-// RetryBackoff is the sleep-scale sibling of Backoff for request-level retry
-// loops (HTTP 429/503 handling in dlzd clients): each Next returns a
-// full-jitter exponential delay — uniform in [0, min(Cap, Base·2^attempt)) —
-// so a fleet of clients retrying after the same shed event does not
-// resynchronize into the thundering herd that caused the shedding. The floor
-// argument carries the server's Retry-After hint and is honored as a lower
-// bound on the returned delay.
-//
-// The jitter stream is a private splitmix64 seeded by NewRetryBackoff, so
-// load generators get reproducible schedules from a fixed seed. Like Backoff,
-// a RetryBackoff is single-goroutine state.
-type RetryBackoff struct {
-	// Base is the first retry's maximum delay; 0 means 5ms.
-	Base time.Duration
-	// Cap bounds the exponential growth; 0 means 1s.
-	Cap time.Duration
-
-	attempt int
-	rng     uint64
-}
-
-// NewRetryBackoff returns a RetryBackoff with the given delay bounds and
-// jitter seed (0 is a valid seed).
-func NewRetryBackoff(base, cap time.Duration, seed uint64) *RetryBackoff {
-	return &RetryBackoff{Base: base, Cap: cap, rng: seed}
-}
-
-// Next advances the schedule and returns the next delay: a jittered draw from
-// the current exponential window, raised to floor if the draw came in under
-// it. Pass the server's Retry-After as floor (0 when absent).
-func (r *RetryBackoff) Next(floor time.Duration) time.Duration {
-	base, max := r.Base, r.Cap
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	if max <= 0 {
-		max = time.Second
-	}
-	ceil := max
-	// base<<attempt with shift-overflow protection: past ~30 doublings the
-	// window is certainly saturated.
-	if r.attempt < 30 {
-		if w := base << uint(r.attempt); w > 0 && w < max {
-			ceil = w
-		}
-		r.attempt++
-	}
-	// splitmix64 step for the jitter draw.
-	r.rng += 0x9E3779B97F4A7C15
-	z := r.rng
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	d := time.Duration(z % uint64(ceil))
-	if d < floor {
-		d = floor
-	}
-	return d
-}
-
-// Reset rewinds the exponential window to Base after a successful request,
-// keeping the jitter stream position.
-func (r *RetryBackoff) Reset() { r.attempt = 0 }
-
-// Attempt returns the number of Next calls since creation or the last Reset.
-func (r *RetryBackoff) Attempt() int { return r.attempt }

@@ -20,7 +20,10 @@
 // the modulo bias and the division of the textbook approach.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea and Flood.
 // The zero value is a valid generator (seeded with 0). It is primarily used
@@ -96,27 +99,15 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	// clears the rejection threshold; the loop is entered with probability
 	// n / 2^64, which is negligible for the bin counts used here.
 	v := x.Next()
-	hi, lo := mul64(v, n)
+	hi, lo := bits.Mul64(v, n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
 			v = x.Next()
-			hi, lo = mul64(v, n)
+			hi, lo = bits.Mul64(v, n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	lo1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + lo1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Intn returns a uniform value in [0, n) as an int. n must be positive.
@@ -152,34 +143,6 @@ func (x *Xoshiro256) Bernoulli(p float64) bool {
 		return true
 	}
 	return x.Float64() < p
-}
-
-// TwoDistinct returns two uniform values in [0, n), re-drawing the second
-// until it differs from the first. n must be at least 2. The two-choice
-// processes in the paper sample with replacement; this helper exists for the
-// "distinct choices" process variant exercised in the ablations.
-func (x *Xoshiro256) TwoDistinct(n int) (int, int) {
-	if n < 2 {
-		panic("rng: TwoDistinct needs n >= 2")
-	}
-	i := x.Intn(n)
-	j := x.Intn(n)
-	for j == i {
-		j = x.Intn(n)
-	}
-	return i, j
-}
-
-// Perm fills out with a uniform random permutation of [0, len(out)) using
-// Fisher–Yates. It allocates nothing.
-func (x *Xoshiro256) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := x.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
 }
 
 // Jump advances the generator by 2^128 steps, providing a disjoint

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -84,12 +83,6 @@ func encodeSnapshot(p []byte, s *Snapshot) []byte {
 		}
 	}
 	return p
-}
-
-// DecodeSnapshot parses a snapshot payload (strict, like the record codec:
-// trailing bytes are an error). It never panics on arbitrary input.
-func DecodeSnapshot(p []byte) (*Snapshot, error) {
-	return readSnapshot(bytes.NewReader(p), int64(len(p)))
 }
 
 // snapDecoder hands out a snapshot payload's bytes from a bufio.Reader,

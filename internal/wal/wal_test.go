@@ -379,7 +379,7 @@ func TestOutOfOrderSnapshotFallsBack(t *testing.T) {
 	}
 	newer := TenantState{Name: "t", Items: []Item{items[0], items[2], items[1], items[3]}, OpsEnqueued: 4}
 	payload := encodeSnapshot(nil, &Snapshot{CutLSN: 4, Tenants: []TenantState{newer}})
-	if _, err := DecodeSnapshot(payload); err == nil || !strings.Contains(err.Error(), "out of order") {
+	if _, err := readSnapshot(bytes.NewReader(payload), int64(len(payload))); err == nil || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("out-of-order snapshot: err %v, want out of order", err)
 	}
 	file := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
@@ -406,7 +406,7 @@ func TestFirstSnapshotLayoutRejected(t *testing.T) {
 	p = appendShortString(p, "t")
 	p = binary.LittleEndian.AppendUint32(p, 8) // the shard count
 	p = append(p, make([]byte, 6*8+4)...)      // counter, ledger, zero items
-	if _, err := DecodeSnapshot(p); !errors.Is(err, errFormat) || !strings.Contains(err.Error(), "format DLZSNAP1") {
+	if _, err := readSnapshot(bytes.NewReader(p), int64(len(p))); !errors.Is(err, errFormat) || !strings.Contains(err.Error(), "format DLZSNAP1") {
 		t.Fatalf("first-layout snapshot: err %v, want a format error naming DLZSNAP1", err)
 	}
 }
