@@ -18,7 +18,7 @@
 // timeouts, a 10s header timeout and a 1 MiB header cap. No flag sets them.
 //
 // Drive it with cmd/dlzd-load, which exits 1 when a tenant's stats leave
-// the client's ledger; scrape GET /metrics for the elision, spin-backoff and
+// the client's ledger; scrape GET /metrics for the elision, slow-path lock and
 // sampler-reroll counters plus the degradation-ladder series (shed level,
 // busy/deadline/panic counters).
 //
@@ -57,10 +57,6 @@ func main() {
 			"write-ahead journal directory; enables crash durability (empty = off)")
 		walFsync = flag.String("wal-fsync", "never",
 			"journal fsync policy: never (process-crash durable), interval (group flusher), always (group commit per ack)")
-		walFsyncInterval = flag.Duration("wal-fsync-interval", 100*time.Millisecond,
-			"flusher period for -wal-fsync=interval")
-		walSegmentBytes = flag.Int64("wal-segment-bytes", 4<<20,
-			"journal segment roll size")
 		walSnapshotBytes = flag.Int64("wal-snapshot-bytes", 64<<20,
 			"journal growth between janitor snapshots (negative = snapshot only at shutdown)")
 	)
@@ -76,8 +72,6 @@ func main() {
 		durability = &dlzd.Durability{
 			Dir:           *walDir,
 			Fsync:         policy,
-			FsyncInterval: *walFsyncInterval,
-			SegmentBytes:  *walSegmentBytes,
 			SnapshotBytes: *walSnapshotBytes,
 		}
 	}

@@ -15,11 +15,12 @@
 // abandoned connection can never strand buffered elements.
 //
 // The wire batch API (enqueue-batch, delete-min-up-to, counter/add-batch)
-// rides the zero-alloc AddBatch/DeleteMinUpTo fast path end-to-end: wire
-// batches land in the leased handle's fixed buffers and publish in Batch-size
-// lumps with one lock acquisition each. Backpressure is a bounded per-tenant
+// rides the zero-alloc TryAddBatch/TryDeleteMinUpTo fast path end-to-end:
+// wire batches land in the leased handle's fixed buffers and publish in
+// Batch-size lumps with one lock acquisition each, and a shard whose lock
+// refuses the try is redrawn, not waited on. Backpressure is a bounded per-tenant
 // in-flight budget (429 on overflow). GET /metrics exports the
-// publication-elision, spin-backoff and sampler-reroll counters the internals
+// publication-elision, slow-path lock and sampler-reroll counters the internals
 // already maintain.
 //
 // Run it with cmd/dlzd, which passes Stickiness 16 and Batch 8 and leaves

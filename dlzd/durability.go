@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/wal"
@@ -37,17 +38,22 @@ type Durability struct {
 	Dir string
 	// Fsync is the fsync policy for acknowledged records (default never:
 	// records still survive process SIGKILL once written; interval/always
-	// buy machine-crash durability).
+	// buy machine-crash durability). The interval flusher's period and the
+	// segment roll size are wal.Options' defaults, 100ms and 4MiB, unless
+	// the binary was linked with walFsyncInterval or walSegmentBytes.
 	Fsync wal.FsyncPolicy
-	// FsyncInterval is the interval-policy flusher period (default 100ms).
-	FsyncInterval time.Duration
-	// SegmentBytes rolls journal segments at this size (default 4MiB).
-	SegmentBytes int64
 	// SnapshotBytes triggers a janitor-driven snapshot once the journal has
 	// grown this much since the last one (default 64MiB; negative disables
 	// auto-snapshotting — snapshots then happen only at Close).
 	SnapshotBytes int64
 }
+
+// walFsyncInterval and walSegmentBytes override the journal's flusher period
+// (a time.Duration string) and segment roll size (bytes). No flag or field
+// sets them, only a link with -ldflags "-X repro/dlzd.walSegmentBytes=N":
+// TestKillRestartSoak's build does, so that its SIGKILLs land around fsyncs
+// and segment rolls.
+var walFsyncInterval, walSegmentBytes string
 
 // RecoveryStats summarizes one Recover call for logging and tests.
 type RecoveryStats struct {
@@ -85,12 +91,11 @@ func (s *Server) Recover() (*RecoveryStats, error) {
 		return &RecoveryStats{}, nil
 	}
 	start := time.Now()
-	l, rec, err := wal.OpenWithProgress(wal.Options{
-		Dir:          d.Dir,
-		Policy:       d.Fsync,
-		Interval:     d.FsyncInterval,
-		SegmentBytes: d.SegmentBytes,
-	}, &s.replay)
+	opt := wal.Options{Dir: d.Dir, Policy: d.Fsync}
+	// An empty or malformed value parses as 0, which keeps wal's default.
+	opt.Interval, _ = time.ParseDuration(walFsyncInterval)
+	opt.SegmentBytes, _ = strconv.ParseInt(walSegmentBytes, 10, 64)
+	l, rec, err := wal.OpenWithProgress(opt, &s.replay)
 	if err != nil {
 		return nil, fmt.Errorf("dlzd: journal open: %w", err)
 	}

@@ -133,6 +133,73 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	}
 }
 
+// TestDeadlineJournalsAppliedPrefix pins the deferred journal append on the
+// deadline exits: with every deadline already past, a two-stride enqueue and
+// counter add each answer 503 after one stride and a two-stride delete-min
+// answers a truncated 200, and each journals exactly the stride it applied.
+// A crash-style reopen (no Close) must rebuild the live ledger.
+func TestDeadlineJournalsAppliedPrefix(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Queues: 4, Batch: 4, Seed: 7, Durability: &Durability{Dir: dir}}
+	s := New(cfg)
+	s.ladder.requestTimeout = time.Nanosecond
+	c := serveLoopback(t, s)
+	if _, err := s.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+
+	const n = 2 * deadlineStride
+	prios := make([]uint64, n)
+	deltas := make([]uint64, n)
+	for i := range prios {
+		prios[i], deltas[i] = uint64(i+1), uint64(i+1)
+	}
+	for i := 0; i < 2; i++ {
+		if code := c.post("/v1/x/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(prios...)}, nil); code != http.StatusServiceUnavailable {
+			t.Fatalf("two-stride enqueue %d = %d, want 503", i, code)
+		}
+	}
+	if code := c.post("/v1/x/counter/add-batch", CounterAddRequest{Session: "s", Deltas: deltas}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("two-stride counter add = %d, want 503", code)
+	}
+	var deq DeleteMinResponse
+	if code := c.post("/v1/x/delete-min-up-to", DeleteMinRequest{Session: "s", Max: n}, &deq); code != http.StatusOK {
+		t.Fatalf("two-stride delete-min = %d, want truncated 200", code)
+	}
+	if !deq.Truncated || len(deq.Items) != deadlineStride {
+		t.Fatalf("delete-min: truncated %v with %d items, want truncated with %d", deq.Truncated, len(deq.Items), deadlineStride)
+	}
+	// Publish the lease's buffers so the live queue length is comparable.
+	if code := c.post("/v1/x/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
+		t.Fatalf("close = %d", code)
+	}
+	var live StatsResponse
+	if code := c.get("/v1/x/stats", &live); code != http.StatusOK {
+		t.Fatalf("stats = %d", code)
+	}
+	wantSum := uint64(deadlineStride * (deadlineStride + 1) / 2)
+	if live.OpsEnqueued != 2*deadlineStride || live.OpsDequeued != deadlineStride || live.CounterDeltaSum != wantSum {
+		t.Fatalf("live ledger = %d enqueued, %d dequeued, %d added; want %d, %d, %d",
+			live.OpsEnqueued, live.OpsDequeued, live.CounterDeltaSum, 2*deadlineStride, deadlineStride, wantSum)
+	}
+
+	// No Close: the journal is what the deferred appends left on disk.
+	s2 := New(Config{Queues: 4, Batch: 4, Seed: 9, Durability: &Durability{Dir: dir}})
+	if _, err := s2.Recover(); err != nil {
+		t.Fatalf("Recover after crash: %v", err)
+	}
+	defer s2.Close()
+	tx, ok := s2.tenant([]byte("x"))
+	if !ok {
+		t.Fatal("tenant x missing after reboot")
+	}
+	got := [4]uint64{tx.opsEnqueued.Load(), tx.opsDequeued.Load(), tx.counterDeltaSum.Load(), uint64(tx.mq.Len())}
+	want := [4]uint64{live.OpsEnqueued, live.OpsDequeued, live.CounterDeltaSum, uint64(live.QueueLen)}
+	if got != want {
+		t.Errorf("recovered [enqueued dequeued delta-sum len] = %v, want the live %v", got, want)
+	}
+}
+
 // TestRecoveryDeterministic pins the replay function: two independent replays
 // of the same journal produce deep-equal state, and a server booted from that
 // journal agrees with the offline Replay.
@@ -370,12 +437,11 @@ func TestSnapshotUnderTraffic(t *testing.T) {
 }
 
 // TestJanitorSnapshotTrigger pins the SnapshotBytes rung: once the journal
-// outgrows the trigger, a janitor tick writes a snapshot and truncates dead
-// segments, and a clean reboot replays only the records past the last cut.
+// outgrows the trigger, a janitor tick writes a snapshot.
 func TestJanitorSnapshotTrigger(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newDurableClient(t, dir, Config{Queues: 2, Batch: 4, Seed: 7,
-		Durability: &Durability{Dir: dir, SegmentBytes: 4 << 10, SnapshotBytes: 8 << 10}})
+		Durability: &Durability{Dir: dir, SnapshotBytes: 8 << 10}})
 	stop := s.StartJanitor(time.Millisecond)
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)

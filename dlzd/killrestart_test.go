@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -48,19 +49,21 @@ func (b *lockedBuffer) String() string {
 
 // TestKillRestartSoak is the chaos proof for DESIGN.md §12: a real dlzd
 // process journaling under live dlzd-load traffic is SIGKILLed mid-flight
-// -killcycles times — with a short fsync interval, so kills land inside or
-// around fsync windows — and restarted each time. The load client tracks
-// acked vs maybe-applied ledgers and must print RECOVERY PASS: zero acked-op
-// loss, unacked overshoot bounded by in-flight requests. A
-// final SIGTERM restart must replay zero records (the shutdown snapshot
-// covered everything), and two offline replays of the surviving journal must
-// be identical.
+// -killcycles times — linked with a 5ms fsync interval and 256 KiB segments,
+// so kills land inside or around fsync windows and segment rolls — and
+// restarted each time. The load client tracks acked vs maybe-applied ledgers
+// and must print RECOVERY PASS: zero acked-op loss, unacked overshoot bounded
+// by in-flight requests. A final SIGTERM restart must replay zero records
+// (the shutdown snapshot covered everything), and two offline replays of the
+// surviving journal must be identical.
 func TestKillRestartSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess soak skipped in -short")
 	}
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin, "./cmd/dlzd", "./cmd/dlzd-load")
+	build := exec.Command("go", "build", "-o", bin,
+		"-ldflags", "-X repro/dlzd.walFsyncInterval=5ms -X repro/dlzd.walSegmentBytes="+strconv.Itoa(256<<10),
+		"./cmd/dlzd", "./cmd/dlzd-load")
 	build.Dir = ".."
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -82,8 +85,6 @@ func TestKillRestartSoak(t *testing.T) {
 			"-addr", addr,
 			"-wal-dir", walDir,
 			"-wal-fsync", "interval",
-			"-wal-fsync-interval", "5ms",
-			"-wal-segment-bytes", strconv.Itoa(256<<10),
 			"-wal-snapshot-bytes", strconv.Itoa(1<<20),
 			"-queues", "8")
 		cmd.Stdout = log
@@ -172,6 +173,12 @@ func TestKillRestartSoak(t *testing.T) {
 		t.Fatalf("no RECOVERY PASS verdict after %d kills:\n%s", kills, out)
 	}
 	t.Logf("%d SIGKILL cycles survived; load verdict:\n%s", kills, out)
+	// Every boot opens one segment, so more segments than boots means some
+	// incarnation rolled one by size, as the linked segment size intends.
+	segs, err := filepath.Glob(filepath.Join(walDir, "*.seg"))
+	if err != nil || len(segs) <= len(daemonLogs) {
+		t.Errorf("%d journal segments after %d boots (%v): no incarnation rolled a segment", len(segs), len(daemonLogs), err)
+	}
 
 	// Clean shutdown: SIGTERM writes a final snapshot, so the next boot must
 	// replay exactly zero journal records.

@@ -15,12 +15,13 @@ import (
 // priming traffic first. Per-tenant lines carry a tenant label and are sorted
 // by tenant name for stable scrapes.
 //
-// The three internals counters the issue calls out surface here:
+// Three internals counters surface here:
 //
 //   - dlzd_queue_elisions_total: publication elisions in the lock-free
 //     top-word cache (cpq covered-insert and empty-pop fast paths);
-//   - dlzd_spin_backoff_total: slow-path lock acquisitions, i.e. acquires
-//     that engaged the adaptive spin/yield backoff schedule;
+//   - dlzd_spin_backoff_total: slow-path lock acquisitions, i.e. blocking
+//     acquires that found the lock held (the name predates the removal of
+//     the backoff schedule and stays, because dashboards and CI read it);
 //   - dlzd_sampler_rerolls_total: sticky sampler rerolls, live leases plus
 //     rerolls harvested from retired leases. A dequeue draw that finds its
 //     shard empty or locked and an insert whose shard refuses the try-lock
@@ -68,7 +69,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	perTenant("dlzd_queue_elisions_total", func(r tenantRow) uint64 { return r.mq.Elisions })
 	counter("dlzd_queue_publications_total", "Top-word cache publications across tenant MultiQueues.", publications)
 	perTenant("dlzd_queue_publications_total", func(r tenantRow) uint64 { return r.mq.Publications })
-	counter("dlzd_spin_backoff_total", "Slow-path lock acquisitions that engaged the adaptive spin backoff.", backoff)
+	counter("dlzd_spin_backoff_total", "Slow-path lock acquisitions: blocking acquires that found the lock held.", backoff)
 	perTenant("dlzd_spin_backoff_total", func(r tenantRow) uint64 { return r.mq.LockContended })
 	counter("dlzd_sampler_rerolls_total", "Sticky sampler rerolls: empty or contended dequeue draws and refused insert publishes (live leases plus retired).", rerolls)
 	perTenant("dlzd_sampler_rerolls_total", func(r tenantRow) uint64 { return r.agg.rerolls + r.t.retiredRerolls.Load() })

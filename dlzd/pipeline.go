@@ -246,11 +246,11 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 	}
 	switch string(op) {
 	case "enqueue-batch":
-		return s.opEnqueueBatch(sc, t, rq, dst)
+		return s.mutate(sc, t, rq, hotEnqueueBatch, dst)
 	case "delete-min-up-to":
-		return s.opDeleteMinUpTo(sc, t, rq, dst)
+		return s.mutate(sc, t, rq, hotDeleteMinUpTo, dst)
 	case "counter/add-batch":
-		return s.opCounterAddBatch(sc, t, rq, dst)
+		return s.mutate(sc, t, rq, hotCounterAddBatch, dst)
 	case "counter/read":
 		return s.opCounterRead(sc, t, rq, dst)
 	case "session/close":
@@ -261,17 +261,12 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 	return errorReply(dst, http.StatusNotFound, "unknown operation")
 }
 
-// postFault is the dlzd/handler/post failpoint, passed by every mutating op
-// between its commit and its success body: an injected error or panic there
-// models the classic applied-but-unacknowledged fault — the operations are
-// committed (their counters are defer-committed by the op) but the client
-// sees a 500 instead of the success body.
+// postFault is the dlzd/handler/post failpoint, which mutate passes between
+// the journal and the success body: an injected error or panic there models
+// the classic applied-but-unacknowledged fault — the units are committed and
+// journaled, but the client sees a 500 instead of the success body.
 func postFault() bool {
 	return fail.Enabled && fail.Inject(fail.SiteDlzdHandlerPost) != nil
-}
-
-func postFaultReply(dst []byte) ([]byte, reply) {
-	return errorReply(dst, http.StatusInternalServerError, "injected fault before response")
 }
 
 // decodeHot checks the method and decodes a hot request's body into sc.rq;
@@ -301,45 +296,94 @@ func decodeControl(rq *request, v any) (status int, msg string) {
 	return 0, ""
 }
 
-func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
-	if status, msg := s.decodeHot(sc, hotEnqueueBatch, rq); status != 0 {
+// mutation is the data the three mutating requests differ in besides the
+// unit they apply, the ledger they commit and the answer they encode. mutate
+// indexes mutations by hotOp.
+type mutation struct {
+	bound string         // the refusal of a batch outside [1, MaxWireBatch], less the range
+	unit  string         // what a deadline 503 counts; a delete-min truncates instead
+	rec   wal.RecordType // the journal record of the applied units
+}
+
+var mutations = [...]mutation{
+	hotEnqueueBatch:    {"items must number in", "items", wal.RecEnqueue},
+	hotDeleteMinUpTo:   {"max must be in", "", wal.RecDeleteMin},
+	hotCounterAddBatch: {"deltas must number in", "deltas", wal.RecCounterAdd},
+}
+
+// mutate runs an enqueue-batch, delete-min-up-to or counter/add-batch
+// request: decode, lease, apply the units, journal, answer.
+//
+// The applied count (and a counter add's weight) commits by defer, so it is
+// exact on every exit — a clean 200, an injected mid-batch abort, a deadline
+// overrun, or a panic unwinding to the recovery envelope. Conservation
+// audits rely on it: the ledger counts exactly the units that entered or
+// left the leased handle, so drained elements are counted even when a later
+// fault turns the answer into a 500 (at-most-once delivery), and
+// CounterDeltaSum equals the counter's exact value at quiescence. The
+// journal record mirrors the same discipline: appended explicitly before the
+// 200 on the ack path, and by defer on every other exit, so the journal
+// records exactly the applied operations (an error or panic exit journals
+// applied-but-unacknowledged work — the documented at-least-once overshoot a
+// restart may resurface).
+func (s *Server) mutate(sc *scratch, t *tenant, rq *request, op hotOp, dst []byte) ([]byte, reply) {
+	m := &mutations[op]
+	if status, msg := s.decodeHot(sc, op, rq); status != 0 {
 		return errorReply(dst, status, msg)
 	}
-	items := sc.rq.items
-	if len(items) == 0 || len(items) > MaxWireBatch {
-		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("items must number in [1, %d]", MaxWireBatch))
+	n := sc.rq.max
+	switch op {
+	case hotEnqueueBatch:
+		n = len(sc.rq.items)
+	case hotCounterAddBatch:
+		n = len(sc.rq.deltas)
+	}
+	if n < 1 || n > MaxWireBatch {
+		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("%s [1, %d]", m.bound, MaxWireBatch))
 	}
 	l, ok := t.lease(s.deadline(rq), sc.rq.session)
 	if !ok {
 		return busyReply(dst, t)
 	}
 	sc.lease = l
-	// The applied count commits by defer so it is exact on every exit — a
-	// clean 200, an injected mid-batch abort, a deadline overrun, or a panic
-	// unwinding to the recovery envelope. Conservation audits rely on it:
-	// OpsEnqueued counts exactly the items that entered the leased handle.
-	// The journal record mirrors the same discipline: appended explicitly
-	// before the 200 on the ack path, and by defer on every other exit, so
-	// the journal records exactly the applied operations (an error or panic
-	// exit journals applied-but-unacknowledged work — the documented
-	// at-least-once overshoot a restart may resurface).
-	applied := 0
-	journaled, logged := s.log() != nil, false
+	sc.items = sc.items[:0]
+	if op == hotDeleteMinUpTo && sc.items == nil {
+		sc.items = make([]WireItem, 0, 8) // never nil: an empty drain answers "items":[]
+	}
+	applied, weight := 0, uint64(0)
+	logged := s.log() == nil // durability off: there is no journal to append to
 	journal := func() error {
-		if !journaled || logged {
+		if logged {
 			return nil
 		}
 		logged = true
-		sc.rec = wal.Record{Type: wal.RecEnqueue, Tenant: t.name, Session: l.token,
-			Items: sc.walItems(items[:applied])}
+		sc.rec = wal.Record{Type: m.rec, Tenant: t.name, Session: l.token}
+		switch op {
+		case hotEnqueueBatch:
+			sc.rec.Items = sc.walItems(sc.rq.items[:applied])
+		case hotDeleteMinUpTo:
+			sc.rec.Items = sc.walItems(sc.items)
+		case hotCounterAddBatch:
+			sc.rec.Count, sc.rec.Weight = uint64(applied), weight
+		}
 		return s.journal(&sc.rec)
 	}
 	defer func() {
-		t.opsEnqueued.Add(uint64(applied))
+		switch op {
+		case hotEnqueueBatch:
+			t.opsEnqueued.Add(uint64(applied))
+		case hotDeleteMinUpTo:
+			t.opsDequeued.Add(uint64(applied))
+		case hotCounterAddBatch:
+			t.opsCounterAdds.Add(uint64(applied))
+			t.counterDeltaSum.Add(weight)
+		}
 		_ = journal() // the ack path already reported a failure; any other exit has no ack to poison
 	}()
-	for _, it := range items {
-		if fail.Enabled {
+	truncated := false
+apply:
+	for applied < n {
+		if op == hotEnqueueBatch && fail.Enabled {
 			if err := fail.Inject(fail.SiteDlzdEnqueueItem); err != nil {
 				return errorReply(dst, http.StatusInternalServerError,
 					fmt.Sprintf("injected abort after %d items", applied))
@@ -347,144 +391,64 @@ func (s *Server) opEnqueueBatch(sc *scratch, t *tenant, rq *request, dst []byte)
 		}
 		if s.overdue(rq, applied) {
 			t.deadlineAborts.Add(1)
+			if op == hotDeleteMinUpTo {
+				// Deadline mid-drain: answer 200 with what was obtained —
+				// the elements are already removed, so a partial success is
+				// the response that keeps delivered-exactly-once intact.
+				truncated = true
+				break apply
+			}
 			return errorReply(dst, http.StatusServiceUnavailable,
-				fmt.Sprintf("deadline exceeded after %d items", applied))
+				fmt.Sprintf("deadline exceeded after %d %s", applied, m.unit))
 		}
-		// Count before the call: EnqueuePriority's only fault point (the core
-		// flush failpoint) fires with the element already in the handle
-		// buffer, where the repair flush will publish it — counting after
-		// would leak exactly the elements that ride a faulted auto-publish.
-		applied++
-		l.mqh.EnqueuePriority(it.Priority, it.Value)
+		switch op {
+		case hotEnqueueBatch:
+			// Count before the call: EnqueuePriority's only fault point (the
+			// core flush failpoint) fires with the element already in the
+			// handle buffer, where the repair flush will publish it —
+			// counting after would leak exactly the elements that ride a
+			// faulted auto-publish.
+			it := sc.rq.items[applied]
+			applied++
+			l.mqh.EnqueuePriority(it.Priority, it.Value)
+		case hotDeleteMinUpTo:
+			it, ok := l.mqh.Dequeue()
+			if !ok {
+				break apply
+			}
+			sc.items = append(sc.items, WireItem{Priority: it.Priority, Value: it.Value})
+			applied++
+		case hotCounterAddBatch:
+			d := sc.rq.deltas[applied]
+			l.ch.Add(d)
+			applied++
+			weight += d
+		}
 	}
 	if journal() != nil {
+		// The units are applied and the deferred journal call will not retry
+		// (logged is set). For a delete-min the elements are already removed
+		// and the record was never written, so a restart resurfaces the
+		// drained elements. At-most-once delivery still holds, the client
+		// just cannot know which; the failure counter surfaces it.
 		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
 	}
 	if postFault() {
-		return postFaultReply(dst)
+		return errorReply(dst, http.StatusInternalServerError, "injected fault before response")
 	}
-	return appendEnqueueBatchResponse(dst, EnqueueBatchResponse{Enqueued: applied, Buffered: l.mqh.Buffered()}),
-		reply{status: http.StatusOK}
-}
-
-func (s *Server) opDeleteMinUpTo(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
-	if status, msg := s.decodeHot(sc, hotDeleteMinUpTo, rq); status != 0 {
-		return errorReply(dst, status, msg)
+	switch op {
+	case hotEnqueueBatch:
+		dst = appendEnqueueBatchResponse(dst, EnqueueBatchResponse{Enqueued: applied, Buffered: l.mqh.Buffered()})
+	case hotDeleteMinUpTo:
+		dst = appendDeleteMinResponse(dst, DeleteMinResponse{Items: sc.items, Truncated: truncated})
+	case hotCounterAddBatch:
+		dst = appendCounterAddResponse(dst, CounterAddResponse{
+			Added:          applied,
+			BufferedOps:    l.ch.Buffered(),
+			BufferedWeight: l.ch.BufferedWeight(),
+		})
 	}
-	max := sc.rq.max
-	if max < 1 || max > MaxWireBatch {
-		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("max must be in [1, %d]", MaxWireBatch))
-	}
-	l, ok := t.lease(s.deadline(rq), sc.rq.session)
-	if !ok {
-		return busyReply(dst, t)
-	}
-	sc.lease = l
-	// Defer-committed like the enqueue count: elements drained out of the
-	// structure are counted even when a later fault turns the response into
-	// a 500 (at-most-once delivery — the server ledger stays exact).
-	if sc.items == nil {
-		sc.items = make([]WireItem, 0, 8) // never nil: an empty drain answers "items":[]
-	}
-	items := sc.items[:0]
-	journaled, logged := s.log() != nil, false
-	journal := func() error {
-		if !journaled || logged {
-			return nil
-		}
-		logged = true
-		sc.rec = wal.Record{Type: wal.RecDeleteMin, Tenant: t.name, Session: l.token,
-			Items: sc.walItems(items)}
-		return s.journal(&sc.rec)
-	}
-	defer func() {
-		sc.items = items[:0]
-		t.opsDequeued.Add(uint64(len(items)))
-		_ = journal()
-	}()
-	truncated := false
-	for len(items) < max {
-		if s.overdue(rq, len(items)) {
-			// Deadline mid-drain: answer 200 with what was obtained — the
-			// elements are already removed, so a partial success is the
-			// response that keeps delivered-exactly-once intact.
-			t.deadlineAborts.Add(1)
-			truncated = true
-			break
-		}
-		it, ok := l.mqh.Dequeue()
-		if !ok {
-			break
-		}
-		items = append(items, WireItem{Priority: it.Priority, Value: it.Value})
-	}
-	if journal() != nil {
-		// The elements are already removed and the deferred journal call
-		// will not retry (logged is set): the record was never written, so
-		// a restart resurfaces the drained elements. At-most-once delivery
-		// still holds, the client just cannot know which; the failure
-		// counter surfaces it.
-		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
-	}
-	if postFault() {
-		return postFaultReply(dst)
-	}
-	return appendDeleteMinResponse(dst, DeleteMinResponse{Items: items, Truncated: truncated}), reply{status: http.StatusOK}
-}
-
-func (s *Server) opCounterAddBatch(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
-	if status, msg := s.decodeHot(sc, hotCounterAddBatch, rq); status != 0 {
-		return errorReply(dst, status, msg)
-	}
-	deltas := sc.rq.deltas
-	if len(deltas) == 0 || len(deltas) > MaxWireBatch {
-		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("deltas must number in [1, %d]", MaxWireBatch))
-	}
-	l, ok := t.lease(s.deadline(rq), sc.rq.session)
-	if !ok {
-		return busyReply(dst, t)
-	}
-	sc.lease = l
-	// Both the op count and the delta weight commit by defer, so
-	// CounterDeltaSum equals the counter's exact value at quiescence even
-	// when a fault interrupts the apply loop.
-	applied, weight := 0, uint64(0)
-	journaled, logged := s.log() != nil, false
-	journal := func() error {
-		if !journaled || logged {
-			return nil
-		}
-		logged = true
-		sc.rec = wal.Record{Type: wal.RecCounterAdd, Tenant: t.name, Session: l.token,
-			Count: uint64(applied), Weight: weight}
-		return s.journal(&sc.rec)
-	}
-	defer func() {
-		t.opsCounterAdds.Add(uint64(applied))
-		t.counterDeltaSum.Add(weight)
-		_ = journal()
-	}()
-	for _, d := range deltas {
-		if s.overdue(rq, applied) {
-			t.deadlineAborts.Add(1)
-			return errorReply(dst, http.StatusServiceUnavailable,
-				fmt.Sprintf("deadline exceeded after %d deltas", applied))
-		}
-		l.ch.Add(d)
-		applied++
-		weight += d
-	}
-	if journal() != nil {
-		return errorReply(dst, http.StatusInternalServerError, "journal append failed")
-	}
-	if postFault() {
-		return postFaultReply(dst)
-	}
-	return appendCounterAddResponse(dst, CounterAddResponse{
-		Added:          applied,
-		BufferedOps:    l.ch.Buffered(),
-		BufferedWeight: l.ch.BufferedWeight(),
-	}), reply{status: http.StatusOK}
+	return dst, reply{status: http.StatusOK}
 }
 
 func (s *Server) opCounterRead(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {

@@ -40,7 +40,7 @@ type EnqueueBatchResponse struct {
 
 // DeleteMinRequest is the body of POST /v1/{tenant}/delete-min-up-to:
 // remove up to Max relaxed minima through the session's leased handle (the
-// cpq.Queue DeleteMinUpTo path end-to-end).
+// cpq.Queue TryDeleteMinUpTo path end-to-end; a refused shard is redrawn).
 type DeleteMinRequest struct {
 	Session string `json:"session"`
 	// Max bounds the number of returned items; fewer are returned only when

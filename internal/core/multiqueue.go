@@ -135,8 +135,8 @@ type MQStats struct {
 	Elisions uint64
 	// Publications counts critical sections that republished a top word.
 	Publications uint64
-	// LockContended counts blocking lock acquisitions that entered the
-	// spin-backoff slow path.
+	// LockContended counts blocking lock acquisitions that entered the slow
+	// path.
 	LockContended uint64
 }
 
@@ -248,7 +248,7 @@ func (h *MQHandle) Buffered() int { return len(h.inBuf) }
 // whose winner was empty or locked, and insert publishes whose shard refused
 // the try-lock. It is the sampler-pressure and contention signal dlzd's
 // /metrics aggregates; a contended shard is redrawn, not waited on, so this
-// counter, not the lock's backoff counter, is where contention shows.
+// counter, not the lock's contended counter, is where contention shows.
 func (h *MQHandle) Rerolls() uint64 { return h.deq.Rerolls() + h.enq.Rerolls() }
 
 // Closed reports whether Close has retired this handle.

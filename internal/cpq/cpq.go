@@ -435,7 +435,7 @@ type QueueStats struct {
 	// Publications counts critical sections that republished the top word.
 	Publications uint64
 	// LockContended counts blocking Lock acquisitions that found the lock
-	// held and entered the spin-backoff slow path (pad.SpinLock.Contended).
+	// held and entered the slow path (pad.SpinLock.Contended).
 	LockContended uint64
 }
 

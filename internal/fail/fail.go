@@ -28,7 +28,7 @@
 //	                   here piles up waiters — forced contention)
 //	pad/lock/hold      just after a blocking acquisition succeeds (delay
 //	                   here stretches the critical section, forcing other
-//	                   lockers into backoff escalation)
+//	                   lockers to yield in the slow path)
 //	cpq/top/publish    inside a publishing critical section, between the
 //	                   top word going mid-update and the republish (delay
 //	                   here makes readers see in-flight words)

@@ -116,8 +116,8 @@ func (s *Seq64) Publish(payload uint64) {
 	s.w.Store(payload<<SeqBits | seq)
 }
 
-// SpinLock is a test-and-test-and-set spinlock with adaptive spin-then-yield
-// backoff (see Backoff). It is not padded: the holder places it in the block
+// SpinLock is a test-and-test-and-set spinlock that yields between probes
+// while it waits. It is not padded: the holder places it in the block
 // its critical section writes anyway. MultiQueue priority queues use TryLock
 // so that a dequeuer can simply re-draw its random choices instead of waiting
 // behind a contended queue — the "lock-free usage of locks" idiom from the
@@ -125,7 +125,7 @@ func (s *Seq64) Publish(payload uint64) {
 type SpinLock struct {
 	state atomic.Uint32
 	// contended counts Lock acquisitions that missed the TryLock fast path
-	// and entered the backoff slow path — the spin-backoff pressure signal
+	// and entered the slow path — the lock-pressure signal
 	// monitoring surfaces (dlzd's /metrics). It sits beside the state word,
 	// so the slow-path increment touches no extra cache line, and the
 	// uncontended fast path never writes it.
@@ -138,14 +138,13 @@ func (l *SpinLock) TryLock() bool {
 	return l.state.Load() == 0 && l.state.CompareAndSwap(0, 1)
 }
 
-// Lock acquires the lock with adaptive spin-then-yield backoff: an
-// uncontended acquire is a single CAS (the TryLock fast path, kept apart so
-// it inlines); under contention the slow path spins read-only on the state
-// word — no CAS traffic while the lock is held, so the holder's release
-// write is not fighting invalidations — pausing between probes with
-// Backoff's bounded exponential schedule and escalating to runtime.Gosched
-// once the pause budget saturates (essential on oversubscribed runs, where
-// the lock holder may be descheduled).
+// Lock acquires the lock: an uncontended acquire is a single CAS (the
+// TryLock fast path, kept apart so it inlines); under contention the slow
+// path spins read-only on the state word — no CAS traffic while the lock is
+// held, so the holder's release write is not fighting invalidations — and
+// calls runtime.Gosched between probes, so a descheduled holder gets the CPU
+// back on oversubscribed runs. The shard paths try-lock and redraw, and
+// come here only as a last resort (DESIGN.md §2, "Contention").
 func (l *SpinLock) Lock() {
 	if l.TryLock() {
 		return
@@ -160,7 +159,7 @@ func (l *SpinLock) Lock() {
 // lockSlowChaos brackets the contended path with the pad failpoints: a delay
 // or stall at pad/lock/acquire piles waiters up behind the lock (forced
 // contention), one at pad/lock/hold stretches the just-entered critical
-// section so the other waiters escalate through their backoff schedule. Only
+// section so the other waiters keep yielding behind it. Only
 // compiled in under the dlzfail tag; the fast TryLock path above is never
 // perturbed, so armed policies bite exactly the acquisitions that were
 // already contended.
@@ -172,18 +171,8 @@ func (l *SpinLock) lockSlowChaos() {
 
 func (l *SpinLock) lockSlow() {
 	l.contended.Add(1)
-	var b Backoff
-	for {
-		for l.state.Load() != 0 {
-			b.Pause()
-		}
-		if l.state.CompareAndSwap(0, 1) {
-			return
-		}
-		// Lost the race to another waiter: back off before re-probing so
-		// the winner's critical section isn't slowed by our coherence
-		// traffic.
-		b.Pause()
+	for !l.TryLock() {
+		runtime.Gosched()
 	}
 }
 
@@ -199,62 +188,7 @@ func (l *SpinLock) Unlock() {
 func (l *SpinLock) Locked() bool { return l.state.Load() != 0 }
 
 // Contended returns the number of Lock calls that found the lock held and
-// entered the spin-backoff slow path since creation. TryLock refusals are
+// entered the slow path since creation. TryLock refusals are
 // not counted — callers that re-draw on refusal already account for those
 // outcomes themselves (Sampler.Reroll). Monotonic; safe to read concurrently.
 func (l *SpinLock) Contended() uint64 { return l.contended.Load() }
-
-// Backoff is an adaptive spin-then-yield pause schedule for contended
-// retry loops: successive Pause calls double a bounded busy-wait (starting
-// at backoffMinSpins hint iterations, capped at backoffMaxSpins so one
-// waiter can never burn unbounded cycles between probes), then escalate to
-// runtime.Gosched so a descheduled lock holder gets the CPU back. The zero
-// value is ready to use; a Backoff is single-goroutine state and is not
-// safe for concurrent use.
-type Backoff struct {
-	spins int
-}
-
-const (
-	// backoffMinSpins is the first pause's busy-wait length — short enough
-	// that a briefly-held lock is re-probed within tens of nanoseconds.
-	backoffMinSpins = 4
-	// backoffMaxSpins bounds the exponential growth (the "bounded" in
-	// bounded exponential pause); past it every Pause yields instead.
-	backoffMaxSpins = 1 << 8
-)
-
-// Pause blocks the calling goroutine for the next step of the schedule:
-// a bounded exponentially growing busy-wait while cheap, a scheduler yield
-// once saturated.
-func (b *Backoff) Pause() {
-	if b.spins < backoffMaxSpins {
-		if b.spins == 0 {
-			b.spins = backoffMinSpins
-		} else {
-			b.spins <<= 1
-		}
-		for i := 0; i < b.spins; i++ {
-			spinHint()
-		}
-		return
-	}
-	runtime.Gosched()
-}
-
-// Reset rewinds the schedule to the initial short pause. Retry loops that
-// made progress (acquired the lock, drained an element) call it before
-// re-entering a wait, so one long contention episode does not condemn the
-// next to starting at the yield stage.
-func (b *Backoff) Reset() { b.spins = 0 }
-
-// Yielding reports whether the schedule has saturated its spin budget and
-// is now yielding to the scheduler on every Pause.
-func (b *Backoff) Yielding() bool { return b.spins >= backoffMaxSpins }
-
-// spinHint burns a few cycles without touching memory. Go exposes no PAUSE
-// intrinsic; an empty loop iteration plus the call overhead approximates it
-// closely enough for backoff purposes.
-//
-//go:noinline
-func spinHint() {}

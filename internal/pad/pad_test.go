@@ -209,32 +209,9 @@ func TestSpinLockUnlockPanics(t *testing.T) {
 	l.Unlock()
 }
 
-func TestBackoffSchedule(t *testing.T) {
-	var b Backoff
-	if b.Yielding() {
-		t.Fatal("zero-value Backoff already yielding")
-	}
-	// The spin budget doubles from backoffMinSpins and must saturate into
-	// the yield stage within a handful of pauses, then stay there.
-	for i := 0; i < 12 && !b.Yielding(); i++ {
-		b.Pause()
-	}
-	if !b.Yielding() {
-		t.Fatal("Backoff never escalated to yielding")
-	}
-	b.Pause() // yield path must not panic or reset
-	if !b.Yielding() {
-		t.Fatal("Backoff left the yield stage without Reset")
-	}
-	b.Reset()
-	if b.Yielding() {
-		t.Fatal("Reset did not rewind the schedule")
-	}
-}
-
 func TestSpinLockContendedHandoff(t *testing.T) {
-	// A held lock forces Lock through the full backoff schedule (spin
-	// stage, then Gosched escalation) before the release lets it through.
+	// A held lock keeps Lock in its yielding slow path until the release
+	// lets it through.
 	var l SpinLock
 	l.Lock()
 	done := make(chan struct{})
@@ -243,7 +220,7 @@ func TestSpinLockContendedHandoff(t *testing.T) {
 		l.Unlock()
 		close(done)
 	}()
-	// Give the waiter time to reach the yield stage even on one CPU.
+	// Give the waiter time to reach the slow path even on one CPU.
 	for i := 0; i < 1000; i++ {
 		runtime.Gosched()
 	}
