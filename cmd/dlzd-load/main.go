@@ -15,11 +15,12 @@
 // journaled before the ack when durability is on, so they must survive a
 // kill) and a maybe ledger (requests whose response was lost: the daemon may
 // or may not have applied them). It rides out daemon downtime by polling
-// /readyz, closes every session (flushing the leases), and then checks each
-// tenant's stats against [acked, acked+maybe]. With no disruption that
-// range is one value, so the check is exact conservation. It prints a
-// RECOVERY PASS/FAIL verdict and exits 1 on FAIL, on a worker that gave up,
-// and 2 on bad flags. An acked-but-lost operation is always a FAIL; the
+// /readyz and then checks each tenant's stats against [acked, acked+maybe],
+// leaving its sessions open: the daemon publishes every request's work
+// before answering it, so an open session holds nothing the stats miss.
+// With no disruption that range is one value, so the check is exact
+// conservation. It prints a RECOVERY PASS/FAIL verdict and exits 1 on FAIL,
+// on a worker that gave up, and 2 on bad flags. An acked-but-lost operation is always a FAIL; the
 // maybe slack is at most one in-flight request per worker. The ledgers start
 // at zero, so the run must be the only writer to tenants load0, load1, ...
 // and find them empty: a second run against the same daemon fails.
@@ -270,22 +271,6 @@ func run(args []string, stdout io.Writer) int {
 				opCount.Add(1)
 			}
 		}
-		// Flush the worker's leases on every tenant it may have touched. The
-		// close publishes buffered work, so ride out downtime and retry.
-		for tn := 0; tn < *tenants; tn++ {
-			base := fmt.Sprintf("%s/v1/load%d", *addr, tn)
-			for attempt := 0; ; attempt++ {
-				code, _, errMsg, err := postJSON(client, base+"/session/close",
-					dlzd.SessionCloseRequest{Session: session}, nil)
-				if err == nil && code/100 == 2 {
-					break
-				}
-				if attempt >= 3 || !waitReady(client, *addr) {
-					log.Printf("worker %d: close tenant %d: %v (%d %s)", w, tn, err, code, errMsg)
-					break
-				}
-			}
-		}
 	}
 
 	start := time.Now()
@@ -313,7 +298,7 @@ func run(args []string, stdout io.Writer) int {
 			fmt.Fprintf(stdout, "RECOVERY FAIL: stats tenant load%d: %v\n", tn, err)
 			return 1
 		}
-		queue := int64(st.QueueLen) + int64(st.BufferedEnqueues) + int64(st.PrefetchedDequeues)
+		queue := int64(st.QueueLen)
 		// Acked enqueues were applied before their 200 and acked deletes
 		// likewise: the floor is acked-in minus acked-out minus what a
 		// lost-response delete could have removed, the ceiling adds what a
@@ -323,7 +308,7 @@ func run(args []string, stdout io.Writer) int {
 			low = 0
 		}
 		high := enqueued[tn].Load() + maybeEnq[tn].Load() - dequeued[tn].Load()
-		counter := st.CounterExact + st.BufferedCounterWeight
+		counter := st.CounterExact
 		cLow, cHigh := deltaSums[tn].Load(), deltaSums[tn].Load()+maybeDeltas[tn].Load()
 		switch {
 		case queue < low:

@@ -1,8 +1,8 @@
 // Command dlzd runs the multi-tenant relaxed-structure daemon: the dlzd
 // package's HTTP/JSON wire API served by its own connection loop on a
 // listening socket (DESIGN.md §8), with the idle-lease janitor running and a
-// graceful shutdown path that drains the connections and then flushes every
-// lease (so no buffered operation is lost on SIGINT/SIGTERM).
+// graceful shutdown path that drains the connections, retires every lease
+// and, with durability on, writes a final snapshot on SIGINT/SIGTERM.
 //
 // Usage:
 //
@@ -101,7 +101,7 @@ func main() {
 	go func() {
 		defer close(stopped)
 		<-done
-		log.Printf("dlzd: shutting down, flushing leases")
+		log.Printf("dlzd: shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		// Stop accepting, close idle connections, let in-flight requests be
@@ -109,7 +109,7 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("dlzd: drain: %v", err)
 		}
-		// Flush and retire every lease; with durability on this also writes
+		// Retire every lease; with durability on this also writes
 		// the final snapshot and seals the journal, so a clean restart
 		// replays zero records.
 		srv.Close()

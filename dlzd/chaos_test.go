@@ -265,10 +265,10 @@ func chaosCoveragePass(t *testing.T, c *testClient) map[string]uint64 {
 	return fires
 }
 
-// TestHandlerPanicMidBatch is the regression pin for the repair envelope: a
+// TestHandlerPanicMidBatch is the regression pin for the release envelope: a
 // handler panicking halfway through an enqueue batch must (a) answer 500,
 // (b) commit exactly the items applied before the fault, (c) strand no
-// buffered element — the repair flush publishes them, (d) leak no in-flight
+// buffered element — the release flush publishes them, (d) leak no in-flight
 // budget, and (e) leave the session token immediately serviceable.
 func TestHandlerPanicMidBatch(t *testing.T) {
 	fail.Reset()

@@ -265,8 +265,6 @@ func (s *Server) decode(rq *wireRequest, op hotOp, body []byte) error {
 func appendEnqueueBatchResponse(dst []byte, r EnqueueBatchResponse) []byte {
 	dst = append(dst, `{"enqueued":`...)
 	dst = strconv.AppendInt(dst, int64(r.Enqueued), 10)
-	dst = append(dst, `,"buffered":`...)
-	dst = strconv.AppendInt(dst, int64(r.Buffered), 10)
 	return append(dst, "}\n"...)
 }
 
@@ -296,10 +294,6 @@ func appendDeleteMinResponse(dst []byte, r DeleteMinResponse) []byte {
 func appendCounterAddResponse(dst []byte, r CounterAddResponse) []byte {
 	dst = append(dst, `{"added":`...)
 	dst = strconv.AppendInt(dst, int64(r.Added), 10)
-	dst = append(dst, `,"buffered_ops":`...)
-	dst = strconv.AppendInt(dst, int64(r.BufferedOps), 10)
-	dst = append(dst, `,"buffered_weight":`...)
-	dst = strconv.AppendUint(dst, r.BufferedWeight, 10)
 	return append(dst, "}\n"...)
 }
 

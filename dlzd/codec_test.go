@@ -169,7 +169,7 @@ func TestEncodersMatchJSON(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	u64 := func() uint64 { return r.Uint64() >> uint(r.Intn(64)) }
 	for i := 0; i < 500; i++ {
-		enq := EnqueueBatchResponse{Enqueued: r.Intn(MaxWireBatch + 1), Buffered: r.Intn(64)}
+		enq := EnqueueBatchResponse{Enqueued: r.Intn(MaxWireBatch + 1)}
 		check(appendEnqueueBatchResponse(nil, enq), enq)
 
 		deq := DeleteMinResponse{Items: make([]WireItem, r.Intn(5)), Truncated: r.Intn(2) == 0}
@@ -181,7 +181,7 @@ func TestEncodersMatchJSON(t *testing.T) {
 		}
 		check(appendDeleteMinResponse(nil, deq), deq)
 
-		add := CounterAddResponse{Added: r.Intn(MaxWireBatch + 1), BufferedOps: r.Intn(64), BufferedWeight: u64()}
+		add := CounterAddResponse{Added: r.Intn(MaxWireBatch + 1)}
 		check(appendCounterAddResponse(nil, add), add)
 
 		read := CounterReadResponse{Value: u64()}

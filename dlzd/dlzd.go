@@ -7,21 +7,20 @@
 // Each tenant namespace owns one dlz.MultiQueue and one dlz.MultiCounter
 // (created on first use, bounded by Config.MaxTenants). Clients carry a
 // session token; the daemon leases a handle pair per token and keeps it
-// across requests, so the sticky d-choice sampler and the batch buffers
-// survive request boundaries exactly as they survive operation boundaries
-// in-process — which is what preserves the paper's distributional argument
-// under request traffic. Leases are flushed and retired on explicit session
-// close or idle expiry (the janitor), riding the handle Close contract so an
-// abandoned connection can never strand buffered elements.
+// across requests, so the sticky d-choice sampler survives request
+// boundaries exactly as it survives operation boundaries in-process — which
+// is what preserves the paper's distributional argument under request
+// traffic. The batch buffers do not: every request publishes them before it
+// answers. Leases retire on session close or idle expiry (the janitor).
 //
 // The wire batch API (enqueue-batch, delete-min-up-to, counter/add-batch)
 // rides the zero-alloc TryAddBatch/TryDeleteMinUpTo fast path end-to-end:
 // wire batches land in the leased handle's fixed buffers and publish in
-// Batch-size lumps with one lock acquisition each, and a shard whose lock
-// refuses the try is redrawn, not waited on. Backpressure is a bounded per-tenant
-// in-flight budget (429 on overflow). GET /metrics exports the
-// publication-elision, slow-path lock and sampler-reroll counters the internals
-// already maintain.
+// Batch-size lumps with one lock acquisition each (the last, partial lump
+// before the answer), and a shard whose lock refuses the try is redrawn, not
+// waited on. Backpressure is a bounded per-tenant in-flight budget (429 on
+// overflow). GET /metrics exports the publication-elision, slow-path lock
+// and sampler-reroll counters the internals already maintain.
 //
 // Run it with cmd/dlzd, which passes Stickiness 16 and Batch 8 and leaves
 // every other structure field at its default; cmd/dlzd-load drives it and
@@ -67,7 +66,7 @@ type Config struct {
 	// with 429. 0 means unlimited.
 	MaxInFlight int
 	// IdleTimeout is the lease idle expiry: a session untouched for this
-	// long is flushed and retired by the janitor (StartJanitor) or by an
+	// long is retired by the janitor (StartJanitor) or by an
 	// explicit ExpireIdle sweep. 0 disables time-based expiry (leases then
 	// live until session close or server Close).
 	IdleTimeout time.Duration
@@ -129,12 +128,10 @@ type Server struct {
 
 	// Durability state (all quiescent without Config.Durability). ready
 	// gates /v1 traffic: false from New until Recover completes on a
-	// durable server, true from New otherwise. sweepMu serializes the
-	// idle-expiry sweep against the snapshotter's capture; snapMu
-	// serializes snapshotters against each other.
+	// durable server, true from New otherwise. snapMu serializes
+	// snapshotters against each other.
 	walPtr          atomic.Pointer[wal.Log]
 	ready           atomic.Bool
-	sweepMu         sync.Mutex
 	snapMu          sync.Mutex
 	replay          wal.Progress // journal replay so far; final once ready
 	recoveryNanos   atomic.Int64
@@ -219,15 +216,11 @@ func (s *Server) tenantSnapshot() []*tenant {
 	return ts
 }
 
-// ExpireIdle flushes and retires every lease across all tenants whose last
-// use is before cutoff, returning the number expired. The janitor calls it
-// on a timer; tests call it directly for deterministic expiry. sweepMu
-// excludes the snapshotter's capture window: a lease the sweep has delinked
-// but not yet closed would be invisible to the capture's flush pass, and
-// its close publishes buffered elements.
+// ExpireIdle retires every lease across all tenants whose last use is
+// before cutoff, returning the number expired. The janitor calls it on a
+// timer; tests call it directly for deterministic expiry. A lease holds no
+// element, so expiry bounds session state, not how long an element waits.
 func (s *Server) ExpireIdle(cutoff time.Time) int {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
 	n := 0
 	for _, t := range s.tenantSnapshot() {
 		n += t.expireIdle(cutoff)
@@ -275,12 +268,10 @@ func (s *Server) StartJanitor(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Close flushes and retires every lease and marks the server closed (further
-// /v1 requests get 503; /healthz and /metrics stay up). The final-flush half
-// of the conservation contract: after Close every buffered element has been
-// published, so quiescent audits (tenant stats, direct structure reads) are
-// exact. With durability on, Close then writes a final snapshot and seals
-// the journal, so a clean restart replays zero records.
+// Close retires every lease and marks the server closed (further /v1
+// requests get 503; /healthz and /metrics stay up). With durability on, it
+// then writes a final snapshot and seals the journal, so a clean restart
+// replays zero records.
 func (s *Server) Close() {
 	s.closed.Store(true)
 	s.ExpireIdle(time.Now().Add(time.Hour))

@@ -200,7 +200,7 @@ func TestPrio48WireDifferential(t *testing.T) {
 	if code := c.post("/v1/diff/enqueue-batch", EnqueueBatchRequest{Session: "w", Items: wireItems(prios...)}, &enq); code != http.StatusOK {
 		t.Fatalf("enqueue = %d", code)
 	}
-	// Disconnect: the buffered tail publishes through the lease close path.
+	// Disconnect: the lease retires; its elements published before the 200.
 	if code := c.post("/v1/diff/session/close", SessionCloseRequest{Session: "w"}, nil); code != http.StatusOK {
 		t.Fatalf("close = %d", code)
 	}
@@ -254,8 +254,9 @@ func TestBackpressure429(t *testing.T) {
 }
 
 // TestLeaseExpiryFlushes is the daemon half of the abandoned-handle bugfix
-// regression: a session that vanishes without closing holds buffered
-// elements and increments; the idle sweep must publish every one of them.
+// regression: a session that vanishes without closing must lose nothing.
+// Every request publishes before it answers, so the abandoned lease already
+// holds nothing; the idle sweep then retires it and leaves the token usable.
 func TestLeaseExpiryFlushes(t *testing.T) {
 	s, c := newTestServer(t, Config{Queues: 2, Batch: 8, Seed: 11})
 
@@ -269,15 +270,13 @@ func TestLeaseExpiryFlushes(t *testing.T) {
 	if code := c.get("/v1/ten/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
-	if st.Leases != 1 || st.QueueLen+st.BufferedEnqueues != 3 || st.CounterExact+st.BufferedCounterWeight != 5 {
-		t.Fatalf("pre-expiry stats: %+v", st)
-	}
-	if st.BufferedEnqueues == 0 && st.BufferedCounterOps == 0 {
-		t.Fatalf("test setup should leave handle-buffered state: %+v", st)
+	if st.Leases != 1 || st.QueueLen != 3 || st.CounterExact != 5 ||
+		st.BufferedEnqueues != 0 || st.PrefetchedDequeues != 0 || st.BufferedCounterOps != 0 || st.BufferedCounterWeight != 0 {
+		t.Fatalf("pre-expiry stats must show everything published by the live lease: %+v", st)
 	}
 
-	// The session disappears without session/close: only the idle sweep can
-	// recover its buffered operations.
+	// The session disappears without session/close: the idle sweep retires
+	// its lease.
 	if n := s.ExpireIdle(time.Now().Add(time.Hour)); n != 1 {
 		t.Fatalf("ExpireIdle reaped %d leases, want 1", n)
 	}
@@ -296,6 +295,62 @@ func TestLeaseExpiryFlushes(t *testing.T) {
 	if code := c.post("/v1/ten/enqueue-batch", EnqueueBatchRequest{Session: "gone", Items: wireItems(1)}, nil); code != http.StatusOK {
 		t.Fatalf("re-use after expiry = %d", code)
 	}
+}
+
+// TestNoElementWaitsInIdleSession pins that no session holds an acknowledged
+// element, prefetch or counter weight out of the others' sight: every
+// request publishes its lease's buffers before it answers, so two open
+// sessions see each other's work at once, with no close or expiry between.
+func TestNoElementWaitsInIdleSession(t *testing.T) {
+	_, c := newTestServer(t, Config{Queues: 64, Batch: 8, Stickiness: 16})
+	stats := func(step string, leases, queueLen int, counter uint64) {
+		t.Helper()
+		var st StatsResponse
+		if code := c.get("/v1/idle/stats", &st); code != http.StatusOK {
+			t.Fatalf("%s: stats = %d", step, code)
+		}
+		if st.Leases != leases || st.QueueLen != queueLen || st.CounterExact != counter ||
+			st.BufferedEnqueues != 0 || st.PrefetchedDequeues != 0 || st.BufferedCounterOps != 0 || st.BufferedCounterWeight != 0 {
+			t.Fatalf("%s: stats %+v, want %d leases, queue_len %d, counter_exact %d and nothing held by a lease",
+				step, st, leases, queueLen, counter)
+		}
+	}
+
+	// A's three acked elements are B's to take while A stays open.
+	if code := c.post("/v1/idle/enqueue-batch", EnqueueBatchRequest{Session: "A", Items: wireItems(1, 2, 3)}, nil); code != http.StatusOK {
+		t.Fatalf("A enqueue = %d", code)
+	}
+	stats("after A's enqueue", 1, 3, 0)
+	var deq DeleteMinResponse
+	if code := c.post("/v1/idle/delete-min-up-to", DeleteMinRequest{Session: "B", Max: 8}, &deq); code != http.StatusOK {
+		t.Fatalf("B delete-min = %d", code)
+	}
+	got := map[uint64]bool{}
+	for _, it := range deq.Items {
+		got[it.Priority] = true
+	}
+	if len(deq.Items) != 3 || !got[1] || !got[2] || !got[3] {
+		t.Fatalf("B drained %+v, want A's priorities 1, 2 and 3", deq.Items)
+	}
+
+	// A delete-min of one keeps no refill behind: the other 15 stay shared.
+	prios := make([]uint64, 16)
+	for i := range prios {
+		prios[i] = 100 + uint64(i)
+	}
+	if code := c.post("/v1/idle/enqueue-batch", EnqueueBatchRequest{Session: "B", Items: wireItems(prios...)}, nil); code != http.StatusOK {
+		t.Fatalf("B enqueue = %d", code)
+	}
+	if code := c.post("/v1/idle/delete-min-up-to", DeleteMinRequest{Session: "A", Max: 1}, &deq); code != http.StatusOK || len(deq.Items) != 1 {
+		t.Fatalf("A delete-min = %d with %d items, want 200 with 1", code, len(deq.Items))
+	}
+	stats("after A's delete-min of one", 2, 15, 0)
+
+	// A's acked counter weight is in the shared counter while both leases live.
+	if code := c.post("/v1/idle/counter/add-batch", CounterAddRequest{Session: "A", Deltas: []uint64{15}}, nil); code != http.StatusOK {
+		t.Fatalf("A counter add = %d", code)
+	}
+	stats("after A's counter add", 2, 15, 15)
 }
 
 func TestMetricsZeroTenants(t *testing.T) {
@@ -467,7 +522,7 @@ func TestServerClose503(t *testing.T) {
 	if code := c.get("/v1/x/stats", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("request after Close = %d, want 503", code)
 	}
-	// Close flushed the lease: the buffered elements are in the structure.
+	// The answered requests published their elements: they are in the structure.
 	tn, ok := s.tenant([]byte("x"))
 	if !ok {
 		t.Fatal("tenant lookup failed")

@@ -10,10 +10,11 @@ package dlzd
 // failure turns the ack into a 500; the defer'd append on error/panic exits
 // keeps the journal a superset of applied-but-unacknowledged work, exactly
 // mirroring the defer-committed ledger counters). The snapshotter quiesces
-// each tenant behind its ops gate, flushes every lease (including returning
-// prefetched elements), captures queue contents / counter values / ledger
-// counters, reads the cut LSN, and releases the gates before touching disk —
-// records appended during the disk write have LSN > cut and replay on top.
+// each tenant behind its ops gate (a request publishes its lease's buffers
+// before it lets go of the gate), captures queue contents / counter values /
+// ledger counters, reads the cut LSN, and releases the gates before touching
+// disk — records appended during the disk write have LSN > cut and replay on
+// top.
 // Recovery is Open → restoreTenant: wal.Open streams the journal once, a
 // segment at a time, folding every record into per-tenant state as it is
 // decoded, and hands back those states; restoreTenant rebuilds each namespace
@@ -81,9 +82,8 @@ func (s *Server) log() *wal.Log { return s.walPtr.Load() }
 // namespaces, and flips the server ready. It must be called exactly once,
 // before traffic, on a server configured with Durability; without
 // Durability it is a ready-flipping no-op so callers can invoke it
-// unconditionally. Sessions are not recovered — leases are connection
-// state, and every element they buffered was journaled (and is replayed)
-// as applied operations.
+// unconditionally. Sessions are not recovered: between requests a lease
+// holds only sampler and generator state.
 func (s *Server) Recover() (*RecoveryStats, error) {
 	d := s.cfg.Durability
 	if d == nil {
@@ -194,11 +194,6 @@ func (s *Server) Snapshot() error {
 // caller writes to disk: every mutator admitted after release journals with
 // LSN > cut, so the disk write needs no exclusion.
 func (s *Server) captureSnapshot() *wal.Snapshot {
-	// sweepMu excludes the idle-expiry sweep: a lease the sweep has
-	// delinked but not yet closed is invisible to the flush pass below, and
-	// its close would publish buffered elements mid-capture.
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
 	// Hold s.mu (read) for the whole capture so no tenant is created
 	// between gate acquisition and the cut.
 	s.mu.RLock()
@@ -208,8 +203,9 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 		tenants = append(tenants, t)
 	}
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
-	// Take every ops gate: journaled handlers (and their panic repair) are
-	// all behind RLocks, so after this loop the tenant states are frozen.
+	// Take every ops gate: journaled handlers (and their lease release) are
+	// all behind RLocks, so after this loop the tenant states are frozen and
+	// no lease holds an element.
 	for _, t := range tenants {
 		t.ops.Lock()
 	}
@@ -222,23 +218,6 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 	snap := &wal.Snapshot{}
 	var elems []wal.Item // one drain buffer for every tenant's capture
 	for _, t := range tenants {
-		// Quiesce the leases: publish buffered inserts and increments, and
-		// return unconsumed prefetched elements so the capture sees them.
-		t.mu.Lock()
-		live := make([]*lease, 0, len(t.leases))
-		for _, l := range t.leases {
-			live = append(live, l)
-		}
-		t.mu.Unlock()
-		for _, l := range live {
-			l.mu.Lock()
-			if !l.closed {
-				l.mqh.Flush()
-				l.mqh.ReturnPrefetched()
-				l.ch.Flush()
-			}
-			l.mu.Unlock()
-		}
 		elems = t.mq.SnapshotElements(elems[:0])
 		st := wal.TenantState{
 			Name:            t.name,

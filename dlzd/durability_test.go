@@ -360,8 +360,11 @@ func TestWALMetricsSeries(t *testing.T) {
 
 // TestSnapshotUnderTraffic interleaves snapshots with live wire traffic and
 // then recovers from whatever the journal holds, asserting exact conservation
-// — the ops-gate quiesce must make every snapshot a consistent cut, with
-// records past the cut replaying on top.
+// — the ops gate must make every snapshot a consistent cut, with records past
+// the cut replaying on top. The capture flushes no lease, so the cut is
+// consistent only because every request publishes its lease's buffers and
+// returns its prefetch before it lets go of the gate; a request that left an
+// element in its lease would lose it from the recovered queue.
 func TestSnapshotUnderTraffic(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newDurableClient(t, dir, Config{Queues: 4, Batch: 8, Seed: 7})

@@ -91,7 +91,7 @@ func TestLeaseBusy503(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Errorf("busy Retry-After = %q, want \"1\"", got)
 	}
-	l.done(time.Now())
+	l.release(time.Now())
 	if code := c.post("/v1/busy/enqueue-batch",
 		EnqueueBatchRequest{Session: "tok", Items: wireItems(1)}, nil); code != http.StatusOK {
 		t.Errorf("request after release = %d, want 200", code)

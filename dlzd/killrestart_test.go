@@ -49,13 +49,18 @@ func (b *lockedBuffer) String() string {
 
 // TestKillRestartSoak is the chaos proof for DESIGN.md §12: a real dlzd
 // process journaling under live dlzd-load traffic is SIGKILLed mid-flight
-// -killcycles times — linked with a 5ms fsync interval and 256 KiB segments,
-// so kills land inside or around fsync windows and segment rolls — and
-// restarted each time. The load client tracks acked vs maybe-applied ledgers
-// and must print RECOVERY PASS: zero acked-op loss, unacked overshoot bounded
-// by in-flight requests. A final SIGTERM restart must replay zero records
-// (the shutdown snapshot covered everything), and two offline replays of the
-// surviving journal must be identical.
+// -killcycles times and restarted each time. It is linked with a 5ms fsync
+// interval and 256 KiB segments, and runs with a 256 KiB snapshot trigger
+// and a 200ms idle timeout, so its janitor ticks every 50ms: kills land
+// around fsync windows, segment rolls, snapshot cuts, the truncations that
+// follow them, and lease expiry. Each cycle lists the journal directory, and
+// the soak fails unless some cycle shows a size roll, some cycle shows a
+// truncated segment and some post-kill boot recovered from a snapshot cut.
+// The load client tracks acked vs maybe-applied ledgers and must print
+// RECOVERY PASS: zero acked-op loss, unacked overshoot bounded by in-flight
+// requests. A final SIGTERM restart must replay zero records (the shutdown
+// snapshot covered everything), and two offline replays of the surviving
+// journal must be identical.
 func TestKillRestartSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess soak skipped in -short")
@@ -85,7 +90,8 @@ func TestKillRestartSoak(t *testing.T) {
 			"-addr", addr,
 			"-wal-dir", walDir,
 			"-wal-fsync", "interval",
-			"-wal-snapshot-bytes", strconv.Itoa(1<<20),
+			"-wal-snapshot-bytes", strconv.Itoa(256<<10),
+			"-idle-timeout", "200ms",
 			"-queues", "8")
 		cmd.Stdout = log
 		cmd.Stderr = log
@@ -116,6 +122,11 @@ func TestKillRestartSoak(t *testing.T) {
 	}
 
 	daemon := startDaemon()
+	// A failing check must not leave the current incarnation running.
+	defer func() {
+		_ = daemon.Process.Kill()
+		_ = daemon.Wait()
+	}()
 	if !waitReady(10 * time.Second) {
 		dumpLogs()
 		t.Fatal("daemon never became ready")
@@ -136,6 +147,42 @@ func TestKillRestartSoak(t *testing.T) {
 	loadDone := make(chan error, 1)
 	go func() { loadDone <- load.Wait() }()
 
+	// Evidence, taken after each kill, that the kills landed around the
+	// journal's own maintenance. A segment whose first LSN is past the killed
+	// boot's head+1 (the segment that boot opened) was opened by a size roll;
+	// a segment the previous listing had and this one lacks was truncated
+	// behind a snapshot cut.
+	bootRe := regexp.MustCompile(`snapshot cut (\d+), head (\d+)`)
+	listed := map[string]bool{}
+	rolls, truncations := 0, 0 // kill cycles that show one
+	inspect := func(bootLog string) {
+		segs, err := filepath.Glob(filepath.Join(walDir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := map[string]bool{}
+		for _, p := range segs {
+			now[filepath.Base(p)] = true
+		}
+		for name := range listed {
+			if !now[name] {
+				truncations++
+				break
+			}
+		}
+		if m := bootRe.FindStringSubmatch(bootLog); m != nil {
+			head, _ := strconv.ParseUint(m[2], 10, 64)
+			for name := range now {
+				var first uint64
+				if _, err := fmt.Sscanf(name, "wal-%016x.seg", &first); err == nil && first > head+1 {
+					rolls++
+					break
+				}
+			}
+		}
+		listed = now
+	}
+
 	t.Logf("kill schedule seed %d, %d cycles", *killSeed, *killCycles)
 	r := rand.New(rand.NewSource(*killSeed))
 	kills := 0
@@ -154,6 +201,7 @@ func TestKillRestartSoak(t *testing.T) {
 		}
 		_ = daemon.Wait()
 		kills++
+		inspect(daemonLogs[len(daemonLogs)-1].String())
 		daemon = startDaemon()
 	}
 
@@ -173,11 +221,25 @@ func TestKillRestartSoak(t *testing.T) {
 		t.Fatalf("no RECOVERY PASS verdict after %d kills:\n%s", kills, out)
 	}
 	t.Logf("%d SIGKILL cycles survived; load verdict:\n%s", kills, out)
-	// Every boot opens one segment, so more segments than boots means some
-	// incarnation rolled one by size, as the linked segment size intends.
-	segs, err := filepath.Glob(filepath.Join(walDir, "*.seg"))
-	if err != nil || len(segs) <= len(daemonLogs) {
-		t.Errorf("%d journal segments after %d boots (%v): no incarnation rolled a segment", len(segs), len(daemonLogs), err)
+	t.Logf("of %d kill cycles, %d show a size roll and %d a truncated segment", kills, rolls, truncations)
+	if rolls == 0 {
+		t.Errorf("no kill cycle shows a segment rolled by size")
+	}
+	if truncations == 0 {
+		t.Errorf("no kill cycle shows a segment truncated behind a snapshot")
+	}
+	var cuts []string
+	snapshotted := false
+	for _, l := range daemonLogs[1:] { // the boots that followed a kill
+		if m := bootRe.FindStringSubmatch(l.String()); m != nil {
+			cuts = append(cuts, m[1])
+			snapshotted = snapshotted || m[1] != "0"
+		}
+	}
+	t.Logf("post-kill boots recovered from snapshot cuts %v", cuts)
+	if !snapshotted {
+		dumpLogs()
+		t.Errorf("no post-kill boot recovered from a snapshot: no kill landed after a janitor snapshot")
 	}
 
 	// Clean shutdown: SIGTERM writes a final snapshot, so the next boot must

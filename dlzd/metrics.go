@@ -89,7 +89,7 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	sumCounter("dlzd_leases_expired_total", "Session leases retired by idle expiry.",
 		func(r tenantRow) uint64 { return r.t.leasesExpired.Load() })
 	sumCounter("dlzd_rejected_inflight_total", "Requests rejected by the in-flight backpressure budget.",
-		func(r tenantRow) uint64 { return r.t.rejectedInflite.Load() })
+		func(r tenantRow) uint64 { return r.t.rejectedInflight.Load() })
 	sumCounter("dlzd_ops_enqueued_total", "Elements accepted by enqueue-batch.",
 		func(r tenantRow) uint64 { return r.t.opsEnqueued.Load() })
 	sumCounter("dlzd_ops_dequeued_total", "Elements returned by delete-min-up-to.",

@@ -52,9 +52,8 @@ type scratch struct {
 	rec   wal.Record
 	// lease is the session lease the running op acquired. Ops set it right
 	// after acquisition and never release it themselves, so exactly one
-	// place — tenantOp's envelope — decides between a normal release (done)
-	// and a post-panic repair, and lease.mu can never be left held by a
-	// faulting op.
+	// place — tenantOp's envelope — releases it, on every exit, and lease.mu
+	// can never be left held by a faulting op.
 	lease *lease
 }
 
@@ -170,8 +169,9 @@ func validTenantName(name []byte) bool {
 
 // tenantOp runs one /v1/{tenant}/{op} request through the degradation ladder
 // (DESIGN.md §10): static in-flight backpressure, then adaptive load
-// shedding, then the op itself under a panic-recovery envelope that repairs
-// the session lease (flush-or-close) before answering 500.
+// shedding, then the op itself under an envelope that releases the session
+// lease on every exit — publishing what the op left in its handles, or
+// retiring the lease if they fault — and turns an injected panic into a 500.
 func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byte, rp reply) {
 	slash := bytes.IndexByte(rest, '/')
 	if slash < 0 || !validTenantName(rest[:slash]) {
@@ -195,10 +195,10 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 		if s.log() != nil {
 			// The tenant's ops gate (read side). The snapshotter takes the
 			// write side, so a capture sees no journaled operation in
-			// flight. Registered before the recovery envelope: defers run
-			// LIFO, so the gate is still held while the envelope repairs a
-			// panicked lease — the repair flush publishes elements, which
-			// must not interleave with a capture either.
+			// flight. Registered before the envelope: defers run LIFO, so
+			// the gate is still held while the envelope releases the lease
+			// — the release publishes elements, which must not interleave
+			// with a capture either.
 			t.ops.RLock()
 			defer t.ops.RUnlock()
 		}
@@ -218,11 +218,7 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 		}
 		if l := sc.lease; l != nil {
 			sc.lease = nil
-			if rec != nil {
-				t.repair(l, now)
-			} else {
-				l.done(now)
-			}
+			l.release(now)
 		}
 		if mutating {
 			t.observeLatency(now.Sub(rq.arrival), now)
@@ -230,7 +226,7 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 		if rec != nil {
 			site, injected := fail.IsInjectedPanic(rec)
 			if !injected {
-				// A genuine bug: the lease is repaired and released, but the
+				// A genuine bug: the lease is flushed and released, but the
 				// panic is re-raised so it is reported, not absorbed. The
 				// transport decides how much dies with it: one connection.
 				panic(rec)
@@ -405,7 +401,7 @@ apply:
 		case hotEnqueueBatch:
 			// Count before the call: EnqueuePriority's only fault point (the
 			// core flush failpoint) fires with the element already in the
-			// handle buffer, where the repair flush will publish it —
+			// handle buffer, where the release flush will publish it —
 			// counting after would leak exactly the elements that ride a
 			// faulted auto-publish.
 			it := sc.rq.items[applied]
@@ -438,15 +434,11 @@ apply:
 	}
 	switch op {
 	case hotEnqueueBatch:
-		dst = appendEnqueueBatchResponse(dst, EnqueueBatchResponse{Enqueued: applied, Buffered: l.mqh.Buffered()})
+		dst = appendEnqueueBatchResponse(dst, EnqueueBatchResponse{Enqueued: applied})
 	case hotDeleteMinUpTo:
 		dst = appendDeleteMinResponse(dst, DeleteMinResponse{Items: sc.items, Truncated: truncated})
 	case hotCounterAddBatch:
-		dst = appendCounterAddResponse(dst, CounterAddResponse{
-			Added:          applied,
-			BufferedOps:    l.ch.Buffered(),
-			BufferedWeight: l.ch.BufferedWeight(),
-		})
+		dst = appendCounterAddResponse(dst, CounterAddResponse{Added: applied})
 	}
 	return dst, reply{status: http.StatusOK}
 }
@@ -479,10 +471,10 @@ func (s *Server) opSessionClose(t *tenant, rq *request, dst []byte) ([]byte, rep
 	}
 	closed := t.closeSession(req.Session)
 	if closed {
-		// The close published the lease's buffered work into the shared
-		// structures; the record exists so two journal replays agree on when
-		// that publish became visible (the replayed enqueues are already in
-		// their own records — close carries no payload).
+		// The close retired the lease's handles. Every request already
+		// published its work before it answered, so the record carries no
+		// payload and replay folds it into nothing; it stays in the journal
+		// format for as long as sessions do.
 		if err := s.journal(&wal.Record{Type: wal.RecSessionClose, Tenant: t.name, Session: req.Session}); err != nil {
 			return errorReply(dst, http.StatusInternalServerError, "journal append failed")
 		}

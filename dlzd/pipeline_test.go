@@ -25,8 +25,8 @@ func TestServeHTTPRoundTrip(t *testing.T) {
 		status               int
 		want                 string
 	}{
-		{"POST", "/v1/t/enqueue-batch", `{"session":"s","items":[{"priority":2,"value":20},{"priority":1,"value":10}]}`, 200, "{\"enqueued\":2,\"buffered\":2}\n"},
-		{"POST", "/v1/t/counter/add-batch", `{"session":"s","deltas":[5,6]}`, 200, "{\"added\":2,\"buffered_ops\":2,\"buffered_weight\":11}\n"},
+		{"POST", "/v1/t/enqueue-batch", `{"session":"s","items":[{"priority":2,"value":20},{"priority":1,"value":10}]}`, 200, "{\"enqueued\":2}\n"},
+		{"POST", "/v1/t/counter/add-batch", `{"session":"s","deltas":[5,6]}`, 200, "{\"added\":2}\n"},
 		{"POST", "/v1/t/session/close", `{"session":"s"}`, 200, "{\"closed\":true}\n"},
 		{"POST", "/v1/t/delete-min-up-to", `{"session":"r","max":1}`, 200, "{\"items\":[{\"priority\":1,\"value\":10}]}\n"},
 		{"GET", "/v1/t/counter/read", "", 400, "{\"error\":\"session query parameter required\"}\n"},

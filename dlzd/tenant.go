@@ -31,13 +31,13 @@ type tenant struct {
 	inflight atomic.Int64
 
 	// Monotonic tenant counters for /metrics.
-	retiredRerolls  atomic.Uint64 // sampler rerolls harvested from closed leases
-	leasesOpened    atomic.Uint64
-	leasesExpired   atomic.Uint64
-	rejectedInflite atomic.Uint64
-	opsEnqueued     atomic.Uint64
-	opsDequeued     atomic.Uint64
-	opsCounterAdds  atomic.Uint64
+	retiredRerolls   atomic.Uint64 // sampler rerolls harvested from closed leases
+	leasesOpened     atomic.Uint64
+	leasesExpired    atomic.Uint64
+	rejectedInflight atomic.Uint64
+	opsEnqueued      atomic.Uint64
+	opsDequeued      atomic.Uint64
+	opsCounterAdds   atomic.Uint64
 	// counterDeltaSum is the total weight applied through counter/add-batch
 	// (defer-committed per request), the value CounterExact must equal at
 	// quiescence.
@@ -62,7 +62,8 @@ type tenant struct {
 // lease binds one session token to a handle pair (queue + counter). The
 // lease's mutex serializes requests carrying the same token, honoring the
 // handles' one-goroutine-at-a-time contract while letting the sticky sampler
-// state survive across requests.
+// state survive across requests. Only that state does: release empties the
+// handles' buffers before every answer.
 type lease struct {
 	t     *tenant
 	token string
@@ -100,8 +101,8 @@ func newTenant(name string, srv *Server) *tenant {
 }
 
 // lease returns the live lease for token, creating one on first use. The
-// returned lease is locked; tenantOp's recovery envelope releases it with
-// l.done (normal return) or t.repair (panic). A lease that lost a race
+// returned lease is locked; tenantOp's envelope releases it with
+// l.release on every exit. A lease that lost a race
 // with the expiry sweep is closed by the time its lock is acquired; the
 // lookup retries so the caller always gets a live one.
 //
@@ -147,12 +148,6 @@ func (l *lease) lockUntil(deadline time.Time) bool {
 		time.Sleep(min(left, 200*time.Microsecond))
 	}
 	return true
-}
-
-// done releases a lease taken with tenant.lease, stamping it as used at now.
-func (l *lease) done(now time.Time) {
-	l.lastUsed.Store(now.UnixNano())
-	l.mu.Unlock()
 }
 
 // closeLocked flushes and retires the lease's handles; callers must hold
@@ -216,9 +211,9 @@ func (l *lease) tryRetire() (ok bool) {
 	return true
 }
 
-// tryFlush attempts to publish the lease's buffered operations without
-// retiring it, absorbing an injected fault; callers must hold l.mu. The
-// cheap half of repair's flush-or-close.
+// tryFlush empties the lease's handles without retiring them — publishes the
+// buffered inserts and increments, returns the unconsumed prefetch —
+// absorbing an injected fault; callers must hold l.mu.
 func (l *lease) tryFlush() (ok bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -229,24 +224,25 @@ func (l *lease) tryFlush() (ok bool) {
 		}
 	}()
 	l.mqh.Flush()
+	l.mqh.ReturnPrefetched()
 	l.ch.Flush()
 	return true
 }
 
-// repair restores a lease after its handler panicked, with l.mu still held
-// by the faulted request: flush the buffered operations so nothing the
-// server already counted as applied is stranded in handle buffers, or — if
-// the handles themselves keep faulting — delink and retire the lease through
-// the close ladder. Either way l.mu is released and the token is immediately
-// serviceable again (same lease if flushed, a fresh one if retired).
-func (t *tenant) repair(l *lease, now time.Time) {
-	defer l.done(now)
-	if l.closed {
+// release ends a request's hold on its lease on every exit, before the
+// answer is written: it publishes what the request left in the handles, so
+// no session waits on an element another was acknowledged for, or — if the
+// handles keep faulting — delinks the lease and retires it through the close
+// ladder. Either way the lease is stamped as used at now and l.mu released.
+func (l *lease) release(now time.Time) {
+	defer func() {
+		l.lastUsed.Store(now.UnixNano())
+		l.mu.Unlock()
+	}()
+	if l.closed || l.tryFlush() {
 		return
 	}
-	if l.tryFlush() {
-		return
-	}
+	t := l.t
 	t.mu.Lock()
 	if t.leases[l.token] == l {
 		delete(t.leases, l.token)
@@ -276,8 +272,9 @@ func (t *tenant) closeSession(token string) bool {
 // expireIdle closes every lease whose last use is before cutoff, returning
 // the number expired. Leases are delinked under the tenant lock first, then
 // closed under their own locks, so a request racing the sweep either
-// finishes before the close (its elements flush with the lease) or retries
-// its lookup and gets a fresh lease.
+// finishes before the close or retries its lookup and gets a fresh lease.
+// A lease holds no element between requests, so the sweep publishes nothing
+// and needs no exclusion from a snapshot's capture.
 func (t *tenant) expireIdle(cutoff time.Time) int {
 	var stale []*lease
 	t.mu.Lock()
@@ -315,7 +312,7 @@ func (t *tenant) acquire() bool {
 	}
 	if t.inflight.Add(1) > int64(max) {
 		t.inflight.Add(-1)
-		t.rejectedInflite.Add(1)
+		t.rejectedInflight.Add(1)
 		return false
 	}
 	return true
@@ -323,9 +320,7 @@ func (t *tenant) acquire() bool {
 
 func (t *tenant) release() { t.inflight.Add(-1) }
 
-// liveLeaseStats sums the handle-local buffers and sampler rerolls across
-// live leases, briefly taking each lease lock (the same order the request
-// path uses, so no deadlock). Used by /stats and /metrics.
+// leaseAggregate is what liveLeaseStats sums across a tenant's live leases.
 type leaseAggregate struct {
 	leases                int
 	bufferedEnqueues      int
@@ -390,6 +385,10 @@ func (t *tenant) observeLatency(d time.Duration, now time.Time) {
 	}
 }
 
+// liveLeaseStats sums the handle-local buffers and sampler rerolls across
+// live leases, briefly taking each lease lock (the same order the request
+// path uses, so no deadlock). Used by /stats and /metrics. A request empties
+// its lease before unlocking it, so the buffer sums are a tripwire: 0.
 func (t *tenant) liveLeaseStats() leaseAggregate {
 	t.mu.Lock()
 	live := make([]*lease, 0, len(t.leases))

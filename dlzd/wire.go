@@ -14,9 +14,9 @@ type WireItem struct {
 
 // EnqueueBatchRequest is the body of POST /v1/{tenant}/enqueue-batch: insert
 // Items into the tenant's MultiQueue through the session's leased handle.
-// Elements ride the handle's buffered insert path and become visible to
-// other sessions in AddBatch lumps; Buffered in the response reports how
-// many are still staged in the handle.
+// Elements ride the handle's buffered insert path in AddBatch lumps, and the
+// last lump publishes before the 200: every acknowledged element is visible
+// to every session.
 type EnqueueBatchRequest struct {
 	// Session is the caller's session token; the daemon leases one handle
 	// pair per token, so the sticky sampler state survives across requests
@@ -32,10 +32,6 @@ type EnqueueBatchRequest struct {
 type EnqueueBatchResponse struct {
 	// Enqueued is the number of items accepted (always len(Items) on 200).
 	Enqueued int `json:"enqueued"`
-	// Buffered is the number of elements still staged in the session's
-	// insert buffer after this request — published on the next full batch,
-	// session close, or lease expiry.
-	Buffered int `json:"buffered"`
 }
 
 // DeleteMinRequest is the body of POST /v1/{tenant}/delete-min-up-to:
@@ -62,7 +58,8 @@ type DeleteMinResponse struct {
 
 // CounterAddRequest is the body of POST /v1/{tenant}/counter/add-batch:
 // apply the weighted increments Deltas to the tenant's MultiCounter through
-// the session's leased handle (buffered, published in batch lumps).
+// the session's leased handle (buffered, published in batch lumps, the last
+// one before the 200).
 type CounterAddRequest struct {
 	Session string   `json:"session"`
 	Deltas  []uint64 `json:"deltas"`
@@ -72,11 +69,6 @@ type CounterAddRequest struct {
 type CounterAddResponse struct {
 	// Added is the number of deltas applied (always len(Deltas) on 200).
 	Added int `json:"added"`
-	// BufferedOps and BufferedWeight report what the session's handle still
-	// holds locally after this request — invisible to reads until the next
-	// batch publish, session close, or lease expiry.
-	BufferedOps    int    `json:"buffered_ops"`
-	BufferedWeight uint64 `json:"buffered_weight"`
 }
 
 // CounterReadResponse is the body of GET /v1/{tenant}/counter/read: the
@@ -86,8 +78,8 @@ type CounterReadResponse struct {
 	Value uint64 `json:"value"`
 }
 
-// SessionCloseRequest is the body of POST /v1/{tenant}/session/close: flush
-// and retire the session's leased handles. The disconnect half of the lease
+// SessionCloseRequest is the body of POST /v1/{tenant}/session/close:
+// retire the session's leased handles. The disconnect half of the lease
 // lifecycle; idle leases are expired by the janitor with the same path.
 type SessionCloseRequest struct {
 	Session string `json:"session"`
@@ -99,15 +91,16 @@ type SessionCloseResponse struct {
 	Closed bool `json:"closed"`
 }
 
-// StatsResponse is the body of GET /v1/{tenant}/stats — the quiescent audit
-// surface the soak test's conservation check reads. QueueLen and
-// CounterExact count only published state; the Buffered/Prefetched fields
-// report what live leases still hold, so the logical totals even mid-run
-// are QueueLen+BufferedEnqueues+PrefetchedDequeues (elements not yet
-// delivered to any client) and CounterExact+BufferedCounterWeight.
+// StatsResponse is the body of GET /v1/{tenant}/stats — the audit surface
+// the soak tests' conservation checks read. Every request publishes its
+// lease's buffers before it answers, so QueueLen and CounterExact count
+// every element and weight not yet delivered, open sessions or not. The four
+// Buffered/Prefetched fields are therefore always 0: they stay on the wire
+// for the benchmark's checker, which still sums them, and read as a
+// tripwire until they go with sessions.
 // The applied-operation ledger (OpsEnqueued, OpsDequeued, CounterDeltaSum)
 // is defer-committed inside the handlers, so it stays exact through injected
-// faults; at quiescence (all leases closed) conservation demands QueueLen ==
+// faults; with no request in flight conservation demands QueueLen ==
 // OpsEnqueued − OpsDequeued and CounterExact == CounterDeltaSum — the chaos
 // soak's exit criteria.
 type StatsResponse struct {

@@ -177,7 +177,8 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 // records its cut, resets the bytes-since-snapshot gauge, and truncates
 // segments and snapshots the new snapshot makes dead. The caller guarantees
 // s captures all state through s.CutLSN (dlzd's snapshotter quiesces
-// mutators, flushes leases, and reads Head() before releasing them).
+// mutators, each of which published its lease before letting go, and reads
+// Head() before releasing them).
 func (l *Log) WriteSnapshot(s *Snapshot) error {
 	buf := encodeSnapshot(make([]byte, frameHeader, frameHeader+snapshotLen(s)), s)
 	payload := buf[frameHeader:]
