@@ -3,9 +3,8 @@
 // are drawn from a Zipf distribution (hot tenants get most of the traffic,
 // like real multi-tenant skew) and enqueue priorities from a second Zipf
 // over a large key universe (hot keys contend on the same relaxed minima).
-// Each worker goroutine holds one session token per tenant, so the daemon's
-// lease stickiness is exercised exactly as a long-lived client connection
-// would.
+// Requests carry no session token: the daemon serves each one with a handle
+// pair borrowed from the tenant's pool.
 //
 // Usage:
 //
@@ -15,9 +14,9 @@
 // journaled before the ack when durability is on, so they must survive a
 // kill) and a maybe ledger (requests whose response was lost: the daemon may
 // or may not have applied them). It rides out daemon downtime by polling
-// /readyz and then checks each tenant's stats against [acked, acked+maybe],
-// leaving its sessions open: the daemon publishes every request's work
-// before answering it, so an open session holds nothing the stats miss.
+// /readyz and then checks each tenant's stats against [acked, acked+maybe]:
+// the daemon publishes every request's work before answering it, so nothing
+// the stats miss is held anywhere.
 // With no disruption that range is one value, so the check is exact
 // conservation. It prints a RECOVERY PASS/FAIL verdict and exits 1 on FAIL,
 // on a worker that gave up, and 2 on bad flags. An acked-but-lost operation is always a FAIL; the
@@ -53,7 +52,7 @@ const (
 	thetaT     = 0.9                  // Zipf θ of the tenant skew
 	thetaP     = 0.8                  // Zipf θ of the priority skew
 	prioSpace  = 1 << 20              // priority key universe
-	maxRetries = 64                   // consecutive 429/503 rejections before a worker gives up
+	maxRetries = 64                   // consecutive 429 rejections before a worker gives up
 	readyWait  = 60 * time.Second     // how long the daemon may stay not ready
 	noHintWait = 5 * time.Millisecond // sleep after a rejection without Retry-After
 )
@@ -79,7 +78,7 @@ func drainClose(body io.ReadCloser) {
 // postJSON posts body and decodes a 2xx response into out. On a non-2xx it
 // surfaces what the retry policy needs: the server's Retry-After hint (zero
 // when absent) and the error body's message (which distinguishes a load shed
-// or a restart from an in-flight overflow or a busy session).
+// or a restart from an in-flight overflow).
 func postJSON(client *http.Client, url string, body, out any) (code int, retryAfter time.Duration, errMsg string, err error) {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -117,7 +116,7 @@ func run(args []string, stdout io.Writer) int {
 	var (
 		addr    = fs.String("addr", "http://localhost:8377", "dlzd base URL")
 		tenants = fs.Int("tenants", 4, "tenant namespaces to spread load over")
-		workers = fs.Int("workers", 8, "concurrent client sessions")
+		workers = fs.Int("workers", 8, "concurrent client workers")
 		ops     = fs.Int("ops", 100000, "total wire operations")
 		seed    = fs.Uint64("seed", 99, "workload seed")
 	)
@@ -137,7 +136,6 @@ func run(args []string, stdout io.Writer) int {
 		opCount   atomic.Int64
 		rejected  atomic.Int64
 		sheds     atomic.Int64 // rejections that were adaptive load sheds
-		busy      atomic.Int64 // 503 session-busy rejections
 		gaveUp    atomic.Int64 // workers that stopped before their op budget
 		enqueued  = make([]atomic.Int64, *tenants)
 		dequeued  = make([]atomic.Int64, *tenants)
@@ -157,7 +155,6 @@ func run(args []string, stdout io.Writer) int {
 		r := rng.NewXoshiro256(*seed + uint64(w)*0x9E3779B97F4A7C15)
 		tenantZipf := rng.NewZipf(r, *tenants, thetaT)
 		prioZipf := rng.NewZipf(r, prioSpace, thetaP)
-		session := fmt.Sprintf("load-w%d", w)
 		consecutive := 0
 		giveUp := func(format string, a ...any) {
 			log.Printf("worker %d: "+format, append([]any{w}, a...)...)
@@ -185,7 +182,7 @@ func run(args []string, stdout io.Writer) int {
 				}
 				mEnq = int64(n)
 				code, retryAfter, errMsg, err = postJSON(client, base+"/enqueue-batch",
-					dlzd.EnqueueBatchRequest{Session: session, Items: items}, nil)
+					dlzd.EnqueueBatchRequest{Items: items}, nil)
 				if code == http.StatusOK {
 					enqueued[tn].Add(int64(n))
 				}
@@ -194,7 +191,7 @@ func run(args []string, stdout io.Writer) int {
 				mDeq = int64(max)
 				var deq dlzd.DeleteMinResponse
 				code, retryAfter, errMsg, err = postJSON(client, base+"/delete-min-up-to",
-					dlzd.DeleteMinRequest{Session: session, Max: max}, &deq)
+					dlzd.DeleteMinRequest{Max: max}, &deq)
 				if code == http.StatusOK {
 					dequeued[tn].Add(int64(len(deq.Items)))
 				}
@@ -208,7 +205,7 @@ func run(args []string, stdout io.Writer) int {
 				}
 				mDelta = sum
 				code, retryAfter, errMsg, err = postJSON(client, base+"/counter/add-batch",
-					dlzd.CounterAddRequest{Session: session, Deltas: deltas}, nil)
+					dlzd.CounterAddRequest{Deltas: deltas}, nil)
 				if code == http.StatusOK {
 					deltaSums[tn].Add(sum)
 				}
@@ -243,16 +240,15 @@ func run(args []string, stdout io.Writer) int {
 					giveUp("daemon not ready within %v", readyWait)
 					break ops
 				}
-			case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
-				// Backpressure or a busy session: nothing was applied.
-				// Sleep the server's hint, then press on with the next
-				// drawn operation.
+			case code == http.StatusTooManyRequests:
+				// Backpressure: nothing was applied. Sleep the server's
+				// hint, then press on with the next drawn operation. (A
+				// deadline 503 may have applied a prefix, but the daemon
+				// checks the deadline only every 64 items, past this
+				// client's batches.)
 				rejected.Add(1)
 				if strings.Contains(errMsg, "shed") {
 					sheds.Add(1)
-				}
-				if code == http.StatusServiceUnavailable {
-					busy.Add(1)
 				}
 				consecutive++
 				if consecutive > maxRetries {
@@ -281,9 +277,9 @@ func run(args []string, stdout io.Writer) int {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(stdout, "dlzd-load: %d ops in %v (%.0f ops/s), %d rejections (%d shed, %d busy-503)\n",
+	fmt.Fprintf(stdout, "dlzd-load: %d ops in %v (%.0f ops/s), %d rejections (%d shed)\n",
 		opCount.Load(), elapsed.Round(time.Millisecond),
-		float64(opCount.Load())/elapsed.Seconds(), rejected.Load(), sheds.Load(), busy.Load())
+		float64(opCount.Load())/elapsed.Seconds(), rejected.Load(), sheds.Load())
 
 	// The daemon may still be mid-restart from a kill landing after the last
 	// worker op; settle before reading stats.

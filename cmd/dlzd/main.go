@@ -1,7 +1,7 @@
 // Command dlzd runs the multi-tenant relaxed-structure daemon: the dlzd
 // package's HTTP/JSON wire API served by its own connection loop on a
-// listening socket (DESIGN.md §8), with the idle-lease janitor running and a
-// graceful shutdown path that drains the connections, retires every lease
+// listening socket (DESIGN.md §8), with the snapshot janitor running when
+// durability is on and a graceful shutdown path that drains the connections
 // and, with durability on, writes a final snapshot on SIGINT/SIGTERM.
 //
 // Usage:
@@ -20,7 +20,7 @@
 // Drive it with cmd/dlzd-load, which exits 1 when a tenant's stats leave
 // the client's ledger; scrape GET /metrics for the elision, slow-path lock and
 // sampler-reroll counters plus the degradation-ladder series (shed level,
-// busy/deadline/panic counters).
+// deadline/panic counters).
 //
 // Durability (DESIGN.md §12) is opt-in via -wal-dir: the daemon journals
 // every acknowledged mutating request, recovers the journal before flipping
@@ -50,7 +50,6 @@ func main() {
 		queues      = flag.Int("queues", 64, "m: queues/counter shards per tenant, fixed for the tenant's life")
 		maxTenants  = flag.Int("max-tenants", 64, "tenant namespace cap")
 		maxInflight = flag.Int("max-inflight", 256, "per-tenant in-flight request budget (0 = unlimited)")
-		idle        = flag.Duration("idle-timeout", 30*time.Second, "lease idle expiry (0 = never)")
 
 		// Durability knobs (DESIGN.md §12); all inert unless -wal-dir is set.
 		walDir = flag.String("wal-dir", "",
@@ -82,7 +81,6 @@ func main() {
 		Batch:       8,
 		MaxTenants:  *maxTenants,
 		MaxInFlight: *maxInflight,
-		IdleTimeout: *idle,
 		Durability:  durability,
 	})
 
@@ -109,7 +107,7 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("dlzd: drain: %v", err)
 		}
-		// Retire every lease; with durability on this also writes
+		// Refuse further /v1 traffic; with durability on this also writes
 		// the final snapshot and seals the journal, so a clean restart
 		// replays zero records.
 		srv.Close()
@@ -126,7 +124,7 @@ func main() {
 		log.Printf("dlzd: recovered %d tenants (%d records on snapshot cut %d, head %d, %d torn bytes) in %s; ready",
 			stats.Tenants, stats.Records, stats.SnapshotCut, stats.Head, stats.TornBytes, stats.Duration)
 	}
-	stopJanitor := srv.StartJanitor(0)
+	stopJanitor := srv.StartJanitor()
 	defer stopJanitor()
 
 	if err := <-serveErr; err != dlzd.ErrServerClosed {

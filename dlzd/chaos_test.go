@@ -22,12 +22,12 @@ var chaosSeed = flag.Int64("chaosseed", 1, "seed for the chaos fault schedule")
 // TestChaosSoak drives 4 tenants of live wire traffic while a seeded
 // conductor cycles fault regimes over the failpoint layer — injected handler
 // panics, critical-section and publication delays, a handler stall, try-path
-// refusal storms, close-ladder faults and forced lease expiry sweeps — then
-// runs a deterministic coverage pass that provably fires every fault kind,
-// quiesces, and asserts exact conservation from the server's defer-committed
-// ledger: QueueLen == OpsEnqueued − OpsDequeued, CounterExact ==
-// CounterDeltaSum, zero surviving leases, zero repair failures. Run with
-// -race; reproduce a failure with its printed -chaosseed.
+// refusal storms and give-back flush faults — then runs a deterministic
+// coverage pass that provably fires every fault kind, quiesces, and asserts
+// exact conservation from the server's defer-committed ledger: QueueLen ==
+// OpsEnqueued − OpsDequeued, CounterExact == CounterDeltaSum, no more handle
+// pairs than concurrent workers, zero repair failures. Run with -race;
+// reproduce a failure with its printed -chaosseed.
 func TestChaosSoak(t *testing.T) {
 	const (
 		tenants          = 4
@@ -69,7 +69,7 @@ func TestChaosSoak(t *testing.T) {
 				return
 			default:
 			}
-			switch r.Intn(5) {
+			switch r.Intn(4) {
 			case 0: // handler and flush panics (repaired by the envelope)
 				fail.Arm(fail.SiteDlzdEnqueueItem, fail.Policy{Kind: fail.KindPanic, After: uint64(r.Intn(16)), Count: 2})
 				fail.Arm(fail.SiteCoreFlush, fail.Policy{Kind: fail.KindPanic, Count: 1})
@@ -86,24 +86,18 @@ func TestChaosSoak(t *testing.T) {
 				time.Sleep(15 * time.Millisecond)
 				fail.Release(fail.SiteDlzdHandlerPre)
 				collect("stall", fail.SiteDlzdHandlerPre)
-			case 3: // refusal/reroll storms plus close-ladder faults
+			case 3: // refusal/reroll storms
 				fail.Arm(fail.SiteCPQTryRefuse, fail.Policy{Kind: fail.KindError, Prob: 0.3})
 				fail.Arm(fail.SiteCoreReroll, fail.Policy{Kind: fail.KindError, Prob: 0.3})
-				fail.Arm(fail.SiteDlzdLeaseClose, fail.Policy{Kind: fail.KindError, Count: 3})
 				time.Sleep(15 * time.Millisecond)
-				collect("error", fail.SiteCPQTryRefuse, fail.SiteCoreReroll, fail.SiteDlzdLeaseClose)
-			case 4: // forced expiry sweep racing live requests
-				fail.Arm(fail.SiteDlzdJanitor, fail.Policy{Kind: fail.KindDelay, Delay: 2 * time.Millisecond, Count: 8})
-				kindFires["expiry"] += uint64(s.ExpireIdle(time.Now()))
-				time.Sleep(5 * time.Millisecond)
-				collect("delay", fail.SiteDlzdJanitor)
+				collect("error", fail.SiteCPQTryRefuse, fail.SiteCoreReroll)
 			}
 			fail.Reset()
 		}
 	}()
 
 	// Workers: live traffic that tolerates every rung of the degradation
-	// ladder (429 shed, 503 busy/deadline, 500 injected) — only transport
+	// ladder (429 shed, 503 deadline, 500 injected) — only transport
 	// failures and corrupted payloads are errors.
 	var wg sync.WaitGroup
 	workers := tenants * workersPerTenant
@@ -172,13 +166,9 @@ func TestChaosSoak(t *testing.T) {
 	// targeted requests, independent of how the random phase was scheduled.
 	coverageFires := chaosCoveragePass(t, c)
 
-	// Quiesce: no armed faults, every lease reaped through the close ladder.
+	// Quiesce: no armed faults. Every request gave its pair back before it
+	// answered, so there is nothing to sweep.
 	fail.Reset()
-	expired := s.ExpireIdle(time.Now().Add(time.Hour))
-	kindFires["expiry"] += uint64(expired)
-	if kindFires["expiry"] == 0 {
-		t.Error("no lease was ever force-expired — the forced-expiry fault kind lost coverage")
-	}
 	for kind, n := range coverageFires {
 		if n == 0 {
 			t.Errorf("fault kind %q did not fire in the deterministic coverage pass", kind)
@@ -191,11 +181,11 @@ func TestChaosSoak(t *testing.T) {
 		if code := c.get(fmt.Sprintf("/v1/chaos%d/stats", i), &st); code != http.StatusOK {
 			t.Fatalf("tenant %d stats = %d", i, code)
 		}
-		if st.Leases != 0 {
-			t.Errorf("tenant %d: %d leases survived the sweep", i, st.Leases)
+		if st.Leases > workersPerTenant {
+			t.Errorf("tenant %d: %d handle pairs for %d workers", i, st.Leases, workersPerTenant)
 		}
 		if st.RepairFailures != 0 {
-			t.Errorf("tenant %d: %d lease retirements exhausted the repair ladder", i, st.RepairFailures)
+			t.Errorf("tenant %d: %d give-backs exhausted the repair ladder", i, st.RepairFailures)
 		}
 		if int64(st.QueueLen) != int64(st.OpsEnqueued)-int64(st.OpsDequeued) {
 			t.Errorf("tenant %d: queue conservation violated: Len=%d, applied enq-deq=%d-%d",
@@ -206,7 +196,7 @@ func TestChaosSoak(t *testing.T) {
 				i, st.CounterExact, st.CounterDeltaSum)
 		}
 		if st.BufferedEnqueues != 0 || st.BufferedCounterOps != 0 || st.PrefetchedDequeues != 0 {
-			t.Errorf("tenant %d: handle-local state survived the sweep: %+v", i, st)
+			t.Errorf("tenant %d: a pooled pair holds handle-local state: %+v", i, st)
 		}
 		totalPanics += st.PanicsRecovered
 	}
@@ -217,7 +207,7 @@ func TestChaosSoak(t *testing.T) {
 
 // chaosCoveragePass arms one Count-bounded policy per fault kind and drives a
 // request guaranteed to traverse it, returning observed fires per kind. It
-// runs against tenant chaos0 with a dedicated session token.
+// runs against tenant chaos0.
 func chaosCoveragePass(t *testing.T, c *testClient) map[string]uint64 {
 	t.Helper()
 	fires := map[string]uint64{}
@@ -253,23 +243,33 @@ func chaosCoveragePass(t *testing.T, c *testClient) map[string]uint64 {
 	fail.Release(fail.SiteDlzdHandlerPre)
 	<-done
 
-	// error: the close ladder's first retirement attempt is refused once,
-	// the second succeeds.
+	// error: the give-back flush's first try-lock is refused once and the
+	// batch is redrawn.
 	fail.Reset()
-	fail.Arm(fail.SiteDlzdLeaseClose, fail.Policy{Kind: fail.KindError, Count: 1})
-	if code := c.post(base+"/session/close", SessionCloseRequest{Session: "coverage"}, nil); code != http.StatusOK {
-		t.Errorf("coverage close = %d, want 200", code)
+	fail.Arm(fail.SiteCPQTryRefuse, fail.Policy{Kind: fail.KindError, Count: 1})
+	if code := c.post(base+"/enqueue-batch", batch, nil); code != http.StatusOK {
+		t.Errorf("coverage refusal request = %d, want 200", code)
 	}
-	fires["error"] = fail.Fires(fail.SiteDlzdLeaseClose)
+	fires["error"] = fail.Fires(fail.SiteCPQTryRefuse)
+
+	// ladder: the give-back's first flush attempt panics before anything
+	// publishes, the second publishes the batch; the answer is still a 200.
+	fail.Reset()
+	fail.Arm(fail.SiteCoreFlush, fail.Policy{Kind: fail.KindPanic, Count: 1})
+	if code := c.post(base+"/enqueue-batch", batch, nil); code != http.StatusOK {
+		t.Errorf("coverage flush-ladder request = %d, want 200", code)
+	}
+	fires["ladder"] = fail.Fires(fail.SiteCoreFlush)
 	fail.Reset()
 	return fires
 }
 
-// TestHandlerPanicMidBatch is the regression pin for the release envelope: a
-// handler panicking halfway through an enqueue batch must (a) answer 500,
+// TestHandlerPanicMidBatch is the regression pin for the give-back envelope:
+// a handler panicking halfway through an enqueue batch must (a) answer 500,
 // (b) commit exactly the items applied before the fault, (c) strand no
-// buffered element — the release flush publishes them, (d) leak no in-flight
-// budget, and (e) leave the session token immediately serviceable.
+// buffered element — the give-back flush publishes them, (d) leak no
+// in-flight budget, and (e) leave the tenant immediately serviceable, on the
+// same handle pair.
 func TestHandlerPanicMidBatch(t *testing.T) {
 	fail.Reset()
 	defer fail.Reset()
@@ -285,7 +285,7 @@ func TestHandlerPanicMidBatch(t *testing.T) {
 		t.Fatalf("mid-batch panic answered %d, want 500", code)
 	}
 
-	// (e)+(d): the same token serves the very next request.
+	// (e)+(d): the very next request is served.
 	var enq EnqueueBatchResponse
 	if code := c.post("/v1/t/enqueue-batch",
 		EnqueueBatchRequest{Session: "s1", Items: wireItems(11, 12)}, &enq); code != http.StatusOK {
@@ -302,13 +302,10 @@ func TestHandlerPanicMidBatch(t *testing.T) {
 	if want := uint64(applyBefore + 2); st.OpsEnqueued != want {
 		t.Errorf("OpsEnqueued = %d, want %d (items before the panic plus the follow-up)", st.OpsEnqueued, want)
 	}
-	// (c): nothing stranded — after closing the session every applied item
-	// is published and conservation is exact.
-	if code := c.post("/v1/t/session/close", SessionCloseRequest{Session: "s1"}, nil); code != http.StatusOK {
-		t.Fatalf("close = %d", code)
-	}
-	if code := c.get("/v1/t/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
+	// (c): nothing stranded — every applied item is published and
+	// conservation is exact; the injected panic kept the pair in the pool.
+	if st.Leases != 1 {
+		t.Errorf("Leases = %d, want 1", st.Leases)
 	}
 	if int64(st.QueueLen) != int64(st.OpsEnqueued)-int64(st.OpsDequeued) {
 		t.Errorf("conservation violated after repair: Len=%d enq=%d deq=%d",
@@ -316,84 +313,6 @@ func TestHandlerPanicMidBatch(t *testing.T) {
 	}
 	if st.RepairFailures != 0 {
 		t.Errorf("RepairFailures = %d, want 0", st.RepairFailures)
-	}
-}
-
-// TestJanitorExpiryRace pins the expiry sweep against live traffic: with the
-// janitor's delink-to-close window stretched by an injected delay and close
-// ladders faulting, concurrent requests keep using the tokens being expired.
-// Every race resolution is legal (a request lands on the old lease before
-// its close, or opens a fresh lease); what must hold afterwards is exact
-// conservation and a clean lease ledger.
-func TestJanitorExpiryRace(t *testing.T) {
-	fail.Reset()
-	defer fail.Reset()
-	fail.SetSeed(uint64(*chaosSeed))
-	s, c := newTestServer(t, Config{Queues: 4, Batch: 8, Stickiness: 8, Seed: 11})
-
-	fail.Arm(fail.SiteDlzdJanitor, fail.Policy{Kind: fail.KindDelay, Delay: 500 * time.Microsecond})
-	// Every-other-attempt refusal: a retirement ladder can lose at most
-	// half its retireAttempts tries, so it always converges — a Prob-based
-	// policy could (rarely) fire 8 straight times and exhaust the ladder.
-	fail.Arm(fail.SiteDlzdLeaseClose, fail.Policy{Kind: fail.KindError, Every: 2, Count: 40})
-	fail.Arm(fail.SiteCoreFlush, fail.Policy{Kind: fail.KindPanic, Every: 7, Count: 10})
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // the janitor, sweeping everything it sees, continuously
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				s.ExpireIdle(time.Now())
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
-	const workers = 4
-	var workerWG sync.WaitGroup
-	workerWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer workerWG.Done()
-			session := fmt.Sprintf("race%d", w)
-			for i := 0; i < 120; i++ {
-				c.post("/v1/janitor/enqueue-batch",
-					EnqueueBatchRequest{Session: session, Items: wireItems(uint64(i + 1))}, nil)
-				if i%3 == 0 {
-					c.post("/v1/janitor/delete-min-up-to", DeleteMinRequest{Session: session, Max: 2}, nil)
-				}
-			}
-			if w == 0 { // one worker also closes explicitly, racing the sweeps
-				c.post("/v1/janitor/session/close", SessionCloseRequest{Session: session}, nil)
-			}
-		}(w)
-	}
-	workerWG.Wait()
-	close(stop)
-	wg.Wait()
-
-	fail.Reset()
-	s.ExpireIdle(time.Now().Add(time.Hour))
-	var st StatsResponse
-	if code := c.get("/v1/janitor/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	if st.Leases != 0 {
-		t.Errorf("%d leases survived the final sweep", st.Leases)
-	}
-	if st.RepairFailures != 0 {
-		t.Errorf("RepairFailures = %d, want 0", st.RepairFailures)
-	}
-	if int64(st.QueueLen) != int64(st.OpsEnqueued)-int64(st.OpsDequeued) {
-		t.Errorf("conservation violated under expiry races: Len=%d enq=%d deq=%d",
-			st.QueueLen, st.OpsEnqueued, st.OpsDequeued)
-	}
-	if st.BufferedEnqueues != 0 || st.PrefetchedDequeues != 0 {
-		t.Errorf("handle-local state survived the sweep: %+v", st)
 	}
 }
 
@@ -439,9 +358,6 @@ func TestDeadlineMidBatch(t *testing.T) {
 		t.Fatalf("enqueue past its deadline = %d, want 503", code)
 	}
 	fail.Reset()
-	if code := c.post("/v1/enq/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
-		t.Fatalf("close = %d", code)
-	}
 	st := stats("enq")
 	if st.OpsEnqueued == 0 || st.OpsEnqueued >= n {
 		t.Errorf("enqueue applied %d of %d items, want some but not all", st.OpsEnqueued, n)
@@ -474,9 +390,6 @@ func TestDeadlineMidBatch(t *testing.T) {
 	}
 	if len(deq.Items) > maxApplied {
 		t.Errorf("delete-min removed %d items, more than 64 after the deadline", len(deq.Items))
-	}
-	if code := c.post("/v1/deq/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
-		t.Fatalf("close = %d", code)
 	}
 	st = stats("deq")
 	if st.OpsDequeued != uint64(len(deq.Items)) || int64(st.QueueLen) != int64(st.OpsEnqueued)-int64(st.OpsDequeued) {

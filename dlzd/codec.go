@@ -19,14 +19,13 @@ import (
 	"strconv"
 )
 
-// wireRequest is a decoded hot request body: the session token plus the one
-// payload its operation carries. session points into the request body; items
-// and deltas reuse the scratch's backing arrays across requests.
+// wireRequest is a decoded hot request body: the one payload its operation
+// carries. items and deltas reuse the scratch's backing arrays across
+// requests. A "session" key is checked for shape and otherwise ignored.
 type wireRequest struct {
-	session []byte
-	items   []WireItem // enqueue-batch
-	deltas  []uint64   // counter/add-batch
-	max     int        // delete-min-up-to
+	items  []WireItem // enqueue-batch
+	deltas []uint64   // counter/add-batch
+	max    int        // delete-min-up-to
 }
 
 // hotOp names the three requests the scanner knows.
@@ -177,13 +176,12 @@ func once(seen *uint8, bit uint8) bool {
 // input outside the canonical shape. rq is garbage after a decline.
 func (rq *wireRequest) scan(op hotOp, body []byte) bool {
 	p := scanner{b: body}
-	rq.session, rq.items, rq.deltas, rq.max = nil, rq.items[:0], rq.deltas[:0], 0
+	rq.items, rq.deltas, rq.max = rq.items[:0], rq.deltas[:0], 0
 	var seen uint8
 	ok := p.object(func(key []byte) bool {
 		switch {
 		case string(key) == "session":
-			var ok bool
-			rq.session, ok = p.str()
+			_, ok := p.str()
 			return ok && once(&seen, 1)
 		case op == hotEnqueueBatch && string(key) == "items":
 			return once(&seen, 2) && p.array(func() bool {
@@ -232,23 +230,21 @@ func strictJSON(body []byte, v any) error {
 
 // decodeStrict fills rq from body through strictJSON and op's wire.go type.
 func (rq *wireRequest) decodeStrict(op hotOp, body []byte) error {
-	var session string
 	var err error
 	switch op {
 	case hotEnqueueBatch:
 		var req EnqueueBatchRequest
 		err = strictJSON(body, &req)
-		session, rq.items = req.Session, req.Items
+		rq.items = req.Items
 	case hotDeleteMinUpTo:
 		var req DeleteMinRequest
 		err = strictJSON(body, &req)
-		session, rq.max = req.Session, req.Max
+		rq.max = req.Max
 	case hotCounterAddBatch:
 		var req CounterAddRequest
 		err = strictJSON(body, &req)
-		session, rq.deltas = req.Session, req.Deltas
+		rq.deltas = req.Deltas
 	}
-	rq.session = []byte(session)
 	return err
 }
 

@@ -12,7 +12,7 @@ import (
 // sameRequest compares two decoded requests; an absent and an empty list are
 // the same request (both are refused for their length).
 func sameRequest(a, b wireRequest) bool {
-	return bytes.Equal(a.session, b.session) && a.max == b.max &&
+	return a.max == b.max &&
 		len(a.items) == len(b.items) && (len(a.items) == 0 || reflect.DeepEqual(a.items, b.items)) &&
 		len(a.deltas) == len(b.deltas) && (len(a.deltas) == 0 || reflect.DeepEqual(a.deltas, b.deltas))
 }
@@ -75,6 +75,8 @@ var wireDecodeSeeds = []string{
 	`{"session":"s","deltas":[1,]}`,
 	`{"session":"s","deltas":[1 2]}`,
 	"{\"deltas\":[\x000]}",
+	`{"max":4}`,
+	`{"items":[{"priority":1,"value":2}]}`,
 }
 
 // FuzzWireDecode holds the scanner to its contract: on every body, for each
@@ -116,10 +118,14 @@ func TestScannerAcceptsCanonical(t *testing.T) {
 		for j := range deltas {
 			deltas[j] = r.Uint64() >> uint(r.Intn(64))
 		}
+		session := "w3-a"
+		if i%2 == 0 {
+			session = "" // omitted: the token is optional
+		}
 		for op, req := range map[hotOp]any{
-			hotEnqueueBatch:    EnqueueBatchRequest{Session: "w3-a", Items: items},
-			hotDeleteMinUpTo:   DeleteMinRequest{Session: "w3-a", Max: 1 + r.Intn(MaxWireBatch)},
-			hotCounterAddBatch: CounterAddRequest{Session: "w3-a", Deltas: deltas},
+			hotEnqueueBatch:    EnqueueBatchRequest{Session: session, Items: items},
+			hotDeleteMinUpTo:   DeleteMinRequest{Session: session, Max: 1 + r.Intn(MaxWireBatch)},
+			hotCounterAddBatch: CounterAddRequest{Session: session, Deltas: deltas},
 		} {
 			body, err := json.Marshal(req)
 			if err != nil {
@@ -138,7 +144,7 @@ func TestScannerAcceptsCanonical(t *testing.T) {
 	// A declined body still decodes, and is counted.
 	s := New(Config{})
 	var rq wireRequest
-	if err := s.decode(&rq, hotDeleteMinUpTo, []byte(`{"Session":"s","max":4}`)); err != nil || string(rq.session) != "s" || rq.max != 4 {
+	if err := s.decode(&rq, hotDeleteMinUpTo, []byte(`{"Session":"s","max":4}`)); err != nil || rq.max != 4 {
 		t.Fatalf("fallback decode = %+v, %v", rq, err)
 	}
 	if err := s.decode(&rq, hotDeleteMinUpTo, []byte(`{"session":"s","max":1e3}`)); err == nil {
@@ -193,7 +199,7 @@ func TestEncodersMatchJSON(t *testing.T) {
 	check(appendDeleteMinResponse(nil, DeleteMinResponse{Items: []WireItem{}, Truncated: true}), DeleteMinResponse{Items: []WireItem{}, Truncated: true})
 	check(appendCounterReadResponse(nil, CounterReadResponse{Value: math.MaxUint64}), CounterReadResponse{Value: math.MaxUint64})
 	for _, msg := range []string{
-		"session busy", "items must number in [1, 4096]", "handler fault at dlzd/enqueue/item; session repaired", "",
+		"load shed", "items must number in [1, 4096]", "handler fault at dlzd/enqueue/item", "",
 		`bad request body: invalid character '"' after object key`, "a<b>&c", "tab\there", "café", "\xff", `back\slash`,
 	} {
 		check(appendError(nil, msg), ErrorResponse{Error: msg})

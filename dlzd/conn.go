@@ -99,8 +99,8 @@ func (s *Server) Serve(ln net.Listener) error {
 // connections, let each request already being read or served finish and be
 // answered (with Connection: close), and return once every connection has
 // gone. If ctx ends first the remaining connections are closed under their
-// requests and ctx's error returned. It does not touch leases or the
-// journal; call Close after it.
+// requests and ctx's error returned. It does not touch the journal; call
+// Close after it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.connMu.Lock()
@@ -220,8 +220,9 @@ type parsed struct {
 func (c *conn) serve() {
 	defer func() {
 		if rec := recover(); rec != nil {
-			// A genuine panic, re-raised by tenantOp's envelope after the
-			// lease was repaired: it takes this connection, not the daemon.
+			// A genuine panic, re-raised by tenantOp's envelope after it
+			// dropped the request's handle pair: it takes this connection,
+			// not the daemon.
 			log.Printf("dlzd: panic serving %v: %v\n%s", c.nc.RemoteAddr(), rec, debug.Stack())
 		}
 		c.nc.Close()

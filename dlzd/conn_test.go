@@ -339,7 +339,7 @@ func TestConnLimits(t *testing.T) {
 				idle.send("GET /healthz HTTP/1.1\r\n\r\n")
 				idle.status(http.StatusOK)
 				tn, _ := s.tenant([]byte("t"))
-				held, _ := tn.lease(farDeadline(), []byte("s")) // the request below parks on this lease
+				tn.mu.Lock() // the request below parks on the pool lock, borrowing a pair
 				busy.send(postRequest("/v1/t/enqueue-batch", enqueueOne, ""))
 				for tn.inflight.Load() == 0 {
 					time.Sleep(time.Millisecond)
@@ -360,7 +360,7 @@ func TestConnLimits(t *testing.T) {
 					nc.Close()
 					t.Error("a draining server still accepts connections")
 				}
-				held.release(time.Now())
+				tn.mu.Unlock()
 				if resp, _ := busy.status(http.StatusOK); !resp.Close {
 					t.Error("the drained request's answer does not say Connection: close")
 				}
@@ -378,26 +378,34 @@ func TestConnLimits(t *testing.T) {
 				log.SetOutput(&logged)
 				defer log.SetOutput(os.Stderr)
 				tn, _ := s.tenant([]byte("t"))
-				doomed, _ := tn.lease(farDeadline(), []byte("doomed"))
-				doomed.mqh = nil // the bug: the next enqueue on this session dereferences nil
-				doomed.mu.Unlock()
+				// The bug: a pooled pair with no queue handle, so the next
+				// enqueue, which borrows it, dereferences nil.
+				tn.mu.Lock()
+				tn.idle, tn.pairs = append(tn.idle, &pair{ch: tn.mc.NewHandle(1)}), tn.pairs+1
+				tn.mu.Unlock()
 				rc := dialRaw(t, c)
-				rc.send(postRequest("/v1/t/enqueue-batch", strings.Replace(enqueueOne, `"s"`, `"doomed"`, 1), ""))
+				rc.send(postRequest("/v1/t/enqueue-batch", enqueueOne, ""))
 				rc.closed()
 				awaitNoConns(t, s)
 				if !strings.Contains(logged.String(), "panic serving") {
 					t.Errorf("the panic was not reported; log: %q", logged.String())
 				}
-				// The envelope released the lease lock and the in-flight slot on
-				// the way out: the tenant, and the daemon, serve on.
+				// The envelope dropped the pair and released the in-flight slot
+				// on the way out: the tenant, and the daemon, serve on with a
+				// fresh pair.
 				rc = dialRaw(t, c)
 				rc.send(postRequest("/v1/t/enqueue-batch", enqueueOne, ""))
 				rc.status(http.StatusOK)
 				if n := tn.inflight.Load(); n != 0 {
 					t.Errorf("in-flight = %d after the panic", n)
 				}
-				if !doomed.mu.TryLock() {
-					t.Error("the panicked request left its lease locked")
+				if !tn.mu.TryLock() {
+					t.Fatal("the panicked request left the pool locked")
+				}
+				n := tn.pairs
+				tn.mu.Unlock()
+				if n != 1 {
+					t.Errorf("the tenant owns %d pairs after the panic, want 1: the doomed one is dropped", n)
 				}
 			}},
 	}
@@ -558,7 +566,7 @@ func TestShutdownDeadline(t *testing.T) {
 	}()
 	c := &testClient{t: t, addr: ln.Addr().String()}
 	tn, _ := s.tenant([]byte("t"))
-	held, _ := tn.lease(farDeadline(), []byte("s"))
+	tn.mu.Lock() // the request below parks on the pool lock, borrowing a pair
 	rc := dialRaw(t, c)
 	rc.send(postRequest("/v1/t/enqueue-batch", enqueueOne, ""))
 	for tn.inflight.Load() == 0 {
@@ -571,7 +579,7 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 	rc.closed()
 	wg.Wait()
-	held.release(time.Now()) // the parked request now runs to its (unsendable) answer
+	tn.mu.Unlock() // the parked request now runs to its (unsendable) answer
 	awaitNoConns(t, s)
 	if err := s.Serve(ln); err != ErrServerClosed {
 		t.Errorf("Serve after Shutdown = %v", err)

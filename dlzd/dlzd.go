@@ -2,20 +2,22 @@
 // front end that serves the repository's distributionally linearizable
 // MultiQueue and MultiCounter to network clients — the "millions of users"
 // direction of ROADMAP.md, with the paper's per-thread handle discipline
-// mapped onto session leases (DESIGN.md §8).
+// mapped onto a per-tenant pool of handle pairs (DESIGN.md §8).
 //
 // Each tenant namespace owns one dlz.MultiQueue and one dlz.MultiCounter
-// (created on first use, bounded by Config.MaxTenants). Clients carry a
-// session token; the daemon leases a handle pair per token and keeps it
-// across requests, so the sticky d-choice sampler survives request
-// boundaries exactly as it survives operation boundaries in-process — which
-// is what preserves the paper's distributional argument under request
-// traffic. The batch buffers do not: every request publishes them before it
-// answers. Leases retire on session close or idle expiry (the janitor).
+// (created on first use, bounded by Config.MaxTenants) and a pool of
+// (queue, counter) handle pairs. A request borrows a pair for its duration
+// and gives it back before it answers, so a tenant owns no more pairs than
+// it ever ran requests at once: the paper's n concurrent handles. A pair's
+// sticky d-choice sampler survives from one borrower to the next, as it
+// survives operation boundaries in-process; its batch buffers do not, since
+// the give-back publishes them. Clients need no session token: the hot
+// bodies' "session" key and POST /v1/{tenant}/session/close are accepted
+// and ignored.
 //
 // The wire batch API (enqueue-batch, delete-min-up-to, counter/add-batch)
 // rides the zero-alloc TryAddBatch/TryDeleteMinUpTo fast path end-to-end:
-// wire batches land in the leased handle's fixed buffers and publish in
+// wire batches land in the borrowed handle's fixed buffers and publish in
 // Batch-size lumps with one lock acquisition each (the last, partial lump
 // before the answer), and a shard whose lock refuses the try is redrawn, not
 // waited on. Backpressure is a bounded per-tenant in-flight budget (429 on
@@ -43,14 +45,14 @@ const MaxWireBatch = 4096
 
 // Config configures New. Every field is optional: Queues, MaxTenants and
 // Seed default to 64, 64 and 1, Choices, Stickiness and Batch to the dlz
-// defaults, and a zero MaxInFlight or IdleTimeout, or a nil Durability,
-// leaves that bound or duty off. The degradation ladder and the socket limits
-// are not configured here: they are the constants below.
+// defaults, and a zero MaxInFlight or a nil Durability leaves that bound or
+// duty off. The degradation ladder, the socket limits and the janitor's
+// period are not configured here: they are the constants below.
 type Config struct {
 	// Queues is m for each tenant's MultiQueue and MultiCounter (default
 	// 64), fixed for the tenant's life. For the paper's guarantees it should
-	// be a large constant multiple of the expected concurrent session count
-	// per tenant.
+	// be a large constant multiple of the expected concurrent request count
+	// per tenant, the number of handle pairs its pool grows to.
 	Queues int
 	// Choices, Stickiness and Batch configure the fast path of every tenant
 	// structure, with the same semantics and defaults as
@@ -63,13 +65,8 @@ type Config struct {
 	MaxTenants int
 	// MaxInFlight bounds the number of requests concurrently inside one
 	// tenant's handlers — the backpressure budget; overflow is rejected
-	// with 429. 0 means unlimited.
+	// with 429 — and with it the tenant's handle pairs. 0 means unlimited.
 	MaxInFlight int
-	// IdleTimeout is the lease idle expiry: a session untouched for this
-	// long is retired by the janitor (StartJanitor) or by an
-	// explicit ExpireIdle sweep. 0 disables time-based expiry (leases then
-	// live until session close or server Close).
-	IdleTimeout time.Duration
 	// Seed feeds the structure and handle seed sequence (default 1).
 	Seed uint64
 	// Durability enables the write-ahead journal + snapshot rung (DESIGN.md
@@ -82,13 +79,15 @@ type Config struct {
 // The degradation ladder (DESIGN.md §10) and the connection loop's socket
 // limits (DESIGN.md §8). Every server runs with these values.
 const (
-	requestTimeout    = time.Second            // arrival to deadline: 503 busy or aborted, or a truncated 200
+	requestTimeout    = time.Second            // arrival to deadline: 503 aborted, or a truncated 200
 	shedTarget        = 100 * time.Millisecond // a tenant whose latency EWMA is above it sheds (429)
 	shedHold          = 100 * time.Millisecond // minimum dwell between two shed level changes
 	readTimeout       = 30 * time.Second       // the idle wait, and a whole request from its first byte
 	readHeaderTimeout = 10 * time.Second       // line and headers from the first byte: the slowloris bound
 	writeTimeout      = 30 * time.Second       // one write of pending answers
 	maxHeaderBytes    = 1 << 20                // line plus headers; 431 past it
+
+	janitorPeriod = 50 * time.Millisecond // how often the janitor checks the snapshot trigger
 )
 
 // ladder is a server's copy of the constants above. New fills it; only a
@@ -101,8 +100,8 @@ type ladder struct {
 
 // Server is the daemon: the wire API's request pipeline (pipeline.go), the
 // connection loop that serves it on a listener (Serve, conn.go), an
-// http.Handler over the same pipeline, and the lease-lifecycle entry points
-// the binary and the tests drive directly. Create with New.
+// http.Handler over the same pipeline, and the lifecycle entry points the
+// binary and the tests drive directly. Create with New.
 type Server struct {
 	cfg    Config
 	ladder ladder
@@ -205,7 +204,7 @@ func (s *Server) tenant(name []byte) (*tenant, bool) {
 	return t, true
 }
 
-// tenantSnapshot returns the live tenants (for sweeps and metrics).
+// tenantSnapshot returns the live tenants (for metrics).
 func (s *Server) tenantSnapshot() []*tenant {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -216,51 +215,28 @@ func (s *Server) tenantSnapshot() []*tenant {
 	return ts
 }
 
-// ExpireIdle retires every lease across all tenants whose last use is
-// before cutoff, returning the number expired. The janitor calls it on a
-// timer; tests call it directly for deterministic expiry. A lease holds no
-// element, so expiry bounds session state, not how long an element waits.
-func (s *Server) ExpireIdle(cutoff time.Time) int {
-	n := 0
-	for _, t := range s.tenantSnapshot() {
-		n += t.expireIdle(cutoff)
-	}
-	return n
-}
-
-// StartJanitor launches the maintenance loop — every interval it expires
-// leases idle for Config.IdleTimeout and writes a snapshot once the journal
-// has grown Durability.SnapshotBytes since the last one — and returns its
-// stop function. With no duty configured it returns a no-op stop without
-// launching anything. interval <= 0 defaults to IdleTimeout / 4 (1s when
-// only snapshotting).
-func (s *Server) StartJanitor(interval time.Duration) (stop func()) {
-	if s.cfg.IdleTimeout <= 0 && s.cfg.Durability == nil {
+// StartJanitor launches the maintenance loop — every janitorPeriod it writes
+// a snapshot once the journal has grown Durability.SnapshotBytes since the
+// last one — and returns its stop function. Without durability, or with
+// automatic snapshots off, it returns a no-op stop without launching
+// anything.
+func (s *Server) StartJanitor() (stop func()) {
+	d := s.cfg.Durability
+	if d == nil || d.SnapshotBytes <= 0 {
 		return func() {}
-	}
-	if interval <= 0 {
-		interval = s.cfg.IdleTimeout / 4
-		if interval <= 0 {
-			interval = time.Second
-		}
 	}
 	done := make(chan struct{})
 	var once sync.Once
 	go func() {
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(janitorPeriod)
 		defer tick.Stop()
 		for {
 			select {
 			case <-done:
 				return
 			case <-tick.C:
-				if s.cfg.IdleTimeout > 0 {
-					s.ExpireIdle(time.Now().Add(-s.cfg.IdleTimeout))
-				}
-				if d := s.cfg.Durability; d != nil && d.SnapshotBytes > 0 {
-					if l := s.log(); l != nil && l.BytesSinceSnapshot() >= d.SnapshotBytes {
-						_ = s.Snapshot()
-					}
+				if l := s.log(); l != nil && l.BytesSinceSnapshot() >= d.SnapshotBytes {
+					_ = s.Snapshot()
 				}
 			}
 		}
@@ -268,13 +244,11 @@ func (s *Server) StartJanitor(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Close retires every lease and marks the server closed (further /v1
-// requests get 503; /healthz and /metrics stay up). With durability on, it
-// then writes a final snapshot and seals the journal, so a clean restart
-// replays zero records.
+// Close marks the server closed (further /v1 requests get 503; /healthz and
+// /metrics stay up). With durability on, it then writes a final snapshot and
+// seals the journal, so a clean restart replays zero records.
 func (s *Server) Close() {
 	s.closed.Store(true)
-	s.ExpireIdle(time.Now().Add(time.Hour))
 	if l := s.log(); l != nil {
 		_ = s.Snapshot()
 		_ = l.Close()

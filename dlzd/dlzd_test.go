@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -55,9 +56,6 @@ func serveLoopback(t *testing.T, s *Server) *testClient {
 	addr := ln.Addr().String()
 	return &testClient{t: t, addr: addr, url: "http://" + addr}
 }
-
-// farDeadline is a lease deadline no test reaches.
-func farDeadline() time.Time { return time.Now().Add(time.Hour) }
 
 func (c *testClient) post(path string, body, out any) int {
 	c.t.Helper()
@@ -163,20 +161,18 @@ func TestDaemonRoundTrip(t *testing.T) {
 		t.Fatalf("counter read = %d", code)
 	}
 
+	// A session holds nothing, so a close finds nothing to close.
 	var closed SessionCloseResponse
-	if code := c.post("/v1/acme/session/close", SessionCloseRequest{Session: "s1"}, &closed); code != http.StatusOK || !closed.Closed {
-		t.Fatalf("session close = %d closed=%v", code, closed.Closed)
-	}
-	// Closing again finds no live lease.
 	if code := c.post("/v1/acme/session/close", SessionCloseRequest{Session: "s1"}, &closed); code != http.StatusOK || closed.Closed {
-		t.Fatalf("second close = %d closed=%v, want false", code, closed.Closed)
+		t.Fatalf("session close = %d closed=%v, want 200 and false", code, closed.Closed)
 	}
 
+	// One request at a time: the pool owns one pair.
 	var st StatsResponse
 	if code := c.get("/v1/acme/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
-	if st.QueueLen != 0 || st.CounterExact != 6 || st.Leases != 0 {
+	if st.QueueLen != 0 || st.CounterExact != 6 || st.Leases != 1 {
 		t.Fatalf("post-close stats: %+v", st)
 	}
 }
@@ -200,10 +196,7 @@ func TestPrio48WireDifferential(t *testing.T) {
 	if code := c.post("/v1/diff/enqueue-batch", EnqueueBatchRequest{Session: "w", Items: wireItems(prios...)}, &enq); code != http.StatusOK {
 		t.Fatalf("enqueue = %d", code)
 	}
-	// Disconnect: the lease retires; its elements published before the 200.
-	if code := c.post("/v1/diff/session/close", SessionCloseRequest{Session: "w"}, nil); code != http.StatusOK {
-		t.Fatalf("close = %d", code)
-	}
+	// The elements published before the 200.
 
 	var got []uint64
 	for {
@@ -238,7 +231,7 @@ func TestBackpressure429(t *testing.T) {
 		t.Fatal("tenant create failed")
 	}
 	// Occupy the whole in-flight budget from the outside; the next request
-	// must bounce without touching a lease.
+	// must bounce without borrowing a handle pair.
 	tn.inflight.Add(1)
 	code := c.post("/v1/bp/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(1)}, nil)
 	if code != http.StatusTooManyRequests {
@@ -253,54 +246,10 @@ func TestBackpressure429(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryFlushes is the daemon half of the abandoned-handle bugfix
-// regression: a session that vanishes without closing must lose nothing.
-// Every request publishes before it answers, so the abandoned lease already
-// holds nothing; the idle sweep then retires it and leaves the token usable.
-func TestLeaseExpiryFlushes(t *testing.T) {
-	s, c := newTestServer(t, Config{Queues: 2, Batch: 8, Seed: 11})
-
-	if code := c.post("/v1/ten/enqueue-batch", EnqueueBatchRequest{Session: "gone", Items: wireItems(4, 2, 9)}, nil); code != http.StatusOK {
-		t.Fatalf("enqueue = %d", code)
-	}
-	if code := c.post("/v1/ten/counter/add-batch", CounterAddRequest{Session: "gone", Deltas: []uint64{2, 3}}, nil); code != http.StatusOK {
-		t.Fatalf("counter add = %d", code)
-	}
-	var st StatsResponse
-	if code := c.get("/v1/ten/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	if st.Leases != 1 || st.QueueLen != 3 || st.CounterExact != 5 ||
-		st.BufferedEnqueues != 0 || st.PrefetchedDequeues != 0 || st.BufferedCounterOps != 0 || st.BufferedCounterWeight != 0 {
-		t.Fatalf("pre-expiry stats must show everything published by the live lease: %+v", st)
-	}
-
-	// The session disappears without session/close: the idle sweep retires
-	// its lease.
-	if n := s.ExpireIdle(time.Now().Add(time.Hour)); n != 1 {
-		t.Fatalf("ExpireIdle reaped %d leases, want 1", n)
-	}
-	if code := c.get("/v1/ten/stats", &st); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	if st.Leases != 0 || st.QueueLen != 3 || st.CounterExact != 5 || st.BufferedEnqueues != 0 || st.BufferedCounterOps != 0 {
-		t.Fatalf("post-expiry stats must show everything published: %+v", st)
-	}
-	m := c.metrics()
-	if !strings.Contains(m, `dlzd_leases_expired_total{tenant="ten"} 1`) {
-		t.Fatal("expiry not visible in /metrics")
-	}
-
-	// The token is not poisoned: the next request mints a fresh lease.
-	if code := c.post("/v1/ten/enqueue-batch", EnqueueBatchRequest{Session: "gone", Items: wireItems(1)}, nil); code != http.StatusOK {
-		t.Fatalf("re-use after expiry = %d", code)
-	}
-}
-
-// TestNoElementWaitsInIdleSession pins that no session holds an acknowledged
-// element, prefetch or counter weight out of the others' sight: every
-// request publishes its lease's buffers before it answers, so two open
-// sessions see each other's work at once, with no close or expiry between.
+// TestNoElementWaitsInIdleSession pins that no pooled handle pair holds an
+// acknowledged element, prefetch or counter weight out of the others' sight:
+// every request publishes its pair's buffers before it answers, so two
+// clients see each other's work at once, with nothing closed in between.
 func TestNoElementWaitsInIdleSession(t *testing.T) {
 	_, c := newTestServer(t, Config{Queues: 64, Batch: 8, Stickiness: 16})
 	stats := func(step string, leases, queueLen int, counter uint64) {
@@ -311,7 +260,7 @@ func TestNoElementWaitsInIdleSession(t *testing.T) {
 		}
 		if st.Leases != leases || st.QueueLen != queueLen || st.CounterExact != counter ||
 			st.BufferedEnqueues != 0 || st.PrefetchedDequeues != 0 || st.BufferedCounterOps != 0 || st.BufferedCounterWeight != 0 {
-			t.Fatalf("%s: stats %+v, want %d leases, queue_len %d, counter_exact %d and nothing held by a lease",
+			t.Fatalf("%s: stats %+v, want %d pairs, queue_len %d, counter_exact %d and nothing held by a pair",
 				step, st, leases, queueLen, counter)
 		}
 	}
@@ -344,13 +293,87 @@ func TestNoElementWaitsInIdleSession(t *testing.T) {
 	if code := c.post("/v1/idle/delete-min-up-to", DeleteMinRequest{Session: "A", Max: 1}, &deq); code != http.StatusOK || len(deq.Items) != 1 {
 		t.Fatalf("A delete-min = %d with %d items, want 200 with 1", code, len(deq.Items))
 	}
-	stats("after A's delete-min of one", 2, 15, 0)
+	stats("after A's delete-min of one", 1, 15, 0)
 
-	// A's acked counter weight is in the shared counter while both leases live.
+	// A's acked counter weight is in the shared counter at once.
 	if code := c.post("/v1/idle/counter/add-batch", CounterAddRequest{Session: "A", Deltas: []uint64{15}}, nil); code != http.StatusOK {
 		t.Fatalf("A counter add = %d", code)
 	}
-	stats("after A's counter add", 2, 15, 15)
+	stats("after A's counter add", 1, 15, 15)
+}
+
+// TestHandleStateBoundedByConcurrency pins that what a tenant keeps per
+// client is bounded by how many requests ran at once, not by how many
+// distinct session tokens it was sent: every request below mints a token,
+// and the tenant still owns at most one handle pair per concurrent caller,
+// with heap growth that does not scale with the tokens.
+func TestHandleStateBoundedByConcurrency(t *testing.T) {
+	s := New(Config{Queues: 64, Batch: 8, Stickiness: 16})
+	// send runs one request with a fresh token through the pipeline.
+	send := func(sc *scratch, token string, i int) {
+		t.Helper()
+		path, body := "/v1/mint/enqueue-batch", fmt.Sprintf(`{"session":%q,"items":[{"priority":%d,"value":%d}]}`, token, i, i)
+		if i%2 == 1 {
+			path, body = "/v1/mint/delete-min-up-to", fmt.Sprintf(`{"session":%q,"max":1}`, token)
+		}
+		rq := request{method: []byte("POST"), path: []byte(path), body: []byte(body), arrival: time.Now()}
+		if out, rp := s.handle(sc, &rq, nil); rp.status != http.StatusOK {
+			t.Errorf("%s = %d %s", path, rp.status, out)
+		}
+	}
+	leases := func() int {
+		t.Helper()
+		var sc scratch
+		rq := request{method: []byte("GET"), path: []byte("/v1/mint/stats"), arrival: time.Now()}
+		out, _ := s.handle(&sc, &rq, nil)
+		var st StatsResponse
+		if err := json.Unmarshal(out, &st); err != nil {
+			t.Fatalf("stats %q: %v", out, err)
+		}
+		return st.Leases
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	const tokens = 20000
+	var sc scratch
+	send(&sc, "warm", 0)
+	before := heap()
+	for i := 0; i < tokens; i++ {
+		send(&sc, fmt.Sprintf("tok-%d", i), i)
+	}
+	grown := heap() - before
+	runtime.KeepAlive(s)
+	if n := leases(); n != 1 {
+		t.Fatalf("%d sequential requests with distinct tokens left %d handle pairs, want 1", tokens, n)
+	}
+	// A pair per token cost about 1.4 KB; what may remain are the
+	// elements the relaxed dequeues did not find.
+	if bound := int64(tokens * 64); grown > bound {
+		t.Fatalf("%d tokens grew the heap by %d B, want <= %d", tokens, grown, bound)
+	}
+	t.Logf("%d tokens grew the heap by %d B", tokens, grown)
+
+	const callers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var sc scratch
+			for i := 0; i < 500; i++ {
+				send(&sc, fmt.Sprintf("g%d-%d", g, i), i)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := leases(); n < 1 || n > callers {
+		t.Fatalf("%d concurrent callers minting tokens left %d handle pairs, want 1..%d", callers, n, callers)
+	}
 }
 
 func TestMetricsZeroTenants(t *testing.T) {
@@ -449,13 +472,13 @@ func TestRequestValidation(t *testing.T) {
 		{"oversized batch", http.StatusBadRequest, func() int {
 			return c.post("/v1/ok/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: tooMany}, nil)
 		}},
-		{"missing session", http.StatusBadRequest, func() int {
+		{"no session token is needed", http.StatusOK, func() int {
 			return c.post("/v1/ok/enqueue-batch", EnqueueBatchRequest{Items: wireItems(1)}, nil)
 		}},
 		{"zero max", http.StatusBadRequest, func() int {
 			return c.post("/v1/ok/delete-min-up-to", DeleteMinRequest{Session: "s"}, nil)
 		}},
-		{"read without session", http.StatusBadRequest, func() int { return c.get("/v1/ok/counter/read", nil) }},
+		{"read without session", http.StatusOK, func() int { return c.get("/v1/ok/counter/read", nil) }},
 	}
 	for _, tc := range cases {
 		if code := tc.do(); code != tc.code {
@@ -528,29 +551,6 @@ func TestServerClose503(t *testing.T) {
 		t.Fatal("tenant lookup failed")
 	}
 	if got := tn.mq.Len(); got != 2 {
-		t.Fatalf("Close must flush leases: Len=%d want 2", got)
-	}
-}
-
-func TestJanitorExpires(t *testing.T) {
-	s, c := newTestServer(t, Config{Queues: 2, Batch: 8, IdleTimeout: 10 * time.Millisecond})
-	stop := s.StartJanitor(5 * time.Millisecond)
-	defer stop()
-	if code := c.post("/v1/j/enqueue-batch", EnqueueBatchRequest{Session: "s", Items: wireItems(1, 2, 3)}, nil); code != http.StatusOK {
-		t.Fatalf("enqueue = %d", code)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var st StatsResponse
-		if code := c.get("/v1/j/stats", &st); code != http.StatusOK {
-			t.Fatalf("stats = %d", code)
-		}
-		if st.Leases == 0 && st.QueueLen == 3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("janitor never reaped the idle lease: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+		t.Fatalf("the answered enqueue's elements are not published: Len=%d want 2", got)
 	}
 }

@@ -10,8 +10,8 @@ package dlzd
 // failure turns the ack into a 500; the defer'd append on error/panic exits
 // keeps the journal a superset of applied-but-unacknowledged work, exactly
 // mirroring the defer-committed ledger counters). The snapshotter quiesces
-// each tenant behind its ops gate (a request publishes its lease's buffers
-// before it lets go of the gate), captures queue contents / counter values /
+// each tenant behind its ops gate (a request publishes its handle pair's
+// buffers before it lets go of the gate), captures queue contents / counter values /
 // ledger counters, reads the cut LSN, and releases the gates before touching
 // disk — records appended during the disk write have LSN > cut and replay on
 // top.
@@ -82,8 +82,8 @@ func (s *Server) log() *wal.Log { return s.walPtr.Load() }
 // namespaces, and flips the server ready. It must be called exactly once,
 // before traffic, on a server configured with Durability; without
 // Durability it is a ready-flipping no-op so callers can invoke it
-// unconditionally. Sessions are not recovered: between requests a lease
-// holds only sampler and generator state.
+// unconditionally. Handle pairs are not recovered: a pooled pair holds only
+// sampler and generator state.
 func (s *Server) Recover() (*RecoveryStats, error) {
 	d := s.cfg.Durability
 	if d == nil {
@@ -203,9 +203,9 @@ func (s *Server) captureSnapshot() *wal.Snapshot {
 		tenants = append(tenants, t)
 	}
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
-	// Take every ops gate: journaled handlers (and their lease release) are
-	// all behind RLocks, so after this loop the tenant states are frozen and
-	// no lease holds an element.
+	// Take every ops gate: journaled handlers (and their pair's give-back)
+	// are all behind RLocks, so after this loop the tenant states are frozen
+	// and no handle pair holds an element.
 	for _, t := range tenants {
 		t.ops.Lock()
 	}

@@ -169,10 +169,6 @@ func TestDeadlineJournalsAppliedPrefix(t *testing.T) {
 	if !deq.Truncated || len(deq.Items) != deadlineStride {
 		t.Fatalf("delete-min: truncated %v with %d items, want truncated with %d", deq.Truncated, len(deq.Items), deadlineStride)
 	}
-	// Publish the lease's buffers so the live queue length is comparable.
-	if code := c.post("/v1/x/session/close", SessionCloseRequest{Session: "s"}, nil); code != http.StatusOK {
-		t.Fatalf("close = %d", code)
-	}
 	var live StatsResponse
 	if code := c.get("/v1/x/stats", &live); code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
@@ -216,11 +212,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 			c.post(tn+"/delete-min-up-to", DeleteMinRequest{Session: "s", Max: 1 + r.Intn(3)}, nil)
 		}
 	}
-	// Flush lease buffers through the journal by closing the session on
-	// every touched tenant, then abandon the server mid-flight (no Close).
-	for i := 0; i < 3; i++ {
-		c.post(fmt.Sprintf("/v1/d%d/session/close", i), SessionCloseRequest{Session: "s"}, nil)
-	}
+	// Abandon the server mid-flight (no Close).
 
 	one, _, err := wal.Replay(dir)
 	if err != nil {
@@ -361,10 +353,10 @@ func TestWALMetricsSeries(t *testing.T) {
 // TestSnapshotUnderTraffic interleaves snapshots with live wire traffic and
 // then recovers from whatever the journal holds, asserting exact conservation
 // — the ops gate must make every snapshot a consistent cut, with records past
-// the cut replaying on top. The capture flushes no lease, so the cut is
-// consistent only because every request publishes its lease's buffers and
+// the cut replaying on top. The capture flushes no handle pair, so the cut
+// is consistent only because every request publishes its pair's buffers and
 // returns its prefetch before it lets go of the gate; a request that left an
-// element in its lease would lose it from the recovered queue.
+// element in its pair would lose it from the recovered queue.
 func TestSnapshotUnderTraffic(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newDurableClient(t, dir, Config{Queues: 4, Batch: 8, Seed: 7})
@@ -445,7 +437,7 @@ func TestJanitorSnapshotTrigger(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newDurableClient(t, dir, Config{Queues: 2, Batch: 4, Seed: 7,
 		Durability: &Durability{Dir: dir, SnapshotBytes: 8 << 10}})
-	stop := s.StartJanitor(time.Millisecond)
+	stop := s.StartJanitor()
 	defer stop()
 	deadline := time.Now().Add(5 * time.Second)
 	for s.snapshotsTaken.Load() == 0 {

@@ -9,8 +9,7 @@ import (
 )
 
 // These tests pin the degradation ladder's behavior without the dlzfail tag:
-// per-request deadlines, bounded lease waits, static and adaptive
-// backpressure, and the /metrics surface for all of it. They run in both
+// per-request deadlines, static and adaptive backpressure, and the /metrics surface for all of it. They run in both
 // build modes, so the chaos CI job and the default suite cover them.
 
 // TestRequestDeadline pins the per-request deadline semantics with a
@@ -63,41 +62,6 @@ func TestRequestDeadline(t *testing.T) {
 	}
 	if got := lineValue(t, c.metrics(), "dlzd_deadline_aborts_total"); got != "3" {
 		t.Errorf("dlzd_deadline_aborts_total = %s after three deadline aborts", got)
-	}
-}
-
-// TestLeaseBusy503 pins the bounded lease wait: while another holder keeps a
-// session's lease locked past the request deadline, a request carrying the
-// same token answers 503 with a Retry-After hint instead of joining an
-// unbounded convoy — and the lease survives for the holder.
-func TestLeaseBusy503(t *testing.T) {
-	s := New(Config{Queues: 4, Seed: 5})
-	s.ladder.requestTimeout = 20 * time.Millisecond
-	c := serveLoopback(t, s)
-	tn, ok := s.tenant([]byte("busy"))
-	if !ok {
-		t.Fatal("tenant refused")
-	}
-	l, ok := tn.lease(farDeadline(), []byte("tok"))
-	if !ok {
-		t.Fatal("white-box lease acquisition failed")
-	}
-	// The lease lock is held; the wire request must give up at its deadline.
-	resp := rawPost(t, c, "/v1/busy/enqueue-batch",
-		EnqueueBatchRequest{Session: "tok", Items: wireItems(1)})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("request against held lease = %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Errorf("busy Retry-After = %q, want \"1\"", got)
-	}
-	l.release(time.Now())
-	if code := c.post("/v1/busy/enqueue-batch",
-		EnqueueBatchRequest{Session: "tok", Items: wireItems(1)}, nil); code != http.StatusOK {
-		t.Errorf("request after release = %d, want 200", code)
-	}
-	if m := c.metrics(); lineValue(t, m, "dlzd_rejected_busy_total") != "1" {
-		t.Errorf("dlzd_rejected_busy_total = %s, want 1", lineValue(t, m, "dlzd_rejected_busy_total"))
 	}
 }
 
@@ -238,7 +202,6 @@ func TestHardeningMetricsSurface(t *testing.T) {
 	m := c.metrics()
 	for _, series := range []string{
 		"dlzd_rejected_shed_total",
-		"dlzd_rejected_busy_total",
 		"dlzd_deadline_aborts_total",
 		"dlzd_panics_recovered_total",
 		"dlzd_repair_failures_total",

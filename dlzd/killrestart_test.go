@@ -50,12 +50,12 @@ func (b *lockedBuffer) String() string {
 // TestKillRestartSoak is the chaos proof for DESIGN.md §12: a real dlzd
 // process journaling under live dlzd-load traffic is SIGKILLed mid-flight
 // -killcycles times and restarted each time. It is linked with a 5ms fsync
-// interval and 256 KiB segments, and runs with a 256 KiB snapshot trigger
-// and a 200ms idle timeout, so its janitor ticks every 50ms: kills land
-// around fsync windows, segment rolls, snapshot cuts, the truncations that
-// follow them, and lease expiry. Each cycle lists the journal directory, and
-// the soak fails unless some cycle shows a size roll, some cycle shows a
-// truncated segment and some post-kill boot recovered from a snapshot cut.
+// interval and 256 KiB segments, and runs with a 256 KiB snapshot trigger,
+// which its janitor checks every 50ms: kills land around fsync windows,
+// segment rolls, snapshot cuts and the truncations that follow them. Each
+// cycle lists the journal directory, and the soak fails unless some cycle
+// shows a size roll, some cycle shows a truncated segment and some post-kill
+// boot recovered from a snapshot cut.
 // The load client tracks acked vs maybe-applied ledgers and must print
 // RECOVERY PASS: zero acked-op loss, unacked overshoot bounded by in-flight
 // requests. A final SIGTERM restart must replay zero records (the shutdown
@@ -91,7 +91,6 @@ func TestKillRestartSoak(t *testing.T) {
 			"-wal-dir", walDir,
 			"-wal-fsync", "interval",
 			"-wal-snapshot-bytes", strconv.Itoa(256<<10),
-			"-idle-timeout", "200ms",
 			"-queues", "8")
 		cmd.Stdout = log
 		cmd.Stderr = log

@@ -22,8 +22,8 @@ import (
 //   - dlzd_spin_backoff_total: slow-path lock acquisitions, i.e. blocking
 //     acquires that found the lock held (the name predates the removal of
 //     the backoff schedule and stays, because dashboards and CI read it);
-//   - dlzd_sampler_rerolls_total: sticky sampler rerolls, live leases plus
-//     rerolls harvested from retired leases. A dequeue draw that finds its
+//   - dlzd_sampler_rerolls_total: sticky sampler rerolls, harvested from
+//     each handle pair as it is given back. A dequeue draw that finds its
 //     shard empty or locked and an insert whose shard refuses the try-lock
 //     both redraw instead of waiting, so this counter, not
 //     dlzd_spin_backoff_total, carries shard contention.
@@ -34,22 +34,21 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	type tenantRow struct {
 		t   *tenant
 		mq  dlz.MQStats
-		agg leaseAggregate
+		agg poolAggregate
 	}
 	var (
-		rows                                     []tenantRow
-		elisions, publications, backoff, rerolls uint64
-		leases                                   int
+		rows                            []tenantRow
+		elisions, publications, backoff uint64
+		pairs                           int
 	)
 	for _, t := range tenants {
 		st := t.mq.Stats()
-		agg := t.liveLeaseStats()
+		agg := t.poolStats()
 		rows = append(rows, tenantRow{t: t, mq: st, agg: agg})
 		elisions += st.Elisions
 		publications += st.Publications
 		backoff += st.LockContended
-		rerolls += agg.rerolls + t.retiredRerolls.Load()
-		leases += agg.leases
+		pairs += agg.pairs
 	}
 
 	var b strings.Builder
@@ -71,11 +70,6 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	perTenant("dlzd_queue_publications_total", func(r tenantRow) uint64 { return r.mq.Publications })
 	counter("dlzd_spin_backoff_total", "Slow-path lock acquisitions: blocking acquires that found the lock held.", backoff)
 	perTenant("dlzd_spin_backoff_total", func(r tenantRow) uint64 { return r.mq.LockContended })
-	counter("dlzd_sampler_rerolls_total", "Sticky sampler rerolls: empty or contended dequeue draws and refused insert publishes (live leases plus retired).", rerolls)
-	perTenant("dlzd_sampler_rerolls_total", func(r tenantRow) uint64 { return r.agg.rerolls + r.t.retiredRerolls.Load() })
-
-	gauge("dlzd_leases_active", "Live session leases.", leases)
-	perTenant("dlzd_leases_active", func(r tenantRow) uint64 { return uint64(r.agg.leases) })
 	sumCounter := func(name, help string, value func(tenantRow) uint64) {
 		var total uint64
 		for _, r := range rows {
@@ -84,10 +78,11 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 		counter(name, help, total)
 		perTenant(name, value)
 	}
-	sumCounter("dlzd_leases_opened_total", "Session leases ever opened.",
-		func(r tenantRow) uint64 { return r.t.leasesOpened.Load() })
-	sumCounter("dlzd_leases_expired_total", "Session leases retired by idle expiry.",
-		func(r tenantRow) uint64 { return r.t.leasesExpired.Load() })
+	sumCounter("dlzd_sampler_rerolls_total", "Sticky sampler rerolls: empty or contended dequeue draws and refused insert publishes.",
+		func(r tenantRow) uint64 { return r.t.rerolls.Load() })
+
+	gauge("dlzd_leases_active", "Handle pairs the tenant pools own, idle or borrowed.", pairs)
+	perTenant("dlzd_leases_active", func(r tenantRow) uint64 { return uint64(r.agg.pairs) })
 	sumCounter("dlzd_rejected_inflight_total", "Requests rejected by the in-flight backpressure budget.",
 		func(r tenantRow) uint64 { return r.t.rejectedInflight.Load() })
 	sumCounter("dlzd_ops_enqueued_total", "Elements accepted by enqueue-batch.",
@@ -100,13 +95,11 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	// Degradation-ladder series (DESIGN.md §10).
 	sumCounter("dlzd_rejected_shed_total", "Mutating requests rejected by adaptive load shedding.",
 		func(r tenantRow) uint64 { return r.t.rejectedShed.Load() })
-	sumCounter("dlzd_rejected_busy_total", "Requests that could not lock their session lease within the deadline.",
-		func(r tenantRow) uint64 { return r.t.rejectedBusy.Load() })
 	sumCounter("dlzd_deadline_aborts_total", "Handler loops cut short by the per-request deadline.",
 		func(r tenantRow) uint64 { return r.t.deadlineAborts.Load() })
 	sumCounter("dlzd_panics_recovered_total", "Handler panics absorbed by the recovery envelope.",
 		func(r tenantRow) uint64 { return r.t.panicsRecovered.Load() })
-	sumCounter("dlzd_repair_failures_total", "Lease retirements that exhausted the repair ladder.",
+	sumCounter("dlzd_repair_failures_total", "Returned handle pairs whose flush exhausted the repair ladder.",
 		func(r tenantRow) uint64 { return r.t.repairFailures.Load() })
 	var shedTotal int
 	for _, row := range rows {

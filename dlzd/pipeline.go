@@ -1,19 +1,19 @@
 package dlzd
 
 // The transport-free request pipeline (DESIGN.md §8): route → admission →
-// lease → op → journal → encode. A transport — the connection loop of
-// conn.go, or the http.Handler adapter below — hands handle the parts of one
-// request as byte slices and gets back a status, a Retry-After hint and the
-// response body appended to a buffer it owns. Nothing here knows about
-// sockets, http.ResponseWriter or contexts; on the three hot requests with
-// durability off nothing here allocates.
+// borrow a handle pair → op → journal → give the pair back → encode. A
+// transport — the connection loop of conn.go, or the http.Handler adapter
+// below — hands handle the parts of one request as byte slices and gets back
+// a status, a Retry-After hint and the response body appended to a buffer it
+// owns. Nothing here knows about sockets, http.ResponseWriter or contexts; on
+// the three mutating requests and counter/read, with durability off, nothing
+// here allocates.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -50,11 +50,9 @@ type scratch struct {
 	items []WireItem // what a delete-min-up-to removed
 	wal   []wal.Item // the journal record's copy of the applied items
 	rec   wal.Record
-	// lease is the session lease the running op acquired. Ops set it right
-	// after acquisition and never release it themselves, so exactly one
-	// place — tenantOp's envelope — releases it, on every exit, and lease.mu
-	// can never be left held by a faulting op.
-	lease *lease
+	// pair is the handle pair the running op borrowed. tenantOp's envelope
+	// borrows it and gives it back on every exit; ops only use it.
+	pair *pair
 }
 
 // keepItems is the element capacity a scratch keeps between requests; a
@@ -113,14 +111,6 @@ func errorReply(dst []byte, status int, msg string) ([]byte, reply) {
 	return appendError(dst, msg), reply{status: status}
 }
 
-// busyReply answers a request whose session lease could not be locked within
-// the request deadline: 503 with a Retry-After hint. The token's current
-// holder is stalled or long-running; the lease itself stays live.
-func busyReply(dst []byte, t *tenant) ([]byte, reply) {
-	t.rejectedBusy.Add(1)
-	return appendError(dst, "session busy"), reply{status: http.StatusServiceUnavailable, retryAfter: 1}
-}
-
 // handle routes one request and appends its answer's body to dst. The path
 // grammar: /healthz, /readyz, /metrics, and /v1/{tenant}/{op} where op is one
 // of enqueue-batch, delete-min-up-to, counter/add-batch, counter/read,
@@ -169,9 +159,10 @@ func validTenantName(name []byte) bool {
 
 // tenantOp runs one /v1/{tenant}/{op} request through the degradation ladder
 // (DESIGN.md §10): static in-flight backpressure, then adaptive load
-// shedding, then the op itself under an envelope that releases the session
-// lease on every exit — publishing what the op left in its handles, or
-// retiring the lease if they fault — and turns an injected panic into a 500.
+// shedding, then the op itself under an envelope that gives the borrowed
+// handle pair back on every exit — publishing what the op left in its
+// handles, or dropping the pair if they fault — and turns an injected panic
+// into a 500.
 func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byte, rp reply) {
 	slash := bytes.IndexByte(rest, '/')
 	if slash < 0 || !validTenantName(rest[:slash]) {
@@ -186,22 +177,23 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 		return appendError(dst, "tenant in-flight budget exceeded"), reply{status: http.StatusTooManyRequests, retryAfter: 1}
 	}
 	defer t.release()
-	var mutating bool
+	var mutating, paired bool
 	switch string(op) {
 	case "enqueue-batch", "delete-min-up-to", "counter/add-batch":
 		mutating = true
-		fallthrough
-	case "session/close":
 		if s.log() != nil {
 			// The tenant's ops gate (read side). The snapshotter takes the
 			// write side, so a capture sees no journaled operation in
 			// flight. Registered before the envelope: defers run LIFO, so
-			// the gate is still held while the envelope releases the lease
-			// — the release publishes elements, which must not interleave
+			// the gate is still held while the envelope gives the pair back
+			// — the give-back publishes elements, which must not interleave
 			// with a capture either.
 			t.ops.RLock()
 			defer t.ops.RUnlock()
 		}
+		fallthrough
+	case "counter/read":
+		paired = true
 	}
 	if mutating {
 		if retryAfter, shed := t.shed(); shed {
@@ -210,35 +202,35 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 	}
 	defer func() {
 		rec := recover()
-		// One clock read serves the lease's idle stamp, the shed EWMA's
-		// sample and the shed level's dwell check.
-		var now time.Time
-		if sc.lease != nil || mutating {
-			now = time.Now()
-		}
-		if l := sc.lease; l != nil {
-			sc.lease = nil
-			l.release(now)
+		site, injected := fail.IsInjectedPanic(rec)
+		if p := sc.pair; p != nil {
+			sc.pair = nil
+			t.giveBack(p, rec == nil || injected)
 		}
 		if mutating {
+			// One clock read serves the shed EWMA's sample and the shed
+			// level's dwell check.
+			now := time.Now()
 			t.observeLatency(now.Sub(rq.arrival), now)
 		}
 		if rec != nil {
-			site, injected := fail.IsInjectedPanic(rec)
 			if !injected {
-				// A genuine bug: the lease is flushed and released, but the
+				// A genuine bug: the pair is flushed and dropped, but the
 				// panic is re-raised so it is reported, not absorbed. The
 				// transport decides how much dies with it: one connection.
 				panic(rec)
 			}
 			t.panicsRecovered.Add(1)
-			out, rp = errorReply(dst, http.StatusInternalServerError, "handler fault at "+site+"; session repaired")
+			out, rp = errorReply(dst, http.StatusInternalServerError, "handler fault at "+site)
 		}
 	}()
 	if fail.Enabled {
 		if err := fail.Inject(fail.SiteDlzdHandlerPre); err != nil {
 			return errorReply(dst, http.StatusInternalServerError, "injected fault before handler")
 		}
+	}
+	if paired {
+		sc.pair = t.borrow()
 	}
 	switch string(op) {
 	case "enqueue-batch":
@@ -248,9 +240,9 @@ func (s *Server) tenantOp(sc *scratch, rq *request, rest, dst []byte) (out []byt
 	case "counter/add-batch":
 		return s.mutate(sc, t, rq, hotCounterAddBatch, dst)
 	case "counter/read":
-		return s.opCounterRead(sc, t, rq, dst)
+		return opCounterRead(sc, rq, dst)
 	case "session/close":
-		return s.opSessionClose(t, rq, dst)
+		return opSessionClose(rq, dst)
 	case "stats":
 		return s.opStats(t, rq, dst)
 	}
@@ -274,21 +266,6 @@ func (s *Server) decodeHot(sc *scratch, op hotOp, rq *request) (status int, msg 
 	if err := s.decode(&sc.rq, op, rq.body); err != nil {
 		return http.StatusBadRequest, "bad request body: " + err.Error()
 	}
-	if len(sc.rq.session) == 0 {
-		return http.StatusBadRequest, "session token required"
-	}
-	return 0, ""
-}
-
-// decodeControl is decodeHot for the control-plane bodies, which stay on the
-// strict decoder.
-func decodeControl(rq *request, v any) (status int, msg string) {
-	if string(rq.method) != http.MethodPost {
-		return http.StatusMethodNotAllowed, "POST required"
-	}
-	if err := strictJSON(rq.body, v); err != nil {
-		return http.StatusBadRequest, "bad request body: " + err.Error()
-	}
 	return 0, ""
 }
 
@@ -308,14 +285,15 @@ var mutations = [...]mutation{
 }
 
 // mutate runs an enqueue-batch, delete-min-up-to or counter/add-batch
-// request: decode, lease, apply the units, journal, answer.
+// request on the pair the envelope borrowed: decode, apply the units,
+// journal, answer.
 //
 // The applied count (and a counter add's weight) commits by defer, so it is
 // exact on every exit — a clean 200, an injected mid-batch abort, a deadline
 // overrun, or a panic unwinding to the recovery envelope. Conservation
 // audits rely on it: the ledger counts exactly the units that entered or
-// left the leased handle, so drained elements are counted even when a later
-// fault turns the answer into a 500 (at-most-once delivery), and
+// left the borrowed handle, so drained elements are counted even when a
+// later fault turns the answer into a 500 (at-most-once delivery), and
 // CounterDeltaSum equals the counter's exact value at quiescence. The
 // journal record mirrors the same discipline: appended explicitly before the
 // 200 on the ack path, and by defer on every other exit, so the journal
@@ -337,11 +315,7 @@ func (s *Server) mutate(sc *scratch, t *tenant, rq *request, op hotOp, dst []byt
 	if n < 1 || n > MaxWireBatch {
 		return errorReply(dst, http.StatusBadRequest, fmt.Sprintf("%s [1, %d]", m.bound, MaxWireBatch))
 	}
-	l, ok := t.lease(s.deadline(rq), sc.rq.session)
-	if !ok {
-		return busyReply(dst, t)
-	}
-	sc.lease = l
+	p := sc.pair
 	sc.items = sc.items[:0]
 	if op == hotDeleteMinUpTo && sc.items == nil {
 		sc.items = make([]WireItem, 0, 8) // never nil: an empty drain answers "items":[]
@@ -353,7 +327,7 @@ func (s *Server) mutate(sc *scratch, t *tenant, rq *request, op hotOp, dst []byt
 			return nil
 		}
 		logged = true
-		sc.rec = wal.Record{Type: m.rec, Tenant: t.name, Session: l.token}
+		sc.rec = wal.Record{Type: m.rec, Tenant: t.name}
 		switch op {
 		case hotEnqueueBatch:
 			sc.rec.Items = sc.walItems(sc.rq.items[:applied])
@@ -401,14 +375,14 @@ apply:
 		case hotEnqueueBatch:
 			// Count before the call: EnqueuePriority's only fault point (the
 			// core flush failpoint) fires with the element already in the
-			// handle buffer, where the release flush will publish it —
+			// handle buffer, where the give-back flush will publish it —
 			// counting after would leak exactly the elements that ride a
 			// faulted auto-publish.
 			it := sc.rq.items[applied]
 			applied++
-			l.mqh.EnqueuePriority(it.Priority, it.Value)
+			p.mqh.EnqueuePriority(it.Priority, it.Value)
 		case hotDeleteMinUpTo:
-			it, ok := l.mqh.Dequeue()
+			it, ok := p.mqh.Dequeue()
 			if !ok {
 				break apply
 			}
@@ -416,7 +390,7 @@ apply:
 			applied++
 		case hotCounterAddBatch:
 			d := sc.rq.deltas[applied]
-			l.ch.Add(d)
+			p.ch.Add(d)
 			applied++
 			weight += d
 		}
@@ -443,55 +417,36 @@ apply:
 	return dst, reply{status: http.StatusOK}
 }
 
-func (s *Server) opCounterRead(sc *scratch, t *tenant, rq *request, dst []byte) ([]byte, reply) {
+// opCounterRead answers GET /v1/{tenant}/counter/read through the borrowed
+// pair's counter handle. A query string, the session token it once carried
+// included, is ignored.
+func opCounterRead(sc *scratch, rq *request, dst []byte) ([]byte, reply) {
 	if string(rq.method) != http.MethodGet {
 		return errorReply(dst, http.StatusMethodNotAllowed, "GET required")
 	}
-	// As (*url.URL).Query reads it: a malformed pair is dropped, not refused.
-	query, _ := url.ParseQuery(string(rq.query))
-	session := query.Get("session")
-	if session == "" {
-		return errorReply(dst, http.StatusBadRequest, "session query parameter required")
-	}
-	l, ok := t.lease(s.deadline(rq), []byte(session))
-	if !ok {
-		return busyReply(dst, t)
-	}
-	sc.lease = l
-	return appendCounterReadResponse(dst, CounterReadResponse{Value: l.ch.Read()}), reply{status: http.StatusOK}
+	return appendCounterReadResponse(dst, CounterReadResponse{Value: sc.pair.ch.Read()}), reply{status: http.StatusOK}
 }
 
-func (s *Server) opSessionClose(t *tenant, rq *request, dst []byte) ([]byte, reply) {
-	var req SessionCloseRequest
-	if status, msg := decodeControl(rq, &req); status != 0 {
-		return errorReply(dst, status, msg)
+// opSessionClose answers POST /v1/{tenant}/session/close. A session holds
+// nothing in the daemon, so there is never anything to close and the body
+// is not read; the route stays for the clients that still send it.
+func opSessionClose(rq *request, dst []byte) ([]byte, reply) {
+	if string(rq.method) != http.MethodPost {
+		return errorReply(dst, http.StatusMethodNotAllowed, "POST required")
 	}
-	if req.Session == "" {
-		return errorReply(dst, http.StatusBadRequest, "session token required")
-	}
-	closed := t.closeSession(req.Session)
-	if closed {
-		// The close retired the lease's handles. Every request already
-		// published its work before it answered, so the record carries no
-		// payload and replay folds it into nothing; it stays in the journal
-		// format for as long as sessions do.
-		if err := s.journal(&wal.Record{Type: wal.RecSessionClose, Tenant: t.name, Session: req.Session}); err != nil {
-			return errorReply(dst, http.StatusInternalServerError, "journal append failed")
-		}
-	}
-	return appendSessionCloseResponse(dst, SessionCloseResponse{Closed: closed}), reply{status: http.StatusOK}
+	return appendSessionCloseResponse(dst, SessionCloseResponse{}), reply{status: http.StatusOK}
 }
 
 func (s *Server) opStats(t *tenant, rq *request, dst []byte) ([]byte, reply) {
 	if string(rq.method) != http.MethodGet {
 		return errorReply(dst, http.StatusMethodNotAllowed, "GET required")
 	}
-	agg := t.liveLeaseStats()
+	agg := t.poolStats()
 	return appendJSON(dst, StatsResponse{
 		Tenant:                t.name,
 		QueueLen:              t.mq.Len(),
 		CounterExact:          t.mc.Exact(),
-		Leases:                agg.leases,
+		Leases:                agg.pairs,
 		BufferedEnqueues:      agg.bufferedEnqueues,
 		PrefetchedDequeues:    agg.prefetchedDequeues,
 		BufferedCounterOps:    agg.bufferedCounterOps,

@@ -27,9 +27,9 @@ func TestServeHTTPRoundTrip(t *testing.T) {
 	}{
 		{"POST", "/v1/t/enqueue-batch", `{"session":"s","items":[{"priority":2,"value":20},{"priority":1,"value":10}]}`, 200, "{\"enqueued\":2}\n"},
 		{"POST", "/v1/t/counter/add-batch", `{"session":"s","deltas":[5,6]}`, 200, "{\"added\":2}\n"},
-		{"POST", "/v1/t/session/close", `{"session":"s"}`, 200, "{\"closed\":true}\n"},
+		{"POST", "/v1/t/session/close", `{"session":"s"}`, 200, "{\"closed\":false}\n"},
 		{"POST", "/v1/t/delete-min-up-to", `{"session":"r","max":1}`, 200, "{\"items\":[{\"priority\":1,\"value\":10}]}\n"},
-		{"GET", "/v1/t/counter/read", "", 400, "{\"error\":\"session query parameter required\"}\n"},
+		{"GET", "/v1/t/session/close", "", 405, "{\"error\":\"POST required\"}\n"},
 		{"POST", "/v1/t/delete-min-up-to", `{"session":"r","max":0}`, 400, "{\"error\":\"max must be in [1, 4096]\"}\n"},
 		{"GET", "/healthz", "", 200, "{\"ok\":true}\n"},
 		{"GET", "/nope", "", 404, "{\"error\":\"unknown path\"}\n"},
@@ -42,13 +42,13 @@ func TestServeHTTPRoundTrip(t *testing.T) {
 			t.Errorf("%s %s Content-Type = %q", tc.method, tc.target, ct)
 		}
 	}
-	// A relaxed read's value is not pinned; that the escaped token reached a lease is.
+	// A relaxed read's value is not pinned; that a query is ignored is.
 	if w := serveHTTP(s, "GET", "/v1/t/counter/read?session=a%20b", ""); w.Code != 200 || !strings.HasPrefix(w.Body.String(), `{"value":`) {
 		t.Errorf("counter/read = %d %q", w.Code, w.Body.String())
 	}
 	tn, _ := s.tenant([]byte("t"))
-	if _, ok := tn.leases["a b"]; !ok {
-		t.Error("counter/read with an escaped session did not lease token \"a b\"")
+	if n := tn.poolStats().pairs; n != 1 {
+		t.Errorf("one request at a time left %d handle pairs, want 1", n)
 	}
 	if w := serveHTTP(s, "GET", "/metrics", ""); w.Code != 200 || !strings.HasPrefix(w.Header().Get("Content-Type"), "text/plain") ||
 		!strings.Contains(w.Body.String(), "dlzd_requests_total 10\n") { // the scrape counts itself
@@ -77,9 +77,10 @@ func TestServeHTTPRetryAfterAndBodyCap(t *testing.T) {
 }
 
 // TestHotRequestsZeroAlloc is the codec and scratch work's gate: a warm
-// enqueue-batch / delete-min-up-to / counter/add-batch through the pipeline
-// allocates nothing with durability off — not the decode, not the lease
-// lookup, not the envelope's closures, not the answer.
+// enqueue-batch / delete-min-up-to / counter/add-batch / counter/read through
+// the pipeline allocates nothing with durability off — not the decode, not
+// the pair's borrow and give-back, not the envelope's closures, not the
+// answer.
 func TestHotRequestsZeroAlloc(t *testing.T) {
 	s := New(Config{Queues: 8, Batch: 8, Stickiness: 16, MaxInFlight: 256})
 	requests := []request{
@@ -88,6 +89,7 @@ func TestHotRequestsZeroAlloc(t *testing.T) {
 				`{"priority":15,"value":5},{"priority":16,"value":6},{"priority":17,"value":7},{"priority":18,"value":8}]}`)},
 		{method: []byte("POST"), path: []byte("/v1/tenant0/delete-min-up-to"), body: []byte(`{"session":"c0","max":8}`)},
 		{method: []byte("POST"), path: []byte("/v1/tenant0/counter/add-batch"), body: []byte(`{"session":"c0","deltas":[1,2,3,4,5,6,7,8]}`)},
+		{method: []byte("GET"), path: []byte("/v1/tenant0/counter/read"), query: []byte("session=c0")},
 	}
 	var sc scratch
 	dst := make([]byte, 0, 1024)
@@ -100,11 +102,11 @@ func TestHotRequestsZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	for i := 0; i < 64; i++ { // warm: tenant, lease, scratch and handle buffers at their working size
+	for i := 0; i < 64; i++ { // warm: tenant, pool, scratch and handle buffers at their working size
 		round()
 	}
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-		t.Errorf("a warm round of the three hot requests allocates %v times, want 0", allocs)
+		t.Errorf("a warm round of the four hot requests allocates %v times, want 0", allocs)
 	}
 	if got := s.decodeFallbacks.Load(); got != 0 {
 		t.Errorf("%d hot bodies fell back to encoding/json", got)

@@ -9,16 +9,18 @@ import (
 	"repro/internal/fail"
 )
 
-// tenant is one namespace: a MultiQueue plus a MultiCounter, the session
-// leases bound to them, and the tenant-scoped accounting /metrics exports.
+// tenant is one namespace: a MultiQueue plus a MultiCounter, the pool of
+// handle pairs its requests borrow, and the tenant-scoped accounting /metrics
+// exports.
 type tenant struct {
 	name string
 	srv  *Server
 	mq   *dlz.MultiQueue
 	mc   *dlz.MultiCounter
 
-	mu     sync.Mutex // guards leases
-	leases map[string]*lease
+	mu    sync.Mutex // guards idle and pairs
+	idle  []*pair    // flushed pairs, the most recently returned last
+	pairs int        // pairs the tenant owns: idle plus borrowed
 
 	// ops is the durability gate (DESIGN.md §12): journaled handlers hold
 	// it shared for their whole request, the snapshotter takes it exclusive,
@@ -31,9 +33,7 @@ type tenant struct {
 	inflight atomic.Int64
 
 	// Monotonic tenant counters for /metrics.
-	retiredRerolls   atomic.Uint64 // sampler rerolls harvested from closed leases
-	leasesOpened     atomic.Uint64
-	leasesExpired    atomic.Uint64
+	rerolls          atomic.Uint64 // sampler rerolls harvested from returned pairs
 	rejectedInflight atomic.Uint64
 	opsEnqueued      atomic.Uint64
 	opsDequeued      atomic.Uint64
@@ -43,11 +43,10 @@ type tenant struct {
 	// quiescence.
 	counterDeltaSum atomic.Uint64
 	// Degradation-ladder counters (DESIGN.md §10).
-	rejectedBusy    atomic.Uint64 // 503: session lease not lockable in time
 	rejectedShed    atomic.Uint64 // 429: adaptive load shedding
 	deadlineAborts  atomic.Uint64 // request deadlines hit inside handlers
 	panicsRecovered atomic.Uint64 // handler panics absorbed by the envelope
-	repairFailures  atomic.Uint64 // lease retirements that exhausted the ladder
+	repairFailures  atomic.Uint64 // returned pairs whose flush exhausted the ladder
 
 	// Adaptive shed state: an EWMA of mutating-request latency (microseconds)
 	// drives a level in 0..3; at level L, L out of every 4 mutating requests
@@ -59,23 +58,15 @@ type tenant struct {
 	shedSeq   atomic.Uint64
 }
 
-// lease binds one session token to a handle pair (queue + counter). The
-// lease's mutex serializes requests carrying the same token, honoring the
-// handles' one-goroutine-at-a-time contract while letting the sticky sampler
-// state survive across requests. Only that state does: release empties the
-// handles' buffers before every answer.
-type lease struct {
-	t     *tenant
-	token string
-
-	mu     sync.Mutex
-	mqh    *dlz.MQHandle
-	ch     *dlz.Handle
-	closed bool
-
-	// lastUsed is the unix-nano stamp of the last completed request, read
-	// by the idle-expiry sweep without taking the lease lock.
-	lastUsed atomic.Int64
+// pair is one handle pair (queue + counter), the paper's per-thread handle:
+// one request at a time borrows it, which honors the handles'
+// one-goroutine-at-a-time contract. Its sticky sampler state survives from
+// one borrower to the next; its buffers do not, because giveBack empties
+// them before the pair goes back to the pool.
+type pair struct {
+	mqh     *dlz.MQHandle
+	ch      *dlz.Handle
+	rerolls uint64 // mqh.Rerolls() at the last give-back
 }
 
 func newTenant(name string, srv *Server) *tenant {
@@ -96,210 +87,78 @@ func newTenant(name string, srv *Server) *tenant {
 			Stickiness: cfg.Stickiness,
 			Batch:      cfg.Batch,
 		}),
-		leases: map[string]*lease{},
 	}
 }
 
-// lease returns the live lease for token, creating one on first use. The
-// returned lease is locked; tenantOp's envelope releases it with
-// l.release on every exit. A lease that lost a race
-// with the expiry sweep is closed by the time its lock is acquired; the
-// lookup retries so the caller always gets a live one.
-//
-// The lock wait is bounded by the request deadline: when the token's
-// current holder does not release in time — stalled, descheduled, or serving
-// a long drain — ok is false and the caller answers 503 busy instead of
-// joining an unbounded convoy on one session token.
-func (t *tenant) lease(deadline time.Time, token []byte) (*lease, bool) {
-	for {
-		t.mu.Lock()
-		l, ok := t.leases[string(token)]
-		if !ok {
-			l = &lease{
-				t:     t,
-				token: string(token),
-				mqh:   t.mq.NewHandle(t.srv.nextSeed()),
-				ch:    t.mc.NewHandle(t.srv.nextSeed()),
-			}
-			l.lastUsed.Store(time.Now().UnixNano())
-			t.leases[l.token] = l
-			t.leasesOpened.Add(1)
-		}
+// borrow takes the most recently returned pair, or mints one when every pair
+// the tenant owns is out, so the pool never holds more pairs than requests
+// ever ran in the tenant at once. tenantOp's envelope gives it back with
+// giveBack on every exit.
+func (t *tenant) borrow() *pair {
+	t.mu.Lock()
+	if n := len(t.idle); n > 0 {
+		p := t.idle[n-1]
+		t.idle[n-1] = nil
+		t.idle = t.idle[:n-1]
 		t.mu.Unlock()
-		if !l.lockUntil(deadline) {
-			return nil, false
-		}
-		if !l.closed {
-			return l, true
-		}
-		l.mu.Unlock()
+		return p
 	}
+	t.pairs++
+	t.mu.Unlock()
+	return &pair{mqh: t.mq.NewHandle(t.srv.nextSeed()), ch: t.mc.NewHandle(t.srv.nextSeed())}
 }
 
-// lockUntil acquires the lease lock, giving up at deadline. An uncontended
-// lock is one TryLock: the clock is read only while the lock is held by
-// another request.
-func (l *lease) lockUntil(deadline time.Time) bool {
-	for !l.mu.TryLock() {
-		left := time.Until(deadline)
-		if left <= 0 {
-			return false
-		}
-		time.Sleep(min(left, 200*time.Microsecond))
-	}
-	return true
-}
-
-// closeLocked flushes and retires the lease's handles; callers must hold
-// l.mu and have already delinked the lease from the tenant map. The handle
-// Close contract does the heavy lifting: buffered inserts and increments are
-// published and unconsumed prefetched elements are returned to the shared
-// queue, so an abandoned session loses nothing.
-//
-// Retirement runs as a ladder of retireAttempts tries, each absorbing an
-// injected fault and retrying: the core Flush failpoint fires before any
-// element publishes and handle Close is a no-op once complete, so a retry
-// after an injected panic resumes with all buffered state intact and any
-// Count-bounded fault schedule converges well inside the ladder. Reports
-// whether the handles retired cleanly; on exhaustion the lease is still
-// marked closed (so lookups stop handing it out) and the failure is counted
-// in repairFailures.
-func (l *lease) closeLocked() bool {
-	if l.closed {
-		return true
-	}
-	l.t.retiredRerolls.Add(l.mqh.Rerolls())
-	ok := false
-	for i := 0; i < retireAttempts; i++ {
-		if l.tryRetire() {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		l.t.repairFailures.Add(1)
-	}
-	l.closed = true
-	return ok
-}
-
-// retireAttempts bounds the lease retirement ladder. Chaos schedules arm
-// their close-path fault policies with Count well below this, so the ladder
+// retireAttempts bounds the give-back flush ladder. Chaos schedules arm
+// their flush-path fault policies with Count well below this, so the ladder
 // converges deterministically; a genuine panic is re-raised on first touch.
 const retireAttempts = 8
 
-// tryRetire makes one retirement attempt: pass the dlzd/lease/close
-// failpoint, then close the two handles. Injected errors report a failed
-// attempt; injected panics are absorbed into the same outcome; genuine
-// panics propagate.
-func (l *lease) tryRetire() (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, injected := fail.IsInjectedPanic(rec); !injected {
-				panic(rec)
-			}
-			ok = false
+// giveBack ends a request's hold on p, before the answer is written: it
+// publishes what the request left in the handles — buffered inserts and
+// increments, the unconsumed prefetch — so no session waits on an element
+// another was acknowledged for, and adds the pair's new sampler rerolls to
+// the tenant's. The flush is retried up to retireAttempts times: the core
+// Flush failpoint fires before any element publishes, so a retry resumes
+// with the buffers intact. A pair whose flush never completes (counted in
+// repairFailures), or whose request ended in a genuine panic (keep false),
+// is dropped instead of pooled.
+func (t *tenant) giveBack(p *pair, keep bool) {
+	ok := false
+	defer func() { // deferred so even a genuine flush panic leaves the count right
+		t.mu.Lock()
+		if ok && keep {
+			t.idle = append(t.idle, p)
+		} else {
+			t.pairs--
 		}
+		t.mu.Unlock()
 	}()
-	if fail.Enabled {
-		if err := fail.Inject(fail.SiteDlzdLeaseClose); err != nil {
-			return false
-		}
+	for i := 0; i < retireAttempts && !ok; i++ {
+		ok = p.tryFlush()
 	}
-	l.mqh.Close()
-	l.ch.Close()
-	return true
-}
-
-// tryFlush empties the lease's handles without retiring them — publishes the
-// buffered inserts and increments, returns the unconsumed prefetch —
-// absorbing an injected fault; callers must hold l.mu.
-func (l *lease) tryFlush() (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, injected := fail.IsInjectedPanic(rec); !injected {
-				panic(rec)
-			}
-			ok = false
-		}
-	}()
-	l.mqh.Flush()
-	l.mqh.ReturnPrefetched()
-	l.ch.Flush()
-	return true
-}
-
-// release ends a request's hold on its lease on every exit, before the
-// answer is written: it publishes what the request left in the handles, so
-// no session waits on an element another was acknowledged for, or — if the
-// handles keep faulting — delinks the lease and retires it through the close
-// ladder. Either way the lease is stamped as used at now and l.mu released.
-func (l *lease) release(now time.Time) {
-	defer func() {
-		l.lastUsed.Store(now.UnixNano())
-		l.mu.Unlock()
-	}()
-	if l.closed || l.tryFlush() {
-		return
-	}
-	t := l.t
-	t.mu.Lock()
-	if t.leases[l.token] == l {
-		delete(t.leases, l.token)
-	}
-	t.mu.Unlock()
-	l.closeLocked()
-}
-
-// closeSession closes the lease for token, reporting whether a live lease
-// was found. The explicit-disconnect half of the lease lifecycle.
-func (t *tenant) closeSession(token string) bool {
-	t.mu.Lock()
-	l, ok := t.leases[token]
-	if ok {
-		delete(t.leases, token)
-	}
-	t.mu.Unlock()
 	if !ok {
-		return false
+		t.repairFailures.Add(1)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock() // deferred so even a genuine close-path panic cannot strand l.mu
-	l.closeLocked()
-	return true
+	r := p.mqh.Rerolls()
+	t.rerolls.Add(r - p.rerolls)
+	p.rerolls = r
 }
 
-// expireIdle closes every lease whose last use is before cutoff, returning
-// the number expired. Leases are delinked under the tenant lock first, then
-// closed under their own locks, so a request racing the sweep either
-// finishes before the close or retries its lookup and gets a fresh lease.
-// A lease holds no element between requests, so the sweep publishes nothing
-// and needs no exclusion from a snapshot's capture.
-func (t *tenant) expireIdle(cutoff time.Time) int {
-	var stale []*lease
-	t.mu.Lock()
-	for token, l := range t.leases {
-		if l.lastUsed.Load() < cutoff.UnixNano() {
-			delete(t.leases, token)
-			stale = append(stale, l)
+// tryFlush makes one attempt at emptying the pair's handles, absorbing an
+// injected fault; a genuine panic propagates.
+func (p *pair) tryFlush() (ok bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, injected := fail.IsInjectedPanic(rec); !injected {
+				panic(rec)
+			}
+			ok = false
 		}
-	}
-	t.mu.Unlock()
-	for _, l := range stale {
-		if fail.Enabled {
-			// Between delink and close: a delay here widens the window in
-			// which a request that looked the lease up before the delink
-			// races the retirement (the lookup-retry path under test).
-			_ = fail.Inject(fail.SiteDlzdJanitor)
-		}
-		func() {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			l.closeLocked()
-		}()
-	}
-	t.leasesExpired.Add(uint64(len(stale)))
-	return len(stale)
+	}()
+	p.mqh.Flush()
+	p.mqh.ReturnPrefetched()
+	p.ch.Flush()
+	return true
 }
 
 // acquire admits one request under the tenant's in-flight budget, reporting
@@ -320,14 +179,13 @@ func (t *tenant) acquire() bool {
 
 func (t *tenant) release() { t.inflight.Add(-1) }
 
-// leaseAggregate is what liveLeaseStats sums across a tenant's live leases.
-type leaseAggregate struct {
-	leases                int
+// poolAggregate is what poolStats reads of a tenant's pool.
+type poolAggregate struct {
+	pairs                 int
 	bufferedEnqueues      int
 	prefetchedDequeues    int
 	bufferedCounterOps    int
 	bufferedCounterWeight uint64
-	rerolls               uint64
 }
 
 // shed is the adaptive-admission decision for one mutating request: at shed
@@ -385,28 +243,18 @@ func (t *tenant) observeLatency(d time.Duration, now time.Time) {
 	}
 }
 
-// liveLeaseStats sums the handle-local buffers and sampler rerolls across
-// live leases, briefly taking each lease lock (the same order the request
-// path uses, so no deadlock). Used by /stats and /metrics. A request empties
-// its lease before unlocking it, so the buffer sums are a tripwire: 0.
-func (t *tenant) liveLeaseStats() leaseAggregate {
+// poolStats counts the tenant's pairs and sums the handle-local buffers of
+// its idle ones under the pool lock. Used by /stats and /metrics. A pair is
+// emptied before it is pooled, so the buffer sums are a tripwire: 0.
+func (t *tenant) poolStats() poolAggregate {
 	t.mu.Lock()
-	live := make([]*lease, 0, len(t.leases))
-	for _, l := range t.leases {
-		live = append(live, l)
-	}
-	t.mu.Unlock()
-	agg := leaseAggregate{leases: len(live)}
-	for _, l := range live {
-		l.mu.Lock()
-		if !l.closed {
-			agg.bufferedEnqueues += l.mqh.Buffered()
-			agg.prefetchedDequeues += l.mqh.Prefetched()
-			agg.bufferedCounterOps += l.ch.Buffered()
-			agg.bufferedCounterWeight += l.ch.BufferedWeight()
-			agg.rerolls += l.mqh.Rerolls()
-		}
-		l.mu.Unlock()
+	defer t.mu.Unlock()
+	agg := poolAggregate{pairs: t.pairs}
+	for _, p := range t.idle {
+		agg.bufferedEnqueues += p.mqh.Buffered()
+		agg.prefetchedDequeues += p.mqh.Prefetched()
+		agg.bufferedCounterOps += p.ch.Buffered()
+		agg.bufferedCounterWeight += p.ch.BufferedWeight()
 	}
 	return agg
 }

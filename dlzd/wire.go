@@ -13,15 +13,14 @@ type WireItem struct {
 }
 
 // EnqueueBatchRequest is the body of POST /v1/{tenant}/enqueue-batch: insert
-// Items into the tenant's MultiQueue through the session's leased handle.
-// Elements ride the handle's buffered insert path in AddBatch lumps, and the
-// last lump publishes before the 200: every acknowledged element is visible
-// to every session.
+// Items into the tenant's MultiQueue through a handle borrowed from the
+// tenant's pool. Elements ride the handle's buffered insert path in AddBatch
+// lumps, and the last lump publishes before the 200: every acknowledged
+// element is visible to every client.
 type EnqueueBatchRequest struct {
-	// Session is the caller's session token; the daemon leases one handle
-	// pair per token, so the sticky sampler state survives across requests
-	// carrying the same token.
-	Session string `json:"session"`
+	// Session is an optional client token the daemon accepts and ignores.
+	// The same holds for the other two hot bodies' Session fields.
+	Session string `json:"session,omitempty"`
 	// Items are enqueued in order with their explicit priorities (the
 	// relaxed priority-queue mode; clients wanting FIFO semantics pass
 	// their own monotone stamps).
@@ -35,10 +34,10 @@ type EnqueueBatchResponse struct {
 }
 
 // DeleteMinRequest is the body of POST /v1/{tenant}/delete-min-up-to:
-// remove up to Max relaxed minima through the session's leased handle (the
-// cpq.Queue TryDeleteMinUpTo path end-to-end; a refused shard is redrawn).
+// remove up to Max relaxed minima through a borrowed handle (the cpq.Queue
+// TryDeleteMinUpTo path end-to-end; a refused shard is redrawn).
 type DeleteMinRequest struct {
-	Session string `json:"session"`
+	Session string `json:"session,omitempty"`
 	// Max bounds the number of returned items; fewer are returned only when
 	// the structure ran empty. Must be in [1, MaxWireBatch].
 	Max int `json:"max"`
@@ -58,10 +57,10 @@ type DeleteMinResponse struct {
 
 // CounterAddRequest is the body of POST /v1/{tenant}/counter/add-batch:
 // apply the weighted increments Deltas to the tenant's MultiCounter through
-// the session's leased handle (buffered, published in batch lumps, the last
-// one before the 200).
+// a borrowed handle (buffered, published in batch lumps, the last one before
+// the 200).
 type CounterAddRequest struct {
-	Session string   `json:"session"`
+	Session string   `json:"session,omitempty"`
 	Deltas  []uint64 `json:"deltas"`
 }
 
@@ -78,26 +77,28 @@ type CounterReadResponse struct {
 	Value uint64 `json:"value"`
 }
 
-// SessionCloseRequest is the body of POST /v1/{tenant}/session/close:
-// retire the session's leased handles. The disconnect half of the lease
-// lifecycle; idle leases are expired by the janitor with the same path.
+// SessionCloseRequest is a body clients may POST to
+// /v1/{tenant}/session/close. The daemon keeps no per-session state, so the
+// body is not read and the answer is always a SessionCloseResponse with
+// Closed false.
 type SessionCloseRequest struct {
 	Session string `json:"session"`
 }
 
-// SessionCloseResponse reports a session close outcome. Closed is false
-// when the token had no live lease (already expired or never used).
+// SessionCloseResponse is the answer to session/close: Closed is always
+// false, since there is no session to close.
 type SessionCloseResponse struct {
 	Closed bool `json:"closed"`
 }
 
 // StatsResponse is the body of GET /v1/{tenant}/stats — the audit surface
 // the soak tests' conservation checks read. Every request publishes its
-// lease's buffers before it answers, so QueueLen and CounterExact count
-// every element and weight not yet delivered, open sessions or not. The four
-// Buffered/Prefetched fields are therefore always 0: they stay on the wire
-// for the benchmark's checker, which still sums them, and read as a
-// tripwire until they go with sessions.
+// pair's buffers before it answers, so QueueLen and CounterExact count every
+// element and weight not yet delivered. Leases counts the handle pairs the
+// tenant's pool owns, idle or borrowed. The four Buffered/Prefetched fields
+// sum the idle pairs' buffers and are therefore always 0: they stay on the
+// wire for the benchmark's checker, which still sums them, and read as a
+// tripwire.
 // The applied-operation ledger (OpsEnqueued, OpsDequeued, CounterDeltaSum)
 // is defer-committed inside the handlers, so it stays exact through injected
 // faults; with no request in flight conservation demands QueueLen ==
@@ -118,8 +119,8 @@ type StatsResponse struct {
 	// ShedLevel is the tenant's current adaptive shed level (0..3).
 	ShedLevel int `json:"shed_level"`
 	// PanicsRecovered counts handler panics absorbed by the recovery
-	// envelope; RepairFailures counts lease retirements that exhausted the
-	// repair ladder (0 under any Count-bounded fault schedule).
+	// envelope; RepairFailures counts returned handle pairs whose flush
+	// exhausted the repair ladder (0 under any Count-bounded fault schedule).
 	PanicsRecovered uint64 `json:"panics_recovered"`
 	RepairFailures  uint64 `json:"repair_failures"`
 }

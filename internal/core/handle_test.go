@@ -157,9 +157,9 @@ func TestHandleMatchesReference(t *testing.T) {
 
 // TestHandlesOwnTheirCacheLines pins both handle types to a whole number of
 // cache lines and checks what that buys: handles minted back to back on one
-// goroutine, the way a dlzd lease mints its pair, never share a line — nor
-// does any of their samplers' candidate arrays, with a handle or with each
-// other.
+// goroutine, the way a dlzd tenant mints a handle pair, never share a line —
+// nor does any of their samplers' candidate arrays, with a handle or with
+// each other.
 func TestHandlesOwnTheirCacheLines(t *testing.T) {
 	if s := unsafe.Sizeof(Handle{}); s%pad.CacheLine != 0 {
 		t.Errorf("Handle is %d bytes, not a multiple of %d", s, pad.CacheLine)

@@ -176,7 +176,7 @@ type Handle struct {
 	closed bool
 
 	// Pads the handle to two whole cache lines, so that handles minted back
-	// to back (a dlzd lease's pair, consecutive leases) never share the line
+	// to back (a dlzd handle pair, consecutive pairs) never share the line
 	// room and bufWeight are written on by every update.
 	_ [2*pad.CacheLine - 144]byte
 }
@@ -289,10 +289,9 @@ func (h *Handle) Closed() bool { return h.closed }
 // Close retires the handle: buffered increments are flushed with one final
 // d-choice publish and the handle is invalidated. After Close, Buffered and
 // BufferedWeight are zero and any further Increment/Add panics; closing an
-// already-closed handle is a no-op. Owners that cannot guarantee a final
-// Flush (connection handlers, pools, lease managers like dlzd) must Close
-// handles they abandon, or the counter silently loses the buffered weight —
-// the abandoned-handle bug this contract fixes.
+// already-closed handle is a no-op. Owners that abandon a handle without a
+// final Flush must Close it, or the counter silently loses the buffered
+// weight — the abandoned-handle bug this contract fixes.
 func (h *Handle) Close() {
 	if h.closed {
 		return

@@ -170,7 +170,8 @@ func (q *MultiQueue) Sizes(dst []int) {
 // lock and moves nothing, so the placement the next dequeues see is the one
 // before the capture. The capture is only a consistent cut if the caller has
 // quiesced concurrent mutators (dlzd's snapshotter holds every tenant's
-// operation gate and flushes every lease first).
+// operation gate, and every request empties its handles before it lets go
+// of the gate).
 func (q *MultiQueue) SnapshotElements(dst []heap.Item) []heap.Item {
 	for i := range q.qs {
 		dst = q.qs[i].AppendTo(dst)
@@ -260,9 +261,8 @@ func (h *MQHandle) Closed() bool { return h.closed }
 // with the handle — the abandoned-handle bug this contract fixes), and the
 // handle is invalidated. After Close, Buffered and Prefetched are zero and
 // any further operation panics; closing an already-closed handle is a no-op.
-// Owners that cannot guarantee a final Flush (connection handlers, pools,
-// lease managers like dlzd) must Close handles they abandon, or the
-// structure silently loses the buffered elements.
+// Owners that abandon a handle without a final Flush and ReturnPrefetched
+// must Close it, or the structure silently loses the buffered elements.
 func (h *MQHandle) Close() {
 	if h.closed {
 		return
@@ -306,11 +306,11 @@ func (h *MQHandle) Flush() {
 }
 
 // ReturnPrefetched hands the handle's unconsumed prefetched elements back
-// to the shared structure without retiring the handle — the quiesce step a
-// durability snapshot runs on every live lease so the capture sees those
-// elements (they were physically removed by a DeleteMinUpTo refill but are
-// logically still queued). The handle stays open; its next Dequeue simply
-// refills. Pair with Flush for a full quiesce of both buffers. The elements
+// to the shared structure without retiring the handle — the step that lets
+// an owner keep a handle between uses without holding elements (they were
+// physically removed by a DeleteMinUpTo refill but are logically still
+// queued); dlzd runs it on every handle pair it gives back to its pool. The
+// handle stays open; its next Dequeue simply refills. Pair with Flush for a full quiesce of both buffers. The elements
 // go back through the same uniform sticky insert rule as an enqueue batch.
 func (h *MQHandle) ReturnPrefetched() {
 	h.checkOpen()

@@ -152,6 +152,6 @@ func (s *Sampler) Reroll() {
 
 // Rerolls returns the number of Reroll requests since creation — the
 // empty/contended-outcome pressure signal the daemon's /metrics surfaces.
-// Handle-local plain state: read it from the owning goroutine (or with the
-// enclosing lease held), like every other Sampler method.
+// Handle-local plain state: read it from the goroutine that holds the
+// handle, like every other Sampler method.
 func (s *Sampler) Rerolls() uint64 { return s.rerolls }

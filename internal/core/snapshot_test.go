@@ -52,9 +52,9 @@ func TestSnapshotElementsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReturnPrefetched pins the lease-quiesce step: prefetched elements go
-// back to the shared structure, the handle stays usable, and nothing is
-// lost or duplicated.
+// TestReturnPrefetched pins the step dlzd's give-back runs on a handle
+// pair: prefetched elements go back to the shared structure, the handle
+// stays usable, and nothing is lost or duplicated.
 func TestReturnPrefetched(t *testing.T) {
 	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 2}, Batch: 8, Seed: 5})
 	h := q.NewHandle(1)

@@ -51,11 +51,6 @@
 //	dlzd/enqueue/item  between items of an enqueue-batch apply loop (panic
 //	                   here is the mid-batch handler fault; an error aborts
 //	                   the batch cleanly with the partial count committed)
-//	dlzd/janitor/expire  in the expiry sweep between delinking a stale
-//	                   lease and closing it (delay widens the expiry race)
-//	dlzd/lease/close   inside the lease retirement ladder, before the
-//	                   handles close (each ladder attempt passes it again,
-//	                   so Count-bounded panic policies converge)
 //	wal/append         head of wal.Log.Append, before any bytes reach the
 //	                   segment (an error refuses the append with the journal
 //	                   intact — the acked request then fails without a
@@ -90,8 +85,6 @@ const (
 	SiteDlzdHandlerPre  = "dlzd/handler/pre"
 	SiteDlzdHandlerPost = "dlzd/handler/post"
 	SiteDlzdEnqueueItem = "dlzd/enqueue/item"
-	SiteDlzdJanitor     = "dlzd/janitor/expire"
-	SiteDlzdLeaseClose  = "dlzd/lease/close"
 	SiteWALAppend       = "wal/append"
 	SiteWALFsync        = "wal/fsync"
 )
@@ -130,8 +123,8 @@ type Policy struct {
 	// After skips the first After hits observed while armed.
 	After uint64
 	// Count caps the total fires; 0 means unlimited. A Count-bounded panic
-	// policy is what makes retry ladders (lease repair) converge
-	// deterministically.
+	// policy is what makes retry ladders (a handle pair's give-back flush)
+	// converge deterministically.
 	Count uint64
 	// Delay is the sleep for KindDelay.
 	Delay time.Duration

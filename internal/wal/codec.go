@@ -65,10 +65,11 @@ const (
 	// RecCounterAdd journals the count and weight a counter/add-batch
 	// request applied.
 	RecCounterAdd RecordType = 3
-	// RecSessionClose journals a session retirement. Replay ignores it
-	// (leases are not recovered) but it keeps the journal a complete
-	// operation history for offline checkers. Kind 4 once journaled a
-	// shard-count change; the decoder now rejects it as unknown.
+	// RecSessionClose journaled a session retirement. dlzd no longer
+	// writes it, since it keeps no sessions; the decoder still reads it and
+	// replay folds it into nothing, so a journal that holds one recovers.
+	// Kind 4 once journaled a shard-count change; the decoder now rejects
+	// it as unknown.
 	RecSessionClose RecordType = 5
 )
 
@@ -80,9 +81,11 @@ const (
 //   - RecCounterAdd: Count = deltas applied, Weight = their sum
 //   - RecSessionClose: identification fields only
 type Record struct {
-	LSN     uint64
-	Type    RecordType
-	Tenant  string
+	LSN    uint64
+	Type   RecordType
+	Tenant string
+	// Session stays in the format; dlzd, which keeps no sessions, writes
+	// it empty.
 	Session string
 	Items   []Item
 	Count   uint64

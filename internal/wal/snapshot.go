@@ -27,7 +27,7 @@ const (
 )
 
 // TenantState is one tenant's logical durable state: everything needed to
-// rebuild its namespace as if every lease had been flushed and closed.
+// rebuild its namespace with every handle's buffers flushed.
 // Items are sorted by (priority, value) so equal logical states encode
 // identically — the determinism tests diff these byte-for-byte.
 type TenantState struct {
@@ -177,8 +177,8 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 // records its cut, resets the bytes-since-snapshot gauge, and truncates
 // segments and snapshots the new snapshot makes dead. The caller guarantees
 // s captures all state through s.CutLSN (dlzd's snapshotter quiesces
-// mutators, each of which published its lease before letting go, and reads
-// Head() before releasing them).
+// mutators, each of which published its handles' buffers before letting go,
+// and reads Head() before releasing them).
 func (l *Log) WriteSnapshot(s *Snapshot) error {
 	buf := encodeSnapshot(make([]byte, frameHeader, frameHeader+snapshotLen(s)), s)
 	payload := buf[frameHeader:]
