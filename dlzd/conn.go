@@ -514,10 +514,10 @@ func parseHeader(b []byte) (p parsed) {
 	return p
 }
 
-// setTarget splits a request target into path and query as net/http does. A
-// plain origin-form target — the only kind the daemon's own paths need — is
-// split in place; anything else (an escape, an absolute URI) goes through
-// net/url.
+// setTarget sets the request's path from its target as net/http does, and
+// drops the query, which no operation reads. A plain origin-form target — the
+// only kind the daemon's own paths need — is cut in place; anything else (an
+// escape, an absolute URI) goes through net/url.
 func (rq *request) setTarget(target []byte) bool {
 	plain := len(target) > 0 && target[0] == '/'
 	for _, ch := range target {
@@ -529,17 +529,14 @@ func (rq *request) setTarget(target []byte) bool {
 		}
 	}
 	if plain {
-		rq.path, rq.query = target, nil
-		if q := bytes.IndexByte(target, '?'); q >= 0 {
-			rq.path, rq.query = target[:q], target[q+1:]
-		}
+		rq.path, _, _ = bytes.Cut(target, []byte{'?'})
 		return true
 	}
 	u, err := url.ParseRequestURI(string(target))
 	if err != nil {
 		return false
 	}
-	rq.path, rq.query = []byte(u.Path), []byte(u.RawQuery)
+	rq.path = []byte(u.Path)
 	return true
 }
 

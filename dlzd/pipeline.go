@@ -28,7 +28,7 @@ const maxBody = 8 << 20
 // request is one wire request as its transport parsed it. The slices are
 // only read, and only until handle returns.
 type request struct {
-	method, path, query, body []byte
+	method, path, body []byte
 	// arrival is when the transport began to read the request. The
 	// deadline is arrival + requestTimeout; the shed EWMA samples the time
 	// from arrival to the answer.
@@ -418,8 +418,8 @@ apply:
 }
 
 // opCounterRead answers GET /v1/{tenant}/counter/read through the borrowed
-// pair's counter handle. A query string, the session token it once carried
-// included, is ignored.
+// pair's counter handle. A transport drops the query string, the session
+// token it once carried included.
 func opCounterRead(sc *scratch, rq *request, dst []byte) ([]byte, reply) {
 	if string(rq.method) != http.MethodGet {
 		return errorReply(dst, http.StatusMethodNotAllowed, "GET required")
@@ -493,18 +493,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m := len(in)
 	in = append(in, r.URL.Path...)
 	p := len(in)
-	in = append(in, r.URL.RawQuery...)
-	q := len(in)
 	in, err := appendBody(in, r)
 	var out []byte
 	var rp reply
 	switch {
-	case len(in)-q > maxBody:
+	case len(in)-p > maxBody:
 		out, rp = errorReply(hs.out[:0], http.StatusRequestEntityTooLarge, "request body too large")
 	case err != nil:
 		out, rp = errorReply(hs.out[:0], http.StatusBadRequest, "bad request body: "+err.Error())
 	default:
-		rq := request{method: in[:m], path: in[m:p], query: in[p:q], body: in[q:], arrival: arrival}
+		rq := request{method: in[:m], path: in[m:p], body: in[p:], arrival: arrival}
 		out, rp = s.handle(&hs.scratch, &rq, hs.out[:0])
 	}
 	h := w.Header()

@@ -89,7 +89,7 @@ func TestHotRequestsZeroAlloc(t *testing.T) {
 				`{"priority":15,"value":5},{"priority":16,"value":6},{"priority":17,"value":7},{"priority":18,"value":8}]}`)},
 		{method: []byte("POST"), path: []byte("/v1/tenant0/delete-min-up-to"), body: []byte(`{"session":"c0","max":8}`)},
 		{method: []byte("POST"), path: []byte("/v1/tenant0/counter/add-batch"), body: []byte(`{"session":"c0","deltas":[1,2,3,4,5,6,7,8]}`)},
-		{method: []byte("GET"), path: []byte("/v1/tenant0/counter/read"), query: []byte("session=c0")},
+		{method: []byte("GET"), path: []byte("/v1/tenant0/counter/read")},
 	}
 	var sc scratch
 	dst := make([]byte, 0, 1024)

@@ -40,9 +40,6 @@ func (p *Uint64) Store(x uint64) { p.v.Store(x) }
 // Add atomically adds delta and returns the new value.
 func (p *Uint64) Add(delta uint64) uint64 { return p.v.Add(delta) }
 
-// Swap atomically installs x and returns the previous value.
-func (p *Uint64) Swap(x uint64) uint64 { return p.v.Swap(x) }
-
 // CompareAndSwap executes the CAS and reports whether it succeeded.
 func (p *Uint64) CompareAndSwap(old, new uint64) bool { return p.v.CompareAndSwap(old, new) }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
-// schedule simulators, the quality audits and the dlin witness: streaming
-// moments, quantiles, histograms, and the gap/deviation trackers that the
-// paper's quality plots report.
+// schedule simulators, the quality audits and the dlin witness: exact
+// quantiles, histograms, and the gap/deviation trackers that the paper's
+// quality plots report.
 //
 // Everything here is single-writer; concurrent experiments aggregate
 // per-worker instances after the measurement window closes rather than
@@ -15,82 +15,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Stream accumulates count, mean and variance using Welford's algorithm,
-// plus min and max. The zero value is an empty stream.
-type Stream struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds x into the stream.
-func (s *Stream) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// Merge folds another stream into s (parallel Welford merge).
-func (s *Stream) Merge(o *Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := s.n + o.n
-	d := o.mean - s.mean
-	mean := s.mean + d*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + d*d*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
-}
-
-// N returns the number of samples.
-func (s *Stream) N() int64 { return s.n }
-
-// Mean returns the sample mean (0 for an empty stream).
-func (s *Stream) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance (0 for fewer than 2 samples).
-func (s *Stream) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Stream) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest sample (0 for an empty stream).
-func (s *Stream) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 for an empty stream).
-func (s *Stream) Max() float64 { return s.max }
-
-// String renders a one-line summary.
-func (s *Stream) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g", s.n, s.Mean(), s.Std(), s.min, s.max)
-}
 
 // Sample collects raw values for exact quantiles. It is meant for bounded
 // sample counts (quality traces, rank errors), not unbounded throughput data.

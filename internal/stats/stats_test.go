@@ -4,114 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func naiveMeanVar(xs []float64) (mean, variance float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	for _, x := range xs {
-		variance += (x - mean) * (x - mean)
-	}
-	variance /= float64(len(xs) - 1)
-	return mean, variance
-}
-
-func almostEq(a, b, tol float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
-}
-
-func TestStreamBasics(t *testing.T) {
-	var s Stream
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		s.Add(x)
-	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	if s.Var() != 2.5 {
-		t.Fatalf("Var = %v", s.Var())
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-	if !strings.Contains(s.String(), "n=5") {
-		t.Fatalf("String() = %q", s.String())
-	}
-}
-
-func TestStreamEmpty(t *testing.T) {
-	var s Stream
-	if s.Mean() != 0 || s.Var() != 0 || s.Std() != 0 || s.N() != 0 {
-		t.Fatal("empty stream should report zeros")
-	}
-}
-
-func TestStreamMatchesNaiveQuick(t *testing.T) {
-	f := func(raw []int16) bool {
-		xs := make([]float64, len(raw))
-		var s Stream
-		for i, v := range raw {
-			xs[i] = float64(v)
-			s.Add(xs[i])
-		}
-		m, v := naiveMeanVar(xs)
-		return almostEq(s.Mean(), m, 1e-9) && almostEq(s.Var(), v, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStreamMergeEquivalentQuick(t *testing.T) {
-	f := func(a, b []int16) bool {
-		var whole, left, right Stream
-		for _, v := range a {
-			whole.Add(float64(v))
-			left.Add(float64(v))
-		}
-		for _, v := range b {
-			whole.Add(float64(v))
-			right.Add(float64(v))
-		}
-		left.Merge(&right)
-		return left.N() == whole.N() &&
-			almostEq(left.Mean(), whole.Mean(), 1e-9) &&
-			almostEq(left.Var(), whole.Var(), 1e-9) &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStreamMergeEmpty(t *testing.T) {
-	var a, b Stream
-	a.Add(1)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Fatal("merge with empty changed N")
-	}
-	b.Merge(&a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 1 {
-		t.Fatal("merge into empty failed")
-	}
-}
 
 func TestSampleQuantiles(t *testing.T) {
 	s := NewSample(0)

@@ -9,8 +9,9 @@ import (
 	"repro/internal/heap"
 )
 
-// A segment is the 8-byte format word segWord followed by frames. Frame
-// layout (all integers little-endian):
+// A segment is the 8-byte format word segWord followed by frames, and a
+// snapshot file is the word snapWord followed by frames; the one scanner
+// below reads both. Frame layout (all integers little-endian):
 //
 //	u32 payloadLen | u32 crc32c(payload) | payload
 //
@@ -28,6 +29,8 @@ import (
 //	enqueue/deletemin: u32 n | n x (u64 priority, u64 value)
 //	counter-add:       u64 count | u64 weight
 //	session-close:     (empty)
+//	tenant:            as enqueue, three pairs (see Record)
+//	snapshot-end:      as counter-add: u64 tenants | u64 cut lsn
 //
 // The codec is canonical: decode rejects any leftover bytes, so
 // encode(decode(p)) == p for every accepted payload. That property is what
@@ -71,7 +74,20 @@ const (
 	// Kind 4 once journaled a shard-count change; the decoder now rejects
 	// it as unknown.
 	RecSessionClose RecordType = 5
+	// RecTenant heads one tenant in a snapshot file; its items follow in
+	// RecEnqueue frames.
+	RecTenant RecordType = 6
+	// RecSnapshotEnd closes a snapshot file.
+	RecSnapshotEnd RecordType = 7
 )
+
+// holds reports whether a snapshot file (or, with snapshot unset, a
+// segment) may hold a record of the known type t: a segment holds the first
+// four kinds, a snapshot the enqueue and the last two. A record of the other
+// file's kind is a corrupt frame.
+func holds(snapshot bool, t RecordType) bool {
+	return t == RecEnqueue || (t == RecTenant || t == RecSnapshotEnd) == snapshot
+}
 
 // Record is one journal entry. LSN is assigned by Log.Append; the remaining
 // fields are set by the caller according to Type:
@@ -80,6 +96,10 @@ const (
 //   - RecDeleteMin:  Items = delivered elements
 //   - RecCounterAdd: Count = deltas applied, Weight = their sum
 //   - RecSessionClose: identification fields only
+//   - RecTenant:     Tenant = its name, Items = three pairs of its words:
+//     (item count, CounterSum), (OpsEnqueued, OpsDequeued) and
+//     (OpsCounterAdds, CounterDeltaSum)
+//   - RecSnapshotEnd: Count = the tenant count, Weight = the cut LSN
 type Record struct {
 	LSN    uint64
 	Type   RecordType
@@ -114,16 +134,15 @@ func appendPayload(dst []byte, r *Record) []byte {
 	dst = appendShortString(dst, r.Tenant)
 	dst = appendShortString(dst, r.Session)
 	switch r.Type {
-	case RecEnqueue, RecDeleteMin:
+	case RecEnqueue, RecDeleteMin, RecTenant:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Items)))
 		for _, it := range r.Items {
 			dst = binary.LittleEndian.AppendUint64(dst, it.Priority)
 			dst = binary.LittleEndian.AppendUint64(dst, it.Value)
 		}
-	case RecCounterAdd:
+	case RecCounterAdd, RecSnapshotEnd:
 		dst = binary.LittleEndian.AppendUint64(dst, r.Count)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Weight)
-	case RecSessionClose:
 	}
 	return dst
 }
@@ -165,7 +184,7 @@ func decodeInto(r *Record, p []byte) error {
 		return fmt.Errorf("wal: session: %w", err)
 	}
 	switch r.Type {
-	case RecEnqueue, RecDeleteMin:
+	case RecEnqueue, RecDeleteMin, RecTenant:
 		if len(p) < 4 {
 			return fmt.Errorf("wal: truncated item count")
 		}
@@ -184,7 +203,7 @@ func decodeInto(r *Record, p []byte) error {
 			})
 			p = p[16:]
 		}
-	case RecCounterAdd:
+	case RecCounterAdd, RecSnapshotEnd:
 		if len(p) != 16 {
 			return fmt.Errorf("wal: counter body length %d", len(p))
 		}
@@ -226,36 +245,38 @@ func (r *Record) clone() Record {
 	return c
 }
 
-// scanner walks segments record by record. It owns the one Record every
-// frame is decoded into, so the Items backing array and the tenant/session
-// strings carry over from frame to frame and from segment to segment. It
-// also owns the LSN chain, so a chain checked across one slice of a segment
-// carries on into the next slice when a window is refilled.
+// scanner walks segments, or snapshot files when snapshot is set, record by
+// record. It owns the one Record every frame is decoded into, so the Items
+// backing array and the tenant/session strings carry over from frame to
+// frame and from file to file. It also owns the LSN chain, so a chain
+// checked across one slice of a file carries on into the next slice when a
+// window is refilled.
 type scanner struct {
-	rec    Record
-	next   uint64 // the LSN the next record must carry, once pinned
-	pinned bool
+	rec      Record
+	next     uint64 // the LSN the next record must carry, once pinned
+	pinned   bool
+	snapshot bool // the kind of file it reads (holds)
 }
 
-// scanStream scans one segment read from r and calls visit for every valid
-// record up to the first invalid or torn frame, returning the byte offset
-// of that frame (goodLen == size when the whole segment is valid; recovery
-// truncates the file there) and the number of bytes r held, so size-goodLen
-// is the torn tail. wantFirst, when nonzero, pins the required LSN of the
-// first record (segments are named by it); every subsequent record must
-// extend the sequence by exactly one — a skip, repeat, or regression is
-// treated as corruption at that frame. The record passed to visit is the
-// scanner's scratch record and is overwritten by the next frame. The
-// scanner never panics on arbitrary input.
+// scanStream scans one file's frames read from r and calls visit for every
+// valid record up to the first invalid or torn frame, returning the byte
+// offset of that frame (goodLen == size when the whole file is valid;
+// recovery truncates a segment there) and the number of bytes r held, so
+// size-goodLen is the torn tail. wantFirst, when nonzero, pins the required
+// LSN of the first record (segments are named by it); every subsequent
+// record must extend the sequence by exactly one — a skip, repeat, or
+// regression is treated as corruption at that frame. The record passed to
+// visit is the scanner's scratch record and is overwritten by the next
+// frame. The scanner never panics on arbitrary input.
 //
-// The segment passes through the window win, never whole: the window is
+// The file passes through the window win, never whole: the window is
 // filled from r and scanned, a frame cut by the window's end is moved to its
 // front and completed by the next read, and a frame longer than the window
 // (at most frameHeader+MaxPayload bytes) grows it to fit. The window, grown
-// or not, is handed back for the next segment.
+// or not, is handed back for the next file.
 func (sc *scanner) scanStream(r io.Reader, win []byte, wantFirst uint64, visit func(*Record)) (goodLen, size int64, _ []byte, err error) {
 	sc.next, sc.pinned = wantFirst, wantFirst != 0
-	n, eof := 0, false // win[:n] holds the segment's bytes from goodLen on
+	n, eof := 0, false // win[:n] holds the file's bytes from goodLen on
 	read := func(p []byte) int {
 		m, rerr := r.Read(p)
 		size += int64(m)
@@ -281,7 +302,7 @@ func (sc *scanner) scanStream(r io.Reader, win []byte, wantFirst uint64, visit f
 			need += int(binary.LittleEndian.Uint32(rest))
 		}
 		if eof || len(rest) >= need || need > frameHeader+MaxPayload {
-			break // the end of the segment, or a whole frame that failed a check
+			break // the end of the file, or a whole frame that failed a check
 		}
 		n = copy(win, rest)
 		if need > len(win) {
@@ -315,7 +336,7 @@ func (sc *scanner) scan(data []byte, visit func(*Record)) int {
 		if crc32.Checksum(payload, castagnoli) != crc {
 			return off
 		}
-		if err := decodeInto(&sc.rec, payload); err != nil {
+		if err := decodeInto(&sc.rec, payload); err != nil || !holds(sc.snapshot, sc.rec.Type) {
 			return off
 		}
 		if sc.pinned && sc.rec.LSN != sc.next {

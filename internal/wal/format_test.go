@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,20 +76,37 @@ var goldenSnapshot = &Snapshot{CutLSN: 4, Tenants: []TenantState{{Name: "acme", 
 	CounterSum: 12, OpsEnqueued: 2, OpsDequeued: 1, OpsCounterAdds: 3, CounterDeltaSum: 12}}}
 
 var goldenSnapFile = []byte{
-	0x55, 0x00, 0x00, 0x00, // payload length 85
-	0x53, 0x71, 0x17, 0x84, // crc32c of the payload
-	'D', 'L', 'Z', 'S', 'N', 'A', 'P', '3', // magic
-	0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // cut lsn 4
-	0x01, 0x00, 0x00, 0x00, // one tenant
-	0x04, 'a', 'c', 'm', 'e', // name
+	'D', 'L', 'Z', 'S', 'N', 'A', 'P', '4', // format word
+	0x43, 0x00, 0x00, 0x00, // payload length 67
+	0xfa, 0xa1, 0xa4, 0xbf, // crc32c of the payload
+	0x06,                                           // type: tenant
+	0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lsn 1
+	0x04, 'a', 'c', 'm', 'e', // tenant
+	0x00,                   // no session
+	0x03, 0x00, 0x00, 0x00, // three pairs
+	0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // one item
 	0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counter sum 12
 	0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // ops enqueued 2
 	0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // ops dequeued 1
 	0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counter adds 3
 	0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counter delta sum 12
+	0x23, 0x00, 0x00, 0x00, // payload length 35
+	0xb5, 0xb8, 0x1b, 0x99, // crc32c of the payload
+	0x01,                                           // type: enqueue, the tenant's items
+	0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lsn 2
+	0x04, 'a', 'c', 'm', 'e', // tenant
+	0x00,                   // no session
 	0x01, 0x00, 0x00, 0x00, // one item
 	0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // priority 5
 	0x32, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // value 50
+	0x1b, 0x00, 0x00, 0x00, // payload length 27
+	0x64, 0x56, 0x13, 0xdc, // crc32c of the payload
+	0x07,                                           // type: snapshot end
+	0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // lsn 3
+	0x00,                                           // no tenant
+	0x00,                                           // no session
+	0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // one tenant
+	0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // cut lsn 4
 }
 
 // TestOnDiskFormatGolden holds the files the journal writes to the literals
@@ -125,7 +144,7 @@ func TestOnDiskFormatGolden(t *testing.T) {
 	if err != nil || !bytes.Equal(snap, goldenSnapFile) {
 		t.Fatalf("snapshot file (err %v)\n got % x\nwant % x", err, snap, goldenSnapFile)
 	}
-	if s, err := readSnapshotFile(bytes.NewReader(goldenSnapFile), int64(len(goldenSnapFile))); err != nil || !reflect.DeepEqual(s, goldenSnapshot) {
+	if s, err := loadSnapshot(filepath.Join(dir, snapName(4)), make([]byte, recoverWindow)); err != nil || !reflect.DeepEqual(s, goldenSnapshot) {
 		t.Fatalf("golden snapshot reads back as %+v, %v", s, err)
 	}
 }
@@ -133,7 +152,8 @@ func TestOnDiskFormatGolden(t *testing.T) {
 // The journal of the format before DLZJRNL3, written by that build: a
 // segment without a format word whose enqueue and counter-add records end in
 // a metered-operations word, and a DLZSNAP2 snapshot whose tenants carry it
-// too.
+// too. Each single-frame snapshot layout kept its magic behind the frame
+// header.
 var (
 	earlierSegment = []byte{
 		0x2d, 0x00, 0x00, 0x00, 0x0f, 0x5d, 0xc0, 0x0c, // frame header
@@ -158,6 +178,39 @@ var (
 	}
 )
 
+// snap3File is goldenSnapshot in the single-frame DLZSNAP3 layout that
+// DLZSNAP4 replaced, as that build wrote it.
+var snap3File = []byte{
+	0x55, 0x00, 0x00, 0x00, // payload length 85
+	0x53, 0x71, 0x17, 0x84, // crc32c of the payload
+	'D', 'L', 'Z', 'S', 'N', 'A', 'P', '3', // magic
+	0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // cut lsn 4
+	0x01, 0x00, 0x00, 0x00, // one tenant
+	0x04, 'a', 'c', 'm', 'e', // name
+	0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counter sum 12
+	0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // ops enqueued 2
+	0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // ops dequeued 1
+	0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counter adds 3
+	0x0c, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // counter delta sum 12
+	0x01, 0x00, 0x00, 0x00, // one item
+	0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // priority 5
+	0x32, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // value 50
+}
+
+// snap1File is a snapshot in the first layout, whose tenants carried a u32
+// shard count: read as a later one, every field behind it would shift by
+// four bytes.
+var snap1File = func() []byte {
+	p := append([]byte("DLZSNAP1"), binary.LittleEndian.AppendUint64(nil, 7)...)
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = appendShortString(p, "t")
+	p = binary.LittleEndian.AppendUint32(p, 8) // the shard count
+	p = append(p, make([]byte, 6*8+4)...)      // counter, ledger, zero items
+	file := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(p, castagnoli))
+	return append(file, p...)
+}()
+
 // TestEarlierFormatRefused: a journal in the format before this one, even one
 // left by a clean shutdown, is refused by Open and Replay with an error that
 // names the file and the format found in it, and recovery touches no file.
@@ -172,6 +225,7 @@ func TestEarlierFormatRefused(t *testing.T) {
 		{"segment", map[string][]byte{seg: earlierSegment}, []string{seg, "no format word"}},
 		{"snapshot", map[string][]byte{snap: earlierSnapshot}, []string{snap, "format DLZSNAP2"}},
 		{"both", map[string][]byte{seg: earlierSegment, snap: earlierSnapshot}, []string{snap, "format DLZSNAP2"}},
+		{"DLZSNAP3", map[string][]byte{snap: snap3File}, []string{snap, "format DLZSNAP3"}},
 	} {
 		dir := t.TempDir()
 		for name, b := range tc.files {
@@ -200,6 +254,20 @@ func TestEarlierFormatRefused(t *testing.T) {
 				t.Fatalf("%s: %s changed by the refused recovery (err %v)", tc.name, name, err)
 			}
 		}
+	}
+}
+
+// TestFirstSnapshotLayoutRejected: a snapshot in the first layout, which
+// carried a u32 shard count per tenant, must fail on its format rather than
+// be read with every later field shifted by four bytes, and the error must
+// name the layout it found.
+func TestFirstSnapshotLayoutRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), snapName(7))
+	if err := os.WriteFile(path, snap1File, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadSnapshot(path, make([]byte, recoverWindow)); !errors.Is(err, errFormat) || !strings.Contains(err.Error(), "format DLZSNAP1") {
+		t.Fatalf("first-layout snapshot: err %v, want a format error naming DLZSNAP1", err)
 	}
 }
 

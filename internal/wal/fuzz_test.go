@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -90,13 +92,16 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode makes sure an arbitrary snapshot payload can never
-// panic the streaming decoder, and that accepted payloads are canonical. The
-// same bytes are also read as a whole snapshot file, through the path
-// recovery takes: accepted only with a matching length and CRC, and then
-// holding exactly what its payload decodes to.
+// FuzzSnapshotDecode reads arbitrary bytes as a snapshot file, through the
+// path recovery takes: it must never panic, and a file it accepts must be
+// exactly the file writeSnapshot makes of what it read.
 func FuzzSnapshotDecode(f *testing.F) {
-	valid := encodeSnapshot(nil, &Snapshot{
+	per := frameItems("a")
+	big := TenantState{Name: "a", Items: make([]Item, per+1), OpsEnqueued: uint64(per + 1)}
+	for i := range big.Items {
+		big.Items[i] = Item{Priority: uint64(i / 2), Value: uint64(i)}
+	}
+	valid := snapshotBytes(&Snapshot{
 		CutLSN: 42,
 		Tenants: []TenantState{
 			{Name: "a", Items: []Item{{Priority: 1, Value: 1}, {Priority: 2, Value: 2}}, CounterSum: 3,
@@ -111,28 +116,29 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)/2] ^= 0x01
 	f.Add(flip)
-	file := binary.LittleEndian.AppendUint32(nil, uint32(len(valid)))
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(valid, castagnoli))
-	file = append(file, valid...)
-	f.Add(file)
-	f.Add(file[:100]) // a snapshot file cut short inside the first tenant's items
-	badCRC := append([]byte(nil), file...)
-	badCRC[4] ^= 0x01 // a canonical payload under a wrong CRC
-	f.Add(badCRC)
+	f.Add(valid[:100]) // cut short inside the first tenant's items
+	f.Add(snapshotBytes(&Snapshot{CutLSN: 7}))
+	f.Add(goldenSnapFile)
+	f.Add(snap3File)
+	// A tenant whose items take two frames, and its file with the item
+	// count of the header raised by one under a fixed CRC: its last frame is
+	// then one item short.
+	two := snapshotBytes(&Snapshot{CutLSN: 9, Tenants: []TenantState{big}})
+	f.Add(two)
+	raised := slices.Clone(two)
+	head := raised[len(snapWord):]
+	payload := head[frameHeader : frameHeader+binary.LittleEndian.Uint32(head)]
+	binary.LittleEndian.PutUint64(payload[1+8+1+len("a")+1+4:], uint64(per+2)) // the item count
+	binary.LittleEndian.PutUint32(head[4:], crc32.Checksum(payload, castagnoli))
+	f.Add(raised)
 
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if s, err := readSnapshot(bytes.NewReader(data), int64(len(data))); err == nil && !bytes.Equal(encodeSnapshot(nil, s), data) {
-			t.Fatalf("accepted snapshot payload not canonical")
-		}
-		s, err := readSnapshotFile(bytes.NewReader(data), int64(len(data)))
+		s, err := readSnapshotBytes(filepath.Join(dir, snapName(0)), data)
 		if err != nil {
 			return
 		}
-		payload := data[frameHeader:]
-		if binary.LittleEndian.Uint32(data) != uint32(len(payload)) || binary.LittleEndian.Uint32(data[4:]) != crc32.Checksum(payload, castagnoli) {
-			t.Fatalf("snapshot file accepted with a wrong length or CRC")
-		}
-		if !bytes.Equal(encodeSnapshot(nil, s), payload) {
+		if !bytes.Equal(snapshotBytes(s), data) {
 			t.Fatalf("accepted snapshot file not canonical")
 		}
 	})

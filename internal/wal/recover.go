@@ -12,7 +12,7 @@ import (
 
 // Recovered reports what Open found on disk.
 type Recovered struct {
-	// Snapshot is the newest decodable snapshot, nil if none. Its tenants'
+	// Snapshot is the newest whole snapshot, nil if none. Its tenants'
 	// Items are nil: recovery moved each array into States, where the
 	// journal tail was folded into it in place.
 	Snapshot *Snapshot
@@ -52,18 +52,19 @@ type Progress struct {
 }
 
 // recoverWindow is the size of the read window recovery streams every
-// segment through. It holds hundreds of typical frames; only a frame longer
-// than it, a batch close to the wire's cap of 4096 items, grows it. A larger
-// window shows in a restarted daemon's peak memory (EXPERIMENTS.md §22).
+// snapshot file and segment through. It holds hundreds of typical frames;
+// only a frame longer than it, a batch close to the wire's cap of 4096
+// items, grows it. A larger window shows in a restarted daemon's peak memory
+// (EXPERIMENTS.md §22).
 const recoverWindow = 64 << 10
 
 // recoverDir scans dir and reconstructs the durable state in one pass:
-// newest valid snapshot, then the chained segments behind it, each streamed
-// through one read window, every record folded into the per-tenant state
-// the moment it is decoded, torn-tail detection. With keep unset (Open) it
-// repairs as it goes — truncates torn files and removes unreachable
-// segments so the directory is left frame-clean — and retains nothing per
-// record. With keep set (Replay) it is read-only and also collects a deep
+// newest whole snapshot, then the chained segments behind it, every file
+// streamed through one read window, every record folded into the
+// per-tenant state the moment it is decoded, torn-tail detection. With keep
+// unset (Open) it repairs as it goes — truncates torn files and removes
+// unreachable segments so the directory is left frame-clean — and retains
+// nothing per record. With keep set (Replay) it is read-only and also collects a deep
 // copy of every replayed record. Corruption is not an error — the scan
 // stops at the first invalid frame, exactly like the recovery state machine
 // in DESIGN.md §12 — but I/O failures are, and so is a file in another
@@ -78,19 +79,21 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	}
 
 	rec := &Recovered{}
+	// Every file, snapshot or segment, streams through one window.
+	win := make([]byte, recoverWindow)
 	for i := len(snaps) - 1; i >= 0; i-- { // newest first
-		s, err := loadSnapshotFile(snaps[i].path)
+		s, err := loadSnapshot(snaps[i].path, win)
 		if err == nil {
 			rec.Snapshot = s
 			rec.SnapshotCut = s.CutLSN
 			break
 		}
 		if errors.Is(err, errFormat) {
-			return nil, fmt.Errorf("wal: %s: %w", snaps[i].path, err)
+			return nil, err
 		}
-		// An undecodable snapshot (torn write before the rename discipline,
-		// bit rot, items out of order) is skipped; an older one or the raw
-		// journal still works.
+		// A snapshot that is not whole (torn write before the rename
+		// discipline, bit rot, items out of order) is skipped; an older one
+		// or the raw journal still works.
 	}
 	cut := rec.SnapshotCut
 	rec.Head = cut
@@ -117,7 +120,6 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		rec.Head = r.LSN
 	}
 	var sc scanner
-	win := make([]byte, recoverWindow) // every segment streams through it
 	for i := start; i < len(segs); i++ {
 		s := segs[i]
 		if s.seq > rec.Head+1 {
@@ -131,24 +133,14 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 			}
 			break
 		}
-		file, err := os.Open(s.path)
+		file, n, err := openFile(s.path, segWord, win)
 		if err != nil {
 			return nil, err
 		}
-		// The word goes through the window, so checking it allocates
-		// nothing. A segment shorter than it is a crash during its creation.
-		var good, size int64
-		n, err := io.ReadFull(file, win[:len(segWord)])
-		switch {
-		case err == io.EOF || err == io.ErrUnexpectedEOF: // empty and torn
-			size, err = int64(n), nil
-		case err == nil && string(win[:n]) != segWord:
-			found := "no format word"
-			if string(win[:n-1]) == segWord[:n-1] {
-				found = "format " + string(win[:n])
-			}
-			err = fmt.Errorf("wal: %s: %s, want %s: %w", s.path, found, segWord, errFormat)
-		case err == nil:
+		// A segment shorter than its word is a crash during its creation:
+		// empty and torn.
+		good, size := int64(0), int64(n)
+		if n == len(segWord) {
 			good, size, win, err = sc.scanStream(file, win, s.seq, visit)
 			good, size = good+int64(n), size+int64(n)
 		}
@@ -178,14 +170,43 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	return rec, nil
 }
 
+// openFile opens a journal file and checks that it starts with word,
+// reading through win so that the check allocates nothing. It returns the
+// file and how many bytes of the word it holds: fewer than the whole word is
+// a file cut short as it was created. A file that starts with anything else
+// fails with errFormat, naming what it found: another version of the word,
+// at the head or behind the 8-byte frame header where the single-frame
+// snapshot layouts kept it, or no word at all.
+func openFile(path, word string, win []byte) (*os.File, int, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := io.ReadFull(f, win[:len(word)])
+	if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil && string(win[:n]) == word {
+		return f, n, nil
+	}
+	if err == nil {
+		found := "no format word"
+		if string(win[:n-1]) == word[:n-1] {
+			found = "format " + string(win[:n])
+		} else if m, _ := io.ReadFull(f, win[n:2*n]); m == n && string(win[n:2*n-1]) == word[:n-1] {
+			found = "format " + string(win[n:2*n])
+		}
+		err = fmt.Errorf("wal: %s: %s, want %s: %w", path, found, word, errFormat)
+	}
+	_ = f.Close() // read-only
+	return nil, 0, err
+}
+
 // payloadLen returns the encoded payload size of r without materializing
 // the frame (Append's size check, and tail-size accounting during recovery).
 func payloadLen(r *Record) int {
 	n := 1 + 8 + 1 + min(len(r.Tenant), 255) + 1 + min(len(r.Session), 255)
 	switch r.Type {
-	case RecEnqueue, RecDeleteMin:
+	case RecEnqueue, RecDeleteMin, RecTenant:
 		n += 4 + 16*len(r.Items)
-	case RecCounterAdd:
+	case RecCounterAdd, RecSnapshotEnd:
 		n += 16
 	}
 	return n

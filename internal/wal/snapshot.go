@@ -1,30 +1,21 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
 )
 
-// snapMagic heads every snapshot payload so a stray file can never be
-// mistaken for one. The 3 is the layout: the first one carried a u32 shard
-// count per tenant and the second a metered-operations word, and a payload
-// in either is refused here rather than mis-parsed.
-const snapMagic = "DLZSNAP3"
-
-// maxSnapTenants bounds the decoded tenant count (dlzd caps namespaces far
-// below this); maxSnapItems bounds one tenant's element count to keep a
-// corrupt snapshot from driving a huge allocation before its CRC would
-// have failed anyway.
-const (
-	maxSnapTenants = 1 << 16
-	maxSnapItems   = 1 << 28
-)
+// snapWord heads every snapshot file, as segWord heads every segment; its
+// last byte is the format version. Frames follow it: per tenant one
+// RecTenant header and its items in canonical order in RecEnqueue frames of
+// frameItems each, then one RecSnapshotEnd record, with frame LSNs 1, 2, 3,
+// … so that the scanner's chain check catches a dropped, repeated or
+// spliced frame. The layouts before it (DLZSNAP1 to DLZSNAP3) were one frame
+// holding the whole snapshot, with the magic behind the frame header.
+const snapWord = "DLZSNAP4"
 
 // TenantState is one tenant's logical durable state: everything needed to
 // rebuild its namespace with every handle's buffers flushed.
@@ -54,123 +45,49 @@ type Snapshot struct {
 	Tenants []TenantState
 }
 
-// snapshotLen returns the length of encodeSnapshot's output for s.
-func snapshotLen(s *Snapshot) int {
-	n := len(snapMagic) + 8 + 4
-	for i := range s.Tenants {
-		n += 1 + min(len(s.Tenants[i].Name), 255) + 5*8 + 4 + 16*len(s.Tenants[i].Items)
-	}
-	return n
+// frameItems is how many items one snapshot frame of the named tenant
+// holds: as many as fit recovery's read window, so that reading a snapshot
+// never grows it.
+func frameItems(tenant string) int {
+	return (recoverWindow - frameHeader - payloadLen(&Record{Type: RecEnqueue, Tenant: tenant})) / 16
 }
 
-// encodeSnapshot appends the payload encoding of s to p.
-func encodeSnapshot(p []byte, s *Snapshot) []byte {
-	p = append(p, snapMagic...)
-	p = binary.LittleEndian.AppendUint64(p, s.CutLSN)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Tenants)))
+// writeSnapshot writes s to w as a snapshot file, through one buffer the
+// size of recovery's window.
+func writeSnapshot(w io.Writer, s *Snapshot) error {
+	buf := append(make([]byte, 0, recoverWindow), snapWord...)
+	var r Record
+	var hdr [3]Item
+	var err error
+	put := func() {
+		r.LSN++
+		if len(buf)+frameHeader+payloadLen(&r) > cap(buf) {
+			if err == nil {
+				_, err = w.Write(buf)
+			}
+			buf = buf[:0]
+		}
+		buf = appendFrame(buf, &r)
+	}
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
-		p = appendShortString(p, t.Name)
-		p = binary.LittleEndian.AppendUint64(p, t.CounterSum)
-		p = binary.LittleEndian.AppendUint64(p, t.OpsEnqueued)
-		p = binary.LittleEndian.AppendUint64(p, t.OpsDequeued)
-		p = binary.LittleEndian.AppendUint64(p, t.OpsCounterAdds)
-		p = binary.LittleEndian.AppendUint64(p, t.CounterDeltaSum)
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(t.Items)))
-		for _, it := range t.Items {
-			p = binary.LittleEndian.AppendUint64(p, it.Priority)
-			p = binary.LittleEndian.AppendUint64(p, it.Value)
+		hdr = [3]Item{{Priority: uint64(len(t.Items)), Value: t.CounterSum},
+			{Priority: t.OpsEnqueued, Value: t.OpsDequeued}, {Priority: t.OpsCounterAdds, Value: t.CounterDeltaSum}}
+		r.Type, r.Tenant, r.Items = RecTenant, t.Name, hdr[:]
+		put()
+		r.Type = RecEnqueue
+		for items, per := t.Items, frameItems(t.Name); len(items) > 0; items = items[len(r.Items):] {
+			r.Items = items[:min(len(items), per)]
+			put()
 		}
 	}
-	return p
-}
-
-// snapDecoder hands out a snapshot payload's bytes from a bufio.Reader,
-// counting what is left of the payload so that no count in it can claim
-// more bytes than remain.
-type snapDecoder struct {
-	br   *bufio.Reader
-	left int64
-}
-
-// take returns the next k payload bytes, valid until the next take. k is at
-// most the reader's buffer size.
-func (d *snapDecoder) take(k int) ([]byte, error) {
-	if int64(k) > d.left {
-		return nil, fmt.Errorf("wal: snapshot payload ends %d bytes early", int64(k)-d.left)
+	r.Type, r.Tenant, r.Items = RecSnapshotEnd, "", nil
+	r.Count, r.Weight = uint64(len(s.Tenants)), s.CutLSN
+	put()
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	b, err := d.br.Peek(k)
-	if err != nil {
-		return nil, fmt.Errorf("wal: snapshot read: %w", err)
-	}
-	_, _ = d.br.Discard(k) // cannot fail: Peek buffered k bytes
-	d.left -= int64(k)
-	return b, nil
-}
-
-// readSnapshot decodes the n-byte snapshot payload read from r. It reads
-// through one buffer of at most 64 KiB and never past n bytes of r, and
-// decodes items from that buffer straight into each tenant's slice, so no
-// copy of the payload is ever resident. Strict: a payload that ends early,
-// carries an out-of-range count, holds a tenant's items out of canonical
-// order (recovery folds the journal into them as a sorted run) or has bytes
-// left over is an error.
-func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
-	d := snapDecoder{br: bufio.NewReaderSize(io.LimitReader(r, n), int(min(n, 64<<10))), left: n}
-	b, err := d.take(len(snapMagic) + 12)
-	if err != nil || string(b[:len(snapMagic)-1]) != snapMagic[:len(snapMagic)-1] {
-		return nil, fmt.Errorf("wal: not a snapshot payload")
-	}
-	if string(b[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("snapshot format %s, want %s: %w", b[:len(snapMagic)], snapMagic, errFormat)
-	}
-	s := &Snapshot{CutLSN: binary.LittleEndian.Uint64(b[len(snapMagic):])}
-	tenants := binary.LittleEndian.Uint32(b[len(snapMagic)+8:])
-	if tenants > maxSnapTenants {
-		return nil, fmt.Errorf("wal: snapshot tenant count %d exceeds cap", tenants)
-	}
-	for i := uint32(0); i < tenants; i++ {
-		var t TenantState
-		if b, err = d.take(1); err != nil {
-			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
-		}
-		if b, err = d.take(int(b[0])); err != nil {
-			return nil, fmt.Errorf("wal: snapshot tenant name: %w", err)
-		}
-		t.Name = string(b)
-		if b, err = d.take(5*8 + 4); err != nil {
-			return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
-		}
-		t.CounterSum = binary.LittleEndian.Uint64(b)
-		t.OpsEnqueued = binary.LittleEndian.Uint64(b[8:])
-		t.OpsDequeued = binary.LittleEndian.Uint64(b[16:])
-		t.OpsCounterAdds = binary.LittleEndian.Uint64(b[24:])
-		t.CounterDeltaSum = binary.LittleEndian.Uint64(b[32:])
-		items := binary.LittleEndian.Uint32(b[40:])
-		if items > maxSnapItems || uint64(items)*16 > uint64(d.left) {
-			return nil, fmt.Errorf("wal: snapshot tenant %q item count %d exceeds payload", t.Name, items)
-		}
-		if items > 0 {
-			t.Items = make([]Item, items)
-		}
-		for j := 0; j < len(t.Items); {
-			if b, err = d.take(16 * min(len(t.Items)-j, d.br.Size()/16)); err != nil {
-				return nil, fmt.Errorf("wal: snapshot tenant %q: %w", t.Name, err)
-			}
-			for ; len(b) > 0; b = b[16:] {
-				t.Items[j] = Item{Priority: binary.LittleEndian.Uint64(b), Value: binary.LittleEndian.Uint64(b[8:])}
-				if j > 0 && t.Items[j].Compare(t.Items[j-1]) < 0 {
-					return nil, fmt.Errorf("wal: snapshot tenant %q item %d out of order", t.Name, j)
-				}
-				j++
-			}
-		}
-		s.Tenants = append(s.Tenants, t)
-	}
-	if d.left != 0 {
-		return nil, fmt.Errorf("wal: %d trailing snapshot bytes", d.left)
-	}
-	return s, nil
+	return err
 }
 
 // WriteSnapshot persists s atomically (tmp + rename + directory sync),
@@ -180,18 +97,13 @@ func readSnapshot(r io.Reader, n int64) (*Snapshot, error) {
 // mutators, each of which published its handles' buffers before letting go,
 // and reads Head() before releasing them).
 func (l *Log) WriteSnapshot(s *Snapshot) error {
-	buf := encodeSnapshot(make([]byte, frameHeader, frameHeader+snapshotLen(s)), s)
-	payload := buf[frameHeader:]
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-
 	final := filepath.Join(l.opt.Dir, snapName(s.CutLSN))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err = f.Write(buf); err == nil {
+	if err = writeSnapshot(f, s); err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
@@ -214,10 +126,16 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// loadSnapshotFile reads and decodes one snapshot file; a nil error means
-// the snapshot is fully intact (magic, CRC, canonical payload).
-func loadSnapshotFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
+// loadSnapshot reads the snapshot file at path through the window win. It
+// accepts only a whole file that is the one writeSnapshot makes of what it
+// holds: the word, then frames valid up to EOF and naming no session; each
+// tenant's items fill the array sized from its header (at most the file
+// size / 16) in canonical order, since recovery folds the journal into them
+// as a sorted run, in frames of frameItems each; the end record comes last
+// and counts the tenants. A file in another format fails with errFormat;
+// any other error means it is torn or corrupt.
+func loadSnapshot(path string, win []byte) (*Snapshot, error) {
+	f, n, err := openFile(path, snapWord, win)
 	if err != nil {
 		return nil, err
 	}
@@ -226,31 +144,43 @@ func loadSnapshotFile(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return readSnapshotFile(f, st.Size())
-}
-
-// readSnapshotFile decodes a snapshot file of size bytes read from r: the
-// frame header, then the payload streamed through readSnapshot with its
-// CRC32C computed as the bytes pass. The file is never resident whole.
-func readSnapshotFile(r io.Reader, size int64) (*Snapshot, error) {
-	var head [frameHeader]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("wal: snapshot file too short")
+	var s Snapshot
+	ok, ended := n == len(snapWord), false
+	take := func(r *Record) bool {
+		var t *TenantState
+		if len(s.Tenants) > 0 {
+			t = &s.Tenants[len(s.Tenants)-1]
+		}
+		switch short := t != nil && len(t.Items) < cap(t.Items); {
+		case ended || r.Session != "" || short != (r.Type == RecEnqueue):
+			return false
+		case r.Type == RecTenant && len(r.Items) == 3 && r.Items[0].Priority <= uint64(st.Size())/16:
+			h := r.Items
+			s.Tenants = append(s.Tenants, TenantState{Name: r.Tenant, Items: make([]Item, 0, h[0].Priority), CounterSum: h[0].Value,
+				OpsEnqueued: h[1].Priority, OpsDequeued: h[1].Value, OpsCounterAdds: h[2].Priority, CounterDeltaSum: h[2].Value})
+		case r.Type == RecEnqueue && r.Tenant == t.Name && len(r.Items) == min(cap(t.Items)-len(t.Items), frameItems(t.Name)):
+			for _, it := range r.Items {
+				if len(t.Items) > 0 && it.Compare(t.Items[len(t.Items)-1]) < 0 {
+					return false
+				}
+				t.Items = append(t.Items, it)
+			}
+		case r.Type == RecSnapshotEnd && r.Tenant == "" && r.Count == uint64(len(s.Tenants)):
+			s.CutLSN, ended = r.Weight, true
+		default:
+			return false
+		}
+		return true
 	}
-	plen := int64(binary.LittleEndian.Uint32(head[:]))
-	if plen != size-frameHeader {
-		return nil, fmt.Errorf("wal: snapshot length field %d != %d payload bytes", plen, size-frameHeader)
+	sc := scanner{snapshot: true}
+	good, size, _, err := sc.scanStream(f, win, 1, func(r *Record) { ok = ok && take(r) })
+	if err == nil && !(ok && ended && good == size) {
+		err = fmt.Errorf("wal: snapshot %s is torn or corrupt", path)
 	}
-	crc := crc32.New(castagnoli)
-	s, err := readSnapshot(io.TeeReader(r, crc), plen)
 	if err != nil {
 		return nil, err
 	}
-	// readSnapshot took exactly plen bytes, so crc has seen the whole payload.
-	if crc.Sum32() != binary.LittleEndian.Uint32(head[4:]) {
-		return nil, fmt.Errorf("wal: snapshot CRC mismatch")
-	}
-	return s, nil
+	return &s, nil
 }
 
 // truncateObsolete removes segments whose every record is at or before cut

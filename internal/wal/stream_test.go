@@ -33,6 +33,24 @@ func cloneSnapshot(snap *Snapshot) *Snapshot {
 	return c
 }
 
+// snapshotBytes is the snapshot file writeSnapshot makes of s.
+func snapshotBytes(s *Snapshot) []byte {
+	var b bytes.Buffer
+	if err := writeSnapshot(&b, s); err != nil {
+		panic(err) // a bytes.Buffer takes every write
+	}
+	return b.Bytes()
+}
+
+// readSnapshotBytes reads data as the snapshot file at path, the way
+// recovery reads one.
+func readSnapshotBytes(path string, data []byte) (*Snapshot, error) {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return nil, err
+	}
+	return loadSnapshot(path, make([]byte, recoverWindow))
+}
+
 // scanSegment scans one whole segment image in memory: scanStream's
 // contract, with the image as the window and nothing to refill.
 func (sc *scanner) scanSegment(data []byte, wantFirst uint64, visit func(*Record)) (goodLen int) {
@@ -152,7 +170,7 @@ func TestFoldMatchesTwoPassRebuild(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: fold from the scanner\n got %+v\nwant %+v", round, got, want)
 		}
-		if !bytes.Equal(encodeSnapshot(nil, &Snapshot{Tenants: got}), encodeSnapshot(nil, &Snapshot{Tenants: want})) {
+		if !bytes.Equal(snapshotBytes(&Snapshot{Tenants: got}), snapshotBytes(&Snapshot{Tenants: want})) {
 			t.Fatalf("round %d: equal states encode differently", round)
 		}
 
@@ -494,11 +512,12 @@ func TestOpenTailAllocBound(t *testing.T) {
 // TestOpenSnapshotAllocBound is the boot-path memory gate for a large
 // snapshot: Open over a snapshot of 100 k elements and a short tail that
 // deletes some of them and enqueues others allocates at most 40 bytes per
-// element plus 256 KiB. The snapshot is decoded through a 64 KiB buffer
-// straight into its item array (16 B per element), which is the fold's
-// enqueue run. Here the tail's deletes free room in that array for its
-// enqueues; a tail that grows the queue costs one copy of the array grown by
-// append (about 20 B more per element), still inside the bound.
+// element plus 256 KiB. The snapshot streams through recovery's 64 KiB
+// window into an item array sized from its tenant header (16 B per
+// element), which is the fold's enqueue run. Here the tail's deletes free
+// room in that array for its enqueues; a tail that grows the queue costs one
+// copy of the array grown by append (about 20 B more per element), still
+// inside the bound.
 func TestOpenSnapshotAllocBound(t *testing.T) {
 	const n, tail = 100_000, 64
 	dir := t.TempDir()

@@ -13,15 +13,16 @@
 // fsync).
 //
 // Segments are named wal-%016x.seg by the first LSN they hold and start with
-// the format word segWord; snapshots are named snap-%016x.snap by their cut
-// LSN. Recovery (Open) streams the newest decodable snapshot into per-tenant
-// item slices, then streams the chained segment tail behind it through one
-// 64 KiB read window, folding each record into sorted runs of the tail's
-// unmatched elements as it is decoded. It truncates the first torn or corrupt
-// frame, drops unreachable later segments, and reports the states and
-// everything it did in Recovered; a file in another on-disk format fails it
-// instead, with nothing repaired. Boot memory is the window and those runs,
-// which start as the snapshot's items; the segment size does not enter it.
+// the format word segWord; snapshots, named snap-%016x.snap by their cut
+// LSN, are the word snapWord and the same frames. One scanner reads both
+// through one 64 KiB read window. Recovery (Open) streams the newest whole
+// snapshot into per-tenant item arrays, then the chained segment tail behind
+// it, folding each record into sorted runs of the tail's unmatched elements
+// as it is decoded. It truncates the first torn or corrupt frame, drops
+// unreachable later segments, and reports the states and everything it did
+// in Recovered; a file in another on-disk format fails it instead, with
+// nothing repaired. Boot memory is the window and those runs, which start as
+// the snapshot's items; the segment size does not enter it.
 package wal
 
 import (
@@ -271,6 +272,9 @@ func syncDir(dir string) error {
 // journal exactly as it was: the record gets no LSN and recovery will never
 // see it.
 func (l *Log) Append(r *Record) (uint64, error) {
+	if !holds(false, r.Type) {
+		return 0, fmt.Errorf("wal: a segment holds no record of type %d", r.Type)
+	}
 	if len(r.Items) > maxBatchItems || payloadLen(r) > MaxPayload {
 		// Written, the frame would stop every recovery that reached it, and
 		// truncate it away with every record behind it.

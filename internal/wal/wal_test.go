@@ -3,11 +3,12 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -298,9 +299,9 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 }
 
 // TestWriteSnapshotAllocBound pins what a snapshot of 100 k elements costs
-// to write: the payload is encoded straight behind its frame header into one
-// buffer sized in advance, so WriteSnapshot allocates at most 16 bytes per
-// element (the encoded items) plus 64 KiB.
+// to write: at most 16 bytes per element plus 64 KiB. The frames go out
+// through one buffer the size of recovery's window, so what it allocates
+// does not grow with the snapshot.
 func TestWriteSnapshotAllocBound(t *testing.T) {
 	const n = 100_000
 	dir := t.TempDir()
@@ -321,7 +322,7 @@ func TestWriteSnapshotAllocBound(t *testing.T) {
 	if limit := uint64(16*n + 64<<10); got > limit {
 		t.Fatalf("WriteSnapshot of %d elements allocated %d bytes, want <= %d", n, got, limit)
 	}
-	if s, err := loadSnapshotFile(filepath.Join(dir, snapName(0))); err != nil || !reflect.DeepEqual(s, snap) {
+	if s, err := loadSnapshot(filepath.Join(dir, snapName(0)), make([]byte, recoverWindow)); err != nil || !reflect.DeepEqual(s, snap) {
 		t.Fatalf("snapshot does not read back: %v", err)
 	}
 }
@@ -358,56 +359,154 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderSnapshotFallsBack: a snapshot whose frame and checksum are
-// intact but whose items are out of canonical order fails to decode, since
-// the fold takes them as a sorted run, and recovery starts from the older
-// snapshot behind it instead.
+// TestOutOfOrderSnapshotFallsBack: a snapshot whose frames and checksums
+// are intact but whose items are out of canonical order, within a frame or
+// across the boundary between two, is refused, since the fold takes them as
+// a sorted run, and recovery starts from the older snapshot behind it
+// instead.
 func TestOutOfOrderSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := testOpen(t, dir, Options{})
+	per := frameItems("t")
 	var items []Item
-	for i := 0; i < 4; i++ {
+	for i := 0; i < per+2; i++ {
 		items = append(items, Item{Priority: uint64(i), Value: 1})
-		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Session: "s", Items: items[i:]})
 	}
+	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: items[:2]})
 	older := TenantState{Name: "t", Items: items[:2], OpsEnqueued: 2}
-	if err := l.WriteSnapshot(&Snapshot{CutLSN: 2, Tenants: []TenantState{older}}); err != nil {
+	if err := l.WriteSnapshot(&Snapshot{CutLSN: 1, Tenants: []TenantState{older}}); err != nil {
 		t.Fatal(err)
+	}
+	mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: items[2:]})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, snapName(2))
+	newer := TenantState{Name: "t", Items: slices.Clone(items), OpsEnqueued: uint64(len(items))}
+	if _, err := readSnapshotBytes(path, snapshotBytes(&Snapshot{CutLSN: 2, Tenants: []TenantState{newer}})); err != nil {
+		t.Fatalf("the snapshot in order is refused: %v", err)
+	}
+	for _, swap := range []int{1, per} { // items swap-1 and swap: in the first frame, and across the first two
+		newer.Items = slices.Clone(items)
+		newer.Items[swap-1], newer.Items[swap] = newer.Items[swap], newer.Items[swap-1]
+		if _, err := readSnapshotBytes(path, snapshotBytes(&Snapshot{CutLSN: 2, Tenants: []TenantState{newer}})); err == nil {
+			t.Fatalf("items %d and %d swapped: snapshot accepted", swap-1, swap)
+		}
+		_, rec := testOpenAndClose(t, dir)
+		if rec.SnapshotCut != 1 || rec.Replayed != 1 || rec.Head != 2 {
+			t.Fatalf("recovered from cut %d with %d records to head %d, want cut 1, 1 record, head 2", rec.SnapshotCut, rec.Replayed, rec.Head)
+		}
+		if len(rec.States) != 1 || !reflect.DeepEqual(rec.States[0].Items, items) {
+			t.Fatalf("states hold %d tenants, want the %d items", len(rec.States), len(items))
+		}
+	}
+}
+
+// TestTornSnapshotRejectedWhole: a snapshot file is frames, so unlike the
+// single-frame layout before it, a damaged one can have a valid prefix.
+// Recovery must refuse such a file whole and start from the older snapshot
+// behind it with the full journal tail, whether the file is cut at a frame
+// boundary (the end record dropped, for one) or inside a frame, has a byte
+// flipped in any frame, or has one more valid frame behind its end. A
+// snapshot-only record is no more valid in a segment: a well-framed tenant
+// header there stops replay as a corrupt frame would.
+func TestTornSnapshotRejectedWhole(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{})
+	seq := uint64(0)
+	enqueue := func(tenant string, n int) {
+		r := Record{Type: RecEnqueue, Tenant: tenant}
+		for ; n > 0; n-- {
+			seq++
+			r.Items = append(r.Items, Item{Priority: seq % 7, Value: seq})
+		}
+		mustAppend(t, l, r)
+	}
+	enqueue("a", 100)
+	enqueue("b", 1)
+	older, _, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldCut := l.Head()
+	if err := l.WriteSnapshot(&Snapshot{CutLSN: oldCut, Tenants: older}); err != nil {
+		t.Fatal(err)
+	}
+	enqueue("a", frameItems("a")) // a's items now take two frames
+	enqueue("b", 2)
+	mustAppend(t, l, Record{Type: RecCounterAdd, Tenant: "b", Count: 2, Weight: 5})
+	mustAppend(t, l, Record{Type: RecDeleteMin, Tenant: "a", Items: []Item{{Priority: 1, Value: 1}}})
+	cut := l.Head()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := snapshotBytes(&Snapshot{CutLSN: cut, Tenants: want})
+	frames := []int{len(snapWord)} // the offset of each frame, and the file's end
+	for off := len(snapWord); off < len(file); {
+		off += frameHeader + int(binary.LittleEndian.Uint32(file[off:]))
+		frames = append(frames, off)
+	}
+	if len(frames) != 7 {
+		t.Fatalf("the snapshot is %d frames, want 6: two tenant headers, three item frames, the end", len(frames)-1)
+	}
+
+	path := filepath.Join(dir, snapName(cut))
+	recoverFrom := func(name string, data []byte, wantCut uint64) {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, rec := testOpenAndClose(t, dir)
+		if rec.SnapshotCut != wantCut || rec.Head != cut || rec.Replayed != int(cut-wantCut) || !reflect.DeepEqual(rec.States, want) {
+			t.Fatalf("%s: recovered from cut %d with %d records to head %d, want cut %d, %d records, head %d and the journal's states",
+				name, rec.SnapshotCut, rec.Replayed, rec.Head, wantCut, cut-wantCut, cut)
+		}
+	}
+	recoverFrom("whole", file, cut)
+	recoverFrom("empty", nil, oldCut)
+	for i := 0; i+1 < len(frames); i++ {
+		start, end := frames[i], frames[i+1]
+		recoverFrom(fmt.Sprintf("cut before frame %d", i+1), file[:start], oldCut)
+		recoverFrom(fmt.Sprintf("cut inside frame %d", i+1), file[:(start+end)/2], oldCut)
+		flipped := slices.Clone(file)
+		flipped[(start+end)/2] ^= 0x20
+		recoverFrom(fmt.Sprintf("byte flipped in frame %d", i+1), flipped, oldCut)
+	}
+	recoverFrom("end record dropped", file[:frames[len(frames)-2]], oldCut)
+	extra := appendFrame(slices.Clone(file), &Record{LSN: uint64(len(frames)), Type: RecTenant, Tenant: "c"})
+	recoverFrom("a frame behind the end", extra, oldCut)
+
+	dir = t.TempDir()
+	l, _ = testOpen(t, dir, Options{})
+	mustAppend(t, l, Record{Type: RecCounterAdd, Tenant: "a", Count: 1, Weight: 1})
+	for _, typ := range []RecordType{RecTenant, RecSnapshotEnd} {
+		if _, err := l.Append(&Record{Type: typ, Tenant: "a"}); err == nil {
+			t.Fatalf("Append took a record of type %d into a segment", typ)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	newer := TenantState{Name: "t", Items: []Item{items[0], items[2], items[1], items[3]}, OpsEnqueued: 4}
-	payload := encodeSnapshot(nil, &Snapshot{CutLSN: 4, Tenants: []TenantState{newer}})
-	if _, err := readSnapshot(bytes.NewReader(payload), int64(len(payload))); err == nil || !strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("out-of-order snapshot: err %v, want out of order", err)
+	tail := appendFrame(nil, &Record{LSN: 2, Type: RecTenant, Tenant: "a", Items: make([]Item, 3)})
+	tail = appendFrame(tail, &Record{LSN: 3, Type: RecCounterAdd, Tenant: "a", Count: 1, Weight: 1})
+	seg, err := os.OpenFile(filepath.Join(dir, segName(1)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	file := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(payload, castagnoli))
-	if err := os.WriteFile(filepath.Join(dir, snapName(4)), append(file, payload...), 0o644); err != nil {
+	if _, err := seg.Write(tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
 	_, rec := testOpenAndClose(t, dir)
-	if rec.SnapshotCut != 2 || rec.Replayed != 2 || rec.Head != 4 {
-		t.Fatalf("recovered from cut %d with %d records to head %d, want cut 2, 2 records, head 4", rec.SnapshotCut, rec.Replayed, rec.Head)
-	}
-	if len(rec.States) != 1 || !reflect.DeepEqual(rec.States[0].Items, items) {
-		t.Fatalf("states %+v, want items %v", rec.States, items)
-	}
-}
-
-// TestFirstSnapshotLayoutRejected: a payload in the first snapshot layout,
-// which carried a u32 shard count per tenant, must fail on its magic rather
-// than be read with every later field shifted by four bytes, and the error
-// must name the layout it found.
-func TestFirstSnapshotLayoutRejected(t *testing.T) {
-	p := append([]byte("DLZSNAP1"), binary.LittleEndian.AppendUint64(nil, 7)...)
-	p = binary.LittleEndian.AppendUint32(p, 1)
-	p = appendShortString(p, "t")
-	p = binary.LittleEndian.AppendUint32(p, 8) // the shard count
-	p = append(p, make([]byte, 6*8+4)...)      // counter, ledger, zero items
-	if _, err := readSnapshot(bytes.NewReader(p), int64(len(p))); !errors.Is(err, errFormat) || !strings.Contains(err.Error(), "format DLZSNAP1") {
-		t.Fatalf("first-layout snapshot: err %v, want a format error naming DLZSNAP1", err)
+	if rec.Replayed != 1 || rec.Head != 1 || rec.TornBytes != int64(len(tail)) || rec.States[0].CounterSum != 1 {
+		t.Fatalf("a segment with a tenant header at LSN 2 replayed %d records to head %d, %d torn bytes, states %+v; want 1, 1, %d",
+			rec.Replayed, rec.Head, rec.TornBytes, rec.States, len(tail))
 	}
 }
 
@@ -490,8 +589,8 @@ func TestRebuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1 := encodeSnapshot(nil, &Snapshot{Tenants: st1})
-	b2 := encodeSnapshot(nil, &Snapshot{Tenants: st2})
+	b1 := snapshotBytes(&Snapshot{Tenants: st1})
+	b2 := snapshotBytes(&Snapshot{Tenants: st2})
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("double replay diverged")
 	}
