@@ -1,19 +1,17 @@
 package dlzd
 
 // The data plane's JSON codec (DESIGN.md §8, "Connection loop"). The three
-// hot request bodies decode through a hand scanner that accepts only what a
-// Go client's json.Marshal — or any client writing the documented shape —
-// produces, and DECLINES everything else: string escapes, non-ASCII bytes,
-// keys in another case, duplicate or unknown keys, null, and numbers that are
-// not plain unsigned decimals. A declined body is decoded by the strict
-// json.Decoder the daemon always used, and counted
-// (dlzd_wire_decode_fallback_total), so the scanner never has to agree with
-// encoding/json about an error: it only has to agree about what it accepts,
-// which FuzzWireDecode checks. The five data-plane answers are appended
-// byte-for-byte as json.Encoder writes them, trailing newline included.
+// hot request bodies decode through a hand scanner, their only decoder. It
+// accepts what a Go client's json.Marshal — or any client writing the
+// documented shape — produces, and declines everything else: string escapes,
+// non-ASCII bytes, keys in another case, duplicate or unknown keys, null,
+// numbers that are not plain unsigned decimals, and batches past
+// MaxWireBatch. A declined body is a 400 (badBody). Whatever the scanner
+// accepts, encoding/json reads the same way, which FuzzWireDecode checks.
+// The five data-plane answers are appended byte-for-byte as json.Encoder
+// writes them, trailing newline included.
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -162,8 +160,7 @@ func (p *scanner) array(elem func() bool) bool {
 	}
 }
 
-// once marks bit in seen, declining a key that was already seen: the
-// json.Decoder keeps a duplicate's last value, which the scanner leaves to it.
+// once marks bit in seen, declining a key that was already seen.
 func once(seen *uint8, bit uint8) bool {
 	if *seen&bit != 0 {
 		return false
@@ -171,6 +168,9 @@ func once(seen *uint8, bit uint8) bool {
 	*seen |= bit
 	return true
 }
+
+// badBody is the 400 message of every body scan declines.
+var badBody = "bad request body: not the canonical JSON shape, or more than " + strconv.Itoa(MaxWireBatch) + " items"
 
 // scan decodes body as op's request into rq, reporting false (decline) on any
 // input outside the canonical shape. rq is garbage after a decline.
@@ -200,8 +200,8 @@ func (rq *wireRequest) scan(op hotOp, body []byte) bool {
 					return false
 				})
 				rq.items = append(rq.items, it)
-				// A batch past the cap is refused either way; declining keeps
-				// the scratch a connection retains bounded by the cap.
+				// Declining past the cap keeps the scratch a connection
+				// retains bounded by it.
 				return ok && len(rq.items) <= MaxWireBatch
 			})
 		case op == hotDeleteMinUpTo && string(key) == "max":
@@ -218,44 +218,6 @@ func (rq *wireRequest) scan(op hotOp, body []byte) bool {
 		return false
 	})
 	return ok && !p.ws()
-}
-
-// strictJSON is the decoder of record: encoding/json with unknown fields
-// refused, exactly as the handlers called it before the scanner existed.
-func strictJSON(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
-// decodeStrict fills rq from body through strictJSON and op's wire.go type.
-func (rq *wireRequest) decodeStrict(op hotOp, body []byte) error {
-	var err error
-	switch op {
-	case hotEnqueueBatch:
-		var req EnqueueBatchRequest
-		err = strictJSON(body, &req)
-		rq.items = req.Items
-	case hotDeleteMinUpTo:
-		var req DeleteMinRequest
-		err = strictJSON(body, &req)
-		rq.max = req.Max
-	case hotCounterAddBatch:
-		var req CounterAddRequest
-		err = strictJSON(body, &req)
-		rq.deltas = req.Deltas
-	}
-	return err
-}
-
-// decode fills rq from body: the scanner when it accepts, else the strict
-// decoder, whose error is the one to report as a 400.
-func (s *Server) decode(rq *wireRequest, op hotOp, body []byte) error {
-	if rq.scan(op, body) {
-		return nil
-	}
-	s.decodeFallbacks.Add(1)
-	return rq.decodeStrict(op, body)
 }
 
 func appendEnqueueBatchResponse(dst []byte, r EnqueueBatchResponse) []byte {

@@ -5,9 +5,24 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
 	"reflect"
 	"testing"
+	"time"
 )
+
+// decodeStrict is the scanner's reference: op's wire.go type read by
+// encoding/json with unknown fields refused, as the handlers decoded bodies
+// before the scanner existed.
+func decodeStrict(op hotOp, body []byte) (wireRequest, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var enq EnqueueBatchRequest
+	var del DeleteMinRequest
+	var add CounterAddRequest
+	err := dec.Decode([...]any{&enq, &del, &add}[op])
+	return wireRequest{items: enq.Items, max: del.Max, deltas: add.Deltas}, err
+}
 
 // sameRequest compares two decoded requests; an absent and an empty list are
 // the same request (both are refused for their length).
@@ -18,8 +33,8 @@ func sameRequest(a, b wireRequest) bool {
 }
 
 // wireDecodeSeeds are bodies on both sides of the scanner's line: what the
-// benchmark and json.Marshal send, and everything the scanner must leave to
-// encoding/json.
+// benchmark and json.Marshal send, and what it declines although
+// encoding/json may read it.
 var wireDecodeSeeds = []string{
 	`{"session":"c0","items":[{"priority":17,"value":1},{"priority":3,"value":2}]}`,
 	`{"session":"c0","max":8}`,
@@ -80,9 +95,9 @@ var wireDecodeSeeds = []string{
 }
 
 // FuzzWireDecode holds the scanner to its contract: on every body, for each
-// of the three requests, it either declines or returns exactly what the
-// strict json.Decoder (decodeStrict, the fallback itself) returns — so
-// whatever it accepts, the daemon's answer is the one it always gave.
+// of the three requests, it either declines (a 400) or returns exactly what
+// the strict json.Decoder (decodeStrict) returns — so whatever it accepts,
+// encoding/json reads the same way.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range wireDecodeSeeds {
 		f.Add([]byte(seed))
@@ -93,8 +108,8 @@ func FuzzWireDecode(f *testing.F) {
 			if !got.scan(op, body) {
 				continue
 			}
-			var want wireRequest
-			if err := want.decodeStrict(op, body); err != nil {
+			want, err := decodeStrict(op, body)
+			if err != nil {
 				t.Fatalf("op %d: scanner accepted %q, json.Decoder refuses it: %v", op, body, err)
 			}
 			if !sameRequest(got, want) {
@@ -105,8 +120,8 @@ func FuzzWireDecode(f *testing.F) {
 }
 
 // TestScannerAcceptsCanonical pins the other half: the bodies real clients
-// send must take the fast path, or the scanner is dead weight. The CI metrics
-// smoke asserts the same of a dlzd-load run from outside.
+// send must be accepted, for a declined body is a 400. A dlzd-load run
+// asserts the same from outside: a worker gives up on a 400.
 func TestScannerAcceptsCanonical(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -135,23 +150,20 @@ func TestScannerAcceptsCanonical(t *testing.T) {
 			if !got.scan(op, body) {
 				t.Fatalf("scanner declined json.Marshal output %s", body)
 			}
-			var want wireRequest
-			if err := want.decodeStrict(op, body); err != nil || !sameRequest(got, want) {
+			if want, err := decodeStrict(op, body); err != nil || !sameRequest(got, want) {
 				t.Fatalf("%s scanned as %+v, want %+v (%v)", body, got, want, err)
 			}
 		}
 	}
-	// A declined body still decodes, and is counted.
+	// A declined body is a 400 through handle, with the one fixed message.
 	s := New(Config{})
-	var rq wireRequest
-	if err := s.decode(&rq, hotDeleteMinUpTo, []byte(`{"Session":"s","max":4}`)); err != nil || rq.max != 4 {
-		t.Fatalf("fallback decode = %+v, %v", rq, err)
-	}
-	if err := s.decode(&rq, hotDeleteMinUpTo, []byte(`{"session":"s","max":1e3}`)); err == nil {
-		t.Fatal("fallback accepted max 1e3")
-	}
-	if got := s.decodeFallbacks.Load(); got != 2 {
-		t.Fatalf("decodeFallbacks = %d, want 2", got)
+	var sc scratch
+	for _, body := range []string{`{"Session":"s","max":4}`, `{"session":"s","max":1e3}`} {
+		rq := request{method: []byte("POST"), path: []byte("/v1/t/delete-min-up-to"), body: []byte(body), arrival: time.Now()}
+		out, rp := s.handle(&sc, &rq, nil)
+		if rp.status != http.StatusBadRequest || string(out) != string(appendError(nil, badBody)) {
+			t.Fatalf("%s answered %d %q, want 400 %q", body, rp.status, out, badBody)
+		}
 	}
 }
 

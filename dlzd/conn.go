@@ -14,7 +14,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/url"
 	"runtime/debug"
 	"strconv"
 	"sync/atomic"
@@ -428,9 +427,9 @@ func headerEnd(b []byte, from int) (end, resume int) {
 }
 
 // parseHeader parses a complete header block: the request line, and of the
-// headers Content-Length, Transfer-Encoding, Connection and Expect; the rest
-// are checked for shape and skipped. It accepts no request http.ReadRequest
-// would refuse or read differently (FuzzConnRequest).
+// headers Content-Length, Transfer-Encoding, Connection, Expect and Host (at
+// most one); the rest are checked for shape and skipped. It accepts no
+// request http.ReadRequest would refuse or read differently (FuzzConnRequest).
 func parseHeader(b []byte) (p parsed) {
 	bad := func(status int, msg string) parsed { return parsed{status: status, msg: msg} }
 	line, b := cutLine(b)
@@ -458,7 +457,7 @@ func parseHeader(b []byte) (p parsed) {
 	}
 
 	var length []byte
-	chunked := false
+	chunked, host := false, false
 	for {
 		line, b = cutLine(b)
 		if len(line) == 0 {
@@ -494,6 +493,11 @@ func parseHeader(b []byte) (p parsed) {
 			length, p.contentLength = value, int(n)
 		case equalFold(name, "transfer-encoding"):
 			chunked = true
+		case equalFold(name, "host"):
+			if host {
+				return bad(http.StatusBadRequest, "more than one Host header")
+			}
+			host = true
 		case equalFold(name, "connection"):
 			if hasToken(value, "close") {
 				p.close = true
@@ -514,30 +518,17 @@ func parseHeader(b []byte) (p parsed) {
 	return p
 }
 
-// setTarget sets the request's path from its target as net/http does, and
-// drops the query, which no operation reads. A plain origin-form target — the
-// only kind the daemon's own paths need — is cut in place; anything else (an
-// escape, an absolute URI) goes through net/url.
+// setTarget sets the request's path from an origin-form target and drops the
+// query, which no operation reads. Any other target, or an escape before the
+// query, is refused: the daemon's paths need neither.
 func (rq *request) setTarget(target []byte) bool {
-	plain := len(target) > 0 && target[0] == '/'
 	for _, ch := range target {
 		if ch <= ' ' || ch == 0x7f {
 			return false
 		}
-		if ch == '%' {
-			plain = false
-		}
 	}
-	if plain {
-		rq.path, _, _ = bytes.Cut(target, []byte{'?'})
-		return true
-	}
-	u, err := url.ParseRequestURI(string(target))
-	if err != nil {
-		return false
-	}
-	rq.path = []byte(u.Path)
-	return true
+	rq.path, _, _ = bytes.Cut(target, []byte{'?'})
+	return len(target) > 0 && target[0] == '/' && bytes.IndexByte(rq.path, '%') < 0
 }
 
 // cutLine splits b after its first line, dropping the line's CRLF or LF.

@@ -215,17 +215,20 @@ func TestConnLimits(t *testing.T) {
 					}
 				}
 				// Two identical lengths are one length; no Content-Length on a
-				// POST is an empty body, refused by the decoder as it always was.
+				// POST is an empty body, which the scanner declines.
 				rc := dialRaw(t, c)
 				rc.send(postRequest("/v1/t/enqueue-batch", enqueueOne, fmt.Sprintf("Content-Length: %d\r\n", len(enqueueOne))))
 				rc.status(http.StatusOK)
 				rc.send("POST /v1/t/enqueue-batch HTTP/1.1\r\n\r\n")
-				if _, body := rc.status(http.StatusBadRequest); !strings.Contains(body, "EOF") {
-					t.Errorf("empty body answered %q, want the decoder's EOF", body)
+				if _, body := rc.status(http.StatusBadRequest); body != string(appendError(nil, badBody)) {
+					t.Errorf("empty body answered %q, want %q", body, badBody)
 				}
-				// An escaped target routes as its unescaped path, as under net/http.
+				// An escaped target is refused: the only target routed is a
+				// plain origin-form path.
 				rc.send("GET /%68ealthz HTTP/1.1\r\n\r\n")
-				rc.status(http.StatusOK)
+				if _, body := rc.status(http.StatusBadRequest); !strings.Contains(body, "invalid request target") {
+					t.Errorf("escaped target answered %q, want invalid request target", body)
+				}
 			}},
 		{"Expect: 100-continue gets the interim 100, then the answer", nil,
 			func(t *testing.T, s *Server, c *testClient) {
@@ -430,7 +433,6 @@ func TestConnMetricsSurface(t *testing.T) {
 		"dlzd_conns_open":                               "1",
 		"dlzd_conns_accepted_total":                     "1",
 		"dlzd_requests_total":                           "0", // the scrape is counted once it is answered
-		"dlzd_wire_decode_fallback_total":               "0",
 		"dlzd_conn_protocol_errors_total":               "0",
 		`dlzd_conn_protocol_errors_total{status="431"}`: "0",
 	} {
@@ -438,11 +440,11 @@ func TestConnMetricsSurface(t *testing.T) {
 			t.Errorf("%s = %s, want %s", series, got, want)
 		}
 	}
-	c.post("/v1/t/delete-min-up-to", map[string]any{"Session": "s", "max": 1}, nil) // odd key case: the fallback's
-	m = c.metrics()
-	if got := lineValue(t, m, "dlzd_wire_decode_fallback_total"); got != "1" {
-		t.Errorf("dlzd_wire_decode_fallback_total = %s, want 1", got)
+	// An odd key case is declined, and the 400 is still a counted request.
+	if code := c.post("/v1/t/delete-min-up-to", map[string]any{"Session": "s", "max": 1}, nil); code != http.StatusBadRequest {
+		t.Errorf("odd key case answered %d, want 400", code)
 	}
+	m = c.metrics()
 	if got := lineValue(t, m, "dlzd_requests_total"); got != "2" {
 		t.Errorf("dlzd_requests_total = %s, want 2", got)
 	}
@@ -491,6 +493,7 @@ func FuzzConnRequest(f *testing.F) {
 		"POST /v1/t/session/close HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
 		"GET / HTTP/1.1\r\nX: a\r\n\tb\r\n\r\n",
 		"GET / HTTP/1.1\r\nBad Name: a\r\n\r\n",
+		"GET / HTTP/1.0\r\nHost:\nhost: a\n\r\n",
 		"GET /a\x00b HTTP/1.1\r\n\r\n",
 		"GET  / HTTP/1.1\r\n\r\n",
 		"\r\nGET / HTTP/1.1\r\n\r\n",

@@ -120,10 +120,9 @@ type Server struct {
 	drained   chan struct{} // closed when the last connection of a draining server exits
 	draining  atomic.Bool
 
-	connsAccepted   atomic.Uint64
-	requests        atomic.Uint64 // ServeHTTP's requests, plus closed connections' (live ones count their own)
-	decodeFallbacks atomic.Uint64 // hot bodies the scanner declined
-	protocolErrors  [len(protocolStatuses)]atomic.Uint64
+	connsAccepted  atomic.Uint64
+	requests       atomic.Uint64 // ServeHTTP's requests, plus closed connections' (live ones count their own)
+	protocolErrors [len(protocolStatuses)]atomic.Uint64
 
 	// Durability state (all quiescent without Config.Durability). ready
 	// gates /v1 traffic: false from New until Recover completes on a

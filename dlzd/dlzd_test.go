@@ -441,8 +441,11 @@ func lineValue(t *testing.T, metrics, series string) string {
 }
 
 func TestRequestValidation(t *testing.T) {
-	_, c := newTestServer(t, Config{Queues: 2})
+	s, c := newTestServer(t, Config{Queues: 2})
 	tooMany := make([]WireItem, MaxWireBatch+1)
+	deleteMin := func(body string) func() int {
+		return func() int { return c.post("/v1/ok/delete-min-up-to", json.RawMessage(body), nil) }
+	}
 
 	cases := []struct {
 		name string
@@ -479,6 +482,20 @@ func TestRequestValidation(t *testing.T) {
 			return c.post("/v1/ok/delete-min-up-to", DeleteMinRequest{Session: "s"}, nil)
 		}},
 		{"read without session", http.StatusOK, func() int { return c.get("/v1/ok/counter/read", nil) }},
+		// Bodies outside the scanner's canonical shape are refused, even
+		// where encoding/json would read them.
+		{"session key in another case", http.StatusBadRequest, deleteMin(`{"Session":"s","max":4}`)},
+		{"escaped session", http.StatusBadRequest, deleteMin(`{"session":"\u0073","max":4}`)},
+		{"duplicate key", http.StatusBadRequest, deleteMin(`{"session":"s","max":1,"max":4}`)},
+		{"null session", http.StatusBadRequest, deleteMin(`{"session":null,"max":4}`)},
+		{"non-ASCII session", http.StatusBadRequest, deleteMin(`{"session":"café","max":4}`)},
+		{"non-ASCII session through ServeHTTP", http.StatusBadRequest, func() int {
+			w := serveHTTP(s, "POST", "/v1/ok/delete-min-up-to", `{"session":"café","max":4}`)
+			if w.Body.String() != string(appendError(nil, badBody)) {
+				t.Errorf("ServeHTTP answered %q, want %q", w.Body, badBody)
+			}
+			return w.Code
+		}},
 	}
 	for _, tc := range cases {
 		if code := tc.do(); code != tc.code {

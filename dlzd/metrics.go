@@ -108,14 +108,11 @@ func (s *Server) appendMetrics(dst []byte) []byte {
 	gauge("dlzd_shed_level", "Adaptive shed level (0-3), summed across tenants.", shedTotal)
 	perTenant("dlzd_shed_level", func(r tenantRow) uint64 { return uint64(r.t.shedLevel.Load()) })
 
-	// Connection-loop series (DESIGN.md §8). The fallback count is what tells
-	// an operator a client's bodies miss the scanner's fast path.
+	// Connection-loop series (DESIGN.md §8).
 	open, requests := s.connStats()
 	gauge("dlzd_conns_open", "Connections the connection loop is serving.", open)
 	counter("dlzd_conns_accepted_total", "Connections accepted by the connection loop.", s.connsAccepted.Load())
 	counter("dlzd_requests_total", "Requests answered by the pipeline, over either transport.", requests)
-	counter("dlzd_wire_decode_fallback_total", "Hot request bodies the scanner declined and encoding/json decoded.",
-		s.decodeFallbacks.Load())
 	var protocolErrors uint64
 	for i := range s.protocolErrors {
 		protocolErrors += s.protocolErrors[i].Load()

@@ -263,8 +263,8 @@ func (s *Server) decodeHot(sc *scratch, op hotOp, rq *request) (status int, msg 
 	if string(rq.method) != http.MethodPost {
 		return http.StatusMethodNotAllowed, "POST required"
 	}
-	if err := s.decode(&sc.rq, op, rq.body); err != nil {
-		return http.StatusBadRequest, "bad request body: " + err.Error()
+	if !sc.rq.scan(op, rq.body) {
+		return http.StatusBadRequest, badBody
 	}
 	return 0, ""
 }

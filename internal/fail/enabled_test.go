@@ -27,11 +27,6 @@ func TestErrorPolicyFiresAndCounts(t *testing.T) {
 	if got := Fires(site); got != 5 {
 		t.Errorf("Fires = %d, want 5", got)
 	}
-	custom := errors.New("custom")
-	Arm(site, Policy{Kind: KindError, Err: custom})
-	if err := Inject(site); !errors.Is(err, custom) {
-		t.Errorf("custom err = %v", err)
-	}
 	Disarm(site)
 	if err := Inject(site); err != nil {
 		t.Errorf("disarmed site injected: %v", err)

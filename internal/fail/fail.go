@@ -93,9 +93,9 @@ const (
 type Kind int
 
 const (
-	// KindError makes Inject return Policy.Err (ErrInjected when nil). Call
-	// sites map the error to their natural refusal outcome: a refused
-	// try-lock, a rerolled draw, an aborted batch.
+	// KindError makes Inject return ErrInjected. Call sites map the error
+	// to their natural refusal outcome: a refused try-lock, a rerolled
+	// draw, an aborted batch.
 	KindError Kind = iota
 	// KindPanic makes Inject panic with an InjectedPanic carrying the site
 	// name; recovery paths identify it with IsInjectedPanic.
@@ -128,8 +128,6 @@ type Policy struct {
 	Count uint64
 	// Delay is the sleep for KindDelay.
 	Delay time.Duration
-	// Err overrides ErrInjected for KindError.
-	Err error
 }
 
 // ErrInjected is the default error a KindError policy injects.

@@ -285,9 +285,9 @@ func TestShortSegmentIsTorn(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, rec := testOpen(t, dir, Options{})
-	if rec.Replayed != 1 || rec.Head != 1 || rec.TornBytes != 5 || rec.SegmentsDropped != 0 {
-		t.Fatalf("recovered %d records to head %d with %d torn bytes and %d dropped segments, want 1, 1, 5, 0",
-			rec.Replayed, rec.Head, rec.TornBytes, rec.SegmentsDropped)
+	if rec.Replayed != 1 || rec.Head != 1 || rec.TornBytes != 5 {
+		t.Fatalf("recovered %d records to head %d with %d torn bytes, want 1, 1, 5",
+			rec.Replayed, rec.Head, rec.TornBytes)
 	}
 	mustAppend(t, l, goldenFrames[3].rec)
 	if err := l.Close(); err != nil {

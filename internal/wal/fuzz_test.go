@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -92,9 +91,10 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode reads arbitrary bytes as a snapshot file, through the
-// path recovery takes: it must never panic, and a file it accepts must be
-// exactly the file writeSnapshot makes of what it read.
+// FuzzSnapshotDecode reads arbitrary bytes as a snapshot file, through
+// recovery's own word check and decoder over an in-memory reader: it must
+// never panic, and a file it accepts must be exactly the file writeSnapshot
+// makes of what it read.
 func FuzzSnapshotDecode(f *testing.F) {
 	per := frameItems("a")
 	big := TenantState{Name: "a", Items: make([]Item, per+1), OpsEnqueued: uint64(per + 1)}
@@ -132,9 +132,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 	binary.LittleEndian.PutUint32(head[4:], crc32.Checksum(payload, castagnoli))
 	f.Add(raised)
 
-	dir := f.TempDir()
+	win := make([]byte, recoverWindow)
+	var r bytes.Reader
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := readSnapshotBytes(filepath.Join(dir, snapName(0)), data)
+		r.Reset(data)
+		n, err := readWord(&r, snapWord, win)
+		if err != nil {
+			return
+		}
+		s, err := readSnapshot(&r, int64(len(data)), n, win)
 		if err != nil {
 			return
 		}

@@ -27,15 +27,12 @@ type Recovered struct {
 	// Records are deep copies of those records in LSN order. Only Replay
 	// fills it; Open keeps nothing proportional to the journal.
 	Records []Record
-	// Head is the last valid LSN on disk; Open's fresh segment starts at
-	// Head+1.
+	// Head is the last LSN recovered, never below SnapshotCut; Open's fresh
+	// segment starts at Head+1.
 	Head uint64
-	// TornBytes counts bytes truncated off segment tails (a partially
-	// written final record from a crash mid-append, or trailing garbage).
+	// TornBytes counts bytes truncated off the newest segment's tail: a
+	// record cut short by a crash mid-append, or trailing garbage.
 	TornBytes int64
-	// SegmentsDropped counts whole segment files discarded because they sat
-	// behind a torn frame or an LSN gap and were therefore unreachable.
-	SegmentsDropped int
 	// TailBytes is the byte size of the valid journal tail behind the
 	// snapshot — the initial bytes-since-snapshot reading.
 	TailBytes int64
@@ -60,15 +57,14 @@ const recoverWindow = 64 << 10
 
 // recoverDir scans dir and reconstructs the durable state in one pass:
 // newest whole snapshot, then the chained segments behind it, every file
-// streamed through one read window, every record folded into the
-// per-tenant state the moment it is decoded, torn-tail detection. With keep
-// unset (Open) it repairs as it goes — truncates torn files and removes
-// unreachable segments so the directory is left frame-clean — and retains
-// nothing per record. With keep set (Replay) it is read-only and also collects a deep
-// copy of every replayed record. Corruption is not an error — the scan
-// stops at the first invalid frame, exactly like the recovery state machine
-// in DESIGN.md §12 — but I/O failures are, and so is a file in another
-// on-disk format (errFormat), before any file is touched.
+// streamed through one read window, every record folded into per-tenant
+// state as it is decoded. With keep unset (Open) it retains nothing per
+// record and truncates a torn tail off the newest segment, the one damage a
+// crash leaves; with keep set (Replay) it is read-only and keeps a deep copy
+// of every replayed record. It fails before touching a file on I/O errors,
+// another on-disk format (errFormat), and what only media damage leaves (a
+// rolled segment was fsynced before its successor existed): an LSN gap, a
+// bad frame before a later segment, a head below a skipped snapshot's cut.
 func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	segs, snaps, err := listDir(dir)
 	if err != nil {
@@ -91,9 +87,6 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		if errors.Is(err, errFormat) {
 			return nil, err
 		}
-		// A snapshot that is not whole (torn write before the rename
-		// discipline, bit rot, items out of order) is skipped; an older one
-		// or the raw journal still works.
 	}
 	cut := rec.SnapshotCut
 	rec.Head = cut
@@ -116,22 +109,15 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 			if keep {
 				rec.Records = append(rec.Records, r.clone())
 			}
+			rec.Head = r.LSN // never below cut: the snapshot holds the records up to it
 		}
-		rec.Head = r.LSN
 	}
 	var sc scanner
+	var good, size int64 // the valid and the whole length of the segment scanned last
 	for i := start; i < len(segs); i++ {
 		s := segs[i]
 		if s.seq > rec.Head+1 {
-			// LSN gap: this segment and everything after it are unreachable
-			// from the durable prefix.
-			rec.SegmentsDropped += len(segs) - i
-			if !keep {
-				for _, d := range segs[i:] {
-					_ = os.Remove(d.path)
-				}
-			}
-			break
+			return nil, fmt.Errorf("wal: %s: records %d to %d are missing", s.path, rec.Head+1, s.seq-1)
 		}
 		file, n, err := openFile(s.path, segWord, win)
 		if err != nil {
@@ -139,7 +125,7 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		}
 		// A segment shorter than its word is a crash during its creation:
 		// empty and torn.
-		good, size := int64(0), int64(n)
+		good, size = 0, int64(n)
 		if n == len(segWord) {
 			good, size, win, err = sc.scanStream(file, win, s.seq, visit)
 			good, size = good+int64(n), size+int64(n)
@@ -150,53 +136,64 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 		}
 		prog.Records.Store(uint64(rec.Replayed))
 		prog.Segments.Add(1)
-		if good < size {
-			// Torn or corrupt frame: truncate it away and drop the
-			// unreachable successors.
-			rec.TornBytes += size - good
-			rec.SegmentsDropped += len(segs) - i - 1
-			if !keep {
-				if err := os.Truncate(s.path, good); err != nil {
-					return nil, err
-				}
-				for _, d := range segs[i+1:] {
-					_ = os.Remove(d.path)
-				}
-			}
-			break
+		if rec.TornBytes = size - good; rec.TornBytes > 0 && i < len(segs)-1 {
+			return nil, fmt.Errorf("wal: %s: bad frame at byte %d before a later segment: records from %d on are unreachable",
+				s.path, good, rec.Head+1)
+		}
+	}
+	// Head >= cut, so this holds only for a newest snapshot recovery skipped.
+	if n := len(snaps); n > 0 && rec.Head < snaps[n-1].seq {
+		return nil, fmt.Errorf("wal: %s is not whole, and records %d to %d are missing", snaps[n-1].path, rec.Head+1, snaps[n-1].seq)
+	}
+	if !keep && len(segs) > 0 {
+		// Truncated if torn, and fsynced: the last run may not have, and a
+		// power cut must not tear it behind the segment Open creates next.
+		f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY, 0)
+		if err == nil {
+			err = errors.Join(f.Truncate(good), f.Sync(), f.Close())
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	rec.States = f.states()
 	return rec, nil
 }
 
-// openFile opens a journal file and checks that it starts with word,
-// reading through win so that the check allocates nothing. It returns the
-// file and how many bytes of the word it holds: fewer than the whole word is
-// a file cut short as it was created. A file that starts with anything else
-// fails with errFormat, naming what it found: another version of the word,
-// at the head or behind the 8-byte frame header where the single-frame
-// snapshot layouts kept it, or no word at all.
+// openFile opens a journal file and checks its word (readWord).
 func openFile(path, word string, win []byte) (*os.File, int, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	n, err := io.ReadFull(f, win[:len(word)])
+	n, err := readWord(f, word, win)
+	if err != nil {
+		_ = f.Close() // read-only
+		return nil, 0, fmt.Errorf("wal: %s: %w", path, err)
+	}
+	return f, n, nil
+}
+
+// readWord reads a journal file's head from r through win, allocating
+// nothing, and returns how many bytes of word it holds: fewer than all is a
+// file cut short as it was created. Any other head fails with errFormat,
+// naming what it found: another version of the word, at the head or behind
+// the 8-byte frame header where the single-frame snapshots kept it, or none.
+func readWord(r io.Reader, word string, win []byte) (int, error) {
+	n, err := io.ReadFull(r, win[:len(word)])
 	if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil && string(win[:n]) == word {
-		return f, n, nil
+		return n, nil
 	}
 	if err == nil {
 		found := "no format word"
 		if string(win[:n-1]) == word[:n-1] {
 			found = "format " + string(win[:n])
-		} else if m, _ := io.ReadFull(f, win[n:2*n]); m == n && string(win[n:2*n-1]) == word[:n-1] {
+		} else if m, _ := io.ReadFull(r, win[n:2*n]); m == n && string(win[n:2*n-1]) == word[:n-1] {
 			found = "format " + string(win[n:2*n])
 		}
-		err = fmt.Errorf("wal: %s: %s, want %s: %w", path, found, word, errFormat)
+		err = fmt.Errorf("%s, want %s: %w", found, word, errFormat)
 	}
-	_ = f.Close() // read-only
-	return nil, 0, err
+	return 0, err
 }
 
 // payloadLen returns the encoded payload size of r without materializing

@@ -1,7 +1,7 @@
 package wal
 
 import (
-	"fmt"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -126,14 +126,8 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// loadSnapshot reads the snapshot file at path through the window win. It
-// accepts only a whole file that is the one writeSnapshot makes of what it
-// holds: the word, then frames valid up to EOF and naming no session; each
-// tenant's items fill the array sized from its header (at most the file
-// size / 16) in canonical order, since recovery folds the journal into them
-// as a sorted run, in frames of frameItems each; the end record comes last
-// and counts the tenants. A file in another format fails with errFormat;
-// any other error means it is torn or corrupt.
+// loadSnapshot reads the snapshot file at path through the window win; a
+// file in another format fails with errFormat.
 func loadSnapshot(path string, win []byte) (*Snapshot, error) {
 	f, n, err := openFile(path, snapWord, win)
 	if err != nil {
@@ -144,6 +138,17 @@ func loadSnapshot(path string, win []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readSnapshot(f, st.Size(), n, win)
+}
+
+// readSnapshot decodes a snapshot file of size bytes from r, whose first n
+// bytes, the word, readWord has checked. It accepts only a whole file that
+// is the one writeSnapshot makes of what it holds: the word, then frames
+// valid up to EOF and naming no session; each tenant's items fill the array
+// sized from its header (at most size / 16) in canonical order, since
+// recovery folds the journal into them as a sorted run, in frames of
+// frameItems each; the end record comes last and counts the tenants.
+func readSnapshot(r io.Reader, size int64, n int, win []byte) (*Snapshot, error) {
 	var s Snapshot
 	ok, ended := n == len(snapWord), false
 	take := func(r *Record) bool {
@@ -154,7 +159,7 @@ func loadSnapshot(path string, win []byte) (*Snapshot, error) {
 		switch short := t != nil && len(t.Items) < cap(t.Items); {
 		case ended || r.Session != "" || short != (r.Type == RecEnqueue):
 			return false
-		case r.Type == RecTenant && len(r.Items) == 3 && r.Items[0].Priority <= uint64(st.Size())/16:
+		case r.Type == RecTenant && len(r.Items) == 3 && r.Items[0].Priority <= uint64(size)/16:
 			h := r.Items
 			s.Tenants = append(s.Tenants, TenantState{Name: r.Tenant, Items: make([]Item, 0, h[0].Priority), CounterSum: h[0].Value,
 				OpsEnqueued: h[1].Priority, OpsDequeued: h[1].Value, OpsCounterAdds: h[2].Priority, CounterDeltaSum: h[2].Value})
@@ -173,9 +178,9 @@ func loadSnapshot(path string, win []byte) (*Snapshot, error) {
 		return true
 	}
 	sc := scanner{snapshot: true}
-	good, size, _, err := sc.scanStream(f, win, 1, func(r *Record) { ok = ok && take(r) })
-	if err == nil && !(ok && ended && good == size) {
-		err = fmt.Errorf("wal: snapshot %s is torn or corrupt", path)
+	good, read, _, err := sc.scanStream(r, win, 1, func(r *Record) { ok = ok && take(r) })
+	if err == nil && !(ok && ended && good == read) {
+		err = errors.New("wal: snapshot is torn or corrupt")
 	}
 	if err != nil {
 		return nil, err

@@ -18,11 +18,11 @@
 // through one 64 KiB read window. Recovery (Open) streams the newest whole
 // snapshot into per-tenant item arrays, then the chained segment tail behind
 // it, folding each record into sorted runs of the tail's unmatched elements
-// as it is decoded. It truncates the first torn or corrupt frame, drops
-// unreachable later segments, and reports the states and everything it did
-// in Recovered; a file in another on-disk format fails it instead, with
-// nothing repaired. Boot memory is the window and those runs, which start as
-// the snapshot's items; the segment size does not enter it.
+// as it is decoded. It truncates a torn tail off the newest segment, the
+// one damage a crash leaves, and reports what it found in Recovered; a file
+// in another on-disk format, or a journal the durable prefix cannot reach,
+// fails it with nothing repaired. Boot memory is the window and those runs,
+// which start as the snapshot's items; the segment size does not enter it.
 package wal
 
 import (

@@ -359,6 +359,120 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// snapshotted writes n one-item enqueues of tenant "t" into dir through
+// 256-byte segments, taking a snapshot at LSN 20, and closes the log.
+func snapshotted(t *testing.T, dir string, n uint64) {
+	l, _ := testOpen(t, dir, Options{SegmentBytes: 256})
+	st := TenantState{Name: "t"}
+	for i := uint64(1); i <= n; i++ {
+		it := Item{Priority: i, Value: 1}
+		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{it}})
+		st.Items, st.OpsEnqueued = append(st.Items, it), i
+		if i == 20 {
+			if err := l.WriteSnapshot(&Snapshot{CutLSN: 20, Tenants: []TenantState{st}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnreachableJournalRefused: recovery repairs only what a crash can
+// leave, a torn tail on the newest segment. A journal the durable prefix
+// cannot reach holds acknowledged records no repair brings back, so Open
+// and Replay both fail on it, naming the loss, and change no file.
+func TestUnreachableJournalRefused(t *testing.T) {
+	flip := func(path string) {
+		data, _ := os.ReadFile(path)
+		data[len(data)/2] ^= 0x40
+		_ = os.WriteFile(path, data, 0o644)
+	}
+	files := func(dir string) map[string]string {
+		m := make(map[string]string)
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			data, _ := os.ReadFile(filepath.Join(dir, e.Name()))
+			m[e.Name()] = string(data)
+		}
+		return m
+	}
+	// Each damages 45 records in segments from LSN 19, 25, 31, 37 and 43
+	// behind a snapshot at 20, and returns what the refusal must say.
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string, segs []dirFile) string
+	}{
+		{"corrupt snapshot over a truncated journal", func(dir string, segs []dirFile) string {
+			flip(filepath.Join(dir, snapName(20)))
+			return fmt.Sprintf("records 1 to %d are missing", segs[0].seq-1)
+		}},
+		{"corrupt snapshot over no journal", func(dir string, segs []dirFile) string {
+			flip(filepath.Join(dir, snapName(20)))
+			for _, s := range segs {
+				_ = os.Remove(s.path)
+			}
+			return "records 1 to 20 are missing"
+		}},
+		{"corrupt frame before a later segment", func(_ string, segs []dirFile) string {
+			flip(segs[1].path)
+			return "bad frame"
+		}},
+		{"missing segment", func(_ string, segs []dirFile) string {
+			_ = os.Remove(segs[1].path)
+			return fmt.Sprintf("records %d to %d are missing", segs[1].seq, segs[2].seq-1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			snapshotted(t, dir, 45)
+			segs, _, _ := listDir(dir)
+			want := tc.damage(dir, segs)
+			before := files(dir)
+			if l, _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Open: %v, want it to say %q", err, want)
+				if err == nil {
+					l.Close()
+				}
+			}
+			if _, _, err := Replay(dir); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Replay: %v, want it to say %q", err, want)
+			}
+			if !reflect.DeepEqual(files(dir), before) {
+				t.Error("a refused recovery changed the directory")
+			}
+		})
+	}
+}
+
+// TestJournalBehindSnapshotOpens: WriteSnapshot does not sync the active
+// segment, so a power cut after it can leave that segment ending below the
+// cut, torn. The snapshot holds every record up to the cut, so Open
+// truncates the tail and resumes the journal right after the cut.
+func TestJournalBehindSnapshotOpens(t *testing.T) {
+	dir := t.TempDir()
+	snapshotted(t, dir, 20)
+	segs, _, _ := listDir(dir)
+	frame := frameHeader + payloadLen(&Record{Type: RecEnqueue, Tenant: "t", Items: make([]Item, 1)})
+	if err := os.Truncate(segs[0].path, int64(len(segWord)+frame+3)); err != nil || len(segs) != 1 || segs[0].seq != 19 {
+		t.Fatalf("segments %v (truncate: %v), want one from LSN 19", segs, err)
+	}
+	l, rec := testOpen(t, dir, Options{})
+	if rec.Head != 20 || rec.TornBytes != 3 || len(rec.States) != 1 || len(rec.States[0].Items) != 20 {
+		t.Fatalf("recovered head %d, %d torn bytes, states %+v; want head 20, 3, 20 items", rec.Head, rec.TornBytes, rec.States)
+	}
+	if lsn := mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: make([]Item, 1)}); lsn != 21 {
+		t.Fatalf("first append after recovery got LSN %d, want 21", lsn)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, rec, err := Replay(dir); err != nil || rec.Head != 21 || len(st[0].Items) != 21 {
+		t.Fatalf("second recovery: head %v, err %v", rec, err)
+	}
+}
+
 // TestOutOfOrderSnapshotFallsBack: a snapshot whose frames and checksums
 // are intact but whose items are out of canonical order, within a frame or
 // across the boundary between two, is refused, since the fold takes them as
