@@ -26,8 +26,8 @@
 //     for Stickiness consecutive operations and moves elements in and out in
 //     batches of Batch with one lock acquisition per batch. Every choice is
 //     uniform over the m queues, the paper's assumption. Batched handles
-//     must call MQHandle.Flush before quiescent audits (Len, Sizes,
-//     cross-handle drains); cmd/quality -queue re-measures the rank-error
+//     must call MQHandle.Flush before quiescent audits (Len, cross-handle
+//     drains); cmd/quality -queue re-measures the rank-error
 //     distribution for any (Choices, Stickiness, Batch) setting against the
 //     O(m·log m) envelope.
 //

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestNewMultiQueueFootprint bounds what an empty MultiQueue costs: at
@@ -52,6 +54,22 @@ func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 					t.Fatalf("steady-state enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
 				}
 			})
+		}
+	})
+	// Random priorities, as in the benchmark's lib-queue loop: in the steady
+	// state most refills take the handle's own buffered key.
+	t.Run("own-buffer", func(t *testing.T) {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 16}, Stickiness: 16, Batch: 8})
+		h, r := q.NewHandle(4), rng.NewXoshiro256(4)
+		step := func() {
+			h.EnqueuePriority(r.Next()>>16, 1)
+			h.Dequeue()
+		}
+		for i := 0; i < 4096; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Fatalf("steady-state own-buffer enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
 		}
 	})
 }

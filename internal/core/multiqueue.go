@@ -70,8 +70,10 @@ type MultiQueueConfig struct {
 	// one cached-top publish per k elements instead of per element. 0 or 1
 	// is the same path with batches of one: Algorithm 2's per-operation
 	// Add and DeleteMin. Buffered enqueues are invisible to other handles
-	// until the batch flushes (call MQHandle.Flush at quiescence); prefetched
-	// elements are already dequeued from the shared structure.
+	// until the batch flushes (call MQHandle.Flush at quiescence), but the
+	// owning handle may dequeue one of them directly when it ranks below the
+	// top its refill draw would delete from; prefetched elements are already
+	// dequeued from the shared structure.
 	Batch int
 }
 
@@ -116,7 +118,7 @@ func (q *MultiQueue) M() int { return q.m }
 // In batched mode, elements a handle still buffers (MQHandle.Buffered) are
 // not counted until that handle flushes, and prefetched elements
 // (MQHandle.Prefetched) are already excluded — flush all handles before a
-// Len/Sizes audit.
+// Len audit.
 func (q *MultiQueue) Len() int {
 	n := 0
 	for i := range q.qs {
@@ -150,18 +152,6 @@ func (q *MultiQueue) Stats() MQStats {
 		s.LockContended += qs.LockContended
 	}
 	return s
-}
-
-// Sizes copies the per-queue element counts into dst (len must equal M) —
-// the queue counterpart of MultiCounter.Snapshot, used to observe how evenly
-// the random-insert rule spreads elements. Exact at quiescence.
-func (q *MultiQueue) Sizes(dst []int) {
-	if len(dst) != q.m {
-		panic("core: Sizes dst length mismatch")
-	}
-	for i := range dst {
-		dst[i] = q.qs[i].Len()
-	}
 }
 
 // SnapshotElements appends the structure's full contents to dst and returns
@@ -287,8 +277,8 @@ func (h *MQHandle) Prefetched() int { return len(h.outBuf) - h.outPos }
 // Flush publishes any buffered inserts to the shared structure with one
 // batched add (publish): the sticky insert target is offered the batch with
 // a try-lock, a refusal yields and redraws, and only after m refusals does
-// Flush wait on a lock. Call at quiescence (before Len/Sizes audits or a drain by another
-// handle); a handle with an empty buffer flushes for free.
+// Flush wait on a lock. Call at quiescence (before a Len audit or a drain by
+// another handle); a handle with an empty buffer flushes for free.
 func (h *MQHandle) Flush() {
 	if len(h.inBuf) == 0 {
 		return
@@ -443,6 +433,8 @@ func (h *MQHandle) EnqueuePriority(priority, value uint64) {
 // The winner is drained with DeleteMinUpTo(Batch) and the run beyond the
 // first element is served from the handle's prefetch buffer by subsequent
 // calls — one lock acquisition per Batch elements (per element at Batch 1).
+// A refill whose winner's stable top exceeds the smallest element this handle
+// still buffers returns that element instead, touching no shard (takeOwn).
 func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 	h.checkOpen()
 	if h.outPos < len(h.outBuf) {
@@ -470,11 +462,12 @@ func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 
 // draw is the d-choice loop Dequeue and TryDequeue share: up to n draws,
 // each comparing the sticky candidates' top words and try-locking the
-// winner (deleteFrom without block). A stable-empty winner, an empty queue
-// and a refused lock all reroll the sampler for a fresh draw; a winner
-// whose word was not empty but that gave nothing also yields the processor
-// once first, as publish does on a refusal. ok is false if no draw obtained
-// an element.
+// winner (deleteFrom without block), unless the winner's top is stable and
+// the handle's own insert buffer holds a smaller element (takeOwn). A
+// stable-empty winner, an empty queue and a refused lock all reroll the
+// sampler for a fresh draw; a winner whose word was not empty but that gave
+// nothing also yields the processor once first, as publish does on a
+// refusal. ok is false if no draw obtained an element.
 func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
 	for a := 0; a < n; a++ {
 		i, key := h.deqBest()
@@ -483,6 +476,11 @@ func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
 			// contended, exercising the sampler's reroll inheritance.
 			h.deqReroll()
 			continue
+		}
+		if key < cpq.TopKeyInFlight && len(h.inBuf) > 0 {
+			if it, ok = h.takeOwn(key); ok {
+				return it, true
+			}
 		}
 		if key != cpq.TopKeyEmpty {
 			if it, ok = h.deleteFrom(i, false); ok {
@@ -493,6 +491,25 @@ func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
 		h.deqReroll()
 	}
 	return heap.Item{}, false
+}
+
+// takeOwn swap-removes and returns the non-empty insert buffer's smallest
+// element if it ranks below key, the draw winner's stable top: that key never
+// exceeds the minimum the try-lock would delete (DESIGN.md §2, "Own-buffer
+// dequeue"). It takes no lock, charges no window and requests no reroll.
+func (h *MQHandle) takeOwn(key uint64) (heap.Item, bool) {
+	b, j := h.inBuf, 0
+	for x := range b {
+		if b[x].Priority < b[j].Priority {
+			j = x
+		}
+	}
+	it, last := b[j], len(b)-1
+	if it.Priority >= key {
+		return heap.Item{}, false
+	}
+	b[j], h.inBuf = b[last], b[:last]
+	return it, true
 }
 
 // deleteFrom refills from queue i with DeleteMinUpTo(Batch), returning the

@@ -14,6 +14,18 @@ func newMQ(m int) *MultiQueue {
 	return NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}, Seed: 1})
 }
 
+// Sizes copies the per-queue element counts into dst (len must equal M), to
+// observe how evenly the random-insert rule spreads elements. Exact at
+// quiescence.
+func (q *MultiQueue) Sizes(dst []int) {
+	if len(dst) != q.m {
+		panic("core: Sizes dst length mismatch")
+	}
+	for i := range dst {
+		dst[i] = q.qs[i].Len()
+	}
+}
+
 func TestMultiQueueFIFOishSequential(t *testing.T) {
 	q := newMQ(4)
 	h := q.NewHandle(1)

@@ -318,20 +318,3 @@ func (h *Binary) down(i int) {
 	}
 	h.p[i] = it
 }
-
-// Verify checks that the run is sorted descending and the pending heap is
-// heap-ordered (parent <= children) and returns false at the first violation.
-// Tests use it after randomized operation sequences.
-func (h *Binary) Verify() bool {
-	for i := 1; i < len(h.a); i++ {
-		if h.a[i-1].Priority < h.a[i].Priority {
-			return false
-		}
-	}
-	for i := 1; i < len(h.p); i++ {
-		if h.p[(i-1)/2].Priority > h.p[i].Priority {
-			return false
-		}
-	}
-	return true
-}

@@ -8,6 +8,22 @@ import (
 	"repro/internal/rng"
 )
 
+// Verify checks that the run is sorted descending and the pending heap is
+// heap-ordered (parent <= children) and returns false at the first violation.
+func (h *Binary) Verify() bool {
+	for i := 1; i < len(h.a); i++ {
+		if h.a[i-1].Priority < h.a[i].Priority {
+			return false
+		}
+	}
+	for i := 1; i < len(h.p); i++ {
+		if h.p[(i-1)/2].Priority > h.p[i].Priority {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEmptyBehavior(t *testing.T) {
 	h := NewBinary(16)
 	if _, ok := h.Pop(); ok {

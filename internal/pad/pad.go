@@ -88,11 +88,6 @@ func (s *Seq64) Load() (payload uint64, inflight bool) {
 // load, for callers that decode the fields themselves.
 func (s *Seq64) LoadWord() uint64 { return s.w.Load() }
 
-// Seq returns the current sequence number. It advances by exactly 2 per
-// Begin/Publish pair (modulo 2^SeqBits), so tests can use it as a mutation
-// counter; an odd value means a writer is mid-update.
-func (s *Seq64) Seq() uint64 { return s.w.Load() & seqMask }
-
 // Init stores payload with a stable (even, zeroed) sequence. Call before the
 // cell is shared; it is not safe against concurrent Begin/Publish.
 func (s *Seq64) Init(payload uint64) { s.w.Store(payload << SeqBits) }
@@ -180,9 +175,6 @@ func (l *SpinLock) Unlock() {
 		panic("pad: Unlock of unlocked SpinLock")
 	}
 }
-
-// Locked reports whether the lock is currently held (racy; for stats only).
-func (l *SpinLock) Locked() bool { return l.state.Load() != 0 }
 
 // Contended returns the number of Lock calls that found the lock held and
 // entered the slow path since creation. TryLock refusals are

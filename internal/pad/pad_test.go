@@ -7,6 +7,14 @@ import (
 	"unsafe"
 )
 
+// Seq returns the current sequence number. It advances by exactly 2 per
+// Begin/Publish pair (modulo 2^SeqBits), so it counts mutations; an odd
+// value means a writer is mid-update.
+func (s *Seq64) Seq() uint64 { return s.w.Load() & seqMask }
+
+// Locked reports whether the lock is currently held (racy).
+func (l *SpinLock) Locked() bool { return l.state.Load() != 0 }
+
 func TestPaddedSizes(t *testing.T) {
 	if s := unsafe.Sizeof(Uint64{}); s != CacheLine {
 		t.Fatalf("Uint64 size %d, want %d", s, CacheLine)

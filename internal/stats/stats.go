@@ -32,9 +32,6 @@ func (s *Sample) Add(x float64) { s.xs = append(s.xs, x); s.sorted = false }
 // AddInt appends an integer value.
 func (s *Sample) AddInt(x int) { s.Add(float64(x)) }
 
-// Merge appends all values from another sample.
-func (s *Sample) Merge(o *Sample) { s.xs = append(s.xs, o.xs...); s.sorted = false }
-
 // N returns the number of samples.
 func (s *Sample) N() int { return len(s.xs) }
 
@@ -112,14 +109,6 @@ type Histogram struct {
 func (h *Histogram) Add(v uint64) {
 	h.buckets[bitLen(v)]++
 	h.n++
-}
-
-// Merge folds another histogram into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-	h.n += o.n
 }
 
 // N returns the number of recorded values.

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// Merge appends all values from another sample.
+func (s *Sample) Merge(o *Sample) { s.xs = append(s.xs, o.xs...); s.sorted = false }
+
+// Merge folds another histogram into h.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range h.buckets {
+		h.buckets[i] += o.buckets[i]
+	}
+	h.n += o.n
+}
+
 func TestSampleQuantiles(t *testing.T) {
 	s := NewSample(0)
 	for i := 1; i <= 100; i++ {

@@ -117,7 +117,11 @@ func recoverDir(dir string, keep bool, prog *Progress) (*Recovered, error) {
 	for i := start; i < len(segs); i++ {
 		s := segs[i]
 		if s.seq > rec.Head+1 {
-			return nil, fmt.Errorf("wal: %s: records %d to %d are missing", s.path, rec.Head+1, s.seq-1)
+			err := fmt.Errorf("wal: %s: records %d to %d are missing", s.path, rec.Head+1, s.seq-1)
+			if n := len(snaps); n > 0 && cut < snaps[n-1].seq {
+				err = fmt.Errorf("%w, and the newest snapshot %s is not whole", err, snaps[n-1].path)
+			}
+			return nil, err
 		}
 		file, n, err := openFile(s.path, segWord, win)
 		if err != nil {

@@ -406,7 +406,8 @@ func TestUnreachableJournalRefused(t *testing.T) {
 	}{
 		{"corrupt snapshot over a truncated journal", func(dir string, segs []dirFile) string {
 			flip(filepath.Join(dir, snapName(20)))
-			return fmt.Sprintf("records 1 to %d are missing", segs[0].seq-1)
+			return fmt.Sprintf("records 1 to %d are missing, and the newest snapshot %s is not whole",
+				segs[0].seq-1, filepath.Join(dir, snapName(20)))
 		}},
 		{"corrupt snapshot over no journal", func(dir string, segs []dirFile) string {
 			flip(filepath.Join(dir, snapName(20)))
