@@ -72,6 +72,27 @@ func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 			t.Fatalf("steady-state own-buffer enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
 		}
 	})
+	// Every dequeue is served by the local-min rule from the prefetched run's
+	// place: each fresh key is below every stored one, so the run never moves.
+	t.Run("local-min", func(t *testing.T) {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 16}, Stickiness: 16, Batch: 8})
+		h := q.NewHandle(4)
+		for i := uint64(0); i < 4096; i++ {
+			h.EnqueuePriority(1<<40+i, 1)
+		}
+		h.Flush()
+		h.Dequeue()
+		key, run := uint64(1<<40), h.Prefetched()
+		allocs := testing.AllocsPerRun(2000, func() {
+			key--
+			h.EnqueuePriority(key, 1)
+			h.Dequeue()
+		})
+		if allocs != 0 || h.Prefetched() != run || h.Buffered() != 0 {
+			t.Fatalf("local-min enqueue+dequeue allocated %.2f objects/op with Prefetched %d -> %d, Buffered %d; want 0, an unmoved run, 0",
+				allocs, run, h.Prefetched(), h.Buffered())
+		}
+	})
 }
 
 // TestMCHandleHotPathZeroAlloc pins the MultiCounter hot path the same way:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"runtime"
+	"slices"
 )
 
 // MultiQueue is the relaxed queue of Algorithm 2: m linearizable priority
@@ -71,9 +72,10 @@ type MultiQueueConfig struct {
 	// is the same path with batches of one: Algorithm 2's per-operation
 	// Add and DeleteMin. Buffered enqueues are invisible to other handles
 	// until the batch flushes (call MQHandle.Flush at quiescence), but the
-	// owning handle may dequeue one of them directly when it ranks below the
-	// top its refill draw would delete from; prefetched elements are already
-	// dequeued from the shared structure.
+	// owning handle dequeues its smallest buffered key directly whenever it
+	// ranks below the element the handle would serve otherwise: its next
+	// prefetched element, or the top its refill draw would delete from.
+	// Prefetched elements are already dequeued from the shared structure.
 	Batch int
 }
 
@@ -187,17 +189,18 @@ type MQHandle struct {
 	enq Sampler
 	deq Sampler
 
-	// Batching state: pending inserts and the prefetched dequeue run. Both
-	// slices are carved from one fixed backing array sized at NewHandle with
-	// full-slice expressions capping them at Batch, so the steady-state hot
+	// Batching state: the pending inserts, sorted ascending in inBuf, a window
+	// of the array in, and the prefetched dequeue run, ascending from outPos.
+	// Both arrays are carved from one fixed backing array sized at NewHandle
+	// with full-slice expressions capping them at Batch, so the steady-state hot
 	// path never grows either and performs zero allocations per operation
 	// (cpq.TryAddBatch reads at most len(inBuf) <= Batch items;
 	// cpq.TryDeleteMinUpTo appends at most Batch items into cap-Batch outBuf).
-	// BenchmarkMultiQueueHotPathAllocs and TestMQHandleHotPathZeroAlloc
-	// enforce the invariant.
-	inBuf  []heap.Item
-	outBuf []heap.Item
-	outPos int
+	// BenchmarkMultiQueueHotPathAllocs and TestMQHandleHotPathZeroAlloc enforce
+	// the invariant.
+	in, inBuf []heap.Item
+	outBuf    []heap.Item
+	outPos    int
 
 	// Block-reserved enqueue stamps: Batch consecutive ticks per reservation.
 	stampNext uint64
@@ -207,7 +210,7 @@ type MQHandle struct {
 	// every further operation is a programming error.
 	closed bool
 
-	_ [3*pad.CacheLine - 264]byte
+	_ [3*pad.CacheLine - 288]byte
 }
 
 // NewHandle returns a per-goroutine handle seeded with seed, inheriting the
@@ -222,7 +225,8 @@ func (q *MultiQueue) NewHandle(seed uint64) *MQHandle {
 		deq: NewSampler(q.m, q.d, q.stick),
 	}
 	backing := make([]heap.Item, 2*q.batch)
-	h.inBuf = backing[0:0:q.batch]
+	h.in = backing[0:0:q.batch]
+	h.inBuf = h.in
 	h.outBuf = backing[q.batch : q.batch : 2*q.batch]
 	return h
 }
@@ -292,7 +296,7 @@ func (h *MQHandle) Flush() {
 		_ = fail.Inject(fail.SiteCoreFlush)
 	}
 	h.publish(h.inBuf, true)
-	h.inBuf = h.inBuf[:0]
+	h.inBuf = h.in
 }
 
 // ReturnPrefetched hands the handle's unconsumed prefetched elements back
@@ -300,11 +304,14 @@ func (h *MQHandle) Flush() {
 // an owner keep a handle between uses without holding elements (they were
 // physically removed by a DeleteMinUpTo refill but are logically still
 // queued); dlzd runs it on every handle pair it gives back to its pool. The
-// handle stays open; its next Dequeue simply refills. Pair with Flush for a full quiesce of both buffers. The elements
-// go back through the same uniform sticky insert rule as an enqueue batch.
+// handle stays open; its next Dequeue simply refills. Pair with Flush for a
+// full quiesce of both buffers. The elements go back, reversed to descending
+// (the order a shard's batch insert places without shifting), through the
+// same uniform sticky insert rule as an enqueue batch.
 func (h *MQHandle) ReturnPrefetched() {
 	h.checkOpen()
 	if rest := h.outBuf[h.outPos:]; len(rest) > 0 {
+		slices.Reverse(rest)
 		h.publish(rest, true)
 	}
 	h.outBuf, h.outPos = h.outBuf[:0], 0
@@ -346,9 +353,10 @@ func (h *MQHandle) publish(items []heap.Item, block bool) bool {
 // rank behind every real minimum (their lock would refuse a try anyway), and
 // stable-empty queues rank last; the winning key is returned alongside so
 // callers skip known-empty winners without re-reading the word. The caller
-// charges the window via deqCharge with the number of elements actually
-// obtained; an empty or contended outcome should call deqReroll so the next
-// draw abandons a stale candidate set early.
+// charges the window (deq.Charge) with the number of elements actually
+// obtained; an empty or contended outcome calls deq.Reroll, which requests
+// fresh candidates without granting them a new window, so the next draw
+// abandons a stale candidate set early.
 func (h *MQHandle) deqBest() (int, uint64) {
 	return h.deq.BestKeyed(&h.r, h.q.batch, h.readTop)
 }
@@ -357,20 +365,22 @@ func (h *MQHandle) deqBest() (int, uint64) {
 // signature.
 func (h *MQHandle) readTop(i int) uint64 { return h.q.qs[i].ReadTop().Key() }
 
-// deqCharge consumes n logical operations from the sticky dequeue window.
-func (h *MQHandle) deqCharge(n int) { h.deq.Charge(n) }
-
-// deqReroll requests fresh sticky dequeue candidates for the next draw
-// without granting them a new window: an empty or contended outcome charges
-// nothing but only inherits the budget the abandoned candidates had left
-// (Sampler.Reroll).
-func (h *MQHandle) deqReroll() { h.deq.Reroll() }
-
-// insert appends one stamped element to the insert buffer and flushes the
-// buffer once it holds Batch elements (at Batch 1, on every insert).
+// insert places one stamped element into the insert buffer, kept sorted
+// ascending (the smallest first, where takeOwn takes it in O(1); a clock stamp
+// lands last without shifting), and flushes the buffer once it holds Batch
+// elements (at Batch 1, on every insert). A window that takeOwn moved to the
+// array's end first moves back to its start.
 func (h *MQHandle) insert(priority, value uint64) {
-	h.inBuf = append(h.inBuf, heap.Item{Priority: priority, Value: value})
-	if len(h.inBuf) >= h.q.batch {
+	if len(h.inBuf) == cap(h.inBuf) {
+		h.inBuf = append(h.in, h.inBuf...)
+	}
+	b := append(h.inBuf, heap.Item{})
+	i := len(b) - 1
+	for ; i > 0 && b[i-1].Priority > priority; i-- {
+		b[i] = b[i-1]
+	}
+	b[i] = heap.Item{Priority: priority, Value: value}
+	if h.inBuf = b; len(b) >= h.q.batch {
 		h.Flush()
 	}
 }
@@ -433,13 +443,12 @@ func (h *MQHandle) EnqueuePriority(priority, value uint64) {
 // The winner is drained with DeleteMinUpTo(Batch) and the run beyond the
 // first element is served from the handle's prefetch buffer by subsequent
 // calls — one lock acquisition per Batch elements (per element at Batch 1).
-// A refill whose winner's stable top exceeds the smallest element this handle
-// still buffers returns that element instead, touching no shard (takeOwn).
+// The smallest key the handle still buffers is returned instead of its
+// prefetched head, or of a refill winner's stable top, whenever it ranks below
+// that element (local, takeOwn), touching no shard.
 func (h *MQHandle) Dequeue() (it heap.Item, ok bool) {
 	h.checkOpen()
-	if h.outPos < len(h.outBuf) {
-		it = h.outBuf[h.outPos]
-		h.outPos++
+	if it, ok = h.local(); ok {
 		return it, true
 	}
 	if it, ok = h.draw(2 * h.q.m); ok {
@@ -474,10 +483,10 @@ func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
 		if fail.Enabled && fail.Inject(fail.SiteCoreReroll) != nil {
 			// Injected reroll storm: discard the draw as if its queue were
 			// contended, exercising the sampler's reroll inheritance.
-			h.deqReroll()
+			h.deq.Reroll()
 			continue
 		}
-		if key < cpq.TopKeyInFlight && len(h.inBuf) > 0 {
+		if key < cpq.TopKeyInFlight {
 			if it, ok = h.takeOwn(key); ok {
 				return it, true
 			}
@@ -488,28 +497,33 @@ func (h *MQHandle) draw(n int) (it heap.Item, ok bool) {
 			}
 			runtime.Gosched()
 		}
-		h.deqReroll()
+		h.deq.Reroll()
 	}
 	return heap.Item{}, false
 }
 
-// takeOwn swap-removes and returns the non-empty insert buffer's smallest
-// element if it ranks below key, the draw winner's stable top: that key never
-// exceeds the minimum the try-lock would delete (DESIGN.md §2, "Own-buffer
-// dequeue"). It takes no lock, charges no window and requests no reroll.
-func (h *MQHandle) takeOwn(key uint64) (heap.Item, bool) {
-	b, j := h.inBuf, 0
-	for x := range b {
-		if b[x].Priority < b[j].Priority {
-			j = x
+// local serves a dequeue from the prefetched run, if one is left: the
+// smaller of its head and the handle's smallest buffered key (DESIGN.md §2,
+// "Local-min dequeue").
+func (h *MQHandle) local() (it heap.Item, ok bool) {
+	if h.outPos < len(h.outBuf) {
+		if it, ok = h.takeOwn(h.outBuf[h.outPos].Priority); !ok {
+			it, ok = h.outBuf[h.outPos], true
+			h.outPos++
 		}
 	}
-	it, last := b[j], len(b)-1
-	if it.Priority >= key {
-		return heap.Item{}, false
+	return it, ok
+}
+
+// takeOwn removes and returns the insert buffer's smallest element, its
+// first, if it ranks below key: the prefetched head, or a draw winner's stable
+// top, which never exceeds the minimum the try-lock would delete. It takes no
+// lock, charges no window and requests no reroll.
+func (h *MQHandle) takeOwn(key uint64) (it heap.Item, ok bool) {
+	if len(h.inBuf) > 0 && h.inBuf[0].Priority < key {
+		it, h.inBuf, ok = h.inBuf[0], h.inBuf[1:], true
 	}
-	b[j], h.inBuf = b[last], b[:last]
-	return it, true
+	return it, ok
 }
 
 // deleteFrom refills from queue i with DeleteMinUpTo(Batch), returning the
@@ -528,7 +542,7 @@ func (h *MQHandle) deleteFrom(i int, block bool) (it heap.Item, ok bool) {
 		h.outPos = 0
 		return heap.Item{}, false
 	}
-	h.deqCharge(len(h.outBuf))
+	h.deq.Charge(len(h.outBuf))
 	h.outPos = 1
 	return h.outBuf[0], true
 }
@@ -536,24 +550,22 @@ func (h *MQHandle) deleteFrom(i int, block bool) (it heap.Item, ok bool) {
 // TryDequeue is Dequeue without its blocking sweep: up to attempts draws of
 // the same loop (draw), and nothing on this path ever waits on a queue lock,
 // so it routes around dead or stalled lock holders in every mode. The
-// comparison already ranks mid-update queues behind real minima, and a
-// winner whose word is stable-empty is skipped before the try-lock — no
-// CAS, no cache-line bounce — so spinning over an empty structure costs only
-// atomic loads. Like Dequeue, a batched handle serves its prefetch buffer
-// first; before giving up it offers its own insert buffer to m drawn queues
-// by try-lock (publish without block) and, if one takes it, draws once more.
-// ok is false if no element was obtained within the budget.
+// comparison already ranks mid-update queues behind real minima, and a winner
+// whose word is stable-empty is skipped before the try-lock — no CAS, no
+// cache-line bounce — so spinning over an empty structure costs only atomic
+// loads. Like Dequeue, a batched handle serves its prefetch buffer first, by
+// the same local-min rule; before giving up it offers its own insert buffer
+// to m drawn queues by try-lock (publish without block) and, if one takes it,
+// draws once more. ok is false if no element was obtained within the budget.
 func (h *MQHandle) TryDequeue(attempts int) (it heap.Item, ok bool) {
 	h.checkOpen()
-	if h.outPos < len(h.outBuf) {
-		it = h.outBuf[h.outPos]
-		h.outPos++
+	if it, ok = h.local(); ok {
 		return it, true
 	}
 	if it, ok = h.draw(attempts); ok || len(h.inBuf) == 0 || !h.publish(h.inBuf, false) {
 		return it, ok
 	}
-	h.inBuf = h.inBuf[:0]
+	h.inBuf = h.in
 	return h.draw(attempts)
 }
 
