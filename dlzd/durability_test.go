@@ -120,7 +120,6 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Recover after crash: %v", err)
 	}
-	defer s2.Close()
 	if stats.Records == 0 {
 		t.Fatal("crash recovery replayed zero records despite no shutdown snapshot")
 	}
@@ -130,6 +129,21 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	}
 	if got := tx.opsEnqueued.Load(); got != uint64(enq) {
 		t.Errorf("OpsEnqueued = %d, want %d", got, enq)
+	}
+
+	// A clean close after the crash boot snapshots at the journal head the
+	// boot recovered to. Were that head lost, the snapshot would cut at 0
+	// and the next boot would replay the whole journal on top of it,
+	// doubling every element.
+	s2.Close()
+	s3 := New(Config{Queues: 4, Batch: 4, Seed: 11, Durability: &Durability{Dir: dir}})
+	if _, err := s3.Recover(); err != nil {
+		t.Fatalf("Recover after clean close: %v", err)
+	}
+	defer s3.Close()
+	tx3, _ := s3.tenant([]byte("x"))
+	if got := tx3.mq.Len(); got != enq-deq {
+		t.Errorf("queue after crash, boot, clean close and boot = %d, want %d", got, enq-deq)
 	}
 }
 

@@ -319,6 +319,41 @@ func TestMultiQueueSizes(t *testing.T) {
 	}()
 }
 
+// TestLoneHandleInsertRuns pins the insert side's stickiness window: a lone
+// handle's enqueues land in runs of max(s, k) elements per drawn shard, at
+// the per-op setting with a window and at the daemon's (16, 8). A publish
+// that did not charge the window would keep its first choice forever, and
+// every enqueue would land in one shard.
+func TestLoneHandleInsertRuns(t *testing.T) {
+	const m = 64
+	for _, c := range []struct{ s, k int }{{4, 1}, {16, 8}} {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: m}, Stickiness: c.s, Batch: c.k})
+		h := q.NewHandle(5)
+		run := max(c.s, c.k)
+		var landed []int // the shard of each published element, in order
+		before, sizes := make([]int, m), make([]int, m)
+		for len(landed) < 8*run {
+			h.Enqueue(0)
+			q.Sizes(sizes)
+			for i := range sizes {
+				for ; before[i] < sizes[i]; before[i]++ {
+					landed = append(landed, i)
+				}
+			}
+		}
+		drawn := map[int]bool{}
+		for i, shard := range landed {
+			if i%run != 0 && shard != landed[i-1] {
+				t.Fatalf("s=%d k=%d: element %d landed in shard %d, mid-run after shard %d", c.s, c.k, i, shard, landed[i-1])
+			}
+			drawn[shard] = true
+		}
+		if len(drawn) < 2 {
+			t.Fatalf("s=%d k=%d: all %d enqueues landed in shard %d: the insert choice never expired", c.s, c.k, len(landed), landed[0])
+		}
+	}
+}
+
 // TestDistributionalLinearizabilityQueue is experiment E9 for the queue: a
 // live concurrent run is mapped onto the relaxed sequential queue process;
 // the witness must exist and dequeue rank costs must respect the
@@ -352,7 +387,7 @@ func TestDistributionalLinearizabilityQueue(t *testing.T) {
 			maxLabel = e.Arg
 		}
 	}
-	w, err := dlin.Replay(dlin.NewQueueSpec(maxLabel), events)
+	w, err := dlin.Replay((*dlin.QueueSpec)(dlin.NewFenwick(int(maxLabel))), events)
 	if err != nil {
 		t.Fatalf("witness mapping failed: %v", err)
 	}
@@ -404,7 +439,7 @@ func TestEnqueueTracedStampsInvocation(t *testing.T) {
 			}
 			maxLabel = max(maxLabel, e.Arg)
 		}
-		if _, err := dlin.Replay(dlin.NewQueueSpec(maxLabel), events); err != nil {
+		if _, err := dlin.Replay((*dlin.QueueSpec)(dlin.NewFenwick(int(maxLabel))), events); err != nil {
 			t.Fatalf("%s: genuine history rejected: %v", name, err)
 		}
 	}

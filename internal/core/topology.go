@@ -2,7 +2,7 @@ package core
 
 // Topology is the shard count of both relaxed structures: InitialM is m, the
 // number of shards, fixed for the structure's whole life (the paper's
-// analysis assumes a constant m ≥ C·n; DESIGN.md §11).
+// analysis assumes a constant m ≥ C·n; DESIGN.md §2).
 type Topology struct {
 	// InitialM is m, the number of shards. It must be positive.
 	InitialM int

@@ -93,27 +93,27 @@ func TestCounterSpec(t *testing.T) {
 	if cost != 3 {
 		t.Fatalf("low read cost = %v", cost)
 	}
-	if c.Count() != 3 {
-		t.Fatalf("Count = %d", c.Count())
+	if c.count != 3 {
+		t.Fatalf("count = %d", c.count)
 	}
 	if _, err := c.Apply(Method{Name: "bogus"}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 	c.Reset()
-	if c.Count() != 0 {
+	if c.count != 0 {
 		t.Fatal("Reset failed")
 	}
 }
 
 func TestQueueSpecRanks(t *testing.T) {
-	q := NewQueueSpec(10)
+	q := newQueueSpec(10)
 	for _, l := range []uint64{1, 2, 3, 4, 5} {
 		if _, err := q.Apply(Method{Name: "enq", Arg: l}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if q.Size() != 5 {
-		t.Fatalf("Size = %d", q.Size())
+	if n := (*Fenwick)(q).Total(); n != 5 {
+		t.Fatalf("%d labels present, want 5", n)
 	}
 	// Dequeue the exact minimum: cost 0.
 	cost, err := q.Apply(Method{Name: "deq", Ret: 1, OK: true})
@@ -288,7 +288,7 @@ func TestReplayQueueHistory(t *testing.T) {
 		{Kind: trace.KindDeq, Start: 4, Lin: 4, End: 4, Ret: 2, OK: true}, // rank 2: cost 1
 		{Kind: trace.KindDeq, Start: 5, Lin: 5, End: 5, Ret: 1, OK: true}, // rank 1: cost 0
 	}
-	w, err := Replay(NewQueueSpec(3), events)
+	w, err := Replay(newQueueSpec(3), events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +301,10 @@ func TestReplayRejectsInvalidHistory(t *testing.T) {
 	events := []trace.Event{
 		{Kind: trace.KindDeq, Start: 1, Lin: 1, End: 1, Ret: 1, OK: true},
 	}
-	if _, err := Replay(NewQueueSpec(3), events); err == nil {
+	if _, err := Replay(newQueueSpec(3), events); err == nil {
 		t.Fatal("dequeue-before-enqueue accepted")
 	}
-	if _, err := Replay(NewQueueSpec(3), []trace.Event{ev(trace.KindInc, 5, 2, 7, 0)}); err == nil || !strings.Contains(err.Error(), "linearization") {
+	if _, err := Replay(newQueueSpec(3), []trace.Event{ev(trace.KindInc, 5, 2, 7, 0)}); err == nil || !strings.Contains(err.Error(), "linearization") {
 		t.Fatalf("order violation not reported: %v", err)
 	}
 }

@@ -5,23 +5,107 @@ import (
 	"testing/quick"
 )
 
+// This file renders Definition 5.1 literally, as a test fixture: a finite
+// labeled transition system LTS(S) = (Q, Σ, →, q0) over explicit states,
+// with state 0 as q0 and a Method as a label of Σ. The executable Specs in
+// lts.go are the unbounded, efficient form; the tests below check the
+// defining property of a quantitative relaxation on bounded instances:
+// "cost(q, m, q') = 0 if and only if q →m q' in LTS(S)".
+
+// explicitLTS maps (state, label) to the successor state; absence means no
+// transition with that label.
+type explicitLTS map[int]map[Method]int
+
+func (l explicitLTS) add(q int, label Method, qNext int) {
+	if l[q] == nil {
+		l[q] = map[Method]int{}
+	}
+	l[q][label] = qNext
+}
+
+// step returns the successor of q under label, with ok reporting whether the
+// transition exists in LTS(S).
+func (l explicitLTS) step(q int, label Method) (int, bool) {
+	next, ok := l[q][label]
+	return next, ok
+}
+
+// accepts reports whether the trace is in the set of traces of q0, i.e.
+// whether the sequential history belongs to S ("u ∈ S iff q0 →u").
+func (l explicitLTS) accepts(tr []Method) bool {
+	q := 0
+	for _, lab := range tr {
+		next, ok := l.step(q, lab)
+		if !ok {
+			return false
+		}
+		q = next
+	}
+	return true
+}
+
+// boundedCounterLTS builds LTS(S) for a counter that performs at most
+// maxCount increments: states are the counter values 0..maxCount, "inc"
+// moves k→k+1, and "read" returning exactly k loops at k, for reads
+// returning values 0..maxRead.
+func boundedCounterLTS(maxCount, maxRead uint64) explicitLTS {
+	l := explicitLTS{}
+	for k := uint64(0); k <= maxCount; k++ {
+		if k < maxCount {
+			l.add(int(k), Method{Name: "inc"}, int(k)+1)
+		}
+		// The only zero-cost read in state k returns k.
+		if k <= maxRead {
+			l.add(int(k), Method{Name: "read", Ret: k}, int(k))
+		}
+	}
+	return l
+}
+
+// boundedQueueLTS builds LTS(S) for a priority-ordered queue over labels
+// 1..maxLabel: states are bitmasks of present labels, "enq l" inserts an
+// absent label, and "deq" removing the minimum present label is the only
+// zero-cost dequeue. Unsuccessful dequeues loop on the empty set.
+func boundedQueueLTS(maxLabel int) explicitLTS {
+	l := explicitLTS{}
+	for set := 0; set < 1<<maxLabel; set++ {
+		for lab := 1; lab <= maxLabel; lab++ {
+			if bit := 1 << (lab - 1); set&bit == 0 {
+				l.add(set, Method{Name: "enq", Arg: uint64(lab)}, set|bit)
+			}
+		}
+		if set == 0 {
+			l.add(0, Method{Name: "deq", OK: false}, 0)
+			continue
+		}
+		min := 1
+		for set&(1<<(min-1)) == 0 {
+			min++
+		}
+		l.add(set, Method{Name: "deq", Ret: uint64(min), OK: true}, set&^(1<<(min-1)))
+	}
+	return l
+}
+
+func newQueueSpec(maxLabel uint64) *QueueSpec { return (*QueueSpec)(NewFenwick(int(maxLabel))) }
+
 func TestBoundedCounterLTSAccepts(t *testing.T) {
-	l := BoundedCounterLTS(3, 3)
+	l := boundedCounterLTS(3, 3)
 	cases := []struct {
-		trace []Label
+		trace []Method
 		want  bool
 	}{
-		{[]Label{}, true},
-		{[]Label{{Name: "inc"}}, true},
-		{[]Label{{Name: "inc"}, {Name: "read", Ret: 1}}, true},
-		{[]Label{{Name: "read", Ret: 0}}, true},
-		{[]Label{{Name: "read", Ret: 1}}, false},                                     // wrong value in state 0
-		{[]Label{{Name: "inc"}, {Name: "inc"}, {Name: "inc"}, {Name: "inc"}}, false}, // beyond bound
-		{[]Label{{Name: "inc"}, {Name: "read", Ret: 0}}, false},
+		{[]Method{}, true},
+		{[]Method{{Name: "inc"}}, true},
+		{[]Method{{Name: "inc"}, {Name: "read", Ret: 1}}, true},
+		{[]Method{{Name: "read", Ret: 0}}, true},
+		{[]Method{{Name: "read", Ret: 1}}, false},                                     // wrong value in state 0
+		{[]Method{{Name: "inc"}, {Name: "inc"}, {Name: "inc"}, {Name: "inc"}}, false}, // beyond bound
+		{[]Method{{Name: "inc"}, {Name: "read", Ret: 0}}, false},
 	}
 	for i, c := range cases {
-		if got := l.Accepts(c.trace); got != c.want {
-			t.Fatalf("case %d: Accepts = %v, want %v", i, got, c.want)
+		if got := l.accepts(c.trace); got != c.want {
+			t.Fatalf("case %d: accepts = %v, want %v", i, got, c.want)
 		}
 	}
 }
@@ -31,25 +115,24 @@ func TestBoundedCounterLTSAccepts(t *testing.T) {
 // assigns cost 0 to a transition exactly when the explicit LTS contains it.
 func TestCounterSpecMatchesExplicitLTS(t *testing.T) {
 	const bound = 12
-	l := BoundedCounterLTS(bound, bound)
+	l := boundedCounterLTS(bound, bound)
 	f := func(ops []uint8) bool {
 		spec := &CounterSpec{}
 		q := 0
 		incs := 0
 		for _, o := range ops {
-			var lab Label
+			var lab Method
 			if o%3 == 0 && incs < bound {
-				lab = Label{Name: "inc"}
+				lab = Method{Name: "inc"}
 				incs++
 			} else {
-				lab = Label{Name: "read", Ret: uint64(o % (bound + 1))}
+				lab = Method{Name: "read", Ret: uint64(o % (bound + 1))}
 			}
-			m := Method{Name: lab.Name, Ret: lab.Ret}
-			cost, err := spec.Apply(m)
+			cost, err := spec.Apply(lab)
 			if err != nil {
 				return false
 			}
-			next, inLTS := l.Step(q, lab)
+			next, inLTS := l.step(q, lab)
 			if (cost == 0) != inLTS {
 				return false // relaxation property violated
 			}
@@ -67,23 +150,23 @@ func TestCounterSpecMatchesExplicitLTS(t *testing.T) {
 }
 
 func TestBoundedQueueLTSAccepts(t *testing.T) {
-	l := BoundedQueueLTS(4)
-	enq := func(x uint64) Label { return Label{Name: "enq", Arg: x} }
-	deq := func(x uint64) Label { return Label{Name: "deq", Ret: x, OK: true} }
+	l := boundedQueueLTS(4)
+	enq := func(x uint64) Method { return Method{Name: "enq", Arg: x} }
+	deq := func(x uint64) Method { return Method{Name: "deq", Ret: x, OK: true} }
 	cases := []struct {
-		trace []Label
+		trace []Method
 		want  bool
 	}{
-		{[]Label{enq(1), deq(1)}, true},
-		{[]Label{enq(2), enq(1), deq(1), deq(2)}, true},
-		{[]Label{enq(2), enq(1), deq(2)}, false}, // not the minimum
-		{[]Label{deq(1)}, false},                 // empty
-		{[]Label{{Name: "deq", OK: false}}, true},
-		{[]Label{enq(1), enq(1)}, false}, // duplicate label
+		{[]Method{enq(1), deq(1)}, true},
+		{[]Method{enq(2), enq(1), deq(1), deq(2)}, true},
+		{[]Method{enq(2), enq(1), deq(2)}, false}, // not the minimum
+		{[]Method{deq(1)}, false},                 // empty
+		{[]Method{{Name: "deq", OK: false}}, true},
+		{[]Method{enq(1), enq(1)}, false}, // duplicate label
 	}
 	for i, c := range cases {
-		if got := l.Accepts(c.trace); got != c.want {
-			t.Fatalf("case %d: Accepts = %v, want %v", i, got, c.want)
+		if got := l.accepts(c.trace); got != c.want {
+			t.Fatalf("case %d: accepts = %v, want %v", i, got, c.want)
 		}
 	}
 }
@@ -92,19 +175,20 @@ func TestBoundedQueueLTSAccepts(t *testing.T) {
 // exactly the explicit queue LTS's transitions (dequeue of the minimum).
 func TestQueueSpecMatchesExplicitLTS(t *testing.T) {
 	const maxLabel = 8
-	l := BoundedQueueLTS(maxLabel)
+	l := boundedQueueLTS(maxLabel)
 	f := func(ops []uint8) bool {
-		spec := NewQueueSpec(maxLabel)
+		spec := newQueueSpec(maxLabel)
 		q := 0
 		present := map[uint64]bool{}
 		for _, o := range ops {
 			lab := uint64(o%maxLabel) + 1
 			if o%2 == 0 && !present[lab] {
-				cost, err := spec.Apply(Method{Name: "enq", Arg: lab})
+				m := Method{Name: "enq", Arg: lab}
+				cost, err := spec.Apply(m)
 				if err != nil || cost != 0 {
 					return false
 				}
-				next, ok := l.Step(q, Label{Name: "enq", Arg: lab})
+				next, ok := l.step(q, m)
 				if !ok {
 					return false
 				}
@@ -113,11 +197,12 @@ func TestQueueSpecMatchesExplicitLTS(t *testing.T) {
 				continue
 			}
 			if present[lab] {
-				cost, err := spec.Apply(Method{Name: "deq", Ret: lab, OK: true})
+				m := Method{Name: "deq", Ret: lab, OK: true}
+				cost, err := spec.Apply(m)
 				if err != nil {
 					return false
 				}
-				next, inLTS := l.Step(q, Label{Name: "deq", Ret: lab, OK: true})
+				next, inLTS := l.step(q, m)
 				if (cost == 0) != inLTS {
 					return false // zero cost iff dequeued the minimum
 				}
@@ -138,44 +223,19 @@ func TestQueueSpecMatchesExplicitLTS(t *testing.T) {
 	}
 }
 
-func TestExplicitLTSPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"NewExplicitLTS 0":  func() { NewExplicitLTS(0) },
-		"AddTransition oob": func() { NewExplicitLTS(2).AddTransition(0, Label{}, 5) },
-		"BoundedQueue big":  func() { BoundedQueueLTS(20) },
-		"CompletedCost":     func() { BoundedCounterLTS(1, 1).CompletedCost(0, Label{Name: "read", Ret: 1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestLabelString(t *testing.T) {
-	l := Label{Name: "enq", Arg: 3}
-	if l.String() != "enq(arg=3,ret=0,ok=false)" {
-		t.Fatalf("String = %q", l.String())
-	}
-}
-
 // TestPrefixClosure: S is prefix-closed (definition of a sequential data
 // structure); every prefix of an accepted trace is accepted.
 func TestPrefixClosure(t *testing.T) {
-	l := BoundedCounterLTS(6, 6)
-	trace := []Label{
+	l := boundedCounterLTS(6, 6)
+	trace := []Method{
 		{Name: "inc"}, {Name: "read", Ret: 1}, {Name: "inc"}, {Name: "inc"},
 		{Name: "read", Ret: 3}, {Name: "inc"},
 	}
-	if !l.Accepts(trace) {
+	if !l.accepts(trace) {
 		t.Fatal("full trace rejected")
 	}
 	for k := 0; k <= len(trace); k++ {
-		if !l.Accepts(trace[:k]) {
+		if !l.accepts(trace[:k]) {
 			t.Fatalf("prefix of length %d rejected", k)
 		}
 	}

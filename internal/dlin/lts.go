@@ -61,9 +61,6 @@ func (c *CounterSpec) Apply(m Method) (float64, error) {
 	}
 }
 
-// Count returns the current state (number of applied increments).
-func (c *CounterSpec) Count() uint64 { return c.count }
-
 // QueueSpec is the sequential specification of a queue with priority-ordered
 // removal (the relaxed priority queue of Section 7). Labels are the unique
 // uint64 priorities assigned at enqueue. The relaxation cost of a dequeue
@@ -71,30 +68,25 @@ func (c *CounterSpec) Count() uint64 { return c.count }
 // always removes rank 1 at cost 0, and Theorem 7.1 bounds the relaxed cost
 // by O(m) in expectation and O(m·log m) w.h.p.
 //
-// Rank queries use a Fenwick tree over the label space, so a history with E
+// It is a Fenwick tree over the label space, read as a queue: a spec for
+// labels in [1, n] is (*QueueSpec)(NewFenwick(n)), and a history with E
 // enqueues replays in O(E·log E).
-type QueueSpec struct {
-	present *Fenwick
-	maxL    uint64
-}
-
-// NewQueueSpec returns a queue spec able to hold labels in [1, maxLabel].
-func NewQueueSpec(maxLabel uint64) *QueueSpec {
-	return &QueueSpec{present: NewFenwick(int(maxLabel)), maxL: maxLabel}
-}
+type QueueSpec Fenwick
 
 // Reset implements Spec.
-func (q *QueueSpec) Reset() { q.present.Reset() }
+func (q *QueueSpec) Reset() { (*Fenwick)(q).Reset() }
 
 // Apply implements Spec. Methods: "enq" (Arg = label), "deq" (Ret = label,
 // OK = found).
 func (q *QueueSpec) Apply(m Method) (float64, error) {
+	present := (*Fenwick)(q)
+	maxL := uint64(present.Len())
 	switch m.Name {
 	case "enq":
-		if m.Arg == 0 || m.Arg > q.maxL {
-			return 0, fmt.Errorf("dlin: enqueue label %d out of range [1,%d]", m.Arg, q.maxL)
+		if m.Arg == 0 || m.Arg > maxL {
+			return 0, fmt.Errorf("dlin: enqueue label %d out of range [1,%d]", m.Arg, maxL)
 		}
-		q.present.Add(int(m.Arg), 1)
+		present.Add(int(m.Arg), 1)
 		return 0, nil
 	case "deq":
 		if !m.OK {
@@ -103,19 +95,16 @@ func (q *QueueSpec) Apply(m Method) (float64, error) {
 			// are empty.
 			return 0, nil
 		}
-		if m.Ret == 0 || m.Ret > q.maxL {
-			return 0, fmt.Errorf("dlin: dequeue label %d out of range [1,%d]", m.Ret, q.maxL)
+		if m.Ret == 0 || m.Ret > maxL {
+			return 0, fmt.Errorf("dlin: dequeue label %d out of range [1,%d]", m.Ret, maxL)
 		}
-		if q.present.Get(int(m.Ret)) == 0 {
+		if present.Get(int(m.Ret)) == 0 {
 			return 0, fmt.Errorf("dlin: dequeue of absent label %d", m.Ret)
 		}
-		rank := q.present.PrefixSum(int(m.Ret)) // labels <= Ret present
-		q.present.Add(int(m.Ret), -1)
+		rank := present.PrefixSum(int(m.Ret)) // labels <= Ret present
+		present.Add(int(m.Ret), -1)
 		return float64(rank - 1), nil
 	default:
 		return 0, fmt.Errorf("dlin: queue spec has no method %q", m.Name)
 	}
 }
-
-// Size returns the number of labels currently present.
-func (q *QueueSpec) Size() int64 { return q.present.Total() }

@@ -41,7 +41,7 @@ func recordQueueHistory(t *testing.T, workers, per int) ([]trace.Event, uint64) 
 			maxLabel = e.Arg
 		}
 	}
-	if _, err := Replay(NewQueueSpec(maxLabel), events); err != nil {
+	if _, err := Replay(newQueueSpec(maxLabel), events); err != nil {
 		t.Fatalf("uncorrupted history rejected: %v", err)
 	}
 	return events, maxLabel
@@ -114,7 +114,7 @@ func TestNegativeLinOutsideInvocationWindow(t *testing.T) {
 			t.Fatalf("%s: linearization point outside window accepted", name)
 		}
 		// Replay must refuse the same history before touching the spec.
-		if _, err := Replay(NewQueueSpec(maxLabel), bad); err == nil {
+		if _, err := Replay(newQueueSpec(maxLabel), bad); err == nil {
 			t.Fatalf("%s: Replay accepted unlinearizable history", name)
 		}
 	}
@@ -146,7 +146,7 @@ func TestNegativeDroppedEnqueue(t *testing.T) {
 	if len(bad) != len(events)-1 {
 		t.Fatalf("expected exactly one enqueue of label %d", label)
 	}
-	_, err := Replay(NewQueueSpec(maxLabel), bad)
+	_, err := Replay(newQueueSpec(maxLabel), bad)
 	if err == nil {
 		t.Fatal("history with dropped enqueue accepted")
 	}
@@ -179,7 +179,7 @@ func TestNegativeDuplicateDequeue(t *testing.T) {
 	if err := CheckRealTimeOrder(bad); err != nil {
 		t.Fatalf("structurally valid duplicate rejected for the wrong reason: %v", err)
 	}
-	if _, err := Replay(NewQueueSpec(maxLabel), bad); err == nil {
+	if _, err := Replay(newQueueSpec(maxLabel), bad); err == nil {
 		t.Fatal("duplicate dequeue accepted")
 	}
 }
