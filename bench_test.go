@@ -426,7 +426,7 @@ func BenchmarkCPQBatchOps(b *testing.B) {
 
 // BenchmarkHeapBulkOps isolates the heap itself (no lock, no cached-top
 // publish): a k-sized insert+drain cycle over a standing buffer, per-element
-// Push/Pop vs the PushBatch/PopBatch entry points. ReportAllocs pins the
+// Push and PopBatch(1) vs whole-batch PushBatch/PopBatch. ReportAllocs pins the
 // batch paths at 0 allocs/op.
 func BenchmarkHeapBulkOps(b *testing.B) {
 	const k, standing = 8, 4096
@@ -449,8 +449,7 @@ func BenchmarkHeapBulkOps(b *testing.B) {
 			}
 			out = out[:0]
 			for j := 0; j < k; j++ {
-				it, _ := h.Pop()
-				out = append(out, it)
+				out, _, _ = h.PopBatch(1, out)
 			}
 		}
 	})

@@ -8,9 +8,10 @@
 //     types and Y is exported, and bare CamelCase exported names; all-caps
 //     tokens and lowercase members (bench row names) are no identifiers.
 //     EXPERIMENTS.md, a dated log, is held to the path rule only.
-//   - Exports: every exported top-level declaration in internal/ and dlzd
-//     is used by name, outside its own declaration, in a non-test Go file
-//     of the module or of bench/ (both dlzfail builds count), or is on the
+//   - Exports: every exported declaration or method in internal/ and dlzd
+//     is consumed by object, not by name, in the non-test packages of the
+//     module and of bench/, type-checked with go/types under default tags
+//     and under dlzfail (unconsumed says what counts), or is on the
 //     allow-list with "test hook" or a ROADMAP item number as its reason.
 //
 // Usage: docscheck [-root .] FILE.md [FILE.md ...]
@@ -20,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -43,19 +46,24 @@ const datedLog = "EXPERIMENTS.md" // held to the path rule alone
 // allow lists, by the reason they are kept, the exported declarations that
 // no non-test file uses, keyed package.Name or package.Type.Method.
 var allow = map[string][]string{
-	"test hook": {"fail.Arm", "fail.Disarm", "fail.Release", "fail.Hits", "fail.Fires", "fail.SetSeed",
+	"test hook": {"fail.Arm", "fail.Disarm", "fail.Release", "fail.Reset", "fail.Hits", "fail.Fires", "fail.SetSeed",
 		"cpq.Queue.LockForTest", "cpq.Queue.UnlockForTest", "cpq.TopWord.Seq"},
 	"item 21, contended relaxation rows": {"core.MQHandle.EnqueueTraced", "core.MQHandle.DequeueTraced",
-		"core.Handle.IncrementTraced", "core.Handle.ReadTraced", "trace.NewRecorder", "trace.Recorder.Merge"},
-	"item 2, the daemon's history check": {"dlin.Witness.Tail"},
-	"item 17, the head-gap figure": {"balance.NewSeqMultiQueue", "balance.SeqMultiQueue.Insert",
-		"balance.SeqMultiQueue.DeleteTwoChoice", "balance.SeqMultiQueue.HeadGapRank"},
+		"core.Handle.IncrementTraced", "core.Handle.ReadTraced", "trace.NewRecorder", "trace.Recorder.Merge",
+		"trace.Recorder.Log"},
+	"item 2, the daemon's history check": {"dlin.Witness.Tail", "dlin.Replay"},
+	"item 17, the live potential and the head-gap figure": {"core.MultiCounter.Snapshot", "balance.NewSeqMultiQueue",
+		"balance.SeqMultiQueue.Insert", "balance.SeqMultiQueue.DeleteTwoChoice", "balance.SeqMultiQueue.HeadGapRank"},
 	"item 22, the paper table decides the explorers": {"balance.CompleteGraph", "balance.CycleGraph",
 		"balance.HypercubeGraph", "balance.RandomRegularish", "balance.Graph.NumEdges", "balance.Result.MaxGamma",
-		"balance.GoodStepProbs", "balance.OneBetaProbs", "balance.TwoChoiceProbs", "balance.WorstCaseProbs",
-		"balance.Majorizes", "balance.StepDominates", "sched.NewUniform", "sched.RunQueue",
-		"stm.Array.MaxVersion", "stm.Array.ReadDirect", "stm.MCClock.Delta", "stm.NewFAAClock",
-		"stm.NewMCClock", "stm.RunIncrement", "stm.Tx.RunReadOnly"},
+		"balance.Result.MaxGap", "balance.Run", "balance.GoodStepProbs", "balance.OneBetaProbs",
+		"balance.TwoChoiceProbs", "balance.WorstCaseProbs", "balance.Majorizes", "balance.StepDominates",
+		"balance.DChoice.Name", "balance.OneBeta.Name", "balance.Corrupted.Name", "balance.Stale.Name",
+		"balance.GraphChoice.Name", "rng.Xoshiro256.Exp", "sched.Run", "sched.NewUniform", "sched.RunQueue",
+		"sched.RoundRobin.Name", "sched.Uniform.Name", "sched.BlockStampede.Name", "sched.SlowPoke.Name",
+		"sched.sim.Steps", "sched.queueView.Steps", "stm.Array.MaxVersion", "stm.Array.ReadDirect",
+		"stm.MCClock.Delta", "stm.NewFAAClock", "stm.NewMCClock", "stm.RunIncrement", "stm.Tx.RunReadOnly",
+		"stm.FAAClock.Name", "stm.MCClock.Name"},
 }
 
 func main() {
@@ -84,7 +92,10 @@ func check(root string, docs []string, allow map[string][]string) ([]string, err
 	if err != nil {
 		return nil, err
 	}
-	problems := t.unconsumed(allow)
+	problems, err := t.unconsumed(allow)
+	if err != nil {
+		return nil, err
+	}
 	for _, md := range docs {
 		data, err := os.ReadFile(md)
 		if err != nil {
@@ -107,15 +118,17 @@ func check(root string, docs []string, allow map[string][]string) ([]string, err
 
 // tree is what the two Go rules read of the Go files under the root.
 type tree struct {
+	root    string
+	fset    *token.FileSet
 	members map[string]map[string]bool // package or type → names declared in it; "" → all names
-	decls   map[string][][2]token.Pos  // audited export, keyed as in allow → its declaring spans
-	uses    map[string][]token.Pos     // identifiers in non-test files, by name
+	spans   map[token.Pos][2]token.Pos // declaring identifier → its declaration's span
+	dirs    map[string][]*ast.File     // directory → its non-test files, whatever their tags
 }
 
 // load parses every Go file under root, whatever its build tags.
 func load(root string) (*tree, error) {
-	t := &tree{members: map[string]map[string]bool{}, decls: map[string][][2]token.Pos{}, uses: map[string][]token.Pos{}}
-	fset := token.NewFileSet()
+	t := &tree{root: root, fset: token.NewFileSet(), members: map[string]map[string]bool{},
+		spans: map[token.Pos][2]token.Pos{}, dirs: map[string][]*ast.File{}}
 	return t, filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -126,25 +139,22 @@ func load(root string) (*tree, error) {
 		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(t.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		rel, _ := filepath.Rel(root, path)
-		dir := strings.SplitN(filepath.ToSlash(rel), "/", 2)[0]
-		test := strings.HasSuffix(path, "_test.go")
-		t.add(f, test, !test && (dir == "internal" || dir == "dlzd"))
+		t.add(f)
+		if !strings.HasSuffix(path, "_test.go") {
+			t.dirs[filepath.Dir(path)] = append(t.dirs[filepath.Dir(path)], f)
+		}
 		return nil
 	})
 }
 
-// declare records id as declared in each owner and in "", and, if audit is
-// set and id is exported, its declaring span under its key.
-func (t *tree) declare(audit bool, id *ast.Ident, node ast.Node, owners ...string) {
-	if audit && id.IsExported() {
-		key := strings.Join(owners, ".") + "." + id.Name
-		t.decls[key] = append(t.decls[key], [2]token.Pos{node.Pos(), node.End()})
-	}
+// declare records id as declared in each owner and in "", and node as the
+// span whose references to id are not uses of it.
+func (t *tree) declare(id *ast.Ident, node ast.Node, owners ...string) {
+	t.spans[id.Pos()] = [2]token.Pos{node.Pos(), node.End()}
 	for _, o := range append(owners, "") {
 		if t.members[o] == nil {
 			t.members[o] = map[string]bool{}
@@ -153,9 +163,8 @@ func (t *tree) declare(audit bool, id *ast.Ident, node ast.Node, owners ...strin
 	}
 }
 
-// add records f's declarations and, unless it is a test file, its identifiers;
-// audited marks a file whose exports the exports rule checks.
-func (t *tree) add(f *ast.File, test, audited bool) {
+// add records f's declarations.
+func (t *tree) add(f *ast.File) {
 	pkg := strings.TrimSuffix(f.Name.Name, "_test")
 	for _, d := range f.Decls {
 		switch d := d.(type) {
@@ -164,42 +173,124 @@ func (t *tree) add(f *ast.File, test, audited bool) {
 			if d.Recv != nil {
 				owners = append(owners, strings.TrimPrefix(types.ExprString(d.Recv.List[0].Type), "*"))
 			}
-			t.declare(audited, d.Name, d, owners...)
+			t.declare(d.Name, d, owners...)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					t.declare(audited, s.Name, s, pkg)
+					t.declare(s.Name, s, pkg)
 					ast.Inspect(s.Type, func(n ast.Node) bool {
 						if field, ok := n.(*ast.Field); ok {
 							for _, id := range field.Names {
-								t.declare(false, id, field, pkg, s.Name.Name)
+								t.declare(id, field, pkg, s.Name.Name)
 							}
 						}
 						return true
 					})
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
-						t.declare(audited, id, s, pkg)
+						t.declare(id, s, pkg)
 					}
 				}
 			}
 		}
 	}
-	if test {
-		return
+}
+
+// pass type-checks the tree's non-test files under one set of build tags. It
+// is the importer of its own repro/... packages, which it checks from source;
+// the standard library comes from go/importer.
+type pass struct {
+	*tree
+	ctx  build.Context
+	std  types.Importer
+	pkgs map[string]*types.Package
+	info *types.Info
+}
+
+// Import implements types.Importer.
+func (p *pass) Import(path string) (*types.Package, error) {
+	if path != "repro" && !strings.HasPrefix(path, "repro/") {
+		return p.std.Import(path)
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			t.uses[id.Name] = append(t.uses[id.Name], id.Pos())
+	if pkg, ok := p.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir := filepath.Join(p.root, strings.TrimPrefix(path, "repro"))
+	var files []*ast.File
+	for _, f := range p.dirs[dir] {
+		if ok, err := p.ctx.MatchFile(dir, filepath.Base(p.fset.File(f.Pos()).Name())); err != nil {
+			return nil, err
+		} else if ok {
+			files = append(files, f)
 		}
-		return true
-	})
+	}
+	pkg, err := (&types.Config{Importer: p}).Check(path, p.fset, files, p.info)
+	p.pkgs[path] = pkg
+	return pkg, err
 }
 
 // unconsumed applies the exports rule and checks the allow-list itself:
-// every reason says why, and every name excuses a declaration that needs it.
-func (t *tree) unconsumed(allow map[string][]string) []string {
+// every reason says why, and every name excuses an export that needs it. An
+// export is consumed if, in either build, a reference outside its declaration
+// resolves to it (or to the generic origin of its instance), or it is a
+// method implementing an interface method that the code calls, error's and
+// fmt.Stringer's included.
+func (t *tree) unconsumed(allow map[string][]string) ([]string, error) {
+	std := importer.Default()
+	fmtPkg, err := std.Import("fmt")
+	if err != nil {
+		return nil, err
+	}
+	consumed := map[string]bool{}
+	for _, tags := range [][]string{nil, {"dlzfail"}} {
+		p := &pass{tree: t, ctx: build.Default, std: std, pkgs: map[string]*types.Package{},
+			info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+		p.ctx.BuildTags = tags
+		for dir := range t.dirs {
+			rel, _ := filepath.Rel(t.root, dir)
+			if _, err := p.Import(filepath.ToSlash(filepath.Join("repro", rel))); err != nil {
+				return nil, err
+			}
+		}
+		used := map[types.Object]bool{}
+		called := map[string][]*types.Interface{
+			"Error":  {types.Universe.Lookup("error").Type().Underlying().(*types.Interface)},
+			"String": {fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface)},
+		}
+		for id, obj := range p.info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+				if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called[f.Name()] = append(called[f.Name()], recv.Type().Underlying().(*types.Interface))
+				}
+			}
+			if span, ok := t.spans[obj.Pos()]; !ok || id.Pos() < span[0] || id.Pos() >= span[1] {
+				used[obj] = true
+			}
+		}
+		for path, pkg := range p.pkgs {
+			if path != "repro/dlzd" && !strings.HasPrefix(path, "repro/internal/") {
+				continue
+			}
+			for _, name := range pkg.Scope().Names() {
+				obj, key := pkg.Scope().Lookup(name), pkg.Name()+"."+name
+				if obj.Exported() {
+					consumed[key] = consumed[key] || used[obj]
+				}
+				if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+					for i, named := 0, tn.Type().(*types.Named); i < named.NumMethods(); i++ {
+						if m := named.Method(i); m.Exported() {
+							consumed[key+"."+m.Name()] = consumed[key+"."+m.Name()] || used[m] ||
+								slices.ContainsFunc(called[m.Name()], func(i *types.Interface) bool {
+									return types.Implements(types.NewPointer(named), i)
+								})
+						}
+					}
+				}
+			}
+		}
+	}
 	var problems []string
 	listed := map[string]bool{}
 	for why, keys := range allow {
@@ -210,13 +301,10 @@ func (t *tree) unconsumed(allow map[string][]string) []string {
 			listed[k] = true
 		}
 	}
-	for key, spans := range t.decls {
-		used := slices.ContainsFunc(t.uses[key[strings.LastIndexByte(key, '.')+1:]], func(p token.Pos) bool {
-			return !slices.ContainsFunc(spans, func(s [2]token.Pos) bool { return s[0] <= p && p < s[1] })
-		})
-		if !used && listed[key] {
+	for key, ok := range consumed {
+		if !ok && listed[key] {
 			delete(listed, key)
-		} else if !used {
+		} else if !ok {
 			problems = append(problems, fmt.Sprintf("%s: exported, but no non-test file uses it", key))
 		}
 	}
@@ -224,7 +312,7 @@ func (t *tree) unconsumed(allow map[string][]string) []string {
 		problems = append(problems, fmt.Sprintf("allow-list entry %s names no unconsumed declaration", k))
 	}
 	sort.Strings(problems)
-	return problems
+	return problems, nil
 }
 
 // resolves reports whether tok names a declaration, or is no identifier the

@@ -61,6 +61,8 @@ func TestCleanFixturePasses(t *testing.T) {
 	}
 }
 
+// TestPlantedDefectsFail runs the fixture with one change each: want is the
+// one problem expected, or "" for a change the rules must accept.
 func TestPlantedDefectsFail(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -75,6 +77,41 @@ func TestPlantedDefectsFail(t *testing.T) {
 				"internal/cpq/dead_test.go": "package cpq\n\nfunc init() { Dead() }\n",
 			},
 			want: "cpq.Dead: exported, but no non-test file uses it",
+		},
+		{
+			name:  "function used only inside its own declaration",
+			files: map[string]string{"internal/cpq/self.go": "package cpq\n\nfunc Self(n int) int {\n\tif n > 0 {\n\t\treturn Self(n - 1)\n\t}\n\treturn 0\n}\n"},
+			want:  "cpq.Self: exported, but no non-test file uses it",
+		},
+		{
+			name: "method called only from a test, its name used by another package",
+			files: map[string]string{
+				"internal/cpq/closed.go":      "package cpq\n\nfunc (q *Queue) Closed() bool { return false }\n",
+				"internal/cpq/closed_test.go": "package cpq\n\nfunc init() { _ = new(Queue).Closed() }\n",
+				"cmd/other/main.go":           "package main\n\ntype resp struct{ Closed bool }\n\nfunc main() { _ = resp{}.Closed }\n",
+			},
+			want: "cpq.Queue.Closed: exported, but no non-test file uses it",
+		},
+		{
+			name: "method reached only through an interface value",
+			files: map[string]string{
+				"internal/cpq/shape.go": "package cpq\n\ntype Shape interface{ Area() int }\n\ntype Square struct{}\n\nfunc (Square) Area() int { return 1 }\n",
+				"cmd/other/main.go":     "package main\n\nimport \"repro/internal/cpq\"\n\nfunc main() { var s cpq.Shape = cpq.Square{}; _ = s.Area() }\n",
+			},
+		},
+		{
+			name: "method of a generic type, called on an instance",
+			files: map[string]string{
+				"internal/cpq/box.go": "package cpq\n\ntype Box[T any] struct{ v T }\n\nfunc (b Box[T]) Get() T { return b.v }\n",
+				"cmd/other/main.go":   "package main\n\nimport \"repro/internal/cpq\"\n\nfunc main() { _ = cpq.Box[int]{}.Get() }\n",
+			},
+		},
+		{
+			name: "function used only in a dlzfail file",
+			files: map[string]string{
+				"internal/cpq/hook.go": "package cpq\n\nfunc Hook() {}\n",
+				"cmd/tool/fail.go":     "//go:build dlzfail\n\npackage main\n\nimport \"repro/internal/cpq\"\n\nfunc init() { cpq.Hook() }\n",
+			},
 		},
 		{
 			name:  "bare name of removed code",
@@ -114,7 +151,9 @@ func TestPlantedDefectsFail(t *testing.T) {
 			allow = fixtureAllow
 		}
 		problems := runCheck(t, files, allow)
-		if len(problems) != 1 || !strings.Contains(problems[0], c.want) {
+		if c.want == "" && len(problems) != 0 {
+			t.Errorf("%s: problems %q, want none", c.name, problems)
+		} else if c.want != "" && (len(problems) != 1 || !strings.Contains(problems[0], c.want)) {
 			t.Errorf("%s: problems %q, want one containing %q", c.name, problems, c.want)
 		}
 	}

@@ -177,9 +177,6 @@ func New(cfg Config) *Server {
 // is all the per-goroutine generators require.
 func (s *Server) nextSeed() uint64 { return s.seeds.Add(1) }
 
-// Config returns the server's normalized configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // tenant returns the named tenant, creating it on first use; ok is false
 // when the tenant does not exist and the MaxTenants budget refuses a new
 // one.

@@ -58,11 +58,11 @@ func sequentialDijkstra(adj [][]edge, src int) []uint64 {
 	dist[src] = 0
 	pq := heap.NewBinary(len(adj))
 	pq.Push(heap.Item{Priority: 0, Value: uint64(src)})
-	for {
-		it, ok := pq.Pop()
-		if !ok {
+	for one := []heap.Item(nil); ; {
+		if one, _, _ = pq.PopBatch(1, one[:0]); len(one) == 0 {
 			break
 		}
+		it := one[0]
 		u := int(it.Value)
 		if it.Priority > dist[u] {
 			continue

@@ -17,8 +17,8 @@ func TestStateBasics(t *testing.T) {
 	}
 	s.Add(0, 2)
 	s.Add(1, 6)
-	if s.Total() != 8 || s.Mean() != 2 {
-		t.Fatalf("Total/Mean = %v/%v", s.Total(), s.Mean())
+	if s.total != 8 || s.Mean() != 2 {
+		t.Fatalf("total/Mean = %v/%v", s.total, s.Mean())
 	}
 	min, max := s.MinMax()
 	if min != 0 || max != 6 {
@@ -251,8 +251,8 @@ func TestRunSampling(t *testing.T) {
 	if res.Samples[len(res.Samples)-1].Step != 1000 {
 		t.Fatal("final sample at wrong step")
 	}
-	if res.Final.Total() != 1000 {
-		t.Fatalf("total weight %v, want 1000", res.Final.Total())
+	if res.Final.total != 1000 {
+		t.Fatalf("total weight %v, want 1000", res.Final.total)
 	}
 }
 

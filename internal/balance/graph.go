@@ -37,9 +37,6 @@ func NewGraph(m int, edges [][2]int) *Graph {
 	return &Graph{m: m, edges: edges}
 }
 
-// M returns the number of vertices (bins).
-func (g *Graph) M() int { return g.m }
-
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 

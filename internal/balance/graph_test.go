@@ -8,8 +8,8 @@ import (
 
 func TestGraphConstructors(t *testing.T) {
 	c := CycleGraph(8)
-	if c.M() != 8 || c.NumEdges() != 8 {
-		t.Fatalf("cycle: m=%d edges=%d", c.M(), c.NumEdges())
+	if c.m != 8 || c.NumEdges() != 8 {
+		t.Fatalf("cycle: m=%d edges=%d", c.m, c.NumEdges())
 	}
 	k := CompleteGraph(4)
 	// C(4,2) + 4 self-loops = 10.
@@ -17,8 +17,8 @@ func TestGraphConstructors(t *testing.T) {
 		t.Fatalf("complete: edges=%d", k.NumEdges())
 	}
 	h := HypercubeGraph(3)
-	if h.M() != 8 || h.NumEdges() != 12 { // 8 vertices * 3 / 2
-		t.Fatalf("hypercube: m=%d edges=%d", h.M(), h.NumEdges())
+	if h.m != 8 || h.NumEdges() != 12 { // 8 vertices * 3 / 2
+		t.Fatalf("hypercube: m=%d edges=%d", h.m, h.NumEdges())
 	}
 	rr := RandomRegularish(16, 4, 1)
 	if rr.NumEdges() != 16*4/2 {

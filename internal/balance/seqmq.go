@@ -32,12 +32,6 @@ func NewSeqMultiQueue(m int) *SeqMultiQueue {
 	return &SeqMultiQueue{bins: make([][]uint64, m), next: 1}
 }
 
-// M returns the number of bins.
-func (q *SeqMultiQueue) M() int { return len(q.bins) }
-
-// Len returns the number of balls currently present.
-func (q *SeqMultiQueue) Len() int { return q.count }
-
 // Insert places the next sequential label into a uniformly random bin.
 // Labels are inserted in increasing order, so appending keeps bins sorted.
 func (q *SeqMultiQueue) Insert(r *rng.Xoshiro256) uint64 {

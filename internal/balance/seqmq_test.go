@@ -14,11 +14,11 @@ func TestSeqMultiQueueInsertDrain(t *testing.T) {
 	for i := 0; i < n; i++ {
 		q.Insert(r)
 	}
-	if q.Len() != n {
-		t.Fatalf("Len = %d", q.Len())
+	if q.count != n {
+		t.Fatalf("count = %d", q.count)
 	}
 	removed := map[uint64]bool{}
-	for q.Len() > 0 {
+	for q.count > 0 {
 		label, rank, ok := q.DeleteTwoChoice(r)
 		if !ok {
 			continue // both sampled bins empty; retry
@@ -126,7 +126,7 @@ func TestHeadGapRank(t *testing.T) {
 	if !ok {
 		t.Fatal("HeadGapRank not ok with populated bins")
 	}
-	if gap < 0 || gap > q.Len() {
+	if gap < 0 || gap > q.count {
 		t.Fatalf("gap %d out of range", gap)
 	}
 }

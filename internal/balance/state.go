@@ -45,9 +45,6 @@ func (s *State) Add(i int, w float64) {
 	s.total += w
 }
 
-// Total returns the total inserted weight.
-func (s *State) Total() float64 { return s.total }
-
 // Mean returns the average bin weight µ(t).
 func (s *State) Mean() float64 { return s.total / float64(len(s.w)) }
 

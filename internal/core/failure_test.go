@@ -104,8 +104,8 @@ func TestCPQTryOpsSkipHeldLock(t *testing.T) {
 	}
 	// The top word stays readable (lock-free cached top) — the property the
 	// two-choice comparison depends on even when a lock holder is stalled.
-	if pq.ReadTop().Min() != 1 {
-		t.Fatalf("ReadTop().Min() = %d under held lock", pq.ReadTop().Min())
+	if pq.ReadTop().Key() != 1 {
+		t.Fatalf("ReadTop().Key() = %d under held lock", pq.ReadTop().Key())
 	}
 	pq.UnlockForTest()
 	if !pq.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}}) {

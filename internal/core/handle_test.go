@@ -28,7 +28,7 @@ type refHandle struct {
 }
 
 func newRefHandle(c *MultiCounter, seed uint64) *refHandle {
-	return &refHandle{c: c, r: rng.NewXoshiro256(seed), smp: NewSampler(c.M(), c.d, c.stick)}
+	return &refHandle{c: c, r: rng.NewXoshiro256(seed), smp: NewSampler(len(c.cells), c.d, c.stick)}
 }
 
 func (h *refHandle) add(delta uint64) {
@@ -90,11 +90,11 @@ func TestHandleMatchesReference(t *testing.T) {
 		h, ref := c.NewHandle(seed), newRefHandle(rc, seed)
 		agree := func(step int, op string) {
 			t.Helper()
-			if c.M() != rc.M() || c.Exact() != rc.Exact() {
+			if len(c.cells) != len(rc.cells) || c.Exact() != rc.Exact() {
 				t.Fatalf("trial %d %+v step %d %s: m %d exact %d, reference m %d exact %d",
-					trial, cfg, step, op, c.M(), c.Exact(), rc.M(), rc.Exact())
+					trial, cfg, step, op, len(c.cells), c.Exact(), len(rc.cells), rc.Exact())
 			}
-			got, want := make([]uint64, c.M()), make([]uint64, rc.M())
+			got, want := make([]uint64, len(c.cells)), make([]uint64, len(rc.cells))
 			c.Snapshot(got)
 			rc.Snapshot(want)
 			for i := range got {
@@ -137,8 +137,8 @@ func TestHandleMatchesReference(t *testing.T) {
 		h.Close()
 		ref.close()
 		agree(steps, "Close")
-		if !h.Closed() || h.Buffered() != 0 || h.BufferedWeight() != 0 {
-			t.Fatalf("trial %d %+v: closed %v with %d ops weight %d buffered", trial, cfg, h.Closed(), h.Buffered(), h.BufferedWeight())
+		if !h.closed || h.Buffered() != 0 || h.BufferedWeight() != 0 {
+			t.Fatalf("trial %d %+v: closed %v with %d ops weight %d buffered", trial, cfg, h.closed, h.Buffered(), h.BufferedWeight())
 		}
 		for name, fn := range map[string]func(){"Add": func() { h.Add(3) }, "Increment": h.Increment} {
 			func() {

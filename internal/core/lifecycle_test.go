@@ -70,7 +70,7 @@ func TestMQHandleCloseDrainsBuffersAndPrefetch(t *testing.T) {
 	if got, want := q.Len(), n+1-consumed; got != want {
 		t.Fatalf("conservation after Close: Len=%d want %d", got, want)
 	}
-	if !h.Closed() {
+	if !h.closed {
 		t.Fatal("Closed() should report true")
 	}
 	h.Close() // idempotent

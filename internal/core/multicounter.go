@@ -96,9 +96,6 @@ func NewMultiCounterConfig(cfg MultiCounterConfig) *MultiCounter {
 	}
 }
 
-// M returns m, the number of underlying counters.
-func (c *MultiCounter) M() int { return len(c.cells) }
-
 // Choices returns the configured number of random choices d (1 ≤ d ≤ m).
 func (c *MultiCounter) Choices() int { return c.d }
 
@@ -282,9 +279,6 @@ func (h *Handle) Flush() {
 // handle's own buffered increments are not yet reflected; Flush first if the
 // caller needs them counted.
 func (h *Handle) Read() uint64 { return h.c.Read(&h.r) }
-
-// Closed reports whether Close has retired this handle.
-func (h *Handle) Closed() bool { return h.closed }
 
 // Close retires the handle: buffered increments are flushed with one final
 // d-choice publish and the handle is invalidated. After Close, Buffered and

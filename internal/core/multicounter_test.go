@@ -177,8 +177,8 @@ func TestHandleAccessors(t *testing.T) {
 	if h.Counter() != mc {
 		t.Fatal("Counter() returned wrong counter")
 	}
-	if mc.M() != 8 {
-		t.Fatalf("M = %d", mc.M())
+	if len(mc.cells) != 8 {
+		t.Fatalf("m = %d", len(mc.cells))
 	}
 	// d > m clamps to m, as the handle's sampler does, so Choices reports
 	// the d a run actually uses.

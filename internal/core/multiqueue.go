@@ -113,9 +113,6 @@ func (q *MultiQueue) Stickiness() int { return q.stick }
 // Batch returns the configured batching factor k (>= 1).
 func (q *MultiQueue) Batch() int { return q.batch }
 
-// M returns m, the number of internal queues.
-func (q *MultiQueue) M() int { return q.m }
-
 // Len returns the total number of stored elements (exact at quiescence).
 // In batched mode, elements a handle still buffers (MQHandle.Buffered) are
 // not counted until that handle flushes, and prefetched elements
@@ -245,9 +242,6 @@ func (h *MQHandle) Buffered() int { return len(h.inBuf) }
 // /metrics aggregates; a contended shard is redrawn, not waited on, so this
 // counter, not the lock's contended counter, is where contention shows.
 func (h *MQHandle) Rerolls() uint64 { return h.deq.Rerolls() + h.enq.Rerolls() }
-
-// Closed reports whether Close has retired this handle.
-func (h *MQHandle) Closed() bool { return h.closed }
 
 // Close retires the handle: buffered inserts are flushed to the shared
 // structure, unconsumed prefetched elements are returned to it (they were

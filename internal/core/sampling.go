@@ -61,9 +61,6 @@ func NewSampler(m, d, window int) Sampler {
 	return Sampler{m: m, d: d, window: window, cand: make([]int, d, (d+line-1)/line*line)}
 }
 
-// Choices returns d, the candidate set size (clamped to m).
-func (s *Sampler) Choices() int { return s.d }
-
 // contains reports whether idx already occurs in cand.
 func contains(cand []int, idx int) bool {
 	for _, c := range cand {

@@ -55,7 +55,7 @@ func TestSamplerBestPicksArgmin(t *testing.T) {
 	loads := []uint64{9, 3, 7, 1, 8, 2, 6, 4}
 	cells := make([]pad.Uint64, len(loads))
 	for i, v := range loads {
-		cells[i].Store(v)
+		cells[i].Add(v)
 	}
 	s := NewSampler(len(loads), 4, 1)
 	r := rng.NewXoshiro256(5)
@@ -104,8 +104,8 @@ func TestSamplerPanics(t *testing.T) {
 	if s := NewSampler(4, 2, 0); s.window != 1 {
 		t.Fatalf("window 0 normalized to %d, want 1", s.window)
 	}
-	if s := NewSampler(4, 3, 7); s.Choices() != 3 || s.window != 7 {
-		t.Fatalf("accessor returned d=%d, window %d", s.Choices(), s.window)
+	if s := NewSampler(4, 3, 7); s.d != 3 || s.window != 7 {
+		t.Fatalf("accessor returned d=%d, window %d", s.d, s.window)
 	}
 }
 
@@ -134,8 +134,8 @@ func TestSamplerDedupesCandidates(t *testing.T) {
 	}
 	// d > m clamps to m (the m >= C·n assumption makes this a degenerate
 	// configuration, but it must not loop forever hunting distinct indices).
-	if s := NewSampler(3, 8, 1); s.Choices() != 3 {
-		t.Fatalf("d > m clamped to %d, want 3", s.Choices())
+	if s := NewSampler(3, 8, 1); s.d != 3 {
+		t.Fatalf("d > m clamped to %d, want 3", s.d)
 	}
 }
 

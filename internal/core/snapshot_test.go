@@ -94,9 +94,9 @@ func TestReturnPrefetched(t *testing.T) {
 
 // shardState returns the per-shard sizes and published top words of q.
 func shardState(q *MultiQueue) ([]int, []cpq.TopWord) {
-	sizes := make([]int, q.M())
+	sizes := make([]int, q.m)
 	q.Sizes(sizes)
-	tops := make([]cpq.TopWord, q.M())
+	tops := make([]cpq.TopWord, q.m)
 	for i := range tops {
 		tops[i] = q.qs[i].ReadTop()
 	}

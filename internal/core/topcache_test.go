@@ -33,7 +33,7 @@ func TestEmptyScanTakesNoLocks(t *testing.T) {
 			}
 		}
 
-		seqs := make([]uint64, q.M())
+		seqs := make([]uint64, q.m)
 		for i := range q.qs {
 			w := q.qs[i].ReadTop()
 			if !w.StableEmpty() {
@@ -85,13 +85,13 @@ func TestLockedTopReadAblation(t *testing.T) {
 	agree := func(step int) {
 		for i := range q.qs {
 			pq := &q.qs[i]
-			want := uint64(cpq.EmptyTop)
+			want := uint64(cpq.TopKeyEmpty)
 			for _, it := range pq.AppendTo(nil) {
 				want = min(want, it.Priority)
 			}
-			if w := pq.ReadTop(); w.InFlight() || w.Min() != want {
+			if w := pq.ReadTop(); w.InFlight() || w.Key() != want {
 				t.Fatalf("step %d: queue %d cached top %d (in flight %v), locked read %d",
-					step, i, w.Min(), w.InFlight(), want)
+					step, i, w.Key(), w.InFlight(), want)
 			}
 		}
 	}

@@ -79,8 +79,8 @@ func TestTopPublishDelayWidensInFlightWindow(t *testing.T) {
 		if w.InFlight() {
 			sawInFlight = true
 			// The stale payload is the previously published minimum.
-			if w.Min() != 50 {
-				t.Errorf("mid-update payload = %d, want stale 50", w.Min())
+			if w.minPrio() != 50 {
+				t.Errorf("mid-update payload = %d, want stale 50", w.minPrio())
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func TestTopPublishDelayWidensInFlightWindow(t *testing.T) {
 	if !sawInFlight {
 		t.Fatal("reader never observed the widened mid-update window")
 	}
-	if w := q.ReadTop(); w.InFlight() || w.Min() != 10 {
-		t.Errorf("post-publish word = (min %d, inflight %v), want stable 10", w.Min(), w.InFlight())
+	if w := q.ReadTop(); w.InFlight() || w.minPrio() != 10 {
+		t.Errorf("post-publish word = (min %d, inflight %v), want stable 10", w.minPrio(), w.InFlight())
 	}
 }

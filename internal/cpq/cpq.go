@@ -35,7 +35,6 @@ package cpq
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sync/atomic"
 	"unsafe"
@@ -44,11 +43,6 @@ import (
 	"repro/internal/heap"
 	"repro/internal/pad"
 )
-
-// EmptyTop is the TopWord.Min value published by an empty queue. It compares
-// greater than every real priority, so two-choice comparisons naturally
-// avoid empty queues.
-const EmptyTop = math.MaxUint64
 
 // Top-word encoding. The cached top is one pad.Seq64 word:
 //
@@ -71,7 +65,7 @@ const (
 	// minus the sequence field minus the empty bit.
 	TopPrioBits = 63 - pad.SeqBits
 	// TopPrioMask selects the priority bits a published word can carry;
-	// TopWord.Min returns priorities reduced to this mask.
+	// TopWord.Key returns stable minima reduced to this mask.
 	TopPrioMask = 1<<TopPrioBits - 1
 	// TopKeyInFlight is the comparison key of a mid-update word: it loses to
 	// every real minimum, so d-choice comparisons skip queues whose lock
@@ -99,8 +93,8 @@ func topPayload(min uint64, empty bool) uint64 {
 type TopWord uint64
 
 // InFlight reports the mid-update sentinel: a lock holder has entered a
-// mutating critical section and not yet republished. Min still returns the
-// last published (stale but previously true) value.
+// mutating critical section and not yet republished. The word's payload
+// still carries the last published (stale but previously true) value.
 func (w TopWord) InFlight() bool { return w&1 == 1 }
 
 // Empty reports the empty bit: the queue held nothing when the word was
@@ -119,16 +113,6 @@ func (w TopWord) StableEmpty() bool { return w&1 == 0 && w.Empty() }
 // publication counter the coherence tests read; an odd value is the
 // mid-update sentinel.
 func (w TopWord) Seq() uint64 { return uint64(w) & topSeqMask }
-
-// Min returns the cached minimum priority reduced to TopPrioMask (exact for
-// priorities below 2^TopPrioBits), or EmptyTop when the empty bit is set.
-// For a mid-update word this is the last published value.
-func (w TopWord) Min() uint64 {
-	if w.Empty() {
-		return EmptyTop
-	}
-	return uint64(w) >> (pad.SeqBits + 1)
-}
 
 // Key returns the d-choice comparison key: the truncated minimum for stable
 // non-empty words, TopKeyInFlight for mid-update words and TopKeyEmpty for

@@ -1,12 +1,28 @@
 package cpq
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/heap"
+	"repro/internal/pad"
 	"repro/internal/rng"
 )
+
+// emptyTop is what minPrio reads off an empty queue's word: it compares
+// above every real priority.
+const emptyTop = math.MaxUint64
+
+// minPrio decodes w's cached minimum, reduced to TopPrioMask, or emptyTop
+// when the empty bit is set; a mid-update word yields the last published
+// value.
+func (w TopWord) minPrio() uint64 {
+	if w.Empty() {
+		return emptyTop
+	}
+	return uint64(w) >> (pad.SeqBits + 1)
+}
 
 // newQueue returns an empty queue with the given capacity hint, passing New
 // the zero Backing, the only one it accepts, and a seed it ignores.
@@ -54,14 +70,14 @@ func minOf(items []heap.Item) (min heap.Item, ok bool) {
 
 func TestSequentialSemantics(t *testing.T) {
 	q := newQueue(16)
-	if q.ReadTop().Min() != EmptyTop {
-		t.Fatal("fresh ReadTop().Min() != EmptyTop")
+	if q.ReadTop().minPrio() != emptyTop {
+		t.Fatal("fresh ReadTop().minPrio() != emptyTop")
 	}
 	addOne(q, 5, 50)
 	addOne(q, 2, 20)
 	addOne(q, 9, 90)
-	if q.ReadTop().Min() != 2 {
-		t.Fatalf("ReadTop().Min() = %d, want 2", q.ReadTop().Min())
+	if q.ReadTop().minPrio() != 2 {
+		t.Fatalf("ReadTop().minPrio() = %d, want 2", q.ReadTop().minPrio())
 	}
 	if it, ok := minOf(q.AppendTo(nil)); !ok || it.Priority != 2 || it.Value != 20 {
 		t.Fatalf("minimum of AppendTo = %+v", it)
@@ -70,8 +86,8 @@ func TestSequentialSemantics(t *testing.T) {
 	if !ok || it.Priority != 2 || it.Value != 20 {
 		t.Fatalf("DeleteMinUpTo(1) = %+v", it)
 	}
-	if q.ReadTop().Min() != 5 {
-		t.Fatalf("ReadTop().Min() after delete = %d", q.ReadTop().Min())
+	if q.ReadTop().minPrio() != 5 {
+		t.Fatalf("ReadTop().minPrio() after delete = %d", q.ReadTop().minPrio())
 	}
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
@@ -97,7 +113,7 @@ func TestTryAdd(t *testing.T) {
 	if !tryAddOne(q, 1, 10) {
 		t.Fatal("one-item TryAddBatch on free queue failed")
 	}
-	if q.ReadTop().Min() != 1 {
+	if q.ReadTop().minPrio() != 1 {
 		t.Fatal("one-item TryAddBatch did not publish top")
 	}
 }
@@ -112,17 +128,17 @@ func TestReadMinTracksTopAtQuiescence(t *testing.T) {
 			min = p
 		}
 		addOne(q, p, 0)
-		if q.ReadTop().Min() != min {
-			t.Fatalf("cached top %d != true min %d", q.ReadTop().Min(), min)
+		if q.ReadTop().minPrio() != min {
+			t.Fatalf("cached top %d != true min %d", q.ReadTop().minPrio(), min)
 		}
 	}
 	// Drain: cached top must track the heap top exactly.
 	prev := uint64(0)
 	for {
-		top := q.ReadTop().Min()
+		top := q.ReadTop().minPrio()
 		it, ok := deleteOne(q)
 		if !ok {
-			if top != EmptyTop {
+			if top != emptyTop {
 				t.Fatalf("top %d on empty queue", top)
 			}
 			break
@@ -251,7 +267,7 @@ func TestNewPanicsOnUnknownBacking(t *testing.T) {
 func TestAddBatchDeleteMinUpTo(t *testing.T) {
 	q := newQueue(16)
 	q.AddBatch(nil) // empty batch: no lock, no effect
-	if q.Len() != 0 || q.ReadTop().Min() != EmptyTop {
+	if q.Len() != 0 || q.ReadTop().minPrio() != emptyTop {
 		t.Fatal("empty AddBatch changed state")
 	}
 	batch := []heap.Item{{Priority: 7, Value: 70}, {Priority: 3, Value: 30}, {Priority: 5, Value: 50}}
@@ -259,23 +275,23 @@ func TestAddBatchDeleteMinUpTo(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("Len after AddBatch = %d", q.Len())
 	}
-	if q.ReadTop().Min() != 3 {
-		t.Fatalf("ReadTop().Min() after AddBatch = %d, want 3", q.ReadTop().Min())
+	if q.ReadTop().minPrio() != 3 {
+		t.Fatalf("ReadTop().minPrio() after AddBatch = %d, want 3", q.ReadTop().minPrio())
 	}
 	// Drain two with one call; ascending order required.
 	got := q.DeleteMinUpTo(2, nil)
 	if len(got) != 2 || got[0].Priority != 3 || got[1].Priority != 5 {
 		t.Fatalf("DeleteMinUpTo(2) = %+v", got)
 	}
-	if q.ReadTop().Min() != 7 {
-		t.Fatalf("ReadTop().Min() after partial drain = %d, want 7", q.ReadTop().Min())
+	if q.ReadTop().minPrio() != 7 {
+		t.Fatalf("ReadTop().minPrio() after partial drain = %d, want 7", q.ReadTop().minPrio())
 	}
 	// Asking for more than remain returns the remainder and publishes empty.
 	got = q.DeleteMinUpTo(10, got[:0])
 	if len(got) != 1 || got[0].Priority != 7 {
 		t.Fatalf("final DeleteMinUpTo = %+v", got)
 	}
-	if q.ReadTop().Min() != EmptyTop || q.Len() != 0 {
+	if q.ReadTop().minPrio() != emptyTop || q.Len() != 0 {
 		t.Fatal("queue not empty after full drain")
 	}
 	// k <= 0 and empty-queue calls leave dst untouched.
@@ -302,8 +318,8 @@ func TestTryAddBatch(t *testing.T) {
 	if !q.TryAddBatch([]heap.Item{{Priority: 2, Value: 20}, {Priority: 1, Value: 10}}) {
 		t.Fatal("TryAddBatch failed on a free lock")
 	}
-	if q.Len() != 2 || q.ReadTop().Min() != 1 {
-		t.Fatalf("Len=%d ReadTop().Min()=%d after TryAddBatch", q.Len(), q.ReadTop().Min())
+	if q.Len() != 2 || q.ReadTop().minPrio() != 1 {
+		t.Fatalf("Len=%d ReadTop().minPrio()=%d after TryAddBatch", q.Len(), q.ReadTop().minPrio())
 	}
 }
 

@@ -75,12 +75,12 @@ func TestDifferentialAllBackings(t *testing.T) {
 				}
 				// Single-threaded, so the cached top must be exact, not
 				// merely stale-but-previously-true.
-				wantTop := uint64(EmptyTop)
+				wantTop := uint64(emptyTop)
 				if len(ref) > 0 {
 					wantTop = ref[0]
 				}
-				if top := q.ReadTop().Min(); top != wantTop {
-					t.Fatalf("op %d: ReadTop().Min() = %d, want %d", op, top, wantTop)
+				if top := q.ReadTop().minPrio(); top != wantTop {
+					t.Fatalf("op %d: ReadTop().minPrio() = %d, want %d", op, top, wantTop)
 				}
 			}
 		}

@@ -143,12 +143,12 @@ func driveTopCache(t *testing.T, data []byte) {
 		if w.Empty() != (len(ref) == 0) {
 			t.Fatalf("op %d empty bit %v with %d modeled items", opIdx, w.Empty(), len(ref))
 		}
-		wantMin := uint64(EmptyTop)
+		wantMin := uint64(emptyTop)
 		if len(ref) > 0 {
 			wantMin = ref[0] & TopPrioMask
 		}
-		if w.Min() != wantMin {
-			t.Fatalf("op %d cached min %d, want %d", opIdx, w.Min(), wantMin)
+		if w.minPrio() != wantMin {
+			t.Fatalf("op %d cached min %d, want %d", opIdx, w.minPrio(), wantMin)
 		}
 		if wantSeq := seq % (topSeqMask + 1); w.Seq() != wantSeq {
 			t.Fatalf("op %d seq %d, want %d (mutating sections must advance it by exactly 2)", opIdx, w.Seq(), wantSeq)
@@ -279,8 +279,8 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 						t.Error("stable-empty word on a never-empty queue")
 						return
 					}
-					if w.Min() <= wm&TopPrioMask {
-						t.Errorf("stable word min %d not above watermark %d", w.Min(), wm)
+					if w.minPrio() <= wm&TopPrioMask {
+						t.Errorf("stable word min %d not above watermark %d", w.minPrio(), wm)
 						return
 					}
 				}
@@ -295,9 +295,9 @@ func TestTopWordCoherenceUnderRace(t *testing.T) {
 		// exactly.
 		w := q.ReadTop()
 		it, ok := minOf(q.AppendTo(nil))
-		if !ok || w.InFlight() || w.Empty() || w.Min() != it.Priority&TopPrioMask {
+		if !ok || w.InFlight() || w.Empty() || w.minPrio() != it.Priority&TopPrioMask {
 			t.Fatalf("quiescent word (min %d, empty %v, inflight %v) != true min %d",
-				w.Min(), w.Empty(), w.InFlight(), it.Priority)
+				w.minPrio(), w.Empty(), w.InFlight(), it.Priority)
 		}
 	})
 }

@@ -45,8 +45,8 @@ func TestTryPathsAgainstHeldLock(t *testing.T) {
 		if len(out) != 1 || out[0] != sentinel[0] {
 			t.Fatalf("TryDeleteMinUpTo mutated dst under contention: %+v", out)
 		}
-		if q.ReadTop().Min() != 4 {
-			t.Fatalf("contended try-paths mutated the cached top: Min=%d", q.ReadTop().Min())
+		if q.ReadTop().minPrio() != 4 {
+			t.Fatalf("contended try-paths mutated the cached top: min=%d", q.ReadTop().minPrio())
 		}
 		// Refused try-paths must not have touched the word at all: same
 		// minimum, same publication sequence, no stray sentinel. A held

@@ -21,15 +21,15 @@ func TestFenwickBasics(t *testing.T) {
 	if f.Get(7) != 2 || f.Get(6) != 0 {
 		t.Fatal("Get wrong")
 	}
-	if f.Total() != 3 {
-		t.Fatalf("Total = %d", f.Total())
+	if f.PrefixSum(f.Len()) != 3 {
+		t.Fatalf("total = %d", f.PrefixSum(f.Len()))
 	}
 	f.Add(7, -2)
-	if f.Total() != 1 || f.Get(7) != 0 {
+	if f.PrefixSum(f.Len()) != 1 || f.Get(7) != 0 {
 		t.Fatal("negative Add failed")
 	}
 	f.Reset()
-	if f.Total() != 0 || f.PrefixSum(10) != 0 {
+	if f.PrefixSum(f.Len()) != 0 || f.PrefixSum(10) != 0 {
 		t.Fatal("Reset failed")
 	}
 }
@@ -112,8 +112,8 @@ func TestQueueSpecRanks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := (*Fenwick)(q).Total(); n != 5 {
-		t.Fatalf("%d labels present, want 5", n)
+	if f := (*Fenwick)(q); f.PrefixSum(f.Len()) != 5 {
+		t.Fatalf("%d labels present, want 5", f.PrefixSum(f.Len()))
 	}
 	// Dequeue the exact minimum: cost 0.
 	cost, err := q.Apply(Method{Name: "deq", Ret: 1, OK: true})

@@ -4,8 +4,7 @@ package dlin
 // rank queries when replaying queue histories. Values are multiplicities
 // (0 or 1 in the queue spec, but the structure supports counts).
 type Fenwick struct {
-	t     []int64
-	total int64
+	t []int64
 }
 
 // NewFenwick returns a tree over positions 1..n.
@@ -24,7 +23,6 @@ func (f *Fenwick) Reset() {
 	for i := range f.t {
 		f.t[i] = 0
 	}
-	f.total = 0
 }
 
 // Add adds delta at position i (1-based).
@@ -32,7 +30,6 @@ func (f *Fenwick) Add(i int, delta int64) {
 	if i <= 0 || i >= len(f.t) {
 		panic("dlin: Fenwick.Add position out of range")
 	}
-	f.total += delta
 	for ; i < len(f.t); i += i & (-i) {
 		f.t[i] += delta
 	}
@@ -52,6 +49,3 @@ func (f *Fenwick) PrefixSum(i int) int64 {
 
 // Get returns the value at position i.
 func (f *Fenwick) Get(i int) int64 { return f.PrefixSum(i) - f.PrefixSum(i-1) }
-
-// Total returns the sum over all positions.
-func (f *Fenwick) Total() int64 { return f.total }

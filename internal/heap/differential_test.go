@@ -159,7 +159,7 @@ func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCovera
 			ref.Push(p)
 		case 2: // single pop
 			want, wantOK := ref.Pop()
-			it, ok := h.Pop()
+			it, ok := h.pop()
 			if ok != wantOK || (ok && it.Priority != want) {
 				t.Fatalf("op %d Pop = (%d,%v), want (%d,%v)", opIdx, it.Priority, ok, want, wantOK)
 			}
@@ -233,12 +233,12 @@ func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCovera
 	// Drain and compare the full remaining order.
 	for len(ref.a) > 0 {
 		want, _ := ref.Pop()
-		it, ok := h.Pop()
+		it, ok := h.pop()
 		if !ok || it.Priority != want {
 			t.Fatalf("drain Pop = (%d,%v), want %d", it.Priority, ok, want)
 		}
 	}
-	if _, ok := h.Pop(); ok {
+	if _, ok := h.pop(); ok {
 		t.Fatal("heap non-empty after model drained")
 	}
 }

@@ -112,35 +112,10 @@ func (h *Binary) Peek() (Item, bool) {
 	return h.a[n-1], true
 }
 
-// Pop removes and returns the minimum item: the last item of the run or the
-// root of the pending heap, whichever is smaller, after a flush if one is due.
-func (h *Binary) Pop() (Item, bool) {
-	if len(h.p) > 0 {
-		if h.flushDue() {
-			h.flush()
-		} else if n := len(h.a); n == 0 || h.p[0].Priority < h.a[n-1].Priority {
-			return h.popPending(), true
-		}
-	}
-	n := len(h.a)
-	if n == 0 {
-		return Item{}, false
-	}
-	it := h.a[n-1]
-	h.a = h.a[:n-1]
-	return it, true
-}
-
 // AppendTo appends every stored item to dst — the run, descending, then the
 // pending heap in heap order — and returns the extended slice; the queue
 // itself is left unchanged.
 func (h *Binary) AppendTo(dst []Item) []Item { return append(append(dst, h.a...), h.p...) }
-
-// Reset empties the queue, retaining capacity.
-func (h *Binary) Reset() {
-	h.a = h.a[:0]
-	h.p = h.p[:0]
-}
 
 // PushBatch inserts the batch and returns the post-batch minimum: the items
 // within tailWindow of the minimum are insertion-sorted into a stack run (the

@@ -24,9 +24,18 @@ func (h *Binary) Verify() bool {
 	return true
 }
 
+// pop removes and returns the minimum item: a PopBatch of one.
+func (h *Binary) pop() (Item, bool) {
+	one, _, _ := h.PopBatch(1, nil)
+	if len(one) == 0 {
+		return Item{}, false
+	}
+	return one[0], true
+}
+
 func TestEmptyBehavior(t *testing.T) {
 	h := NewBinary(16)
-	if _, ok := h.Pop(); ok {
+	if _, ok := h.pop(); ok {
 		t.Fatal("Pop on empty returned ok")
 	}
 	if _, ok := h.Peek(); ok {
@@ -47,7 +56,7 @@ func TestPushPopSorted(t *testing.T) {
 		t.Fatalf("Len = %d", h.Len())
 	}
 	for want := uint64(0); want < 10; want++ {
-		it, ok := h.Pop()
+		it, ok := h.pop()
 		if !ok || it.Priority != want || it.Value != want*10 {
 			t.Fatalf("Pop = %+v ok=%v, want priority %d", it, ok, want)
 		}
@@ -74,7 +83,7 @@ func TestDuplicatePriorities(t *testing.T) {
 	}
 	seen := map[uint64]bool{}
 	for i := 0; i < 5; i++ {
-		it, ok := h.Pop()
+		it, ok := h.pop()
 		if !ok || it.Priority != 7 {
 			t.Fatalf("pop %d = %+v", i, it)
 		}
@@ -99,7 +108,7 @@ func TestAgainstReferenceQuick(t *testing.T) {
 				ref = append(ref, p)
 				sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
 			} else {
-				it, ok := h.Pop()
+				it, ok := h.pop()
 				if !ok || it.Priority != ref[0] {
 					return false
 				}
@@ -126,26 +135,14 @@ func TestBinaryVerifyAfterRandomOps(t *testing.T) {
 	h := NewBinary(0)
 	r := rng.NewXoshiro256(42)
 	for i := 0; i < 10000; i++ {
-		if r.Bool() || h.Len() == 0 {
+		if r.Next()&1 == 1 || h.Len() == 0 {
 			h.Push(Item{Priority: r.Uint64n(1000)})
 		} else {
-			h.Pop()
+			h.pop()
 		}
 		if i%100 == 0 && !h.Verify() {
 			t.Fatalf("heap invariant violated after %d ops", i)
 		}
-	}
-}
-
-func TestBinaryReset(t *testing.T) {
-	h := NewBinary(4)
-	h.Push(Item{Priority: 1})
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset did not empty the heap")
-	}
-	if _, ok := h.Pop(); ok {
-		t.Fatal("Pop after Reset returned ok")
 	}
 }
 
@@ -251,7 +248,7 @@ func TestCrossImplementationAgreement(t *testing.T) {
 			b.Push(Item{Priority: pr})
 			ref.Push(pr)
 		} else {
-			ib, okb := b.Pop()
+			ib, okb := b.pop()
 			want, okr := ref.Pop()
 			if okb != okr || (okb && ib.Priority != want) {
 				t.Fatalf("heap and model disagree at op %d: %+v/%v vs %d/%v", i, ib, okb, want, okr)
@@ -267,7 +264,7 @@ func BenchmarkBinaryPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Push(Item{Priority: r.Next()})
 		if h.Len() > 1000 {
-			h.Pop()
+			h.pop()
 		}
 	}
 }

@@ -182,7 +182,8 @@ func TestStashIdlesUnderFIFO(t *testing.T) {
 }
 
 // TestStashResetLenAndCallerBatch covers the bookkeeping a two-part layout
-// must not break: Len counts both parts, Reset empties both, and PushBatch
+// must not break: Len counts both parts, a PopBatch of Len items empties
+// both, and PushBatch
 // leaves the caller's batch in the order it was given.
 func TestStashResetLenAndCallerBatch(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
@@ -204,14 +205,14 @@ func TestStashResetLenAndCallerBatch(t *testing.T) {
 		if first+second != 70 || h.Len() != 70 || second == 0 {
 			t.Fatalf("parts %d + %d, Len %d; want 70 over both parts", first, second, h.Len())
 		}
-		h.Reset()
+		h.PopBatch(h.Len(), nil)
 		first, second = len(h.a), len(h.p)
 		if _, ok := h.Peek(); ok || h.Len() != 0 || first != 0 || second != 0 || !h.Verify() {
-			t.Fatalf("Reset left parts %d + %d, Len %d, Verify %v", first, second, h.Len(), h.Verify())
+			t.Fatalf("draining PopBatch left parts %d + %d, Len %d, Verify %v", first, second, h.Len(), h.Verify())
 		}
 		h.Push(Item{Priority: 1})
-		if it, ok := h.Pop(); !ok || it.Priority != 1 || h.Len() != 0 {
-			t.Fatal("heap unusable after Reset")
+		if it, ok := h.pop(); !ok || it.Priority != 1 || h.Len() != 0 {
+			t.Fatal("heap unusable after a draining PopBatch")
 		}
 	})
 }

@@ -34,14 +34,8 @@ type Uint64 struct {
 // Load atomically reads the value.
 func (p *Uint64) Load() uint64 { return p.v.Load() }
 
-// Store atomically writes the value.
-func (p *Uint64) Store(x uint64) { p.v.Store(x) }
-
 // Add atomically adds delta and returns the new value.
 func (p *Uint64) Add(delta uint64) uint64 { return p.v.Add(delta) }
-
-// CompareAndSwap executes the CAS and reports whether it succeeded.
-func (p *Uint64) CompareAndSwap(old, new uint64) bool { return p.v.CompareAndSwap(old, new) }
 
 // SeqBits is the width of the Seq64 sequence field. The remaining
 // 64 − SeqBits high bits carry the payload.
@@ -74,14 +68,6 @@ const seqMask = 1<<SeqBits - 1
 // The zero value is stable (sequence 0) with payload 0.
 type Seq64 struct {
 	w atomic.Uint64
-}
-
-// Load returns the current payload and whether the word is mid-update (the
-// sequence is odd). A mid-update payload is the last published value, not
-// garbage.
-func (s *Seq64) Load() (payload uint64, inflight bool) {
-	w := s.w.Load()
-	return w >> SeqBits, w&1 == 1
 }
 
 // LoadWord returns the raw word (payload and sequence packed) with one atomic

@@ -12,6 +12,13 @@ import (
 // value means a writer is mid-update.
 func (s *Seq64) Seq() uint64 { return s.w.Load() & seqMask }
 
+// load returns the payload and whether the word is mid-update (the sequence
+// is odd), from one atomic load of the word.
+func (s *Seq64) load() (payload uint64, inflight bool) {
+	w := s.w.Load()
+	return w >> SeqBits, w&1 == 1
+}
+
 // Locked reports whether the lock is currently held (racy).
 func (l *SpinLock) Locked() bool { return l.state.Load() != 0 }
 
@@ -34,17 +41,17 @@ func TestUint64Ops(t *testing.T) {
 	if u.Load() != 0 {
 		t.Fatal("zero value not 0")
 	}
-	u.Store(5)
+	u.v.Store(5)
 	if u.Load() != 5 {
 		t.Fatal("Store/Load mismatch")
 	}
 	if u.Add(3) != 8 {
 		t.Fatal("Add result wrong")
 	}
-	if !u.CompareAndSwap(8, 10) || u.Load() != 10 {
+	if !u.v.CompareAndSwap(8, 10) || u.Load() != 10 {
 		t.Fatal("CAS should succeed")
 	}
-	if u.CompareAndSwap(8, 11) {
+	if u.v.CompareAndSwap(8, 11) {
 		t.Fatal("CAS with stale old should fail")
 	}
 }
@@ -70,26 +77,26 @@ func TestUint64ConcurrentAdd(t *testing.T) {
 
 func TestSeq64Protocol(t *testing.T) {
 	var s Seq64
-	if p, inflight := s.Load(); p != 0 || inflight {
+	if p, inflight := s.load(); p != 0 || inflight {
 		t.Fatalf("zero value = (%d, %v), want stable 0", p, inflight)
 	}
 	s.Init(42)
-	if p, inflight := s.Load(); p != 42 || inflight {
+	if p, inflight := s.load(); p != 42 || inflight {
 		t.Fatalf("after Init = (%d, %v), want stable 42", p, inflight)
 	}
 	if s.Seq() != 0 {
 		t.Fatalf("Init left seq %d, want 0", s.Seq())
 	}
 	s.Begin()
-	if p, inflight := s.Load(); p != 42 || !inflight {
+	if p, inflight := s.load(); p != 42 || !inflight {
 		t.Fatalf("after Begin = (%d, %v), want in-flight 42 (stale payload retained)", p, inflight)
 	}
 	s.Begin() // double Begin is harmless: still mid-update, payload intact
-	if p, inflight := s.Load(); p != 42 || !inflight {
+	if p, inflight := s.load(); p != 42 || !inflight {
 		t.Fatalf("after double Begin = (%d, %v)", p, inflight)
 	}
 	s.Publish(7)
-	if p, inflight := s.Load(); p != 7 || inflight {
+	if p, inflight := s.load(); p != 7 || inflight {
 		t.Fatalf("after Publish = (%d, %v), want stable 7", p, inflight)
 	}
 	if s.Seq() != 2 {
@@ -97,7 +104,7 @@ func TestSeq64Protocol(t *testing.T) {
 	}
 	// Publish without Begin still lands on an even sequence.
 	s.Publish(9)
-	if p, inflight := s.Load(); p != 9 || inflight {
+	if p, inflight := s.load(); p != 9 || inflight {
 		t.Fatalf("Publish without Begin = (%d, %v), want stable 9", p, inflight)
 	}
 	if s.Seq() != 4 {
@@ -110,7 +117,7 @@ func TestSeq64PayloadWidthAndWrap(t *testing.T) {
 	// The full 49-bit payload round-trips.
 	max := uint64(1)<<(64-SeqBits) - 1
 	s.Publish(max)
-	if p, _ := s.Load(); p != max {
+	if p, _ := s.load(); p != max {
 		t.Fatalf("payload %d round-tripped as %d", max, p)
 	}
 	// The sequence wraps inside its field without corrupting the payload.
@@ -118,7 +125,7 @@ func TestSeq64PayloadWidthAndWrap(t *testing.T) {
 		s.Begin()
 		s.Publish(max)
 	}
-	if p, inflight := s.Load(); p != max || inflight {
+	if p, inflight := s.load(); p != max || inflight {
 		t.Fatalf("after wrap = (%d, %v), want stable %d", p, inflight, max)
 	}
 	if s.Seq()&1 != 0 {
@@ -147,7 +154,7 @@ func TestSeq64ReadersNeverTear(t *testing.T) {
 					return
 				default:
 				}
-				p, _ := s.Load()
+				p, _ := s.load()
 				// Payloads are always odd numbers; an even observation is a
 				// torn or invented value.
 				if p%2 == 0 {

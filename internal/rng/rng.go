@@ -131,9 +131,6 @@ func (x *Xoshiro256) Exp() float64 {
 	return -math.Log(1 - x.Float64())
 }
 
-// Bool returns a fair coin flip.
-func (x *Xoshiro256) Bool() bool { return x.Next()&1 == 1 }
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (x *Xoshiro256) Bernoulli(p float64) bool {
 	if p <= 0 {

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -124,8 +126,16 @@ func TestLemma66AcrossAdversaries(t *testing.T) {
 
 func TestContentionHistogramPopulated(t *testing.T) {
 	res := Run(Config{N: 4, M: 32, Ops: 10_000, Seed: 13, Adversary: NewUniform(14), C: 4})
-	if res.Contention.N() != res.CompletedOps {
-		t.Fatalf("histogram has %d entries, want %d", res.Contention.N(), res.CompletedOps)
+	var entries int64
+	for _, line := range strings.Split(strings.TrimSpace(res.Contention.String()), "\n") {
+		var lo, hi, c int64
+		if _, err := fmt.Sscanf(line, "[%d,%d): %d", &lo, &hi, &c); err != nil {
+			t.Fatalf("histogram line %q: %v", line, err)
+		}
+		entries += c
+	}
+	if entries != res.CompletedOps {
+		t.Fatalf("histogram has %d entries, want %d", entries, res.CompletedOps)
 	}
 }
 
@@ -139,8 +149,8 @@ func TestCompletedOpsAndSteps(t *testing.T) {
 	if res.ScheduledSteps < 2000 || res.ScheduledSteps > 2001 {
 		t.Fatalf("ScheduledSteps = %d", res.ScheduledSteps)
 	}
-	if res.Final.Total() != 1000 {
-		t.Fatalf("total weight %v", res.Final.Total())
+	if w := res.Final.Mean() * 16; w != 1000 { // M = 16 bins
+		t.Fatalf("total weight %v", w)
 	}
 }
 

@@ -102,17 +102,12 @@ func (s *Sample) TailFraction(x float64) float64 {
 // values in [2^(i-1), 2^i) with bucket 0 holding the zeros.
 type Histogram struct {
 	buckets [65]int64
-	n       int64
 }
 
 // Add records a value.
 func (h *Histogram) Add(v uint64) {
 	h.buckets[bitLen(v)]++
-	h.n++
 }
-
-// N returns the number of recorded values.
-func (h *Histogram) N() int64 { return h.n }
 
 // bitLen returns the number of bits needed to represent v (0 for 0).
 func bitLen(v uint64) int {

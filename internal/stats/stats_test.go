@@ -14,7 +14,14 @@ func (h *Histogram) Merge(o *Histogram) {
 	for i := range h.buckets {
 		h.buckets[i] += o.buckets[i]
 	}
-	h.n += o.n
+}
+
+// count returns the number of recorded values, summed over the buckets.
+func (h *Histogram) count() (n int64) {
+	for _, c := range h.buckets {
+		n += c
+	}
+	return n
 }
 
 func TestSampleQuantiles(t *testing.T) {
@@ -93,8 +100,8 @@ func TestHistogramBuckets(t *testing.T) {
 	h.Add(2)
 	h.Add(3)
 	h.Add(1024)
-	if h.N() != 5 {
-		t.Fatalf("N = %d", h.N())
+	if h.count() != 5 {
+		t.Fatalf("count = %d", h.count())
 	}
 	out := h.String()
 	for _, want := range []string{"[0,1): 1", "[1,2): 1", "[2,4): 2", "[1024,2048): 1"} {
@@ -110,8 +117,8 @@ func TestHistogramMerge(t *testing.T) {
 	b.Add(5)
 	b.Add(100)
 	a.Merge(&b)
-	if a.N() != 3 {
-		t.Fatalf("merged N = %d", a.N())
+	if a.count() != 3 {
+		t.Fatalf("merged count = %d", a.count())
 	}
 }
 

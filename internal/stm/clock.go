@@ -90,9 +90,6 @@ func (c *MCClock) Name() string { return "tl2-multicounter" }
 // Delta returns the configured slack Δ.
 func (c *MCClock) Delta() uint64 { return c.delta }
 
-// Counter exposes the backing MultiCounter for skew instrumentation.
-func (c *MCClock) Counter() *core.MultiCounter { return c.mc }
-
 // NewHandle implements Clock with a per-operation counter handle: every
 // increment publishes at once, so the clock never lags a commit.
 func (c *MCClock) NewHandle(seed uint64) ClockHandle {

@@ -22,9 +22,7 @@ func TestMCClockAccessors(t *testing.T) {
 	if c.Delta() != 128 {
 		t.Fatalf("Delta = %d", c.Delta())
 	}
-	if c.Counter().M() != 16 {
-		t.Fatalf("Counter.M = %d", c.Counter().M())
-	}
+	c.mc.Snapshot(make([]uint64, 16)) // panics unless the counter has 16 cells
 }
 
 func TestMCClockPanicsOnZeroDelta(t *testing.T) {
@@ -51,22 +49,22 @@ func TestMCClockHelpAdvances(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		h.Help()
 	}
-	if c.Counter().Exact() != 400 {
-		t.Fatalf("helps applied %d increments, want 400", c.Counter().Exact())
+	if c.mc.Exact() != 400 {
+		t.Fatalf("helps applied %d increments, want 400", c.mc.Exact())
 	}
 	// CommitVersion ticks once more and stamps tmax + Δ.
 	if wv := h.CommitVersion(50); wv != 66 {
 		t.Fatalf("CommitVersion = %d, want 66", wv)
 	}
-	if c.Counter().Exact() != 401 {
-		t.Fatalf("commit tick missing: %d", c.Counter().Exact())
+	if c.mc.Exact() != 401 {
+		t.Fatalf("commit tick missing: %d", c.mc.Exact())
 	}
 }
 
 func TestArrayAccessors(t *testing.T) {
 	arr := NewArray(4)
-	if arr.Len() != 4 {
-		t.Fatalf("Len = %d", arr.Len())
+	if len(arr.vals) != 4 {
+		t.Fatalf("slots = %d", len(arr.vals))
 	}
 	if arr.MaxVersion() != 0 {
 		t.Fatalf("fresh MaxVersion = %d", arr.MaxVersion())

@@ -73,9 +73,6 @@ func NewArray(n int) *Array {
 	return &Array{vals: make([]atomic.Uint64, n), locks: make([]vlock, n)}
 }
 
-// Len returns the number of slots.
-func (a *Array) Len() int { return len(a.vals) }
-
 // ReadDirect returns slot i without transactional protection; valid only at
 // quiescence (the post-run verifier).
 func (a *Array) ReadDirect(i int) uint64 { return a.vals[i].Load() }

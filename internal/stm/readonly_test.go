@@ -257,7 +257,7 @@ func TestReadYourWritesModel(t *testing.T) {
 		err := tx.Run(func(tx *Tx) error {
 			for step := 0; step < 12; step++ {
 				slot := r.Intn(4)
-				if r.Bool() {
+				if r.Next()&1 == 1 {
 					v := r.Uint64n(1000)
 					tx.Store(slot, v)
 					model[slot] = v

@@ -99,6 +99,3 @@ func (l *ThreadLog) Record(ev Event) {
 	ev.Th = l.id
 	l.events = append(l.events, ev)
 }
-
-// Len returns the number of recorded events.
-func (l *ThreadLog) Len() int { return len(l.events) }

@@ -27,8 +27,8 @@ func TestRecordAndMergeSorted(t *testing.T) {
 		s = r.Stamp()
 		l1.Record(Event{Kind: KindInc, Start: s, Lin: s, End: s})
 	}
-	if l0.Len() != 10 || l1.Len() != 10 {
-		t.Fatalf("log lengths %d/%d", l0.Len(), l1.Len())
+	if len(l0.events) != 10 || len(l1.events) != 10 {
+		t.Fatalf("log lengths %d/%d", len(l0.events), len(l1.events))
 	}
 	merged := r.Merge()
 	if len(merged) != 20 {

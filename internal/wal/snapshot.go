@@ -91,7 +91,7 @@ func writeSnapshot(w io.Writer, s *Snapshot) error {
 }
 
 // WriteSnapshot persists s atomically (tmp + rename + directory sync),
-// records its cut, resets the bytes-since-snapshot gauge, and truncates
+// resets the bytes-since-snapshot gauge, and truncates
 // segments and snapshots the new snapshot makes dead. The caller guarantees
 // s captures all state through s.CutLSN (dlzd's snapshotter quiesces
 // mutators, each of which published its handles' buffers before letting go,
@@ -120,7 +120,6 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 	if err := syncDir(l.opt.Dir); err != nil {
 		return err
 	}
-	l.snapCut.Store(s.CutLSN)
 	l.sinceSnap.Store(0)
 	l.truncateObsolete(s.CutLSN)
 	return nil

@@ -141,7 +141,6 @@ type Log struct {
 	bytesTotal atomic.Uint64
 	fsyncs     atomic.Uint64
 	sinceSnap  atomic.Int64
-	snapCut    atomic.Uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -214,7 +213,6 @@ func OpenWithProgress(opt Options, prog *Progress) (*Log, *Recovered, error) {
 	l.fcond = sync.NewCond(&l.fmu)
 	l.headWord.Store(rec.Head)
 	l.flushedLSN = rec.Head // on-disk state is as durable as it will get
-	l.snapCut.Store(rec.SnapshotCut)
 	l.sinceSnap.Store(rec.TailBytes)
 	if err := l.openSegment(rec.Head + 1); err != nil {
 		return nil, nil, err
@@ -434,10 +432,6 @@ func (l *Log) BytesAppended() uint64 { return l.bytesTotal.Load() }
 // snapshot (seeded at Open with the replayed tail size), the signal the
 // auto-snapshot trigger watches.
 func (l *Log) BytesSinceSnapshot() int64 { return l.sinceSnap.Load() }
-
-// SnapshotCut returns the cut LSN of the newest snapshot written or
-// recovered.
-func (l *Log) SnapshotCut() uint64 { return l.snapCut.Load() }
 
 // Close seals the journal: stops the flusher, syncs and closes the active
 // segment, and makes further Appends fail with ErrClosed. A journal closed

@@ -270,8 +270,8 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	if l.BytesSinceSnapshot() != 0 || l.SnapshotCut() != 20 {
-		t.Fatalf("snapshot bookkeeping: since=%d cut=%d", l.BytesSinceSnapshot(), l.SnapshotCut())
+	if l.BytesSinceSnapshot() != 0 {
+		t.Fatalf("snapshot bookkeeping: since=%d", l.BytesSinceSnapshot())
 	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if len(segs) != 1 {
@@ -302,6 +302,34 @@ func TestSnapshotTruncatesAndCleanCloseReplaysZero(t *testing.T) {
 // to write: at most 16 bytes per element plus 64 KiB. The frames go out
 // through one buffer the size of recovery's window, so what it allocates
 // does not grow with the snapshot.
+// TestTruncationBoundary pins where a snapshot's cut makes a segment dead:
+// exactly when its successor starts at or before cut+1. A cut one below the
+// second segment's first LSN covers every record of the first segment and
+// removes it; a cut two below leaves that segment's last record uncovered
+// and keeps it.
+func TestTruncationBoundary(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := testOpen(t, dir, Options{SegmentBytes: 256})
+	defer l.Close()
+	var segs []dirFile
+	for len(segs) < 3 {
+		mustAppend(t, l, Record{Type: RecEnqueue, Tenant: "t", Items: []Item{{Priority: 1, Value: 2}}})
+		segs, _, _ = listDir(dir)
+	}
+	first, next := segs[0].path, segs[1].seq
+	for _, c := range []struct {
+		cut  uint64
+		kept bool
+	}{{next - 2, true}, {next - 1, false}} {
+		if err := l.WriteSnapshot(&Snapshot{CutLSN: c.cut}); err != nil {
+			t.Fatalf("WriteSnapshot: %v", err)
+		}
+		if _, err := os.Stat(first); (err == nil) != c.kept {
+			t.Fatalf("cut %d, next segment at LSN %d: first segment kept %v, want %v", c.cut, next, err == nil, c.kept)
+		}
+	}
+}
+
 func TestWriteSnapshotAllocBound(t *testing.T) {
 	const n = 100_000
 	dir := t.TempDir()
