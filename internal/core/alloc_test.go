@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"repro/internal/heap"
 	"repro/internal/rng"
 )
 
@@ -26,6 +28,35 @@ func TestNewMultiQueueFootprint(t *testing.T) {
 		t.Fatalf("NewMultiQueue at m = %d allocated %d B, want <= %d", m, got, bound)
 	}
 	t.Logf("NewMultiQueue at m = %d allocated %d B", m, got)
+}
+
+// TestMultiQueuePrefillFootprint holds what a prefill allocates to twice the
+// items' bytes plus 64 KiB: one handle at m = 64, s = 16, k = 8 makes 2^18
+// uniform EnqueuePriority calls, so each shard takes 4 k items by inserts
+// alone, as lib-queue's standing content is built. A shard's run is chunks
+// that hold each item once and its pending heap is flushed before it outgrows
+// a quarter of the run; a pending array that took the whole fill and was
+// regrown by append to hold it allocated 3.8 times the items' bytes.
+func TestMultiQueuePrefillFootprint(t *testing.T) {
+	const items = 1 << 18
+	q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 64}, Stickiness: 16, Batch: 8})
+	h, r := q.NewHandle(6), rng.NewXoshiro256(6)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := uint64(0); i < items; i++ {
+		h.EnqueuePriority(r.Next()>>16, i)
+	}
+	runtime.ReadMemStats(&after)
+	itemBytes := uint64(items * unsafe.Sizeof(heap.Item{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > 2*itemBytes+64<<10 {
+		t.Fatalf("a prefill of %d items allocated %d B, %.2f times their %d B; want <= 2 times + 64 KiB",
+			items, got, float64(got)/float64(itemBytes), itemBytes)
+	}
+	t.Logf("a prefill of %d items allocated %.2f times their bytes", items, float64(got)/float64(itemBytes))
+	if h.Flush(); q.Len() != items {
+		t.Fatalf("Len = %d after the prefill, want %d", q.Len(), items)
+	}
 }
 
 // TestMQHandleHotPathZeroAlloc pins the MultiQueue hot path at zero
@@ -70,6 +101,25 @@ func TestMQHandleHotPathZeroAlloc(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
 			t.Fatalf("steady-state own-buffer enqueue+dequeue allocated %.2f objects/op, want 0", allocs)
+		}
+	})
+	// The Section 7 loop over a standing prefill of 4 k items a shard, 16
+	// chunks of run each: pops free chunks and later merges must reuse them.
+	t.Run("prefilled", func(t *testing.T) {
+		q := NewMultiQueue(MultiQueueConfig{Topology: Topology{InitialM: 16}, Stickiness: 16, Batch: 8})
+		h, r := q.NewHandle(4), rng.NewXoshiro256(4)
+		for i := 0; i < 1<<16; i++ {
+			h.EnqueuePriority(r.Next()>>16, 1)
+		}
+		step := func() {
+			h.EnqueuePriority(r.Next()>>16, 1)
+			h.Dequeue()
+		}
+		for i := 0; i < 4096; i++ {
+			step()
+		}
+		if allocs := testing.AllocsPerRun(2000, step); allocs != 0 {
+			t.Fatalf("steady-state enqueue+dequeue over a prefill allocated %.2f objects/op, want 0", allocs)
 		}
 	})
 	// Every dequeue is served by the local-min rule from the prefetched run's

@@ -135,8 +135,8 @@ func (w TopWord) Key() uint64 {
 type Backing int
 
 // Queue is one linearizable priority queue: exactly one pad.CacheLine block
-// holding every word a critical section reads or writes, the heap's array
-// headers included (only the arrays themselves live elsewhere). Create a
+// holding every word a critical section reads or writes, the heap's header
+// included (only its chunk table and item arrays live elsewhere). Create a
 // structure's queues with NewShards, which aligns each to its own block; a
 // Queue must not be copied.
 type Queue struct {
@@ -159,14 +159,14 @@ type Queue struct {
 	elisions     atomic.Uint64
 	publications atomic.Uint64
 	pq           heap.Binary
-	_            [pad.CacheLine - 112]byte // the fields above are 112 bytes
+	_            [pad.CacheLine - 120]byte // the fields above are 120 bytes
 }
 
 // NewShards returns n empty queues as one contiguous array whose every
 // element starts on a pad.CacheLine boundary: shard i's lock, top word and
 // heap header are one block, and no two shards share one. Each heap is the
-// zero heap.Binary, so an empty shard holds no element storage; its arrays
-// grow by append as elements arrive.
+// zero heap.Binary, so an empty shard holds no element storage; its run's
+// chunks and its pending array are allocated as elements arrive.
 func NewShards(n int) []Queue {
 	qs := alignedQueues(n)
 	for i := range qs {

@@ -29,17 +29,20 @@ func (m *refModel) Pop() (uint64, bool) {
 }
 
 // stashCoverage counts how often a differential stream reached each corner
-// of Binary's two-part layout — its sorted run and its pending heap — so the
-// tests can assert the seeded streams exercise all of them rather than hope
-// so.
+// of Binary's two-part layout — its chunked sorted run and its pending heap —
+// so the tests can assert the seeded streams exercise all of them rather than
+// hope so.
 type stashCoverage struct {
 	tailInsert  int // an insert was merged into the sorted run's tail
 	pendingPush int // an insert went onto the pending heap
-	flushMerge  int // a pop's flush merged the pending items into the run's array
-	flushAdopt  int // a pop's flush adopted the longer pending array as the run
+	flushMerge  int // a pop's flush merged the pending items into the run
+	pushFlush   int // a push found the pending heap full and flushed it first
 	bothParts   int // one PopBatch took items from both parts
 	pendingOnly int // an op left the sorted run empty and the pending heap not
 	bulkLoad    int // a PushBatch rivalling the stored items was sorted and merged whole
+	popAcross   int // a pop truncated the run across a chunk boundary
+	tailSpan    int // a tail merge wrote slots in two chunks
+	chunkReuse  int // the run grew into a chunk that pops had freed
 }
 
 // belowMin draws a priority at or just below the model's current minimum (a
@@ -80,14 +83,14 @@ func keyMode(data []byte) int {
 }
 
 // modeStream returns a stream in the given key mode that walks a heap
-// through its life: filled by inserts alone (so Binary's first pop adopts the
-// pending array), a stretch with every operation kind in turn, drained to
-// empty, refilled just past tailWindow and popped until only late arrivals
-// are left.
+// through its life: filled by inserts alone to four chunks of run (so the
+// pending heap reaches its bound and a push flushes it), a stretch with every
+// operation kind in turn, drained to empty, refilled just past tailWindow
+// into a chunk the drain freed and popped until only late arrivals are left.
 func modeStream(mode int) []byte {
 	const pushBatch16, popBatch16 = 3 + 7*16, 4 + 7*16
 	data := []byte{byte(7 * mode)} // op 0, a single push
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 64; i++ {
 		data = append(data, pushBatch16)
 	}
 	for i := 0; i < 256; i++ {
@@ -134,8 +137,13 @@ func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCovera
 		cov = new(stashCoverage)
 	}
 	var scratch []Item
+	highWater := 0 // the longest run an operation has left
 	for opIdx, op := range data {
-		runBefore, pendingBefore, movedBefore := len(h.a), len(h.p), h.moved
+		runBefore, pendingBefore, movedBefore, bulk := h.n, len(h.p), h.moved, false
+		var edge Item // the item below the chunk that holds slot runBefore
+		if b := runBefore &^ chunkMask; b > 0 {
+			edge = *h.at(b - 1)
+		}
 		switch op % 7 {
 		case 5: // single push at or below the current minimum
 			p := belowMin(r, &ref)
@@ -149,6 +157,7 @@ func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCovera
 				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
 				ref.Push(p)
 			}
+			bulk = k >= stashRun && k >= runBefore+pendingBefore
 			min, ok := h.PushBatch(scratch)
 			if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
 				t.Fatalf("op %d PushBatch(below) min = (%d,%v), want (%v)", opIdx, min.Priority, ok, ref.a)
@@ -171,6 +180,7 @@ func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCovera
 				scratch = append(scratch, Item{Priority: p, Value: r.Next()})
 				ref.Push(p)
 			}
+			bulk = k >= stashRun && k >= runBefore+pendingBefore
 			min, ok := h.PushBatch(scratch)
 			if ok != (len(ref.a) > 0) || (ok && min.Priority != ref.a[0]) {
 				t.Fatalf("op %d PushBatch min = (%d,%v), want (%v)", opIdx, min.Priority, ok, ref.a)
@@ -201,25 +211,38 @@ func applyDifferentialOps(t *testing.T, h *Binary, data []byte, cov *stashCovera
 			t.Fatalf("op %d (code %d) broke the invariant", opIdx, op%7)
 		}
 		pushed := op%7 != 2 && op%7 != 4
-		runNow, pendingNow := len(h.a), len(h.p)
+		runNow, pendingNow := h.n, len(h.p)
 		flushed := h.moved != movedBefore
+		last := (runNow - 1) >> chunkShift // the chunk holding the run's minimum
 		switch {
-		case pushed && flushed:
+		case pushed && flushed && bulk:
 			cov.bulkLoad++
+		case pushed && flushed:
+			cov.pushFlush++
 		case pushed:
 			if runNow > runBefore {
 				cov.tailInsert++
+				if b := runBefore &^ chunkMask; last > b>>chunkShift || (b > 0 && *h.at(b - 1) != edge) {
+					cov.tailSpan++
+				}
 			}
 			if pendingNow > pendingBefore {
 				cov.pendingPush++
 			}
-		case flushed && pendingBefore > runBefore:
-			cov.flushAdopt++
 		case flushed:
 			cov.flushMerge++
-		case runNow < runBefore && pendingNow < pendingBefore:
-			cov.bothParts++
+		case runNow < runBefore:
+			if runNow>>chunkShift != (runBefore-1)>>chunkShift {
+				cov.popAcross++
+			}
+			if pendingNow < pendingBefore {
+				cov.bothParts++
+			}
 		}
+		if runNow > runBefore && last >= (runBefore+chunkMask)>>chunkShift && highWater > 0 && last <= (highWater-1)>>chunkShift {
+			cov.chunkReuse++
+		}
+		highWater = max(highWater, runNow)
 		if runNow == 0 && pendingNow > 0 {
 			cov.pendingOnly++
 		}
@@ -260,10 +283,12 @@ func TestDifferentialRandomOps(t *testing.T) {
 		for mode := 0; mode < keyModes; mode++ {
 			applyDifferentialOps(t, NewBinary(4), modeStream(mode), &cov)
 		}
-		if cov.tailInsert == 0 || cov.pendingPush == 0 || cov.flushMerge == 0 || cov.flushAdopt == 0 ||
-			cov.bothParts == 0 || cov.pendingOnly == 0 || cov.bulkLoad == 0 {
+		if cov.tailInsert == 0 || cov.pendingPush == 0 || cov.flushMerge == 0 || cov.pushFlush == 0 ||
+			cov.bothParts == 0 || cov.pendingOnly == 0 || cov.bulkLoad == 0 ||
+			cov.popAcross == 0 || cov.tailSpan == 0 || cov.chunkReuse == 0 {
 			t.Fatalf("seeded streams missed a corner of the layout: %+v", cov)
 		}
+		t.Logf("corners reached: %+v", cov)
 	})
 }
 

@@ -1,9 +1,9 @@
 // Package heap provides Binary, the sequential priority queue that backs each
-// of the MultiQueue's shards: a sorted run popped by truncation plus a small
-// heap of pending inserts that a flush sorts by key bytes (an in-place radix
-// sort that allocates nothing and never calls a comparator: sortDescending),
-// with whole-batch insert and drain entry points that report the post-batch
-// minimum.
+// of the MultiQueue's shards: a sorted run in fixed-size chunks, popped by
+// truncation, plus a bounded heap of pending inserts that a flush sorts by key
+// bytes (an in-place radix sort that allocates nothing and never calls a
+// comparator: sortDescending), with whole-batch insert and drain entry points
+// that report the post-batch minimum.
 //
 // Items are ordered by Priority; the order among equal priorities is
 // unspecified (the MultiQueue's timestamps are unique per enqueue, so ties
@@ -44,90 +44,117 @@ const stashRun = 16
 // insert may land: a key at most the tailWindow-th smallest sorted key is
 // merged into the tail, every other key waits in the pending heap. It is the
 // size of the min-stash EXPERIMENTS.md §14 swept and also the floor of the
-// flush threshold; the sweep that kept it is EXPERIMENTS.md §16.
+// flush thresholds; the sweep that kept it is EXPERIMENTS.md §16.
 const tailWindow = 64
 
-// flushDiv sets the flush threshold: a pop merges the pending heap into the
-// sorted part once it holds at least 1/flushDiv of it, so a flush's O(n)
-// moves cost at most flushDiv per pending push, and the pending array is at
-// most 2/flushDiv of the run's. Swept in EXPERIMENTS.md §16.
-const flushDiv = 16
+// flushDiv and pendingDiv set the two flush thresholds: a pop merges the
+// pending heap into the run once it holds 1/flushDiv of the run, and a push
+// that finds it holding 1/pendingDiv flushes first. A pop-side flush's O(n)
+// moves cost at most flushDiv per pending push; the push-side bound keeps an
+// insert-only fill to pendingDiv + 1 moves per insert and the pending array
+// to about 1/pendingDiv of the run. Swept in EXPERIMENTS.md §16 and §36.
+const (
+	flushDiv   = 16
+	pendingDiv = 4
+)
 
-// Binary is the per-queue store: a sorted run and a small pending
-// heap. a is sorted descending, so the minimum of the run is its last item
-// and popping it is a truncation; p is a binary min-heap of items not yet
-// merged into a. An insert near the run's minimum (see tailWindow) is merged
-// into a's tail, any other is pushed onto p, and a pop that finds p grown to
-// 1/flushDiv of a sorts p and merges the two (flush). No order holds between
-// a and p — every pop compares both minima, tailWindow only decides which
-// part is cheaper for an insert — so Verify checks each part on its own. The
-// zero value is an empty queue whose arrays grow by append as items arrive;
-// once they have grown to a workload's working size the hot path allocates
-// nothing. See DESIGN.md §5.
+// The sorted run is stored in chunks of 1<<chunkShift items (4 KiB): item i
+// is run[i>>chunkShift][i&chunkMask].
+const (
+	chunkShift = 8
+	chunkMask  = 1<<chunkShift - 1
+)
+
+// Binary is the per-queue store: a sorted run and a bounded pending heap.
+// The run is sorted descending, so popping its minimum is a truncation; p is
+// a binary min-heap of items not yet merged into it. An insert near the
+// run's minimum (see tailWindow) is merged into the run's tail, any other is
+// pushed onto p, and a flush sorts p and merges it into the run. No order
+// holds between the two — every pop compares both minima — so Verify checks
+// each on its own. Chunks that pops free stay in the table for later merges,
+// so a queue allocates only when it reaches a new high-water size. The zero
+// value is an empty queue that holds no element storage. See DESIGN.md §5.
 type Binary struct {
-	a []Item
-	p []Item
+	run []*[chunkMask + 1]Item
+	n   int // items in the run
+	p   []Item
 	// moved counts the items flush has written, for the tests' bound on
 	// amortised flush work; nothing on the hot path touches it.
 	moved uint64
 }
 
-// NewBinary returns an empty queue with the given capacity hint for a queue
-// that stands alone (the MultiQueue's shards start as the zero value). The
-// hint sizes the pending array: a queue filled by inserts alone collects
-// nearly all of them there, and the first pop adopts that array as the run
-// (a hint spent on the run instead is an array the fill never uses and an
-// adoption that must grow the other one: EXPERIMENTS.md §16).
+// NewBinary returns an empty queue for a queue that stands alone (the
+// MultiQueue's shards start as the zero value), with the chunks a run of
+// capacity items needs allocated up front.
 func NewBinary(capacity int) *Binary {
-	return &Binary{p: make([]Item, 0, capacity)}
+	h := new(Binary)
+	h.grow(capacity)
+	return h
 }
 
 // Len returns the number of stored items.
-func (h *Binary) Len() int { return len(h.a) + len(h.p) }
+func (h *Binary) Len() int { return h.n + len(h.p) }
+
+// at returns the run's item i.
+func (h *Binary) at(i int) *Item { return &h.run[i>>chunkShift][i&chunkMask] }
+
+// grow allocates chunks until the table holds a run of n items.
+func (h *Binary) grow(n int) {
+	for len(h.run)<<chunkShift < n {
+		h.run = append(h.run, new([chunkMask + 1]Item))
+	}
+}
 
 // Push inserts an item: by sorted insertion into the tail of the run when it
-// is within tailWindow of the minimum, onto the pending heap otherwise.
+// is within tailWindow of the minimum, onto the pending heap otherwise. A
+// push that finds the pending heap full flushes it first.
 func (h *Binary) Push(it Item) {
+	if h.flushDue(pendingDiv) {
+		h.flush()
+	}
 	if it.Priority > h.tailThreshold() {
 		h.pushPending(it)
 		return
 	}
-	i := len(h.a)
-	h.a = append(h.a, it)
-	for ; i > 0 && h.a[i-1].Priority < it.Priority; i-- {
-		h.a[i] = h.a[i-1]
-	}
-	h.a[i] = it
+	h.merge([]Item{it})
 }
 
 // Peek returns the minimum item without removing it.
 func (h *Binary) Peek() (Item, bool) {
-	n := len(h.a)
-	if len(h.p) > 0 && (n == 0 || h.p[0].Priority < h.a[n-1].Priority) {
+	if len(h.p) > 0 && (h.n == 0 || h.p[0].Priority < h.at(h.n-1).Priority) {
 		return h.p[0], true
 	}
-	if n == 0 {
+	if h.n == 0 {
 		return Item{}, false
 	}
-	return h.a[n-1], true
+	return *h.at(h.n - 1), true
 }
 
 // AppendTo appends every stored item to dst — the run, descending, then the
 // pending heap in heap order — and returns the extended slice; the queue
 // itself is left unchanged.
-func (h *Binary) AppendTo(dst []Item) []Item { return append(append(dst, h.a...), h.p...) }
+func (h *Binary) AppendTo(dst []Item) []Item {
+	for i := 0; i < h.n; i += chunkMask + 1 {
+		dst = append(dst, h.run[i>>chunkShift][:min(chunkMask+1, h.n-i)]...)
+	}
+	return append(dst, h.p...)
+}
 
 // PushBatch inserts the batch and returns the post-batch minimum: the items
 // within tailWindow of the minimum are insertion-sorted into a stack run (the
 // batch is caller-owned and is not reordered) and merged backward into the
-// run's tail, stashRun at a time; the rest are pushed onto the pending heap.
-// A batch that rivals what is stored is sorted and merged whole instead. An
-// empty batch mutates nothing; ok is false only for an empty queue.
+// run's tail, stashRun at a time; the rest are pushed onto the pending heap,
+// which is flushed first if full. A batch that rivals what is stored is
+// sorted and merged whole instead. An empty batch mutates nothing; ok is
+// false only for an empty queue.
 func (h *Binary) PushBatch(items []Item) (Item, bool) {
 	if len(items) >= stashRun && len(items) >= h.Len() {
 		h.p = append(h.p, items...)
 		h.flush()
 		return h.Peek()
+	}
+	if len(items) > 0 && h.flushDue(pendingDiv) {
+		h.flush()
 	}
 	thr := h.tailThreshold()
 	var run [stashRun]Item
@@ -143,13 +170,13 @@ func (h *Binary) PushBatch(items []Item) (Item, bool) {
 		}
 		run[i] = it
 		if n++; n == stashRun {
-			h.a, _ = mergeDescending(h.a, run[:n])
+			h.merge(run[:n])
 			thr = h.tailThreshold()
 			n = 0
 		}
 	}
 	if n > 0 {
-		h.a, _ = mergeDescending(h.a, run[:n])
+		h.merge(run[:n])
 	}
 	return h.Peek()
 }
@@ -158,30 +185,45 @@ func (h *Binary) PushBatch(items []Item) (Item, bool) {
 // merged into the run's tail: the tailWindow-th smallest key of the run, and
 // no limit while the run is shorter than that.
 func (h *Binary) tailThreshold() uint64 {
-	if n := len(h.a); n >= tailWindow {
-		return h.a[n-tailWindow].Priority
+	if h.n >= tailWindow {
+		return h.at(h.n - tailWindow).Priority
 	}
 	return math.MaxUint64
 }
 
-// mergeDescending merges the descending run into the descending slice a,
-// backward from the minimum end, stops as soon as the run is placed — the
-// items of a above it stay where they are — and returns the merged slice and
-// the number of slots written. run must not alias a's spare capacity.
-func mergeDescending(a, run []Item) ([]Item, int) {
-	i := len(a) - 1
-	a = append(a, run...)
-	w := len(a) - 1
-	for j := len(run) - 1; j >= 0; w-- {
-		if i >= 0 && a[i].Priority < run[j].Priority {
-			a[w] = a[i]
-			i--
-		} else {
-			a[w] = run[j]
-			j--
+// merge merges the descending items src into the run, backward from the
+// minimum end one chunk at a time, stops as soon as src is placed — the run's
+// items above it stay where they are — and returns the number of slots
+// written. src must not alias the run.
+func (h *Binary) merge(src []Item) int {
+	i, j := h.n-1, len(src)-1
+	h.n += len(src)
+	h.grow(h.n)
+	w := h.n - 1
+	for j >= 0 {
+		ws := h.run[w>>chunkShift][:w&chunkMask+1]
+		x := len(ws) - 1
+		if i < 0 { // the rest of src goes below every run item
+			c := min(x, j) + 1
+			copy(ws[x+1-c:], src[j+1-c:j+1])
+			j, w = j-c, w-c
+			continue
 		}
+		rs := h.run[i>>chunkShift][:i&chunkMask+1]
+		y := len(rs) - 1
+		for ; x >= 0 && y >= 0 && j >= 0; x-- {
+			if rs[y].Priority < src[j].Priority {
+				ws[x] = rs[y]
+				y--
+			} else {
+				ws[x] = src[j]
+				j--
+			}
+		}
+		w -= len(ws) - 1 - x
+		i -= len(rs) - 1 - y
 	}
-	return a, len(a) - 1 - w
+	return h.n - 1 - w
 }
 
 // PopBatch removes up to k minimum items, appending them to dst in ascending
@@ -191,54 +233,45 @@ func mergeDescending(a, run []Item) ([]Item, int) {
 // item is the smaller of the two parts' minima. A flush, if due, comes first.
 // It stops early when the queue runs empty; k <= 0 leaves dst unchanged.
 func (h *Binary) PopBatch(k int, dst []Item) ([]Item, Item, bool) {
-	if len(h.p) > 0 && h.flushDue() {
+	if h.flushDue(flushDiv) {
 		h.flush()
 	}
-	for n := len(h.a); k > 0; k-- {
-		if len(h.p) == 0 || (n >= k && h.p[0].Priority >= h.a[n-k].Priority) {
-			if k > n {
-				k = n
-			}
+	for n := h.n; k > 0; k-- {
+		if len(h.p) == 0 || (n >= k && h.p[0].Priority >= h.at(n-k).Priority) {
+			k = min(k, n)
 			for i := n - 1; i >= n-k; i-- {
-				dst = append(dst, h.a[i])
+				dst = append(dst, *h.at(i))
 			}
-			h.a = h.a[:n-k]
+			h.n = n - k
 			break
 		}
-		if n == 0 || h.p[0].Priority < h.a[n-1].Priority {
+		if n == 0 || h.p[0].Priority < h.at(n-1).Priority {
 			dst = append(dst, h.popPending())
 		} else {
 			n--
-			dst = append(dst, h.a[n])
-			h.a = h.a[:n]
+			dst = append(dst, *h.at(n))
+			h.n = n
 		}
 	}
 	min, ok := h.Peek()
 	return dst, min, ok
 }
 
-// flushDue reports whether the pending heap has reached the flush threshold,
-// max(tailWindow, len(a)/flushDiv). Only pops ask: a run of inserts never
-// pays for a flush, the first pop after it does.
-func (h *Binary) flushDue() bool {
-	return len(h.p) >= tailWindow && len(h.p) >= len(h.a)/flushDiv
+// flushDue reports whether the pending heap has reached a flush threshold,
+// max(tailWindow, n/div) for n the run's length: div is flushDiv on the pop
+// side and pendingDiv on the push side.
+func (h *Binary) flushDue(div int) bool {
+	return len(h.p) >= tailWindow && len(h.p) >= h.n/div
 }
 
-// flush sorts the pending items (whatever order they are in) and merges the
-// shorter of the two parts into the longer one's array, backward from the
-// minimum end, so a queue filled by inserts alone has its pending array
-// adopted as the run instead of copied beside it. The other array becomes the
-// empty pending heap. O(len(a) + len(p)·w) for w the bytes on which the
-// pending keys differ (sortDescending).
+// flush sorts the pending items (whatever order they are in) and merges them
+// into the run, leaving the pending heap empty with its array kept. O(n +
+// len(p)·w) for n the run's length and w the bytes on which the pending keys
+// differ (sortDescending).
 func (h *Binary) flush() {
 	sortDescending(h.p)
-	long, short := h.a, h.p
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	long, moved := mergeDescending(long, short)
-	h.moved += uint64(moved)
-	h.a, h.p = long, short[:0]
+	h.moved += uint64(h.merge(h.p))
+	h.p = h.p[:0]
 }
 
 func (h *Binary) pushPending(it Item) {

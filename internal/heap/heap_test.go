@@ -1,9 +1,11 @@
 package heap
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -11,8 +13,8 @@ import (
 // Verify checks that the run is sorted descending and the pending heap is
 // heap-ordered (parent <= children) and returns false at the first violation.
 func (h *Binary) Verify() bool {
-	for i := 1; i < len(h.a); i++ {
-		if h.a[i-1].Priority < h.a[i].Priority {
+	for i := 1; i < h.n; i++ {
+		if h.at(i-1).Priority < h.at(i).Priority {
 			return false
 		}
 	}
@@ -149,14 +151,14 @@ func TestBinaryVerifyAfterRandomOps(t *testing.T) {
 // TestBinaryFlushWorkBounded pins the flush schedule of Binary's layout over
 // 2^17 pushes of five key streams, as inserts alone followed by a drain and
 // as the Section 7 loop over a standing prefill: (a) flushes move at most 40
-// items per item that went through the pending heap — a flush is due only
-// once the pending heap holds 1/flushDiv of the run, so it is flushDiv + 1 by
-// construction and more only if the schedule degrades; (b) inserts alone
-// never flush, whatever they pile up (flushing on the push side made the
-// prefill dearer: EXPERIMENTS.md §16); (c) a flush leaves the pending heap a small
-// array — at most twice the largest flush threshold the stream has seen — or
-// the run's old array, swapped for the longer pending one it adopted (merging
-// by append instead kept both large arrays alive).
+// items per item that went through the pending heap — a pop-side flush is due
+// only once the pending heap holds 1/flushDiv of the run, so it is flushDiv +
+// 1 by construction and more only if the schedule degrades; (b) inserts alone
+// move at most pendingDiv + 1 items per insert — a push-side flush leaves a
+// run at least 1 + 1/pendingDiv times the one before it and moves at most
+// the new run, so the moves of a fill are a geometric series summing to
+// (pendingDiv + 1) times the last run; (c) a flush leaves the pending heap a
+// small array, at most twice the largest flush threshold the stream has seen.
 func TestBinaryFlushWorkBounded(t *testing.T) {
 	const pushes, prefill, k = 1 << 17, 1 << 12, 8
 	streams := map[string]func(i uint64, h *Binary, r *rng.Xoshiro256) uint64{
@@ -176,13 +178,29 @@ func TestBinaryFlushWorkBounded(t *testing.T) {
 			h := NewBinary(0)
 			r := rng.NewXoshiro256(3)
 			var i, pending uint64
+			maxThreshold := tailWindow
+			// flushed checks (c) after an operation that moved items.
+			flushed := func(moved uint64) bool {
+				if h.moved == moved {
+					return false
+				}
+				if c := cap(h.p); c > 2*maxThreshold+k {
+					t.Fatalf("%s loop=%v: a flush left a pending array of %d items (threshold %d)", name, loop, c, maxThreshold)
+				}
+				return true
+			}
 			batch := make([]Item, k)
 			push := func() {
 				for j := range batch {
 					batch[j] = Item{Priority: key(i, h, r), Value: i}
 					i++
 				}
-				before := len(h.p)
+				// A push flushes before it routes, so after a flush the
+				// pending heap holds only items of this batch. Counting those
+				// alone misses the ones a batch of single pushes sent there
+				// before flushing midway, which only tightens (a).
+				before, moved := len(h.p), h.moved
+				maxThreshold = max(maxThreshold, h.n/pendingDiv)
 				if i/k%2 == 0 {
 					h.PushBatch(batch)
 				} else {
@@ -190,23 +208,16 @@ func TestBinaryFlushWorkBounded(t *testing.T) {
 						h.Push(it)
 					}
 				}
+				if flushed(moved) {
+					before = 0
+				}
 				pending += uint64(len(h.p) - before)
 			}
-			maxThreshold, swapped := tailWindow, 0
 			var dst []Item
 			pop := func() int {
-				moved, runCap, adopts := h.moved, cap(h.a), len(h.p) > len(h.a)
-				maxThreshold = max(maxThreshold, len(h.a)/flushDiv)
+				moved := h.moved
 				dst, _, _ = h.PopBatch(k, dst[:0])
-				if h.moved != moved {
-					if adopts {
-						swapped = runCap // the run's old array is the pending array from here on
-					}
-					if c := cap(h.p); c > 2*maxThreshold+k && c != swapped {
-						t.Fatalf("%s loop=%v: a flush left a pending array of %d items (threshold %d, array swapped in at an adoption %d)",
-							name, loop, c, maxThreshold, swapped)
-					}
-				}
+				flushed(moved)
 				return len(dst)
 			}
 			inserts := pushes
@@ -216,9 +227,11 @@ func TestBinaryFlushWorkBounded(t *testing.T) {
 			for i < uint64(inserts) {
 				push()
 			}
-			if h.moved != 0 {
-				t.Fatalf("%s loop=%v: %d inserts alone moved %d items in flushes", name, loop, inserts, h.moved)
+			if h.moved > (pendingDiv+1)*uint64(inserts) {
+				t.Fatalf("%s loop=%v: %d inserts alone moved %d items in flushes (%.1f each, want <= %d)",
+					name, loop, inserts, h.moved, float64(h.moved)/float64(inserts), pendingDiv+1)
 			}
+			t.Logf("%s loop=%v: %d inserts alone moved %.2f items each", name, loop, inserts, float64(h.moved)/float64(inserts))
 			for i < pushes {
 				push()
 				pop()
@@ -233,6 +246,43 @@ func TestBinaryFlushWorkBounded(t *testing.T) {
 					name, loop, h.moved, pending, float64(h.moved)/float64(pending))
 			}
 		}
+	}
+}
+
+// TestBinaryFillFootprint holds what an insert-only fill allocates, 2^16
+// uniform pushes into the zero value, to twice the items' bytes plus 64 KiB:
+// the run's chunks hold each item once, and the pending heap, flushed before
+// it outgrows a quarter of the run, regrows by append to under as much again.
+// A pending array that took the whole fill and was regrown by append to hold
+// it allocated 5.3 times the items' bytes. The drain must return every item
+// in order, and the same fill of the drained queue must allocate nothing:
+// the chunks pops freed and the pending array stay for it.
+func TestBinaryFillFootprint(t *testing.T) {
+	const items = 1 << 16
+	var h Binary
+	fill := func() uint64 {
+		r := rng.NewXoshiro256(11)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < items; i++ {
+			h.Push(Item{Priority: r.Next(), Value: uint64(i)})
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	itemBytes := uint64(items * unsafe.Sizeof(Item{}))
+	if got := fill(); got > 2*itemBytes+64<<10 {
+		t.Fatalf("a fill of %d items allocated %d B, %.2f times their %d B; want <= 2 times + 64 KiB",
+			items, got, float64(got)/float64(itemBytes), itemBytes)
+	} else {
+		t.Logf("a fill of %d items allocated %.2f times their bytes", items, float64(got)/float64(itemBytes))
+	}
+	drained, _, ok := h.PopBatch(items+1, nil)
+	if ok || len(drained) != items || !sort.SliceIsSorted(drained, func(i, j int) bool { return drained[i].Priority < drained[j].Priority }) {
+		t.Fatalf("drained %d of %d items, minimum still reported %v, or out of order", len(drained), items, ok)
+	}
+	if got := fill(); got != 0 {
+		t.Fatalf("refilling the drained queue allocated %d B, want 0", got)
 	}
 }
 

@@ -139,8 +139,8 @@ func TestSortDescendingCutoff(t *testing.T) {
 }
 
 // TestSortDescendingZeroAlloc pins that flush's sort allocates nothing, at a
-// pending heap's size and at the one whole-shard sort when a pop adopts a
-// prefill.
+// pending heap's size and at a whole shard's, the sort of a PushBatch that
+// rivals what is stored.
 func TestSortDescendingZeroAlloc(t *testing.T) {
 	for _, n := range []int{1 << 10, 1 << 14} {
 		for _, shape := range []int{shapeRandom, shapeHeap, shapeDuplicates} {

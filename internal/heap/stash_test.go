@@ -15,8 +15,8 @@ import (
 func boundary(h *Binary) (below, above uint64, ok bool) {
 	if len(h.p) > 0 {
 		min := h.p[0].Priority
-		if i := sort.Search(len(h.a), func(i int) bool { return h.a[i].Priority <= min }); i < len(h.a) {
-			return h.a[i].Priority, min, true
+		if i := sort.Search(h.n, func(i int) bool { return h.at(i).Priority <= min }); i < h.n {
+			return h.at(i).Priority, min, true
 		}
 	}
 	return 0, 0, false
@@ -171,10 +171,10 @@ func TestStashIdlesUnderFIFO(t *testing.T) {
 		push(4 * tailWindow)
 		h.PopBatch(tailWindow, nil)
 		for step := 0; step < 1000; step++ {
-			run, pending := len(h.a), len(h.p)
+			run, pending := h.n, len(h.p)
 			push(8)
-			if len(h.a) != run || len(h.p) != pending+8 {
-				t.Fatalf("step %d: a FIFO batch of 8 took run/pending from %d/%d to %d/%d", step, run, pending, len(h.a), len(h.p))
+			if h.n != run || len(h.p) != pending+8 {
+				t.Fatalf("step %d: a FIFO batch of 8 took run/pending from %d/%d to %d/%d", step, run, pending, h.n, len(h.p))
 			}
 			h.PopBatch(8, nil)
 		}
@@ -201,12 +201,12 @@ func TestStashResetLenAndCallerBatch(t *testing.T) {
 				t.Fatalf("PushBatch reordered the caller's batch: %v", batch)
 			}
 		}
-		first, second := len(h.a), len(h.p)
+		first, second := h.n, len(h.p)
 		if first+second != 70 || h.Len() != 70 || second == 0 {
 			t.Fatalf("parts %d + %d, Len %d; want 70 over both parts", first, second, h.Len())
 		}
 		h.PopBatch(h.Len(), nil)
-		first, second = len(h.a), len(h.p)
+		first, second = h.n, len(h.p)
 		if _, ok := h.Peek(); ok || h.Len() != 0 || first != 0 || second != 0 || !h.Verify() {
 			t.Fatalf("draining PopBatch left parts %d + %d, Len %d, Verify %v", first, second, h.Len(), h.Verify())
 		}
